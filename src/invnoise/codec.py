@@ -21,6 +21,10 @@ from .errors import ValidationError
 from .rng import PURPOSE_CODEBOOK, normal_values, uniform_values
 
 
+# Entries per row block of squared_distances (256 KiB of float64).
+_DIST_BLOCK = 1 << 15
+
+
 @dataclass(frozen=True)
 class ScaleSchedule:
     """Ordered (h, w) resolutions, coarsest to finest.
@@ -127,10 +131,42 @@ def upsample_replicate(grid: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     return np.repeat(np.repeat(grid, big_h // h, axis=1), big_w // w, axis=2)
 
 
+def squared_distances(cells: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Squared distance from each (h, w, d) cell to each (C, d) vector.
+
+    Returns a C-ordered (h, w, C) array.  The d squared differences are
+    summed in channel order.  The codec and the predictor pass cells as
+    ``np.moveaxis`` views of (d, h, w) grids; on that layout
+    ``einsum("hwcd,hwcd->hwc")`` over the (h, w, C, d) difference tensor
+    also adds whole channel planes in order, so this loop matches it bit
+    for bit without building that tensor.  At a single cell einsum sums
+    the d products in another order (the results differ in the last
+    bit), so that case keeps the einsum.
+    """
+    h, w, d = cells.shape
+    if h * w == 1:
+        diffs = cells[:, :, None, :] - vectors[None, None, :, :]
+        return np.einsum("hwcd,hwcd->hwc", diffs, diffs)
+    c = vectors.shape[0]
+    columns = vectors.T.copy()
+    out = np.zeros((h, w, c))
+    # Rows are taken in blocks of about _DIST_BLOCK entries so that the
+    # squared differences stay in cache between the channel passes.
+    step = max(1, _DIST_BLOCK // (w * c))
+    scratch = np.empty((min(step, h), w, c))
+    for r in range(0, h, step):
+        block = out[r : r + step]
+        diff = scratch[: block.shape[0]]
+        for j in range(d):
+            np.subtract(cells[r : r + step, :, j, None], columns[j], out=diff)
+            diff *= diff
+            block += diff
+    return out
+
+
 def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Nearest codebook index per (h, w, d) cell; ties go to the lowest index."""
-    diffs = cells[:, :, None, :] - codebook.vectors[None, None, :, :]
-    dist2 = np.einsum("hwcd,hwcd->hwc", diffs, diffs)
+    dist2 = squared_distances(cells, codebook.vectors)
     return np.argmin(dist2, axis=-1).astype(np.int32)
 
 

@@ -26,10 +26,10 @@ import numpy as np
 
 from .codec import decode, encode
 from .errors import ValidationError
-from .gumbel import standard_from_uniform
+from .gumbel import standard_field
 from .inversion import KIND_LAI, InverseNoiseSet, invert_pyramid
 from .predictor import Condition, PredictorParams, condition_embed, next_scale_logits
-from .rng import PURPOSE_EDIT_NOISE, uniform_values
+from .rng import PURPOSE_EDIT_NOISE
 
 CONTEXT_GENERATED = "generated-prefix"
 CONTEXT_SOURCE = "source-prefix"
@@ -116,17 +116,17 @@ class EditResult:
     source_pyramid: tuple
 
 
-def _fresh_gumbel(seed: int, scale: int, shape: tuple[int, int, int]) -> np.ndarray:
-    h, w, c = shape
-    u = uniform_values(
-        seed,
-        PURPOSE_EDIT_NOISE,
-        scale,
-        np.arange(h)[:, None, None],
-        np.arange(w)[None, :, None],
-        np.arange(c)[None, None, :],
-    )
-    return standard_from_uniform(u)
+def _check_noise_shapes(noise_set: InverseNoiseSet, params: PredictorParams):
+    if noise_set.num_scales != params.schedule.num_scales:
+        raise ValidationError("noise set does not match the schedule")
+    vocab = params.codebook.size
+    for k, (noise, (h, w)) in enumerate(
+        zip(noise_set.noises, params.schedule.resolutions), start=1
+    ):
+        if noise.shape != (h, w, vocab):
+            raise ValidationError(
+                f"noise map {k} has shape {noise.shape}, the config expects {(h, w, vocab)}"
+            )
 
 
 def _run_edit_loop(
@@ -147,13 +147,14 @@ def _run_edit_loop(
             edited[: t - 1] if context_mode == CONTEXT_GENERATED else source_pyramid[: t - 1]
         )
         logits = next_scale_logits(context, target_cond, t, params)
-        g = _fresh_gumbel(seed, t, logits.shape)
+        # logits + ((1 - lam) * g + lam * n), built in place
+        mixed = standard_field(seed, PURPOSE_EDIT_NOISE, t, logits.shape)
         lam = lambdas_by_scale[t]
-        if noises is None:
-            mixed = g
-        else:
-            mixed = (1.0 - lam) * g + lam * noises[t - 1]
-        edited.append(np.argmax(logits + mixed, axis=-1).astype(np.int32))
+        if noises is not None:
+            mixed *= 1.0 - lam
+            mixed += lam * noises[t - 1]
+        mixed += logits
+        edited.append(np.argmax(mixed, axis=-1).astype(np.int32))
         lambdas.append(lam)
     change = tuple(
         float(np.mean(np.asarray(a) != np.asarray(b)))
@@ -184,8 +185,8 @@ def edit_with_inverse_noise(
         noise_set = invert_pyramid(
             source_pyramid, src_cond, cfg.tau, params, cfg.seed, kind=KIND_LAI
         )
-    elif noise_set.num_scales != num_scales:
-        raise ValidationError("noise set does not match the schedule")
+    else:
+        _check_noise_shapes(noise_set, params)
     target_cond = condition_embed(cfg.target_label, params)
     lambdas = {
         t: lambda_at(cfg.lambda_schedule, t, cfg.start_scale, num_scales)

@@ -13,6 +13,7 @@ eyeballing: one image per channel (min-max normalized) or per scale
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -43,6 +44,23 @@ def _read_exact(fh, n: int) -> bytes:
     if len(data) != n:
         raise FormatError("unexpected end of file")
     return data
+
+
+def _read_payload(fh, n: int) -> bytes:
+    """Read n payload bytes, checking n against the bytes left first.
+
+    Header sizes come from the file, so a corrupt header could ask for
+    more memory than exists; the check turns that into a FormatError.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise FormatError(f"header promises {n} payload bytes, only {left} left")
+    return _read_exact(fh, n)
+
+
+def _check_end(fh):
+    if fh.read(1):
+        raise FormatError("trailing bytes after the payload")
 
 
 def _check_magic(fh, magic: bytes):
@@ -84,7 +102,8 @@ def read_grid(path) -> tuple[np.ndarray, ArtifactHeader]:
         _, seed = struct.unpack("<HQ", _read_exact(fh, 10))
         digest = _read_exact(fh, 16)
         d, h, w = struct.unpack("<III", _read_exact(fh, 12))
-        payload = np.frombuffer(_read_exact(fh, 4 * d * h * w), dtype="<f4")
+        payload = np.frombuffer(_read_payload(fh, 4 * d * h * w), dtype="<f4")
+        _check_end(fh)
     grid = payload.reshape(d, h, w).astype(np.float64)
     return grid, ArtifactHeader(seed=seed, digest=digest)
 
@@ -120,8 +139,11 @@ def read_pyramid(path) -> tuple[list[np.ndarray], int, ArtifactHeader]:
         maps = []
         for _ in range(num_scales):
             h, w = struct.unpack("<II", _read_exact(fh, 8))
-            data = np.frombuffer(_read_exact(fh, 2 * h * w), dtype="<u2")
+            data = np.frombuffer(_read_payload(fh, 2 * h * w), dtype="<u2")
+            if data.size and int(data.max()) >= vocab:
+                raise FormatError(f"token {int(data.max())} out of range for vocab {vocab}")
             maps.append(data.reshape(h, w).astype(np.int32))
+        _check_end(fh)
     return maps, vocab, ArtifactHeader(seed=seed, digest=digest)
 
 
@@ -163,12 +185,16 @@ def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
         digest = _read_exact(fh, 16)
         num_scales, vocab, tau = struct.unpack("<IId", _read_exact(fh, 16))
         (label_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        label = _read_exact(fh, label_len).decode("utf-8")
+        try:
+            label = _read_payload(fh, label_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("condition label is not valid UTF-8") from None
         shapes = [struct.unpack("<II", _read_exact(fh, 8)) for _ in range(num_scales)]
         noises = []
         for h, w in shapes:
-            data = np.frombuffer(_read_exact(fh, 4 * h * w * vocab), dtype="<f4")
+            data = np.frombuffer(_read_payload(fh, 4 * h * w * vocab), dtype="<f4")
             noises.append(data.reshape(h, w, vocab).astype(np.float64))
+        _check_end(fh)
     noise_set = InverseNoiseSet(
         noises=tuple(noises),
         condition_label=label,

@@ -41,14 +41,22 @@ def truncated_from_uniform(phi, trunc, u):
 
     Closed form phi - log(exp(phi - trunc) - log u), computed through
     logaddexp so exp(phi - trunc) never overflows, then clamped so the
-    bound holds exactly in float64.
+    bound holds exactly in float64.  The steps write into one buffer of
+    the broadcast shape; a 0-d result comes back as a numpy scalar.
     """
     phi = np.asarray(phi, dtype=np.float64)
     trunc = np.asarray(trunc, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(trunc))):
         raise ValidationError("phi and trunc must be finite")
-    value = phi - np.logaddexp(phi - trunc, np.log(-np.log(u)))
-    return np.minimum(value, trunc)
+    out = np.empty(np.broadcast_shapes(phi.shape, trunc.shape, u.shape))
+    np.log(u, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    np.logaddexp(phi - trunc, out, out=out)
+    np.subtract(phi, out, out=out)
+    np.minimum(out, trunc, out=out)
+    return out[()]
 
 
 def gumbel_standard(key: RngKey) -> float:
@@ -79,12 +87,16 @@ def gumbel_argmax_sample(logits: Sequence[float], keys: Sequence[RngKey]) -> int
     return int(np.argmax(p + g))
 
 
-def sample_token_map(
-    logits: np.ndarray, seed: int, purpose: int, scale: int
+def standard_field(
+    seed: int, purpose: int, scale: int, shape: tuple[int, int, int]
 ) -> np.ndarray:
-    """Gumbel-max draw at every cell of an (h, w, C) logits map."""
-    h, w, c = logits.shape
-    u = uniform_values(
+    """Keyed standard Gumbel draws -log(-log u) over an (h, w, C) grid.
+
+    Row/col/channel key fields are the grid indices.  The transform runs
+    in place on the uniform buffer.
+    """
+    h, w, c = shape
+    g = uniform_values(
         seed,
         purpose,
         scale,
@@ -92,7 +104,20 @@ def sample_token_map(
         np.arange(w)[None, :, None],
         np.arange(c)[None, None, :],
     )
-    return np.argmax(logits + standard_from_uniform(u), axis=-1).astype(np.int32)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    return g
+
+
+def sample_token_map(
+    logits: np.ndarray, seed: int, purpose: int, scale: int
+) -> np.ndarray:
+    """Gumbel-max draw at every cell of an (h, w, C) logits map."""
+    g = standard_field(seed, purpose, scale, logits.shape)
+    g += logits
+    return np.argmax(g, axis=-1).astype(np.int32)
 
 
 # --- reference CDFs ---------------------------------------------------------

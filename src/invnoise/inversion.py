@@ -37,6 +37,9 @@ from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, uniform_values
 # reachable logit + Gumbel sum, but safe for arithmetic.
 NEG_SENTINEL = -1.0e4
 
+# Replay checks allowed before tightening gives up.
+_TIGHTEN_PASSES = 64
+
 KIND_LAI = "lai"
 KIND_OAI = "oai"
 
@@ -120,6 +123,18 @@ def located_inverse(
     return located_inverse_from_uniforms(tokens, logits, tau, u_label, u_off)
 
 
+def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float) -> np.ndarray:
+    """Cells whose replayed value is not at least ``tau`` below the label's.
+
+    With tau > 0, replayed >= q_label already gives q_label - replayed
+    <= 0 < tau, so one comparison covers both conditions; with tau <= 0
+    the margin test is implied by replayed >= q_label instead.
+    """
+    if tau > 0:
+        return (q_label - replayed) < tau
+    return replayed >= q_label
+
+
 def noise_from_perturbed(
     tokens: np.ndarray, logits: np.ndarray, q: np.ndarray, tau: float
 ) -> np.ndarray:
@@ -128,21 +143,30 @@ def noise_from_perturbed(
     Reconstruction recomputes q as p + n, which rounds.  Off-label noise
     is nudged down by ulps until, in that replayed sum, the label is a
     strict argmax and leads every other class by at least ``tau``.
+
+    The label's noise is never nudged, so its replayed value is fixed:
+    one full pass finds the failing off-label cells, and each later pass
+    nudges and re-checks only the cells that still fail, up to
+    ``_TIGHTEN_PASSES`` checks in all.
     """
     tokens = np.asarray(tokens)
     h, w = tokens.shape
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     noise = q - logits
-    label_mask = np.zeros(q.shape, dtype=bool)
-    label_mask[rows, cols, tokens] = True
-    for _ in range(64):
-        replayed = logits + noise
-        q_label = replayed[rows, cols, tokens][:, :, None]
-        bad = ((q_label - replayed) < tau) | (replayed >= q_label)
-        bad &= ~label_mask
-        if not bad.any():
+    replayed = logits + noise
+    q_label = replayed[rows, cols, tokens]
+    bad = _below_margin(q_label[:, :, None], replayed, tau)
+    bad[rows, cols, tokens] = False
+    i, j, c = np.nonzero(bad)
+    for _ in range(_TIGHTEN_PASSES - 1):
+        if not i.size:
             return noise
-        noise[bad] = np.nextafter(noise[bad], -np.inf)
+        nudged = np.nextafter(noise[i, j, c], -np.inf)
+        noise[i, j, c] = nudged
+        still = _below_margin(q_label[i, j], logits[i, j, c] + nudged, tau)
+        i, j, c = i[still], j[still], c[still]
+    if not i.size:
+        return noise
     raise InvariantError("noise tightening did not converge")
 
 

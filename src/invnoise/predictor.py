@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Codebook, ScaleSchedule, downsample_blockmean, partial_decode
+from .codec import (
+    Codebook,
+    ScaleSchedule,
+    downsample_blockmean,
+    partial_decode,
+    squared_distances,
+)
 from .errors import ValidationError
 from .gumbel import sample_token_map
 from .rng import (
@@ -100,9 +106,9 @@ def next_scale_logits(
         context -= downsample_blockmean(
             partial_decode(maps, params.codebook, schedule), (h, w)
         )
-    cells = np.moveaxis(context, 0, -1)
-    diffs = cells[:, :, None, :] - params.codebook.vectors[None, None, :, :]
-    return -params.beta * np.einsum("hwcd,hwcd->hwc", diffs, diffs)
+    logits = squared_distances(np.moveaxis(context, 0, -1), params.codebook.vectors)
+    logits *= -params.beta
+    return logits
 
 
 def generate(

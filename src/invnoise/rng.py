@@ -28,7 +28,6 @@ PURPOSE_CONDITION = 6
 PURPOSE_MIXING = 7
 PURPOSE_SCENE = 8
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
@@ -38,6 +37,12 @@ _MULT2 = np.uint64(0x94D049BB133111EB)
 # round away from 0.0 and 1.0, so log(u) and log(-log(u)) stay finite.
 _DENOM = float(2**53 + 2)
 _SHIFT11 = np.uint64(11)
+_SHIFT27 = np.uint64(27)
+_SHIFT30 = np.uint64(30)
+_SHIFT31 = np.uint64(31)
+# Words per chunk (256 KiB) in the in-place kernels, so their
+# temporaries stay in cache.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -57,11 +62,29 @@ class RngKey:
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """One SplitMix64 step (increment + avalanche) on uint64 arrays."""
-    z = (z + _GAMMA) & _MASK64
-    z = ((z ^ (z >> np.uint64(30))) * _MULT1) & _MASK64
-    z = ((z ^ (z >> np.uint64(27))) * _MULT2) & _MASK64
-    return z ^ (z >> np.uint64(31))
+    """One SplitMix64 step (increment + avalanche) on a uint64 array.
+
+    Works in place on ``z``, which must be an array the caller owns, and
+    returns the result.  uint64 arithmetic wraps modulo 2^64, so no
+    masking is needed.  Large arrays go through in chunks of
+    ``_CHUNK`` words with one scratch array.
+    """
+    z = np.ascontiguousarray(z)
+    flat = z.reshape(-1)
+    scratch = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
+    for start in range(0, flat.size, _CHUNK):
+        x = flat[start : start + _CHUNK]
+        s = scratch[: x.size]
+        x += _GAMMA
+        np.right_shift(x, _SHIFT30, out=s)
+        x ^= s
+        x *= _MULT1
+        np.right_shift(x, _SHIFT27, out=s)
+        x ^= s
+        x *= _MULT2
+        np.right_shift(x, _SHIFT31, out=s)
+        x ^= s
+    return z
 
 
 def _as_u64(value) -> np.ndarray:
@@ -71,19 +94,19 @@ def _as_u64(value) -> np.ndarray:
 
 
 def raw64_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:
-    """Vectorized keyed hash; broadcasts rows/cols/channels."""
-    h = _mix(_as_u64(seed))
-    for field in (purpose, scale):
-        h = _mix(h ^ _as_u64(field))
+    """Vectorized keyed hash; broadcasts rows/cols/channels.
+
+    Each field is absorbed at the broadcast shape of the fields so far,
+    so with (h, 1, 1) rows, (1, w, 1) cols and (1, 1, C) channels only
+    the channel step runs at the full (h, w, C) size.
+    """
     out_shape = np.broadcast_shapes(
         np.shape(rows), np.shape(cols), np.shape(channels)
     )
-    rows, cols, channels = np.broadcast_arrays(
-        _as_u64(rows), _as_u64(cols), _as_u64(channels)
-    )
-    h = _mix(h ^ rows)
-    h = _mix(h ^ cols)
-    return _mix(h ^ channels).reshape(out_shape)
+    h = _mix(_as_u64(seed).copy())
+    for field in (purpose, scale, rows, cols, channels):
+        h = _mix(h ^ _as_u64(field))
+    return h.reshape(out_shape)
 
 
 def raw64(key: RngKey) -> int:
@@ -93,7 +116,21 @@ def raw64(key: RngKey) -> int:
 
 
 def _to_open_unit(words: np.ndarray) -> np.ndarray:
-    return ((words >> _SHIFT11).astype(np.float64) + 1.0) / _DENOM
+    """Map owned uint64 words to (0, 1), reusing their buffer.
+
+    uint64 and float64 have the same size, so each chunk of words is
+    shifted, converted and written back over itself as float64;
+    ``words`` must not be used afterwards.
+    """
+    shape = words.shape
+    flat = np.ascontiguousarray(words).reshape(-1)
+    u = flat.view(np.float64)
+    for start in range(0, flat.size, _CHUNK):
+        k = flat[start : start + _CHUNK] >> _SHIFT11
+        chunk = u[start : start + _CHUNK]
+        np.add(k, 1.0, out=chunk)  # k converts to float64 exactly (k < 2^53)
+        chunk /= _DENOM
+    return u.reshape(shape)
 
 
 def uniform_open(key: RngKey) -> float:

@@ -195,6 +195,19 @@ class TestEdit:
         gr, _ = read_grid(r / "edited.nsg")
         assert np.array_equal(gv, gr)
 
+    def test_noise_vocab_mismatch_is_validation_error(self, tmp_path):
+        noise = tmp_path / "inv"
+        assert run("invert", "--grid", "demo:scene-a", "--out", noise) == EXIT_OK
+        cfg_path = tmp_path / "vocab32.ini"
+        cfg_path.write_text("[codec]\nvocab = 32\n")
+        assert (
+            run(
+                "edit", "--config", cfg_path, "--grid", "demo:scene-a", "--mode", "varin",
+                "--noise", noise / "noise.nsn", "--out", tmp_path / "ed",
+            )
+            == EXIT_VALIDATION
+        )
+
     def test_missing_noise_is_validation_error(self, tmp_path):
         assert (
             run("edit", "--grid", "demo:scene-a", "--mode", "varin", "--out", tmp_path / "x")
@@ -322,6 +335,14 @@ class TestRender:
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("render", "--in", tmp_path / "nope.nsg", "--out", tmp_path) == EXIT_IO
+
+    def test_huge_grid_header_is_io_error(self, tmp_path):
+        path = tmp_path / "huge.nsg"
+        write_grid(path, np.zeros((4, 2, 2)))
+        data = bytearray(path.read_bytes())
+        data[32:44] = b"\xff" * 12
+        path.write_bytes(bytes(data))
+        assert run("render", "--in", path, "--out", tmp_path / "r") == EXIT_IO
 
 
 class TestConfig:

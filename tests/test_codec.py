@@ -14,6 +14,8 @@ from invnoise.codec import (
     dyadic_schedule,
     encode,
     encode_with_residuals,
+    quantize_cells,
+    squared_distances,
     upsample_replicate,
 )
 from invnoise.errors import ValidationError
@@ -106,6 +108,48 @@ class TestScheduleAndCodebook:
     def test_codebook_rejects_nonzero_entry0(self):
         with pytest.raises(ValidationError):
             Codebook(np.ones((4, 2)))
+
+
+def reference_squared_distances(cells, vectors):
+    """The distance kernel as first written: a 4-D difference tensor and einsum."""
+    diffs = cells[:, :, None, :] - vectors[None, None, :, :]
+    return np.einsum("hwcd,hwcd->hwc", diffs, diffs)
+
+
+def channel_last_cells(seed, d, h, w, amplitude=1.5):
+    """(h, w, d) cells laid out the way encode and the predictor pass them:
+    a moveaxis view of a C-ordered (d, h, w) grid."""
+    grid = random_grid(seed, dim=d, size=max(h, w), amplitude=amplitude)
+    return np.moveaxis(grid[:, :h, :w].copy(), 0, -1)
+
+
+class TestSquaredDistances:
+    """The channel-loop kernel is bit-identical to the einsum reference."""
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 5, 8])
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 6), (5, 1), (2, 2), (3, 7), (16, 16), (64, 64)])
+    @pytest.mark.parametrize("size", [2, 7, 64])
+    def test_matches_einsum_reference(self, d, h, w, size):
+        cells = channel_last_cells(d * 100 + h * 10 + w, d, h, w)
+        vectors = default_codebook(size=size, dim=d, seed=size + d).vectors
+        got = squared_distances(cells, vectors)
+        assert got.shape == (h, w, size)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, reference_squared_distances(cells, vectors))
+
+    def test_wide_rows_span_several_blocks(self):
+        """A 64x64 grid with vocab 512 runs over many row blocks."""
+        cells = channel_last_cells(7, 4, 64, 64)
+        vectors = default_codebook(size=512, dim=4).vectors
+        assert np.array_equal(
+            squared_distances(cells, vectors), reference_squared_distances(cells, vectors)
+        )
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 4), (8, 8)])
+    def test_quantize_matches_reference_argmin(self, codebook, h, w):
+        cells = channel_last_cells(h * w, codebook.dim, h, w, amplitude=0.6)
+        want = np.argmin(reference_squared_distances(cells, codebook.vectors), axis=-1)
+        assert np.array_equal(quantize_cells(cells, codebook), want)
 
 
 class TestEncodeDecode:

@@ -1,5 +1,7 @@
 """Editing pipelines: schedules, endpoints, prefix integrity, trends."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,10 @@ from invnoise.editing import (
     lambda_at,
 )
 from invnoise.errors import ValidationError
+from invnoise.inversion import invert_pyramid
+from invnoise.gumbel import standard_from_uniform
+from invnoise.predictor import condition_embed, next_scale_logits
+from invnoise.rng import PURPOSE_EDIT_NOISE, uniform_values
 
 from conftest import random_grid
 
@@ -106,6 +112,37 @@ class TestEndpoints:
             for k in range(start - 1):
                 assert np.array_equal(result.pyramid[k], source_pyramid[k])
                 assert result.change_fraction[k] == 0.0
+
+
+class TestMixingMatchesReference:
+    @pytest.mark.parametrize("lam_schedule", [LambdaSchedule(), LambdaSchedule("constant", 0.3)])
+    def test_edited_scales(self, params, lam_schedule):
+        """Every edited scale is argmax(p + ((1 - lambda) g + lambda n)),
+        evaluated as written, with fresh draws under the edit purpose."""
+        grid = random_grid(72)
+        source_pyramid = encode(grid, params.codebook, params.schedule)
+        noise_set = invert_pyramid(
+            source_pyramid, condition_embed(SRC, params), 1.0, params, seed=4
+        )
+        cfg = EditConfig(
+            source_label=SRC, target_label=TGT, start_scale=2, lambda_schedule=lam_schedule, seed=4
+        )
+        result = edit_with_inverse_noise(grid, cfg, params, noise_set)
+        target = condition_embed(TGT, params)
+        for k in range(2, params.schedule.num_scales + 1):
+            logits = next_scale_logits(list(result.pyramid[: k - 1]), target, k, params)
+            h, w, c = logits.shape
+            u = uniform_values(
+                4,
+                PURPOSE_EDIT_NOISE,
+                k,
+                np.arange(h)[:, None, None],
+                np.arange(w)[None, :, None],
+                np.arange(c)[None, None, :],
+            )
+            lam = result.lambdas[k - 1]
+            mixed = (1.0 - lam) * standard_from_uniform(u) + lam * noise_set.noises[k - 1]
+            assert np.array_equal(result.pyramid[k - 1], np.argmax(logits + mixed, axis=-1))
 
 
 class TestRegeneration:
@@ -218,3 +255,21 @@ class TestValidation:
         )
         result = edit_with_inverse_noise(grid, cfg, params)
         assert [t.shape for t in result.pyramid] == list(params.schedule.resolutions)
+
+    @pytest.mark.parametrize("edit", [edit_with_inverse_noise, edit_target_only])
+    def test_noise_shape_mismatch(self, params, edit):
+        """A noise set from another vocab or schedule is rejected up front."""
+        grid = random_grid(81)
+        noise_set = invert_pyramid(
+            encode(grid, params.codebook, params.schedule),
+            condition_embed(SRC, params),
+            18.0,
+            params,
+            seed=3,
+        )
+        narrow = replace(noise_set, noises=tuple(n[..., :32] for n in noise_set.noises))
+        shifted = replace(noise_set, noises=noise_set.noises[1:] + noise_set.noises[:1])
+        cfg = EditConfig(source_label=SRC, target_label=TGT, seed=3)
+        for bad in (narrow, shifted):
+            with pytest.raises(ValidationError):
+                edit(grid, cfg, params, bad)

@@ -1,5 +1,7 @@
 """Artifact formats: bitwise round trips, provenance headers, PGM."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from invnoise.fileio import (
     write_pyramid,
 )
 from invnoise.inversion import invert_pyramid
-from invnoise.predictor import generate
+from invnoise.predictor import condition_embed, generate
 
 from conftest import random_grid
 
@@ -107,6 +109,90 @@ class TestNoiseFormat:
         write_noise_set(path, noise_set)
         loaded, _ = read_noise_set(path)
         assert loaded.condition_label == cond.label
+
+
+class TestCorruptHeaders:
+    """Header sizes are checked against the file before anything is allocated."""
+
+    def test_huge_grid_dimensions(self, tmp_path):
+        path = tmp_path / "huge.nsg"
+        write_grid(path, random_grid(34))
+        data = bytearray(path.read_bytes())
+        data[32:44] = struct.pack("<III", 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_grid(path)
+
+    def test_grid_trailing_bytes(self, tmp_path):
+        path = tmp_path / "t.nsg"
+        write_grid(path, random_grid(35))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError):
+            read_grid(path)
+
+    def test_pyramid_token_at_vocab(self, tmp_path):
+        path = tmp_path / "p.nsp"
+        write_pyramid(path, [np.array([[3]], dtype=np.int32)], 64)
+        data = bytearray(path.read_bytes())
+        data[-2:] = struct.pack("<H", 999)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_pyramid(path)
+        data[-2:] = struct.pack("<H", 64)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_pyramid(path)
+        data[-2:] = struct.pack("<H", 63)
+        path.write_bytes(bytes(data))
+        assert read_pyramid(path)[0][0][0, 0] == 63
+
+    def test_pyramid_huge_scale_and_trailing_bytes(self, tmp_path):
+        path = tmp_path / "p.nsp"
+        write_pyramid(path, [np.zeros((2, 2), dtype=np.int32)], 64)
+        good = path.read_bytes()
+        path.write_bytes(good + b"\0\0")
+        with pytest.raises(FormatError):
+            read_pyramid(path)
+        data = bytearray(good)
+        data[40:48] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_pyramid(path)
+
+    def test_noise_huge_vocab_and_trailing_bytes(self, tmp_path, params, source_cond):
+        pyramid = generate(source_cond, params, seed=12)
+        path = tmp_path / "n.nsn"
+        write_noise_set(path, invert_pyramid(pyramid, source_cond, 18.0, params, seed=12))
+        good = path.read_bytes()
+        path.write_bytes(good + b"\0")
+        with pytest.raises(FormatError):
+            read_noise_set(path)
+        data = bytearray(good)
+        data[36:40] = struct.pack("<I", 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_noise_set(path)
+
+    def test_noise_huge_label_length(self, tmp_path, params, source_cond):
+        pyramid = generate(source_cond, params, seed=13)
+        path = tmp_path / "n.nsn"
+        write_noise_set(path, invert_pyramid(pyramid, source_cond, 18.0, params, seed=13))
+        data = bytearray(path.read_bytes())
+        data[48:52] = struct.pack("<I", 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_noise_set(path)
+
+    def test_noise_label_not_utf8(self, tmp_path, params):
+        cond = condition_embed("ab", params)
+        pyramid = generate(cond, params, seed=14)
+        path = tmp_path / "n.nsn"
+        write_noise_set(path, invert_pyramid(pyramid, cond, 18.0, params, seed=14))
+        data = bytearray(path.read_bytes())
+        data[52:54] = b"\xff\xfe"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_noise_set(path)
 
 
 class TestPgm:

@@ -19,6 +19,7 @@ from invnoise.gumbel import (
     ks_statistic,
     located_from_uniform,
     sample_token_map,
+    standard_field,
     standard_from_uniform,
     truncated_from_uniform,
     truncated_gumbel_cdf,
@@ -104,6 +105,71 @@ class TestTruncated:
     )
     def test_bound_property(self, phi, trunc, u):
         assert truncated_from_uniform(phi, trunc, u) <= trunc
+
+
+def grid_key(h, w, c):
+    """Row, col and channel index arrays that broadcast to (h, w, c)."""
+    return np.arange(h)[:, None, None], np.arange(w)[None, :, None], np.arange(c)
+
+
+def reference_truncated(phi, trunc, u):
+    """The truncated transform as first written, one temporary per step."""
+    phi = np.asarray(phi, dtype=np.float64)
+    trunc = np.asarray(trunc, dtype=np.float64)
+    value = phi - np.logaddexp(phi - trunc, np.log(-np.log(u)))
+    return np.minimum(value, trunc)
+
+
+class TestTruncatedMatchesReference:
+    """The fused transform is bit-identical to the unfused formula."""
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-6, 18.0])
+    @pytest.mark.parametrize("beta", [4.0, 3000.0])
+    def test_inversion_shaped_inputs(self, tau, beta):
+        h, w, c = 3, 5, 64
+        rows, cols, chans = grid_key(h, w, c)
+        phi = -beta * uniform_values(107, 1, 0, rows, cols, chans)
+        u_label = uniform_values(107, 2, 0, rows[..., 0], cols[..., 0], 0)
+        trunc = (phi[:, :, 7] + standard_from_uniform(u_label) - tau)[:, :, None]
+        u = uniform_values(107, 3, 0, rows, cols, chans)
+        got = truncated_from_uniform(phi, trunc, u)
+        assert got.shape == (h, w, c) and got.flags.c_contiguous
+        assert np.array_equal(got, reference_truncated(phi, trunc, u))
+
+    def test_sentinel_and_extreme_uniforms(self):
+        phi = np.array([-1.0e4, -1.0e4, 0.0, 50.0, -700.0, 700.0])
+        trunc = np.array([0.0, -2.0e4, -1e-300, 49.0, 0.0, -700.0])
+        u = np.array([1.0 / (2**53 + 2), 1.0 - 2.0**-53, 0.5, 1e-300, 0.25, 0.75])
+        got = truncated_from_uniform(phi, trunc, u)
+        assert np.array_equal(got, reference_truncated(phi, trunc, u))
+
+    def test_scalar_inputs_give_scalars(self):
+        got = truncated_from_uniform(0.3, -1.2, 0.7)
+        want = reference_truncated(0.3, -1.2, 0.7)
+        assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+        assert got == want
+        assert gumbel_trunc(0.3, -1.2, RngKey(1, 2)) == float(
+            reference_truncated(0.3, -1.2, uniform_values(1, 2, 0, 0, 0, 0))
+        )
+
+    def test_scalar_uniform_broadcasts(self):
+        phi = np.linspace(-5.0, 5.0, 11)
+        got = truncated_from_uniform(phi, 1.0, 0.3)
+        assert got.shape == phi.shape
+        assert np.array_equal(got, reference_truncated(phi, 1.0, 0.3))
+
+
+class TestStandardField:
+    @pytest.mark.parametrize("shape", [(1, 1, 512), (1, 7, 3), (16, 16, 64)])
+    def test_matches_transformed_uniforms(self, shape):
+        u = uniform_values(9, 3, 2, *grid_key(*shape))
+        assert np.array_equal(standard_field(9, 3, 2, shape), standard_from_uniform(u))
+
+    def test_sampler_is_argmax_of_field(self):
+        logits = -4.0 * uniform_values(5, 1, 0, *grid_key(6, 4, 64))
+        u = uniform_values(11, 4, 3, *grid_key(6, 4, 64))
+        want = np.argmax(logits + standard_from_uniform(u), axis=-1)
+        assert np.array_equal(sample_token_map(logits, 11, 4, 3), want)
 
 
 class TestArgmaxSample:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invnoise.codec import encode
-from invnoise.errors import ValidationError
+from invnoise.errors import InvariantError, ValidationError
 from invnoise.gumbel import ks_statistic
 from invnoise.inversion import (
     KIND_LAI,
@@ -23,7 +23,7 @@ from invnoise.inversion import (
     onehot_inverse,
     reconstruct_from_noise,
 )
-from invnoise.predictor import condition_embed, generate, next_scale_logits
+from invnoise.predictor import PredictorParams, condition_embed, generate, next_scale_logits
 from invnoise.rng import (
     PURPOSE_LABEL_DRAW,
     PURPOSE_TRUNC_DRAW,
@@ -113,6 +113,84 @@ class TestLocatedInverse:
         logits = np.zeros((1, 1, 2))
         with pytest.raises(ValidationError):
             located_inverse(tokens, logits, -0.5, seed=1, scale=1)
+
+
+def reference_tightening(tokens, logits, q, tau):
+    """Noise tightening as first written: a full replay on every pass."""
+    rows, cols, labels = label_indices(tokens)
+    noise = q - logits
+    label_mask = np.zeros(q.shape, dtype=bool)
+    label_mask[rows, cols, labels] = True
+    for _ in range(64):
+        replayed = logits + noise
+        q_label = replayed[rows, cols, labels][:, :, None]
+        bad = ((q_label - replayed) < tau) | (replayed >= q_label)
+        bad &= ~label_mask
+        if not bad.any():
+            return noise
+        noise[bad] = np.nextafter(noise[bad], -np.inf)
+    raise InvariantError("noise tightening did not converge")
+
+
+class TestTighteningMatchesReference:
+    """Re-checking only failing cells gives the full-pass loop's noise."""
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-6, 18.0])
+    @pytest.mark.parametrize("beta", [4.0, 3000.0])
+    def test_located_inversions(self, params, source_cond, tau, beta):
+        """Same noise, or the same InvariantError where 64 passes are too
+        few (beta = 3000 with tau <= 1e-6 at the finer scales)."""
+        params = PredictorParams(params.codebook, params.schedule, beta=beta)
+        nudged = 0
+        for seed in (0, 1):
+            pyramid = encode(random_grid(seed + 70), params.codebook, params.schedule)
+            for k in range(1, params.schedule.num_scales + 1):
+                tokens = pyramid[k - 1]
+                logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+                q = located_inverse(tokens, logits, tau, seed=seed, scale=k)
+                try:
+                    want = reference_tightening(tokens, logits, q, tau)
+                except InvariantError:
+                    with pytest.raises(InvariantError):
+                        noise_from_perturbed(tokens, logits, q, tau)
+                    continue
+                got = noise_from_perturbed(tokens, logits, q, tau)
+                assert np.array_equal(got, want)
+                nudged += int(np.sum(got != q - logits))
+        # at beta = 4 replay rounding seldom breaks a margin
+        if beta > 4.0:
+            assert nudged > 0
+
+    def test_onehot_inversions(self, params, source_cond):
+        pyramid = encode(random_grid(80), params.codebook, params.schedule)
+        for k in range(1, params.schedule.num_scales + 1):
+            tokens = pyramid[k - 1]
+            logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            q = onehot_inverse(tokens, logits)
+            got = noise_from_perturbed(tokens, logits, q, 0.0)
+            assert np.array_equal(got, reference_tightening(tokens, logits, q, 0.0))
+
+    @pytest.mark.parametrize("ulps,converges", [(62, True), (63, False)])
+    def test_pass_budget(self, ulps, converges):
+        """An off-label value `ulps` subnormals above a zero label needs
+        ulps + 1 nudges, i.e. ulps + 2 replay checks; 64 are allowed."""
+        tokens = np.zeros((1, 2), dtype=np.int32)
+        logits = np.zeros((1, 2, 3))
+        q = np.zeros((1, 2, 3))
+        q[0, 1, 2] = ulps * 5e-324
+        if converges:
+            got = noise_from_perturbed(tokens, logits, q, 0.0)
+            assert np.array_equal(got, reference_tightening(tokens, logits, q, 0.0))
+            assert got[0, 1, 2] == -5e-324
+        else:
+            for tighten in (noise_from_perturbed, reference_tightening):
+                with pytest.raises(InvariantError):
+                    tighten(tokens, logits, q.copy(), 0.0)
+
+    def test_hopeless_margin_raises(self):
+        tokens = np.zeros((1, 1), dtype=np.int32)
+        with pytest.raises(InvariantError):
+            noise_from_perturbed(tokens, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), 18.0)
 
 
 class TestInvertPyramid:

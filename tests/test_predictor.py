@@ -6,7 +6,14 @@ import pytest
 from invnoise.errors import ValidationError
 from invnoise.gumbel import ks_statistic, sample_token_map
 from invnoise.inversion import invert_pyramid
-from invnoise.predictor import condition_embed, generate, next_scale_logits
+from invnoise.codec import ScaleSchedule, downsample_blockmean, partial_decode
+from invnoise.predictor import (
+    PredictorParams,
+    condition_embed,
+    generate,
+    mixing_matrix,
+    next_scale_logits,
+)
 from invnoise.rng import PURPOSE_GENERATION
 
 # Frozen once on the default seed: the two bundled labels must stay
@@ -72,6 +79,43 @@ class TestNextScaleLogits:
             next_scale_logits([np.zeros((2, 2), dtype=np.int32)], source_cond, 2, params)
         with pytest.raises(ValidationError):
             next_scale_logits([], source_cond, 0, params)
+
+
+def reference_logits(prefix, cond, k, params):
+    """Next-scale logits as first written: -beta times a 4-D einsum."""
+    h, w = params.schedule.resolutions[k - 1]
+    target = params.cond_gain * (mixing_matrix(params) @ cond.embedding)
+    context = np.broadcast_to(target[:, None, None], (params.codebook.dim, h, w)).copy()
+    if prefix:
+        context -= downsample_blockmean(
+            partial_decode(prefix, params.codebook, params.schedule), (h, w)
+        )
+    cells = np.moveaxis(context, 0, -1)
+    diffs = cells[:, :, None, :] - params.codebook.vectors[None, None, :, :]
+    return -params.beta * np.einsum("hwcd,hwcd->hwc", diffs, diffs)
+
+
+class TestLogitsMatchReference:
+    """Row-major logits are bit-identical to the einsum reference."""
+
+    @pytest.mark.parametrize("beta", [4.0, 3000.0])
+    def test_every_scale(self, params, source_cond, beta):
+        params = PredictorParams(params.codebook, params.schedule, beta=beta)
+        pyramid = generate(source_cond, params, seed=8)
+        for k in range(1, params.schedule.num_scales + 1):
+            got = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, reference_logits(pyramid[: k - 1], source_cond, k, params))
+
+    def test_rectangular_rows(self, codebook, source_cond):
+        """1xw and hx1 scales, where the grid is a single row or column."""
+        schedule = ScaleSchedule(((1, 1), (1, 4), (2, 4), (2, 8)))
+        params = PredictorParams(codebook, schedule, beta=50.0)
+        pyramid = generate(source_cond, params, seed=2)
+        for k in range(1, schedule.num_scales + 1):
+            got = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, reference_logits(pyramid[: k - 1], source_cond, k, params))
 
 
 class TestGenerate:

@@ -7,6 +7,7 @@ from invnoise.rng import (
     RngKey,
     normal_values,
     raw64,
+    raw64_values,
     uniform_field,
     uniform_open,
     uniform_values,
@@ -93,3 +94,85 @@ def test_normal_values_moments():
     z = normal_values(21, 6, 0, np.arange(50_000), 0, 0)
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02
+
+
+# --- reference construction ---------------------------------------------------
+#
+# The keyed hash as first written: every field broadcast to the full
+# output shape, then mixed out of place with explicit 64-bit masking.
+# The in-place, plane-by-plane kernel must produce the same words.
+
+_REF_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _ref_mix(z):
+    z = (z + np.uint64(0x9E3779B97F4A7C15)) & _REF_MASK
+    z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _REF_MASK
+    z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _REF_MASK
+    return z ^ (z >> np.uint64(31))
+
+
+def _ref_u64(value):
+    return np.atleast_1d(np.asarray(value)).astype(np.uint64, copy=False)
+
+
+def reference_raw64_values(seed, purpose, scale, rows, cols, channels):
+    h = _ref_mix(_ref_u64(seed))
+    for field in (purpose, scale):
+        h = _ref_mix(h ^ _ref_u64(field))
+    out_shape = np.broadcast_shapes(np.shape(rows), np.shape(cols), np.shape(channels))
+    rows, cols, channels = np.broadcast_arrays(
+        _ref_u64(rows), _ref_u64(cols), _ref_u64(channels)
+    )
+    h = _ref_mix(h ^ rows)
+    h = _ref_mix(h ^ cols)
+    return _ref_mix(h ^ channels).reshape(out_shape)
+
+
+def reference_uniform_values(*key):
+    words = reference_raw64_values(*key)
+    return ((words >> np.uint64(11)).astype(np.float64) + 1.0) / float(2**53 + 2)
+
+
+def _grid_key(h, w, c):
+    return np.arange(h)[:, None, None], np.arange(w)[None, :, None], np.arange(c)[None, None, :]
+
+
+REFERENCE_KEYS = [
+    pytest.param((0, 0, 0, 0, 0, 0), id="all-scalar"),
+    pytest.param((2**64 - 1, 8, 5, 15, 15, 63), id="max-seed"),
+    pytest.param((7, 2, 3, *_grid_key(1, 1, 512)), id="1x1"),
+    pytest.param((7, 2, 3, *_grid_key(1, 9, 64)), id="1xw"),
+    pytest.param((7, 2, 3, *_grid_key(5, 1, 3)), id="hx1"),
+    pytest.param((7, 2, 3, *_grid_key(16, 16, 64)), id="16x16"),
+    pytest.param((101, 5, 0, np.arange(1, 64)[:, None], 0, np.arange(4)[None, :]), id="codebook"),
+    pytest.param((3, 1, 0, np.arange(1000), 0, 0), id="1-d-rows"),
+    pytest.param(
+        (9, 1, 3, *np.meshgrid(np.arange(4), np.arange(5), np.arange(6), indexing="ij")),
+        id="meshgrid",
+    ),
+    pytest.param((9, 1, 3, 0, np.arange(6)[:, None], np.arange(5)[None, :]), id="cols-channels"),
+]
+
+
+@pytest.mark.parametrize("key", REFERENCE_KEYS)
+def test_raw64_matches_broadcast_reference(key):
+    got = raw64_values(*key)
+    want = reference_raw64_values(*key)
+    assert got.dtype == np.uint64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("key", REFERENCE_KEYS)
+def test_uniform_matches_broadcast_reference(key):
+    assert np.array_equal(uniform_values(*key), reference_uniform_values(*key))
+
+
+def test_hash_leaves_uint64_inputs_untouched():
+    rows = np.arange(8, dtype=np.uint64)[:, None]
+    cols = np.arange(3, dtype=np.uint64)[None, :]
+    seed = np.array([5], dtype=np.uint64)
+    before = rows.copy(), cols.copy(), seed.copy()
+    raw64_values(seed, 1, 2, rows, cols, 0)
+    assert all(np.array_equal(a, b) for a, b in zip((rows, cols, seed), before))
