@@ -28,13 +28,7 @@ from .editing import (
     lambda_at,
 )
 from .errors import FormatError, InvariantError, ValidationError
-from .gumbel import (
-    gumbel_argmax_sample,
-    gumbel_located,
-    gumbel_standard,
-    gumbel_trunc,
-    ks_statistic,
-)
+from .gumbel import ks_statistic
 from .inversion import (
     InverseNoiseSet,
     gaussian_ar_apply,
@@ -48,11 +42,11 @@ from .metrics import mse, psnr, ssim, token_agreement
 from .predictor import (
     Condition,
     PredictorParams,
+    ScaleStepper,
     condition_embed,
     generate,
     next_scale_logits,
 )
-from .rng import RngKey, uniform_open
 
 __version__ = "0.1.0"
 
@@ -66,8 +60,8 @@ __all__ = [
     "InverseNoiseSet",
     "LambdaSchedule",
     "PredictorParams",
-    "RngKey",
     "ScaleSchedule",
+    "ScaleStepper",
     "ValidationError",
     "condition_embed",
     "decode",
@@ -82,10 +76,6 @@ __all__ = [
     "gaussian_ar_apply",
     "gaussian_ar_invert",
     "generate",
-    "gumbel_argmax_sample",
-    "gumbel_located",
-    "gumbel_standard",
-    "gumbel_trunc",
     "invert_pyramid",
     "ks_statistic",
     "lambda_at",
@@ -97,6 +87,5 @@ __all__ = [
     "reconstruct_from_noise",
     "ssim",
     "token_agreement",
-    "uniform_open",
     "upsample_replicate",
 ]

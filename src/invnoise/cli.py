@@ -286,6 +286,8 @@ def cmd_sweep(args) -> int:
         )
     if not sweep.values:
         raise ValidationError("sweep value list is empty")
+    if sweep.parameter == "start_scale" and not all(float(v).is_integer() for v in sweep.values):
+        raise ValidationError(f"start_scale sweep values must be integers, got {sweep.values}")
     if not sweep.seeds:
         raise ValidationError("sweep seed list is empty")
     digest = config_digest(cfg)

@@ -78,8 +78,8 @@ class Codebook:
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 2:
-            raise ValidationError("codebook must be (C, d) with C >= 2")
+        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 1:
+            raise ValidationError("codebook must be (C, d) with C >= 2 and d >= 1")
         if not np.all(np.isfinite(v)):
             raise ValidationError("codebook entries must be finite")
         if np.any(v[0] != 0.0):
@@ -99,6 +99,8 @@ def default_codebook(size: int = 64, dim: int = 4, seed: int = 101) -> Codebook:
     """Entry 0 zero, remaining entries drawn uniformly in the unit ball."""
     if size < 2:
         raise ValidationError("codebook size must be >= 2")
+    if dim < 1:
+        raise ValidationError("codebook dim must be >= 1")
     entries = np.arange(1, size)[:, None]
     dims = np.arange(dim)[None, :]
     gauss = normal_values(seed, PURPOSE_CODEBOOK, 0, entries, 0, dims)
@@ -187,11 +189,14 @@ def validate_grid(grid: np.ndarray, codebook: Codebook, schedule: ScaleSchedule)
     return grid
 
 
-def validate_pyramid(pyramid, codebook: Codebook, schedule: ScaleSchedule):
-    if len(pyramid) != schedule.num_scales:
-        raise ValidationError(
-            f"pyramid has {len(pyramid)} scales, schedule has {schedule.num_scales}"
-        )
+def validate_pyramid(
+    pyramid, codebook: Codebook, schedule: ScaleSchedule, num_scales: int | None = None
+):
+    """Check a pyramid, or its first ``num_scales`` scales, against the
+    schedule and codebook; returns the maps as int32 arrays."""
+    expect = schedule.num_scales if num_scales is None else num_scales
+    if len(pyramid) != expect:
+        raise ValidationError(f"pyramid has {len(pyramid)} scales, expected {expect}")
     out = []
     for tokens, (h, w) in zip(pyramid, schedule.resolutions):
         tokens = np.asarray(tokens)
@@ -237,17 +242,5 @@ def decode(pyramid, codebook: Codebook, schedule: ScaleSchedule) -> np.ndarray:
     finest = schedule.finest
     out = np.zeros((codebook.dim, *finest))
     for tokens in maps:
-        out += upsample_replicate(embed_tokens(tokens, codebook), finest)
-    return out
-
-
-def partial_decode(prefix, codebook: Codebook, schedule: ScaleSchedule) -> np.ndarray:
-    """Decode the leading scales of a pyramid (prefix may be empty)."""
-    finest = schedule.finest
-    out = np.zeros((codebook.dim, *finest))
-    for tokens, (h, w) in zip(prefix, schedule.resolutions):
-        tokens = np.asarray(tokens)
-        if tokens.shape != (h, w):
-            raise ValidationError(f"prefix map shape {tokens.shape}, expected {(h, w)}")
         out += upsample_replicate(embed_tokens(tokens, codebook), finest)
     return out

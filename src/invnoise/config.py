@@ -140,7 +140,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"malformed config: {exc}") from exc
     try:
         return _from_parser(parser)
@@ -248,8 +248,3 @@ def config_digest(cfg: ExperimentConfig) -> bytes:
     its files land.
     """
     return hashlib.sha256(render_config(cfg, include_output=False).encode("utf-8")).digest()[:16]
-
-
-def write_config(cfg: ExperimentConfig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_config(cfg))

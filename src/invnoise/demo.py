@@ -48,10 +48,6 @@ _SCENES = {
 }
 
 
-def scene_names() -> tuple[str, ...]:
-    return tuple(_SCENES)
-
-
 def scene_record(name: str) -> DemoScene:
     try:
         return _SCENES[name]
@@ -63,12 +59,7 @@ def scene_record(name: str) -> DemoScene:
 
 def demo_scene(name: str, params: PredictorParams) -> tuple[np.ndarray, np.ndarray, DemoScene]:
     """Return (grid, edit mask, scene record) for a bundled scene."""
-    try:
-        scene = _SCENES[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown demo scene {name!r}; available: {', '.join(_SCENES)}"
-        ) from None
+    scene = scene_record(name)
     cond = condition_embed(scene.source_label, params)
     pyramid = generate(cond, params, seed=scene.scene_seed)
     grid = STRUCTURE_GAIN * decode(pyramid, params.codebook, params.schedule)

@@ -1,6 +1,7 @@
 """Prompt-conditioned editing of token pyramids.
 
-Three pipelines over a shared sampling loop:
+Three pipelines over one sampling loop, which walks the scales with a
+:class:`~invnoise.predictor.ScaleStepper` under the target condition:
 
 * regeneration: copy scales below the start scale from the source
   encoding, then sample the rest under the target condition with fresh
@@ -14,7 +15,9 @@ Three pipelines over a shared sampling loop:
   margin.
 
 Fresh edit noise draws use their own purpose tag, so the lambda = 0
-endpoint matches regeneration bit for bit under a shared seed.
+endpoint matches regeneration bit for bit under a shared seed.  The
+context of each edited scale is the edited scales before it
+(generated-prefix) or the source scales before it (source-prefix).
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 from .codec import decode, encode
 from .errors import ValidationError
 from .gumbel import standard_field
-from .inversion import KIND_LAI, InverseNoiseSet, invert_pyramid
-from .predictor import Condition, PredictorParams, condition_embed, next_scale_logits
+from .inversion import KIND_LAI, InverseNoiseSet, invert_pyramid, validate_noise_set
+from .predictor import Condition, PredictorParams, ScaleStepper, condition_embed
 from .rng import PURPOSE_EDIT_NOISE
 
 CONTEXT_GENERATED = "generated-prefix"
@@ -116,19 +119,6 @@ class EditResult:
     source_pyramid: tuple
 
 
-def _check_noise_shapes(noise_set: InverseNoiseSet, params: PredictorParams):
-    if noise_set.num_scales != params.schedule.num_scales:
-        raise ValidationError("noise set does not match the schedule")
-    vocab = params.codebook.size
-    for k, (noise, (h, w)) in enumerate(
-        zip(noise_set.noises, params.schedule.resolutions), start=1
-    ):
-        if noise.shape != (h, w, vocab):
-            raise ValidationError(
-                f"noise map {k} has shape {noise.shape}, the config expects {(h, w, vocab)}"
-            )
-
-
 def _run_edit_loop(
     source_pyramid,
     target_cond: Condition,
@@ -139,23 +129,25 @@ def _run_edit_loop(
     lambdas_by_scale: dict[int, float],
     context_mode: str,
 ) -> EditResult:
-    num_scales = params.schedule.num_scales
-    edited = [np.array(t, copy=True) for t in source_pyramid[: start_scale - 1]]
+    stepper = ScaleStepper(target_cond, params)
+    edited = []
     lambdas = [float("nan")] * (start_scale - 1)
-    for t in range(start_scale, num_scales + 1):
-        context = (
-            edited[: t - 1] if context_mode == CONTEXT_GENERATED else source_pyramid[: t - 1]
-        )
-        logits = next_scale_logits(context, target_cond, t, params)
-        # logits + ((1 - lam) * g + lam * n), built in place
-        mixed = standard_field(seed, PURPOSE_EDIT_NOISE, t, logits.shape)
-        lam = lambdas_by_scale[t]
-        if noises is not None:
-            mixed *= 1.0 - lam
-            mixed += lam * noises[t - 1]
-        mixed += logits
-        edited.append(np.argmax(mixed, axis=-1).astype(np.int32))
-        lambdas.append(lam)
+    for t, source_tokens in enumerate(source_pyramid, start=1):
+        if t < start_scale:
+            tokens = np.array(source_tokens, copy=True)
+        else:
+            logits = stepper.next_scale_logits()
+            # logits + ((1 - lam) * g + lam * n), built in place
+            mixed = standard_field(seed, PURPOSE_EDIT_NOISE, t, logits.shape)
+            lam = lambdas_by_scale[t]
+            if noises is not None:
+                mixed *= 1.0 - lam
+                mixed += lam * noises[t - 1]
+            mixed += logits
+            tokens = np.argmax(mixed, axis=-1).astype(np.int32)
+            lambdas.append(lam)
+        stepper.push(tokens if context_mode == CONTEXT_GENERATED else source_tokens)
+        edited.append(tokens)
     change = tuple(
         float(np.mean(np.asarray(a) != np.asarray(b)))
         for a, b in zip(edited, source_pyramid)
@@ -169,24 +161,22 @@ def _run_edit_loop(
     )
 
 
-def edit_with_inverse_noise(
+def _noise_guided_edit(
     source_grid: np.ndarray,
-    config: EditConfig,
+    cfg: EditConfig,
+    inversion_label: str,
     params: PredictorParams,
-    noise_set: Optional[InverseNoiseSet] = None,
+    noise_set: Optional[InverseNoiseSet],
 ) -> EditResult:
-    """Noise-guided edit: invert under the source condition, then sample
-    edited scales under the target condition with interpolated noise."""
+    """Edit with a resolved config; extract the inverse noise under
+    ``inversion_label`` when no noise set is given."""
     num_scales = params.schedule.num_scales
-    cfg = config.resolved(num_scales)
     source_pyramid = encode(source_grid, params.codebook, params.schedule)
     if noise_set is None:
-        src_cond = condition_embed(cfg.source_label, params)
-        noise_set = invert_pyramid(
-            source_pyramid, src_cond, cfg.tau, params, cfg.seed, kind=KIND_LAI
-        )
+        cond = condition_embed(inversion_label, params)
+        noise_set = invert_pyramid(source_pyramid, cond, cfg.tau, params, cfg.seed, kind=KIND_LAI)
     else:
-        _check_noise_shapes(noise_set, params)
+        validate_noise_set(noise_set, params)
     target_cond = condition_embed(cfg.target_label, params)
     lambdas = {
         t: lambda_at(cfg.lambda_schedule, t, cfg.start_scale, num_scales)
@@ -202,6 +192,18 @@ def edit_with_inverse_noise(
         lambdas,
         cfg.context_mode,
     )
+
+
+def edit_with_inverse_noise(
+    source_grid: np.ndarray,
+    config: EditConfig,
+    params: PredictorParams,
+    noise_set: Optional[InverseNoiseSet] = None,
+) -> EditResult:
+    """Noise-guided edit: invert under the source condition, then sample
+    edited scales under the target condition with interpolated noise."""
+    cfg = config.resolved(params.schedule.num_scales)
+    return _noise_guided_edit(source_grid, cfg, cfg.source_label, params, noise_set)
 
 
 def edit_regeneration(
@@ -241,14 +243,5 @@ def edit_target_only(
     noise_set: Optional[InverseNoiseSet] = None,
 ) -> EditResult:
     """Variant that extracts the inverse noise under the target condition."""
-    num_scales = params.schedule.num_scales
-    cfg = config.resolved(num_scales, default_tau=TARGET_ONLY_DEFAULT_TAU)
-    if noise_set is None:
-        source_pyramid = encode(source_grid, params.codebook, params.schedule)
-        tgt_cond = condition_embed(cfg.target_label, params)
-        noise_set = invert_pyramid(
-            source_pyramid, tgt_cond, cfg.tau, params, cfg.seed, kind=KIND_LAI
-        )
-    return edit_with_inverse_noise(
-        source_grid, replace(cfg, source_label=cfg.target_label), params, noise_set
-    )
+    cfg = config.resolved(params.schedule.num_scales, default_tau=TARGET_ONLY_DEFAULT_TAU)
+    return _noise_guided_edit(source_grid, cfg, cfg.target_label, params, noise_set)

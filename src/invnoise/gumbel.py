@@ -4,21 +4,23 @@ Standard and located sampling, closed-form truncated sampling, argmax
 (Gumbel-max) categorical sampling, and the Kolmogorov-Smirnov statistic
 used to judge how Gumbel-like a batch of values is.
 
-Each sampler comes in two layers: a ``*_from_uniform`` core that maps
-explicit uniform draws through the closed-form transform (pure math,
-easy to pin in tests), and a keyed wrapper that sources the uniforms
-from :mod:`invnoise.rng`.
+Each transform is a ``*_from_uniform`` function that maps explicit
+uniform draws through the closed form (pure math, easy to pin in
+tests).  Keyed uniforms come from :func:`invnoise.rng.uniform_values`:
+``standard_field`` and ``sample_token_map`` draw whole (h, w, C)
+fields, and the located and truncated draws of the inversion are keyed
+in :mod:`invnoise.inversion`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import ValidationError
-from .rng import RngKey, uniform_open, uniform_values
+from .rng import uniform_values
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -57,34 +59,6 @@ def truncated_from_uniform(phi, trunc, u):
     np.subtract(phi, out, out=out)
     np.minimum(out, trunc, out=out)
     return out[()]
-
-
-def gumbel_standard(key: RngKey) -> float:
-    return float(standard_from_uniform(uniform_open(key)))
-
-
-def gumbel_located(phi: float, key: RngKey) -> float:
-    return float(located_from_uniform(phi, uniform_open(key)))
-
-
-def gumbel_trunc(phi: float, trunc: float, key: RngKey) -> float:
-    return float(truncated_from_uniform(phi, trunc, uniform_open(key)))
-
-
-def gumbel_argmax_sample(logits: Sequence[float], keys: Sequence[RngKey]) -> int:
-    """Gumbel-max categorical draw over one row of logits.
-
-    Ties are broken toward the lowest index (np.argmax semantics).
-    """
-    p = np.asarray(logits, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValidationError("logits must be a non-empty 1-D row")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("logits must be finite")
-    if len(keys) != p.size:
-        raise ValidationError(f"need {p.size} keys, got {len(keys)}")
-    g = np.array([gumbel_standard(k) for k in keys])
-    return int(np.argmax(p + g))
 
 
 def standard_field(

@@ -13,8 +13,11 @@ to a given token map.  Two constructions are provided:
   close to the standard Gumbel law.
 
 ``invert_pyramid`` applies the chosen construction scale by scale under
-a condition; within a scale all tokens are independent, so the keyed
-draws make serial and parallel execution bit-identical.
+a condition, and ``reconstruct_from_noise`` replays a noise set; both
+walk the scales with one :class:`~invnoise.predictor.ScaleStepper`.
+Within a scale all tokens are independent, so the keyed draws make
+serial and parallel execution bit-identical.  ``validate_noise_set`` is
+the one shape check for noise sets that come from outside.
 
 A continuous reference inversion for Gaussian autoregressive sequences
 lives at the bottom of the module.
@@ -30,7 +33,7 @@ import numpy as np
 from .codec import validate_pyramid
 from .errors import InvariantError, ValidationError
 from .gumbel import located_from_uniform, truncated_from_uniform
-from .predictor import Condition, PredictorParams, next_scale_logits
+from .predictor import Condition, PredictorParams, ScaleStepper
 from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, uniform_values
 
 # Finite stand-in for log 0 in the onehot construction: far below any
@@ -197,6 +200,20 @@ class InverseNoiseSet:
         return len(self.noises)
 
 
+def validate_noise_set(noise_set: InverseNoiseSet, params: PredictorParams):
+    """Reject a noise set whose scales or (h, w, C) maps differ from the config."""
+    if noise_set.num_scales != params.schedule.num_scales:
+        raise ValidationError("noise set does not match the schedule")
+    vocab = params.codebook.size
+    for k, (noise, (h, w)) in enumerate(
+        zip(noise_set.noises, params.schedule.resolutions), start=1
+    ):
+        if noise.shape != (h, w, vocab):
+            raise ValidationError(
+                f"noise map {k} has shape {noise.shape}, the config expects {(h, w, vocab)}"
+            )
+
+
 def invert_pyramid(
     pyramid,
     cond: Condition,
@@ -217,15 +234,16 @@ def invert_pyramid(
     if kind not in (KIND_LAI, KIND_OAI):
         raise ValidationError(f"unknown inversion kind {kind!r}")
     maps = validate_pyramid(pyramid, params.codebook, params.schedule)
+    stepper = ScaleStepper(cond, params)
     noises = []
-    for t in range(1, len(maps) + 1):
-        tokens = maps[t - 1]
-        logits = next_scale_logits(maps[: t - 1], cond, t, params)
+    for t, tokens in enumerate(maps, start=1):
+        logits = stepper.next_scale_logits()
         if kind == KIND_OAI:
             q = onehot_inverse(tokens, logits)
         else:
             q = located_inverse(tokens, logits, tau, seed, t)
         noises.append(noise_from_perturbed(tokens, logits, q, tau if kind == KIND_LAI else 0.0))
+        stepper.push(tokens)
     return InverseNoiseSet(
         noises=tuple(noises),
         condition_label=cond.label,
@@ -239,16 +257,13 @@ def reconstruct_from_noise(
     noise_set: InverseNoiseSet, cond: Condition, params: PredictorParams
 ) -> list[np.ndarray]:
     """Replay argmax(p_t + n_t) scale by scale."""
-    if noise_set.num_scales != params.schedule.num_scales:
-        raise ValidationError("noise set does not match the schedule")
-    pyramid: list[np.ndarray] = []
-    for t, noise in enumerate(noise_set.noises, start=1):
-        logits = next_scale_logits(pyramid, cond, t, params)
-        if noise.shape != logits.shape:
-            raise ValidationError(
-                f"noise shape {noise.shape} does not match logits {logits.shape}"
-            )
-        pyramid.append(np.argmax(logits + noise, axis=-1).astype(np.int32))
+    validate_noise_set(noise_set, params)
+    stepper = ScaleStepper(cond, params)
+    pyramid = []
+    for noise in noise_set.noises:
+        tokens = np.argmax(stepper.next_scale_logits() + noise, axis=-1).astype(np.int32)
+        stepper.push(tokens)
+        pyramid.append(tokens)
     return pyramid
 
 

@@ -7,8 +7,13 @@ predictor is therefore a pure function of (prefix tokens, condition,
 scale, parameters): smooth in the prefix, sensitive to the condition,
 and bitwise reproducible, which is what the inversion algebra needs.
 
-``generate`` samples a pyramid scale by scale with keyed Gumbel-max
-draws, optionally continuing from a fixed prefix.
+:class:`ScaleStepper` walks the scales of one pyramid under one
+condition.  It computes the condition's feature target once and keeps a
+running decode of the scales pushed so far, so each scale costs one
+embedding instead of a decode of the whole prefix.  Generation,
+inversion, replay and editing all drive it; ``next_scale_logits`` is
+the one-shot form for a given prefix, and ``generate`` samples a
+pyramid scale by scale with keyed Gumbel-max draws.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ from .codec import (
     Codebook,
     ScaleSchedule,
     downsample_blockmean,
-    partial_decode,
+    embed_tokens,
     squared_distances,
+    upsample_replicate,
+    validate_pyramid,
 )
 from .errors import ValidationError
 from .gumbel import sample_token_map
@@ -76,15 +83,37 @@ def mixing_matrix(params: PredictorParams) -> np.ndarray:
     return normal_values(params.model_seed, PURPOSE_MIXING, 0, rows, cols, 0) / np.sqrt(d)
 
 
-def _validate_prefix(prefix, params: PredictorParams, upto: int):
-    maps = list(prefix)
-    if len(maps) != upto:
-        raise ValidationError(f"prefix has {len(maps)} scales, expected {upto}")
-    for tokens, (h, w) in zip(maps, params.schedule.resolutions):
-        tokens = np.asarray(tokens)
-        if tokens.shape != (h, w):
-            raise ValidationError(f"prefix map shape {tokens.shape}, expected {(h, w)}")
-    return maps
+class ScaleStepper:
+    """Next-scale logits for one pyramid under one condition, scale by scale.
+
+    ``next_scale_logits`` gives the logits of the current scale,
+    ``scale`` (1-based); ``push`` appends that scale's (h, w) token map
+    and moves on.  The canvas adds the replicated embeddings in scale
+    order onto zeros, the same sums a full prefix decode makes, so the
+    logits match the one-shot form bit for bit.  Tokens are taken as
+    given: callers validate pyramids at their own boundary.
+    """
+
+    def __init__(self, cond: Condition, params: PredictorParams):
+        self.params = params
+        self.scale = 1
+        self._target = params.cond_gain * (mixing_matrix(params) @ cond.embedding)
+        self._canvas = np.zeros((params.codebook.dim, *params.schedule.finest))
+
+    def next_scale_logits(self) -> np.ndarray:
+        """(h, w, C) unnormalized log-probabilities for the current scale."""
+        params = self.params
+        shape = params.schedule.resolutions[self.scale - 1]
+        context = self._target[:, None, None] - downsample_blockmean(self._canvas, shape)
+        logits = squared_distances(np.moveaxis(context, 0, -1), params.codebook.vectors)
+        logits *= -params.beta
+        return logits
+
+    def push(self, tokens: np.ndarray):
+        """Add the current scale's token map to the context; advance."""
+        embedding = embed_tokens(tokens, self.params.codebook)
+        self._canvas += upsample_replicate(embedding, self.params.schedule.finest)
+        self.scale += 1
 
 
 def next_scale_logits(
@@ -98,42 +127,19 @@ def next_scale_logits(
     schedule = params.schedule
     if not 1 <= k <= schedule.num_scales:
         raise ValidationError(f"scale index {k} outside 1..{schedule.num_scales}")
-    maps = _validate_prefix(prefix, params, k - 1)
-    h, w = schedule.resolutions[k - 1]
-    target = params.cond_gain * (mixing_matrix(params) @ cond.embedding)
-    context = np.broadcast_to(target[:, None, None], (params.codebook.dim, h, w)).copy()
-    if maps:
-        context -= downsample_blockmean(
-            partial_decode(maps, params.codebook, schedule), (h, w)
-        )
-    logits = squared_distances(np.moveaxis(context, 0, -1), params.codebook.vectors)
-    logits *= -params.beta
-    return logits
+    stepper = ScaleStepper(cond, params)
+    for tokens in validate_pyramid(prefix, params.codebook, schedule, k - 1):
+        stepper.push(tokens)
+    return stepper.next_scale_logits()
 
 
-def generate(
-    cond: Condition,
-    params: PredictorParams,
-    seed: int,
-    prefix=None,
-    start_scale: int = 1,
-    noise_purpose: int = PURPOSE_GENERATION,
-) -> list[np.ndarray]:
-    """Sample a token pyramid under ``cond``.
-
-    Scales < ``start_scale`` are copied from ``prefix``; scales >=
-    ``start_scale`` are drawn by Gumbel-max over the next-scale logits,
-    each conditioned on everything already fixed or drawn.
-    ``start_scale = K + 1`` copies the prefix unchanged.
-    """
-    num_scales = params.schedule.num_scales
-    if not 1 <= start_scale <= num_scales + 1:
-        raise ValidationError(
-            f"start scale {start_scale} outside 1..{num_scales + 1}"
-        )
-    maps = _validate_prefix(prefix if prefix is not None else [], params, start_scale - 1)
-    pyramid = [np.asarray(t).astype(np.int32, copy=True) for t in maps]
-    for k in range(start_scale, num_scales + 1):
-        logits = next_scale_logits(pyramid, cond, k, params)
-        pyramid.append(sample_token_map(logits, seed, noise_purpose, k))
+def generate(cond: Condition, params: PredictorParams, seed: int) -> list[np.ndarray]:
+    """Sample a token pyramid under ``cond`` by keyed Gumbel-max draws,
+    each scale conditioned on the scales drawn before it."""
+    stepper = ScaleStepper(cond, params)
+    pyramid = []
+    for k in range(1, params.schedule.num_scales + 1):
+        tokens = sample_token_map(stepper.next_scale_logits(), seed, PURPOSE_GENERATION, k)
+        stepper.push(tokens)
+        pyramid.append(tokens)
     return pyramid

@@ -1,9 +1,11 @@
 """Deterministic counter-based randomness.
 
-Every draw in this package is a pure function of an :class:`RngKey`
-(seed, purpose tag, scale, row, col, channel).  There is no sequential
-stream state, so tokens can be processed in any order, serially or in
-parallel, and still receive bit-identical values.
+Every draw in this package is a pure function of its key (seed,
+purpose tag, scale, row, col, channel).  There is no sequential stream
+state, so tokens can be processed in any order, serially or in
+parallel, and still receive bit-identical values.  The draw functions
+take whole index arrays for row, col and channel and broadcast them, so
+one call keys a full field.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
 mixed once, then each key field is absorbed with xor + mix.  The exact
@@ -12,8 +14,6 @@ invalidates every recorded artifact.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,22 +43,6 @@ _SHIFT31 = np.uint64(31)
 # Words per chunk (256 KiB) in the in-place kernels, so their
 # temporaries stay in cache.
 _CHUNK = 1 << 15
-
-
-@dataclass(frozen=True)
-class RngKey:
-    """Address of a single draw.
-
-    Fields beyond ``seed`` and ``purpose`` default to zero so scalar
-    draw sites (e.g. a global coefficient) need not invent coordinates.
-    """
-
-    seed: int
-    purpose: int
-    scale: int = 0
-    row: int = 0
-    col: int = 0
-    channel: int = 0
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -109,12 +93,6 @@ def raw64_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:
     return h.reshape(out_shape)
 
 
-def raw64(key: RngKey) -> int:
-    """64-bit output for one key."""
-    out = raw64_values(key.seed, key.purpose, key.scale, key.row, key.col, key.channel)
-    return int(out[()])
-
-
 def _to_open_unit(words: np.ndarray) -> np.ndarray:
     """Map owned uint64 words to (0, 1), reusing their buffer.
 
@@ -133,33 +111,9 @@ def _to_open_unit(words: np.ndarray) -> np.ndarray:
     return u.reshape(shape)
 
 
-def uniform_open(key: RngKey) -> float:
-    """Uniform draw strictly inside (0, 1) for one key."""
-    return float(_to_open_unit(np.asarray(raw64(key), dtype=np.uint64)))
-
-
 def uniform_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:
     """Uniform (0,1) draws for broadcast row/col/channel index arrays."""
     return _to_open_unit(raw64_values(seed, purpose, scale, rows, cols, channels))
-
-
-def uniform_field(seed: int, purpose: int, scale: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Uniform draws for a (h, w) or (h, w, C) grid at one scale.
-
-    Row/col/channel key fields are the grid indices, so any sub-block of
-    the field equals the same entries of the full field.
-    """
-    if len(shape) == 2:
-        h, w = shape
-        rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        return uniform_values(seed, purpose, scale, rows, cols, 0)
-    if len(shape) == 3:
-        h, w, c = shape
-        rows, cols, chans = np.meshgrid(
-            np.arange(h), np.arange(w), np.arange(c), indexing="ij"
-        )
-        return uniform_values(seed, purpose, scale, rows, cols, chans)
-    raise ValueError(f"uniform_field expects a 2-D or 3-D shape, got {shape!r}")
 
 
 def normal_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:

@@ -314,6 +314,12 @@ class TestSweep:
         cfg = sweep_config(tmp_path, "gamma", "1,2")
         assert run("sweep", "--config", cfg, "--out", tmp_path / "s") == EXIT_VALIDATION
 
+    def test_fractional_start_scale_rejected(self, tmp_path):
+        cfg = sweep_config(tmp_path, "start_scale", "2,2.5", mode="regen")
+        out = tmp_path / "s"
+        assert run("sweep", "--config", cfg, "--out", out) == EXIT_VALIDATION
+        assert not (out / "sweep.csv").exists()
+
 
 class TestRender:
     def test_grid_and_pyramid(self, tmp_path):
@@ -362,4 +368,15 @@ class TestConfig:
     def test_malformed_config_is_validation_error(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[edit\nsource = x\n")
+        assert run("encode", "--config", path, "--out", tmp_path / "o") == EXIT_VALIDATION
+
+    def test_non_utf8_config_is_validation_error(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"\xff\xfe")
+        assert run("encode", "--config", path, "--out", tmp_path / "o") == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_codebook_dim_below_one_is_validation_error(self, tmp_path, dim):
+        path = tmp_path / "dim.ini"
+        path.write_text(f"[codec]\ndim = {dim}\n")
         assert run("encode", "--config", path, "--out", tmp_path / "o") == EXIT_VALIDATION

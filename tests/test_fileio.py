@@ -4,7 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from invnoise.codec import default_codebook, dyadic_schedule
 from invnoise.errors import FormatError, ValidationError
 from invnoise.fileio import (
     CSV_HEADER,
@@ -21,7 +24,7 @@ from invnoise.fileio import (
     write_pyramid,
 )
 from invnoise.inversion import invert_pyramid
-from invnoise.predictor import condition_embed, generate
+from invnoise.predictor import PredictorParams, condition_embed, generate
 
 from conftest import random_grid
 
@@ -193,6 +196,47 @@ class TestCorruptHeaders:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             read_noise_set(path)
+
+
+READERS = {"grid": read_grid, "pyramid": read_pyramid, "noise": read_noise_set}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Small valid files of each format: 3 scales, vocab 8."""
+    root = tmp_path_factory.mktemp("fuzz")
+    params = PredictorParams(default_codebook(size=8), dyadic_schedule(3))
+    cond = condition_embed("fuzz", params)
+    pyramid = generate(cond, params, seed=1)
+    digest = bytes(range(16))
+    write_grid(root / "grid", random_grid(36, size=4), seed=5, digest=digest)
+    write_pyramid(root / "pyramid", pyramid, 8, seed=5, digest=digest)
+    noise_set = invert_pyramid(pyramid, cond, 1.0, params, seed=5)
+    write_noise_set(root / "noise", noise_set, digest=digest)
+    return root, {name: (root / name).read_bytes() for name in READERS}
+
+
+class TestCorruptFilesFuzz:
+    """A truncated or bit-flipped file reads, or fails with FormatError or
+    ValidationError; any other exception fails the test."""
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_truncation_or_bit_flip(self, valid_files, kind, data):
+        root, blobs = valid_files
+        blob = bytearray(blobs[kind])
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            blob[bit // 8] ^= 1 << (bit % 8)
+        path = root / f"mutated-{kind}"
+        path.write_bytes(bytes(blob))
+        try:
+            READERS[kind](path)
+        except (FormatError, ValidationError):
+            pass
 
 
 class TestPgm:

@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 from invnoise.errors import ValidationError
 from invnoise.gumbel import (
     EULER_MASCHERONI,
-    gumbel_argmax_sample,
     gumbel_cdf,
-    gumbel_located,
-    gumbel_standard,
-    gumbel_trunc,
     ks_statistic,
     located_from_uniform,
     sample_token_map,
@@ -24,7 +20,7 @@ from invnoise.gumbel import (
     truncated_from_uniform,
     truncated_gumbel_cdf,
 )
-from invnoise.rng import RngKey, uniform_values
+from invnoise.rng import uniform_values
 
 E_INV = math.exp(-1.0)
 
@@ -44,8 +40,8 @@ class TestStandard:
         assert ks_statistic(standard_from_uniform(u), "gumbel") <= 0.01
 
     def test_keyed_wrapper_deterministic(self):
-        key = RngKey(5, 1, 0, 0, 0, 0)
-        assert gumbel_standard(key) == gumbel_standard(key)
+        a = standard_field(5, 1, 0, (2, 3, 4))
+        assert np.array_equal(a, standard_field(5, 1, 0, (2, 3, 4)))
 
 
 class TestLocated:
@@ -56,9 +52,8 @@ class TestLocated:
         assert located_from_uniform(5.0, E_INV) == 5.0
 
     def test_location_equivariance_exact(self):
-        for i in range(20):
-            key = RngKey(3, 1, 0, i, 0, 0)
-            assert gumbel_located(7.5, key) == 7.5 + gumbel_standard(key)
+        u = uniform_values(3, 1, 0, np.arange(20), 0, 0)
+        assert np.array_equal(located_from_uniform(7.5, u), 7.5 + standard_from_uniform(u))
 
     def test_median(self):
         """Median of Gumbel(2, 1) is 2 - log(log 2)."""
@@ -95,7 +90,7 @@ class TestTruncated:
         with pytest.raises(ValidationError):
             truncated_from_uniform(math.nan, 0.0, 0.5)
         with pytest.raises(ValidationError):
-            gumbel_trunc(0.0, math.inf, RngKey(1, 1))
+            truncated_from_uniform(0.0, math.inf, uniform_values(1, 1, 0, 0, 0, 0))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -148,9 +143,9 @@ class TestTruncatedMatchesReference:
         want = reference_truncated(0.3, -1.2, 0.7)
         assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
         assert got == want
-        assert gumbel_trunc(0.3, -1.2, RngKey(1, 2)) == float(
-            reference_truncated(0.3, -1.2, uniform_values(1, 2, 0, 0, 0, 0))
-        )
+        u = uniform_values(1, 2, 0, 0, 0, 0)
+        keyed = truncated_from_uniform(0.3, -1.2, u)
+        assert np.ndim(keyed) == 0 and keyed == reference_truncated(0.3, -1.2, u)
 
     def test_scalar_uniform_broadcasts(self):
         phi = np.linspace(-5.0, 5.0, 11)
@@ -174,7 +169,7 @@ class TestStandardField:
 
 class TestArgmaxSample:
     def test_single_class(self):
-        assert gumbel_argmax_sample([3.0], [RngKey(1, 1)]) == 0
+        assert np.array_equal(sample_token_map(np.array([[[3.0]]]), 1, 1, 0), [[0]])
 
     def test_dominant_logit_never_loses(self):
         """Margin 100 dwarfs the Gumbel spread: class 0 wins every draw."""
@@ -190,16 +185,12 @@ class TestArgmaxSample:
         assert np.all(np.abs(freqs - 1.0 / 3.0) < 0.01)
 
     def test_api_matches_vectorized_map(self):
-        """The per-row API and the map sampler share keys and results."""
+        """A per-row Gumbel-max draw and the map sampler share keys and results."""
         logits = np.array([[[0.3, -0.2, 1.1, 0.0]]])
-        keys = [RngKey(8, 4, 2, 0, 0, c) for c in range(4)]
-        api = gumbel_argmax_sample(logits[0, 0], keys)
+        u = uniform_values(8, 4, 2, 0, 0, np.arange(4))
+        row = int(np.argmax(logits[0, 0] + standard_from_uniform(u)))
         vec = sample_token_map(logits, seed=8, purpose=4, scale=2)
-        assert api == vec[0, 0]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            gumbel_argmax_sample([], [])
+        assert row == vec[0, 0]
 
 
 class TestKsStatistic:

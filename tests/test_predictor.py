@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from invnoise import predictor
+from invnoise.codec import ScaleSchedule, downsample_blockmean, embed_tokens, upsample_replicate
+from invnoise.editing import EditConfig, edit_with_inverse_noise
 from invnoise.errors import ValidationError
 from invnoise.gumbel import ks_statistic, sample_token_map
-from invnoise.inversion import invert_pyramid
-from invnoise.codec import ScaleSchedule, downsample_blockmean, partial_decode
+from invnoise.inversion import invert_pyramid, reconstruct_from_noise
 from invnoise.predictor import (
     PredictorParams,
+    ScaleStepper,
     condition_embed,
     generate,
     mixing_matrix,
@@ -81,15 +84,23 @@ class TestNextScaleLogits:
             next_scale_logits([], source_cond, 0, params)
 
 
+def reference_partial_decode(prefix, params):
+    """The decode of the leading scales, re-summed from zeros at each scale."""
+    finest = params.schedule.finest
+    out = np.zeros((params.codebook.dim, *finest))
+    for tokens in prefix:
+        out += upsample_replicate(embed_tokens(tokens, params.codebook), finest)
+    return out
+
+
 def reference_logits(prefix, cond, k, params):
-    """Next-scale logits as first written: -beta times a 4-D einsum."""
+    """Next-scale logits as first written: a full prefix decode per scale
+    and -beta times a 4-D einsum."""
     h, w = params.schedule.resolutions[k - 1]
     target = params.cond_gain * (mixing_matrix(params) @ cond.embedding)
     context = np.broadcast_to(target[:, None, None], (params.codebook.dim, h, w)).copy()
     if prefix:
-        context -= downsample_blockmean(
-            partial_decode(prefix, params.codebook, params.schedule), (h, w)
-        )
+        context -= downsample_blockmean(reference_partial_decode(prefix, params), (h, w))
     cells = np.moveaxis(context, 0, -1)
     diffs = cells[:, :, None, :] - params.codebook.vectors[None, None, :, :]
     return -params.beta * np.einsum("hwcd,hwcd->hwc", diffs, diffs)
@@ -100,12 +111,18 @@ class TestLogitsMatchReference:
 
     @pytest.mark.parametrize("beta", [4.0, 3000.0])
     def test_every_scale(self, params, source_cond, beta):
+        """Both the one-shot form and one stepper pushed scale by scale."""
         params = PredictorParams(params.codebook, params.schedule, beta=beta)
         pyramid = generate(source_cond, params, seed=8)
+        stepper = ScaleStepper(source_cond, params)
         for k in range(1, params.schedule.num_scales + 1):
+            want = reference_logits(pyramid[: k - 1], source_cond, k, params)
             got = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
             assert got.flags.c_contiguous
-            assert np.array_equal(got, reference_logits(pyramid[: k - 1], source_cond, k, params))
+            assert np.array_equal(got, want)
+            assert stepper.scale == k
+            assert np.array_equal(stepper.next_scale_logits(), want)
+            stepper.push(pyramid[k - 1])
 
     def test_rectangular_rows(self, codebook, source_cond):
         """1xw and hx1 scales, where the grid is a single row or column."""
@@ -118,12 +135,34 @@ class TestLogitsMatchReference:
             assert np.array_equal(got, reference_logits(pyramid[: k - 1], source_cond, k, params))
 
 
-class TestGenerate:
-    def test_noop_when_start_past_end(self, params, source_cond):
-        prefix = generate(source_cond, params, seed=4)
-        again = generate(source_cond, params, seed=99, prefix=prefix, start_scale=6)
-        assert all(np.array_equal(a, b) for a, b in zip(prefix, again))
+class TestStepperReuse:
+    """Every scale loop builds its condition's feature target once."""
 
+    def test_mixing_matrix_once_per_loop(self, params, source_cond, monkeypatch):
+        calls = []
+        original = predictor.mixing_matrix
+
+        def counted(p):
+            calls.append(1)
+            return original(p)
+
+        monkeypatch.setattr(predictor, "mixing_matrix", counted)
+        pyramid = generate(source_cond, params, seed=3)
+        assert len(calls) == 1
+        noise_set = invert_pyramid(pyramid, source_cond, 18.0, params, seed=3)
+        assert len(calls) == 2
+        reconstruct_from_noise(noise_set, source_cond, params)
+        assert len(calls) == 3
+        edit_with_inverse_noise(
+            np.zeros((params.codebook.dim, *params.schedule.finest)),
+            EditConfig(source_label="a", target_label="b"),
+            params,
+            noise_set,
+        )
+        assert len(calls) == 4
+
+
+class TestGenerate:
     def test_deterministic(self, params, source_cond):
         a = generate(source_cond, params, seed=5)
         b = generate(source_cond, params, seed=5)
@@ -188,7 +227,3 @@ class TestGenerate:
                 label_noise.append(noise[rows, cols, tokens].ravel())
         ks = ks_statistic(np.concatenate(label_noise), "gumbel")
         assert ks <= 0.05
-
-    def test_rejects_bad_start(self, params, source_cond):
-        with pytest.raises(ValidationError):
-            generate(source_cond, params, seed=1, start_scale=7)

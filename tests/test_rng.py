@@ -3,50 +3,43 @@
 import numpy as np
 import pytest
 
-from invnoise.rng import (
-    RngKey,
-    normal_values,
-    raw64,
-    raw64_values,
-    uniform_field,
-    uniform_open,
-    uniform_values,
-)
+from invnoise.rng import normal_values, raw64_values, uniform_values
 
 # The keyed permutation is frozen: these values must never change, or
-# every recorded artifact and seeded experiment silently shifts.
+# every recorded artifact and seeded experiment silently shifts.  Keys
+# are (seed, purpose, scale, row, col, channel).
 GOLDEN = [
-    (RngKey(0, 0, 0, 0, 0, 0), 14687217854757187732, 0.7961956752947815),
-    (RngKey(0, 1, 0, 0, 0, 0), 8483968834307291576, 0.4599168720727639),
-    (RngKey(1, 0, 0, 0, 0, 0), 18167412353352935020, 0.9848573970972619),
-    (RngKey(42, 1, 2, 3, 4, 5), 7775575115986388578, 0.42151477165383344),
-    (RngKey(18446744073709551615, 8, 5, 15, 15, 63), 5165802321704481207, 0.2800387049911331),
-    (RngKey(123456789, 3, 1, 0, 0, 0), 2032553740161970710, 0.11018495903885736),
+    ((0, 0, 0, 0, 0, 0), 14687217854757187732, 0.7961956752947815),
+    ((0, 1, 0, 0, 0, 0), 8483968834307291576, 0.4599168720727639),
+    ((1, 0, 0, 0, 0, 0), 18167412353352935020, 0.9848573970972619),
+    ((42, 1, 2, 3, 4, 5), 7775575115986388578, 0.42151477165383344),
+    ((18446744073709551615, 8, 5, 15, 15, 63), 5165802321704481207, 0.2800387049911331),
+    ((123456789, 3, 1, 0, 0, 0), 2032553740161970710, 0.11018495903885736),
 ]
 
 
 @pytest.mark.parametrize("key,expected_raw,expected_uniform", GOLDEN)
 def test_golden_values(key, expected_raw, expected_uniform):
-    assert raw64(key) == expected_raw
-    assert uniform_open(key) == expected_uniform
+    assert int(raw64_values(*key)) == expected_raw
+    assert float(uniform_values(*key)) == expected_uniform
 
 
 def test_same_key_same_value():
-    key = RngKey(seed=7, purpose=2, scale=1, row=3, col=9, channel=4)
-    assert uniform_open(key) == uniform_open(key)
+    key = (7, 2, 1, 3, 9, 4)
+    assert uniform_values(*key) == uniform_values(*key)
 
 
 def test_distinct_fields_distinct_streams():
-    base = RngKey(seed=7, purpose=2, scale=1, row=3, col=9, channel=4)
+    base = (7, 2, 1, 3, 9, 4)
     variants = [
-        RngKey(8, 2, 1, 3, 9, 4),
-        RngKey(7, 3, 1, 3, 9, 4),
-        RngKey(7, 2, 2, 3, 9, 4),
-        RngKey(7, 2, 1, 4, 9, 4),
-        RngKey(7, 2, 1, 3, 10, 4),
-        RngKey(7, 2, 1, 3, 9, 5),
+        (8, 2, 1, 3, 9, 4),
+        (7, 3, 1, 3, 9, 4),
+        (7, 2, 2, 3, 9, 4),
+        (7, 2, 1, 4, 9, 4),
+        (7, 2, 1, 3, 10, 4),
+        (7, 2, 1, 3, 9, 5),
     ]
-    values = {raw64(base)} | {raw64(k) for k in variants}
+    values = {int(raw64_values(*base))} | {int(raw64_values(*k)) for k in variants}
     assert len(values) == len(variants) + 1
 
 
@@ -68,25 +61,25 @@ def test_uniformity_ks():
 
 def test_order_independence():
     """Evaluating keys in any order yields the same per-key values."""
-    keys = [RngKey(3, 1, s, r, c, ch) for s in (0, 1) for r in (0, 5) for c in (0, 2) for ch in (0, 7)]
-    forward = [uniform_open(k) for k in keys]
-    backward = [uniform_open(k) for k in reversed(keys)]
+    keys = [(3, 1, s, r, c, ch) for s in (0, 1) for r in (0, 5) for c in (0, 2) for ch in (0, 7)]
+    forward = [float(uniform_values(*k)) for k in keys]
+    backward = [float(uniform_values(*k)) for k in reversed(keys)]
     assert forward == backward[::-1]
 
 
 def test_field_matches_scalar_keys():
-    """Vectorized fields agree with per-key scalar evaluation."""
-    field = uniform_field(5, 4, 2, (3, 4, 2))
+    """Broadcast index arrays agree with per-key scalar evaluation."""
+    field = uniform_values(5, 4, 2, *_grid_key(3, 4, 2))
     for i in range(3):
         for j in range(4):
             for ch in range(2):
-                assert field[i, j, ch] == uniform_open(RngKey(5, 4, 2, i, j, ch))
+                assert field[i, j, ch] == uniform_values(5, 4, 2, i, j, ch)
 
 
 def test_subfield_consistency():
     """A smaller field is a prefix slice of a larger one (pure keying)."""
-    big = uniform_field(9, 1, 3, (8, 8))
-    small = uniform_field(9, 1, 3, (4, 4))
+    big = uniform_values(9, 1, 3, np.arange(8)[:, None], np.arange(8)[None, :], 0)
+    small = uniform_values(9, 1, 3, np.arange(4)[:, None], np.arange(4)[None, :], 0)
     assert np.array_equal(big[:4, :4], small)
 
 
