@@ -6,6 +6,14 @@ configuration (after overrides) is hashed and embedded, with the seed,
 in every output artifact.  Re-running a command with the same effective
 config and seed reproduces its outputs byte for byte.
 
+``sweep`` resolves the params, the source grid and the mask once, then
+runs one task per seed that covers every sweep value through
+``editing.edit_batch`` (one encoding, one inversion walk for all
+margins, one draw of each scale's fresh noise).  Tasks run in the
+calling process or in up to ``min(--workers, seeds)`` worker processes;
+rows are written value-major either way, so ``sweep.csv`` does not
+depend on the worker count.
+
 Exit codes: 0 success, 2 validation error, 3 I/O or file-format error,
 4 internal invariant violation.
 """
@@ -16,6 +24,7 @@ import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -187,22 +196,6 @@ def cmd_invert(args) -> int:
     return EXIT_OK
 
 
-def _run_edit(cfg: ExperimentConfig, params, grid, noise_set):
-    mode = cfg.edit.mode
-    edit_cfg = cfg.build_edit_config()
-    if mode == "regen":
-        # regeneration admits start_scale = K + 1 (no scales regenerated)
-        start = edit_cfg.start_scale
-        if start is None:
-            start = editing.default_start_scale(params.schedule.num_scales)
-        return editing.edit_regeneration(
-            grid, edit_cfg.target_label, start, params, edit_cfg.seed
-        )
-    if mode == "target-only":
-        return editing.edit_target_only(grid, edit_cfg, params, noise_set)
-    return editing.edit_with_inverse_noise(grid, edit_cfg, params, noise_set)
-
-
 def cmd_edit(args) -> int:
     cfg = _adopt_demo_labels(_load_effective_config(args), args.grid)
     params = cfg.build_params()
@@ -218,7 +211,9 @@ def cmd_edit(args) -> int:
             raise ValidationError(
                 f"mode {cfg.edit.mode} needs --noise FILE or --auto-invert"
             )
-    result = _run_edit(cfg, params, grid, noise_set)
+    (result,) = editing.edit_batch(
+        grid, (cfg.build_edit_config(),), cfg.edit.mode, params, noise_set
+    )
     out = _out_dir(cfg)
     fileio.write_pyramid(out / "edited.nsp", result.pyramid, params.codebook.size, seed, digest)
     fileio.write_grid(out / "edited.nsg", result.grid, seed, digest)
@@ -247,29 +242,40 @@ def cmd_edit(args) -> int:
 SWEEP_PARAMETERS = ("tau", "start_scale", "lambda")
 
 
-def _sweep_task(task):
-    cfg, grid_source, value, seed = task
-    params = cfg.build_params()
-    grid, default_mask = _resolve_grid(grid_source, params)
-    edit = cfg.edit
-    if cfg.sweep.parameter == "tau":
-        edit = replace(edit, tau=value, seed=seed)
-    elif cfg.sweep.parameter == "start_scale":
-        edit = replace(edit, start_scale=int(value), seed=seed)
-    else:
-        edit = replace(edit, lambda_kind="constant", lambda_value=value, seed=seed)
-    run_cfg = replace(cfg, edit=edit)
-    result = _run_edit(run_cfg, params, grid, None)
-    out = {
-        "mse": metrics.mse(result.grid, grid),
-        "psnr": metrics.psnr(result.grid, grid),
-        "ssim": metrics.ssim(result.grid, grid),
-        "token_change": 1.0 - metrics.token_agreement(result.pyramid, result.source_pyramid),
-    }
-    if default_mask is not None:
-        out["bg_mse"] = metrics.mse(result.grid, grid, mask=default_mask)
-        out["bg_psnr"] = metrics.psnr(result.grid, grid, mask=default_mask)
-    return out
+def _sweep_point(edit, parameter: str, value: float):
+    if parameter == "tau":
+        return replace(edit, tau=value)
+    if parameter == "start_scale":
+        return replace(edit, start_scale=int(value))
+    return replace(edit, lambda_kind="constant", lambda_value=value)
+
+
+def _sweep_seed(setup, seed):
+    """Every sweep value at one seed: one metrics dict per value, in order.
+
+    ``setup`` is (config, params, source grid, mask), resolved once per
+    sweep; the edits of all values run as one ``editing.edit_batch``.
+    """
+    cfg, params, grid, mask = setup
+    configs = [
+        replace(
+            cfg, edit=replace(_sweep_point(cfg.edit, cfg.sweep.parameter, value), seed=seed)
+        ).build_edit_config()
+        for value in cfg.sweep.values
+    ]
+    rows = []
+    for result in editing.edit_batch(grid, configs, cfg.edit.mode, params):
+        out = {
+            "mse": metrics.mse(result.grid, grid),
+            "psnr": metrics.psnr(result.grid, grid),
+            "ssim": metrics.ssim(result.grid, grid),
+            "token_change": 1.0 - metrics.token_agreement(result.pyramid, result.source_pyramid),
+        }
+        if mask is not None:
+            out["bg_mse"] = metrics.mse(result.grid, grid, mask=mask)
+            out["bg_psnr"] = metrics.psnr(result.grid, grid, mask=mask)
+        rows.append(out)
+    return rows
 
 
 _SWEEP_METRIC_ORDER = ("mse", "psnr", "ssim", "token_change", "bg_mse", "bg_psnr")
@@ -290,18 +296,23 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"start_scale sweep values must be integers, got {sweep.values}")
     if not sweep.seeds:
         raise ValidationError("sweep seed list is empty")
+    if args.workers < 1:
+        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
     digest = config_digest(cfg)
-    grid_source = args.grid
-    tasks = [
-        (cfg, grid_source, value, seed) for value in sweep.values for seed in sweep.seeds
-    ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_sweep_task, tasks))
+    params = cfg.build_params()
+    grid, mask = _resolve_grid(args.grid, params)
+    seed_task = partial(_sweep_seed, (cfg, params, grid, mask))
+    workers = min(args.workers, len(sweep.seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_seed = list(pool.map(seed_task, sweep.seeds))
     else:
-        results = [_sweep_task(t) for t in tasks]
+        per_seed = [seed_task(seed) for seed in sweep.seeds]
+    # rows stay value-major: every seed of the first value, then the next
+    tasks = [(value, seed) for value in sweep.values for seed in sweep.seeds]
+    results = [seed_rows[i] for i in range(len(sweep.values)) for seed_rows in per_seed]
     rows = []
-    for (_, _, value, seed), res in zip(tasks, results):
+    for (value, seed), res in zip(tasks, results):
         for name in _SWEEP_METRIC_ORDER:
             if name in res:
                 rows.append(
@@ -314,7 +325,7 @@ def cmd_sweep(args) -> int:
                     )
                 )
     # summary block: per-value means, seed column = "mean"
-    per_value = {v: [r for t, r in zip(tasks, results) if t[2] == v] for v in sweep.values}
+    per_value = {v: [r for t, r in zip(tasks, results) if t[0] == v] for v in sweep.values}
     for value in sweep.values:
         batch = per_value[value]
         for name in _SWEEP_METRIC_ORDER:

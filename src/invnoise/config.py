@@ -15,11 +15,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .codec import Codebook, ScaleSchedule, default_codebook
-from .editing import CONTEXT_GENERATED, EditConfig, LambdaSchedule
+from .editing import CONTEXT_GENERATED, EDIT_MODES, EditConfig, LambdaSchedule
 from .errors import ValidationError
 from .predictor import PredictorParams
-
-EDIT_MODES = ("varin", "regen", "target-only")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,11 @@ Fresh edit noise draws use their own purpose tag, so the lambda = 0
 endpoint matches regeneration bit for bit under a shared seed.  The
 context of each edited scale is the edited scales before it
 (generated-prefix) or the source scales before it (source-prefix).
+
+``edit_batch`` is the one entry point: it edits one source under
+several configs that share a seed and labels (one seed of a sweep),
+encoding, embedding and inverting once for all of them.  The three
+single-edit functions are its one-config form.
 """
 
 from __future__ import annotations
@@ -30,12 +35,17 @@ import numpy as np
 from .codec import decode, encode
 from .errors import ValidationError
 from .gumbel import standard_field
-from .inversion import KIND_LAI, InverseNoiseSet, invert_pyramid, validate_noise_set
+from .inversion import KIND_LAI, InverseNoiseSet, invert_pyramids, validate_noise_set
 from .predictor import Condition, PredictorParams, ScaleStepper, condition_embed
 from .rng import PURPOSE_EDIT_NOISE
 
 CONTEXT_GENERATED = "generated-prefix"
 CONTEXT_SOURCE = "source-prefix"
+
+MODE_VARIN = "varin"
+MODE_REGEN = "regen"
+MODE_TARGET_ONLY = "target-only"
+EDIT_MODES = (MODE_VARIN, MODE_REGEN, MODE_TARGET_ONLY)
 
 DEFAULT_TAU = 18.0
 # The target-only pipeline works best with a smaller margin; 12 sits in
@@ -119,79 +129,139 @@ class EditResult:
     source_pyramid: tuple
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What one edit does once its config is resolved for a mode."""
+
+    start_scale: int
+    lambdas: tuple  # per edited scale, start_scale..K
+    context_mode: str
+    tau: Optional[float]  # inversion margin; None for regeneration
+
+
+def _plan(cfg: EditConfig, mode: str, num_scales: int) -> _Plan:
+    if mode == MODE_REGEN:
+        # regeneration admits start_scale = K + 1 (no scales regenerated)
+        start = cfg.start_scale
+        if start is None:
+            start = default_start_scale(num_scales)
+        if not 1 <= start <= num_scales + 1:
+            raise ValidationError(f"start scale {start} outside 1..{num_scales + 1}")
+        return _Plan(start, (0.0,) * (num_scales + 1 - start), CONTEXT_GENERATED, None)
+    default_tau = TARGET_ONLY_DEFAULT_TAU if mode == MODE_TARGET_ONLY else DEFAULT_TAU
+    cfg = cfg.resolved(num_scales, default_tau)
+    lambdas = tuple(
+        lambda_at(cfg.lambda_schedule, t, cfg.start_scale, num_scales)
+        for t in range(cfg.start_scale, num_scales + 1)
+    )
+    return _Plan(cfg.start_scale, lambdas, cfg.context_mode, cfg.tau)
+
+
 def _run_edit_loop(
     source_pyramid,
     target_cond: Condition,
     params: PredictorParams,
-    start_scale: int,
     seed: int,
-    noises: Optional[tuple],
-    lambdas_by_scale: dict[int, float],
-    context_mode: str,
-) -> EditResult:
-    stepper = ScaleStepper(target_cond, params)
-    edited = []
-    lambdas = [float("nan")] * (start_scale - 1)
+    plans: list[_Plan],
+    noises: dict,
+) -> list[EditResult]:
+    """Walk the scales once for all plans, in step.
+
+    Each plan has its own stepper (forked from one, so the condition's
+    feature target is built once).  A scale's fresh Gumbel field is drawn
+    once and shared: every plan but the last that edits the scale mixes
+    into a copy, the last into the field itself.
+    """
+    base = ScaleStepper(target_cond, params)
+    steppers = [base] + [base.fork() for _ in plans[1:]]
+    edited = [[] for _ in plans]
+    vocab = params.codebook.size
     for t, source_tokens in enumerate(source_pyramid, start=1):
-        if t < start_scale:
-            tokens = np.array(source_tokens, copy=True)
-        else:
-            logits = stepper.next_scale_logits()
-            # logits + ((1 - lam) * g + lam * n), built in place
-            mixed = standard_field(seed, PURPOSE_EDIT_NOISE, t, logits.shape)
-            lam = lambdas_by_scale[t]
-            if noises is not None:
-                mixed *= 1.0 - lam
-                mixed += lam * noises[t - 1]
-            mixed += logits
-            tokens = np.argmax(mixed, axis=-1).astype(np.int32)
-            lambdas.append(lam)
-        stepper.push(tokens if context_mode == CONTEXT_GENERATED else source_tokens)
-        edited.append(tokens)
-    change = tuple(
-        float(np.mean(np.asarray(a) != np.asarray(b)))
-        for a, b in zip(edited, source_pyramid)
-    )
-    return EditResult(
-        pyramid=tuple(edited),
-        grid=decode(edited, params.codebook, params.schedule),
-        lambdas=tuple(lambdas),
-        change_fraction=change,
-        source_pyramid=tuple(np.asarray(t) for t in source_pyramid),
-    )
+        active = [i for i, plan in enumerate(plans) if plan.start_scale <= t]
+        if active:
+            h, w = params.schedule.resolutions[t - 1]
+            fresh = standard_field(seed, PURPOSE_EDIT_NOISE, t, (h, w, vocab))
+        for i, (plan, stepper) in enumerate(zip(plans, steppers)):
+            if t < plan.start_scale:
+                tokens = np.array(source_tokens, copy=True)
+            else:
+                logits = stepper.next_scale_logits()
+                # logits + ((1 - lam) * g + lam * n), built in place
+                mixed = fresh if i == active[-1] else fresh.copy()
+                lam = plan.lambdas[t - plan.start_scale]
+                noise = noises[plan.tau]
+                if noise is not None:
+                    mixed *= 1.0 - lam
+                    mixed += lam * noise[t - 1]
+                mixed += logits
+                tokens = np.argmax(mixed, axis=-1).astype(np.int32)
+            stepper.push(tokens if plan.context_mode == CONTEXT_GENERATED else source_tokens)
+            edited[i].append(tokens)
+    source = tuple(np.asarray(t) for t in source_pyramid)
+    return [
+        EditResult(
+            pyramid=tuple(maps),
+            grid=decode(maps, params.codebook, params.schedule),
+            lambdas=(float("nan"),) * (plan.start_scale - 1) + plan.lambdas,
+            change_fraction=tuple(
+                float(np.mean(np.asarray(a) != np.asarray(b))) for a, b in zip(maps, source)
+            ),
+            source_pyramid=source,
+        )
+        for plan, maps in zip(plans, edited)
+    ]
 
 
-def _noise_guided_edit(
+def edit_batch(
     source_grid: np.ndarray,
-    cfg: EditConfig,
-    inversion_label: str,
+    configs,
+    mode: str,
     params: PredictorParams,
-    noise_set: Optional[InverseNoiseSet],
-) -> EditResult:
-    """Edit with a resolved config; extract the inverse noise under
-    ``inversion_label`` when no noise set is given."""
+    noise_set: Optional[InverseNoiseSet] = None,
+) -> list[EditResult]:
+    """Edit one source grid under several configs, one result per config.
+
+    The configs must share their seed and labels; they may differ in
+    margin, start scale, lambda schedule and context.  The source is
+    encoded and each condition embedded once.  The noise-guided modes
+    extract the inverse noise at every distinct margin in one
+    :func:`~invnoise.inversion.invert_pyramids` walk, unless
+    ``noise_set`` is given (then every config uses it; regeneration
+    ignores it).  All edits walk the scales together, so each scale's
+    fresh noise is drawn once, and configs that resolve to the same edit
+    share one result.  Every result equals the single edit of its config
+    bit for bit.
+    """
+    if mode not in EDIT_MODES:
+        raise ValidationError(f"mode must be one of {EDIT_MODES}, got {mode!r}")
+    configs = tuple(configs)
+    if not configs:
+        raise ValidationError("no edit configs given")
+    first = configs[0]
+    shared = (first.seed, first.source_label, first.target_label)
+    if any((c.seed, c.source_label, c.target_label) != shared for c in configs):
+        raise ValidationError("batched edits must share their seed and labels")
     num_scales = params.schedule.num_scales
+    plans = [_plan(cfg, mode, num_scales) for cfg in configs]
+    distinct = list(dict.fromkeys(plans))
     source_pyramid = encode(source_grid, params.codebook, params.schedule)
-    if noise_set is None:
-        cond = condition_embed(inversion_label, params)
-        noise_set = invert_pyramid(source_pyramid, cond, cfg.tau, params, cfg.seed, kind=KIND_LAI)
-    else:
+    target_cond = condition_embed(first.target_label, params)
+    if mode == MODE_REGEN:
+        noises = {None: None}
+    elif noise_set is not None:
         validate_noise_set(noise_set, params)
-    target_cond = condition_embed(cfg.target_label, params)
-    lambdas = {
-        t: lambda_at(cfg.lambda_schedule, t, cfg.start_scale, num_scales)
-        for t in range(cfg.start_scale, num_scales + 1)
-    }
-    return _run_edit_loop(
-        source_pyramid,
-        target_cond,
-        params,
-        cfg.start_scale,
-        cfg.seed,
-        noise_set.noises,
-        lambdas,
-        cfg.context_mode,
-    )
+        noises = {plan.tau: noise_set.noises for plan in distinct}
+    else:
+        if mode == MODE_TARGET_ONLY:
+            cond = target_cond
+        else:
+            cond = condition_embed(first.source_label, params)
+        taus = list(dict.fromkeys(plan.tau for plan in distinct))
+        sets = invert_pyramids(source_pyramid, cond, taus, params, first.seed, kind=KIND_LAI)
+        noises = {tau: ns.noises for tau, ns in zip(taus, sets)}
+    results = _run_edit_loop(source_pyramid, target_cond, params, first.seed, distinct, noises)
+    by_plan = dict(zip(distinct, results))
+    return [by_plan[plan] for plan in plans]
 
 
 def edit_with_inverse_noise(
@@ -202,8 +272,8 @@ def edit_with_inverse_noise(
 ) -> EditResult:
     """Noise-guided edit: invert under the source condition, then sample
     edited scales under the target condition with interpolated noise."""
-    cfg = config.resolved(params.schedule.num_scales)
-    return _noise_guided_edit(source_grid, cfg, cfg.source_label, params, noise_set)
+    (result,) = edit_batch(source_grid, (config,), MODE_VARIN, params, noise_set)
+    return result
 
 
 def edit_regeneration(
@@ -218,22 +288,9 @@ def edit_regeneration(
     ``start_scale = K + 1`` performs no regeneration at all and returns
     the source encoding unchanged.
     """
-    num_scales = params.schedule.num_scales
-    if not 1 <= start_scale <= num_scales + 1:
-        raise ValidationError(f"start scale {start_scale} outside 1..{num_scales + 1}")
-    source_pyramid = encode(source_grid, params.codebook, params.schedule)
-    target_cond = condition_embed(target_label, params)
-    lambdas = {t: 0.0 for t in range(start_scale, num_scales + 1)}
-    return _run_edit_loop(
-        source_pyramid,
-        target_cond,
-        params,
-        start_scale,
-        seed,
-        None,
-        lambdas,
-        CONTEXT_GENERATED,
-    )
+    config = EditConfig(target_label=target_label, start_scale=start_scale, seed=seed)
+    (result,) = edit_batch(source_grid, (config,), MODE_REGEN, params)
+    return result
 
 
 def edit_target_only(
@@ -243,5 +300,5 @@ def edit_target_only(
     noise_set: Optional[InverseNoiseSet] = None,
 ) -> EditResult:
     """Variant that extracts the inverse noise under the target condition."""
-    cfg = config.resolved(params.schedule.num_scales, default_tau=TARGET_ONLY_DEFAULT_TAU)
-    return _noise_guided_edit(source_grid, cfg, cfg.target_label, params, noise_set)
+    (result,) = edit_batch(source_grid, (config,), MODE_TARGET_ONLY, params, noise_set)
+    return result

@@ -4,7 +4,10 @@ All binary formats are little-endian with a 4-byte magic and a version,
 and embed the experiment seed and config digest so any output can be
 traced back to the run that produced it.  Payloads are 32-bit floats
 (grids, noise) or 16-bit unsigned tokens (pyramids), which round-trips
-bit-exactly.
+bit-exactly.  Readers raise ``FormatError`` for anything a writer cannot
+produce: short or trailing bytes, sizes beyond the file, tokens outside
+the vocab, non-finite float payload values and a noise ``tau`` that is
+negative or not finite.
 
 Grids and token pyramids can also be rendered to binary PGM images for
 eyeballing: one image per channel (min-max normalized) or per scale
@@ -58,6 +61,17 @@ def _read_payload(fh, n: int) -> bytes:
     return _read_exact(fh, n)
 
 
+def _finite_payload(data: np.ndarray, what: str) -> np.ndarray:
+    """Reject NaN or infinite float32 payload values before any cast.
+
+    min and max propagate NaN and reach any infinity, so two reductions
+    check every value without a temporary array.
+    """
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise FormatError(f"{what} payload holds non-finite values")
+    return data
+
+
 def _check_end(fh):
     if fh.read(1):
         raise FormatError("trailing bytes after the payload")
@@ -102,7 +116,9 @@ def read_grid(path) -> tuple[np.ndarray, ArtifactHeader]:
         _, seed = struct.unpack("<HQ", _read_exact(fh, 10))
         digest = _read_exact(fh, 16)
         d, h, w = struct.unpack("<III", _read_exact(fh, 12))
-        payload = np.frombuffer(_read_payload(fh, 4 * d * h * w), dtype="<f4")
+        payload = _finite_payload(
+            np.frombuffer(_read_payload(fh, 4 * d * h * w), dtype="<f4"), "grid"
+        )
         _check_end(fh)
     grid = payload.reshape(d, h, w).astype(np.float64)
     return grid, ArtifactHeader(seed=seed, digest=digest)
@@ -184,6 +200,8 @@ def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
             raise FormatError(f"unknown inversion kind code {kind_code}")
         digest = _read_exact(fh, 16)
         num_scales, vocab, tau = struct.unpack("<IId", _read_exact(fh, 16))
+        if not (np.isfinite(tau) and tau >= 0):
+            raise FormatError(f"noise header tau {tau!r} is not a non-negative finite real")
         (label_len,) = struct.unpack("<I", _read_exact(fh, 4))
         try:
             label = _read_payload(fh, label_len).decode("utf-8")
@@ -192,7 +210,9 @@ def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
         shapes = [struct.unpack("<II", _read_exact(fh, 8)) for _ in range(num_scales)]
         noises = []
         for h, w in shapes:
-            data = np.frombuffer(_read_payload(fh, 4 * h * w * vocab), dtype="<f4")
+            data = _finite_payload(
+                np.frombuffer(_read_payload(fh, 4 * h * w * vocab), dtype="<f4"), "noise"
+            )
             noises.append(data.reshape(h, w, vocab).astype(np.float64))
         _check_end(fh)
     noise_set = InverseNoiseSet(

@@ -12,12 +12,17 @@ to a given token map.  Two constructions are provided:
   draw capped a margin ``tau`` below it.  Exact, with noise that stays
   close to the standard Gumbel law.
 
-``invert_pyramid`` applies the chosen construction scale by scale under
-a condition, and ``reconstruct_from_noise`` replays a noise set; both
-walk the scales with one :class:`~invnoise.predictor.ScaleStepper`.
-Within a scale all tokens are independent, so the keyed draws make
-serial and parallel execution bit-identical.  ``validate_noise_set`` is
-the one shape check for noise sets that come from outside.
+``invert_pyramids`` applies the chosen construction scale by scale under
+a condition, at several margins in one walk: each scale's logits and
+its keyed label and off-label uniforms depend only on the pyramid, the
+condition and the seed, so they are computed once and only the
+truncated transform and the tightening run per margin.
+``invert_pyramid`` is its one-margin form, and ``reconstruct_from_noise``
+replays a noise set; both walks use one
+:class:`~invnoise.predictor.ScaleStepper`.  Within a scale all tokens
+are independent, so the keyed draws make serial and parallel execution
+bit-identical.  ``validate_noise_set`` is the one shape check for noise
+sets that come from outside.
 
 A continuous reference inversion for Gaussian autoregressive sequences
 lives at the bottom of the module.
@@ -26,7 +31,7 @@ lives at the bottom of the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -76,6 +81,38 @@ def onehot_inverse(tokens: np.ndarray, logits: np.ndarray) -> np.ndarray:
     return q
 
 
+def _check_tau(tau) -> float:
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValidationError("tau must be a non-negative finite real")
+    return float(tau)
+
+
+def located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarray]:
+    """Located inversion at each margin in ``taus`` from one set of draws.
+
+    ``u_label`` is (h, w) for the label draw, ``u_off`` is (h, w, C) for
+    the off-label truncated draws (the label column is ignored).  The
+    label draw does not depend on the margin and is made once; each
+    yielded map caps the off-label draws ``tau`` below it.  The
+    generator drops its hold on ``u_off`` before the last map, so a
+    caller that keeps no reference of its own does not carry the draws
+    into that map's tightening.
+    """
+    tokens, logits = _check_token_inputs(tokens, logits)
+    taus = [_check_tau(tau) for tau in taus]
+    h, w = tokens.shape
+    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    label_logit = logits[rows, cols, tokens]
+    q_label = located_from_uniform(label_logit, np.asarray(u_label, dtype=np.float64))
+    u_off = np.asarray(u_off, dtype=np.float64)
+    for i, tau in enumerate(taus, start=1):
+        q = truncated_from_uniform(logits, (q_label - tau)[:, :, None], u_off)
+        if i == len(taus):
+            u_off = None  # 16.7 MB at 64x64, vocab 512: not kept through tightening
+        q[rows, cols, tokens] = q_label
+        yield q
+
+
 def located_inverse_from_uniforms(
     tokens: np.ndarray,
     logits: np.ndarray,
@@ -83,35 +120,13 @@ def located_inverse_from_uniforms(
     u_label: np.ndarray,
     u_off: np.ndarray,
 ) -> np.ndarray:
-    """Located inversion with explicit uniform draws.
-
-    ``u_label`` is (h, w) for the label draw, ``u_off`` is (h, w, C) for
-    the off-label truncated draws (the label column is ignored).
-    """
-    tokens, logits = _check_token_inputs(tokens, logits)
-    if not (np.isfinite(tau) and tau >= 0):
-        raise ValidationError("tau must be a non-negative finite real")
-    h, w = tokens.shape
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    label_logit = logits[rows, cols, tokens]
-    q_label = located_from_uniform(label_logit, np.asarray(u_label, dtype=np.float64))
-    q = truncated_from_uniform(
-        logits, (q_label - tau)[:, :, None], np.asarray(u_off, dtype=np.float64)
-    )
-    q[rows, cols, tokens] = q_label
-    return q
+    """Located inversion at one margin with explicit uniform draws."""
+    return next(located_inverses(tokens, logits, (tau,), u_label, u_off))
 
 
-def located_inverse(
-    tokens: np.ndarray,
-    logits: np.ndarray,
-    tau: float,
-    seed: int,
-    scale: int,
-) -> np.ndarray:
-    """Located inversion with keyed uniforms for one scale."""
-    tokens = np.asarray(tokens)
-    h, w, C = np.asarray(logits).shape
+def _keyed_uniforms(seed: int, scale: int, shape: tuple[int, int, int]):
+    """The (h, w) label and (h, w, C) off-label uniforms of one scale."""
+    h, w, C = shape
     rows = np.arange(h)[:, None]
     cols = np.arange(w)[None, :]
     u_label = uniform_values(seed, PURPOSE_LABEL_DRAW, scale, rows, cols, 0)
@@ -123,7 +138,20 @@ def located_inverse(
         cols[:, :, None],
         np.arange(C)[None, None, :],
     )
-    return located_inverse_from_uniforms(tokens, logits, tau, u_label, u_off)
+    return u_label, u_off
+
+
+def located_inverse(
+    tokens: np.ndarray,
+    logits: np.ndarray,
+    tau: float,
+    seed: int,
+    scale: int,
+) -> np.ndarray:
+    """Located inversion with keyed uniforms for one scale."""
+    return located_inverse_from_uniforms(
+        tokens, logits, tau, *_keyed_uniforms(seed, scale, np.shape(logits))
+    )
 
 
 def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float) -> np.ndarray:
@@ -214,6 +242,59 @@ def validate_noise_set(noise_set: InverseNoiseSet, params: PredictorParams):
             )
 
 
+def invert_pyramids(
+    pyramid,
+    cond: Condition,
+    taus,
+    params: PredictorParams,
+    seed: int,
+    kind: str = KIND_LAI,
+) -> tuple[InverseNoiseSet, ...]:
+    """Extract per-scale noise that replays the pyramid token-exactly,
+    once for each margin in ``taus``, in one walk over the scales.
+
+    For each scale t the predictor logits are computed from the true
+    prefix tokens, a pseudo-inverse builds perturbed logits q_t, and the
+    stored noise is q_t - p_t.  argmax(p_t + n_t) then equals the input
+    tokens at every cell of every scale.  The logits and the keyed
+    uniforms of a scale are shared by every margin; the onehot
+    construction ignores the margin, so its sets share their maps.
+    Returns one set per entry of ``taus``, in order; each equals
+    ``invert_pyramid`` at that margin bit for bit.
+    """
+    taus = [_check_tau(tau) for tau in taus]
+    if not taus:
+        raise ValidationError("no inversion margin given")
+    if kind not in (KIND_LAI, KIND_OAI):
+        raise ValidationError(f"unknown inversion kind {kind!r}")
+    maps = validate_pyramid(pyramid, params.codebook, params.schedule)
+    stepper = ScaleStepper(cond, params)
+    noises = [[] for _ in taus]
+    for t, tokens in enumerate(maps, start=1):
+        logits = stepper.next_scale_logits()
+        if kind == KIND_OAI:
+            noise = noise_from_perturbed(tokens, logits, onehot_inverse(tokens, logits), 0.0)
+            for per_tau in noises:
+                per_tau.append(noise)
+        else:
+            qs = located_inverses(
+                tokens, logits, taus, *_keyed_uniforms(seed, t, logits.shape)
+            )
+            for tau, q, per_tau in zip(taus, qs, noises):
+                per_tau.append(noise_from_perturbed(tokens, logits, q, tau))
+        stepper.push(tokens)
+    return tuple(
+        InverseNoiseSet(
+            noises=tuple(per_tau),
+            condition_label=cond.label,
+            tau=tau,
+            seed=int(seed),
+            kind=kind,
+        )
+        for tau, per_tau in zip(taus, noises)
+    )
+
+
 def invert_pyramid(
     pyramid,
     cond: Condition,
@@ -222,35 +303,9 @@ def invert_pyramid(
     seed: int,
     kind: str = KIND_LAI,
 ) -> InverseNoiseSet:
-    """Extract per-scale noise that replays the pyramid token-exactly.
-
-    For each scale t the predictor logits are computed from the true
-    prefix tokens, a pseudo-inverse builds perturbed logits q_t, and the
-    stored noise is q_t - p_t.  argmax(p_t + n_t) then equals the input
-    tokens at every cell of every scale.
-    """
-    if not (np.isfinite(tau) and tau >= 0):
-        raise ValidationError("tau must be a non-negative finite real")
-    if kind not in (KIND_LAI, KIND_OAI):
-        raise ValidationError(f"unknown inversion kind {kind!r}")
-    maps = validate_pyramid(pyramid, params.codebook, params.schedule)
-    stepper = ScaleStepper(cond, params)
-    noises = []
-    for t, tokens in enumerate(maps, start=1):
-        logits = stepper.next_scale_logits()
-        if kind == KIND_OAI:
-            q = onehot_inverse(tokens, logits)
-        else:
-            q = located_inverse(tokens, logits, tau, seed, t)
-        noises.append(noise_from_perturbed(tokens, logits, q, tau if kind == KIND_LAI else 0.0))
-        stepper.push(tokens)
-    return InverseNoiseSet(
-        noises=tuple(noises),
-        condition_label=cond.label,
-        tau=float(tau),
-        seed=int(seed),
-        kind=kind,
-    )
+    """``invert_pyramids`` at the one margin ``tau``."""
+    (noise_set,) = invert_pyramids(pyramid, cond, (tau,), params, seed, kind=kind)
+    return noise_set
 
 
 def reconstruct_from_noise(

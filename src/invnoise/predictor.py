@@ -10,14 +10,16 @@ and bitwise reproducible, which is what the inversion algebra needs.
 :class:`ScaleStepper` walks the scales of one pyramid under one
 condition.  It computes the condition's feature target once and keeps a
 running decode of the scales pushed so far, so each scale costs one
-embedding instead of a decode of the whole prefix.  Generation,
-inversion, replay and editing all drive it; ``next_scale_logits`` is
+embedding instead of a decode of the whole prefix, and ``fork`` copies
+it for another walk under the same condition.  Generation, inversion,
+replay and editing all drive it; ``next_scale_logits`` is
 the one-shot form for a given prefix, and ``generate`` samples a
 pyramid scale by scale with keyed Gumbel-max draws.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass
 
@@ -114,6 +116,13 @@ class ScaleStepper:
         embedding = embed_tokens(tokens, self.params.codebook)
         self._canvas += upsample_replicate(embedding, self.params.schedule.finest)
         self.scale += 1
+
+    def fork(self) -> "ScaleStepper":
+        """An independent stepper at the same scale and context, sharing
+        the condition's feature target."""
+        other = copy.copy(self)
+        other._canvas = self._canvas.copy()
+        return other
 
 
 def next_scale_logits(

@@ -1,14 +1,21 @@
 """CLI harness: end-to-end commands, exit codes, byte-level determinism."""
 
+import hashlib
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from invnoise import metrics
+from invnoise import cli, demo, inversion, metrics
 from invnoise.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from invnoise.codec import decode, encode
 from invnoise.config import ExperimentConfig, config_digest, load_config, render_config
 from invnoise.demo import demo_scene
 from invnoise.fileio import read_grid, read_noise_set, read_pyramid, write_grid
+from invnoise.rng import PURPOSE_TRUNC_DRAW
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(*argv):
@@ -208,6 +215,26 @@ class TestEdit:
             == EXIT_VALIDATION
         )
 
+    def test_nan_noise_map_is_io_error(self, tmp_path):
+        """A NaN noise map must not reach the edit: at lambda = 1 it would
+        silently replace the replayed source tokens of its scale."""
+        inv = tmp_path / "inv"
+        assert run("invert", "--grid", "demo:scene-a", "--out", inv) == EXIT_OK
+        data = bytearray((inv / "noise.nsn").read_bytes())
+        scale5, scale4 = 4 * 16 * 16 * 64, 4 * 8 * 8 * 64
+        data[-scale5 - scale4 : -scale5] = struct.pack("<f", np.nan) * (scale4 // 4)
+        bad = tmp_path / "bad.nsn"
+        bad.write_bytes(bytes(data))
+        out = tmp_path / "ed"
+        assert (
+            run(
+                "edit", "--grid", "demo:scene-a", "--mode", "varin", "--noise", bad,
+                "--lambda", "1", "--start-scale", 1, "--out", out,
+            )
+            == EXIT_IO
+        )
+        assert not (out / "edited.nsp").exists()
+
     def test_missing_noise_is_validation_error(self, tmp_path):
         assert (
             run("edit", "--grid", "demo:scene-a", "--mode", "varin", "--out", tmp_path / "x")
@@ -260,12 +287,14 @@ class TestEdit:
         assert len(edited) == 5
 
 
-def sweep_config(tmp_path, parameter, values, mode="varin", seeds="0:8"):
+def sweep_config(tmp_path, parameter, values, mode="varin", seeds="0:8", context=None):
+    context_line = f"context = {context}\n" if context else ""
     text = (
         "[edit]\n"
         "source = red brick house among pines\n"
         "target = blue glass tower among pines\n"
         f"mode = {mode}\n"
+        f"{context_line}"
         "[sweep]\n"
         f"parameter = {parameter}\n"
         f"values = {values}\n"
@@ -285,7 +314,111 @@ def mean_rows(csv_path, metric):
     return out
 
 
+SWEEP_VALUES = {"tau": "20,14,18", "lambda": "0.0,0.5,1.0", "start_scale": "1,3,5"}
+SWEEP_CASES = [
+    (parameter, mode, None)
+    for parameter in ("tau", "lambda", "start_scale")
+    for mode in ("varin", "target-only", "regen")
+] + [("tau", "varin", "source-prefix")]
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 class TestSweep:
+    @pytest.mark.parametrize("parameter,mode,context", SWEEP_CASES)
+    def test_parallel_equals_serial(self, tmp_path, parameter, mode, context):
+        cfg = sweep_config(
+            tmp_path, parameter, SWEEP_VALUES[parameter], mode=mode, seeds="0:3",
+            context=context,
+        )
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        assert run("sweep", "--config", cfg, "--out", serial) == EXIT_OK
+        assert run("sweep", "--config", cfg, "--out", parallel, "--workers", 2) == EXIT_OK
+        assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("demo.ini", "13cf58095c2e3e7f9293fe99c722d13c1c715a2c1d5bbb1dc554e6a1ea7a54b6"),
+            ("regen-sweep.ini", "cd57a0c297f7ca9c151bdfcd17e47da9e3d90247c745c217fdf0de76a14f7708"),
+        ],
+    )
+    def test_bundled_config_output_pinned(self, tmp_path, name, digest):
+        """The bundled sweeps reproduce their recorded sweep.csv byte for byte."""
+        out = tmp_path / "s"
+        assert run("sweep", "--config", CONFIGS / name, "--out", out) == EXIT_OK
+        assert sha256(out / "sweep.csv") == digest
+
+    def test_setup_once_and_inversion_draws_once_per_seed(self, tmp_path, monkeypatch):
+        """V values x S seeds build the params and the scene once, and draw
+        each scale's off-label inversion uniforms once per seed."""
+        calls = {"params": 0, "scene": 0, "trunc": 0}
+        build_params = ExperimentConfig.build_params
+        demo_scene_fn = demo.demo_scene
+        uniform_values = inversion.uniform_values
+
+        def counted_params(self):
+            calls["params"] += 1
+            return build_params(self)
+
+        def counted_scene(*args, **kwargs):
+            calls["scene"] += 1
+            return demo_scene_fn(*args, **kwargs)
+
+        def counted_uniforms(seed, purpose, *rest):
+            calls["trunc"] += purpose == PURPOSE_TRUNC_DRAW
+            return uniform_values(seed, purpose, *rest)
+
+        monkeypatch.setattr(ExperimentConfig, "build_params", counted_params)
+        monkeypatch.setattr(demo, "demo_scene", counted_scene)
+        monkeypatch.setattr(inversion, "uniform_values", counted_uniforms)
+        values, seeds, num_scales = 3, 2, 5
+        cfg = sweep_config(tmp_path, "tau", "14,18,20", seeds=f"0:{seeds}")
+        assert run("sweep", "--config", cfg, "--out", tmp_path / "s") == EXIT_OK
+        assert calls == {"params": 1, "scene": 1, "trunc": seeds * num_scales}
+        rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == (values * seeds + values) * 6
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        cfg = sweep_config(tmp_path, "tau", "14", seeds="0:2")
+        out = tmp_path / "s"
+        assert run("sweep", "--config", cfg, "--out", out, "--workers", workers) == EXIT_VALIDATION
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("workers,seeds,started", [(64, 3, [3]), (2, 3, [2]), (5, 1, [])])
+    def test_workers_capped_at_seed_count(self, tmp_path, monkeypatch, workers, seeds, started):
+        """No process is started here: the pool only records its size."""
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        cfg = sweep_config(tmp_path, "lambda", "0.5", mode="regen", seeds=f"0:{seeds}")
+        out = tmp_path / "s"
+        assert run("sweep", "--config", cfg, "--out", out, "--workers", workers) == EXIT_OK
+        assert _RecordingPool.sizes == started
+        serial = tmp_path / "serial"
+        assert run("sweep", "--config", cfg, "--out", serial) == EXIT_OK
+        assert (out / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
     def test_tau_sweep_direction_and_parallel_equality(self, tmp_path):
         cfg = sweep_config(tmp_path, "tau", "14,16,18,20")
         serial, parallel = tmp_path / "s", tmp_path / "p"
@@ -349,6 +482,17 @@ class TestRender:
         data[32:44] = b"\xff" * 12
         path.write_bytes(bytes(data))
         assert run("render", "--in", path, "--out", tmp_path / "r") == EXIT_IO
+
+
+    def test_nan_grid_is_io_error(self, tmp_path):
+        path = tmp_path / "nan.nsg"
+        write_grid(path, np.zeros((4, 2, 2)))
+        data = bytearray(path.read_bytes())
+        data[-4:] = struct.pack("<f", np.nan)
+        path.write_bytes(bytes(data))
+        out = tmp_path / "r"
+        assert run("render", "--in", path, "--out", out) == EXIT_IO
+        assert not list(out.glob("*.pgm"))
 
 
 class TestConfig:

@@ -8,9 +8,13 @@ import pytest
 from invnoise.codec import decode, encode
 from invnoise.demo import demo_scene
 from invnoise.editing import (
+    MODE_REGEN,
+    MODE_TARGET_ONLY,
+    MODE_VARIN,
     EditConfig,
     LambdaSchedule,
     default_start_scale,
+    edit_batch,
     edit_regeneration,
     edit_target_only,
     edit_with_inverse_noise,
@@ -273,3 +277,88 @@ class TestValidation:
         for bad in (narrow, shifted):
             with pytest.raises(ValidationError):
                 edit(grid, cfg, params, bad)
+
+
+def same_edit(a, b):
+    return (
+        all(np.array_equal(x, y) for x, y in zip(a.pyramid, b.pyramid))
+        and len(a.pyramid) == len(b.pyramid)
+        and np.array_equal(a.grid, b.grid)
+        and np.array_equal(a.lambdas, b.lambdas, equal_nan=True)
+        and a.change_fraction == b.change_fraction
+        and all(np.array_equal(x, y) for x, y in zip(a.source_pyramid, b.source_pyramid))
+    )
+
+
+class TestEditBatch:
+    """A batch gives every config the result of its single edit, bit for bit."""
+
+    BASE = EditConfig(source_label=SRC, target_label=TGT, seed=5)
+    VARIED = [
+        replace(BASE, tau=20.0),
+        replace(BASE, tau=14.0, start_scale=1),
+        replace(BASE, tau=0.0, lambda_schedule=LambdaSchedule("constant", 0.5)),
+        replace(BASE, tau=14.0, context_mode="source-prefix"),
+        replace(BASE, lambda_schedule=LambdaSchedule("constant", 0.0)),
+        replace(BASE, tau=20.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "mode,single",
+        [(MODE_VARIN, edit_with_inverse_noise), (MODE_TARGET_ONLY, edit_target_only)],
+    )
+    def test_noise_guided_matches_single(self, params, mode, single):
+        grid = demo_scene("scene-a", params)[0]
+        batch = edit_batch(grid, self.VARIED, mode, params)
+        assert len(batch) == len(self.VARIED)
+        for cfg, got in zip(self.VARIED, batch):
+            assert same_edit(got, single(grid, cfg, params))
+
+    def test_regeneration_matches_single(self, params):
+        grid = demo_scene("scene-a", params)[0]
+        starts = [3, 1, None, 6, 3]
+        configs = [replace(self.BASE, start_scale=s) for s in starts]
+        for start, got in zip(starts, edit_batch(grid, configs, MODE_REGEN, params)):
+            if start is None:
+                start = default_start_scale(params.schedule.num_scales)
+            assert same_edit(got, edit_regeneration(grid, TGT, start, params, self.BASE.seed))
+
+    def test_given_noise_set_matches_single(self, params, source_cond):
+        grid = random_grid(90)
+        pyramid = encode(grid, params.codebook, params.schedule)
+        noise_set = invert_pyramid(pyramid, source_cond, 0.0, params, seed=5)
+        batch = edit_batch(grid, self.VARIED[:3], MODE_VARIN, params, noise_set)
+        for cfg, got in zip(self.VARIED[:3], batch):
+            assert same_edit(got, edit_with_inverse_noise(grid, cfg, params, noise_set))
+
+    def test_endpoints_within_one_batch(self, params):
+        """lambda = 1 from scale 1 under equal labels replays the source,
+        and lambda = 0 equals regeneration, in the same batch."""
+        grid = random_grid(91)
+        base = EditConfig(source_label=SRC, target_label=SRC, seed=8, start_scale=1)
+        replay, fresh = edit_batch(
+            grid,
+            [
+                replace(base, lambda_schedule=LambdaSchedule("constant", 1.0)),
+                replace(base, lambda_schedule=LambdaSchedule("constant", 0.0)),
+            ],
+            MODE_VARIN,
+            params,
+        )
+        source = encode(grid, params.codebook, params.schedule)
+        assert all(np.array_equal(a, b) for a, b in zip(replay.pyramid, source))
+        regen = edit_regeneration(grid, SRC, 1, params, 8)
+        assert all(np.array_equal(a, b) for a, b in zip(fresh.pyramid, regen.pyramid))
+
+    @pytest.mark.parametrize(
+        "configs,mode",
+        [
+            ([], MODE_VARIN),
+            ([BASE, replace(BASE, seed=6)], MODE_VARIN),
+            ([BASE, replace(BASE, target_label=SRC)], MODE_REGEN),
+            ([BASE], "sideways"),
+        ],
+    )
+    def test_rejects_bad_batches(self, params, configs, mode):
+        with pytest.raises(ValidationError):
+            edit_batch(random_grid(92), configs, mode, params)

@@ -198,6 +198,44 @@ class TestCorruptHeaders:
             read_noise_set(path)
 
 
+class TestNonFinitePayloads:
+    """A NaN or infinite payload value, or a bad noise tau, is a FormatError."""
+
+    @pytest.mark.parametrize("index", [0, 5, 4 * 16 * 16 - 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_grid_value(self, tmp_path, value, index):
+        path = tmp_path / "g.nsg"
+        write_grid(path, random_grid(37))
+        data = bytearray(path.read_bytes())
+        data[44 + 4 * index : 48 + 4 * index] = struct.pack("<f", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_grid(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_noise_value(self, tmp_path, params, source_cond, value):
+        pyramid = generate(source_cond, params, seed=15)
+        path = tmp_path / "n.nsn"
+        write_noise_set(path, invert_pyramid(pyramid, source_cond, 18.0, params, seed=15))
+        data = bytearray(path.read_bytes())
+        data[-8:-4] = struct.pack("<f", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_noise_set(path)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+    def test_noise_header_tau(self, tmp_path, params, source_cond, tau):
+        pyramid = generate(source_cond, params, seed=16)
+        path = tmp_path / "n.nsn"
+        write_noise_set(path, invert_pyramid(pyramid, source_cond, 18.0, params, seed=16))
+        data = bytearray(path.read_bytes())
+        assert struct.unpack("<d", data[40:48]) == (18.0,)
+        data[40:48] = struct.pack("<d", tau)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_noise_set(path)
+
+
 READERS = {"grid": read_grid, "pyramid": read_pyramid, "noise": read_noise_set}
 
 

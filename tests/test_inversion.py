@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from invnoise.codec import encode
 from invnoise.errors import InvariantError, ValidationError
-from invnoise.gumbel import ks_statistic
+from invnoise.gumbel import ks_statistic, located_from_uniform, truncated_from_uniform
 from invnoise.inversion import (
     KIND_LAI,
     KIND_OAI,
@@ -17,6 +17,7 @@ from invnoise.inversion import (
     gaussian_ar_apply,
     gaussian_ar_invert,
     invert_pyramid,
+    invert_pyramids,
     located_inverse,
     located_inverse_from_uniforms,
     noise_from_perturbed,
@@ -264,6 +265,82 @@ class TestInvertPyramid:
         noise_set = invert_pyramid(pyramid, source_cond, tau, params, seed)
         recon = reconstruct_from_noise(noise_set, source_cond, params)
         assert all(np.array_equal(a, b) for a, b in zip(pyramid, recon))
+
+
+def reference_invert(pyramid, cond, tau, params, seed, kind):
+    """One-margin inversion as first written: one-shot logits per scale,
+    the located draws spelled out with meshgrid keys."""
+    noises = []
+    for k, tokens in enumerate(pyramid, start=1):
+        logits = next_scale_logits(pyramid[: k - 1], cond, k, params)
+        if kind == KIND_OAI:
+            noises.append(noise_from_perturbed(tokens, logits, onehot_inverse(tokens, logits), 0.0))
+            continue
+        rows, cols, labels = label_indices(tokens)
+        channels = np.arange(logits.shape[2])
+        u_label = uniform_values(seed, PURPOSE_LABEL_DRAW, k, rows, cols, 0)
+        u_off = uniform_values(
+            seed, PURPOSE_TRUNC_DRAW, k, rows[:, :, None], cols[:, :, None], channels
+        )
+        q_label = located_from_uniform(logits[rows, cols, labels], u_label)
+        q = truncated_from_uniform(logits, (q_label - tau)[:, :, None], u_off)
+        q[rows, cols, labels] = q_label
+        noises.append(noise_from_perturbed(tokens, logits, q, tau))
+    return noises
+
+
+MARGINS = (0.0, 1e-6, 14.0, 18.0, 20.0)
+
+
+class TestInvertPyramids:
+    """The multi-margin walk gives each margin the one-margin noise set."""
+
+    @pytest.mark.parametrize("taus", [MARGINS, (20.0, 0.0, 18.0, 1e-6, 14.0)])
+    @pytest.mark.parametrize("beta", [4.0, 3000.0])
+    @pytest.mark.parametrize("kind", [KIND_LAI, KIND_OAI])
+    def test_each_margin_matches_single(self, params, source_cond, taus, beta, kind):
+        params = PredictorParams(params.codebook, params.schedule, beta=beta)
+        for seed in (0, 1):
+            # self-generated pyramids tighten within the pass budget even at beta = 3000
+            pyramid = generate(source_cond, params, seed=seed)
+            sets = invert_pyramids(pyramid, source_cond, taus, params, seed, kind=kind)
+            assert [s.tau for s in sets] == list(taus)
+            for tau, got in zip(taus, sets):
+                single = invert_pyramid(pyramid, source_cond, tau, params, seed, kind=kind)
+                assert (got.condition_label, got.tau, got.seed, got.kind) == (
+                    single.condition_label, single.tau, single.seed, single.kind
+                )
+                want = reference_invert(pyramid, source_cond, tau, params, seed, kind)
+                for a, b, c in zip(got.noises, single.noises, want):
+                    assert np.array_equal(a, b)
+                    assert np.array_equal(a, c)
+                recon = reconstruct_from_noise(got, source_cond, params)
+                assert all(np.array_equal(a, b) for a, b in zip(pyramid, recon))
+
+    def test_repeated_margin(self, params, source_cond):
+        pyramid = generate(source_cond, params, seed=4)
+        a, b = invert_pyramids(pyramid, source_cond, (18.0, 18.0), params, seed=4)
+        assert all(np.array_equal(x, y) for x, y in zip(a.noises, b.noises))
+
+    @pytest.mark.parametrize("taus", [(), (18.0, -1.0), (float("nan"),)])
+    def test_rejects_bad_margins(self, params, source_cond, taus):
+        pyramid = generate(source_cond, params, seed=4)
+        with pytest.raises(ValidationError):
+            invert_pyramids(pyramid, source_cond, taus, params, seed=4)
+
+    def test_one_failing_margin_fails_the_walk(self, params, source_cond):
+        """At beta = 3000 an encoded random grid does not tighten at
+        tau = 0 within the pass budget; the walk raises as the single
+        inversion at that margin does."""
+        params = PredictorParams(params.codebook, params.schedule, beta=3000.0)
+        pyramid = encode(random_grid(70), params.codebook, params.schedule)
+        invert_pyramid(pyramid, source_cond, 18.0, params, seed=0)
+        for call in (
+            lambda: invert_pyramid(pyramid, source_cond, 0.0, params, seed=0),
+            lambda: invert_pyramids(pyramid, source_cond, (18.0, 0.0), params, seed=0),
+        ):
+            with pytest.raises(InvariantError):
+                call()
 
 
 def test_rectangular_schedule_end_to_end():
