@@ -6,13 +6,17 @@ configuration (after overrides) is hashed and embedded, with the seed,
 in every output artifact.  Re-running a command with the same effective
 config and seed reproduces its outputs byte for byte.
 
-``sweep`` resolves the params, the source grid and the mask once, then
-runs one task per seed that covers every sweep value through
-``editing.edit_batch`` (one encoding, one inversion walk for all
-margins, one draw of each scale's fresh noise).  Tasks run in the
-calling process or in up to ``min(--workers, seeds)`` worker processes;
-rows are written value-major either way, so ``sweep.csv`` does not
-depend on the worker count.
+``sweep`` resolves the params, the source grid and the mask once, and
+does the work that depends on neither the seed nor the sweep value once
+(an ``editing.SeedSweep``: the encoding, the condition targets and the
+logits of the source walks; a ``metrics.Scorer``: the source grid's
+metric terms).  Its tasks are chunks of seeds, each covering every
+sweep value in one walk with a leading seed axis.  A chunk holds
+``editing.seed_chunk_width`` seeds, or ``ceil(seeds / --workers)`` if
+that is fewer, and chunks run in the calling process or in up to
+``min(--workers, seeds)`` worker processes; rows are written value-major
+either way, so ``sweep.csv`` does not depend on the worker count.
+Seeds are integers in [0, 2^64).
 
 Exit codes: 0 success, 2 validation error, 3 I/O or file-format error,
 4 internal invariant violation.
@@ -138,22 +142,21 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _quality_rows(digest_hex, seed, a, b, mask, scope_prefix=""):
-    rows = [
-        fileio.format_metric_row(digest_hex, seed, "mse", scope_prefix + "whole", metrics.mse(a, b)),
-        fileio.format_metric_row(digest_hex, seed, "psnr", scope_prefix + "whole", metrics.psnr(a, b)),
-        fileio.format_metric_row(digest_hex, seed, "ssim", scope_prefix + "whole", metrics.ssim(a, b)),
+# scorer keys -> (metric, scope) of the encode and edit metric rows
+_QUALITY_ROWS = {
+    "mse": ("mse", "whole"),
+    "psnr": ("psnr", "whole"),
+    "ssim": ("ssim", "whole"),
+    "bg_mse": ("mse", "background"),
+    "bg_psnr": ("psnr", "background"),
+}
+
+
+def _quality_rows(digest_hex, seed, scores):
+    return [
+        fileio.format_metric_row(digest_hex, seed, *_QUALITY_ROWS[key], value)
+        for key, value in scores.items()
     ]
-    if mask is not None:
-        rows += [
-            fileio.format_metric_row(
-                digest_hex, seed, "mse", scope_prefix + "background", metrics.mse(a, b, mask=mask)
-            ),
-            fileio.format_metric_row(
-                digest_hex, seed, "psnr", scope_prefix + "background", metrics.psnr(a, b, mask=mask)
-            ),
-        ]
-    return rows
 
 
 def cmd_encode(args) -> int:
@@ -167,7 +170,7 @@ def cmd_encode(args) -> int:
     out = _out_dir(cfg)
     fileio.write_pyramid(out / "pyramid.nsp", pyramid, params.codebook.size, seed, digest)
     fileio.write_grid(out / "recon.nsg", recon, seed, digest)
-    rows = _quality_rows(digest.hex(), seed, recon, grid, None)
+    rows = _quality_rows(digest.hex(), seed, metrics.Scorer(grid).score(recon))
     fileio.write_metrics_csv(out / "encode_metrics.csv", rows)
     print(f"encoded {args.grid}: {len(pyramid)} scales -> {out}")
     for row in rows:
@@ -217,7 +220,7 @@ def cmd_edit(args) -> int:
     out = _out_dir(cfg)
     fileio.write_pyramid(out / "edited.nsp", result.pyramid, params.codebook.size, seed, digest)
     fileio.write_grid(out / "edited.nsg", result.grid, seed, digest)
-    rows = _quality_rows(digest.hex(), seed, result.grid, grid, mask)
+    rows = _quality_rows(digest.hex(), seed, metrics.Scorer(grid, mask).score(result.grid))
     rows.append(
         fileio.format_metric_row(
             digest.hex(),
@@ -250,32 +253,25 @@ def _sweep_point(edit, parameter: str, value: float):
     return replace(edit, lambda_kind="constant", lambda_value=value)
 
 
-def _sweep_seed(setup, seed):
-    """Every sweep value at one seed: one metrics dict per value, in order.
+def _sweep_chunk(setup, seeds):
+    """Every sweep value at each seed of one chunk: one list per seed of
+    one metrics dict per value, in order.
 
-    ``setup`` is (config, params, source grid, mask), resolved once per
-    sweep; the edits of all values run as one ``editing.edit_batch``.
+    ``setup`` is (``editing.SeedSweep``, ``metrics.Scorer``), built once
+    per sweep.
     """
-    cfg, params, grid, mask = setup
-    configs = [
-        replace(
-            cfg, edit=replace(_sweep_point(cfg.edit, cfg.sweep.parameter, value), seed=seed)
-        ).build_edit_config()
-        for value in cfg.sweep.values
+    sweep, scorer = setup
+    return [
+        [
+            dict(
+                scorer.score(result.grid),
+                token_change=1.0
+                - metrics.token_agreement(result.pyramid, result.source_pyramid),
+            )
+            for result in per_seed
+        ]
+        for per_seed in sweep.run(seeds)
     ]
-    rows = []
-    for result in editing.edit_batch(grid, configs, cfg.edit.mode, params):
-        out = {
-            "mse": metrics.mse(result.grid, grid),
-            "psnr": metrics.psnr(result.grid, grid),
-            "ssim": metrics.ssim(result.grid, grid),
-            "token_change": 1.0 - metrics.token_agreement(result.pyramid, result.source_pyramid),
-        }
-        if mask is not None:
-            out["bg_mse"] = metrics.mse(result.grid, grid, mask=mask)
-            out["bg_psnr"] = metrics.psnr(result.grid, grid, mask=mask)
-        rows.append(out)
-    return rows
 
 
 _SWEEP_METRIC_ORDER = ("mse", "psnr", "ssim", "token_change", "bg_mse", "bg_psnr")
@@ -301,13 +297,23 @@ def cmd_sweep(args) -> int:
     digest = config_digest(cfg)
     params = cfg.build_params()
     grid, mask = _resolve_grid(args.grid, params)
-    seed_task = partial(_sweep_seed, (cfg, params, grid, mask))
-    workers = min(args.workers, len(sweep.seeds))
+    configs = [
+        replace(cfg, edit=_sweep_point(cfg.edit, sweep.parameter, value)).build_edit_config()
+        for value in sweep.values
+    ]
+    chunk_task = partial(
+        _sweep_chunk,
+        (editing.SeedSweep(grid, configs, cfg.edit.mode, params), metrics.Scorer(grid, mask)),
+    )
+    width = min(editing.seed_chunk_width(params), -(-len(sweep.seeds) // args.workers))
+    chunks = [sweep.seeds[i : i + width] for i in range(0, len(sweep.seeds), width)]
+    workers = min(args.workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(seed_task, sweep.seeds))
+            per_chunk = list(pool.map(chunk_task, chunks))
     else:
-        per_seed = [seed_task(seed) for seed in sweep.seeds]
+        per_chunk = [chunk_task(chunk) for chunk in chunks]
+    per_seed = [seed_rows for chunk_rows in per_chunk for seed_rows in chunk_rows]
     # rows stay value-major: every seed of the first value, then the next
     tasks = [(value, seed) for value in sweep.values for seed in sweep.seeds]
     results = [seed_rows[i] for i in range(len(sweep.values)) for seed_rows in per_seed]
@@ -383,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=True):
+    def common(p, grid=True, seed=True):
         p.add_argument("--config", help="INI experiment config")
-        p.add_argument("--seed", type=int, help="override the edit/inversion seed")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the edit/inversion seed")
         p.add_argument("--out", help="override the output directory")
         if grid:
             p.add_argument(
@@ -430,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_edit)
 
     p = sub.add_parser("sweep", help="run the configured parameter sweep")
-    common(p)
+    common(p, seed=False)  # the seeds come from [sweep] seeds
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 

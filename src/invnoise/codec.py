@@ -117,39 +117,50 @@ def _check_divisible(fine: tuple[int, int], coarse: tuple[int, int]):
 
 
 def downsample_blockmean(grid: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Average (d, H, W) over non-overlapping blocks down to (d, h, w)."""
-    d, big_h, big_w = grid.shape
+    """Average (..., H, W) over non-overlapping blocks down to (..., h, w).
+
+    Leading axes are folded into one, so a C-ordered stack of grids
+    averages each block in the same order as each C-ordered (d, H, W)
+    grid of it does on its own.
+    """
+    *lead, big_h, big_w = grid.shape
     h, w = target
     _check_divisible((big_h, big_w), (h, w))
     fh, fw = big_h // h, big_w // w
-    return grid.reshape(d, h, fh, w, fw).mean(axis=(2, 4))
+    return grid.reshape(-1, h, fh, w, fw).mean(axis=(2, 4)).reshape(*lead, h, w)
 
 
 def upsample_replicate(grid: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Replicate (d, h, w) up to (d, H, W) by block copy."""
-    d, h, w = grid.shape
+    """Replicate (..., h, w) up to (..., H, W) by block copy."""
+    h, w = grid.shape[-2:]
     big_h, big_w = target
     _check_divisible((big_h, big_w), (h, w))
-    return np.repeat(np.repeat(grid, big_h // h, axis=1), big_w // w, axis=2)
+    return np.repeat(np.repeat(grid, big_h // h, axis=-2), big_w // w, axis=-1)
 
 
 def squared_distances(cells: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Squared distance from each (h, w, d) cell to each (C, d) vector.
+    """Squared distance from each (..., h, w, d) cell to each (C, d) vector.
 
-    Returns a C-ordered (h, w, C) array.  The d squared differences are
-    summed in channel order.  The codec and the predictor pass cells as
-    ``np.moveaxis`` views of (d, h, w) grids; on that layout
+    Returns a C-ordered (..., h, w, C) array.  The d squared differences
+    are summed in channel order.  The codec and the predictor pass cells
+    as ``np.moveaxis`` views of (..., d, h, w) grids; on that layout
     ``einsum("hwcd,hwcd->hwc")`` over the (h, w, C, d) difference tensor
     also adds whole channel planes in order, so this loop matches it bit
     for bit without building that tensor.  At a single cell einsum sums
     the d products in another order (the results differ in the last
-    bit), so that case keeps the einsum.
+    bit), so that case keeps the einsum, one (1, 1) map at a time.
     """
-    h, w, d = cells.shape
+    *lead, h, w, d = cells.shape
+    c = vectors.shape[0]
+    if lead:
+        if h * w == 1:
+            maps = [squared_distances(m, vectors) for m in cells.reshape(-1, 1, 1, d)]
+            return np.stack(maps).reshape(*lead, 1, 1, c)
+        # the rows of all maps in one pass (a copy when cells is a view)
+        return squared_distances(cells.reshape(-1, w, d), vectors).reshape(*lead, h, w, c)
     if h * w == 1:
         diffs = cells[:, :, None, :] - vectors[None, None, :, :]
         return np.einsum("hwcd,hwcd->hwc", diffs, diffs)
-    c = vectors.shape[0]
     columns = vectors.T.copy()
     out = np.zeros((h, w, c))
     # Rows are taken in blocks of about _DIST_BLOCK entries so that the
@@ -173,10 +184,10 @@ def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
 
 
 def embed_tokens(tokens: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Token map (h, w) to its (d, h, w) embedding."""
+    """Token map (..., h, w) to its (..., d, h, w) embedding."""
     if np.any(tokens < 0) or np.any(tokens >= codebook.size):
         raise ValidationError("token index out of codebook range")
-    return np.moveaxis(codebook.vectors[tokens], -1, 0)
+    return np.moveaxis(codebook.vectors[tokens], -1, -3)
 
 
 def validate_grid(grid: np.ndarray, codebook: Codebook, schedule: ScaleSchedule):

@@ -18,6 +18,7 @@ from .codec import Codebook, ScaleSchedule, default_codebook
 from .editing import CONTEXT_GENERATED, EDIT_MODES, EditConfig, LambdaSchedule
 from .errors import ValidationError
 from .predictor import PredictorParams
+from .rng import SEED_LIMIT, seed_array
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ class EditSection:
     def __post_init__(self):
         if self.mode not in EDIT_MODES:
             raise ValidationError(f"mode must be one of {EDIT_MODES}, got {self.mode!r}")
+        seed_array((self.seed,))
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,9 @@ class SweepSection:
     parameter: str = ""
     values: tuple[float, ...] = ()
     seeds: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        seed_array(self.seeds)
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,10 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi)))
+        lo, hi = (int(p) for p in text.split(":"))
+        if lo < 0 or hi > SEED_LIMIT:
+            raise ValidationError(f"seed range {lo}:{hi} outside [0, 2^64)")
+        return tuple(range(lo, hi))
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 

@@ -19,10 +19,16 @@ endpoint matches regeneration bit for bit under a shared seed.  The
 context of each edited scale is the edited scales before it
 (generated-prefix) or the source scales before it (source-prefix).
 
-``edit_batch`` is the one entry point: it edits one source under
-several configs that share a seed and labels (one seed of a sweep),
-encoding, embedding and inverting once for all of them.  The three
-single-edit functions are its one-config form.
+``edit_seeds`` is the one entry point: it edits one source under
+several configs that share their labels, at several seeds.  A
+:class:`SeedSweep` does the work that depends on neither the seed nor
+the config once (encoding, condition targets, the logits of the source
+walks); its ``run`` edits a chunk of seeds with a leading seed axis
+through the keyed draws, the inversion step
+(:func:`~invnoise.inversion.invert_scale`, called scale by scale, so no
+whole noise set is held), the edit mix, the stepper logits and the
+argmax.  ``edit_batch`` is its one-seed form, and the three single-edit
+functions are one-config calls of ``edit_batch``.
 """
 
 from __future__ import annotations
@@ -32,12 +38,12 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import decode, encode
+from .codec import encode
 from .errors import ValidationError
 from .gumbel import standard_field
-from .inversion import KIND_LAI, InverseNoiseSet, invert_pyramids, validate_noise_set
-from .predictor import Condition, PredictorParams, ScaleStepper, condition_embed
-from .rng import PURPOSE_EDIT_NOISE
+from .inversion import InverseNoiseSet, invert_scale, validate_noise_set
+from .predictor import PredictorParams, ScaleStepper, condition_embed
+from .rng import PURPOSE_EDIT_NOISE, seed_array
 
 CONTEXT_GENERATED = "generated-prefix"
 CONTEXT_SOURCE = "source-prefix"
@@ -157,58 +163,200 @@ def _plan(cfg: EditConfig, mode: str, num_scales: int) -> _Plan:
     return _Plan(cfg.start_scale, lambdas, cfg.context_mode, cfg.tau)
 
 
-def _run_edit_loop(
-    source_pyramid,
-    target_cond: Condition,
-    params: PredictorParams,
-    seed: int,
-    plans: list[_Plan],
-    noises: dict,
-) -> list[EditResult]:
-    """Walk the scales once for all plans, in step.
+SEED_CELL_BUDGET = 1 << 15
 
-    Each plan has its own stepper (forked from one, so the condition's
-    feature target is built once).  A scale's fresh Gumbel field is drawn
-    once and shared: every plan but the last that edits the scale mixes
-    into a copy, the last into the field itself.
+
+def seed_chunk_width(params: PredictorParams) -> int:
+    """Seeds per edit walk: as many as keep one finest-scale (h, w, C)
+    array of every seed within ``SEED_CELL_BUDGET`` cells, at least one
+    (2 at 16x16, vocab 64; 1 at 64x64, vocab 512)."""
+    h, w = params.schedule.finest
+    return max(1, SEED_CELL_BUDGET // (h * w * params.codebook.size))
+
+
+class SeedSweep:
+    """One source grid edited under several configs, at any seeds.
+
+    The configs must share their labels and may differ in margin, start
+    scale, lambda schedule and context; their ``seed`` fields are not
+    used.  Construction does the work that depends on neither the seed
+    nor the config, once: it encodes the source, builds both condition
+    targets and walks the source pyramid under each condition, keeping
+    the inversion logits of every edited scale (under the source
+    condition, or the target condition in target-only mode) and the
+    source-prefix logits under the target condition where an edit reads
+    them (at its start scale, and at every edited scale in source-prefix
+    context).  ``run`` then edits a chunk of seeds.
     """
-    base = ScaleStepper(target_cond, params)
-    steppers = [base] + [base.fork() for _ in plans[1:]]
-    edited = [[] for _ in plans]
-    vocab = params.codebook.size
-    for t, source_tokens in enumerate(source_pyramid, start=1):
-        active = [i for i, plan in enumerate(plans) if plan.start_scale <= t]
-        if active:
+
+    def __init__(
+        self,
+        source_grid: np.ndarray,
+        configs,
+        mode: str,
+        params: PredictorParams,
+        noise_set: Optional[InverseNoiseSet] = None,
+    ):
+        if mode not in EDIT_MODES:
+            raise ValidationError(f"mode must be one of {EDIT_MODES}, got {mode!r}")
+        configs = tuple(configs)
+        if not configs:
+            raise ValidationError("no edit configs given")
+        source_label, target_label = configs[0].source_label, configs[0].target_label
+        if any((c.source_label, c.target_label) != (source_label, target_label) for c in configs):
+            raise ValidationError("batched edits must share their labels")
+        num_scales = params.schedule.num_scales
+        self.params = params
+        self._plans = [_plan(cfg, mode, num_scales) for cfg in configs]
+        self._distinct = list(dict.fromkeys(self._plans))
+        self.source_pyramid = tuple(encode(source_grid, params.codebook, params.schedule))
+        self._given = None
+        if mode != MODE_REGEN and noise_set is not None:
+            validate_noise_set(noise_set, params)
+            self._given = noise_set.noises
+        inverting = mode != MODE_REGEN and noise_set is None
+        first_edit = min(plan.start_scale for plan in self._distinct)
+        prefix_scales = set()
+        for plan in self._distinct:
+            last = num_scales if plan.context_mode == CONTEXT_SOURCE else plan.start_scale
+            prefix_scales.update(range(plan.start_scale, last + 1))
+        if inverting and mode == MODE_TARGET_ONLY:
+            prefix_scales.update(range(first_edit, num_scales + 1))
+        walk = ScaleStepper(condition_embed(target_label, params), params)
+        source_walk = None
+        if inverting and mode == MODE_VARIN:
+            source_walk = ScaleStepper(condition_embed(source_label, params), params)
+        self._forks = {}  # start scale -> the target walk before that scale
+        self._prefix_logits = {}
+        self._inversion_logits = {}
+        for t, tokens in enumerate(self.source_pyramid, start=1):
+            if any(plan.start_scale == t for plan in self._distinct):
+                self._forks[t] = walk.fork()
+            if t in prefix_scales:
+                self._prefix_logits[t] = walk.next_scale_logits()
+            if inverting and t >= first_edit:
+                self._inversion_logits[t] = (
+                    self._prefix_logits[t] if source_walk is None else source_walk.next_scale_logits()
+                )
+            walk.push(tokens)
+            if source_walk is not None:
+                source_walk.push(tokens)
+        self._source_grid = walk.canvas
+
+    def _noises(self, t: int, seeds: np.ndarray, taus):
+        """Yield (tau, inverse noise of scale t) per margin, one at a time:
+        (S, h, w, C) when inverted, the given set's (h, w, C) map
+        otherwise, None for regeneration."""
+        if t not in self._inversion_logits:
+            for tau in taus:
+                yield tau, None if self._given is None else self._given[t - 1]
+            return
+        tokens = self.source_pyramid[t - 1]
+        yield from zip(taus, invert_scale(tokens, self._inversion_logits[t], taus, seeds, t))
+
+    def _edit_scale(self, plan: _Plan, stepper: ScaleStepper, t: int, mixed, noise):
+        """Scale t of one edit: argmax of logits + ((1 - lam) * g + lam * n),
+        built in place in ``mixed``, which holds the fresh draws g."""
+        if t == plan.start_scale or plan.context_mode == CONTEXT_SOURCE:
+            logits = self._prefix_logits[t]
+        else:
+            logits = stepper.next_scale_logits()
+        lam = plan.lambdas[t - plan.start_scale]
+        if noise is not None:
+            mixed *= 1.0 - lam
+            mixed += lam * noise
+        mixed += logits
+        return np.argmax(mixed, axis=-1).astype(np.int32)
+
+    def run(self, seeds) -> list[list[EditResult]]:
+        """Edit a chunk of seeds: one list per seed of one result per config.
+
+        All edits walk the scales together with a leading seed axis.  At
+        each scale the fresh noise is drawn once for the chunk, and the
+        inverse noise once per margin in use, one margin at a time (no
+        noise set is held).  Each edit forks the target walk at its start
+        scale and pushes its own tokens, so its final canvas is its
+        decoded grid.  Configs that resolve to the same edit share one
+        result.  Every result equals the single edit of its config at its
+        seed bit for bit.
+        """
+        seeds = seed_array(seeds)
+        if not seeds.size:
+            raise ValidationError("no seeds given")
+        params = self.params
+        plans = self._distinct
+        steppers = [None] * len(plans)
+        edited = [[] for _ in plans]
+        for t, source_tokens in enumerate(self.source_pyramid, start=1):
+            by_tau = {}  # the edits of scale t, grouped by margin
+            for i, plan in enumerate(plans):
+                if t < plan.start_scale:
+                    edited[i].append(source_tokens)
+                else:
+                    by_tau.setdefault(plan.tau, []).append(i)
+            if not by_tau:
+                continue
             h, w = params.schedule.resolutions[t - 1]
-            fresh = standard_field(seed, PURPOSE_EDIT_NOISE, t, (h, w, vocab))
-        for i, (plan, stepper) in enumerate(zip(plans, steppers)):
-            if t < plan.start_scale:
-                tokens = np.array(source_tokens, copy=True)
-            else:
-                logits = stepper.next_scale_logits()
-                # logits + ((1 - lam) * g + lam * n), built in place
-                mixed = fresh if i == active[-1] else fresh.copy()
-                lam = plan.lambdas[t - plan.start_scale]
-                noise = noises[plan.tau]
-                if noise is not None:
-                    mixed *= 1.0 - lam
-                    mixed += lam * noise[t - 1]
-                mixed += logits
-                tokens = np.argmax(mixed, axis=-1).astype(np.int32)
-            stepper.push(tokens if plan.context_mode == CONTEXT_GENERATED else source_tokens)
-            edited[i].append(tokens)
-    source = tuple(np.asarray(t) for t in source_pyramid)
+            fresh = standard_field(seeds, PURPOSE_EDIT_NOISE, t, (h, w, params.codebook.size))
+            last = [*by_tau.values()][-1][-1]
+            # one margin's noise at a time, mixed into every edit that uses it
+            for tau, noise in self._noises(t, seeds, list(by_tau)):
+                for i in by_tau[tau]:
+                    if t == plans[i].start_scale:
+                        steppers[i] = self._forks[t].fork()
+                    # the last edit of the scale mixes into the fresh field itself
+                    field = fresh if i == last else fresh.copy()
+                    tokens = self._edit_scale(plans[i], steppers[i], t, field, noise)
+                    steppers[i].push(tokens)
+                    edited[i].append(tokens)
+                del noise  # not held while the next margin's noise is made
+        results = []
+        for s in range(seeds.size):
+            by_plan = {}
+            for plan, maps, stepper in zip(plans, edited, steppers):
+                maps = tuple(m[s] if m.ndim == 3 else m.copy() for m in maps)
+                grid = self._source_grid.copy() if stepper is None else stepper.canvas[s]
+                by_plan[plan] = EditResult(
+                    pyramid=maps,
+                    grid=grid,
+                    lambdas=(float("nan"),) * (plan.start_scale - 1) + plan.lambdas,
+                    change_fraction=tuple(
+                        float(np.mean(a != b)) for a, b in zip(maps, self.source_pyramid)
+                    ),
+                    source_pyramid=self.source_pyramid,
+                )
+            results.append([by_plan[plan] for plan in self._plans])
+        return results
+
+
+def edit_seeds(
+    source_grid: np.ndarray,
+    configs,
+    seeds,
+    mode: str,
+    params: PredictorParams,
+    noise_set: Optional[InverseNoiseSet] = None,
+) -> list[list[EditResult]]:
+    """Edit one source grid under several configs at several seeds.
+
+    Returns one list per seed, in order, of one result per config.  The
+    configs must share their labels; their ``seed`` fields are not used.
+    The noise-guided modes invert the source at every margin in use,
+    unless ``noise_set`` is given (then every config uses it;
+    regeneration ignores it).  The seed-independent work runs once
+    (:class:`SeedSweep`), and the seeds run in chunks of
+    :func:`seed_chunk_width`.  Each result equals ``edit_batch`` of its
+    configs at its seed bit for bit.
+    """
+    seeds = seed_array(seeds)
+    if not seeds.size:
+        raise ValidationError("no seeds given")
+    sweep = SeedSweep(source_grid, configs, mode, params, noise_set)
+    width = seed_chunk_width(params)
     return [
-        EditResult(
-            pyramid=tuple(maps),
-            grid=decode(maps, params.codebook, params.schedule),
-            lambdas=(float("nan"),) * (plan.start_scale - 1) + plan.lambdas,
-            change_fraction=tuple(
-                float(np.mean(np.asarray(a) != np.asarray(b))) for a, b in zip(maps, source)
-            ),
-            source_pyramid=source,
-        )
-        for plan, maps in zip(plans, edited)
+        per_seed
+        for start in range(0, seeds.size, width)
+        for per_seed in sweep.run(seeds[start : start + width])
     ]
 
 
@@ -219,49 +367,15 @@ def edit_batch(
     params: PredictorParams,
     noise_set: Optional[InverseNoiseSet] = None,
 ) -> list[EditResult]:
-    """Edit one source grid under several configs, one result per config.
-
-    The configs must share their seed and labels; they may differ in
-    margin, start scale, lambda schedule and context.  The source is
-    encoded and each condition embedded once.  The noise-guided modes
-    extract the inverse noise at every distinct margin in one
-    :func:`~invnoise.inversion.invert_pyramids` walk, unless
-    ``noise_set`` is given (then every config uses it; regeneration
-    ignores it).  All edits walk the scales together, so each scale's
-    fresh noise is drawn once, and configs that resolve to the same edit
-    share one result.  Every result equals the single edit of its config
-    bit for bit.
-    """
-    if mode not in EDIT_MODES:
-        raise ValidationError(f"mode must be one of {EDIT_MODES}, got {mode!r}")
+    """Edit one source grid under several configs that share their seed
+    and labels, one result per config: ``edit_seeds`` at that seed."""
     configs = tuple(configs)
+    if len({cfg.seed for cfg in configs}) > 1:
+        raise ValidationError("batched edits must share their seed and labels")
     if not configs:
         raise ValidationError("no edit configs given")
-    first = configs[0]
-    shared = (first.seed, first.source_label, first.target_label)
-    if any((c.seed, c.source_label, c.target_label) != shared for c in configs):
-        raise ValidationError("batched edits must share their seed and labels")
-    num_scales = params.schedule.num_scales
-    plans = [_plan(cfg, mode, num_scales) for cfg in configs]
-    distinct = list(dict.fromkeys(plans))
-    source_pyramid = encode(source_grid, params.codebook, params.schedule)
-    target_cond = condition_embed(first.target_label, params)
-    if mode == MODE_REGEN:
-        noises = {None: None}
-    elif noise_set is not None:
-        validate_noise_set(noise_set, params)
-        noises = {plan.tau: noise_set.noises for plan in distinct}
-    else:
-        if mode == MODE_TARGET_ONLY:
-            cond = target_cond
-        else:
-            cond = condition_embed(first.source_label, params)
-        taus = list(dict.fromkeys(plan.tau for plan in distinct))
-        sets = invert_pyramids(source_pyramid, cond, taus, params, first.seed, kind=KIND_LAI)
-        noises = {tau: ns.noises for tau, ns in zip(taus, sets)}
-    results = _run_edit_loop(source_pyramid, target_cond, params, first.seed, distinct, noises)
-    by_plan = dict(zip(distinct, results))
-    return [by_plan[plan] for plan in plans]
+    (results,) = edit_seeds(source_grid, configs, (configs[0].seed,), mode, params, noise_set)
+    return results
 
 
 def edit_with_inverse_noise(

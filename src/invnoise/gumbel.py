@@ -41,21 +41,29 @@ def located_from_uniform(phi, u):
 def truncated_from_uniform(phi, trunc, u):
     """Gumbel(phi, 1) conditioned on being <= trunc.
 
-    Closed form phi - log(exp(phi - trunc) - log u), computed through
-    logaddexp so exp(phi - trunc) never overflows, then clamped so the
-    bound holds exactly in float64.  The steps write into one buffer of
-    the broadcast shape; a 0-d result comes back as a numpy scalar.
+    Closed form phi - log(exp(phi - trunc) - log u); see
+    ``truncated_from_loglog``.
+    """
+    return truncated_from_loglog(phi, trunc, np.log(-np.log(u)))
+
+
+def truncated_from_loglog(phi, trunc, loglog):
+    """``truncated_from_uniform`` given loglog = log(-log u).
+
+    The closed form is computed as phi - logaddexp(phi - trunc, loglog),
+    so exp(phi - trunc) never overflows, then clamped so the bound holds
+    exactly in float64.  loglog does not depend on phi or trunc, so draws
+    transformed once serve every bound.  The steps write into one buffer
+    of the broadcast shape; a 0-d result comes back as a numpy scalar.
     """
     phi = np.asarray(phi, dtype=np.float64)
     trunc = np.asarray(trunc, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    loglog = np.asarray(loglog, dtype=np.float64)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(trunc))):
         raise ValidationError("phi and trunc must be finite")
-    out = np.empty(np.broadcast_shapes(phi.shape, trunc.shape, u.shape))
-    np.log(u, out=out)
-    np.negative(out, out=out)
-    np.log(out, out=out)
-    np.logaddexp(phi - trunc, out, out=out)
+    out = np.empty(np.broadcast_shapes(phi.shape, trunc.shape, loglog.shape))
+    np.subtract(phi, trunc, out=out)
+    np.logaddexp(out, loglog, out=out)
     np.subtract(phi, out, out=out)
     np.minimum(out, trunc, out=out)
     return out[()]
@@ -66,8 +74,9 @@ def standard_field(
 ) -> np.ndarray:
     """Keyed standard Gumbel draws -log(-log u) over an (h, w, C) grid.
 
-    Row/col/channel key fields are the grid indices.  The transform runs
-    in place on the uniform buffer.
+    Row/col/channel key fields are the grid indices; an array of S seeds
+    gives (S, h, w, C).  The transform runs in place on the uniform
+    buffer.
     """
     h, w, c = shape
     g = uniform_values(

@@ -12,17 +12,19 @@ to a given token map.  Two constructions are provided:
   draw capped a margin ``tau`` below it.  Exact, with noise that stays
   close to the standard Gumbel law.
 
-``invert_pyramids`` applies the chosen construction scale by scale under
-a condition, at several margins in one walk: each scale's logits and
-its keyed label and off-label uniforms depend only on the pyramid, the
-condition and the seed, so they are computed once and only the
-truncated transform and the tightening run per margin.
-``invert_pyramid`` is its one-margin form, and ``reconstruct_from_noise``
-replays a noise set; both walks use one
-:class:`~invnoise.predictor.ScaleStepper`.  Within a scale all tokens
-are independent, so the keyed draws make serial and parallel execution
-bit-identical.  ``validate_noise_set`` is the one shape check for noise
-sets that come from outside.
+``invert_scale`` is the one inversion step: it inverts one scale's
+token map under its logits at several margins.  The keyed label and
+off-label uniforms depend only on the seed and the scale, so they are
+drawn once and only the truncated transform and the tightening run per
+margin; an array of seeds adds a leading seed axis to the draws and the
+noise.  ``invert_pyramids`` walks the scales with one
+:class:`~invnoise.predictor.ScaleStepper` and collects the step's noise
+into one set per margin, ``invert_pyramid`` is its one-margin form, and
+the edit walk of :mod:`invnoise.editing` calls the step scale by scale.
+``reconstruct_from_noise`` replays a noise set.  Within a scale all
+tokens are independent, so the keyed draws make serial and parallel
+execution bit-identical.  ``validate_noise_set`` is the one shape check
+for noise sets that come from outside.
 
 A continuous reference inversion for Gaussian autoregressive sequences
 lives at the bottom of the module.
@@ -37,7 +39,7 @@ import numpy as np
 
 from .codec import validate_pyramid
 from .errors import InvariantError, ValidationError
-from .gumbel import located_from_uniform, truncated_from_uniform
+from .gumbel import located_from_uniform, truncated_from_loglog
 from .predictor import Condition, PredictorParams, ScaleStepper
 from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, uniform_values
 
@@ -90,13 +92,14 @@ def _check_tau(tau) -> float:
 def located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarray]:
     """Located inversion at each margin in ``taus`` from one set of draws.
 
-    ``u_label`` is (h, w) for the label draw, ``u_off`` is (h, w, C) for
-    the off-label truncated draws (the label column is ignored).  The
-    label draw does not depend on the margin and is made once; each
-    yielded map caps the off-label draws ``tau`` below it.  The
-    generator drops its hold on ``u_off`` before the last map, so a
-    caller that keeps no reference of its own does not carry the draws
-    into that map's tightening.
+    ``u_label`` is (..., h, w) for the label draw, ``u_off`` is
+    (..., h, w, C) for the off-label truncated draws (the label column is
+    ignored); leading axes (one per seed) carry through to the maps.  The
+    label draw and log(-log u) of the off-label draws do not depend on
+    the margin and are made once; each yielded map caps the off-label
+    draws ``tau`` below it.  The generator drops its hold on the draws before
+    the last map, so a caller that keeps no reference of its own does
+    not carry them into that map's tightening.
     """
     tokens, logits = _check_token_inputs(tokens, logits)
     taus = [_check_tau(tau) for tau in taus]
@@ -104,12 +107,15 @@ def located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarra
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     label_logit = logits[rows, cols, tokens]
     q_label = located_from_uniform(label_logit, np.asarray(u_label, dtype=np.float64))
-    u_off = np.asarray(u_off, dtype=np.float64)
+    loglog = np.log(np.asarray(u_off, dtype=np.float64))
+    u_off = None
+    np.negative(loglog, out=loglog)
+    np.log(loglog, out=loglog)
     for i, tau in enumerate(taus, start=1):
-        q = truncated_from_uniform(logits, (q_label - tau)[:, :, None], u_off)
+        q = truncated_from_loglog(logits, (q_label - tau)[..., None], loglog)
         if i == len(taus):
-            u_off = None  # 16.7 MB at 64x64, vocab 512: not kept through tightening
-        q[rows, cols, tokens] = q_label
+            loglog = None  # 16.7 MB at 64x64, vocab 512: not kept through tightening
+        q[..., rows, cols, tokens] = q_label
         yield q
 
 
@@ -124,8 +130,9 @@ def located_inverse_from_uniforms(
     return next(located_inverses(tokens, logits, (tau,), u_label, u_off))
 
 
-def _keyed_uniforms(seed: int, scale: int, shape: tuple[int, int, int]):
-    """The (h, w) label and (h, w, C) off-label uniforms of one scale."""
+def _keyed_uniforms(seed, scale: int, shape: tuple[int, int, int]):
+    """The (h, w) label and (h, w, C) off-label uniforms of one scale,
+    with a leading axis when ``seed`` is an array of seeds."""
     h, w, C = shape
     rows = np.arange(h)[:, None]
     cols = np.arange(w)[None, :]
@@ -174,29 +181,40 @@ def noise_from_perturbed(
     Reconstruction recomputes q as p + n, which rounds.  Off-label noise
     is nudged down by ulps until, in that replayed sum, the label is a
     strict argmax and leads every other class by at least ``tau``.
+    ``q`` may carry leading axes (one per seed) over the (h, w, C) of
+    ``logits``; every cell is tightened on its own.
 
     The label's noise is never nudged, so its replayed value is fixed:
     one full pass finds the failing off-label cells, and each later pass
     nudges and re-checks only the cells that still fail, up to
     ``_TIGHTEN_PASSES`` checks in all.
     """
+    return _tighten(tokens, logits, q - logits, tau)
+
+
+def _tighten(tokens, logits, noise: np.ndarray, tau: float) -> np.ndarray:
+    """``noise_from_perturbed`` given the untightened noise q - p, which
+    it nudges in place and returns."""
     tokens = np.asarray(tokens)
     h, w = tokens.shape
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    noise = q - logits
     replayed = logits + noise
-    q_label = replayed[rows, cols, tokens]
-    bad = _below_margin(q_label[:, :, None], replayed, tau)
-    bad[rows, cols, tokens] = False
-    i, j, c = np.nonzero(bad)
+    q_label = replayed[..., rows, cols, tokens]
+    if tau > 0:  # _below_margin, with the margins written over the replay
+        bad = np.subtract(q_label[..., None], replayed, out=replayed) < tau
+    else:
+        bad = _below_margin(q_label[..., None], replayed, tau)
+    del replayed
+    bad[..., rows, cols, tokens] = False
+    cells = np.nonzero(bad)
     for _ in range(_TIGHTEN_PASSES - 1):
-        if not i.size:
+        if not cells[0].size:
             return noise
-        nudged = np.nextafter(noise[i, j, c], -np.inf)
-        noise[i, j, c] = nudged
-        still = _below_margin(q_label[i, j], logits[i, j, c] + nudged, tau)
-        i, j, c = i[still], j[still], c[still]
-    if not i.size:
+        nudged = np.nextafter(noise[cells], -np.inf)
+        noise[cells] = nudged
+        still = _below_margin(q_label[cells[:-1]], logits[cells[-3:]] + nudged, tau)
+        cells = tuple(index[still] for index in cells)
+    if not cells[0].size:
         return noise
     raise InvariantError("noise tightening did not converge")
 
@@ -242,6 +260,29 @@ def validate_noise_set(noise_set: InverseNoiseSet, params: PredictorParams):
             )
 
 
+def invert_scale(tokens, logits, taus, seed, scale: int, kind: str = KIND_LAI) -> Iterator:
+    """Noise that replays one scale's (h, w) token map under its (h, w, C)
+    logits: yields one map per margin in ``taus`` (validated by the
+    caller), in order, each made when it is asked for.
+
+    The located construction draws its keyed uniforms once for all
+    margins; an array of S seeds gives (S, h, w, C) maps.  The onehot
+    construction ignores the margin and the seed, so its margins share
+    one (h, w, C) map.
+    """
+    if kind == KIND_OAI:
+        noise = noise_from_perturbed(tokens, logits, onehot_inverse(tokens, logits), 0.0)
+        for _ in taus:
+            yield noise
+        return
+    qs = located_inverses(tokens, logits, taus, *_keyed_uniforms(seed, scale, logits.shape))
+    for tau in taus:
+        q = next(qs)
+        q -= logits  # the noise, in the map's own buffer
+        yield _tighten(tokens, logits, q, tau)
+        del q
+
+
 def invert_pyramids(
     pyramid,
     cond: Condition,
@@ -256,11 +297,10 @@ def invert_pyramids(
     For each scale t the predictor logits are computed from the true
     prefix tokens, a pseudo-inverse builds perturbed logits q_t, and the
     stored noise is q_t - p_t.  argmax(p_t + n_t) then equals the input
-    tokens at every cell of every scale.  The logits and the keyed
-    uniforms of a scale are shared by every margin; the onehot
-    construction ignores the margin, so its sets share their maps.
-    Returns one set per entry of ``taus``, in order; each equals
-    ``invert_pyramid`` at that margin bit for bit.
+    tokens at every cell of every scale.  Each scale runs
+    ``invert_scale`` once for all margins.  Returns one set per entry of
+    ``taus``, in order; each equals ``invert_pyramid`` at that margin bit
+    for bit.
     """
     taus = [_check_tau(tau) for tau in taus]
     if not taus:
@@ -271,17 +311,9 @@ def invert_pyramids(
     stepper = ScaleStepper(cond, params)
     noises = [[] for _ in taus]
     for t, tokens in enumerate(maps, start=1):
-        logits = stepper.next_scale_logits()
-        if kind == KIND_OAI:
-            noise = noise_from_perturbed(tokens, logits, onehot_inverse(tokens, logits), 0.0)
-            for per_tau in noises:
-                per_tau.append(noise)
-        else:
-            qs = located_inverses(
-                tokens, logits, taus, *_keyed_uniforms(seed, t, logits.shape)
-            )
-            for tau, q, per_tau in zip(taus, qs, noises):
-                per_tau.append(noise_from_perturbed(tokens, logits, q, tau))
+        step = invert_scale(tokens, stepper.next_scale_logits(), taus, seed, t, kind)
+        for per_tau, noise in zip(noises, step):
+            per_tau.append(noise)
         stepper.push(tokens)
     return tuple(
         InverseNoiseSet(

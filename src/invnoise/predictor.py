@@ -11,10 +11,12 @@ and bitwise reproducible, which is what the inversion algebra needs.
 condition.  It computes the condition's feature target once and keeps a
 running decode of the scales pushed so far, so each scale costs one
 embedding instead of a decode of the whole prefix, and ``fork`` copies
-it for another walk under the same condition.  Generation, inversion,
-replay and editing all drive it; ``next_scale_logits`` is
-the one-shot form for a given prefix, and ``generate`` samples a
-pyramid scale by scale with keyed Gumbel-max draws.
+it for another walk under the same condition.  Pushing a stack of S
+token maps turns it into S walks that share that prefix (a leading seed
+axis on the canvas and the logits).  Generation, inversion, replay and
+editing all drive it; ``next_scale_logits`` is the one-shot form for a
+given prefix, and ``generate`` samples a pyramid scale by scale with
+keyed Gumbel-max draws.
 """
 
 from __future__ import annotations
@@ -92,8 +94,11 @@ class ScaleStepper:
     ``scale`` (1-based); ``push`` appends that scale's (h, w) token map
     and moves on.  The canvas adds the replicated embeddings in scale
     order onto zeros, the same sums a full prefix decode makes, so the
-    logits match the one-shot form bit for bit.  Tokens are taken as
-    given: callers validate pyramids at their own boundary.
+    logits match the one-shot form bit for bit, and after the last scale
+    ``canvas`` is the decoded grid.  Pushing (S, h, w) maps gives the
+    canvas, and every later logits array, a leading axis of S walks, each
+    equal to its own single walk.  Tokens are taken as given: callers
+    validate pyramids at their own boundary.
     """
 
     def __init__(self, cond: Condition, params: PredictorParams):
@@ -102,19 +107,28 @@ class ScaleStepper:
         self._target = params.cond_gain * (mixing_matrix(params) @ cond.embedding)
         self._canvas = np.zeros((params.codebook.dim, *params.schedule.finest))
 
+    @property
+    def canvas(self) -> np.ndarray:
+        """(..., d, H, W) sum of the replicated embeddings pushed so far."""
+        return self._canvas
+
     def next_scale_logits(self) -> np.ndarray:
-        """(h, w, C) unnormalized log-probabilities for the current scale."""
+        """(..., h, w, C) unnormalized log-probabilities for the current scale."""
         params = self.params
         shape = params.schedule.resolutions[self.scale - 1]
         context = self._target[:, None, None] - downsample_blockmean(self._canvas, shape)
-        logits = squared_distances(np.moveaxis(context, 0, -1), params.codebook.vectors)
+        logits = squared_distances(np.moveaxis(context, -3, -1), params.codebook.vectors)
         logits *= -params.beta
         return logits
 
     def push(self, tokens: np.ndarray):
-        """Add the current scale's token map to the context; advance."""
+        """Add the current scale's token map(s) to the context; advance."""
         embedding = embed_tokens(tokens, self.params.codebook)
-        self._canvas += upsample_replicate(embedding, self.params.schedule.finest)
+        replicated = upsample_replicate(embedding, self.params.schedule.finest)
+        if replicated.shape == self._canvas.shape:
+            self._canvas += replicated
+        else:  # the first stack of maps adds the seed axis
+            self._canvas = self._canvas + replicated
         self.scale += 1
 
     def fork(self) -> "ScaleStepper":

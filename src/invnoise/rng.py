@@ -5,7 +5,9 @@ purpose tag, scale, row, col, channel).  There is no sequential stream
 state, so tokens can be processed in any order, serially or in
 parallel, and still receive bit-identical values.  The draw functions
 take whole index arrays for row, col and channel and broadcast them, so
-one call keys a full field.
+one call keys a full field; an array of seeds adds leading axes, so one
+call keys the same field for many seeds.  Seeds are integers in
+[0, 2^64); ``seed_array`` checks them.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
 mixed once, then each key field is absorbed with xor + mix.  The exact
@@ -16,6 +18,8 @@ invalidates every recorded artifact.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ValidationError
 
 # Draw-site purpose tags.  Distinct tags keep draw sites statistically
 # independent even when scale/row/col/channel coincide.
@@ -77,20 +81,38 @@ def _as_u64(value) -> np.ndarray:
     return np.atleast_1d(np.asarray(value)).astype(np.uint64, copy=False)
 
 
+SEED_LIMIT = 2**64
+
+
+def seed_array(seeds) -> np.ndarray:
+    """Seeds as a uint64 array, each checked to be an integer in [0, 2^64)."""
+    seeds = list(seeds)
+    for seed in seeds:
+        if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)):
+            raise ValidationError(f"seed must be an integer, got {seed!r}")
+        if not 0 <= int(seed) < SEED_LIMIT:
+            raise ValidationError(f"seed {seed} outside [0, 2^64)")
+    return np.array([int(seed) for seed in seeds], dtype=np.uint64)
+
+
 def raw64_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:
     """Vectorized keyed hash; broadcasts rows/cols/channels.
 
     Each field is absorbed at the broadcast shape of the fields so far,
     so with (h, 1, 1) rows, (1, w, 1) cols and (1, 1, C) channels only
-    the channel step runs at the full (h, w, C) size.
+    the channel step runs at the full (h, w, C) size.  An array ``seed``
+    of shape (S,) gives an (S, *field shape) result whose slice s equals
+    the draw at the scalar ``seed[s]``.
     """
-    out_shape = np.broadcast_shapes(
+    field_shape = np.broadcast_shapes(
         np.shape(rows), np.shape(cols), np.shape(channels)
     )
-    h = _mix(_as_u64(seed).copy())
+    seed_shape = np.shape(seed)
+    h = _as_u64(seed).reshape(seed_shape + (1,) * len(field_shape) or (1,))
+    h = _mix(h.copy())
     for field in (purpose, scale, rows, cols, channels):
         h = _mix(h ^ _as_u64(field))
-    return h.reshape(out_shape)
+    return h.reshape(seed_shape + field_shape)
 
 
 def _to_open_unit(words: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from invnoise.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from invnoise.codec import decode, encode
 from invnoise.config import ExperimentConfig, config_digest, load_config, render_config
 from invnoise.demo import demo_scene
+from invnoise.editing import default_start_scale
 from invnoise.fileio import read_grid, read_noise_set, read_pyramid, write_grid
 from invnoise.rng import PURPOSE_TRUNC_DRAW
 
@@ -364,14 +365,21 @@ class TestSweep:
         ],
     )
     def test_bundled_config_output_pinned(self, tmp_path, name, digest):
-        """The bundled sweeps reproduce their recorded sweep.csv byte for byte."""
-        out = tmp_path / "s"
-        assert run("sweep", "--config", CONFIGS / name, "--out", out) == EXIT_OK
-        assert sha256(out / "sweep.csv") == digest
+        """The bundled sweeps reproduce their recorded sweep.csv byte for
+        byte, serially and with two worker processes."""
+        for workers in (1, 2):
+            out = tmp_path / f"s{workers}"
+            assert (
+                run("sweep", "--config", CONFIGS / name, "--out", out, "--workers", workers)
+                == EXIT_OK
+            )
+            assert sha256(out / "sweep.csv") == digest
 
     def test_setup_once_and_inversion_draws_once_per_seed(self, tmp_path, monkeypatch):
         """V values x S seeds build the params and the scene once, and draw
-        each scale's off-label inversion uniforms once per seed."""
+        each edited scale's off-label inversion uniforms once per seed: the
+        seeds drawn per scale (the size of the seed argument) add up to S.
+        Scales below the start scale are copied, so none are drawn there."""
         calls = {"params": 0, "scene": 0, "trunc": 0}
         build_params = ExperimentConfig.build_params
         demo_scene_fn = demo.demo_scene
@@ -386,16 +394,18 @@ class TestSweep:
             return demo_scene_fn(*args, **kwargs)
 
         def counted_uniforms(seed, purpose, *rest):
-            calls["trunc"] += purpose == PURPOSE_TRUNC_DRAW
+            if purpose == PURPOSE_TRUNC_DRAW:
+                calls["trunc"] += np.size(seed)
             return uniform_values(seed, purpose, *rest)
 
         monkeypatch.setattr(ExperimentConfig, "build_params", counted_params)
         monkeypatch.setattr(demo, "demo_scene", counted_scene)
         monkeypatch.setattr(inversion, "uniform_values", counted_uniforms)
         values, seeds, num_scales = 3, 2, 5
+        edited_scales = num_scales + 1 - default_start_scale(num_scales)
         cfg = sweep_config(tmp_path, "tau", "14,18,20", seeds=f"0:{seeds}")
         assert run("sweep", "--config", cfg, "--out", tmp_path / "s") == EXIT_OK
-        assert calls == {"params": 1, "scene": 1, "trunc": seeds * num_scales}
+        assert calls == {"params": 1, "scene": 1, "trunc": seeds * edited_scales}
         rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == (values * seeds + values) * 6
 
@@ -418,6 +428,43 @@ class TestSweep:
         serial = tmp_path / "serial"
         assert run("sweep", "--config", cfg, "--out", serial) == EXIT_OK
         assert (out / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["varin", "regen"])
+    def test_five_seeds_parallel_equals_serial(self, tmp_path, mode):
+        """Five seeds run as chunks of 2, 2 and 1, in the calling process or
+        over two workers; the rows come back in the same order."""
+        cfg = sweep_config(tmp_path, "tau" if mode == "varin" else "start_scale", "2,4",
+                           mode=mode, seeds="3:8")
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        assert run("sweep", "--config", cfg, "--out", serial) == EXIT_OK
+        assert run("sweep", "--config", cfg, "--out", parallel, "--workers", 2) == EXIT_OK
+        assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+        rows = (serial / "sweep.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"3", "4", "5", "6", "7", "mean"}
+
+    def test_seed_option_rejected(self, tmp_path, capsys):
+        """The seeds of a sweep come from [sweep] seeds; --seed is not an option."""
+        cfg = sweep_config(tmp_path, "tau", "14", seeds="0:2")
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--config", cfg, "--out", out, "--seed", 5)
+        assert exc.value.code == EXIT_VALIDATION
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "seeds", ["18446744073709551616", "-1,18446744073709551615", "0,-3", "5:18446744073709551617"]
+    )
+    def test_seeds_outside_uint64_rejected(self, tmp_path, seeds):
+        cfg = sweep_config(tmp_path, "tau", "14", seeds=seeds)
+        out = tmp_path / "s"
+        assert run("sweep", "--config", cfg, "--out", out) == EXIT_VALIDATION
+        assert not (out / "sweep.csv").exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        cfg = sweep_config(tmp_path, "lambda", "0.5", mode="regen", seeds="18446744073709551615")
+        out = tmp_path / "s"
+        assert run("sweep", "--config", cfg, "--out", out) == EXIT_OK
+        assert ",18446744073709551615,mse," in (out / "sweep.csv").read_text()
 
     def test_tau_sweep_direction_and_parallel_equality(self, tmp_path):
         cfg = sweep_config(tmp_path, "tau", "14,16,18,20")
@@ -452,6 +499,28 @@ class TestSweep:
         out = tmp_path / "s"
         assert run("sweep", "--config", cfg, "--out", out) == EXIT_VALIDATION
         assert not (out / "sweep.csv").exists()
+
+
+class TestSeedRange:
+    """Seeds are integers in [0, 2^64): anything else is a validation error."""
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_edit_seed_option(self, tmp_path, seed):
+        out = tmp_path / "e"
+        assert run("edit", "--auto-invert", "--seed", seed, "--out", out) == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_edit_seed_key(self, tmp_path, seed):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[edit]\nseed = {seed}\n")
+        assert run("invert", "--config", cfg, "--out", tmp_path / "i") == EXIT_VALIDATION
+
+    def test_largest_seed_accepted(self, tmp_path):
+        out = tmp_path / "e"
+        seed = 2**64 - 1
+        assert run("edit", "--auto-invert", "--seed", seed, "--out", out) == EXIT_OK
+        assert read_pyramid(out / "edited.nsp")[2].seed == seed
 
 
 class TestRender:

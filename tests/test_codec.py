@@ -13,6 +13,7 @@ from invnoise.codec import (
     downsample_blockmean,
     dyadic_schedule,
     encode,
+    embed_tokens,
     encode_with_residuals,
     quantize_cells,
     squared_distances,
@@ -150,6 +151,42 @@ class TestSquaredDistances:
         cells = channel_last_cells(h * w, codebook.dim, h, w, amplitude=0.6)
         want = np.argmin(reference_squared_distances(cells, codebook.vectors), axis=-1)
         assert np.array_equal(quantize_cells(cells, codebook), want)
+
+
+class TestLeadingAxes:
+    """A stack of S grids or token maps gives each one's own result bit
+    for bit, as the seed axis of the edit walk needs."""
+
+    @staticmethod
+    def stack(h, w, d=4, seeds=(1, 2, 3)):
+        """A C-ordered (S, d, h, w) stack, laid out like the stepper's canvas."""
+        grids = [random_grid(s, dim=d, size=max(h, w))[:, :h, :w] for s in seeds]
+        return np.ascontiguousarray(np.stack(grids))
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 6), (5, 1), (4, 4), (16, 16), (64, 64)])
+    def test_squared_distances(self, h, w):
+        grids = self.stack(h, w)
+        vectors = default_codebook(size=512 if h == 64 else 64).vectors
+        got = squared_distances(np.moveaxis(grids, -3, -1), vectors)
+        assert got.shape == (3, h, w, vectors.shape[0])
+        for grid, row in zip(grids, got):
+            assert np.array_equal(row, squared_distances(np.moveaxis(grid, 0, -1), vectors))
+
+    @pytest.mark.parametrize("target", [(1, 1), (2, 4), (8, 8), (16, 16)])
+    def test_resampling(self, target):
+        grids = self.stack(16, 16)
+        down = downsample_blockmean(grids, target)
+        up = upsample_replicate(down, (16, 16))
+        for grid, d_row, u_row in zip(grids, down, up):
+            assert np.array_equal(d_row, downsample_blockmean(grid, target))
+            assert np.array_equal(u_row, upsample_replicate(d_row, (16, 16)))
+
+    def test_embed_tokens(self, codebook):
+        tokens = np.arange(3 * 4 * 5).reshape(3, 4, 5) % codebook.size
+        got = embed_tokens(tokens, codebook)
+        assert got.shape == (3, codebook.dim, 4, 5)
+        for row, maps in zip(got, tokens):
+            assert np.array_equal(row, embed_tokens(maps, codebook))
 
 
 class TestEncodeDecode:

@@ -5,25 +5,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from invnoise.codec import decode, encode
+from invnoise.codec import decode, default_codebook, dyadic_schedule, encode
 from invnoise.demo import demo_scene
 from invnoise.editing import (
+    CONTEXT_GENERATED,
+    CONTEXT_SOURCE,
+    EDIT_MODES,
     MODE_REGEN,
     MODE_TARGET_ONLY,
     MODE_VARIN,
     EditConfig,
     LambdaSchedule,
+    SeedSweep,
     default_start_scale,
     edit_batch,
+    edit_seeds,
     edit_regeneration,
     edit_target_only,
     edit_with_inverse_noise,
     lambda_at,
+    seed_chunk_width,
 )
 from invnoise.errors import ValidationError
 from invnoise.inversion import invert_pyramid
 from invnoise.gumbel import standard_from_uniform
-from invnoise.predictor import condition_embed, next_scale_logits
+from invnoise.predictor import PredictorParams, condition_embed, next_scale_logits
 from invnoise.rng import PURPOSE_EDIT_NOISE, uniform_values
 
 from conftest import random_grid
@@ -362,3 +368,79 @@ class TestEditBatch:
     def test_rejects_bad_batches(self, params, configs, mode):
         with pytest.raises(ValidationError):
             edit_batch(random_grid(92), configs, mode, params)
+
+
+class TestEditSeeds:
+    """Each (seed, config) result of edit_seeds equals edit_batch at that
+    seed, bit for bit, whatever the chunk boundaries."""
+
+    BASE = EditConfig(source_label=SRC, target_label=TGT)
+    CONFIGS = [
+        replace(BASE, tau=20.0),
+        replace(BASE, tau=14.0, start_scale=1),
+        replace(BASE, tau=0.0, start_scale=3, lambda_schedule=LambdaSchedule("constant", 0.5)),
+        replace(BASE, lambda_schedule=LambdaSchedule("constant", 0.0)),
+        replace(BASE, tau=20.0),
+    ]
+    SEEDS = [11, 0, 2**64 - 1, 4, 7]
+
+    def check(self, grid, configs, seeds, mode, params, noise_set=None):
+        got = edit_seeds(grid, configs, seeds, mode, params, noise_set)
+        assert len(got) == len(seeds)
+        for seed, per_seed in zip(seeds, got):
+            want = edit_batch(
+                grid, [replace(c, seed=seed) for c in configs], mode, params, noise_set
+            )
+            assert len(per_seed) == len(configs)
+            for a, b in zip(per_seed, want):
+                assert same_edit(a, b)
+
+    @pytest.mark.parametrize("num_seeds", [1, 3, 5])
+    @pytest.mark.parametrize("context", [CONTEXT_GENERATED, CONTEXT_SOURCE])
+    @pytest.mark.parametrize("mode", EDIT_MODES)
+    def test_matches_edit_batch(self, params, mode, context, num_seeds):
+        grid = demo_scene("scene-a", params)[0]
+        configs = [replace(c, context_mode=context) for c in self.CONFIGS]
+        self.check(grid, configs, self.SEEDS[:num_seeds], mode, params)
+
+    @pytest.mark.parametrize("mode", EDIT_MODES)
+    def test_matches_edit_batch_at_large_beta(self, codebook, schedule, mode):
+        params = PredictorParams(codebook=codebook, schedule=schedule, beta=3000.0)
+        configs = [replace(c, tau=18.0) for c in self.CONFIGS[:2]] + [
+            replace(self.BASE, tau=14.0, start_scale=1, context_mode=CONTEXT_SOURCE)
+        ]
+        self.check(demo_scene("scene-b", params)[0], configs, self.SEEDS[:3], mode, params)
+
+    def test_given_noise_set(self, params, source_cond):
+        grid = random_grid(93)
+        pyramid = encode(grid, params.codebook, params.schedule)
+        noise_set = invert_pyramid(pyramid, source_cond, 18.0, params, seed=2)
+        self.check(grid, self.CONFIGS, self.SEEDS[:3], MODE_VARIN, params, noise_set)
+
+    def test_chunk_width(self, params):
+        assert seed_chunk_width(params) == 2
+        stress = PredictorParams(codebook=default_codebook(512), schedule=dyadic_schedule(7))
+        assert seed_chunk_width(stress) == 1
+
+    def test_runs_equal_one_walk(self, params):
+        """Chunks of any width give the same results as one walk."""
+        grid = demo_scene("scene-b", params)[0]
+        sweep = SeedSweep(grid, self.CONFIGS, MODE_VARIN, params)
+        whole = sweep.run(self.SEEDS)
+        parts = sweep.run(self.SEEDS[:2]) + sweep.run(self.SEEDS[2:])
+        for a_seed, b_seed in zip(whole, parts):
+            assert all(same_edit(a, b) for a, b in zip(a_seed, b_seed))
+
+    @pytest.mark.parametrize(
+        "configs,seeds",
+        [
+            ([BASE], []),
+            ([BASE], [-1]),
+            ([BASE], [2**64]),
+            ([BASE], [0.5]),
+            ([BASE, replace(BASE, source_label=TGT)], [0]),
+        ],
+    )
+    def test_rejects_bad_input(self, params, configs, seeds):
+        with pytest.raises(ValidationError):
+            edit_seeds(random_grid(94), configs, seeds, MODE_VARIN, params)

@@ -18,6 +18,7 @@ from invnoise.inversion import (
     gaussian_ar_invert,
     invert_pyramid,
     invert_pyramids,
+    invert_scale,
     located_inverse,
     located_inverse_from_uniforms,
     noise_from_perturbed,
@@ -28,6 +29,7 @@ from invnoise.predictor import PredictorParams, condition_embed, generate, next_
 from invnoise.rng import (
     PURPOSE_LABEL_DRAW,
     PURPOSE_TRUNC_DRAW,
+    seed_array,
     uniform_values,
 )
 
@@ -341,6 +343,32 @@ class TestInvertPyramids:
         ):
             with pytest.raises(InvariantError):
                 call()
+
+
+class TestInvertScaleSeeds:
+    """An array of seeds gives each seed's own noise maps bit for bit."""
+
+    @pytest.mark.parametrize("beta", [4.0, 3000.0])
+    @pytest.mark.parametrize("kind", [KIND_LAI, KIND_OAI])
+    def test_seed_array_equals_per_seed(self, params, source_cond, beta, kind):
+        params = PredictorParams(params.codebook, params.schedule, beta=beta)
+        pyramid = generate(source_cond, params, seed=4)
+        logits = next_scale_logits(pyramid[:3], source_cond, 4, params)
+        seeds = [0, 9, 2**64 - 1]
+        taus = [18.0, 0.0, 14.0]
+        got = list(invert_scale(pyramid[3], logits, taus, seed_array(seeds), 4, kind))
+        for i, seed in enumerate(seeds):
+            want = invert_scale(pyramid[3], logits, taus, seed, 4, kind)
+            for noise, single in zip(got, want):
+                assert np.array_equal(noise[i] if kind == KIND_LAI else noise, single)
+
+    def test_pyramids_collect_the_step(self, params, source_cond):
+        pyramid = generate(source_cond, params, seed=6)
+        sets = invert_pyramids(pyramid, source_cond, (14.0, 18.0), params, seed=6)
+        for k in range(1, params.schedule.num_scales + 1):
+            logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            step = invert_scale(pyramid[k - 1], logits, (14.0, 18.0), 6, k)
+            assert all(np.array_equal(ns.noises[k - 1], n) for ns, n in zip(sets, step))
 
 
 def test_rectangular_schedule_end_to_end():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from invnoise.errors import ValidationError
-from invnoise.metrics import mse, psnr, ssim, token_agreement, validate_region_mask
+from invnoise.metrics import Scorer, mse, psnr, ssim, token_agreement, validate_region_mask
 
 from conftest import random_grid
 
@@ -204,3 +205,107 @@ def test_metric_oracles_property(seed_a, seed_b):
     assert mse(a, b, mask=mask) == pytest.approx(naive_mse(a, b, mask), abs=1e-9)
     assert psnr(a, b) == pytest.approx(naive_psnr(a, b), abs=1e-9)
     assert ssim(a, b, window=5) == pytest.approx(naive_ssim(a, b, 5), abs=1e-9)
+
+
+def reference_ssim(a, b, window=None, k1=0.01, k2=0.03):
+    """SSIM one channel at a time, each window mean a numpy reduction of
+    its own sliding-window view (the channel-at-a-time form metrics.ssim
+    had before it stacked the channels)."""
+    h, w = a.shape[1:]
+    if window is None:
+        window = min(7, h, w)
+        window -= window % 2 == 0
+    peak = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    if peak == 0.0:
+        return 1.0
+    c1, c2 = (k1 * peak) ** 2, (k2 * peak) ** 2
+    views = np.lib.stride_tricks.sliding_window_view
+    scores = []
+    for ch in range(a.shape[0]):
+        va, vb = views(a[ch], (window, window)), views(b[ch], (window, window))
+        mu_a, sq_a = va.mean(axis=(-1, -2)), (va**2).mean(axis=(-1, -2))
+        mu_b, sq_b = vb.mean(axis=(-1, -2)), (vb**2).mean(axis=(-1, -2))
+        mu_ab = views(a[ch] * b[ch], (window, window)).mean(axis=(-1, -2))
+        var_a = sq_a - mu_a**2
+        var_b = sq_b - mu_b**2
+        cov = mu_ab - mu_a * mu_b
+        num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+        den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+        scores.append(np.mean(num / den))
+    return float(np.mean(scores))
+
+
+def same_bits(x, y):
+    return repr(float(x)) == repr(float(y))
+
+
+@st.composite
+def grid_pairs(draw):
+    """(edited, source, mask): random, identical, all-zero or constant-source
+    grids from 1x1 up to past the 7x7 window, masks with background cells."""
+    d = draw(st.integers(1, 4))
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    a = draw(hnp.arrays(np.float64, (d, h, w), elements=values))
+    kind = draw(st.sampled_from(["random", "identical", "zeros", "constant-source"]))
+    if kind == "random":
+        b = draw(hnp.arrays(np.float64, (d, h, w), elements=values))
+    elif kind == "identical":
+        b = a.copy()
+    elif kind == "zeros":
+        a, b = np.zeros((d, h, w)), np.zeros((d, h, w))
+    else:
+        b = np.full((d, h, w), draw(values))
+    mask = draw(hnp.arrays(np.bool_, (h, w)))
+    mask.flat[draw(st.integers(0, h * w - 1))] = False
+    return a, b, mask
+
+
+class TestScorer:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_pairs())
+    def test_equals_functions_bit_for_bit(self, case):
+        a, b, mask = case
+        # grids of tiny values underflow the SSIM constants to 0 and give NaN
+        with np.errstate(invalid="ignore"):
+            self.check_scores(a, b, mask)
+
+    @staticmethod
+    def check_scores(a, b, mask):
+        plain = Scorer(b).score(a)
+        assert list(plain) == ["mse", "psnr", "ssim"]
+        masked = Scorer(b, mask).score(a)
+        assert list(masked) == ["mse", "psnr", "ssim", "bg_mse", "bg_psnr"]
+        for scores in (plain, masked):
+            assert same_bits(scores["mse"], mse(a, b))
+            assert same_bits(scores["psnr"], psnr(a, b))
+            assert same_bits(scores["ssim"], ssim(a, b))
+        assert same_bits(masked["bg_mse"], mse(a, b, mask=mask))
+        assert same_bits(masked["bg_psnr"], psnr(a, b, mask=mask))
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_pairs())
+    def test_ssim_matches_channel_at_a_time_reference(self, case):
+        a, b, _ = case
+        with np.errstate(invalid="ignore"):
+            assert same_bits(ssim(a, b), reference_ssim(a, b))
+            assert same_bits(ssim(b, a), reference_ssim(b, a))
+
+    def test_scores_many_grids(self):
+        source = random_grid(3)
+        mask = half_mask(16, 16)
+        scorer = Scorer(source, mask)
+        for seed in range(4, 9):
+            edited = random_grid(seed)
+            scores = scorer.score(edited)
+            assert scores["ssim"] == ssim(edited, source)
+            assert scores["bg_psnr"] == psnr(edited, source, mask=mask)
+        assert scorer.score(source)["psnr"] == 99.0
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValidationError):
+            Scorer(np.zeros((4, 4)))
+        with pytest.raises(ValidationError):
+            Scorer(random_grid(1), np.ones((16, 16), dtype=bool))
+        with pytest.raises(ValidationError):
+            Scorer(random_grid(1)).score(random_grid(2, size=8))

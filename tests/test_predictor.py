@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from invnoise import predictor
-from invnoise.codec import ScaleSchedule, downsample_blockmean, embed_tokens, upsample_replicate
+from invnoise.codec import (
+    ScaleSchedule,
+    decode,
+    downsample_blockmean,
+    embed_tokens,
+    upsample_replicate,
+)
 from invnoise.editing import EditConfig, edit_with_inverse_noise
 from invnoise.errors import ValidationError
 from invnoise.gumbel import ks_statistic, sample_token_map
@@ -160,6 +166,39 @@ class TestStepperReuse:
             noise_set,
         )
         assert len(calls) == 4
+
+
+class TestSeedAxis:
+    """Pushing a stack of S token maps turns one stepper into S walks that
+    share the prefix pushed before, each equal to its own single walk."""
+
+    @pytest.mark.parametrize("beta", [4.0, 3000.0])
+    def test_stacked_pushes_equal_single_walks(self, params, source_cond, beta):
+        params = PredictorParams(params.codebook, params.schedule, beta=beta)
+        pyramids = [generate(source_cond, params, seed=s) for s in (1, 2, 3)]
+        shared = pyramids[0][:2]
+        walks = [[*shared, *p[2:]] for p in pyramids]
+        stacked = ScaleStepper(source_cond, params)
+        singles = [ScaleStepper(source_cond, params) for _ in walks]
+        for k in range(params.schedule.num_scales):
+            logits = stacked.next_scale_logits()
+            for i, single in enumerate(singles):
+                want = single.next_scale_logits()
+                assert np.array_equal(logits[i] if k > 2 else logits, want)
+                single.push(walks[i][k])
+            stacked.push(shared[k] if k < 2 else np.stack([w[k] for w in walks]))
+        for i, walk in enumerate(walks):
+            assert np.array_equal(stacked.canvas[i], decode(walk, params.codebook, params.schedule))
+
+    def test_fork_leaves_the_original_alone(self, params, source_cond):
+        pyramid = generate(source_cond, params, seed=4)
+        stepper = ScaleStepper(source_cond, params)
+        stepper.push(pyramid[0])
+        before = stepper.canvas.copy()
+        fork = stepper.fork()
+        fork.push(np.stack([pyramid[1], pyramid[1]]))
+        assert fork.scale == 3 and stepper.scale == 2
+        assert np.array_equal(stepper.canvas, before)
 
 
 class TestGenerate:

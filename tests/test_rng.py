@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from invnoise.rng import normal_values, raw64_values, uniform_values
+from invnoise.errors import ValidationError
+from invnoise.rng import normal_values, raw64_values, seed_array, uniform_values
 
 # The keyed permutation is frozen: these values must never change, or
 # every recorded artifact and seeded experiment silently shifts.  Keys
@@ -169,3 +170,32 @@ def test_hash_leaves_uint64_inputs_untouched():
     before = rows.copy(), cols.copy(), seed.copy()
     raw64_values(seed, 1, 2, rows, cols, 0)
     assert all(np.array_equal(a, b) for a, b in zip((rows, cols, seed), before))
+
+
+SEED_ARRAYS = [
+    pytest.param([0], id="one"),
+    pytest.param([3, 0, 2**64 - 1, 5, 2**63], id="max-seed"),
+]
+
+
+@pytest.mark.parametrize("seeds", SEED_ARRAYS)
+@pytest.mark.parametrize("key", REFERENCE_KEYS)
+def test_seed_array_matches_per_seed_scalars(seeds, key):
+    """An array of S seeds adds a leading axis whose slice s is the draw
+    at the scalar seed s."""
+    _, *fields = key
+    got = raw64_values(seed_array(seeds), *fields)
+    assert got.shape == (len(seeds), *np.shape(raw64_values(0, *fields)))
+    for seed, row in zip(seeds, got):
+        assert np.array_equal(row, raw64_values(seed, *fields))
+    uniforms = uniform_values(seed_array(seeds), *fields)
+    for seed, row in zip(seeds, uniforms):
+        assert np.array_equal(row, uniform_values(seed, *fields))
+
+
+def test_seed_array_range():
+    assert seed_array([0, 2**64 - 1]).tolist() == [0, 2**64 - 1]
+    assert seed_array(np.array([7], dtype=np.uint64)).dtype == np.uint64
+    for bad in ([-1], [2**64], [-1, 2**64 - 1], [1.0], [True], ["3"]):
+        with pytest.raises(ValidationError):
+            seed_array(bad)
