@@ -9,7 +9,12 @@ Three pipelines over one sampling loop, which walks the scales with a
 * noise-guided editing: additionally extract inverse noise from the
   source (under the source condition) and sample each edited scale from
   argmax(p + (1 - lambda) * g + lambda * n).  lambda = 1 replays the
-  source tokens exactly; lambda = 0 collapses to regeneration.
+  source tokens exactly; lambda = 0 collapses to regeneration.  A scale
+  where an edit's lambda is 0 takes no inverse noise: it is neither
+  inverted for that edit nor mixed, and a given noise set's map there is
+  validated but not mixed in.  Tokens and grids are those of a mix at
+  weight 0, as g + 0 * n is g for every finite n; the one difference is
+  that a tightening failure at a lambda-0 scale no longer fails the edit.
 * target-only variant: same pipeline, but the inverse noise is
   extracted under the target condition as well, with a lower default
   margin.
@@ -25,15 +30,17 @@ several configs that share their labels, at several seeds.  A
 the config once (encoding, condition targets, the logits of the source
 walks); its ``run`` edits a chunk of seeds with a leading seed axis
 through the keyed draws, the inversion step
-(:func:`~invnoise.inversion.invert_scale`, called scale by scale, so no
-whole noise set is held), the edit mix, the stepper logits and the
-argmax.  ``edit_batch`` is its one-seed form, and the three single-edit
-functions are one-config calls of ``edit_batch``.
+(:func:`~invnoise.inversion.invert_scale`, called scale by scale and
+only at the margins some edit mixes in with nonzero lambda, so no whole
+noise set is held), the edit mix, the stepper logits and the argmax.
+``edit_batch`` is its one-seed form, and the three single-edit functions
+are one-config calls of ``edit_batch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -182,11 +189,14 @@ class SeedSweep:
     used.  Construction does the work that depends on neither the seed
     nor the config, once: it encodes the source, builds both condition
     targets and walks the source pyramid under each condition, keeping
-    the inversion logits of every edited scale (under the source
-    condition, or the target condition in target-only mode) and the
-    source-prefix logits under the target condition where an edit reads
-    them (at its start scale, and at every edited scale in source-prefix
-    context).  ``run`` then edits a chunk of seeds.
+    the inversion logits of every scale where some edit has a nonzero
+    lambda (under the source condition, or the target condition in
+    target-only mode) and the source-prefix logits under the target
+    condition where an edit reads them (at its start scale, and at every
+    edited scale in source-prefix context).  ``run`` then edits a chunk
+    of seeds.  A scale where an edit's lambda is 0 takes no inverse
+    noise for that edit, so a scale where every lambda is 0 is not
+    inverted (the linear schedule's final scale, or all of a constant 0).
     """
 
     def __init__(
@@ -214,17 +224,23 @@ class SeedSweep:
         if mode != MODE_REGEN and noise_set is not None:
             validate_noise_set(noise_set, params)
             self._given = noise_set.noises
-        inverting = mode != MODE_REGEN and noise_set is None
-        first_edit = min(plan.start_scale for plan in self._distinct)
+        to_invert = set()  # the scales where some edit mixes in inverse noise
+        if mode != MODE_REGEN and noise_set is None:
+            to_invert = {
+                t
+                for plan in self._distinct
+                for t, lam in enumerate(plan.lambdas, start=plan.start_scale)
+                if lam != 0.0
+            }
         prefix_scales = set()
         for plan in self._distinct:
             last = num_scales if plan.context_mode == CONTEXT_SOURCE else plan.start_scale
             prefix_scales.update(range(plan.start_scale, last + 1))
-        if inverting and mode == MODE_TARGET_ONLY:
-            prefix_scales.update(range(first_edit, num_scales + 1))
+        if mode == MODE_TARGET_ONLY:
+            prefix_scales.update(to_invert)
         walk = ScaleStepper(condition_embed(target_label, params), params)
         source_walk = None
-        if inverting and mode == MODE_VARIN:
+        if to_invert and mode == MODE_VARIN:
             source_walk = ScaleStepper(condition_embed(source_label, params), params)
         self._forks = {}  # start scale -> the target walk before that scale
         self._prefix_logits = {}
@@ -234,7 +250,7 @@ class SeedSweep:
                 self._forks[t] = walk.fork()
             if t in prefix_scales:
                 self._prefix_logits[t] = walk.next_scale_logits()
-            if inverting and t >= first_edit:
+            if t in to_invert:
                 self._inversion_logits[t] = (
                     self._prefix_logits[t] if source_walk is None else source_walk.next_scale_logits()
                 )
@@ -244,19 +260,28 @@ class SeedSweep:
         self._source_grid = walk.canvas
 
     def _noises(self, t: int, seeds: np.ndarray, taus):
-        """Yield (tau, inverse noise of scale t) per margin, one at a time:
-        (S, h, w, C) when inverted, the given set's (h, w, C) map
-        otherwise, None for regeneration."""
-        if t not in self._inversion_logits:
-            for tau in taus:
-                yield tau, None if self._given is None else self._given[t - 1]
-            return
-        tokens = self.source_pyramid[t - 1]
-        yield from zip(taus, invert_scale(tokens, self._inversion_logits[t], taus, seeds, t))
+        """Yield (tau, inverse noise of scale t) per margin, one at a time,
+        in the order of ``taus``: None for the margin None, which the
+        edits that take no inverse noise at t share (regeneration, and
+        every edit whose lambda is 0 at t); otherwise (S, h, w, C) when
+        inverted, the given set's (h, w, C) map when one was given."""
+        if t in self._inversion_logits:
+            maps = invert_scale(
+                self.source_pyramid[t - 1],
+                self._inversion_logits[t],
+                [tau for tau in taus if tau is not None],
+                seeds,
+                t,
+            )
+        else:
+            maps = repeat(None if self._given is None else self._given[t - 1])
+        for tau in taus:
+            yield tau, None if tau is None else next(maps)
 
     def _edit_scale(self, plan: _Plan, stepper: ScaleStepper, t: int, mixed, noise):
         """Scale t of one edit: argmax of logits + ((1 - lam) * g + lam * n),
-        built in place in ``mixed``, which holds the fresh draws g."""
+        built in place in ``mixed``, which holds the fresh draws g.  With no
+        noise n (lambda 0, which takes none) it is the argmax of logits + g."""
         if t == plan.start_scale or plan.context_mode == CONTEXT_SOURCE:
             logits = self._prefix_logits[t]
         else:
@@ -273,8 +298,10 @@ class SeedSweep:
 
         All edits walk the scales together with a leading seed axis.  At
         each scale the fresh noise is drawn once for the chunk, and the
-        inverse noise once per margin in use, one margin at a time (no
-        noise set is held).  Each edit forks the target walk at its start
+        inverse noise once per margin that some edit mixes in with
+        nonzero lambda, one margin at a time (no noise set is held);
+        edits whose lambda is 0 there take the fresh noise alone, as
+        regeneration does.  Each edit forks the target walk at its start
         scale and pushes its own tokens, so its final canvas is its
         decoded grid.  Configs that resolve to the same edit share one
         result.  Every result equals the single edit of its config at its
@@ -288,12 +315,13 @@ class SeedSweep:
         steppers = [None] * len(plans)
         edited = [[] for _ in plans]
         for t, source_tokens in enumerate(self.source_pyramid, start=1):
-            by_tau = {}  # the edits of scale t, grouped by margin
+            by_tau = {}  # the edits of scale t by margin; None: no inverse noise
             for i, plan in enumerate(plans):
                 if t < plan.start_scale:
                     edited[i].append(source_tokens)
                 else:
-                    by_tau.setdefault(plan.tau, []).append(i)
+                    lam = plan.lambdas[t - plan.start_scale]
+                    by_tau.setdefault(plan.tau if lam != 0.0 else None, []).append(i)
             if not by_tau:
                 continue
             h, w = params.schedule.resolutions[t - 1]
@@ -341,11 +369,11 @@ def edit_seeds(
 
     Returns one list per seed, in order, of one result per config.  The
     configs must share their labels; their ``seed`` fields are not used.
-    The noise-guided modes invert the source at every margin in use,
-    unless ``noise_set`` is given (then every config uses it;
-    regeneration ignores it).  The seed-independent work runs once
-    (:class:`SeedSweep`), and the seeds run in chunks of
-    :func:`seed_chunk_width`.  Each result equals ``edit_batch`` of its
+    The noise-guided modes invert the source at every margin in use, at
+    the scales where that margin's lambda is not 0, unless ``noise_set``
+    is given (then every config uses it; regeneration ignores it).  The
+    seed-independent work runs once (:class:`SeedSweep`), and the seeds
+    run in chunks of :func:`seed_chunk_width`.  Each result equals ``edit_batch`` of its
     configs at its seed bit for bit.
     """
     seeds = seed_array(seeds)

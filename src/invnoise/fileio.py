@@ -7,7 +7,8 @@ traced back to the run that produced it.  Payloads are 32-bit floats
 bit-exactly.  Readers raise ``FormatError`` for anything a writer cannot
 produce: short or trailing bytes, sizes beyond the file, tokens outside
 the vocab, non-finite float payload values and a noise ``tau`` that is
-negative or not finite.
+negative or not finite.  Writers raise ``ValidationError``, and write
+nothing, for a payload value that is not finite in float32.
 
 Grids and token pyramids can also be rendered to binary PGM images for
 eyeballing: one image per channel (min-max normalized) or per scale
@@ -72,6 +73,20 @@ def _finite_payload(data: np.ndarray, what: str) -> np.ndarray:
     return data
 
 
+def _float32_payload(values, what: str) -> np.ndarray:
+    """``values`` as the little-endian float32 payload a writer stores.
+
+    Values that are not finite, or that overflow float32, raise
+    ``ValidationError``; writers call this before opening their file, so
+    nothing is written.
+    """
+    with np.errstate(over="ignore"):  # an overflow shows as inf below
+        data = np.asarray(values, dtype=np.float64).astype("<f4")
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise ValidationError(f"{what} values must be finite in float32")
+    return data
+
+
 def _check_end(fh):
     if fh.read(1):
         raise FormatError("trailing bytes after the payload")
@@ -96,18 +111,17 @@ def _digest16(digest: bytes) -> bytes:
 
 
 def write_grid(path, grid: np.ndarray, seed: int = 0, digest: bytes = ZERO_DIGEST):
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(grid)
     if grid.ndim != 3:
         raise ValidationError("grid must be (d, h, w)")
-    if not np.all(np.isfinite(grid)):
-        raise ValidationError("grid values must be finite")
+    payload = _float32_payload(grid, "grid")
     d, h, w = grid.shape
     with open(path, "wb") as fh:
         fh.write(GRID_MAGIC)
         fh.write(struct.pack("<HHQ", FORMAT_VERSION, 0, seed & (2**64 - 1)))
         fh.write(_digest16(digest))
         fh.write(struct.pack("<III", d, h, w))
-        fh.write(grid.astype("<f4").tobytes())
+        fh.write(payload.tobytes())
 
 
 def read_grid(path) -> tuple[np.ndarray, ArtifactHeader]:
@@ -170,6 +184,7 @@ def write_noise_set(path, noise_set: InverseNoiseSet, digest: bytes = ZERO_DIGES
     if not noise_set.noises:
         raise ValidationError("noise set has no scales")
     label = noise_set.condition_label.encode("utf-8")
+    payloads = [_float32_payload(n, "noise") for n in noise_set.noises]
     with open(path, "wb") as fh:
         fh.write(NOISE_MAGIC)
         fh.write(
@@ -188,8 +203,8 @@ def write_noise_set(path, noise_set: InverseNoiseSet, digest: bytes = ZERO_DIGES
         fh.write(label)
         for n in noise_set.noises:
             fh.write(struct.pack("<II", n.shape[0], n.shape[1]))
-        for n in noise_set.noises:
-            fh.write(np.asarray(n).astype("<f4").tobytes())
+        for payload in payloads:
+            fh.write(payload.tobytes())
 
 
 def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:

@@ -5,12 +5,17 @@ region mask; masked variants score only the cells outside the edit
 region (the background).  A :class:`Scorer` scores many grids against
 one reference: it keeps the reference's SSIM window means and mean
 squares, its peak and its background cells, and gives the same values
-as the functions bit for bit.  Token agreement measures exact
-reconstruction of pyramids.  All of these are checked against
-independent naive-loop implementations in the test suite.
+as the functions bit for bit.  PSNR and SSIM do not change when both
+grids scale together, so grids so small that their terms underflow
+(below the smallest normal float64) are scored divided by their peak.
+Token agreement measures exact reconstruction of pyramids.  All of
+these are checked against independent naive-loop implementations in
+the test suite.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -20,6 +25,9 @@ PSNR_CAP = 99.0
 SSIM_DEFAULT_WINDOW = 7
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+# The smallest normal float64.  A metric term below it has underflowed:
+# it is rounded to a subnormal or to zero and has lost its precision.
+_TINY = sys.float_info.min
 
 
 def validate_region_mask(mask: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -66,17 +74,28 @@ def mse(a: np.ndarray, b: np.ndarray, mask=None) -> float:
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float | None = None, mask=None) -> float:
-    """10 log10(peak^2 / MSE), capped at 99.0 when the MSE is zero.
+    """10 log10(peak^2 / MSE), capped at 99.0, which identical grids score.
 
     ``peak`` defaults to the maximum absolute value over both grids.
+    Grids so small that their MSE underflows are scored divided by their
+    peak, which leaves the PSNR of larger grids as it is.
     """
-    err = mse(a, b, mask=mask)
+    a, b = _paired(a, b)
     if peak is None:
         peak = max(_peak(a), _peak(b))
-    return _psnr_from(err, peak)
+    return _psnr_from(a, b, mse(a, b, mask=mask), peak, mask)
 
 
-def _psnr_from(err: float, peak) -> float:
+def _psnr_from(a: np.ndarray, b: np.ndarray, err: float, peak, mask) -> float:
+    """PSNR from the MSE ``err`` of a and b (of their background, with a
+    mask).  PSNR does not change when the grids and the peak scale
+    together, so when err underflows the grids are scored divided by
+    their own peak instead; an MSE of zero then means identical grids."""
+    if err < _TINY:
+        scale = max(_peak(a), _peak(b))
+        if scale > 0.0:
+            err = mse(a / scale, b / scale, mask=mask)
+            peak = peak / scale
     if err == 0.0:
         return PSNR_CAP
     if not (np.isfinite(peak) and peak > 0):
@@ -121,6 +140,16 @@ def _ssim_from_stats(a, b, stats_a, stats_b, window, k1, k2, peak) -> float:
         raise ValidationError("peak must be positive and finite")
     c1 = (k1 * peak) ** 2
     c2 = (k2 * peak) ** 2
+    if c1 * c2 < _TINY:
+        # The smallest denominator, c1 * c2, underflows.  SSIM does not
+        # change when the grids and the peak scale together, so score the
+        # grids divided by their own peak.
+        scale = max(_peak(a), _peak(b))
+        if scale == 0.0:
+            return 1.0  # both grids all-zero
+        a, b, peak = a / scale, b / scale, peak / scale
+        stats_a, stats_b = _window_stats(a, window), _window_stats(b, window)
+        c1, c2 = (k1 * peak) ** 2, (k2 * peak) ** 2
     (mu_a, sq_a), (mu_b, sq_b) = stats_a, stats_b
     mu_ab = _window_means(a * b, window)
     var_a = sq_a - mu_a**2
@@ -144,7 +173,9 @@ def ssim(
     Windows are fully interior (no padding).  The default window is 7,
     falling back to the largest odd size that fits; an explicit window
     must be odd and fit the grid.  Identical all-zero grids score 1.0
-    by convention.
+    by convention.  Grids so small that the product of the constants c1
+    and c2 underflows are scored divided by their peak, which leaves the
+    SSIM of larger grids as it is.
     """
     a, b = _paired(a, b)
     window = _ssim_window(a.shape[1:], window)
@@ -184,7 +215,7 @@ class Scorer:
         err = float(np.mean((a - ref) ** 2))
         out = {
             "mse": err,
-            "psnr": _psnr_from(err, peak),
+            "psnr": _psnr_from(a, ref, err, peak, None),
             "ssim": _ssim_from_stats(
                 a,
                 ref,
@@ -199,7 +230,7 @@ class Scorer:
         if self._mask is not None:
             err = float(np.mean((_background(a, self._mask) - self._ref_background) ** 2))
             out["bg_mse"] = err
-            out["bg_psnr"] = _psnr_from(err, peak)
+            out["bg_psnr"] = _psnr_from(a, ref, err, peak, self._mask)
         return out
 
 

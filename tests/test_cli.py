@@ -14,6 +14,7 @@ from invnoise.config import ExperimentConfig, config_digest, load_config, render
 from invnoise.demo import demo_scene
 from invnoise.editing import default_start_scale
 from invnoise.fileio import read_grid, read_noise_set, read_pyramid, write_grid
+from invnoise.predictor import condition_embed
 from invnoise.rng import PURPOSE_TRUNC_DRAW
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -163,6 +164,25 @@ class TestInvert:
         second, _ = read_noise_set(inv2 / "noise.nsn")
         assert all(np.array_equal(a, b) for a, b in zip(first.noises, second.noises))
 
+    def test_tau_overflowing_float32_writes_nothing(self, tmp_path):
+        """At tau 1e308 the off-label noise overflows the float32 payload."""
+        out = tmp_path / "inv"
+        assert run("invert", "--grid", "demo:scene-a", "--out", out, "--tau", "1e308") == (
+            EXIT_VALIDATION
+        )
+        assert not (out / "noise.nsn").exists()
+
+    def test_huge_tau_replays_from_disk(self, tmp_path, default_params):
+        out = tmp_path / "inv"
+        assert run("invert", "--grid", "demo:scene-a", "--out", out, "--tau", "1e30") == EXIT_OK
+        noise_set, _ = read_noise_set(out / "noise.nsn")
+        assert noise_set.tau == 1e30
+        grid, _, _ = demo_scene("scene-a", default_params)
+        source = encode(grid, default_params.codebook, default_params.schedule)
+        cond = condition_embed(noise_set.condition_label, default_params)
+        replayed = inversion.reconstruct_from_noise(noise_set, cond, default_params)
+        assert all(np.array_equal(a, b) for a, b in zip(replayed, source))
+
 
 class TestEdit:
     def test_regen_no_scales(self, tmp_path, default_params):
@@ -232,6 +252,22 @@ class TestEdit:
                 "edit", "--grid", "demo:scene-a", "--mode", "varin", "--noise", bad,
                 "--lambda", "1", "--start-scale", 1, "--out", out,
             )
+            == EXIT_IO
+        )
+        assert not (out / "edited.nsp").exists()
+
+    def test_nan_in_lambda_zero_map_is_io_error(self, tmp_path):
+        """The linear lambda is 0 at scale 5, whose map the edit does not
+        mix in; the file is still read and checked in full."""
+        inv = tmp_path / "inv"
+        assert run("invert", "--grid", "demo:scene-a", "--out", inv) == EXIT_OK
+        data = bytearray((inv / "noise.nsn").read_bytes())
+        data[-4:] = struct.pack("<f", np.nan)
+        bad = tmp_path / "bad.nsn"
+        bad.write_bytes(bytes(data))
+        out = tmp_path / "ed"
+        assert (
+            run("edit", "--grid", "demo:scene-a", "--noise", bad, "--lambda", "linear", "--out", out)
             == EXIT_IO
         )
         assert not (out / "edited.nsp").exists()
@@ -377,9 +413,11 @@ class TestSweep:
 
     def test_setup_once_and_inversion_draws_once_per_seed(self, tmp_path, monkeypatch):
         """V values x S seeds build the params and the scene once, and draw
-        each edited scale's off-label inversion uniforms once per seed: the
-        seeds drawn per scale (the size of the seed argument) add up to S.
-        Scales below the start scale are copied, so none are drawn there."""
+        the off-label inversion uniforms of each edited scale whose lambda
+        is not 0 once per seed: the seeds drawn per scale (the size of the
+        seed argument) add up to S.  Scales below the start scale are
+        copied, and the linear lambda is 0 at the last scale, which takes
+        no inverse noise, so none are drawn there."""
         calls = {"params": 0, "scene": 0, "trunc": 0}
         build_params = ExperimentConfig.build_params
         demo_scene_fn = demo.demo_scene
@@ -402,10 +440,10 @@ class TestSweep:
         monkeypatch.setattr(demo, "demo_scene", counted_scene)
         monkeypatch.setattr(inversion, "uniform_values", counted_uniforms)
         values, seeds, num_scales = 3, 2, 5
-        edited_scales = num_scales + 1 - default_start_scale(num_scales)
+        mixed_scales = num_scales - default_start_scale(num_scales)
         cfg = sweep_config(tmp_path, "tau", "14,18,20", seeds=f"0:{seeds}")
         assert run("sweep", "--config", cfg, "--out", tmp_path / "s") == EXIT_OK
-        assert calls == {"params": 1, "scene": 1, "trunc": seeds * edited_scales}
+        assert calls == {"params": 1, "scene": 1, "trunc": seeds * mixed_scales}
         rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == (values * seeds + values) * 6
 

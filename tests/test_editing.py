@@ -4,16 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from invnoise import inversion
 from invnoise.codec import decode, default_codebook, dyadic_schedule, encode
 from invnoise.demo import demo_scene
 from invnoise.editing import (
     CONTEXT_GENERATED,
     CONTEXT_SOURCE,
+    DEFAULT_TAU,
     EDIT_MODES,
     MODE_REGEN,
     MODE_TARGET_ONLY,
     MODE_VARIN,
+    TARGET_ONLY_DEFAULT_TAU,
     EditConfig,
     LambdaSchedule,
     SeedSweep,
@@ -30,7 +35,7 @@ from invnoise.errors import ValidationError
 from invnoise.inversion import invert_pyramid
 from invnoise.gumbel import standard_from_uniform
 from invnoise.predictor import PredictorParams, condition_embed, next_scale_logits
-from invnoise.rng import PURPOSE_EDIT_NOISE, uniform_values
+from invnoise.rng import PURPOSE_EDIT_NOISE, PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, uniform_values
 
 from conftest import random_grid
 
@@ -444,3 +449,148 @@ class TestEditSeeds:
     def test_rejects_bad_input(self, params, configs, seeds):
         with pytest.raises(ValidationError):
             edit_seeds(random_grid(94), configs, seeds, MODE_VARIN, params)
+
+
+def reference_edit(grid, cfg, mode, params, seed):
+    """One edit as the paper writes it: invert every scale of the source
+    with ``invert_pyramid`` (under the target condition in target-only
+    mode, and under the source condition for regeneration, which then
+    mixes it in at lambda 0), and sample every edited scale from
+    argmax(p + ((1 - lambda) g + lambda n)), lambda 0 included."""
+    num_scales = params.schedule.num_scales
+    source = encode(grid, params.codebook, params.schedule)
+    tau = cfg.tau
+    if tau is None:
+        tau = TARGET_ONLY_DEFAULT_TAU if mode == MODE_TARGET_ONLY else DEFAULT_TAU
+    inverted_under = TGT if mode == MODE_TARGET_ONLY else SRC
+    noises = invert_pyramid(
+        source, condition_embed(inverted_under, params), tau, params, seed
+    ).noises
+    target = condition_embed(TGT, params)
+    pyramid = list(source[: cfg.start_scale - 1])
+    for t in range(cfg.start_scale, num_scales + 1):
+        lam = 0.0
+        if mode != MODE_REGEN:
+            lam = lambda_at(cfg.lambda_schedule, t, cfg.start_scale, num_scales)
+        prefix = source if cfg.context_mode == CONTEXT_SOURCE else pyramid
+        logits = next_scale_logits(prefix[: t - 1], target, t, params)
+        h, w, c = logits.shape
+        u = uniform_values(
+            seed,
+            PURPOSE_EDIT_NOISE,
+            t,
+            np.arange(h)[:, None, None],
+            np.arange(w)[None, :, None],
+            np.arange(c)[None, None, :],
+        )
+        mixed = (1.0 - lam) * standard_from_uniform(u) + lam * noises[t - 1]
+        pyramid.append(np.argmax(logits + mixed, axis=-1))
+    return pyramid, decode(pyramid, params.codebook, params.schedule)
+
+
+SCHEDULES = st.one_of(
+    st.just(LambdaSchedule()),
+    st.sampled_from([0.0, 1.0]).map(lambda v: LambdaSchedule("constant", v)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+        lambda v: LambdaSchedule("constant", v)
+    ),
+)
+
+
+class TestLambdaZeroTakesNoNoise:
+    """An edit takes no inverse noise at a scale where its lambda is 0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(EDIT_MODES),
+        beta=st.sampled_from([4.0, 3000.0]),
+        scene=st.sampled_from(["scene-a", "scene-b"]),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+        edits=st.lists(
+            st.tuples(
+                st.integers(1, 5),
+                SCHEDULES,
+                st.sampled_from([None, 14.0, 18.0]),
+                st.sampled_from([CONTEXT_GENERATED, CONTEXT_SOURCE]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_matches_invert_every_scale_reference(
+        self, codebook, schedule, mode, beta, scene, seeds, edits
+    ):
+        params = PredictorParams(codebook=codebook, schedule=schedule, beta=beta)
+        grid = demo_scene(scene, params)[0]
+        configs = [
+            EditConfig(
+                source_label=SRC,
+                target_label=TGT,
+                start_scale=start,
+                lambda_schedule=lam,
+                tau=tau,
+                context_mode=context,
+            )
+            for start, lam, tau, context in edits
+        ]
+        if mode == MODE_REGEN:  # regeneration has one context
+            configs = [replace(c, context_mode=CONTEXT_GENERATED) for c in configs]
+        for seed, per_seed in zip(seeds, edit_seeds(grid, configs, seeds, mode, params)):
+            for cfg, got in zip(configs, per_seed):
+                pyramid, decoded = reference_edit(grid, cfg, mode, params, seed)
+                assert all(np.array_equal(a, b) for a, b in zip(got.pyramid, pyramid))
+                assert np.array_equal(got.grid, decoded)
+
+    @staticmethod
+    def count_inversion_draws(monkeypatch):
+        counts = {PURPOSE_LABEL_DRAW: 0, PURPOSE_TRUNC_DRAW: 0}
+        uniforms = inversion.uniform_values
+
+        def counted(seed, purpose, *rest):
+            if purpose in counts:
+                counts[purpose] += np.size(seed)
+            return uniforms(seed, purpose, *rest)
+
+        monkeypatch.setattr(inversion, "uniform_values", counted)
+        return counts
+
+    @pytest.mark.parametrize("mode", [MODE_VARIN, MODE_TARGET_ONLY])
+    def test_constant_zero_draws_no_inversion_uniforms(self, params, monkeypatch, mode):
+        counts = self.count_inversion_draws(monkeypatch)
+        grid = demo_scene("scene-a", params)[0]
+        zero = LambdaSchedule("constant", 0.0)
+        configs = [
+            EditConfig(SRC, TGT, start_scale=start, tau=tau, lambda_schedule=zero, context_mode=ctx)
+            for start, tau, ctx in [(1, 18.0, CONTEXT_GENERATED), (3, 0.0, CONTEXT_SOURCE)]
+        ]
+        edit_seeds(grid, configs, [0, 1, 2], mode, params)
+        assert counts == {PURPOSE_LABEL_DRAW: 0, PURPOSE_TRUNC_DRAW: 0}
+        edit_with_inverse_noise(grid, configs[0], params)
+        assert counts == {PURPOSE_LABEL_DRAW: 0, PURPOSE_TRUNC_DRAW: 0}
+
+    def test_linear_inverts_only_nonzero_scales(self, params, monkeypatch):
+        """Linear lambda from scale 2 of 5 is 0 at scale 5 only."""
+        counts = self.count_inversion_draws(monkeypatch)
+        grid = demo_scene("scene-a", params)[0]
+        edit_seeds(grid, [EditConfig(SRC, TGT, start_scale=2)], [0, 1, 2], MODE_VARIN, params)
+        assert counts == {PURPOSE_LABEL_DRAW: 3 * 3, PURPOSE_TRUNC_DRAW: 3 * 3}
+
+    @pytest.mark.parametrize("lam", [LambdaSchedule(), LambdaSchedule("constant", 0.0)])
+    def test_given_set_lambda_zero_maps_not_mixed(self, params, source_cond, lam):
+        """Another finite map where lambda is 0 leaves the edit unchanged;
+        a map of the wrong shape is still rejected."""
+        grid = random_grid(95)
+        pyramid = encode(grid, params.codebook, params.schedule)
+        noise_set = invert_pyramid(pyramid, source_cond, 18.0, params, seed=6)
+        cfg = EditConfig(SRC, TGT, start_scale=2, lambda_schedule=lam, seed=6)
+        want = edit_with_inverse_noise(grid, cfg, params, noise_set)
+        zero_scales = [t for t in range(2, 6) if want.lambdas[t - 1] == 0.0]
+        assert zero_scales == ([5] if lam.kind == "linear" else [2, 3, 4, 5])
+        noises = list(noise_set.noises)
+        for t in zero_scales:
+            noises[t - 1] = -1e30 * np.ones_like(noises[t - 1])
+        swapped = replace(noise_set, noises=tuple(noises))
+        assert same_edit(edit_with_inverse_noise(grid, cfg, params, swapped), want)
+        noises[4] = noises[4][..., :32]
+        with pytest.raises(ValidationError):
+            edit_with_inverse_noise(grid, cfg, params, replace(noise_set, noises=tuple(noises)))

@@ -236,6 +236,36 @@ class TestNonFinitePayloads:
             read_noise_set(path)
 
 
+class TestWriterPayloads:
+    """A value that is not finite in float32 is a ValidationError, and the
+    writer leaves no file behind."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39, -1e308])
+    def test_grid(self, tmp_path, value):
+        grid = random_grid(38)
+        grid[2, 3, 4] = value
+        path = tmp_path / "g.nsg"
+        with pytest.raises(ValidationError):
+            write_grid(path, grid)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, -1e39, 1e308])
+    def test_noise(self, tmp_path, params, source_cond, value):
+        pyramid = generate(source_cond, params, seed=17)
+        noise_set = invert_pyramid(pyramid, source_cond, 18.0, params, seed=17)
+        noise_set.noises[-1][-1, -1, -1] = value
+        path = tmp_path / "n.nsn"
+        with pytest.raises(ValidationError):
+            write_noise_set(path, noise_set)
+        assert not path.exists()
+
+    def test_largest_float32_round_trips(self, tmp_path):
+        grid = np.zeros((1, 2, 2))
+        grid[0, 1, 1] = -float(np.finfo(np.float32).max)
+        write_grid(tmp_path / "g.nsg", grid)
+        assert np.array_equal(read_grid(tmp_path / "g.nsg")[0], grid)
+
+
 READERS = {"grid": read_grid, "pyramid": read_pyramid, "noise": read_noise_set}
 
 

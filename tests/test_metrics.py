@@ -219,6 +219,9 @@ def reference_ssim(a, b, window=None, k1=0.01, k2=0.03):
     if peak == 0.0:
         return 1.0
     c1, c2 = (k1 * peak) ** 2, (k2 * peak) ** 2
+    if c1 * c2 < np.finfo(np.float64).tiny:  # underflow: score the grids / peak
+        a, b, peak = a / peak, b / peak, 1.0
+        c1, c2 = k1**2, k2**2
     views = np.lib.stride_tricks.sliding_window_view
     scores = []
     for ch in range(a.shape[0]):
@@ -265,10 +268,7 @@ class TestScorer:
     @settings(max_examples=200, deadline=None)
     @given(grid_pairs())
     def test_equals_functions_bit_for_bit(self, case):
-        a, b, mask = case
-        # grids of tiny values underflow the SSIM constants to 0 and give NaN
-        with np.errstate(invalid="ignore"):
-            self.check_scores(a, b, mask)
+        self.check_scores(*case)
 
     @staticmethod
     def check_scores(a, b, mask):
@@ -287,9 +287,48 @@ class TestScorer:
     @given(grid_pairs())
     def test_ssim_matches_channel_at_a_time_reference(self, case):
         a, b, _ = case
-        with np.errstate(invalid="ignore"):
-            assert same_bits(ssim(a, b), reference_ssim(a, b))
-            assert same_bits(ssim(b, a), reference_ssim(b, a))
+        assert same_bits(ssim(a, b), reference_ssim(a, b))
+        assert same_bits(ssim(b, a), reference_ssim(b, a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed_a=st.integers(0, 10_000),
+        seed_b=st.integers(0, 10_000),
+        size=st.integers(1, 12),
+        kind=st.sampled_from(["random", "identical", "constant-source"]),
+        scale=st.sampled_from([1e-200, 1e-160]),
+    )
+    def test_tiny_magnitudes_score_as_unit_scale(self, seed_a, seed_b, size, kind, scale):
+        """PSNR and SSIM do not change when both grids scale together,
+        also where their terms underflow; the scorer still equals the
+        functions bit for bit there."""
+        a = random_grid(seed_a, size=size)
+        b = {
+            "random": random_grid(seed_b, size=size),
+            "identical": a.copy(),
+            "constant-source": np.full_like(a, a.flat[seed_b % a.size]),
+        }[kind]
+        small_a, small_b = scale * a, scale * b
+        assert psnr(small_a, small_b) == pytest.approx(psnr(a, b), abs=1e-9)
+        assert ssim(small_a, small_b) == pytest.approx(ssim(a, b), abs=1e-9)
+        mask = np.zeros((size, size), dtype=bool)
+        mask[: size // 2] = True
+        assert psnr(small_a, small_b, mask=mask) == pytest.approx(
+            psnr(a, b, mask=mask), abs=1e-9
+        )
+        self.check_scores(small_a, small_b, mask)
+
+    def test_one_cell_above_a_tiny_constant(self):
+        """A (1, 8, 8) grid of 1e-200 with one cell at 2e-200 against the
+        constant grid: SSIM was NaN and PSNR the identical-grid cap."""
+        source = np.full((1, 8, 8), 1e-200)
+        edited = source.copy()
+        edited[0, 3, 3] = 2e-200
+        assert ssim(edited, source) == pytest.approx(ssim(edited * 1e200, source * 1e200))
+        assert psnr(edited, source) == pytest.approx(psnr(edited * 1e200, source * 1e200))
+        assert psnr(edited, source) < 99.0
+        assert psnr(source, source) == 99.0
+        assert ssim(source, source) == 1.0
 
     def test_scores_many_grids(self):
         source = random_grid(3)
