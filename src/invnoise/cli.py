@@ -214,9 +214,8 @@ def cmd_edit(args) -> int:
             raise ValidationError(
                 f"mode {cfg.edit.mode} needs --noise FILE or --auto-invert"
             )
-    (result,) = editing.edit_batch(
-        grid, (cfg.build_edit_config(),), cfg.edit.mode, params, noise_set
-    )
+    sweep = editing.SeedSweep(grid, (cfg.build_edit_config(),), cfg.edit.mode, params, noise_set)
+    [[result]] = sweep.run((seed,))
     out = _out_dir(cfg)
     fileio.write_pyramid(out / "edited.nsp", result.pyramid, params.codebook.size, seed, digest)
     fileio.write_grid(out / "edited.nsg", result.grid, seed, digest)
@@ -313,43 +312,31 @@ def cmd_sweep(args) -> int:
             per_chunk = list(pool.map(chunk_task, chunks))
     else:
         per_chunk = [chunk_task(chunk) for chunk in chunks]
-    per_seed = [seed_rows for chunk_rows in per_chunk for seed_rows in chunk_rows]
-    # rows stay value-major: every seed of the first value, then the next
-    tasks = [(value, seed) for value in sweep.values for seed in sweep.seeds]
-    results = [seed_rows[i] for i in range(len(sweep.values)) for seed_rows in per_seed]
-    rows = []
-    for (value, seed), res in zip(tasks, results):
-        for name in _SWEEP_METRIC_ORDER:
-            if name in res:
-                rows.append(
-                    fileio.format_metric_row(
-                        digest.hex(),
-                        seed,
-                        name,
-                        f"{sweep.parameter}={value!r}",
-                        res[name],
-                    )
-                )
+    per_seed = [seed_scores for chunk_scores in per_chunk for seed_scores in chunk_scores]
+    names = [name for name in _SWEEP_METRIC_ORDER if name in per_seed[0][0]]
+    points = [f"{sweep.parameter}={value!r}" for value in sweep.values]
+    # rows are value-major: every seed of the first value, then the next
+    rows = [
+        fileio.format_metric_row(digest.hex(), seed, name, point, scores[i][name])
+        for i, point in enumerate(points)
+        for seed, scores in zip(sweep.seeds, per_seed)
+        for name in names
+    ]
     # summary block: per-value means, seed column = "mean"
-    per_value = {v: [r for t, r in zip(tasks, results) if t[0] == v] for v in sweep.values}
-    for value in sweep.values:
-        batch = per_value[value]
-        for name in _SWEEP_METRIC_ORDER:
-            if name in batch[0]:
-                mean = float(np.mean([b[name] for b in batch]))
-                rows.append(
-                    fileio.format_metric_row(
-                        digest.hex(), "mean", name, f"{sweep.parameter}={value!r}", mean
-                    )
-                )
+    rows += [
+        fileio.format_metric_row(
+            digest.hex(), "mean", name, point, float(np.mean([x[i][name] for x in per_seed]))
+        )
+        for i, point in enumerate(points)
+        for name in names
+    ]
     out = _out_dir(cfg)
     fileio.write_metrics_csv(out / "sweep.csv", rows)
-    metrics_per_value = sum(1 for n in _SWEEP_METRIC_ORDER if n in results[0])
     print(
         f"sweep {sweep.parameter} over {list(sweep.values)} x {len(sweep.seeds)} seeds"
         f" -> {out / 'sweep.csv'}"
     )
-    for row in rows[-metrics_per_value * len(sweep.values) :]:
+    for row in rows[-len(names) * len(sweep.values) :]:
         print("  " + row)
     return EXIT_OK
 

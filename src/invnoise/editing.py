@@ -24,17 +24,17 @@ endpoint matches regeneration bit for bit under a shared seed.  The
 context of each edited scale is the edited scales before it
 (generated-prefix) or the source scales before it (source-prefix).
 
-``edit_seeds`` is the one entry point: it edits one source under
-several configs that share their labels, at several seeds.  A
-:class:`SeedSweep` does the work that depends on neither the seed nor
-the config once (encoding, condition targets, the logits of the source
-walks); its ``run`` edits a chunk of seeds with a leading seed axis
-through the keyed draws, the inversion step
-(:func:`~invnoise.inversion.invert_scale`, called scale by scale and
-only at the margins some edit mixes in with nonzero lambda, so no whole
-noise set is held), the edit mix, the stepper logits and the argmax.
-``edit_batch`` is its one-seed form, and the three single-edit functions
-are one-config calls of ``edit_batch``.
+:class:`SeedSweep` is the one edit walk: it edits one source under
+several configs that share their labels.  Construction does the work
+that depends on neither the seed nor the config once (encoding,
+condition targets, the logits of the source walks); its ``run`` edits a
+chunk of seeds with a leading seed axis through the keyed draws, the
+inversion step (:func:`~invnoise.inversion.invert_scale`, called scale
+by scale and only at the margins some edit mixes in with nonzero
+lambda, so no whole noise set is held), the edit mix, the stepper
+logits and the argmax.  The three single-edit functions run one config
+at its own seed; ``invnoise sweep`` runs many configs over chunks of
+:func:`seed_chunk_width` seeds.
 """
 
 from __future__ import annotations
@@ -357,55 +357,6 @@ class SeedSweep:
         return results
 
 
-def edit_seeds(
-    source_grid: np.ndarray,
-    configs,
-    seeds,
-    mode: str,
-    params: PredictorParams,
-    noise_set: Optional[InverseNoiseSet] = None,
-) -> list[list[EditResult]]:
-    """Edit one source grid under several configs at several seeds.
-
-    Returns one list per seed, in order, of one result per config.  The
-    configs must share their labels; their ``seed`` fields are not used.
-    The noise-guided modes invert the source at every margin in use, at
-    the scales where that margin's lambda is not 0, unless ``noise_set``
-    is given (then every config uses it; regeneration ignores it).  The
-    seed-independent work runs once (:class:`SeedSweep`), and the seeds
-    run in chunks of :func:`seed_chunk_width`.  Each result equals ``edit_batch`` of its
-    configs at its seed bit for bit.
-    """
-    seeds = seed_array(seeds)
-    if not seeds.size:
-        raise ValidationError("no seeds given")
-    sweep = SeedSweep(source_grid, configs, mode, params, noise_set)
-    width = seed_chunk_width(params)
-    return [
-        per_seed
-        for start in range(0, seeds.size, width)
-        for per_seed in sweep.run(seeds[start : start + width])
-    ]
-
-
-def edit_batch(
-    source_grid: np.ndarray,
-    configs,
-    mode: str,
-    params: PredictorParams,
-    noise_set: Optional[InverseNoiseSet] = None,
-) -> list[EditResult]:
-    """Edit one source grid under several configs that share their seed
-    and labels, one result per config: ``edit_seeds`` at that seed."""
-    configs = tuple(configs)
-    if len({cfg.seed for cfg in configs}) > 1:
-        raise ValidationError("batched edits must share their seed and labels")
-    if not configs:
-        raise ValidationError("no edit configs given")
-    (results,) = edit_seeds(source_grid, configs, (configs[0].seed,), mode, params, noise_set)
-    return results
-
-
 def edit_with_inverse_noise(
     source_grid: np.ndarray,
     config: EditConfig,
@@ -414,7 +365,9 @@ def edit_with_inverse_noise(
 ) -> EditResult:
     """Noise-guided edit: invert under the source condition, then sample
     edited scales under the target condition with interpolated noise."""
-    (result,) = edit_batch(source_grid, (config,), MODE_VARIN, params, noise_set)
+    [[result]] = SeedSweep(source_grid, (config,), MODE_VARIN, params, noise_set).run(
+        (config.seed,)
+    )
     return result
 
 
@@ -431,7 +384,7 @@ def edit_regeneration(
     the source encoding unchanged.
     """
     config = EditConfig(target_label=target_label, start_scale=start_scale, seed=seed)
-    (result,) = edit_batch(source_grid, (config,), MODE_REGEN, params)
+    [[result]] = SeedSweep(source_grid, (config,), MODE_REGEN, params).run((seed,))
     return result
 
 
@@ -442,5 +395,7 @@ def edit_target_only(
     noise_set: Optional[InverseNoiseSet] = None,
 ) -> EditResult:
     """Variant that extracts the inverse noise under the target condition."""
-    (result,) = edit_batch(source_grid, (config,), MODE_TARGET_ONLY, params, noise_set)
+    [[result]] = SeedSweep(source_grid, (config,), MODE_TARGET_ONLY, params, noise_set).run(
+        (config.seed,)
+    )
     return result

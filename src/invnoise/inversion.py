@@ -17,14 +17,19 @@ token map under its logits at several margins.  The keyed label and
 off-label uniforms depend only on the seed and the scale, so they are
 drawn once and only the truncated transform and the tightening run per
 margin; an array of seeds adds a leading seed axis to the draws and the
-noise.  ``invert_pyramids`` walks the scales with one
-:class:`~invnoise.predictor.ScaleStepper` and collects the step's noise
-into one set per margin, ``invert_pyramid`` is its one-margin form, and
-the edit walk of :mod:`invnoise.editing` calls the step scale by scale.
+noise.  ``invert_pyramid`` walks the scales with one
+:class:`~invnoise.predictor.ScaleStepper` and calls the step once per
+scale at its one margin, and the edit walk of :mod:`invnoise.editing`
+calls the step scale by scale at the margins it mixes in.
 ``reconstruct_from_noise`` replays a noise set.  Within a scale all
 tokens are independent, so the keyed draws make serial and parallel
-execution bit-identical.  ``validate_noise_set`` is the one shape check
-for noise sets that come from outside.
+execution bit-identical.
+
+Inputs are checked where they enter: ``onehot_inverse`` and
+``located_inverse`` check their tokens, logits and margin,
+``invert_pyramid`` its margin, kind and pyramid, and
+``validate_noise_set`` is the one shape check for noise sets that come
+from outside.  The step itself takes what its callers checked.
 
 A continuous reference inversion for Gaussian autoregressive sequences
 lives at the bottom of the module.
@@ -76,7 +81,11 @@ def _check_token_inputs(tokens: np.ndarray, logits: np.ndarray):
 def onehot_inverse(tokens: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Perturbed logits q with q[label] = 0 and NEG_SENTINEL elsewhere."""
     tokens, logits = _check_token_inputs(tokens, logits)
-    q = np.full(logits.shape, NEG_SENTINEL)
+    return _onehot(tokens, logits.shape)
+
+
+def _onehot(tokens: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    q = np.full(shape, NEG_SENTINEL)
     h, w = tokens.shape
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     q[rows, cols, tokens] = 0.0
@@ -89,7 +98,7 @@ def _check_tau(tau) -> float:
     return float(tau)
 
 
-def located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarray]:
+def _located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarray]:
     """Located inversion at each margin in ``taus`` from one set of draws.
 
     ``u_label`` is (..., h, w) for the label draw, ``u_off`` is
@@ -101,8 +110,6 @@ def located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarra
     the last map, so a caller that keeps no reference of its own does
     not carry them into that map's tightening.
     """
-    tokens, logits = _check_token_inputs(tokens, logits)
-    taus = [_check_tau(tau) for tau in taus]
     h, w = tokens.shape
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     label_logit = logits[rows, cols, tokens]
@@ -117,17 +124,6 @@ def located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarra
             loglog = None  # 16.7 MB at 64x64, vocab 512: not kept through tightening
         q[..., rows, cols, tokens] = q_label
         yield q
-
-
-def located_inverse_from_uniforms(
-    tokens: np.ndarray,
-    logits: np.ndarray,
-    tau: float,
-    u_label: np.ndarray,
-    u_off: np.ndarray,
-) -> np.ndarray:
-    """Located inversion at one margin with explicit uniform draws."""
-    return next(located_inverses(tokens, logits, (tau,), u_label, u_off))
 
 
 def _keyed_uniforms(seed, scale: int, shape: tuple[int, int, int]):
@@ -156,9 +152,9 @@ def located_inverse(
     scale: int,
 ) -> np.ndarray:
     """Located inversion with keyed uniforms for one scale."""
-    return located_inverse_from_uniforms(
-        tokens, logits, tau, *_keyed_uniforms(seed, scale, np.shape(logits))
-    )
+    tokens, logits = _check_token_inputs(tokens, logits)
+    taus = (_check_tau(tau),)
+    return next(_located_inverses(tokens, logits, taus, *_keyed_uniforms(seed, scale, logits.shape)))
 
 
 def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float) -> np.ndarray:
@@ -262,8 +258,9 @@ def validate_noise_set(noise_set: InverseNoiseSet, params: PredictorParams):
 
 def invert_scale(tokens, logits, taus, seed, scale: int, kind: str = KIND_LAI) -> Iterator:
     """Noise that replays one scale's (h, w) token map under its (h, w, C)
-    logits: yields one map per margin in ``taus`` (validated by the
-    caller), in order, each made when it is asked for.
+    logits: yields one map per margin in ``taus``, in order, each made
+    when it is asked for.  The tokens, logits and margins are taken as
+    the caller checked them.
 
     The located construction draws its keyed uniforms once for all
     margins; an array of S seeds gives (S, h, w, C) maps.  The onehot
@@ -271,60 +268,16 @@ def invert_scale(tokens, logits, taus, seed, scale: int, kind: str = KIND_LAI) -
     one (h, w, C) map.
     """
     if kind == KIND_OAI:
-        noise = noise_from_perturbed(tokens, logits, onehot_inverse(tokens, logits), 0.0)
+        noise = _tighten(tokens, logits, _onehot(tokens, logits.shape) - logits, 0.0)
         for _ in taus:
             yield noise
         return
-    qs = located_inverses(tokens, logits, taus, *_keyed_uniforms(seed, scale, logits.shape))
+    qs = _located_inverses(tokens, logits, taus, *_keyed_uniforms(seed, scale, logits.shape))
     for tau in taus:
         q = next(qs)
         q -= logits  # the noise, in the map's own buffer
         yield _tighten(tokens, logits, q, tau)
         del q
-
-
-def invert_pyramids(
-    pyramid,
-    cond: Condition,
-    taus,
-    params: PredictorParams,
-    seed: int,
-    kind: str = KIND_LAI,
-) -> tuple[InverseNoiseSet, ...]:
-    """Extract per-scale noise that replays the pyramid token-exactly,
-    once for each margin in ``taus``, in one walk over the scales.
-
-    For each scale t the predictor logits are computed from the true
-    prefix tokens, a pseudo-inverse builds perturbed logits q_t, and the
-    stored noise is q_t - p_t.  argmax(p_t + n_t) then equals the input
-    tokens at every cell of every scale.  Each scale runs
-    ``invert_scale`` once for all margins.  Returns one set per entry of
-    ``taus``, in order; each equals ``invert_pyramid`` at that margin bit
-    for bit.
-    """
-    taus = [_check_tau(tau) for tau in taus]
-    if not taus:
-        raise ValidationError("no inversion margin given")
-    if kind not in (KIND_LAI, KIND_OAI):
-        raise ValidationError(f"unknown inversion kind {kind!r}")
-    maps = validate_pyramid(pyramid, params.codebook, params.schedule)
-    stepper = ScaleStepper(cond, params)
-    noises = [[] for _ in taus]
-    for t, tokens in enumerate(maps, start=1):
-        step = invert_scale(tokens, stepper.next_scale_logits(), taus, seed, t, kind)
-        for per_tau, noise in zip(noises, step):
-            per_tau.append(noise)
-        stepper.push(tokens)
-    return tuple(
-        InverseNoiseSet(
-            noises=tuple(per_tau),
-            condition_label=cond.label,
-            tau=tau,
-            seed=int(seed),
-            kind=kind,
-        )
-        for tau, per_tau in zip(taus, noises)
-    )
 
 
 def invert_pyramid(
@@ -335,9 +288,26 @@ def invert_pyramid(
     seed: int,
     kind: str = KIND_LAI,
 ) -> InverseNoiseSet:
-    """``invert_pyramids`` at the one margin ``tau``."""
-    (noise_set,) = invert_pyramids(pyramid, cond, (tau,), params, seed, kind=kind)
-    return noise_set
+    """Extract per-scale noise that replays the pyramid token-exactly.
+
+    For each scale t the predictor logits are computed from the true
+    prefix tokens, a pseudo-inverse builds perturbed logits q_t, and the
+    stored noise is q_t - p_t.  argmax(p_t + n_t) then equals the input
+    tokens at every cell of every scale.
+    """
+    tau = _check_tau(tau)
+    if kind not in (KIND_LAI, KIND_OAI):
+        raise ValidationError(f"unknown inversion kind {kind!r}")
+    maps = validate_pyramid(pyramid, params.codebook, params.schedule)
+    stepper = ScaleStepper(cond, params)
+    noises = []
+    for t, tokens in enumerate(maps, start=1):
+        (noise,) = invert_scale(tokens, stepper.next_scale_logits(), (tau,), seed, t, kind)
+        noises.append(noise)
+        stepper.push(tokens)
+    return InverseNoiseSet(
+        noises=tuple(noises), condition_label=cond.label, tau=tau, seed=int(seed), kind=kind
+    )
 
 
 def reconstruct_from_noise(

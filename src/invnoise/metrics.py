@@ -7,7 +7,9 @@ one reference: it keeps the reference's SSIM window means and mean
 squares, its peak and its background cells, and gives the same values
 as the functions bit for bit.  PSNR and SSIM do not change when both
 grids scale together, so grids so small that their terms underflow
-(below the smallest normal float64) are scored divided by their peak.
+(below the smallest normal float64), or so large that they could
+overflow, are scored divided by their peak.  An MSE beyond the float64
+range is inf.
 Token agreement measures exact reconstruction of pyramids.  All of
 these are checked against independent naive-loop implementations in
 the test suite.
@@ -28,6 +30,9 @@ SSIM_K2 = 0.03
 # The smallest normal float64.  A metric term below it has underflowed:
 # it is rounded to a subnormal or to zero and has lost its precision.
 _TINY = sys.float_info.min
+# The largest peak at which no metric term overflows: SSIM multiplies
+# two sums of squares, each below 4 peak**2 with the default constants.
+_HUGE = (sys.float_info.max / 16) ** 0.25
 
 
 def validate_region_mask(mask: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -70,15 +75,21 @@ def mse(a: np.ndarray, b: np.ndarray, mask=None) -> float:
     a, b = _paired(a, b)
     if mask is not None:
         a, b = _background(a, mask), _background(b, mask)
-    return float(np.mean((a - b) ** 2))
+    return _mean_square(a - b)
+
+
+def _mean_square(diff: np.ndarray) -> float:
+    with np.errstate(over="ignore"):  # inf beyond the float64 range
+        return float(np.mean(diff**2))
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float | None = None, mask=None) -> float:
     """10 log10(peak^2 / MSE), capped at 99.0, which identical grids score.
 
     ``peak`` defaults to the maximum absolute value over both grids.
-    Grids so small that their MSE underflows are scored divided by their
-    peak, which leaves the PSNR of larger grids as it is.
+    Grids so small that their MSE underflows, or with a peak above
+    ``_HUGE``, are scored divided by their peak, which leaves the PSNR
+    of other grids as it is.
     """
     a, b = _paired(a, b)
     if peak is None:
@@ -89,9 +100,10 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float | None = None, mask=None) -> 
 def _psnr_from(a: np.ndarray, b: np.ndarray, err: float, peak, mask) -> float:
     """PSNR from the MSE ``err`` of a and b (of their background, with a
     mask).  PSNR does not change when the grids and the peak scale
-    together, so when err underflows the grids are scored divided by
-    their own peak instead; an MSE of zero then means identical grids."""
-    if err < _TINY:
+    together, so when err underflows or the peak could overflow the
+    grids are scored divided by their own peak instead; an MSE of zero
+    then means identical grids."""
+    if err < _TINY or peak > _HUGE:
         scale = max(_peak(a), _peak(b))
         if scale > 0.0:
             err = mse(a / scale, b / scale, mask=mask)
@@ -131,26 +143,28 @@ def _ssim_window(shape: tuple[int, int], window: int | None) -> int:
     return window
 
 
-def _ssim_from_stats(a, b, stats_a, stats_b, window, k1, k2, peak) -> float:
-    """SSIM of (d, h, w) grids from their window stats: the mean over
-    channels of each channel's mean local score."""
+def _ssim_from_stats(a, b, stats_b, window, k1, k2, peak) -> float:
+    """SSIM of (d, h, w) grids: the mean over channels of each channel's
+    mean local score.  ``stats_b`` are b's window stats, or None."""
     if peak == 0.0:
         return 1.0  # both grids all-zero, hence identical
     if not (np.isfinite(peak) and peak > 0):
         raise ValidationError("peak must be positive and finite")
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
-    if c1 * c2 < _TINY:
-        # The smallest denominator, c1 * c2, underflows.  SSIM does not
-        # change when the grids and the peak scale together, so score the
-        # grids divided by their own peak.
+    if peak > _HUGE or (k1 * peak) ** 2 * (k2 * peak) ** 2 < _TINY:
+        # The smallest denominator, c1 * c2, underflows, or the largest
+        # terms could overflow.  SSIM does not change when the grids and
+        # the peak scale together, so score the grids divided by their
+        # own peak.
         scale = max(_peak(a), _peak(b))
         if scale == 0.0:
             return 1.0  # both grids all-zero
         a, b, peak = a / scale, b / scale, peak / scale
-        stats_a, stats_b = _window_stats(a, window), _window_stats(b, window)
-        c1, c2 = (k1 * peak) ** 2, (k2 * peak) ** 2
-    (mu_a, sq_a), (mu_b, sq_b) = stats_a, stats_b
+        stats_b = None
+    if stats_b is None:
+        stats_b = _window_stats(b, window)
+    c1 = (k1 * peak) ** 2
+    c2 = (k2 * peak) ** 2
+    (mu_a, sq_a), (mu_b, sq_b) = _window_stats(a, window), stats_b
     mu_ab = _window_means(a * b, window)
     var_a = sq_a - mu_a**2
     var_b = sq_b - mu_b**2
@@ -174,16 +188,14 @@ def ssim(
     falling back to the largest odd size that fits; an explicit window
     must be odd and fit the grid.  Identical all-zero grids score 1.0
     by convention.  Grids so small that the product of the constants c1
-    and c2 underflows are scored divided by their peak, which leaves the
-    SSIM of larger grids as it is.
+    and c2 underflows, or with a peak above ``_HUGE``, are scored divided
+    by their peak, which leaves the SSIM of other grids as it is.
     """
     a, b = _paired(a, b)
     window = _ssim_window(a.shape[1:], window)
     if peak is None:
         peak = max(_peak(a), _peak(b))
-    return _ssim_from_stats(
-        a, b, _window_stats(a, window), _window_stats(b, window), window, k1, k2, peak
-    )
+    return _ssim_from_stats(a, b, None, window, k1, k2, peak)
 
 
 class Scorer:
@@ -193,8 +205,8 @@ class Scorer:
     ``ssim(a, ref)`` as "mse", "psnr" and "ssim", and with a mask also
     ``mse(a, ref, mask=mask)`` and ``psnr(a, ref, mask=mask)`` as
     "bg_mse" and "bg_psnr", each equal to the function's value bit for
-    bit.  The reference's peak, SSIM window stats and background cells
-    are computed once.
+    bit.  The reference's peak, SSIM window stats (unless its peak is
+    above ``_HUGE``) and background cells are computed once.
     """
 
     def __init__(self, reference: np.ndarray, mask=None):
@@ -204,7 +216,7 @@ class Scorer:
         self._ref = ref
         self._peak = _peak(ref)
         self._window = _ssim_window(ref.shape[1:], None)
-        self._stats = _window_stats(ref, self._window)
+        self._stats = _window_stats(ref, self._window) if self._peak <= _HUGE else None
         self._mask = mask
         if mask is not None:
             self._ref_background = _background(ref, mask)
@@ -212,23 +224,16 @@ class Scorer:
     def score(self, a: np.ndarray) -> dict:
         a, ref = _paired(a, self._ref)
         peak = max(_peak(a), self._peak)
-        err = float(np.mean((a - ref) ** 2))
+        err = _mean_square(a - ref)
         out = {
             "mse": err,
             "psnr": _psnr_from(a, ref, err, peak, None),
             "ssim": _ssim_from_stats(
-                a,
-                ref,
-                _window_stats(a, self._window),
-                self._stats,
-                self._window,
-                SSIM_K1,
-                SSIM_K2,
-                peak,
+                a, ref, self._stats, self._window, SSIM_K1, SSIM_K2, peak
             ),
         }
         if self._mask is not None:
-            err = float(np.mean((_background(a, self._mask) - self._ref_background) ** 2))
+            err = _mean_square(_background(a, self._mask) - self._ref_background)
             out["bg_mse"] = err
             out["bg_psnr"] = _psnr_from(a, ref, err, peak, self._mask)
         return out

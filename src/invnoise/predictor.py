@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ from .rng import (
     PURPOSE_MIXING,
     normal_values,
 )
+
+# Logits stay within the float64 range divided by this, so that the sums
+# the inversion and the edit mix make of a logit, an inverse noise and a
+# Gumbel draw stay finite as well.
+_LOGIT_HEADROOM = 4.0
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,30 @@ def mixing_matrix(params: PredictorParams) -> np.ndarray:
     return normal_values(params.model_seed, PURPOSE_MIXING, 0, rows, cols, 0) / np.sqrt(d)
 
 
+def _check_logit_range(feature: np.ndarray, cond: Condition, params: PredictorParams):
+    """Reject params whose logits under ``cond`` could overflow.
+
+    A context cell is the condition target ``cond_gain * feature`` minus
+    a block mean of at most K codebook vectors, so its distance to a
+    codebook vector is at most |target_j| + (K + 1) m_j in channel j,
+    with m_j the largest |v_j| of the codebook, whatever the prefix.
+    The bound is summed in Python floats, which reach inf without a
+    warning.
+    """
+    gain = abs(params.cond_gain)
+    reach = params.schedule.num_scales + 1
+    spans = np.abs(params.codebook.vectors).max(axis=0).tolist()
+    worst = 0.0
+    for f, m in zip(np.abs(feature).tolist(), spans):
+        side = gain * f + reach * m
+        worst += side * side
+    if not params.beta * worst <= sys.float_info.max / _LOGIT_HEADROOM:
+        raise ValidationError(
+            f"beta {params.beta!r} and cond_gain {params.cond_gain!r} let the logits "
+            f"under {cond.label!r} overflow"
+        )
+
+
 class ScaleStepper:
     """Next-scale logits for one pyramid under one condition, scale by scale.
 
@@ -98,13 +128,17 @@ class ScaleStepper:
     ``canvas`` is the decoded grid.  Pushing (S, h, w) maps gives the
     canvas, and every later logits array, a leading axis of S walks, each
     equal to its own single walk.  Tokens are taken as given: callers
-    validate pyramids at their own boundary.
+    validate pyramids at their own boundary.  Construction rejects params
+    whose logits under ``cond`` could overflow, for any prefix, so no
+    scale checks its logits.
     """
 
     def __init__(self, cond: Condition, params: PredictorParams):
         self.params = params
         self.scale = 1
-        self._target = params.cond_gain * (mixing_matrix(params) @ cond.embedding)
+        feature = mixing_matrix(params) @ cond.embedding
+        _check_logit_range(feature, cond, params)
+        self._target = params.cond_gain * feature
         self._canvas = np.zeros((params.codebook.dim, *params.schedule.finest))
 
     @property

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -625,6 +626,33 @@ class TestConfig:
         path = tmp_path / "bad.ini"
         path.write_bytes(b"\xff\xfe")
         assert run("encode", "--config", path, "--out", tmp_path / "o") == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("setting", ["beta = 1e308", "cond_gain = 1e300"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["encode"],
+            ["invert"],
+            ["edit", "--mode", "regen"],
+            ["edit", "--auto-invert"],
+            ["edit", "--mode", "target-only", "--auto-invert"],
+            ["edit", "--noise"],
+            ["sweep"],
+        ],
+    )
+    def test_overflowing_logits_are_validation_error(self, tmp_path, setting, command):
+        """Every command that computes logits (encode builds the demo
+        scene) exits 2 with no numpy warning when the predictor params
+        let them overflow."""
+        if command == ["edit", "--noise"]:
+            assert run("invert", "--out", tmp_path / "n") == EXIT_OK
+            command = command + [tmp_path / "n" / "noise.nsn"]
+        path = tmp_path / "big.ini"
+        path.write_text(f"[predictor]\n{setting}\n\n[sweep]\nparameter = tau\nvalues = 18\nseeds = 0:2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*command, "--config", path, "--out", tmp_path / "o") == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("dim", [0, -2])
     def test_codebook_dim_below_one_is_validation_error(self, tmp_path, dim):

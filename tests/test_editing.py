@@ -23,8 +23,6 @@ from invnoise.editing import (
     LambdaSchedule,
     SeedSweep,
     default_start_scale,
-    edit_batch,
-    edit_seeds,
     edit_regeneration,
     edit_target_only,
     edit_with_inverse_noise,
@@ -290,6 +288,17 @@ class TestValidation:
                 edit(grid, cfg, params, bad)
 
 
+def single_edit(grid, cfg, mode, params, noise_set=None):
+    """The single-edit function of ``mode`` on one config at its seed."""
+    if mode == MODE_REGEN:
+        start = cfg.start_scale
+        if start is None:
+            start = default_start_scale(params.schedule.num_scales)
+        return edit_regeneration(grid, cfg.target_label, start, params, cfg.seed)
+    single = edit_target_only if mode == MODE_TARGET_ONLY else edit_with_inverse_noise
+    return single(grid, cfg, params, noise_set)
+
+
 def same_edit(a, b):
     return (
         all(np.array_equal(x, y) for x, y in zip(a.pyramid, b.pyramid))
@@ -301,8 +310,15 @@ def same_edit(a, b):
     )
 
 
+def sweep_one_seed(grid, configs, mode, params, noise_set=None, seed=5):
+    """One result per config from a one-seed ``SeedSweep.run``."""
+    (results,) = SeedSweep(grid, configs, mode, params, noise_set).run((seed,))
+    return results
+
+
 class TestEditBatch:
-    """A batch gives every config the result of its single edit, bit for bit."""
+    """A one-seed run of several configs gives every config the result of
+    its single edit, bit for bit."""
 
     BASE = EditConfig(source_label=SRC, target_label=TGT, seed=5)
     VARIED = [
@@ -320,7 +336,7 @@ class TestEditBatch:
     )
     def test_noise_guided_matches_single(self, params, mode, single):
         grid = demo_scene("scene-a", params)[0]
-        batch = edit_batch(grid, self.VARIED, mode, params)
+        batch = sweep_one_seed(grid, self.VARIED, mode, params)
         assert len(batch) == len(self.VARIED)
         for cfg, got in zip(self.VARIED, batch):
             assert same_edit(got, single(grid, cfg, params))
@@ -329,7 +345,7 @@ class TestEditBatch:
         grid = demo_scene("scene-a", params)[0]
         starts = [3, 1, None, 6, 3]
         configs = [replace(self.BASE, start_scale=s) for s in starts]
-        for start, got in zip(starts, edit_batch(grid, configs, MODE_REGEN, params)):
+        for start, got in zip(starts, sweep_one_seed(grid, configs, MODE_REGEN, params)):
             if start is None:
                 start = default_start_scale(params.schedule.num_scales)
             assert same_edit(got, edit_regeneration(grid, TGT, start, params, self.BASE.seed))
@@ -338,7 +354,7 @@ class TestEditBatch:
         grid = random_grid(90)
         pyramid = encode(grid, params.codebook, params.schedule)
         noise_set = invert_pyramid(pyramid, source_cond, 0.0, params, seed=5)
-        batch = edit_batch(grid, self.VARIED[:3], MODE_VARIN, params, noise_set)
+        batch = sweep_one_seed(grid, self.VARIED[:3], MODE_VARIN, params, noise_set)
         for cfg, got in zip(self.VARIED[:3], batch):
             assert same_edit(got, edit_with_inverse_noise(grid, cfg, params, noise_set))
 
@@ -347,7 +363,7 @@ class TestEditBatch:
         and lambda = 0 equals regeneration, in the same batch."""
         grid = random_grid(91)
         base = EditConfig(source_label=SRC, target_label=SRC, seed=8, start_scale=1)
-        replay, fresh = edit_batch(
+        replay, fresh = sweep_one_seed(
             grid,
             [
                 replace(base, lambda_schedule=LambdaSchedule("constant", 1.0)),
@@ -355,6 +371,7 @@ class TestEditBatch:
             ],
             MODE_VARIN,
             params,
+            seed=8,
         )
         source = encode(grid, params.codebook, params.schedule)
         assert all(np.array_equal(a, b) for a, b in zip(replay.pyramid, source))
@@ -365,19 +382,20 @@ class TestEditBatch:
         "configs,mode",
         [
             ([], MODE_VARIN),
-            ([BASE, replace(BASE, seed=6)], MODE_VARIN),
+            ([BASE, replace(BASE, source_label=TGT)], MODE_VARIN),
             ([BASE, replace(BASE, target_label=SRC)], MODE_REGEN),
             ([BASE], "sideways"),
         ],
     )
     def test_rejects_bad_batches(self, params, configs, mode):
         with pytest.raises(ValidationError):
-            edit_batch(random_grid(92), configs, mode, params)
+            SeedSweep(random_grid(92), configs, mode, params)
 
 
 class TestEditSeeds:
-    """Each (seed, config) result of edit_seeds equals edit_batch at that
-    seed, bit for bit, whatever the chunk boundaries."""
+    """Each (seed, config) result of a run over several seeds equals the
+    single edit of that config at that seed, bit for bit, whatever the
+    chunk boundaries."""
 
     BASE = EditConfig(source_label=SRC, target_label=TGT)
     CONFIGS = [
@@ -390,15 +408,12 @@ class TestEditSeeds:
     SEEDS = [11, 0, 2**64 - 1, 4, 7]
 
     def check(self, grid, configs, seeds, mode, params, noise_set=None):
-        got = edit_seeds(grid, configs, seeds, mode, params, noise_set)
+        got = SeedSweep(grid, configs, mode, params, noise_set).run(seeds)
         assert len(got) == len(seeds)
         for seed, per_seed in zip(seeds, got):
-            want = edit_batch(
-                grid, [replace(c, seed=seed) for c in configs], mode, params, noise_set
-            )
             assert len(per_seed) == len(configs)
-            for a, b in zip(per_seed, want):
-                assert same_edit(a, b)
+            for cfg, a in zip(configs, per_seed):
+                assert same_edit(a, single_edit(grid, replace(cfg, seed=seed), mode, params, noise_set))
 
     @pytest.mark.parametrize("num_seeds", [1, 3, 5])
     @pytest.mark.parametrize("context", [CONTEXT_GENERATED, CONTEXT_SOURCE])
@@ -448,7 +463,7 @@ class TestEditSeeds:
     )
     def test_rejects_bad_input(self, params, configs, seeds):
         with pytest.raises(ValidationError):
-            edit_seeds(random_grid(94), configs, seeds, MODE_VARIN, params)
+            SeedSweep(random_grid(94), configs, MODE_VARIN, params).run(seeds)
 
 
 def reference_edit(grid, cfg, mode, params, seed):
@@ -535,7 +550,7 @@ class TestLambdaZeroTakesNoNoise:
         ]
         if mode == MODE_REGEN:  # regeneration has one context
             configs = [replace(c, context_mode=CONTEXT_GENERATED) for c in configs]
-        for seed, per_seed in zip(seeds, edit_seeds(grid, configs, seeds, mode, params)):
+        for seed, per_seed in zip(seeds, SeedSweep(grid, configs, mode, params).run(seeds)):
             for cfg, got in zip(configs, per_seed):
                 pyramid, decoded = reference_edit(grid, cfg, mode, params, seed)
                 assert all(np.array_equal(a, b) for a, b in zip(got.pyramid, pyramid))
@@ -563,7 +578,7 @@ class TestLambdaZeroTakesNoNoise:
             EditConfig(SRC, TGT, start_scale=start, tau=tau, lambda_schedule=zero, context_mode=ctx)
             for start, tau, ctx in [(1, 18.0, CONTEXT_GENERATED), (3, 0.0, CONTEXT_SOURCE)]
         ]
-        edit_seeds(grid, configs, [0, 1, 2], mode, params)
+        SeedSweep(grid, configs, mode, params).run([0, 1, 2])
         assert counts == {PURPOSE_LABEL_DRAW: 0, PURPOSE_TRUNC_DRAW: 0}
         edit_with_inverse_noise(grid, configs[0], params)
         assert counts == {PURPOSE_LABEL_DRAW: 0, PURPOSE_TRUNC_DRAW: 0}
@@ -572,7 +587,7 @@ class TestLambdaZeroTakesNoNoise:
         """Linear lambda from scale 2 of 5 is 0 at scale 5 only."""
         counts = self.count_inversion_draws(monkeypatch)
         grid = demo_scene("scene-a", params)[0]
-        edit_seeds(grid, [EditConfig(SRC, TGT, start_scale=2)], [0, 1, 2], MODE_VARIN, params)
+        SeedSweep(grid, [EditConfig(SRC, TGT, start_scale=2)], MODE_VARIN, params).run([0, 1, 2])
         assert counts == {PURPOSE_LABEL_DRAW: 3 * 3, PURPOSE_TRUNC_DRAW: 3 * 3}
 
     @pytest.mark.parametrize("lam", [LambdaSchedule(), LambdaSchedule("constant", 0.0)])

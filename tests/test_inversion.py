@@ -14,13 +14,12 @@ from invnoise.inversion import (
     KIND_LAI,
     KIND_OAI,
     NEG_SENTINEL,
+    _located_inverses,
     gaussian_ar_apply,
     gaussian_ar_invert,
     invert_pyramid,
-    invert_pyramids,
     invert_scale,
     located_inverse,
-    located_inverse_from_uniforms,
     noise_from_perturbed,
     onehot_inverse,
     reconstruct_from_noise,
@@ -84,7 +83,7 @@ class TestLocatedInverse:
         logits = np.zeros((1, 1, 2))
         u_label = np.full((1, 1), E_INV)
         u_off = np.full((1, 1, 2), E_INV)
-        q = located_inverse_from_uniforms(tokens, logits, 1.0, u_label, u_off)
+        q = next(_located_inverses(tokens, logits, (1.0,), u_label, u_off))
         assert q[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
         assert q[0, 0, 1] == pytest.approx(-math.log(math.e + 1.0), abs=1e-12)
 
@@ -231,12 +230,14 @@ class TestInvertPyramid:
                 for j in range(w):
                     u_label = uniform_values(seed, PURPOSE_LABEL_DRAW, k, i, j, 0)
                     u_off = uniform_values(seed, PURPOSE_TRUNC_DRAW, k, i, j, np.arange(C))
-                    q = located_inverse_from_uniforms(
-                        tokens[i : i + 1, j : j + 1],
-                        logits[i : i + 1, j : j + 1],
-                        tau,
-                        np.atleast_2d(u_label),
-                        u_off[None, None, :],
+                    q = next(
+                        _located_inverses(
+                            tokens[i : i + 1, j : j + 1],
+                            logits[i : i + 1, j : j + 1],
+                            (tau,),
+                            np.atleast_2d(u_label),
+                            u_off[None, None, :],
+                        )
                     )
                     serial[i, j] = noise_from_perturbed(
                         tokens[i : i + 1, j : j + 1],
@@ -295,7 +296,9 @@ MARGINS = (0.0, 1e-6, 14.0, 18.0, 20.0)
 
 
 class TestInvertPyramids:
-    """The multi-margin walk gives each margin the one-margin noise set."""
+    """Inverting a pyramid at several margins is one ``invert_scale`` call
+    per scale: each margin gets the one-margin noise of the step and of
+    ``invert_pyramid``."""
 
     @pytest.mark.parametrize("taus", [MARGINS, (20.0, 0.0, 18.0, 1e-6, 14.0)])
     @pytest.mark.parametrize("beta", [4.0, 3000.0])
@@ -305,44 +308,58 @@ class TestInvertPyramids:
         for seed in (0, 1):
             # self-generated pyramids tighten within the pass budget even at beta = 3000
             pyramid = generate(source_cond, params, seed=seed)
-            sets = invert_pyramids(pyramid, source_cond, taus, params, seed, kind=kind)
-            assert [s.tau for s in sets] == list(taus)
-            for tau, got in zip(taus, sets):
-                single = invert_pyramid(pyramid, source_cond, tau, params, seed, kind=kind)
-                assert (got.condition_label, got.tau, got.seed, got.kind) == (
-                    single.condition_label, single.tau, single.seed, single.kind
-                )
+            sets = [invert_pyramid(pyramid, source_cond, tau, params, seed, kind) for tau in taus]
+            for k, tokens in enumerate(pyramid, start=1):
+                logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+                step = list(invert_scale(tokens, logits, taus, seed, k, kind))
+                assert len(step) == len(taus)
+                for tau, got, single in zip(taus, step, sets):
+                    (alone,) = invert_scale(tokens, logits, (tau,), seed, k, kind)
+                    assert np.array_equal(got, alone)
+                    assert np.array_equal(got, single.noises[k - 1])
+            for tau, single in zip(taus, sets):
+                assert (single.tau, single.seed, single.kind) == (tau, seed, kind)
                 want = reference_invert(pyramid, source_cond, tau, params, seed, kind)
-                for a, b, c in zip(got.noises, single.noises, want):
-                    assert np.array_equal(a, b)
-                    assert np.array_equal(a, c)
-                recon = reconstruct_from_noise(got, source_cond, params)
+                assert all(np.array_equal(a, b) for a, b in zip(single.noises, want))
+                recon = reconstruct_from_noise(single, source_cond, params)
                 assert all(np.array_equal(a, b) for a, b in zip(pyramid, recon))
 
     def test_repeated_margin(self, params, source_cond):
         pyramid = generate(source_cond, params, seed=4)
-        a, b = invert_pyramids(pyramid, source_cond, (18.0, 18.0), params, seed=4)
-        assert all(np.array_equal(x, y) for x, y in zip(a.noises, b.noises))
+        for k, tokens in enumerate(pyramid, start=1):
+            logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            a, b = invert_scale(tokens, logits, (18.0, 18.0), 4, k)
+            assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("taus", [(), (18.0, -1.0), (float("nan"),)])
+    @pytest.mark.parametrize(
+        "taus", [(-1.0, -1e-300), (float("nan"),), (float("inf"), -float("inf"))]
+    )
     def test_rejects_bad_margins(self, params, source_cond, taus):
         pyramid = generate(source_cond, params, seed=4)
-        with pytest.raises(ValidationError):
-            invert_pyramids(pyramid, source_cond, taus, params, seed=4)
+        for tau in taus:
+            with pytest.raises(ValidationError):
+                invert_pyramid(pyramid, source_cond, tau, params, seed=4)
 
     def test_one_failing_margin_fails_the_walk(self, params, source_cond):
         """At beta = 3000 an encoded random grid does not tighten at
-        tau = 0 within the pass budget; the walk raises as the single
-        inversion at that margin does."""
+        tau = 0 within the pass budget at some scale; the step raises
+        there at margins (18, 0) as at 0 alone, and so does
+        ``invert_pyramid`` at 0."""
         params = PredictorParams(params.codebook, params.schedule, beta=3000.0)
         pyramid = encode(random_grid(70), params.codebook, params.schedule)
         invert_pyramid(pyramid, source_cond, 18.0, params, seed=0)
-        for call in (
-            lambda: invert_pyramid(pyramid, source_cond, 0.0, params, seed=0),
-            lambda: invert_pyramids(pyramid, source_cond, (18.0, 0.0), params, seed=0),
-        ):
-            with pytest.raises(InvariantError):
-                call()
+        with pytest.raises(InvariantError):
+            invert_pyramid(pyramid, source_cond, 0.0, params, seed=0)
+        failing = 0
+        for k, tokens in enumerate(pyramid, start=1):
+            logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            try:
+                list(invert_scale(tokens, logits, (0.0,), 0, k))
+            except InvariantError:
+                failing += 1
+                with pytest.raises(InvariantError):
+                    list(invert_scale(tokens, logits, (18.0, 0.0), 0, k))
+        assert failing
 
 
 class TestInvertScaleSeeds:
@@ -364,7 +381,7 @@ class TestInvertScaleSeeds:
 
     def test_pyramids_collect_the_step(self, params, source_cond):
         pyramid = generate(source_cond, params, seed=6)
-        sets = invert_pyramids(pyramid, source_cond, (14.0, 18.0), params, seed=6)
+        sets = [invert_pyramid(pyramid, source_cond, tau, params, seed=6) for tau in (14.0, 18.0)]
         for k in range(1, params.schedule.num_scales + 1):
             logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
             step = invert_scale(pyramid[k - 1], logits, (14.0, 18.0), 6, k)

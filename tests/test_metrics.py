@@ -296,12 +296,12 @@ class TestScorer:
         seed_b=st.integers(0, 10_000),
         size=st.integers(1, 12),
         kind=st.sampled_from(["random", "identical", "constant-source"]),
-        scale=st.sampled_from([1e-200, 1e-160]),
+        scale=st.sampled_from([1e-200, 1e-160, 1e80, 1e150, 1e200]),
     )
     def test_tiny_magnitudes_score_as_unit_scale(self, seed_a, seed_b, size, kind, scale):
         """PSNR and SSIM do not change when both grids scale together,
-        also where their terms underflow; the scorer still equals the
-        functions bit for bit there."""
+        also where their terms underflow or would overflow; the scorer
+        still equals the functions bit for bit there."""
         a = random_grid(seed_a, size=size)
         b = {
             "random": random_grid(seed_b, size=size),

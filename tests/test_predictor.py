@@ -168,6 +168,46 @@ class TestStepperReuse:
         assert len(calls) == 4
 
 
+class TestLogitRange:
+    """A stepper rejects params whose logits could overflow when it is
+    built, so no scale checks its logits; the params it accepts give
+    finite logits for any prefix."""
+
+    @pytest.mark.parametrize("beta,cond_gain", [(1e308, 0.5), (4.0, 1e300), (1e200, -1e200)])
+    def test_overflowing_params_rejected(self, codebook, schedule, source_cond, beta, cond_gain):
+        params = PredictorParams(codebook, schedule, beta=beta, cond_gain=cond_gain)
+        for build in (
+            lambda: ScaleStepper(source_cond, params),
+            lambda: generate(source_cond, params, seed=0),
+            lambda: next_scale_logits([], source_cond, 1, params),
+        ):
+            with pytest.raises(ValidationError):
+                build()
+
+    def test_largest_accepted_beta_gives_finite_logits(self, codebook, schedule, source_cond):
+        """At the largest power of ten accepted, prefixes that push the
+        context of each channel as far from the target as the codebook
+        allows still give finite logits."""
+        accepted = []
+        for exponent in range(309):
+            params = PredictorParams(codebook, schedule, beta=10.0**exponent, cond_gain=50.0)
+            try:
+                ScaleStepper(source_cond, params)
+            except ValidationError:
+                break
+            accepted.append(params)
+        assert 0 < len(accepted) < 309
+        params = accepted[-1]
+        target = params.cond_gain * (mixing_matrix(params) @ source_cond.embedding)
+        for j, sign in enumerate(np.sign(target)):
+            token = int(np.argmax(-sign * codebook.vectors[:, j]))
+            stepper = ScaleStepper(source_cond, params)
+            for h, w in schedule.resolutions:
+                logits = stepper.next_scale_logits()
+                assert np.all(np.isfinite(logits))
+                stepper.push(np.full((h, w), token, dtype=np.int32))
+
+
 class TestSeedAxis:
     """Pushing a stack of S token maps turns one stepper into S walks that
     share the prefix pushed before, each equal to its own single walk."""
