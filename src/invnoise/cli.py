@@ -226,7 +226,7 @@ def cmd_edit(args) -> int:
             seed,
             "token_change",
             "overall",
-            1.0 - metrics.token_agreement(result.pyramid, result.source_pyramid),
+            result.token_change,
         )
     )
     for k, (lam, frac) in enumerate(zip(result.lambdas, result.change_fraction), start=1):
@@ -254,22 +254,18 @@ def _sweep_point(edit, parameter: str, value: float):
 
 def _sweep_chunk(setup, seeds):
     """Every sweep value at each seed of one chunk: one list per seed of
-    one metrics dict per value, in order.
+    one metrics dict per value, in order.  One ``score_many`` call scores
+    every edit of the chunk.
 
     ``setup`` is (``editing.SeedSweep``, ``metrics.Scorer``), built once
     per sweep.
     """
     sweep, scorer = setup
+    per_seed = sweep.run(seeds)
+    scores = iter(scorer.score_many([result.grid for results in per_seed for result in results]))
     return [
-        [
-            dict(
-                scorer.score(result.grid),
-                token_change=1.0
-                - metrics.token_agreement(result.pyramid, result.source_pyramid),
-            )
-            for result in per_seed
-        ]
-        for per_seed in sweep.run(seeds)
+        [dict(next(scores), token_change=result.token_change) for result in results]
+        for results in per_seed
     ]
 
 

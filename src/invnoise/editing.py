@@ -138,8 +138,19 @@ class EditResult:
     pyramid: tuple
     grid: np.ndarray
     lambdas: tuple  # per scale; NaN for scales copied from the source
-    change_fraction: tuple  # per scale, vs the source encoding
+    changed: tuple  # per scale, the number of tokens that differ from the source encoding
     source_pyramid: tuple
+
+    @property
+    def change_fraction(self) -> tuple:
+        """Per scale, the fraction of tokens that differ from the source encoding."""
+        return tuple(n / tokens.size for n, tokens in zip(self.changed, self.pyramid))
+
+    @property
+    def token_change(self) -> float:
+        """``1 - token_agreement(pyramid, source_pyramid)``, from the counts."""
+        total = sum(tokens.size for tokens in self.pyramid)
+        return 1.0 - (total - sum(self.changed)) / total
 
 
 @dataclass(frozen=True)
@@ -314,11 +325,14 @@ class SeedSweep:
         plans = self._distinct
         steppers = [None] * len(plans)
         edited = [[] for _ in plans]
+        changed = [[] for _ in plans]  # per scale, one count per seed
+        unchanged = np.zeros(seeds.size, dtype=np.intp)
         for t, source_tokens in enumerate(self.source_pyramid, start=1):
             by_tau = {}  # the edits of scale t by margin; None: no inverse noise
             for i, plan in enumerate(plans):
                 if t < plan.start_scale:
                     edited[i].append(source_tokens)
+                    changed[i].append(unchanged)
                 else:
                     lam = plan.lambdas[t - plan.start_scale]
                     by_tau.setdefault(plan.tau if lam != 0.0 else None, []).append(i)
@@ -337,20 +351,20 @@ class SeedSweep:
                     tokens = self._edit_scale(plans[i], steppers[i], t, field, noise)
                     steppers[i].push(tokens)
                     edited[i].append(tokens)
+                    changed[i].append(np.count_nonzero(tokens != source_tokens, axis=(1, 2)))
                 del noise  # not held while the next margin's noise is made
+        counts = [np.stack(per_scale, axis=1).tolist() for per_scale in changed]
         results = []
         for s in range(seeds.size):
             by_plan = {}
-            for plan, maps, stepper in zip(plans, edited, steppers):
+            for plan, maps, stepper, plan_counts in zip(plans, edited, steppers, counts):
                 maps = tuple(m[s] if m.ndim == 3 else m.copy() for m in maps)
                 grid = self._source_grid.copy() if stepper is None else stepper.canvas[s]
                 by_plan[plan] = EditResult(
                     pyramid=maps,
                     grid=grid,
                     lambdas=(float("nan"),) * (plan.start_scale - 1) + plan.lambdas,
-                    change_fraction=tuple(
-                        float(np.mean(a != b)) for a, b in zip(maps, self.source_pyramid)
-                    ),
+                    changed=tuple(plan_counts[s]),
                     source_pyramid=self.source_pyramid,
                 )
             results.append([by_plan[plan] for plan in self._plans])

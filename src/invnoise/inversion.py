@@ -87,7 +87,7 @@ def onehot_inverse(tokens: np.ndarray, logits: np.ndarray) -> np.ndarray:
 def _onehot(tokens: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     q = np.full(shape, NEG_SENTINEL)
     h, w = tokens.shape
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rows, cols = np.arange(h)[:, None], np.arange(w)
     q[rows, cols, tokens] = 0.0
     return q
 
@@ -111,7 +111,7 @@ def _located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarr
     not carry them into that map's tightening.
     """
     h, w = tokens.shape
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rows, cols = np.arange(h)[:, None], np.arange(w)
     label_logit = logits[rows, cols, tokens]
     q_label = located_from_uniform(label_logit, np.asarray(u_label, dtype=np.float64))
     loglog = np.log(np.asarray(u_off, dtype=np.float64))
@@ -193,7 +193,7 @@ def _tighten(tokens, logits, noise: np.ndarray, tau: float) -> np.ndarray:
     it nudges in place and returns."""
     tokens = np.asarray(tokens)
     h, w = tokens.shape
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    rows, cols = np.arange(h)[:, None], np.arange(w)
     replayed = logits + noise
     q_label = replayed[..., rows, cols, tokens]
     if tau > 0:  # _below_margin, with the margins written over the replay

@@ -13,7 +13,7 @@ from invnoise.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from invnoise.codec import decode, encode
 from invnoise.config import ExperimentConfig, config_digest, load_config, render_config
 from invnoise.demo import demo_scene
-from invnoise.editing import default_start_scale
+from invnoise.editing import default_start_scale, seed_chunk_width
 from invnoise.fileio import read_grid, read_noise_set, read_pyramid, write_grid
 from invnoise.predictor import condition_embed
 from invnoise.rng import PURPOSE_TRUNC_DRAW
@@ -447,6 +447,27 @@ class TestSweep:
         assert calls == {"params": 1, "scene": 1, "trunc": seeds * mixed_scales}
         rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == (values * seeds + values) * 6
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scoring_once_per_chunk(self, tmp_path, monkeypatch, workers):
+        """One score_many call per chunk of seeds scores every value at
+        every seed of the chunk, and nothing else is scored.  The chunks
+        run in this process: the pool only records its size."""
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        batches = []
+        score_many = metrics.Scorer.score_many
+
+        def counted(self, grids):
+            batches.append(len(grids))
+            return score_many(self, grids)
+
+        monkeypatch.setattr(metrics.Scorer, "score_many", counted)
+        cfg = sweep_config(tmp_path, "tau", "14,18,20", seeds="0:5")
+        out = tmp_path / "s"
+        assert run("sweep", "--config", cfg, "--out", out, "--workers", workers) == EXIT_OK
+        width = min(seed_chunk_width(ExperimentConfig().build_params()), -(-5 // workers))
+        assert batches == [3 * len(range(i, min(i + width, 5))) for i in range(0, 5, width)]
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, tmp_path, workers):

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from invnoise.errors import ValidationError
-from invnoise.metrics import Scorer, mse, psnr, ssim, token_agreement, validate_region_mask
+from invnoise.metrics import (
+    Scorer,
+    _window_means,
+    mse,
+    psnr,
+    ssim,
+    token_agreement,
+    validate_region_mask,
+)
 
 from conftest import random_grid
 
@@ -114,6 +122,41 @@ class TestPsnr:
     def test_rejects_bad_peak(self):
         with pytest.raises(ValidationError):
             psnr(random_grid(13), random_grid(14), peak=0.0)
+
+
+class TestHugeExplicitPeak:
+    """An explicit peak is divided by the grids' own peak where that is
+    needed; one still above the overflow-safe bound after that is a
+    ValidationError, not a raw OverflowError."""
+
+    @staticmethod
+    def grids():
+        a = np.zeros((1, 8, 8))
+        b = a.copy()
+        b[0, 3, 3] = 1.0
+        return a, b
+
+    @pytest.mark.parametrize("peak", [1e77, 1e200, 1e308])
+    def test_rejected(self, peak):
+        a, b = self.grids()
+        for x, y in ((b, a), (a, b)):
+            with pytest.raises(ValidationError):
+                psnr(x, y, peak=peak)
+            with pytest.raises(ValidationError):
+                psnr(x, y, peak=peak, mask=~half_mask(8, 8))
+            with pytest.raises(ValidationError):
+                ssim(x, y, peak=peak)
+
+    def test_scaled_into_range(self):
+        """Grids at 1e150 with a peak of 1e200 score as unit grids with a
+        peak of 1e50."""
+        a, b = self.grids()
+        assert psnr(b * 1e150, a * 1e150, peak=1e200) == pytest.approx(
+            psnr(b, a, peak=1e50), abs=1e-9
+        )
+        assert ssim(b * 1e150, a * 1e150, peak=1e200) == pytest.approx(
+            ssim(b, a, peak=1e50), abs=1e-9
+        )
 
 
 class TestSsim:
@@ -264,6 +307,43 @@ def grid_pairs(draw):
     return a, b, mask
 
 
+@st.composite
+def grid_stacks(draw):
+    """(stack, source, mask): a case of grid_pairs with 0-8 more edited
+    grids of its shape; the source and each grid may be scaled to a tiny
+    or huge magnitude, where PSNR and SSIM score them divided by their peak."""
+    a, b, mask = draw(grid_pairs())
+    magnitudes = st.sampled_from([1.0, 1.0, 1.0, 1e-200, 1e200])
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    grids = [a]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "source", "zeros"]))
+        if kind == "random":
+            grid = draw(hnp.arrays(np.float64, b.shape, elements=values))
+        else:
+            grid = b.copy() if kind == "source" else np.zeros(b.shape)
+        grids.append(grid)
+    stack = np.stack([grid * draw(magnitudes) for grid in grids])
+    return stack, b * draw(magnitudes), mask
+
+
+@pytest.mark.parametrize("leading", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("window", range(1, 10))
+def test_window_means_equal_strided_mean(window, leading):
+    """Bit for bit against numpy's mean over a sliding-window view, for
+    outputs one column wide and wider, with zeros of both signs."""
+    rng = np.random.default_rng(window)
+    for h, w in ((window, window), (window + 2, window), (window, window + 3), (window + 4, 13)):
+        x = rng.standard_normal(leading + (h, w)) * 10.0 ** rng.integers(-3, 4)
+        x[x < -1.0] = -0.0
+        x[x > 1.5] = 0.0
+        got = _window_means(x, window)
+        views = np.lib.stride_tricks.sliding_window_view(x, (window, window), axis=(-2, -1))
+        want = views.mean(axis=(-1, -2))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (h, w)
+
+
 class TestScorer:
     @settings(max_examples=200, deadline=None)
     @given(grid_pairs())
@@ -341,7 +421,30 @@ class TestScorer:
             assert scores["bg_psnr"] == psnr(edited, source, mask=mask)
         assert scorer.score(source)["psnr"] == 99.0
 
+    @settings(max_examples=150, deadline=None)
+    @given(grid_stacks())
+    def test_score_many_equals_score_and_functions(self, case):
+        stack, b, mask = case
+        for scorer_mask in (None, mask):
+            scorer = Scorer(b, scorer_mask)
+            many = scorer.score_many(stack)
+            assert len(many) == len(stack)
+            for a, scores in zip(stack, many):
+                expected = {"mse": mse(a, b), "psnr": psnr(a, b), "ssim": ssim(a, b)}
+                if scorer_mask is not None:
+                    expected["bg_mse"] = mse(a, b, mask=mask)
+                    expected["bg_psnr"] = psnr(a, b, mask=mask)
+                alone = scorer.score(a)
+                assert list(scores) == list(alone) == list(expected)
+                for name, value in expected.items():
+                    assert same_bits(scores[name], value), name
+                    assert same_bits(alone[name], value), name
+
     def test_rejects_bad_inputs(self):
+        with pytest.raises(ValidationError):
+            Scorer(random_grid(1)).score_many(random_grid(2))
+        with pytest.raises(ValidationError):
+            Scorer(random_grid(1)).score_many(random_grid(2, size=8)[None])
         with pytest.raises(ValidationError):
             Scorer(np.zeros((4, 4)))
         with pytest.raises(ValidationError):
