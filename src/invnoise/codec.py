@@ -184,9 +184,11 @@ def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
 
 
 def embed_tokens(tokens: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Token map (..., h, w) to its (..., d, h, w) embedding."""
-    if np.any(tokens < 0) or np.any(tokens >= codebook.size):
-        raise ValidationError("token index out of codebook range")
+    """Token map (..., h, w) to its (..., d, h, w) embedding.
+
+    Tokens are taken as given: callers pass maps validated at their own
+    boundary or produced by ``quantize_cells`` or an argmax.
+    """
     return np.moveaxis(codebook.vectors[tokens], -1, -3)
 
 

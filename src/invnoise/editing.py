@@ -48,7 +48,7 @@ import numpy as np
 from .codec import encode
 from .errors import ValidationError
 from .gumbel import standard_field
-from .inversion import InverseNoiseSet, invert_scale, validate_noise_set
+from .inversion import InverseNoiseSet, check_tau, invert_scale, validate_noise_set
 from .predictor import PredictorParams, ScaleStepper, condition_embed
 from .rng import PURPOSE_EDIT_NOISE, seed_array
 
@@ -117,8 +117,8 @@ class EditConfig:
     def __post_init__(self):
         if self.context_mode not in (CONTEXT_GENERATED, CONTEXT_SOURCE):
             raise ValidationError(f"unknown context mode {self.context_mode!r}")
-        if self.tau is not None and not (np.isfinite(self.tau) and self.tau >= 0):
-            raise ValidationError("tau must be a non-negative finite real")
+        if self.tau is not None:
+            check_tau(self.tau)
 
     def resolved(self, num_scales: int, default_tau: float = DEFAULT_TAU) -> "EditConfig":
         out = self

@@ -92,19 +92,25 @@ def _check_end(fh):
         raise FormatError("trailing bytes after the payload")
 
 
-def _check_magic(fh, magic: bytes):
+def _write_header(fh, magic: bytes, seed: int, digest: bytes, kind: int = 0, flags: int = 0):
+    """Magic, version, two code bytes (zero for grids and pyramids), the
+    seed and the 16-byte config digest."""
+    if len(digest) != 16:
+        raise ValidationError("config digest must be 16 bytes")
+    fh.write(magic)
+    fh.write(struct.pack("<HBBQ", FORMAT_VERSION, kind, flags, seed & (2**64 - 1)))
+    fh.write(digest)
+
+
+def _read_header(fh, magic: bytes) -> tuple[int, int, ArtifactHeader]:
+    """The (kind, flags, header) that :func:`_write_header` wrote."""
     got = _read_exact(fh, 4)
     if got != magic:
         raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-    (version,) = struct.unpack("<H", _read_exact(fh, 2))
+    version, kind, flags, seed = struct.unpack("<HBBQ", _read_exact(fh, 12))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
-
-
-def _digest16(digest: bytes) -> bytes:
-    if len(digest) != 16:
-        raise ValidationError("config digest must be 16 bytes")
-    return digest
+    return kind, flags, ArtifactHeader(seed=seed, digest=_read_exact(fh, 16))
 
 
 # --- feature grids -----------------------------------------------------------
@@ -117,25 +123,21 @@ def write_grid(path, grid: np.ndarray, seed: int = 0, digest: bytes = ZERO_DIGES
     payload = _float32_payload(grid, "grid")
     d, h, w = grid.shape
     with open(path, "wb") as fh:
-        fh.write(GRID_MAGIC)
-        fh.write(struct.pack("<HHQ", FORMAT_VERSION, 0, seed & (2**64 - 1)))
-        fh.write(_digest16(digest))
+        _write_header(fh, GRID_MAGIC, seed, digest)
         fh.write(struct.pack("<III", d, h, w))
         fh.write(payload.tobytes())
 
 
 def read_grid(path) -> tuple[np.ndarray, ArtifactHeader]:
     with open(path, "rb") as fh:
-        _check_magic(fh, GRID_MAGIC)
-        _, seed = struct.unpack("<HQ", _read_exact(fh, 10))
-        digest = _read_exact(fh, 16)
+        _, _, header = _read_header(fh, GRID_MAGIC)
         d, h, w = struct.unpack("<III", _read_exact(fh, 12))
         payload = _finite_payload(
             np.frombuffer(_read_payload(fh, 4 * d * h * w), dtype="<f4"), "grid"
         )
         _check_end(fh)
     grid = payload.reshape(d, h, w).astype(np.float64)
-    return grid, ArtifactHeader(seed=seed, digest=digest)
+    return grid, header
 
 
 # --- token pyramids ----------------------------------------------------------
@@ -151,9 +153,7 @@ def write_pyramid(path, pyramid, vocab: int, seed: int = 0, digest: bytes = ZERO
         if np.any(t < 0) or np.any(t >= vocab):
             raise ValidationError("token index out of range")
     with open(path, "wb") as fh:
-        fh.write(PYRAMID_MAGIC)
-        fh.write(struct.pack("<HHQ", FORMAT_VERSION, 0, seed & (2**64 - 1)))
-        fh.write(_digest16(digest))
+        _write_header(fh, PYRAMID_MAGIC, seed, digest)
         fh.write(struct.pack("<II", len(maps), vocab))
         for t in maps:
             fh.write(struct.pack("<II", *t.shape))
@@ -162,9 +162,7 @@ def write_pyramid(path, pyramid, vocab: int, seed: int = 0, digest: bytes = ZERO
 
 def read_pyramid(path) -> tuple[list[np.ndarray], int, ArtifactHeader]:
     with open(path, "rb") as fh:
-        _check_magic(fh, PYRAMID_MAGIC)
-        _, seed = struct.unpack("<HQ", _read_exact(fh, 10))
-        digest = _read_exact(fh, 16)
+        _, _, header = _read_header(fh, PYRAMID_MAGIC)
         num_scales, vocab = struct.unpack("<II", _read_exact(fh, 8))
         maps = []
         for _ in range(num_scales):
@@ -174,7 +172,7 @@ def read_pyramid(path) -> tuple[list[np.ndarray], int, ArtifactHeader]:
                 raise FormatError(f"token {int(data.max())} out of range for vocab {vocab}")
             maps.append(data.reshape(h, w).astype(np.int32))
         _check_end(fh)
-    return maps, vocab, ArtifactHeader(seed=seed, digest=digest)
+    return maps, vocab, header
 
 
 # --- inverse noise sets ------------------------------------------------------
@@ -186,17 +184,14 @@ def write_noise_set(path, noise_set: InverseNoiseSet, digest: bytes = ZERO_DIGES
     label = noise_set.condition_label.encode("utf-8")
     payloads = [_float32_payload(n, "noise") for n in noise_set.noises]
     with open(path, "wb") as fh:
-        fh.write(NOISE_MAGIC)
-        fh.write(
-            struct.pack(
-                "<HBBQ",
-                FORMAT_VERSION,
-                _KIND_CODES[noise_set.kind],
-                1 if noise_set.sensitive else 0,
-                noise_set.seed & (2**64 - 1),
-            )
+        _write_header(
+            fh,
+            NOISE_MAGIC,
+            noise_set.seed,
+            digest,
+            _KIND_CODES[noise_set.kind],
+            1 if noise_set.sensitive else 0,
         )
-        fh.write(_digest16(digest))
         first = noise_set.noises[0]
         fh.write(struct.pack("<IId", noise_set.num_scales, first.shape[2], noise_set.tau))
         fh.write(struct.pack("<I", len(label)))
@@ -209,11 +204,9 @@ def write_noise_set(path, noise_set: InverseNoiseSet, digest: bytes = ZERO_DIGES
 
 def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
     with open(path, "rb") as fh:
-        _check_magic(fh, NOISE_MAGIC)
-        kind_code, flags, seed = struct.unpack("<BBQ", _read_exact(fh, 10))
+        kind_code, flags, header = _read_header(fh, NOISE_MAGIC)
         if kind_code not in _KIND_NAMES:
             raise FormatError(f"unknown inversion kind code {kind_code}")
-        digest = _read_exact(fh, 16)
         num_scales, vocab, tau = struct.unpack("<IId", _read_exact(fh, 16))
         if not (np.isfinite(tau) and tau >= 0):
             raise FormatError(f"noise header tau {tau!r} is not a non-negative finite real")
@@ -234,12 +227,12 @@ def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
         noises=tuple(noises),
         condition_label=label,
         tau=tau,
-        seed=seed,
+        seed=header.seed,
         kind=_KIND_NAMES[kind_code],
     )
     if bool(flags & 1) != noise_set.sensitive:
         raise FormatError("sensitive-regime flag inconsistent with tau")
-    return noise_set, ArtifactHeader(seed=seed, digest=digest)
+    return noise_set, header
 
 
 # --- PGM rendering -----------------------------------------------------------

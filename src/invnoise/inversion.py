@@ -92,7 +92,8 @@ def _onehot(tokens: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     return q
 
 
-def _check_tau(tau) -> float:
+def check_tau(tau) -> float:
+    """``tau`` as a float; a negative or non-finite margin is a ValidationError."""
     if not (np.isfinite(tau) and tau >= 0):
         raise ValidationError("tau must be a non-negative finite real")
     return float(tau)
@@ -153,7 +154,7 @@ def located_inverse(
 ) -> np.ndarray:
     """Located inversion with keyed uniforms for one scale."""
     tokens, logits = _check_token_inputs(tokens, logits)
-    taus = (_check_tau(tau),)
+    taus = (check_tau(tau),)
     return next(_located_inverses(tokens, logits, taus, *_keyed_uniforms(seed, scale, logits.shape)))
 
 
@@ -295,7 +296,7 @@ def invert_pyramid(
     stored noise is q_t - p_t.  argmax(p_t + n_t) then equals the input
     tokens at every cell of every scale.
     """
-    tau = _check_tau(tau)
+    tau = check_tau(tau)
     if kind not in (KIND_LAI, KIND_OAI):
         raise ValidationError(f"unknown inversion kind {kind!r}")
     maps = validate_pyramid(pyramid, params.codebook, params.schedule)

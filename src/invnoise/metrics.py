@@ -1,15 +1,16 @@
 """Reconstruction and preservation metrics.
 
-MSE, PSNR, and SSIM over d-channel feature grids, each with an optional
-region mask; masked variants score only the cells outside the edit
-region (the background).  A :class:`Scorer` scores many grids against
-one reference: it keeps the reference's SSIM window means and mean
-squares, its peak and its background cells, scores a stack of grids
-with one set of array operations, and gives the same values as the
-functions bit for bit.  SSIM window means are running sums over shifted
-slices, added in the order numpy's own strided mean adds them, so they
-equal that mean bit for bit.  PSNR and SSIM do not change when both
-grids scale together, so grids so small that their terms underflow
+MSE, PSNR, and SSIM over d-channel feature grids; with a region mask,
+MSE and PSNR also score only the cells outside the edit region (the
+background).  A :class:`Scorer` is the one implementation: it scores
+many grids against one reference, keeping the reference's SSIM window
+means and mean squares, its peak and its background cells, and scores a
+stack of grids with one set of array operations.  ``mse``, ``psnr`` and
+``ssim`` are its one-grid case.  Grids holding NaN or an infinity are a
+:class:`ValidationError`.  SSIM window means are running sums over
+shifted slices, added in the order numpy's own strided mean adds them,
+so they equal that mean bit for bit.  PSNR and SSIM do not change when
+both grids scale together, so grids so small that their terms underflow
 (below the smallest normal float64), or so large that they could
 overflow, are scored divided by their peak.  An MSE beyond the float64
 range is inf.
@@ -27,14 +28,14 @@ import numpy as np
 from .errors import ValidationError
 
 PSNR_CAP = 99.0
-SSIM_DEFAULT_WINDOW = 7
+SSIM_WINDOW = 7
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 # The smallest normal float64.  A metric term below it has underflowed:
 # it is rounded to a subnormal or to zero and has lost its precision.
 _TINY = sys.float_info.min
 # The largest peak at which no metric term overflows: SSIM multiplies
-# two sums of squares, each below 4 peak**2 with the default constants.
+# two sums of squares, each below 4 peak**2 with SSIM_K1 and SSIM_K2.
 _HUGE = (sys.float_info.max / 16) ** 0.25
 
 
@@ -48,16 +49,6 @@ def validate_region_mask(mask: np.ndarray, shape: tuple[int, int]) -> np.ndarray
     return mask
 
 
-def _paired(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(f"grid shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 3:
-        raise ValidationError("grids must be (d, h, w)")
-    return a, b
-
-
 def _background(a: np.ndarray, mask) -> np.ndarray:
     """Select cells outside the edit region, flattened per channel."""
     mask = np.asarray(mask)
@@ -69,62 +60,57 @@ def _background(a: np.ndarray, mask) -> np.ndarray:
     return a[:, keep]
 
 
-def _peak(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
+def _finite_peak(peak) -> None:
+    """A max-abs peak is NaN or infinite exactly when its grid holds a
+    NaN or infinite value."""
+    if not np.all(np.isfinite(peak)):
+        raise ValidationError("grid values must be finite")
 
 
 def mse(a: np.ndarray, b: np.ndarray, mask=None) -> float:
     """Mean squared difference; with a mask, over background cells only."""
-    a, b = _paired(a, b)
-    if mask is not None:
-        a, b = _background(a, mask), _background(b, mask)
-    return _mean_square(a - b)
+    return Scorer(b, mask).score(a)["mse" if mask is None else "bg_mse"]
 
 
-def _mean_square(diff: np.ndarray) -> float:
-    with np.errstate(over="ignore"):  # inf beyond the float64 range
-        return float(np.mean(diff**2))
-
-
-def psnr(a: np.ndarray, b: np.ndarray, peak: float | None = None, mask=None) -> float:
+def psnr(a: np.ndarray, b: np.ndarray, mask=None) -> float:
     """10 log10(peak^2 / MSE), capped at 99.0, which identical grids score.
 
-    ``peak`` defaults to the maximum absolute value over both grids.
-    Grids so small that their MSE underflows, or with a peak above
-    ``_HUGE``, are scored divided by their peak, which leaves the PSNR
-    of other grids as it is.  An explicit peak still above ``_HUGE``
-    after that division is a :class:`ValidationError`.
+    The peak is the maximum absolute value over both grids; with a mask
+    the MSE is over background cells only.
     """
-    a, b = _paired(a, b)
-    if peak is None:
-        peak = max(_peak(a), _peak(b))
-    return _psnr_from(a, b, mse(a, b, mask=mask), peak, mask)
+    return Scorer(b, mask).score(a)["psnr" if mask is None else "bg_psnr"]
 
 
-def _psnr_from(a: np.ndarray, b: np.ndarray, err: float, peak, mask) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean local structural similarity with a uniform window.
+
+    Windows are fully interior (no padding): 7 wide, or the largest odd
+    size that fits the grid.  The constants are ``SSIM_K1`` and
+    ``SSIM_K2`` times the maximum absolute value over both grids.
+    Identical all-zero grids score 1.0 by convention.
+    """
+    return Scorer(b).score(a)["ssim"]
+
+
+def _mean_square(a: np.ndarray, b: np.ndarray, mask) -> float:
+    """MSE of a and b, of their background with a mask."""
+    if mask is not None:
+        a, b = _background(a, mask), _background(b, mask)
+    with np.errstate(over="ignore"):  # inf beyond the float64 range
+        return float(np.mean((a - b) ** 2))
+
+
+def _psnr_from(a: np.ndarray, b: np.ndarray, err: float, peak: float, mask) -> float:
     """PSNR from the MSE ``err`` of a and b (of their background, with a
-    mask).  PSNR does not change when the grids and the peak scale
-    together, so when err underflows or the peak could overflow the
-    grids are scored divided by their own peak instead; an MSE of zero
-    then means identical grids."""
-    if err < _TINY or peak > _HUGE:
-        scale = max(_peak(a), _peak(b))
-        if scale > 0.0:
-            err = mse(a / scale, b / scale, mask=mask)
-            peak = peak / scale
+    mask) and ``peak``, the max-abs value over both.  PSNR does not
+    change when the grids and the peak scale together, so when err
+    underflows or the peak could overflow the grids are scored divided
+    by their peak instead; an MSE of zero then means identical grids."""
+    if peak > 0.0 and (err < _TINY or peak > _HUGE):
+        err, peak = _mean_square(a / peak, b / peak, mask), 1.0
     if err == 0.0:
         return PSNR_CAP
-    _check_peak(peak)
     return float(min(10.0 * np.log10(peak**2 / err), PSNR_CAP))
-
-
-def _check_peak(peak) -> None:
-    """A peak, divided by the grids' own peak where that was needed,
-    must be positive, finite and at most ``_HUGE``."""
-    if not (np.isfinite(peak) and peak > 0):
-        raise ValidationError("peak must be positive and finite")
-    if peak > _HUGE:
-        raise ValidationError(f"peak {peak!r} is too large for these grids")
 
 
 def _window_means(x: np.ndarray, window: int) -> np.ndarray:
@@ -134,13 +120,13 @@ def _window_means(x: np.ndarray, window: int) -> np.ndarray:
     sums each window row left to right from +0.0, then adds the row sums
     top to bottom, then divides by window**2.  Here each of those steps
     is one add per window column or row over whole shifted slices.  Where
-    numpy sums differently, a window of 8 or more (unrolled pairwise sums)
-    or an output one column wide (each window one contiguous sum), the
-    strided mean itself is taken.
+    numpy sums differently, an output one column wide (each window one
+    contiguous sum), the strided mean itself is taken.  Windows are at
+    most 7 wide; from 8 numpy unrolls its sums pairwise.
     """
     h, w = x.shape[-2:]
     out_h, out_w = h - window + 1, w - window + 1
-    if window >= 8 or out_w == 1:
+    if out_w == 1:
         views = np.lib.stride_tricks.sliding_window_view(x, (window, window), axis=(-2, -1))
         return views.mean(axis=(-1, -2))
     rows = x[..., :out_w] + 0.0  # from +0.0, as numpy starts each row: -0.0 sums to +0.0
@@ -161,46 +147,27 @@ def _window_stats(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     return _window_means(x, window), _window_means(x * x, window)
 
 
-def _ssim_window(shape: tuple[int, int], window: int | None) -> int:
-    h, w = shape
-    if window is None:
-        window = min(SSIM_DEFAULT_WINDOW, h, w)
-        if window % 2 == 0:
-            window -= 1
-    elif not (1 <= window <= min(h, w)) or window % 2 == 0:
-        raise ValidationError(
-            f"ssim window must be odd and fit the grid, got {window} for {(h, w)}"
-        )
-    return window
+def _ssim_window(shape: tuple[int, int]) -> int:
+    """7, or the largest odd size that fits the grid."""
+    window = min(SSIM_WINDOW, *shape)
+    return window if window % 2 else window - 1
 
 
-def _scored_alone(peak: float, k1: float, k2: float) -> bool:
-    """Whether SSIM at this peak takes the scalar path of
-    :func:`_ssim_from_stats`: a zero or invalid peak, or one where the
-    smallest denominator, c1 * c2, underflows or the largest terms could
-    overflow."""
-    return not 0.0 < peak <= _HUGE or (k1 * peak) ** 2 * (k2 * peak) ** 2 < _TINY
+def _scored_alone(peak: float) -> bool:
+    """Whether SSIM at this peak takes :func:`_ssim_alone`: a zero peak,
+    or one where the smallest denominator, c1 * c2, underflows or the
+    largest terms could overflow."""
+    return not 0.0 < peak <= _HUGE or (SSIM_K1 * peak) ** 2 * (SSIM_K2 * peak) ** 2 < _TINY
 
 
-def _ssim_from_stats(a, b, stats_b, window, k1, k2, peak) -> float:
-    """SSIM of (d, h, w) grids: the mean over channels of each channel's
-    mean local score.  ``stats_b`` are b's window stats, or None."""
+def _ssim_alone(a, b, window, peak) -> float:
+    """SSIM of one (d, h, w) grid at a peak :func:`_scored_alone` selects.
+    SSIM does not change when the grids and the peak scale together, so
+    the grids are scored divided by their peak."""
     if peak == 0.0:
         return 1.0  # both grids all-zero, hence identical
-    if not (np.isfinite(peak) and peak > 0):
-        raise ValidationError("peak must be positive and finite")
-    if _scored_alone(peak, k1, k2):
-        # SSIM does not change when the grids and the peak scale
-        # together, so score the grids divided by their own peak.
-        scale = max(_peak(a), _peak(b))
-        if scale == 0.0:
-            return 1.0  # both grids all-zero
-        a, b, peak = a / scale, b / scale, peak / scale
-        _check_peak(peak)
-        stats_b = None
-    if stats_b is None:
-        stats_b = _window_stats(b, window)
-    return float(_ssim_scores(a, b, stats_b, window, (k1 * peak) ** 2, (k2 * peak) ** 2))
+    a, b = a / peak, b / peak
+    return float(_ssim_scores(a, b, _window_stats(b, window), window, SSIM_K1**2, SSIM_K2**2))
 
 
 def _ssim_scores(a, b, stats_b, window, c1, c2) -> np.ndarray:
@@ -217,51 +184,27 @@ def _ssim_scores(a, b, stats_b, window, c1, c2) -> np.ndarray:
     return (num / den).mean(axis=(-1, -2)).mean(axis=-1)
 
 
-def ssim(
-    a: np.ndarray,
-    b: np.ndarray,
-    window: int | None = None,
-    k1: float = SSIM_K1,
-    k2: float = SSIM_K2,
-    peak: float | None = None,
-) -> float:
-    """Mean local structural similarity with a uniform window.
-
-    Windows are fully interior (no padding).  The default window is 7,
-    falling back to the largest odd size that fits; an explicit window
-    must be odd and fit the grid.  Identical all-zero grids score 1.0
-    by convention.  Grids so small that the product of the constants c1
-    and c2 underflows, or with a peak above ``_HUGE``, are scored divided
-    by their peak, which leaves the SSIM of other grids as it is.  An
-    explicit peak still above ``_HUGE`` after that division is a
-    :class:`ValidationError`.
-    """
-    a, b = _paired(a, b)
-    window = _ssim_window(a.shape[1:], window)
-    if peak is None:
-        peak = max(_peak(a), _peak(b))
-    return _ssim_from_stats(a, b, None, window, k1, k2, peak)
-
-
 class Scorer:
     """MSE, PSNR and SSIM of grids against one reference grid.
 
     ``score(a)`` gives ``mse(a, ref)``, ``psnr(a, ref)`` and
     ``ssim(a, ref)`` as "mse", "psnr" and "ssim", and with a mask also
     ``mse(a, ref, mask=mask)`` and ``psnr(a, ref, mask=mask)`` as
-    "bg_mse" and "bg_psnr", each equal to the function's value bit for
-    bit; ``score_many`` gives the same for each grid of a stack.  The
+    "bg_mse" and "bg_psnr"; the functions are this one-grid case, and
+    ``score_many`` gives the same for each grid of a stack.  The
     reference's peak, SSIM window stats (unless its peak is above
-    ``_HUGE``) and background cells are computed once.
+    ``_HUGE``) and background cells are computed once.  A reference or
+    grid holding NaN or an infinity is a :class:`ValidationError`.
     """
 
     def __init__(self, reference: np.ndarray, mask=None):
         ref = np.asarray(reference, dtype=np.float64)
-        if ref.ndim != 3:
-            raise ValidationError("grids must be (d, h, w)")
+        if ref.ndim != 3 or ref.size == 0:
+            raise ValidationError("grids must be non-empty (d, h, w)")
         self._ref = ref
-        self._peak = _peak(ref)
-        self._window = _ssim_window(ref.shape[1:], None)
+        self._peak = float(np.max(np.abs(ref)))
+        _finite_peak(self._peak)
+        self._window = _ssim_window(ref.shape[1:])
         self._stats = _window_stats(ref, self._window) if self._peak <= _HUGE else None
         self._mask = mask
         if mask is not None:
@@ -269,7 +212,9 @@ class Scorer:
             self._keep = ~np.asarray(mask)
 
     def score(self, a: np.ndarray) -> dict:
-        a, _ = _paired(a, self._ref)
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape != self._ref.shape:
+            raise ValidationError(f"grid shapes differ: {a.shape} vs {self._ref.shape}")
         return self.score_many(a[None])[0]
 
     def score_many(self, grids) -> list[dict]:
@@ -283,7 +228,9 @@ class Scorer:
         ref = self._ref
         if grids.ndim != 4 or grids.shape[1:] != ref.shape:
             raise ValidationError(f"grids must be (N, {', '.join(map(str, ref.shape))})")
-        peaks = [max(float(p), self._peak) for p in np.max(np.abs(grids), axis=(1, 2, 3))]
+        grid_peaks = np.max(np.abs(grids), axis=(1, 2, 3))
+        _finite_peak(grid_peaks)
+        peaks = [max(float(p), self._peak) for p in grid_peaks]
         with np.errstate(over="ignore"):  # inf beyond the float64 range
             errs = np.mean((grids - ref) ** 2, axis=(1, 2, 3))
             if self._mask is not None:
@@ -292,7 +239,7 @@ class Scorer:
                 cells = np.ascontiguousarray(np.moveaxis(grids, 1, -1)[:, self._keep])
                 bg_errs = np.mean((cells - self._ref_background.T) ** 2, axis=(1, 2))
         ssims = {}
-        batch = [i for i, peak in enumerate(peaks) if not _scored_alone(peak, SSIM_K1, SSIM_K2)]
+        batch = [i for i, peak in enumerate(peaks) if not _scored_alone(peak)]
         if batch:
             consts = [
                 np.array([(k * peaks[i]) ** 2 for i in batch])[:, None, None, None]
@@ -305,9 +252,7 @@ class Scorer:
             err = float(errs[i])
             ssim_a = ssims.get(i)
             if ssim_a is None:
-                ssim_a = _ssim_from_stats(
-                    a, ref, self._stats, self._window, SSIM_K1, SSIM_K2, peak
-                )
+                ssim_a = _ssim_alone(a, ref, self._window, peak)
             scores = {"mse": err, "psnr": _psnr_from(a, ref, err, peak, None), "ssim": ssim_a}
             if self._mask is not None:
                 err = float(bg_errs[i])

@@ -33,20 +33,18 @@ def naive_mse(a, b, mask=None):
     return total / count
 
 
-def naive_psnr(a, b, peak=None, mask=None):
+def naive_psnr(a, b, mask=None):
     err = naive_mse(a, b, mask)
     if err == 0.0:
         return 99.0
-    if peak is None:
-        peak = max(abs(a).max(), abs(b).max())
+    peak = max(abs(a).max(), abs(b).max())
     return 10.0 * np.log10(peak**2 / err)
 
 
-def naive_ssim(a, b, window, k1=0.01, k2=0.03, peak=None):
+def naive_ssim(a, b, window):
     d, h, w = a.shape
-    if peak is None:
-        peak = max(abs(a).max(), abs(b).max())
-    c1, c2 = (k1 * peak) ** 2, (k2 * peak) ** 2
+    peak = max(abs(a).max(), abs(b).max())
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
     channel_means = []
     for ch in range(d):
         values = []
@@ -110,53 +108,15 @@ class TestPsnr:
 
     def test_direct_formula(self):
         a = np.zeros((1, 10, 10))
-        b = np.full((1, 10, 10), 0.1)  # MSE 0.01 at peak 1
-        assert psnr(a, b, peak=1.0) == pytest.approx(20.0, abs=1e-12)
+        b = a.copy()
+        b[0, :, 0] = 1.0  # MSE 0.1 at peak 1
+        assert psnr(a, b) == pytest.approx(10.0, abs=1e-12)
 
     def test_matches_naive(self):
         a, b = random_grid(11), random_grid(12)
         assert psnr(a, b) == pytest.approx(naive_psnr(a, b), abs=1e-9)
         mask = half_mask(16, 16)
         assert psnr(a, b, mask=mask) == pytest.approx(naive_psnr(a, b, mask=mask), abs=1e-9)
-
-    def test_rejects_bad_peak(self):
-        with pytest.raises(ValidationError):
-            psnr(random_grid(13), random_grid(14), peak=0.0)
-
-
-class TestHugeExplicitPeak:
-    """An explicit peak is divided by the grids' own peak where that is
-    needed; one still above the overflow-safe bound after that is a
-    ValidationError, not a raw OverflowError."""
-
-    @staticmethod
-    def grids():
-        a = np.zeros((1, 8, 8))
-        b = a.copy()
-        b[0, 3, 3] = 1.0
-        return a, b
-
-    @pytest.mark.parametrize("peak", [1e77, 1e200, 1e308])
-    def test_rejected(self, peak):
-        a, b = self.grids()
-        for x, y in ((b, a), (a, b)):
-            with pytest.raises(ValidationError):
-                psnr(x, y, peak=peak)
-            with pytest.raises(ValidationError):
-                psnr(x, y, peak=peak, mask=~half_mask(8, 8))
-            with pytest.raises(ValidationError):
-                ssim(x, y, peak=peak)
-
-    def test_scaled_into_range(self):
-        """Grids at 1e150 with a peak of 1e200 score as unit grids with a
-        peak of 1e50."""
-        a, b = self.grids()
-        assert psnr(b * 1e150, a * 1e150, peak=1e200) == pytest.approx(
-            psnr(b, a, peak=1e50), abs=1e-9
-        )
-        assert ssim(b * 1e150, a * 1e150, peak=1e200) == pytest.approx(
-            ssim(b, a, peak=1e50), abs=1e-9
-        )
 
 
 class TestSsim:
@@ -166,18 +126,21 @@ class TestSsim:
 
     def test_sign_flip_is_negative(self):
         """Anti-correlated structure scores below zero.  The pattern
-        tiles (1, 0, -1), so every 3-wide window has mean exactly 0 and
-        the luminance term cannot mask the negative covariance."""
-        pattern = np.tile([1.0, 0.0, -1.0], 27)[:81].reshape(9, 9)
+        tiles (1, 0, -1), so every 3-wide window, the window of a 4x4
+        grid, has mean exactly 0 and the luminance term cannot mask the
+        negative covariance."""
+        pattern = np.tile([1.0, 0.0, -1.0], 6)[:16].reshape(4, 4)
         a = np.stack([pattern, pattern.T])
-        value = ssim(a, -a, window=3)
+        value = ssim(a, -a)
         assert value < 0.0
         assert value == pytest.approx(naive_ssim(a, -a, 3), abs=1e-9)
 
     def test_matches_naive(self):
-        a = random_grid(17, size=8)
-        b = random_grid(18, size=8)
-        assert ssim(a, b, window=3) == pytest.approx(naive_ssim(a, b, 3), abs=1e-9)
+        """Grids of 3, 6 and 8 cells a side take windows 3, 5 and 7."""
+        for size, window in ((3, 3), (6, 5), (8, 7)):
+            a = random_grid(17, size=size)
+            b = random_grid(18, size=size)
+            assert ssim(a, b) == pytest.approx(naive_ssim(a, b, window), abs=1e-9)
 
     def test_default_window_fallback(self):
         a = random_grid(19, size=4)
@@ -188,10 +151,6 @@ class TestSsim:
     def test_zero_grids_convention(self):
         z = np.zeros((2, 8, 8))
         assert ssim(z, z) == 1.0
-
-    def test_rejects_oversized_window(self):
-        with pytest.raises(ValidationError):
-            ssim(random_grid(21, size=4), random_grid(22, size=4), window=5)
 
     def test_symmetry(self):
         a, b = random_grid(23), random_grid(24)
@@ -241,23 +200,21 @@ class TestRegionMask:
 @settings(max_examples=40, deadline=None)
 @given(seed_a=st.integers(0, 10_000), seed_b=st.integers(0, 10_000))
 def test_metric_oracles_property(seed_a, seed_b):
-    a = random_grid(seed_a, size=8)
-    b = random_grid(seed_b, size=8)
-    mask = half_mask(8, 8)
+    a = random_grid(seed_a, size=6)
+    b = random_grid(seed_b, size=6)
+    mask = half_mask(6, 6)
     assert mse(a, b) == pytest.approx(naive_mse(a, b), abs=1e-9)
     assert mse(a, b, mask=mask) == pytest.approx(naive_mse(a, b, mask), abs=1e-9)
     assert psnr(a, b) == pytest.approx(naive_psnr(a, b), abs=1e-9)
-    assert ssim(a, b, window=5) == pytest.approx(naive_ssim(a, b, 5), abs=1e-9)
+    assert ssim(a, b) == pytest.approx(naive_ssim(a, b, 5), abs=1e-9)
 
 
-def reference_ssim(a, b, window=None, k1=0.01, k2=0.03):
+def reference_ssim(a, b, k1=0.01, k2=0.03):
     """SSIM one channel at a time, each window mean a numpy reduction of
     its own sliding-window view (the channel-at-a-time form metrics.ssim
     had before it stacked the channels)."""
-    h, w = a.shape[1:]
-    if window is None:
-        window = min(7, h, w)
-        window -= window % 2 == 0
+    window = min(7, *a.shape[1:])
+    window -= window % 2 == 0
     peak = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     if peak == 0.0:
         return 1.0
@@ -328,7 +285,7 @@ def grid_stacks(draw):
 
 
 @pytest.mark.parametrize("leading", [(), (3,), (2, 3)])
-@pytest.mark.parametrize("window", range(1, 10))
+@pytest.mark.parametrize("window", range(1, 8))
 def test_window_means_equal_strided_mean(window, leading):
     """Bit for bit against numpy's mean over a sliding-window view, for
     outputs one column wide and wider, with zeros of both signs."""
@@ -440,6 +397,28 @@ class TestScorer:
                     assert same_bits(scores[name], value), name
                     assert same_bits(alone[name], value), name
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_grids(self, bad):
+        """NaN or an infinity in the reference, or in one grid of a
+        stack, is a ValidationError, not a silent nan or a raw error."""
+        good = random_grid(30, size=8)
+        poisoned = good.copy()
+        poisoned[1, 2, 5] = bad
+        mask = half_mask(8, 8)
+        for a, b in ((poisoned, good), (good, poisoned)):
+            calls = [
+                lambda: mse(a, b),
+                lambda: mse(a, b, mask=mask),
+                lambda: psnr(a, b),
+                lambda: psnr(a, b, mask=mask),
+                lambda: ssim(a, b),
+                lambda: Scorer(b).score(a),
+                lambda: Scorer(b, mask).score_many(np.stack([good, a, good])),
+            ]
+            for call in calls:
+                with pytest.raises(ValidationError):
+                    call()
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
             Scorer(random_grid(1)).score_many(random_grid(2))
@@ -447,6 +426,8 @@ class TestScorer:
             Scorer(random_grid(1)).score_many(random_grid(2, size=8)[None])
         with pytest.raises(ValidationError):
             Scorer(np.zeros((4, 4)))
+        with pytest.raises(ValidationError):
+            mse(np.zeros((1, 0, 4)), np.zeros((1, 0, 4)))
         with pytest.raises(ValidationError):
             Scorer(random_grid(1), np.ones((16, 16), dtype=bool))
         with pytest.raises(ValidationError):
