@@ -38,7 +38,7 @@ from .inversion import (
     onehot_inverse,
     reconstruct_from_noise,
 )
-from .metrics import mse, psnr, ssim, token_agreement
+from .metrics import token_agreement
 from .predictor import (
     Condition,
     PredictorParams,
@@ -80,12 +80,9 @@ __all__ = [
     "ks_statistic",
     "lambda_at",
     "located_inverse",
-    "mse",
     "next_scale_logits",
     "onehot_inverse",
-    "psnr",
     "reconstruct_from_noise",
-    "ssim",
     "token_agreement",
     "upsample_replicate",
 ]

@@ -210,6 +210,13 @@ def cmd_edit(args) -> int:
     if cfg.edit.mode in ("varin", "target-only"):
         if args.noise is not None:
             noise_set, _ = fileio.read_noise_set(args.noise)
+            edit = cfg.edit
+            label = edit.source_label if edit.mode == editing.MODE_VARIN else edit.target_label
+            if noise_set.condition_label != label:
+                raise ValidationError(
+                    f"noise was inverted under {noise_set.condition_label!r}, but mode "
+                    f"{edit.mode} inverts under {label!r}"
+                )
         elif not args.auto_invert:
             raise ValidationError(
                 f"mode {cfg.edit.mode} needs --noise FILE or --auto-invert"

@@ -4,11 +4,13 @@ All binary formats are little-endian with a 4-byte magic and a version,
 and embed the experiment seed and config digest so any output can be
 traced back to the run that produced it.  Payloads are 32-bit floats
 (grids, noise) or 16-bit unsigned tokens (pyramids), which round-trips
-bit-exactly.  Readers raise ``FormatError`` for anything a writer cannot
-produce: short or trailing bytes, sizes beyond the file, tokens outside
-the vocab, non-finite float payload values and a noise ``tau`` that is
-negative or not finite.  Writers raise ``ValidationError``, and write
-nothing, for a payload value that is not finite in float32.
+bit-exactly; inverse noise is float32-exact as inverted, so a noise
+file holds it as it is.  Readers raise ``FormatError`` for anything a
+writer cannot produce: short or trailing bytes, sizes beyond the file,
+tokens outside the vocab, non-finite float payload values and a noise
+``tau`` that is negative or not finite.  Writers raise
+``ValidationError``, and write nothing, for a payload value that is not
+finite in float32.
 
 Grids and token pyramids can also be rendered to binary PGM images for
 eyeballing: one image per channel (min-max normalized) or per scale

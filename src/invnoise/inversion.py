@@ -25,6 +25,11 @@ calls the step scale by scale at the margins it mixes in.
 tokens are independent, so the keyed draws make serial and parallel
 execution bit-identical.
 
+Replay recomputes q as p + n in float64, which rounds; the step makes
+its noise float32-exact values (in float64 arrays, so edit mixes stay
+float64) whose replay keeps every margin, so a float32 noise file holds
+the noise as it is and memory and disk give the same tokens.
+
 Inputs are checked where they enter: ``onehot_inverse`` and
 ``located_inverse`` check their tokens, logits and margin,
 ``invert_pyramid`` its margin, kind and pyramid, and
@@ -52,8 +57,9 @@ from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, uniform_values
 # reachable logit + Gumbel sum, but safe for arithmetic.
 NEG_SENTINEL = -1.0e4
 
-# Replay checks allowed before tightening gives up.
-_TIGHTEN_PASSES = 64
+# Inverse noise must lie within +-2^127 to be float32 with room for the
+# move of tightening (the float32 range ends just below 2^128).
+_NOISE_LIMIT = 2.0**127
 
 KIND_LAI = "lai"
 KIND_OAI = "oai"
@@ -170,50 +176,53 @@ def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float) -> np.n
     return replayed >= q_label
 
 
-def noise_from_perturbed(
-    tokens: np.ndarray, logits: np.ndarray, q: np.ndarray, tau: float
-) -> np.ndarray:
-    """Extract noise n = q - p, tightened so float64 replay is exact.
-
-    Reconstruction recomputes q as p + n, which rounds.  Off-label noise
-    is nudged down by ulps until, in that replayed sum, the label is a
-    strict argmax and leads every other class by at least ``tau``.
-    ``q`` may carry leading axes (one per seed) over the (h, w, C) of
-    ``logits``; every cell is tightened on its own.
-
-    The label's noise is never nudged, so its replayed value is fixed:
-    one full pass finds the failing off-label cells, and each later pass
-    nudges and re-checks only the cells that still fail, up to
-    ``_TIGHTEN_PASSES`` checks in all.
-    """
-    return _tighten(tokens, logits, q - logits, tau)
-
-
 def _tighten(tokens, logits, noise: np.ndarray, tau: float) -> np.ndarray:
-    """``noise_from_perturbed`` given the untightened noise q - p, which
-    it nudges in place and returns."""
-    tokens = np.asarray(tokens)
+    """Round the untightened noise q - p to float32 values, in place, so
+    that its float64 replay p + n keeps every margin; returns it.
+
+    Each value moves by |n| 2^-23 (one or two float32 ulps) away from the
+    label's side: off-label values down, label values up.  One replay
+    check finds the cells float64 rounding still defeats (|n| tiny next
+    to |p|, or zero); each takes the largest float32 below its bound
+    q_label - tau - p if that is a rounding-sized move, and otherwise
+    raises ``InvariantError``.  Leading (seed) axes over the (h, w, C) of
+    ``logits`` are allowed.  Noise beyond +-2^127 raises
+    ``ValidationError``: float32 cannot hold it with its move.
+    """
+    if not (noise.min() >= -_NOISE_LIMIT and noise.max() <= _NOISE_LIMIT):
+        raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
     h, w = tokens.shape
     rows, cols = np.arange(h)[:, None], np.arange(w)
+    step = np.abs(noise, dtype=np.float32)  # |n| rounded to float32
+    step *= np.float32(2.0**-23)  # one or two ulps of a normal n, exactly
+    at_label = (..., rows, cols, tokens)
+    raised = noise[at_label].astype(np.float32) + step[at_label]
+    np.subtract(noise, step, out=noise, dtype=np.float32)  # rounds n, then moves it
+    del step
+    noise[at_label] = raised
     replayed = logits + noise
-    q_label = replayed[..., rows, cols, tokens]
+    q_label = replayed[at_label]
     if tau > 0:  # _below_margin, with the margins written over the replay
         bad = np.subtract(q_label[..., None], replayed, out=replayed) < tau
     else:
         bad = _below_margin(q_label[..., None], replayed, tau)
     del replayed
-    bad[..., rows, cols, tokens] = False
+    bad[at_label] = False
     cells = np.nonzero(bad)
-    for _ in range(_TIGHTEN_PASSES - 1):
-        if not cells[0].size:
-            return noise
-        nudged = np.nextafter(noise[cells], -np.inf)
-        noise[cells] = nudged
-        still = _below_margin(q_label[cells[:-1]], logits[cells[-3:]] + nudged, tau)
-        cells = tuple(index[still] for index in cells)
     if not cells[0].size:
         return noise
-    raise InvariantError("noise tightening did not converge")
+    label, p = q_label[cells[:-1]], logits[cells[-3:]]
+    terms = np.abs(label) + np.abs(p) + tau
+    # clear of the float64 rounding in the bound, the replay and its check
+    bound = label - tau - p - 2.0**-50 * terms
+    fixed = bound.astype(np.float32)
+    fixed = np.where(fixed < bound, fixed, np.nextafter(fixed, np.float32(-np.inf)))
+    # a rounding failure needs a move of less than a float32 ulp of the terms
+    rounding = noise[cells] - fixed <= 2.0**-23 * terms + 2.0**-149
+    if not rounding.all() or _below_margin(label, p + fixed, tau).any():
+        raise InvariantError("inverse noise did not tighten in float32")
+    noise[cells] = fixed
+    return noise
 
 
 @dataclass(frozen=True)
@@ -293,8 +302,9 @@ def invert_pyramid(
 
     For each scale t the predictor logits are computed from the true
     prefix tokens, a pseudo-inverse builds perturbed logits q_t, and the
-    stored noise is q_t - p_t.  argmax(p_t + n_t) then equals the input
-    tokens at every cell of every scale.
+    stored noise is q_t - p_t tightened to float32-exact values.
+    argmax(p_t + n_t) then equals the input tokens at every cell of
+    every scale, also for the noise as a noise file stores it.
     """
     tau = check_tau(tau)
     if kind not in (KIND_LAI, KIND_OAI):

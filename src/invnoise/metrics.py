@@ -2,11 +2,11 @@
 
 MSE, PSNR, and SSIM over d-channel feature grids; with a region mask,
 MSE and PSNR also score only the cells outside the edit region (the
-background).  A :class:`Scorer` is the one implementation: it scores
-many grids against one reference, keeping the reference's SSIM window
-means and mean squares, its peak and its background cells, and scores a
-stack of grids with one set of array operations.  ``mse``, ``psnr`` and
-``ssim`` are its one-grid case.  Grids holding NaN or an infinity are a
+background).  A :class:`Scorer` computes them all: it scores grids
+against one reference, keeping the reference's SSIM window means and
+mean squares, its peak and its background cells, and scores a stack of
+grids with one set of array operations; ``Scorer(b, mask).score(a)``
+is the one-grid case.  Grids holding NaN or an infinity are a
 :class:`ValidationError`.  SSIM window means are running sums over
 shifted slices, added in the order numpy's own strided mean adds them,
 so they equal that mean bit for bit.  PSNR and SSIM do not change when
@@ -65,31 +65,6 @@ def _finite_peak(peak) -> None:
     NaN or infinite value."""
     if not np.all(np.isfinite(peak)):
         raise ValidationError("grid values must be finite")
-
-
-def mse(a: np.ndarray, b: np.ndarray, mask=None) -> float:
-    """Mean squared difference; with a mask, over background cells only."""
-    return Scorer(b, mask).score(a)["mse" if mask is None else "bg_mse"]
-
-
-def psnr(a: np.ndarray, b: np.ndarray, mask=None) -> float:
-    """10 log10(peak^2 / MSE), capped at 99.0, which identical grids score.
-
-    The peak is the maximum absolute value over both grids; with a mask
-    the MSE is over background cells only.
-    """
-    return Scorer(b, mask).score(a)["psnr" if mask is None else "bg_psnr"]
-
-
-def ssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean local structural similarity with a uniform window.
-
-    Windows are fully interior (no padding): 7 wide, or the largest odd
-    size that fits the grid.  The constants are ``SSIM_K1`` and
-    ``SSIM_K2`` times the maximum absolute value over both grids.
-    Identical all-zero grids score 1.0 by convention.
-    """
-    return Scorer(b).score(a)["ssim"]
 
 
 def _mean_square(a: np.ndarray, b: np.ndarray, mask) -> float:
@@ -187,14 +162,16 @@ def _ssim_scores(a, b, stats_b, window, c1, c2) -> np.ndarray:
 class Scorer:
     """MSE, PSNR and SSIM of grids against one reference grid.
 
-    ``score(a)`` gives ``mse(a, ref)``, ``psnr(a, ref)`` and
-    ``ssim(a, ref)`` as "mse", "psnr" and "ssim", and with a mask also
-    ``mse(a, ref, mask=mask)`` and ``psnr(a, ref, mask=mask)`` as
-    "bg_mse" and "bg_psnr"; the functions are this one-grid case, and
-    ``score_many`` gives the same for each grid of a stack.  The
-    reference's peak, SSIM window stats (unless its peak is above
-    ``_HUGE``) and background cells are computed once.  A reference or
-    grid holding NaN or an infinity is a :class:`ValidationError`.
+    ``score(a)`` gives "mse", "psnr" (10 log10(peak^2 / MSE), capped at
+    99.0, which identical grids score; the peak is the max-abs value over
+    both grids) and "ssim" (uniform, fully interior windows, 7 wide or
+    the largest odd size that fits; constants ``SSIM_K1`` and ``SSIM_K2``
+    times the peak; two all-zero grids score 1.0), and with a mask
+    "bg_mse" and "bg_psnr" over the background cells.  ``score_many``
+    gives the same for each grid of a stack.  The reference's peak, SSIM
+    window stats (unless its peak is above ``_HUGE``) and background
+    cells are computed once.  A reference or grid holding NaN or an
+    infinity is a :class:`ValidationError`.
     """
 
     def __init__(self, reference: np.ndarray, mask=None):

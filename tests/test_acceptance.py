@@ -228,7 +228,7 @@ def test_criterion_06_tau_trend(params):
                 ),
                 params,
             )
-            values.append(metrics.mse(result.grid, grid, mask=mask))
+            values.append(metrics.Scorer(grid, mask).score(result.grid)["bg_mse"])
         means.append(float(np.mean(values)))
     monotone = all(b <= a for a, b in zip(means, means[1:]))
     rho = float(scipy.stats.spearmanr(taus, means).statistic)
@@ -244,13 +244,13 @@ def test_criterion_07_start_scale_trend(params):
     start scale (3 ascending values, 32 seeds)."""
     grid, _, scene = demo_scene("scene-a", params)
     starts = [2, 3, 4]
+    scorer = metrics.Scorer(grid)
     means = []
     for start in starts:
         values = [
-            metrics.psnr(
-                edit_regeneration(grid, scene.target_label, start, params, seed).grid,
-                grid,
-            )
+            scorer.score(edit_regeneration(grid, scene.target_label, start, params, seed).grid)[
+                "psnr"
+            ]
             for seed in range(32)
         ]
         means.append(float(np.mean(values)))
@@ -262,6 +262,7 @@ def test_criterion_08_noise_guided_beats_regeneration(params):
     """At the default margin and matched seeds, noise-guided editing
     preserves the background strictly better than regeneration."""
     grid, mask, scene = demo_scene("scene-a", params)
+    scorer = metrics.Scorer(grid, mask)
     guided, regen = [], []
     for seed in range(32):
         cfg = EditConfig(
@@ -270,12 +271,12 @@ def test_criterion_08_noise_guided_beats_regeneration(params):
             seed=seed,
         )
         result = edit_with_inverse_noise(grid, cfg, params)
-        guided.append(metrics.mse(result.grid, grid, mask=mask))
+        guided.append(scorer.score(result.grid)["bg_mse"])
         baseline = edit_regeneration(
             grid, scene.target_label, cfg.resolved(params.schedule.num_scales).start_scale,
             params, seed,
         )
-        regen.append(metrics.mse(baseline.grid, grid, mask=mask))
+        regen.append(scorer.score(baseline.grid)["bg_mse"])
     mean_guided, mean_regen = float(np.mean(guided)), float(np.mean(regen))
     report(
         8,
@@ -410,8 +411,9 @@ def test_criterion_12_metric_oracles():
     for i in range(1000):
         a = random_grid(8000 + 2 * i, size=8, amplitude=0.4 + (i % 3) * 0.4)
         b = random_grid(8001 + 2 * i, size=8, amplitude=0.4 + (i % 4) * 0.3)
-        worst = max(worst, abs(metrics.mse(a, b) - naive_mse(a, b)))
-        worst = max(worst, abs(metrics.mse(a, b, mask=mask) - naive_mse(a, b, mask)))
-        worst = max(worst, abs(metrics.psnr(a, b) - naive_psnr(a, b)))
-        worst = max(worst, abs(metrics.ssim(a, b) - naive_ssim(a, b, 7)))
+        scores = metrics.Scorer(b, mask).score(a)
+        worst = max(worst, abs(scores["mse"] - naive_mse(a, b)))
+        worst = max(worst, abs(scores["bg_mse"] - naive_mse(a, b, mask)))
+        worst = max(worst, abs(scores["psnr"] - naive_psnr(a, b)))
+        worst = max(worst, abs(scores["ssim"] - naive_ssim(a, b, 7)))
     report(12, worst <= 1e-9, f"1000 pairs, worst |library - naive| = {worst:.2e}")

@@ -66,9 +66,8 @@ class TestEncode:
         )
         rows = (out / "encode_metrics.csv").read_text().splitlines()[1:]
         by_metric = {r.split(",")[2]: float(r.split(",")[4]) for r in rows}
-        assert by_metric["mse"] == metrics.mse(recon, grid)
-        assert by_metric["psnr"] == metrics.psnr(recon, grid)
-        assert by_metric["ssim"] == metrics.ssim(recon, grid)
+        scores = metrics.Scorer(grid).score(recon)
+        assert {key: by_metric[key] for key in scores} == scores
 
     def test_header_embeds_effective_config_digest(self, tmp_path):
         out = tmp_path / "enc"
@@ -272,6 +271,66 @@ class TestEdit:
             == EXIT_IO
         )
         assert not (out / "edited.nsp").exists()
+
+    @pytest.mark.parametrize("mode", ["varin", "target-only"])
+    def test_auto_invert_tau_overflowing_float32_is_validation_error(self, tmp_path, mode):
+        """Noise near -1e308 does not fit in float32, in memory as on disk."""
+        out = tmp_path / "ed"
+        assert (
+            run(
+                "edit", "--grid", "demo:scene-a", "--mode", mode, "--auto-invert",
+                "--tau", "1e308", "--out", out,
+            )
+            == EXIT_VALIDATION
+        )
+        assert not (out / "edited.nsp").exists()
+
+    @pytest.mark.parametrize(
+        "condition,grid,mode,code",
+        [
+            ("target", "demo:scene-b", "varin", EXIT_VALIDATION),
+            ("target", "demo:scene-a", "varin", EXIT_VALIDATION),
+            ("source", "demo:scene-a", "target-only", EXIT_VALIDATION),
+            ("source", "demo:scene-a", "varin", EXIT_OK),
+            ("target", "demo:scene-a", "target-only", EXIT_OK),
+        ],
+    )
+    def test_noise_label_checked_against_mode(self, tmp_path, condition, grid, mode, code):
+        """varin mixes noise inverted under the source label, target-only
+        under the target label; a file inverted under another cannot mean
+        what the mode says.  Another seed and tau are fine."""
+        inv = tmp_path / "inv"
+        assert (
+            run(
+                "invert", "--grid", "demo:scene-a", "--condition", condition,
+                "--tau", 3, "--seed", 5, "--out", inv,
+            )
+            == EXIT_OK
+        )
+        out = tmp_path / "ed"
+        assert (
+            run(
+                "edit", "--grid", grid, "--mode", mode, "--noise", inv / "noise.nsn",
+                "--seed", 9, "--out", out,
+            )
+            == code
+        )
+        assert (out / "edited.nsp").exists() == (code == EXIT_OK)
+
+    @pytest.mark.parametrize("scene", ["scene-a", "scene-b"])
+    @pytest.mark.parametrize("mode", ["varin", "target-only"])
+    def test_auto_invert_equals_noise_file(self, tmp_path, mode, scene):
+        """At lambda 1 from scale 1 and tau 0 every scale replays the
+        inverted noise's thinnest margins; the noise file gives the same
+        edit as inverting in memory."""
+        condition = "source" if mode == "varin" else "target"
+        common = ["--grid", f"demo:{scene}", "--seed", 4, "--tau", 0]
+        edit = ["edit", *common, "--mode", mode, "--lambda", 1, "--start-scale", 1]
+        inv, auto, file = tmp_path / "inv", tmp_path / "auto", tmp_path / "file"
+        assert run("invert", *common, "--condition", condition, "--out", inv) == EXIT_OK
+        assert run(*edit, "--auto-invert", "--out", auto) == EXIT_OK
+        assert run(*edit, "--noise", inv / "noise.nsn", "--out", file) == EXIT_OK
+        assert (auto / "edited.nsp").read_bytes() == (file / "edited.nsp").read_bytes()
 
     def test_missing_noise_is_validation_error(self, tmp_path):
         assert (

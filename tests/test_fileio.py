@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise.codec import default_codebook, dyadic_schedule
+from invnoise.codec import default_codebook, dyadic_schedule, encode
 from invnoise.errors import FormatError, ValidationError
 from invnoise.fileio import (
     CSV_HEADER,
@@ -23,8 +23,8 @@ from invnoise.fileio import (
     write_pgm,
     write_pyramid,
 )
-from invnoise.inversion import invert_pyramid
-from invnoise.predictor import PredictorParams, condition_embed, generate
+from invnoise.inversion import KIND_LAI, KIND_OAI, invert_pyramid, reconstruct_from_noise
+from invnoise.predictor import PredictorParams, ScaleStepper, condition_embed, generate
 
 from conftest import random_grid
 
@@ -84,9 +84,9 @@ class TestNoiseFormat:
         path = tmp_path / "n.nsn"
         write_noise_set(path, noise_set)
         loaded, header = read_noise_set(path)
-        # payload is 32-bit on disk; the round trip of those values is exact
+        # inverted noise is float32-exact, so the 32-bit payload holds it as is
         for ours, theirs in zip(noise_set.noises, loaded.noises):
-            assert np.array_equal(np.asarray(ours).astype("<f4"), theirs.astype("<f4"))
+            assert np.array_equal(ours, theirs)
         assert loaded.condition_label == source_cond.label
         assert loaded.tau == 18.0
         assert loaded.seed == 9
@@ -112,6 +112,58 @@ class TestNoiseFormat:
         write_noise_set(path, noise_set)
         loaded, _ = read_noise_set(path)
         assert loaded.condition_label == cond.label
+
+
+def stored_margins(noise_set, pyramid, cond, params):
+    """Per scale, the least lead of the replayed label over every other
+    class, p + n from the noise as stored."""
+    stepper = ScaleStepper(cond, params)
+    margins = []
+    for tokens, noise in zip(pyramid, noise_set.noises):
+        replayed = stepper.next_scale_logits() + noise
+        h, w = tokens.shape
+        rows, cols = np.arange(h)[:, None], np.arange(w)
+        label = replayed[rows, cols, tokens].copy()
+        replayed[rows, cols, tokens] = -np.inf
+        margins.append(float(np.min(label - replayed.max(axis=-1))))
+        stepper.push(tokens)
+    return margins
+
+
+class TestNoiseReplayFromDisk:
+    """The noise read back from a file is the noise inverted in memory,
+    and it replays the source exactly with every stored margin."""
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-6, 18.0])
+    @pytest.mark.parametrize("kind", [KIND_LAI, KIND_OAI])
+    def test_stored_noise_is_the_inverted_noise(self, tmp_path, params, source_cond, kind, tau):
+        pyramid = encode(random_grid(40), params.codebook, params.schedule)
+        noise_set = invert_pyramid(pyramid, source_cond, tau, params, seed=4, kind=kind)
+        write_noise_set(tmp_path / "n.nsn", noise_set)
+        loaded, _ = read_noise_set(tmp_path / "n.nsn")
+        assert all(np.array_equal(a, b) for a, b in zip(noise_set.noises, loaded.noises))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tau=st.sampled_from([0.0, 1e-300, 1e-6, 1.0, 18.0]),
+        beta=st.sampled_from([4.0, 3000.0]),
+        kind=st.sampled_from([KIND_LAI, KIND_OAI]),
+        grid_seed=st.integers(0, 999),
+        seed=st.integers(0, 2**32),
+    )
+    def test_write_read_replay(
+        self, tmp_path_factory, params, source_cond, tau, beta, kind, grid_seed, seed
+    ):
+        params = PredictorParams(params.codebook, params.schedule, beta=beta)
+        pyramid = encode(random_grid(grid_seed), params.codebook, params.schedule)
+        noise_set = invert_pyramid(pyramid, source_cond, tau, params, seed, kind)
+        path = tmp_path_factory.mktemp("replay") / "n.nsn"
+        write_noise_set(path, noise_set)
+        loaded, _ = read_noise_set(path)
+        replayed = reconstruct_from_noise(loaded, source_cond, params)
+        assert all(np.array_equal(a, b) for a, b in zip(pyramid, replayed))
+        if kind == KIND_LAI:
+            assert min(stored_margins(loaded, pyramid, source_cond, params)) >= tau
 
 
 class TestCorruptHeaders:

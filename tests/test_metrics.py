@@ -7,15 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from invnoise.errors import ValidationError
-from invnoise.metrics import (
-    Scorer,
-    _window_means,
-    mse,
-    psnr,
-    ssim,
-    token_agreement,
-    validate_region_mask,
-)
+from invnoise.metrics import Scorer, _window_means, token_agreement, validate_region_mask
 
 from conftest import random_grid
 
@@ -73,56 +65,59 @@ def half_mask(h, w):
 class TestMse:
     def test_identity(self):
         a = random_grid(1)
-        assert mse(a, a) == 0.0
+        assert Scorer(a).score(a)["mse"] == 0.0
 
     def test_constant_difference(self):
         a = np.zeros((2, 4, 4))
         b = np.full((2, 4, 4), 2.0)
-        assert mse(a, b) == 4.0
+        assert Scorer(b).score(a)["mse"] == 4.0
 
     def test_matches_naive_with_mask(self):
         a, b = random_grid(2), random_grid(3)
         mask = half_mask(16, 16)
-        assert mse(a, b, mask=mask) == pytest.approx(naive_mse(a, b, mask), abs=1e-12)
+        got = Scorer(b, mask).score(a)["bg_mse"]
+        assert got == pytest.approx(naive_mse(a, b, mask), abs=1e-12)
 
     def test_symmetry(self):
         a, b = random_grid(4), random_grid(5)
-        assert mse(a, b) == mse(b, a)
+        assert Scorer(b).score(a)["mse"] == Scorer(a).score(b)["mse"]
 
     def test_empty_edit_region_equals_unmasked(self):
         """A mask whose complement is the whole grid scores like no mask."""
         a, b = random_grid(6), random_grid(7)
-        assert mse(a, b, mask=np.zeros((16, 16), dtype=bool)) == mse(a, b)
+        scores = Scorer(b, np.zeros((16, 16), dtype=bool)).score(a)
+        assert scores["bg_mse"] == scores["mse"]
 
     def test_errors(self):
         with pytest.raises(ValidationError):
-            mse(np.zeros((1, 2, 2)), np.zeros((1, 4, 4)))
+            Scorer(np.zeros((1, 4, 4))).score(np.zeros((1, 2, 2)))
         with pytest.raises(ValidationError):
-            mse(random_grid(8), random_grid(9), mask=np.ones((16, 16), dtype=bool))
+            Scorer(random_grid(9), np.ones((16, 16), dtype=bool))
 
 
 class TestPsnr:
     def test_cap_on_identical(self):
         a = random_grid(10)
-        assert psnr(a, a) == 99.0
+        assert Scorer(a).score(a)["psnr"] == 99.0
 
     def test_direct_formula(self):
         a = np.zeros((1, 10, 10))
         b = a.copy()
         b[0, :, 0] = 1.0  # MSE 0.1 at peak 1
-        assert psnr(a, b) == pytest.approx(10.0, abs=1e-12)
+        assert Scorer(b).score(a)["psnr"] == pytest.approx(10.0, abs=1e-12)
 
     def test_matches_naive(self):
         a, b = random_grid(11), random_grid(12)
-        assert psnr(a, b) == pytest.approx(naive_psnr(a, b), abs=1e-9)
         mask = half_mask(16, 16)
-        assert psnr(a, b, mask=mask) == pytest.approx(naive_psnr(a, b, mask=mask), abs=1e-9)
+        scores = Scorer(b, mask).score(a)
+        assert scores["psnr"] == pytest.approx(naive_psnr(a, b), abs=1e-9)
+        assert scores["bg_psnr"] == pytest.approx(naive_psnr(a, b, mask=mask), abs=1e-9)
 
 
 class TestSsim:
     def test_self_similarity(self):
         a = random_grid(15)
-        assert ssim(a, a) == pytest.approx(1.0, abs=1e-12)
+        assert Scorer(a).score(a)["ssim"] == pytest.approx(1.0, abs=1e-12)
 
     def test_sign_flip_is_negative(self):
         """Anti-correlated structure scores below zero.  The pattern
@@ -131,7 +126,7 @@ class TestSsim:
         negative covariance."""
         pattern = np.tile([1.0, 0.0, -1.0], 6)[:16].reshape(4, 4)
         a = np.stack([pattern, pattern.T])
-        value = ssim(a, -a)
+        value = Scorer(-a).score(a)["ssim"]
         assert value < 0.0
         assert value == pytest.approx(naive_ssim(a, -a, 3), abs=1e-9)
 
@@ -140,21 +135,21 @@ class TestSsim:
         for size, window in ((3, 3), (6, 5), (8, 7)):
             a = random_grid(17, size=size)
             b = random_grid(18, size=size)
-            assert ssim(a, b) == pytest.approx(naive_ssim(a, b, window), abs=1e-9)
+            assert Scorer(b).score(a)["ssim"] == pytest.approx(naive_ssim(a, b, window), abs=1e-9)
 
     def test_default_window_fallback(self):
         a = random_grid(19, size=4)
         b = random_grid(20, size=4)
         # default window 7 does not fit a 4x4 grid; falls back to 3
-        assert ssim(a, b) == pytest.approx(naive_ssim(a, b, 3), abs=1e-9)
+        assert Scorer(b).score(a)["ssim"] == pytest.approx(naive_ssim(a, b, 3), abs=1e-9)
 
     def test_zero_grids_convention(self):
         z = np.zeros((2, 8, 8))
-        assert ssim(z, z) == 1.0
+        assert Scorer(z).score(z)["ssim"] == 1.0
 
     def test_symmetry(self):
         a, b = random_grid(23), random_grid(24)
-        assert ssim(a, b) == pytest.approx(ssim(b, a), abs=1e-12)
+        assert Scorer(b).score(a)["ssim"] == pytest.approx(Scorer(a).score(b)["ssim"], abs=1e-12)
 
 
 class TestTokenAgreement:
@@ -203,16 +198,17 @@ def test_metric_oracles_property(seed_a, seed_b):
     a = random_grid(seed_a, size=6)
     b = random_grid(seed_b, size=6)
     mask = half_mask(6, 6)
-    assert mse(a, b) == pytest.approx(naive_mse(a, b), abs=1e-9)
-    assert mse(a, b, mask=mask) == pytest.approx(naive_mse(a, b, mask), abs=1e-9)
-    assert psnr(a, b) == pytest.approx(naive_psnr(a, b), abs=1e-9)
-    assert ssim(a, b) == pytest.approx(naive_ssim(a, b, 5), abs=1e-9)
+    scores = Scorer(b, mask).score(a)
+    assert scores["mse"] == pytest.approx(naive_mse(a, b), abs=1e-9)
+    assert scores["bg_mse"] == pytest.approx(naive_mse(a, b, mask), abs=1e-9)
+    assert scores["psnr"] == pytest.approx(naive_psnr(a, b), abs=1e-9)
+    assert scores["ssim"] == pytest.approx(naive_ssim(a, b, 5), abs=1e-9)
 
 
 def reference_ssim(a, b, k1=0.01, k2=0.03):
     """SSIM one channel at a time, each window mean a numpy reduction of
-    its own sliding-window view (the channel-at-a-time form metrics.ssim
-    had before it stacked the channels)."""
+    its own sliding-window view (the channel-at-a-time form SSIM had
+    before it stacked the channels)."""
     window = min(7, *a.shape[1:])
     window -= window % 2 == 0
     peak = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
@@ -309,23 +305,20 @@ class TestScorer:
 
     @staticmethod
     def check_scores(a, b, mask):
+        """A mask adds the background scores and leaves the others."""
         plain = Scorer(b).score(a)
         assert list(plain) == ["mse", "psnr", "ssim"]
         masked = Scorer(b, mask).score(a)
         assert list(masked) == ["mse", "psnr", "ssim", "bg_mse", "bg_psnr"]
-        for scores in (plain, masked):
-            assert same_bits(scores["mse"], mse(a, b))
-            assert same_bits(scores["psnr"], psnr(a, b))
-            assert same_bits(scores["ssim"], ssim(a, b))
-        assert same_bits(masked["bg_mse"], mse(a, b, mask=mask))
-        assert same_bits(masked["bg_psnr"], psnr(a, b, mask=mask))
+        for name, value in plain.items():
+            assert same_bits(masked[name], value), name
 
     @settings(max_examples=200, deadline=None)
     @given(grid_pairs())
     def test_ssim_matches_channel_at_a_time_reference(self, case):
         a, b, _ = case
-        assert same_bits(ssim(a, b), reference_ssim(a, b))
-        assert same_bits(ssim(b, a), reference_ssim(b, a))
+        assert same_bits(Scorer(b).score(a)["ssim"], reference_ssim(a, b))
+        assert same_bits(Scorer(a).score(b)["ssim"], reference_ssim(b, a))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -346,13 +339,11 @@ class TestScorer:
             "constant-source": np.full_like(a, a.flat[seed_b % a.size]),
         }[kind]
         small_a, small_b = scale * a, scale * b
-        assert psnr(small_a, small_b) == pytest.approx(psnr(a, b), abs=1e-9)
-        assert ssim(small_a, small_b) == pytest.approx(ssim(a, b), abs=1e-9)
         mask = np.zeros((size, size), dtype=bool)
         mask[: size // 2] = True
-        assert psnr(small_a, small_b, mask=mask) == pytest.approx(
-            psnr(a, b, mask=mask), abs=1e-9
-        )
+        small, unit = Scorer(small_b, mask).score(small_a), Scorer(b, mask).score(a)
+        for name in ("psnr", "ssim", "bg_psnr"):
+            assert small[name] == pytest.approx(unit[name], abs=1e-9), name
         self.check_scores(small_a, small_b, mask)
 
     def test_one_cell_above_a_tiny_constant(self):
@@ -361,11 +352,13 @@ class TestScorer:
         source = np.full((1, 8, 8), 1e-200)
         edited = source.copy()
         edited[0, 3, 3] = 2e-200
-        assert ssim(edited, source) == pytest.approx(ssim(edited * 1e200, source * 1e200))
-        assert psnr(edited, source) == pytest.approx(psnr(edited * 1e200, source * 1e200))
-        assert psnr(edited, source) < 99.0
-        assert psnr(source, source) == 99.0
-        assert ssim(source, source) == 1.0
+        tiny = Scorer(source).score(edited)
+        unit = Scorer(source * 1e200).score(edited * 1e200)
+        assert tiny["ssim"] == pytest.approx(unit["ssim"])
+        assert tiny["psnr"] == pytest.approx(unit["psnr"])
+        assert tiny["psnr"] < 99.0
+        same = Scorer(source).score(source)
+        assert (same["psnr"], same["ssim"]) == (99.0, 1.0)
 
     def test_scores_many_grids(self):
         source = random_grid(3)
@@ -374,8 +367,8 @@ class TestScorer:
         for seed in range(4, 9):
             edited = random_grid(seed)
             scores = scorer.score(edited)
-            assert scores["ssim"] == ssim(edited, source)
-            assert scores["bg_psnr"] == psnr(edited, source, mask=mask)
+            assert scores["ssim"] == Scorer(source).score(edited)["ssim"]
+            assert scores["bg_psnr"] == Scorer(source, mask).score(edited)["bg_psnr"]
         assert scorer.score(source)["psnr"] == 99.0
 
     @settings(max_examples=150, deadline=None)
@@ -387,10 +380,7 @@ class TestScorer:
             many = scorer.score_many(stack)
             assert len(many) == len(stack)
             for a, scores in zip(stack, many):
-                expected = {"mse": mse(a, b), "psnr": psnr(a, b), "ssim": ssim(a, b)}
-                if scorer_mask is not None:
-                    expected["bg_mse"] = mse(a, b, mask=mask)
-                    expected["bg_psnr"] = psnr(a, b, mask=mask)
+                expected = Scorer(b, scorer_mask).score(a)  # a new scorer per grid
                 alone = scorer.score(a)
                 assert list(scores) == list(alone) == list(expected)
                 for name, value in expected.items():
@@ -407,12 +397,8 @@ class TestScorer:
         mask = half_mask(8, 8)
         for a, b in ((poisoned, good), (good, poisoned)):
             calls = [
-                lambda: mse(a, b),
-                lambda: mse(a, b, mask=mask),
-                lambda: psnr(a, b),
-                lambda: psnr(a, b, mask=mask),
-                lambda: ssim(a, b),
                 lambda: Scorer(b).score(a),
+                lambda: Scorer(b, mask).score(a),
                 lambda: Scorer(b, mask).score_many(np.stack([good, a, good])),
             ]
             for call in calls:
@@ -427,7 +413,7 @@ class TestScorer:
         with pytest.raises(ValidationError):
             Scorer(np.zeros((4, 4)))
         with pytest.raises(ValidationError):
-            mse(np.zeros((1, 0, 4)), np.zeros((1, 0, 4)))
+            Scorer(np.zeros((1, 0, 4)))
         with pytest.raises(ValidationError):
             Scorer(random_grid(1), np.ones((16, 16), dtype=bool))
         with pytest.raises(ValidationError):
