@@ -15,7 +15,6 @@ from .codec import (
     downsample_blockmean,
     dyadic_schedule,
     encode,
-    encode_with_residuals,
     upsample_replicate,
 )
 from .editing import (
@@ -23,7 +22,6 @@ from .editing import (
     EditResult,
     LambdaSchedule,
     edit_regeneration,
-    edit_target_only,
     edit_with_inverse_noise,
     lambda_at,
 )
@@ -31,11 +29,7 @@ from .errors import FormatError, InvariantError, ValidationError
 from .gumbel import ks_statistic
 from .inversion import (
     InverseNoiseSet,
-    gaussian_ar_apply,
-    gaussian_ar_invert,
     invert_pyramid,
-    located_inverse,
-    onehot_inverse,
     reconstruct_from_noise,
 )
 from .metrics import token_agreement
@@ -45,7 +39,6 @@ from .predictor import (
     ScaleStepper,
     condition_embed,
     generate,
-    next_scale_logits,
 )
 
 __version__ = "0.1.0"
@@ -69,19 +62,12 @@ __all__ = [
     "downsample_blockmean",
     "dyadic_schedule",
     "edit_regeneration",
-    "edit_target_only",
     "edit_with_inverse_noise",
     "encode",
-    "encode_with_residuals",
-    "gaussian_ar_apply",
-    "gaussian_ar_invert",
     "generate",
     "invert_pyramid",
     "ks_statistic",
     "lambda_at",
-    "located_inverse",
-    "next_scale_logits",
-    "onehot_inverse",
     "reconstruct_from_noise",
     "token_agreement",
     "upsample_replicate",

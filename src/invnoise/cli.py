@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -184,9 +183,13 @@ def cmd_invert(args) -> int:
     digest = config_digest(cfg)
     seed = cfg.edit.seed
     grid, _ = _resolve_grid(args.grid, params)
-    label = cfg.edit.target_label if args.condition == "target" else cfg.edit.source_label
+    # the label and default margin of the mode that edits with this noise
+    if args.condition == "target":
+        label, default_tau = cfg.edit.target_label, editing.TARGET_ONLY_DEFAULT_TAU
+    else:
+        label, default_tau = cfg.edit.source_label, editing.DEFAULT_TAU
     cond = condition_embed(label, params)
-    tau = cfg.edit.tau if cfg.edit.tau is not None else editing.DEFAULT_TAU
+    tau = cfg.edit.tau if cfg.edit.tau is not None else default_tau
     pyramid = encode(grid, params.codebook, params.schedule)
     noise_set = invert_pyramid(pyramid, cond, tau, params, seed, kind=args.kind)
     out = _out_dir(cfg)
@@ -311,6 +314,8 @@ def cmd_sweep(args) -> int:
     chunks = [sweep.seeds[i : i + width] for i in range(0, len(sweep.seeds), width)]
     workers = min(args.workers, len(chunks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded at start-up
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(chunk_task, chunks))
     else:
@@ -398,7 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="extract an inverse-noise set from a grid")
     common(p)
     p.add_argument("--kind", choices=(KIND_LAI, KIND_OAI), default=KIND_LAI)
-    p.add_argument("--tau", type=float, help="override the inversion margin")
+    p.add_argument(
+        "--tau",
+        type=float,
+        help="override the inversion margin (default 18, or 12 under --condition target)",
+    )
     p.add_argument(
         "--condition",
         choices=("source", "target"),

@@ -202,14 +202,13 @@ def validate_grid(grid: np.ndarray, codebook: Codebook, schedule: ScaleSchedule)
     return grid
 
 
-def validate_pyramid(
-    pyramid, codebook: Codebook, schedule: ScaleSchedule, num_scales: int | None = None
-):
-    """Check a pyramid, or its first ``num_scales`` scales, against the
-    schedule and codebook; returns the maps as int32 arrays."""
-    expect = schedule.num_scales if num_scales is None else num_scales
-    if len(pyramid) != expect:
-        raise ValidationError(f"pyramid has {len(pyramid)} scales, expected {expect}")
+def validate_pyramid(pyramid, codebook: Codebook, schedule: ScaleSchedule):
+    """Check a pyramid against the schedule and codebook; returns the maps
+    as int32 arrays."""
+    if len(pyramid) != schedule.num_scales:
+        raise ValidationError(
+            f"pyramid has {len(pyramid)} scales, expected {schedule.num_scales}"
+        )
     out = []
     for tokens, (h, w) in zip(pyramid, schedule.resolutions):
         tokens = np.asarray(tokens)
@@ -223,30 +222,17 @@ def validate_pyramid(
     return out
 
 
-def encode_with_residuals(
-    grid: np.ndarray, codebook: Codebook, schedule: ScaleSchedule
-) -> tuple[list[np.ndarray], list[float]]:
-    """Encode and report the residual energy before and after each scale.
-
-    Returns (pyramid, energies) where energies has num_scales + 1 entries:
-    the sum of squares of the residual before scale 1, after scale 1, ...
-    """
+def encode(grid: np.ndarray, codebook: Codebook, schedule: ScaleSchedule) -> list[np.ndarray]:
+    """Feature grid -> token pyramid (one (h, w) int map per scale)."""
     residual = validate_grid(grid, codebook, schedule).copy()
     finest = schedule.finest
-    pyramid: list[np.ndarray] = []
-    energies = [float(np.sum(residual**2))]
+    pyramid = []
     for h, w in schedule.resolutions:
         coarse = downsample_blockmean(residual, (h, w))
         tokens = quantize_cells(np.moveaxis(coarse, 0, -1), codebook)
         residual -= upsample_replicate(embed_tokens(tokens, codebook), finest)
         pyramid.append(tokens)
-        energies.append(float(np.sum(residual**2)))
-    return pyramid, energies
-
-
-def encode(grid: np.ndarray, codebook: Codebook, schedule: ScaleSchedule) -> list[np.ndarray]:
-    """Feature grid -> token pyramid (one (h, w) int map per scale)."""
-    return encode_with_residuals(grid, codebook, schedule)[0]
+    return pyramid
 
 
 def decode(pyramid, codebook: Codebook, schedule: ScaleSchedule) -> np.ndarray:

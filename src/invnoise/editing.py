@@ -32,9 +32,10 @@ chunk of seeds with a leading seed axis through the keyed draws, the
 inversion step (:func:`~invnoise.inversion.invert_scale`, called scale
 by scale and only at the margins some edit mixes in with nonzero
 lambda, so no whole noise set is held), the edit mix, the stepper
-logits and the argmax.  The three single-edit functions run one config
-at its own seed; ``invnoise sweep`` runs many configs over chunks of
-:func:`seed_chunk_width` seeds.
+logits and the argmax.  ``invnoise edit`` runs one config at its own
+seed, as do the single-edit functions ``edit_with_inverse_noise`` and
+``edit_regeneration``; ``invnoise sweep`` runs many configs over chunks
+of :func:`seed_chunk_width` seeds.
 """
 
 from __future__ import annotations
@@ -401,15 +402,3 @@ def edit_regeneration(
     [[result]] = SeedSweep(source_grid, (config,), MODE_REGEN, params).run((seed,))
     return result
 
-
-def edit_target_only(
-    source_grid: np.ndarray,
-    config: EditConfig,
-    params: PredictorParams,
-    noise_set: Optional[InverseNoiseSet] = None,
-) -> EditResult:
-    """Variant that extracts the inverse noise under the target condition."""
-    [[result]] = SeedSweep(source_grid, (config,), MODE_TARGET_ONLY, params, noise_set).run(
-        (config.seed,)
-    )
-    return result

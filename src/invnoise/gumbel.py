@@ -2,19 +2,20 @@
 
 Standard and located sampling, closed-form truncated sampling, argmax
 (Gumbel-max) categorical sampling, and the Kolmogorov-Smirnov statistic
-used to judge how Gumbel-like a batch of values is.
+against the Gumbel CDF, used to judge how Gumbel-like a batch of values
+is.
 
-Each transform is a ``*_from_uniform`` function that maps explicit
-uniform draws through the closed form (pure math, easy to pin in
-tests).  Keyed uniforms come from :func:`invnoise.rng.uniform_values`:
-``standard_field`` and ``sample_token_map`` draw whole (h, w, C)
-fields, and the located and truncated draws of the inversion are keyed
-in :mod:`invnoise.inversion`.
+The standard and located transforms map explicit uniform draws through
+their closed forms (pure math, easy to pin in tests); the truncated
+transform takes its draws as log(-log u), which the inversion computes
+once for every margin.  Keyed uniforms come from
+:func:`invnoise.rng.uniform_values`: ``standard_field`` and
+``sample_token_map`` draw whole (h, w, C) fields, and the located and
+truncated draws of the inversion are keyed in :mod:`invnoise.inversion`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Union
 
 import numpy as np
@@ -38,23 +39,16 @@ def located_from_uniform(phi, u):
     return phi + standard_from_uniform(u)
 
 
-def truncated_from_uniform(phi, trunc, u):
-    """Gumbel(phi, 1) conditioned on being <= trunc.
-
-    Closed form phi - log(exp(phi - trunc) - log u); see
-    ``truncated_from_loglog``.
-    """
-    return truncated_from_loglog(phi, trunc, np.log(-np.log(u)))
-
-
 def truncated_from_loglog(phi, trunc, loglog):
-    """``truncated_from_uniform`` given loglog = log(-log u).
+    """Gumbel(phi, 1) conditioned on being <= trunc, given the draw as
+    loglog = log(-log u) for u in (0,1).
 
-    The closed form is computed as phi - logaddexp(phi - trunc, loglog),
-    so exp(phi - trunc) never overflows, then clamped so the bound holds
-    exactly in float64.  loglog does not depend on phi or trunc, so draws
-    transformed once serve every bound.  The steps write into one buffer
-    of the broadcast shape; a 0-d result comes back as a numpy scalar.
+    The closed form phi - log(exp(phi - trunc) - log u) is computed as
+    phi - logaddexp(phi - trunc, loglog), so exp(phi - trunc) never
+    overflows, then clamped so the bound holds exactly in float64.
+    loglog does not depend on phi or trunc, so draws transformed once
+    serve every bound.  The steps write into one buffer of the broadcast
+    shape; a 0-d result comes back as a numpy scalar.
     """
     phi = np.asarray(phi, dtype=np.float64)
     trunc = np.asarray(trunc, dtype=np.float64)
@@ -113,48 +107,20 @@ def gumbel_cdf(z, loc: float = 0.0):
         return np.exp(-np.exp(-(np.asarray(z, dtype=np.float64) - loc)))
 
 
-def truncated_gumbel_cdf(z, loc: float, trunc: float):
-    """CDF of Gumbel(loc, 1) conditioned on <= trunc."""
-    z = np.asarray(z, dtype=np.float64)
-    out = gumbel_cdf(np.minimum(z, trunc), loc) / gumbel_cdf(trunc, loc)
-    return out
-
-
-_erf = np.vectorize(math.erf, otypes=[np.float64])
-
-
-def normal_cdf(z):
-    return 0.5 * (1.0 + _erf(np.asarray(z, dtype=np.float64) / math.sqrt(2.0)))
-
-
-def uniform_cdf(z):
-    return np.clip(np.asarray(z, dtype=np.float64), 0.0, 1.0)
-
-
-_NAMED_CDFS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "gumbel": gumbel_cdf,
-    "uniform": uniform_cdf,
-    "normal": normal_cdf,
-}
-
-
 def ks_statistic(samples, cdf: Union[str, Callable[[np.ndarray], np.ndarray]]) -> float:
     """Sup-distance between the empirical CDF of samples and a reference.
 
-    ``cdf`` is either a named reference ("gumbel", "uniform", "normal")
-    or a callable mapping values to cumulative probabilities.
+    ``cdf`` is "gumbel" (the standard Gumbel law) or a callable mapping
+    values to cumulative probabilities.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if x.size == 0:
         raise ValidationError("ks_statistic needs at least one sample")
     if isinstance(cdf, str):
-        try:
-            cdf_fn = _NAMED_CDFS[cdf]
-        except KeyError:
-            raise ValidationError(f"unknown cdf identifier {cdf!r}") from None
-    else:
-        cdf_fn = cdf
-    f = np.asarray(cdf_fn(x), dtype=np.float64)
+        if cdf != "gumbel":
+            raise ValidationError(f"unknown cdf identifier {cdf!r}")
+        cdf = gumbel_cdf
+    f = np.asarray(cdf(x), dtype=np.float64)
     n = x.size
     steps = np.arange(n, dtype=np.float64)
     d_plus = np.max((steps + 1.0) / n - f)

@@ -30,20 +30,17 @@ its noise float32-exact values (in float64 arrays, so edit mixes stay
 float64) whose replay keeps every margin, so a float32 noise file holds
 the noise as it is and memory and disk give the same tokens.
 
-Inputs are checked where they enter: ``onehot_inverse`` and
-``located_inverse`` check their tokens, logits and margin,
-``invert_pyramid`` its margin, kind and pyramid, and
-``validate_noise_set`` is the one shape check for noise sets that come
-from outside.  The step itself takes what its callers checked.
-
-A continuous reference inversion for Gaussian autoregressive sequences
-lives at the bottom of the module.
+Inputs are checked where they enter: ``invert_pyramid`` checks its
+margin, kind and pyramid, edit configs check their margin
+(``check_tau``), and ``validate_noise_set`` is the one shape check for
+noise sets that come from outside.  The step itself takes what its
+callers checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -65,32 +62,8 @@ KIND_LAI = "lai"
 KIND_OAI = "oai"
 
 
-def _check_token_inputs(tokens: np.ndarray, logits: np.ndarray):
-    tokens = np.asarray(tokens)
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 3:
-        raise ValidationError("logits must be (h, w, C)")
-    if tokens.shape != logits.shape[:2]:
-        raise ValidationError(
-            f"token map shape {tokens.shape} does not match logits {logits.shape[:2]}"
-        )
-    if not np.issubdtype(tokens.dtype, np.integer):
-        raise ValidationError("token maps must be integer arrays")
-    C = logits.shape[2]
-    if np.any(tokens < 0) or np.any(tokens >= C):
-        raise ValidationError("token index out of range")
-    if not np.all(np.isfinite(logits)):
-        raise ValidationError("logits must be finite")
-    return tokens, logits
-
-
-def onehot_inverse(tokens: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """Perturbed logits q with q[label] = 0 and NEG_SENTINEL elsewhere."""
-    tokens, logits = _check_token_inputs(tokens, logits)
-    return _onehot(tokens, logits.shape)
-
-
 def _onehot(tokens: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """Perturbed logits q with q[label] = 0 and NEG_SENTINEL elsewhere."""
     q = np.full(shape, NEG_SENTINEL)
     h, w = tokens.shape
     rows, cols = np.arange(h)[:, None], np.arange(w)
@@ -149,19 +122,6 @@ def _keyed_uniforms(seed, scale: int, shape: tuple[int, int, int]):
         np.arange(C)[None, None, :],
     )
     return u_label, u_off
-
-
-def located_inverse(
-    tokens: np.ndarray,
-    logits: np.ndarray,
-    tau: float,
-    seed: int,
-    scale: int,
-) -> np.ndarray:
-    """Located inversion with keyed uniforms for one scale."""
-    tokens, logits = _check_token_inputs(tokens, logits)
-    taus = (check_tau(tau),)
-    return next(_located_inverses(tokens, logits, taus, *_keyed_uniforms(seed, scale, logits.shape)))
 
 
 def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float) -> np.ndarray:
@@ -333,44 +293,3 @@ def reconstruct_from_noise(
         stepper.push(tokens)
         pyramid.append(tokens)
     return pyramid
-
-
-# --- continuous Gaussian reference ------------------------------------------
-
-
-def gaussian_ar_invert(
-    x, mu_sigma: Callable[[np.ndarray], tuple[float, float]]
-) -> np.ndarray:
-    """Invert a Gaussian autoregressive sequence to its driving noise.
-
-    ``mu_sigma(prefix)`` returns the conditional mean and standard
-    deviation of the next step given the prefix.  The inverse noise is
-    eps_t = (x_t - mu_t) / sigma_t; each step depends only on x_{<t}, so
-    all steps can be recovered independently.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValidationError("x must be a non-empty 1-D sequence")
-    eps = np.empty_like(x)
-    for t in range(x.size):
-        mu, sigma = mu_sigma(x[:t])
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise ValidationError(f"sigma at step {t} must be positive")
-        eps[t] = (x[t] - mu) / sigma
-    return eps
-
-
-def gaussian_ar_apply(
-    eps, mu_sigma: Callable[[np.ndarray], tuple[float, float]]
-) -> np.ndarray:
-    """Drive the Gaussian autoregression forward: x_t = mu_t + sigma_t * eps_t."""
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.ndim != 1 or eps.size == 0:
-        raise ValidationError("eps must be a non-empty 1-D sequence")
-    x = np.empty_like(eps)
-    for t in range(eps.size):
-        mu, sigma = mu_sigma(x[:t])
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise ValidationError(f"sigma at step {t} must be positive")
-        x[t] = mu + sigma * eps[t]
-    return x

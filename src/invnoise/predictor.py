@@ -14,9 +14,8 @@ embedding instead of a decode of the whole prefix, and ``fork`` copies
 it for another walk under the same condition.  Pushing a stack of S
 token maps turns it into S walks that share that prefix (a leading seed
 axis on the canvas and the logits).  Generation, inversion, replay and
-editing all drive it; ``next_scale_logits`` is the one-shot form for a
-given prefix, and ``generate`` samples a pyramid scale by scale with
-keyed Gumbel-max draws.
+editing all drive it, and ``generate`` samples a pyramid scale by scale
+with keyed Gumbel-max draws.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .codec import (
     embed_tokens,
     squared_distances,
     upsample_replicate,
-    validate_pyramid,
 )
 from .errors import ValidationError
 from .gumbel import sample_token_map
@@ -123,11 +121,10 @@ class ScaleStepper:
     ``next_scale_logits`` gives the logits of the current scale,
     ``scale`` (1-based); ``push`` appends that scale's (h, w) token map
     and moves on.  The canvas adds the replicated embeddings in scale
-    order onto zeros, the same sums a full prefix decode makes, so the
-    logits match the one-shot form bit for bit, and after the last scale
-    ``canvas`` is the decoded grid.  Pushing (S, h, w) maps gives the
-    canvas, and every later logits array, a leading axis of S walks, each
-    equal to its own single walk.  Tokens are taken as given: callers
+    order onto zeros, the same sums a full prefix decode makes, so after
+    the last scale ``canvas`` is the decoded grid.  Pushing (S, h, w)
+    maps gives the canvas, and every later logits array, a leading axis
+    of S walks, each equal to its own single walk.  Tokens are taken as given: callers
     validate pyramids at their own boundary.  Construction rejects params
     whose logits under ``cond`` could overflow, for any prefix, so no
     scale checks its logits.
@@ -171,23 +168,6 @@ class ScaleStepper:
         other = copy.copy(self)
         other._canvas = self._canvas.copy()
         return other
-
-
-def next_scale_logits(
-    prefix, cond: Condition, k: int, params: PredictorParams
-) -> np.ndarray:
-    """(h_k, w_k, C) unnormalized log-probabilities for scale k.
-
-    Depends only on scales < k of ``prefix`` (which must contain exactly
-    those scales), the condition, and the parameters.
-    """
-    schedule = params.schedule
-    if not 1 <= k <= schedule.num_scales:
-        raise ValidationError(f"scale index {k} outside 1..{schedule.num_scales}")
-    stepper = ScaleStepper(cond, params)
-    for tokens in validate_pyramid(prefix, params.codebook, schedule, k - 1):
-        stepper.push(tokens)
-    return stepper.next_scale_logits()
 
 
 def generate(cond: Condition, params: PredictorParams, seed: int) -> list[np.ndarray]:

@@ -1,12 +1,16 @@
-"""Shared fixtures: default toy configuration and fuzz-input builders."""
+"""Shared fixtures: default toy configuration, fuzz inputs, and
+test-side references (prefix logits, the truncated transform of uniforms,
+residual energies, the Gaussian autoregressive inversion)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from invnoise.codec import default_codebook, dyadic_schedule
-from invnoise.predictor import PredictorParams, condition_embed
+from invnoise.codec import default_codebook, dyadic_schedule, embed_tokens, upsample_replicate
+from invnoise.errors import ValidationError
+from invnoise.gumbel import truncated_from_loglog
+from invnoise.predictor import PredictorParams, ScaleStepper, condition_embed
 from invnoise.rng import normal_values
 
 
@@ -46,3 +50,58 @@ def random_grid(seed: int, dim: int = 4, size: int = 16, amplitude: float = 0.6)
         np.arange(dim)[None, None, :],
     )
     return amplitude * np.moveaxis(field, -1, 0)
+
+
+def walk_logits(prefix, cond, params) -> np.ndarray:
+    """Logits of the scale after ``prefix`` (the scales before it), from a
+    ScaleStepper walked over the prefix."""
+    stepper = ScaleStepper(cond, params)
+    for tokens in prefix:
+        stepper.push(tokens)
+    return stepper.next_scale_logits()
+
+
+def truncated_gumbel(phi, trunc, u):
+    """Gumbel(phi, 1) conditioned on <= trunc, from uniforms u in (0,1)."""
+    return truncated_from_loglog(phi, trunc, np.log(-np.log(u)))
+
+
+def residual_energies(grid, pyramid, codebook, schedule) -> list[float]:
+    """Sum of squares of grid minus the partial decode of the first k
+    scales, for k = 0 .. K."""
+    residual = np.array(grid, dtype=np.float64)
+    energies = [float(np.sum(residual**2))]
+    for tokens in pyramid:
+        residual -= upsample_replicate(embed_tokens(tokens, codebook), schedule.finest)
+        energies.append(float(np.sum(residual**2)))
+    return energies
+
+
+def gaussian_ar_invert(x, mu_sigma) -> np.ndarray:
+    """Invert a Gaussian autoregressive sequence to its driving noise.
+
+    ``mu_sigma(prefix)`` returns the conditional mean and standard
+    deviation of the next step given the prefix.  The inverse noise is
+    eps_t = (x_t - mu_t) / sigma_t; each step depends only on x_{<t}, so
+    all steps can be recovered independently.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    eps = np.empty_like(x)
+    for t in range(x.size):
+        mu, sigma = mu_sigma(x[:t])
+        if not (np.isfinite(sigma) and sigma > 0):
+            raise ValidationError(f"sigma at step {t} must be positive")
+        eps[t] = (x[t] - mu) / sigma
+    return eps
+
+
+def gaussian_ar_apply(eps, mu_sigma) -> np.ndarray:
+    """Drive the Gaussian autoregression forward: x_t = mu_t + sigma_t * eps_t."""
+    eps = np.asarray(eps, dtype=np.float64)
+    x = np.empty_like(eps)
+    for t in range(eps.size):
+        mu, sigma = mu_sigma(x[:t])
+        if not (np.isfinite(sigma) and sigma > 0):
+            raise ValidationError(f"sigma at step {t} must be positive")
+        x[t] = mu + sigma * eps[t]
+    return x

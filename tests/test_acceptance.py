@@ -13,7 +13,7 @@ import scipy.stats
 
 from invnoise import metrics
 from invnoise.cli import EXIT_OK, main
-from invnoise.codec import ScaleSchedule, decode, encode, encode_with_residuals
+from invnoise.codec import ScaleSchedule, decode, encode
 from invnoise.demo import demo_scene
 from invnoise.editing import (
     EditConfig,
@@ -21,19 +21,24 @@ from invnoise.editing import (
     edit_regeneration,
     edit_with_inverse_noise,
 )
-from invnoise.gumbel import ks_statistic, truncated_from_uniform
+from invnoise.gumbel import ks_statistic
 from invnoise.inversion import (
     KIND_LAI,
     KIND_OAI,
-    gaussian_ar_apply,
-    gaussian_ar_invert,
     invert_pyramid,
     reconstruct_from_noise,
 )
-from invnoise.predictor import condition_embed, generate, next_scale_logits
+from invnoise.predictor import condition_embed, generate
 from invnoise.rng import uniform_values
 
-from conftest import random_grid
+from conftest import (
+    gaussian_ar_apply,
+    gaussian_ar_invert,
+    random_grid,
+    residual_energies,
+    truncated_gumbel,
+    walk_logits,
+)
 from test_metrics import naive_mse, naive_psnr, naive_ssim
 
 
@@ -96,9 +101,9 @@ def test_criterion_02_truncation_bound():
     phi[::10] *= 1e4
     trunc[1::10] *= 1e4
     u = uniform_values(200, 3, 0, idx, 0, 0)
-    values = truncated_from_uniform(phi, trunc, u)
+    values = truncated_gumbel(phi, trunc, u)
     violations = int(np.sum(values > trunc))
-    anchor = truncated_from_uniform(0.0, 0.0, math.exp(-1.0))
+    anchor = truncated_gumbel(0.0, 0.0, math.exp(-1.0))
     anchor_ok = abs(anchor - (-math.log(2.0))) <= 1e-12
     report(
         2,
@@ -129,7 +134,7 @@ def test_criterion_03_margin_law(params):
             noise_set = invert_pyramid(pyramid, cond, tau, params, seed=400 + i)
             count += 1
             for t, noise in enumerate(noise_set.noises, start=1):
-                logits = next_scale_logits(pyramid[: t - 1], cond, t, params)
+                logits = walk_logits(pyramid[: t - 1], cond, params)
                 perturbed = logits + noise
                 tokens = pyramid[t - 1]
                 rows, cols = np.meshgrid(
@@ -300,7 +305,7 @@ def test_criterion_09_gaussian_inversion():
     eps = gaussian_ar_invert(x, mu_sigma)
     x_again = gaussian_ar_apply(eps, mu_sigma)
     rel = float(np.max(np.abs(x_again - x) / np.maximum(np.abs(x), 1e-300)))
-    ks = ks_statistic(eps, "normal")
+    ks = ks_statistic(eps, scipy.stats.norm.cdf)
     report(9, rel <= 1e-12 and ks <= 0.02, f"round-trip rel err {rel:.2e}, KS {ks:.4f}")
 
 
@@ -341,7 +346,8 @@ def test_criterion_10_codec_invariants(params):
     energy_ok = compare_ok = True
     for i in range(500):
         grid = corpus_grid(i, params)
-        pyramid, energies = encode_with_residuals(grid, params.codebook, params.schedule)
+        pyramid = encode(grid, params.codebook, params.schedule)
+        energies = residual_energies(grid, pyramid, params.codebook, params.schedule)
         energy_ok &= all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
         multi = decode(pyramid, params.codebook, params.schedule)
         one = decode(

@@ -1,7 +1,11 @@
 """CLI harness: end-to-end commands, exit codes, byte-level determinism."""
 
+import concurrent.futures
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -320,17 +324,23 @@ class TestEdit:
     @pytest.mark.parametrize("scene", ["scene-a", "scene-b"])
     @pytest.mark.parametrize("mode", ["varin", "target-only"])
     def test_auto_invert_equals_noise_file(self, tmp_path, mode, scene):
-        """At lambda 1 from scale 1 and tau 0 every scale replays the
-        inverted noise's thinnest margins; the noise file gives the same
-        edit as inverting in memory."""
+        """The noise file gives the same edit as inverting in memory: at
+        lambda 1 from scale 1 and tau 0, where every scale replays the
+        inverted noise's thinnest margins, and with tau and lambda left at
+        their defaults, where `invert` takes the margin of the mode."""
         condition = "source" if mode == "varin" else "target"
-        common = ["--grid", f"demo:{scene}", "--seed", 4, "--tau", 0]
-        edit = ["edit", *common, "--mode", mode, "--lambda", 1, "--start-scale", 1]
-        inv, auto, file = tmp_path / "inv", tmp_path / "auto", tmp_path / "file"
-        assert run("invert", *common, "--condition", condition, "--out", inv) == EXIT_OK
-        assert run(*edit, "--auto-invert", "--out", auto) == EXIT_OK
-        assert run(*edit, "--noise", inv / "noise.nsn", "--out", file) == EXIT_OK
-        assert (auto / "edited.nsp").read_bytes() == (file / "edited.nsp").read_bytes()
+        cases = {
+            "thin": (["--seed", 4, "--tau", 0], ["--lambda", 1, "--start-scale", 1]),
+            "defaults": (["--seed", 3], []),
+        }
+        for name, (common, options) in cases.items():
+            common = ["--grid", f"demo:{scene}", *common]
+            edit = ["edit", *common, "--mode", mode, *options]
+            inv, auto, file = (tmp_path / f"{name}-{step}" for step in ("inv", "auto", "file"))
+            assert run("invert", *common, "--condition", condition, "--out", inv) == EXIT_OK
+            assert run(*edit, "--auto-invert", "--out", auto) == EXIT_OK
+            assert run(*edit, "--noise", inv / "noise.nsn", "--out", file) == EXIT_OK
+            assert (auto / "edited.nsp").read_bytes() == (file / "edited.nsp").read_bytes(), name
 
     def test_missing_noise_is_validation_error(self, tmp_path):
         assert (
@@ -512,7 +522,7 @@ class TestSweep:
         """One score_many call per chunk of seeds scores every value at
         every seed of the chunk, and nothing else is scored.  The chunks
         run in this process: the pool only records its size."""
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         batches = []
         score_many = metrics.Scorer.score_many
@@ -538,7 +548,7 @@ class TestSweep:
     @pytest.mark.parametrize("workers,seeds,started", [(64, 3, [3]), (2, 3, [2]), (5, 1, [])])
     def test_workers_capped_at_seed_count(self, tmp_path, monkeypatch, workers, seeds, started):
         """No process is started here: the pool only records its size."""
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         cfg = sweep_config(tmp_path, "lambda", "0.5", mode="regen", seeds=f"0:{seeds}")
         out = tmp_path / "s"
@@ -618,6 +628,21 @@ class TestSweep:
         out = tmp_path / "s"
         assert run("sweep", "--config", cfg, "--out", out) == EXIT_VALIDATION
         assert not (out / "sweep.csv").exists()
+
+
+def test_import_leaves_out_the_worker_pool():
+    """Importing the CLI loads no process pool: only ``sweep --workers N``
+    with N > 1 starts one, and it imports it there."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    probe = (
+        "import sys, invnoise.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestSeedRange:

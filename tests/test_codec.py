@@ -14,14 +14,13 @@ from invnoise.codec import (
     dyadic_schedule,
     encode,
     embed_tokens,
-    encode_with_residuals,
     quantize_cells,
     squared_distances,
     upsample_replicate,
 )
 from invnoise.errors import ValidationError
 
-from conftest import random_grid
+from conftest import random_grid, residual_energies
 
 
 def naive_encode(grid, codebook, schedule):
@@ -205,7 +204,8 @@ class TestEncodeDecode:
 
     def test_matches_naive_oracle(self, codebook, schedule):
         grid = random_grid(19)
-        pyramid, energies = encode_with_residuals(grid, codebook, schedule)
+        pyramid = encode(grid, codebook, schedule)
+        energies = residual_energies(grid, pyramid, codebook, schedule)
         ref_pyramid, ref_energies = naive_encode(grid, codebook, schedule)
         for ours, ref in zip(pyramid, ref_pyramid):
             assert np.array_equal(ours, ref)
@@ -213,7 +213,9 @@ class TestEncodeDecode:
 
     def test_residual_energy_non_increasing(self, codebook, schedule):
         for seed in range(20):
-            _, energies = encode_with_residuals(random_grid(seed), codebook, schedule)
+            grid = random_grid(seed)
+            pyramid = encode(grid, codebook, schedule)
+            energies = residual_energies(grid, pyramid, codebook, schedule)
             assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
 
     def test_decode_zero_pyramid(self, codebook, schedule):
@@ -263,5 +265,5 @@ class TestEncodeDecode:
            amplitude=st.floats(min_value=0.0, max_value=4.0))
     def test_energy_law_property(self, codebook, schedule, seed, amplitude):
         grid = random_grid(seed, amplitude=amplitude)
-        _, energies = encode_with_residuals(grid, codebook, schedule)
+        energies = residual_energies(grid, encode(grid, codebook, schedule), codebook, schedule)
         assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))

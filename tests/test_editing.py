@@ -24,7 +24,6 @@ from invnoise.editing import (
     SeedSweep,
     default_start_scale,
     edit_regeneration,
-    edit_target_only,
     edit_with_inverse_noise,
     lambda_at,
     seed_chunk_width,
@@ -32,10 +31,10 @@ from invnoise.editing import (
 from invnoise.errors import ValidationError
 from invnoise.inversion import invert_pyramid
 from invnoise.gumbel import standard_from_uniform
-from invnoise.predictor import PredictorParams, condition_embed, next_scale_logits
+from invnoise.predictor import PredictorParams, condition_embed
 from invnoise.rng import PURPOSE_EDIT_NOISE, PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, uniform_values
 
-from conftest import random_grid
+from conftest import random_grid, walk_logits
 
 SRC = "red brick house among pines"
 TGT = "blue glass tower among pines"
@@ -143,7 +142,7 @@ class TestMixingMatchesReference:
         result = edit_with_inverse_noise(grid, cfg, params, noise_set)
         target = condition_embed(TGT, params)
         for k in range(2, params.schedule.num_scales + 1):
-            logits = next_scale_logits(list(result.pyramid[: k - 1]), target, k, params)
+            logits = walk_logits(result.pyramid[: k - 1], target, params)
             h, w, c = logits.shape
             u = uniform_values(
                 4,
@@ -218,6 +217,13 @@ class TestMonotonePreservation:
         assert means[1] <= means[0]
 
 
+def target_only_edit(grid, cfg, params, noise_set=None):
+    """A target-only edit of one config at its seed: a one-seed
+    ``SeedSweep`` run."""
+    [[result]] = SeedSweep(grid, (cfg,), MODE_TARGET_ONLY, params, noise_set).run((cfg.seed,))
+    return result
+
+
 class TestTargetOnly:
     def test_reconstruction_is_condition_independent(self, params):
         """lambda = 1, start 1: exact replay even though the inversion
@@ -231,14 +237,14 @@ class TestTargetOnly:
             lambda_schedule=LambdaSchedule(kind="constant", value=1.0),
             seed=4,
         )
-        result = edit_target_only(grid, cfg, params)
+        result = target_only_edit(grid, cfg, params)
         assert all(np.array_equal(a, b) for a, b in zip(result.pyramid, source_pyramid))
 
     def test_coincides_with_main_pipeline_on_equal_labels(self, params):
         grid = random_grid(78)
         cfg = EditConfig(source_label=TGT, target_label=TGT, tau=12.0, seed=6)
         main = edit_with_inverse_noise(grid, cfg, params)
-        only = edit_target_only(grid, cfg, params)
+        only = target_only_edit(grid, cfg, params)
         assert all(np.array_equal(a, b) for a, b in zip(main.pyramid, only.pyramid))
 
     def test_lower_default_tau(self, params):
@@ -269,7 +275,7 @@ class TestValidation:
         result = edit_with_inverse_noise(grid, cfg, params)
         assert [t.shape for t in result.pyramid] == list(params.schedule.resolutions)
 
-    @pytest.mark.parametrize("edit", [edit_with_inverse_noise, edit_target_only])
+    @pytest.mark.parametrize("edit", [edit_with_inverse_noise, target_only_edit])
     def test_noise_shape_mismatch(self, params, edit):
         """A noise set from another vocab or schedule is rejected up front."""
         grid = random_grid(81)
@@ -295,7 +301,7 @@ def single_edit(grid, cfg, mode, params, noise_set=None):
         if start is None:
             start = default_start_scale(params.schedule.num_scales)
         return edit_regeneration(grid, cfg.target_label, start, params, cfg.seed)
-    single = edit_target_only if mode == MODE_TARGET_ONLY else edit_with_inverse_noise
+    single = target_only_edit if mode == MODE_TARGET_ONLY else edit_with_inverse_noise
     return single(grid, cfg, params, noise_set)
 
 
@@ -332,7 +338,7 @@ class TestEditBatch:
 
     @pytest.mark.parametrize(
         "mode,single",
-        [(MODE_VARIN, edit_with_inverse_noise), (MODE_TARGET_ONLY, edit_target_only)],
+        [(MODE_VARIN, edit_with_inverse_noise), (MODE_TARGET_ONLY, target_only_edit)],
     )
     def test_noise_guided_matches_single(self, params, mode, single):
         grid = demo_scene("scene-a", params)[0]
@@ -488,7 +494,7 @@ def reference_edit(grid, cfg, mode, params, seed):
         if mode != MODE_REGEN:
             lam = lambda_at(cfg.lambda_schedule, t, cfg.start_scale, num_scales)
         prefix = source if cfg.context_mode == CONTEXT_SOURCE else pyramid
-        logits = next_scale_logits(prefix[: t - 1], target, t, params)
+        logits = walk_logits(prefix[: t - 1], target, params)
         h, w, c = logits.shape
         u = uniform_values(
             seed,

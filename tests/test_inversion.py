@@ -4,27 +4,26 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invnoise.codec import encode
 from invnoise.errors import InvariantError, ValidationError
-from invnoise.gumbel import ks_statistic, located_from_uniform, truncated_from_uniform
+from invnoise.gumbel import ks_statistic, located_from_uniform
 from invnoise.inversion import (
     KIND_LAI,
     KIND_OAI,
     NEG_SENTINEL,
+    _keyed_uniforms,
     _located_inverses,
+    _onehot,
     _tighten,
-    gaussian_ar_apply,
-    gaussian_ar_invert,
     invert_pyramid,
     invert_scale,
-    located_inverse,
-    onehot_inverse,
     reconstruct_from_noise,
 )
-from invnoise.predictor import PredictorParams, condition_embed, generate, next_scale_logits
+from invnoise.predictor import PredictorParams, condition_embed, generate
 from invnoise.rng import (
     PURPOSE_LABEL_DRAW,
     PURPOSE_TRUNC_DRAW,
@@ -32,7 +31,13 @@ from invnoise.rng import (
     uniform_values,
 )
 
-from conftest import random_grid
+from conftest import (
+    gaussian_ar_apply,
+    gaussian_ar_invert,
+    random_grid,
+    truncated_gumbel,
+    walk_logits,
+)
 
 E_INV = math.exp(-1.0)
 
@@ -43,11 +48,17 @@ def label_indices(tokens):
     return rows, cols, tokens
 
 
+def located_q(tokens, logits, tau, seed, scale):
+    """Perturbed logits of the located inversion under the keyed draws."""
+    uniforms = _keyed_uniforms(seed, scale, logits.shape)
+    return next(_located_inverses(tokens, logits, (tau,), *uniforms))
+
+
 class TestOnehotInverse:
     def test_definition(self):
         tokens = np.array([[0]], dtype=np.int32)
         logits = np.zeros((1, 1, 3))
-        q = onehot_inverse(tokens, logits)
+        q = _onehot(tokens, logits.shape)
         assert np.array_equal(q[0, 0], [0.0, NEG_SENTINEL, NEG_SENTINEL])
 
     def test_argmax_identity(self, params, source_cond):
@@ -55,8 +66,8 @@ class TestOnehotInverse:
         pyramid = generate(source_cond, params, seed=10)
         for k in (2, 4):
             tokens = pyramid[k - 1]
-            logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
-            q = onehot_inverse(tokens, logits)
+            logits = walk_logits(pyramid[: k - 1], source_cond, params)
+            q = _onehot(tokens, logits.shape)
             noise = q - logits
             assert np.array_equal(np.argmax(logits + noise, axis=-1), tokens)
 
@@ -65,14 +76,19 @@ class TestOnehotInverse:
         sentinel, which the Gumbel CDF puts at probability ~0."""
         tokens = np.zeros((4, 4), dtype=np.int32)
         logits = np.zeros((4, 4, 8))
-        noise = onehot_inverse(tokens, logits) - logits
+        noise = _onehot(tokens, logits.shape) - logits
         off_label = noise[:, :, 1:].ravel()
         assert np.all(off_label == NEG_SENTINEL)
         assert ks_statistic(off_label, "gumbel") >= 0.9999
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            onehot_inverse(np.zeros((2, 2), dtype=np.int32), np.zeros((1, 1, 3)))
+    def test_rejects_shape_mismatch(self, params, source_cond):
+        """The pyramid is checked where it enters the inversion: a map of
+        the wrong shape, or a prefix of the scales, is rejected."""
+        pyramid = generate(source_cond, params, seed=5)
+        narrow = [*pyramid[:2], pyramid[2][:, :2], *pyramid[3:]]
+        for bad in (narrow, pyramid[:3]):
+            with pytest.raises(ValidationError):
+                invert_pyramid(bad, source_cond, 0.0, params, seed=5, kind=KIND_OAI)
 
 
 class TestLocatedInverse:
@@ -92,8 +108,8 @@ class TestLocatedInverse:
             pyramid = generate(source_cond, params, seed=seed)
             for k in (1, 3, 5):
                 tokens = pyramid[k - 1]
-                logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
-                q = located_inverse(tokens, logits, 0.5, seed=seed, scale=k)
+                logits = walk_logits(pyramid[: k - 1], source_cond, params)
+                q = located_q(tokens, logits, 0.5, seed, k)
                 assert np.array_equal(np.argmax(q, axis=-1), tokens)
 
     def test_margin_at_default_tau(self, params, source_cond):
@@ -101,8 +117,8 @@ class TestLocatedInverse:
         pyramid = generate(source_cond, params, seed=30)
         k = 4
         tokens = pyramid[k - 1]
-        logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
-        q = located_inverse(tokens, logits, 18.0, seed=31, scale=k)
+        logits = walk_logits(pyramid[: k - 1], source_cond, params)
+        q = located_q(tokens, logits, 18.0, 31, k)
         rows, cols, labels = label_indices(tokens)
         q_label = q[rows, cols, labels]
         q_off = q.copy()
@@ -110,12 +126,11 @@ class TestLocatedInverse:
         margin = q_label - q_off.max(axis=-1)
         assert np.all(margin >= 18.0)
 
-    def test_rejects_negative_tau(self):
-        tokens = np.zeros((1, 1), dtype=np.int32)
-        logits = np.zeros((1, 1, 2))
-        with pytest.raises(ValidationError):
-            located_inverse(tokens, logits, -0.5, seed=1, scale=1)
 
+    def test_rejects_negative_tau(self, params, source_cond):
+        pyramid = generate(source_cond, params, seed=5)
+        with pytest.raises(ValidationError):
+            invert_pyramid(pyramid, source_cond, -0.5, params, seed=1)
 
 def tighten(tokens, logits, q, tau):
     """The tightened noise of perturbed logits q."""
@@ -158,8 +173,8 @@ class TestTighteningMatchesReference:
             pyramid = encode(random_grid(seed + 70), params.codebook, params.schedule)
             for k in range(1, params.schedule.num_scales + 1):
                 tokens = pyramid[k - 1]
-                logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
-                q = located_inverse(tokens, logits, tau, seed=seed, scale=k)
+                logits = walk_logits(pyramid[: k - 1], source_cond, params)
+                q = located_q(tokens, logits, tau, seed, k)
                 got = tighten(tokens, logits, q, tau)
                 assert np.array_equal(got, reference_tightening(tokens, logits, q, tau))
                 assert float32_exact(got)
@@ -168,8 +183,8 @@ class TestTighteningMatchesReference:
         pyramid = encode(random_grid(80), params.codebook, params.schedule)
         for k in range(1, params.schedule.num_scales + 1):
             tokens = pyramid[k - 1]
-            logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
-            q = onehot_inverse(tokens, logits)
+            logits = walk_logits(pyramid[: k - 1], source_cond, params)
+            q = _onehot(tokens, logits.shape)
             got = tighten(tokens, logits, q, 0.0)
             assert np.array_equal(got, reference_tightening(tokens, logits, q, 0.0))
 
@@ -253,7 +268,7 @@ class TestInvertPyramid:
         noise_set = invert_pyramid(pyramid, source_cond, tau, params, seed)
         for k in range(1, params.schedule.num_scales + 1):
             tokens = pyramid[k - 1]
-            logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            logits = walk_logits(pyramid[: k - 1], source_cond, params)
             h, w, C = logits.shape
             serial = np.empty((h, w, C))
             for i in range(h):
@@ -301,13 +316,13 @@ class TestInvertPyramid:
 
 
 def reference_invert(pyramid, cond, tau, params, seed, kind):
-    """One-margin inversion as first written: one-shot logits per scale,
+    """One-margin inversion as first written: a fresh walk per scale,
     the located draws spelled out with meshgrid keys."""
     noises = []
     for k, tokens in enumerate(pyramid, start=1):
-        logits = next_scale_logits(pyramid[: k - 1], cond, k, params)
+        logits = walk_logits(pyramid[: k - 1], cond, params)
         if kind == KIND_OAI:
-            noises.append(tighten(tokens, logits, onehot_inverse(tokens, logits), 0.0))
+            noises.append(tighten(tokens, logits, _onehot(tokens, logits.shape), 0.0))
             continue
         rows, cols, labels = label_indices(tokens)
         channels = np.arange(logits.shape[2])
@@ -316,7 +331,7 @@ def reference_invert(pyramid, cond, tau, params, seed, kind):
             seed, PURPOSE_TRUNC_DRAW, k, rows[:, :, None], cols[:, :, None], channels
         )
         q_label = located_from_uniform(logits[rows, cols, labels], u_label)
-        q = truncated_from_uniform(logits, (q_label - tau)[:, :, None], u_off)
+        q = truncated_gumbel(logits, (q_label - tau)[:, :, None], u_off)
         q[rows, cols, labels] = q_label
         noises.append(tighten(tokens, logits, q, tau))
     return noises
@@ -339,7 +354,7 @@ class TestInvertPyramids:
             pyramid = generate(source_cond, params, seed=seed)
             sets = [invert_pyramid(pyramid, source_cond, tau, params, seed, kind) for tau in taus]
             for k, tokens in enumerate(pyramid, start=1):
-                logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+                logits = walk_logits(pyramid[: k - 1], source_cond, params)
                 step = list(invert_scale(tokens, logits, taus, seed, k, kind))
                 assert len(step) == len(taus)
                 for tau, got, single in zip(taus, step, sets):
@@ -356,7 +371,7 @@ class TestInvertPyramids:
     def test_repeated_margin(self, params, source_cond):
         pyramid = generate(source_cond, params, seed=4)
         for k, tokens in enumerate(pyramid, start=1):
-            logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            logits = walk_logits(pyramid[: k - 1], source_cond, params)
             a, b = invert_scale(tokens, logits, (18.0, 18.0), 4, k)
             assert np.array_equal(a, b)
 
@@ -389,7 +404,7 @@ class TestInvertScaleSeeds:
     def test_seed_array_equals_per_seed(self, params, source_cond, beta, kind):
         params = PredictorParams(params.codebook, params.schedule, beta=beta)
         pyramid = generate(source_cond, params, seed=4)
-        logits = next_scale_logits(pyramid[:3], source_cond, 4, params)
+        logits = walk_logits(pyramid[:3], source_cond, params)
         seeds = [0, 9, 2**64 - 1]
         taus = [18.0, 0.0, 14.0]
         got = list(invert_scale(pyramid[3], logits, taus, seed_array(seeds), 4, kind))
@@ -402,7 +417,7 @@ class TestInvertScaleSeeds:
         pyramid = generate(source_cond, params, seed=6)
         sets = [invert_pyramid(pyramid, source_cond, tau, params, seed=6) for tau in (14.0, 18.0)]
         for k in range(1, params.schedule.num_scales + 1):
-            logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            logits = walk_logits(pyramid[: k - 1], source_cond, params)
             step = invert_scale(pyramid[k - 1], logits, (14.0, 18.0), 6, k)
             assert all(np.array_equal(ns.noises[k - 1], n) for ns, n in zip(sets, step))
 
@@ -457,7 +472,7 @@ class TestGaussianInversion:
         x_again = gaussian_ar_apply(eps, toy_mu_sigma)
         rel = np.max(np.abs(x_again - x) / np.maximum(np.abs(x), 1e-300))
         assert rel <= 1e-12
-        assert ks_statistic(eps, "normal") <= 0.02
+        assert ks_statistic(eps, scipy.stats.norm.cdf) <= 0.02
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValidationError):

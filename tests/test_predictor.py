@@ -21,9 +21,10 @@ from invnoise.predictor import (
     condition_embed,
     generate,
     mixing_matrix,
-    next_scale_logits,
 )
 from invnoise.rng import PURPOSE_GENERATION
+
+from conftest import walk_logits
 
 # Frozen once on the default seed: the two bundled labels must stay
 # clearly separated and pick different scale-1 tokens.
@@ -56,38 +57,32 @@ class TestConditionEmbed:
 class TestNextScaleLogits:
     def test_bitwise_deterministic(self, params, source_cond):
         pyramid = generate(source_cond, params, seed=1)
-        a = next_scale_logits(pyramid[:2], source_cond, 3, params)
-        b = next_scale_logits(pyramid[:2], source_cond, 3, params)
+        a = walk_logits(pyramid[:2], source_cond, params)
+        b = walk_logits(pyramid[:2], source_cond, params)
         assert np.array_equal(a, b)
 
     def test_base_case_shape_and_condition_only(self, params, source_cond, target_cond):
-        a = next_scale_logits([], source_cond, 1, params)
+        a = walk_logits([], source_cond, params)
         assert a.shape == (1, 1, params.codebook.size)
-        b = next_scale_logits([], target_cond, 1, params)
+        b = walk_logits([], target_cond, params)
         assert int(a.argmax()) == GOLDEN_ARGMAX_A
         assert int(b.argmax()) == GOLDEN_ARGMAX_B
 
     def test_autoregressive_purity(self, params, source_cond):
         """Perturbing any scale >= k leaves the scale-k logits unchanged."""
         pyramid = generate(source_cond, params, seed=2)
-        base = next_scale_logits(pyramid[:2], source_cond, 3, params)
+        base = walk_logits(pyramid[:2], source_cond, params)
         perturbed = [t.copy() for t in pyramid]
         for k in (2, 3, 4):  # zero-based scales 3..5
             perturbed[k] = (perturbed[k] + 1) % params.codebook.size
-        again = next_scale_logits(perturbed[:2], source_cond, 3, params)
+        again = walk_logits(perturbed[:2], source_cond, params)
         assert np.array_equal(base, again)
 
     def test_all_finite(self, params, source_cond):
         pyramid = generate(source_cond, params, seed=3)
         for k in range(1, params.schedule.num_scales + 1):
-            logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            logits = walk_logits(pyramid[: k - 1], source_cond, params)
             assert np.all(np.isfinite(logits))
-
-    def test_rejects_bad_prefix(self, params, source_cond):
-        with pytest.raises(ValidationError):
-            next_scale_logits([np.zeros((2, 2), dtype=np.int32)], source_cond, 2, params)
-        with pytest.raises(ValidationError):
-            next_scale_logits([], source_cond, 0, params)
 
 
 def reference_partial_decode(prefix, params):
@@ -117,13 +112,13 @@ class TestLogitsMatchReference:
 
     @pytest.mark.parametrize("beta", [4.0, 3000.0])
     def test_every_scale(self, params, source_cond, beta):
-        """Both the one-shot form and one stepper pushed scale by scale."""
+        """Both a fresh walk per scale and one stepper pushed scale by scale."""
         params = PredictorParams(params.codebook, params.schedule, beta=beta)
         pyramid = generate(source_cond, params, seed=8)
         stepper = ScaleStepper(source_cond, params)
         for k in range(1, params.schedule.num_scales + 1):
             want = reference_logits(pyramid[: k - 1], source_cond, k, params)
-            got = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            got = walk_logits(pyramid[: k - 1], source_cond, params)
             assert got.flags.c_contiguous
             assert np.array_equal(got, want)
             assert stepper.scale == k
@@ -136,7 +131,7 @@ class TestLogitsMatchReference:
         params = PredictorParams(codebook, schedule, beta=50.0)
         pyramid = generate(source_cond, params, seed=2)
         for k in range(1, schedule.num_scales + 1):
-            got = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            got = walk_logits(pyramid[: k - 1], source_cond, params)
             assert got.flags.c_contiguous
             assert np.array_equal(got, reference_logits(pyramid[: k - 1], source_cond, k, params))
 
@@ -179,7 +174,6 @@ class TestLogitRange:
         for build in (
             lambda: ScaleStepper(source_cond, params),
             lambda: generate(source_cond, params, seed=0),
-            lambda: next_scale_logits([], source_cond, 1, params),
         ):
             with pytest.raises(ValidationError):
                 build()
@@ -261,7 +255,7 @@ class TestGenerate:
         0.05 tolerance (the toy scale-1 distribution is flat enough that
         far smaller samples would be dominated by binomial noise).
         """
-        logits = next_scale_logits([], source_cond, 1, params)
+        logits = walk_logits([], source_cond, params)
         tokens = np.array(
             [
                 sample_token_map(logits, seed, PURPOSE_GENERATION, 1)[0, 0]
@@ -275,7 +269,7 @@ class TestGenerate:
         assert ks <= 0.05
 
     def test_scale1_sampler_is_generate(self, params, source_cond):
-        logits = next_scale_logits([], source_cond, 1, params)
+        logits = walk_logits([], source_cond, params)
         for seed in (0, 7, 23):
             direct = sample_token_map(logits, seed, PURPOSE_GENERATION, 1)
             assert np.array_equal(direct, generate(source_cond, params, seed=seed)[0])
@@ -285,7 +279,7 @@ class TestGenerate:
         log_c = np.log(params.codebook.size)
         pyramid = generate(source_cond, params, seed=6)
         for k in range(1, params.schedule.num_scales + 1):
-            logits = next_scale_logits(pyramid[: k - 1], source_cond, k, params)
+            logits = walk_logits(pyramid[: k - 1], source_cond, params)
             flat = logits.reshape(-1, logits.shape[-1])
             probs = np.exp(flat - flat.max(axis=1, keepdims=True))
             probs /= probs.sum(axis=1, keepdims=True)
