@@ -20,7 +20,6 @@ from .codec import (
 from .editing import (
     EditConfig,
     EditResult,
-    LambdaSchedule,
     edit_regeneration,
     edit_with_inverse_noise,
     lambda_at,
@@ -51,7 +50,6 @@ __all__ = [
     "FormatError",
     "InvariantError",
     "InverseNoiseSet",
-    "LambdaSchedule",
     "PredictorParams",
     "ScaleSchedule",
     "ScaleStepper",

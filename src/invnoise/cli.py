@@ -34,12 +34,7 @@ import numpy as np
 
 from . import demo, editing, fileio, metrics
 from .codec import decode, encode
-from .config import (
-    EDIT_MODES,
-    ExperimentConfig,
-    config_digest,
-    load_config,
-)
+from .config import ExperimentConfig, config_digest, load_config
 from .errors import FormatError, InvariantError, ValidationError
 from .inversion import KIND_LAI, KIND_OAI, invert_pyramid
 from .predictor import condition_embed
@@ -210,7 +205,7 @@ def cmd_edit(args) -> int:
     grid, default_mask = _resolve_grid(args.grid, params)
     mask = _resolve_mask(args.mask, default_mask, params.schedule.finest)
     noise_set = None
-    if cfg.edit.mode in ("varin", "target-only"):
+    if cfg.edit.mode != editing.MODE_REGEN:
         if args.noise is not None:
             noise_set, _ = fileio.read_noise_set(args.noise)
             edit = cfg.edit
@@ -224,8 +219,7 @@ def cmd_edit(args) -> int:
             raise ValidationError(
                 f"mode {cfg.edit.mode} needs --noise FILE or --auto-invert"
             )
-    sweep = editing.SeedSweep(grid, (cfg.build_edit_config(),), cfg.edit.mode, params, noise_set)
-    [[result]] = sweep.run((seed,))
+    [[result]] = editing.SeedSweep(grid, (cfg.edit,), params, noise_set).run((seed,))
     out = _out_dir(cfg)
     fileio.write_pyramid(out / "edited.nsp", result.pyramid, params.codebook.size, seed, digest)
     fileio.write_grid(out / "edited.nsg", result.grid, seed, digest)
@@ -302,13 +296,9 @@ def cmd_sweep(args) -> int:
     digest = config_digest(cfg)
     params = cfg.build_params()
     grid, mask = _resolve_grid(args.grid, params)
-    configs = [
-        replace(cfg, edit=_sweep_point(cfg.edit, sweep.parameter, value)).build_edit_config()
-        for value in sweep.values
-    ]
+    configs = [_sweep_point(cfg.edit, sweep.parameter, value) for value in sweep.values]
     chunk_task = partial(
-        _sweep_chunk,
-        (editing.SeedSweep(grid, configs, cfg.edit.mode, params), metrics.Scorer(grid, mask)),
+        _sweep_chunk, (editing.SeedSweep(grid, configs, params), metrics.Scorer(grid, mask))
     )
     width = min(editing.seed_chunk_width(params), -(-len(sweep.seeds) // args.workers))
     chunks = [sweep.seeds[i : i + width] for i in range(0, len(sweep.seeds), width)]
@@ -418,9 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("edit", help="edit a grid toward the target label")
     common(p)
-    p.add_argument("--mode", choices=EDIT_MODES, help="editing pipeline")
-    p.add_argument("--noise", help="inverse-noise artifact to reuse")
-    p.add_argument(
+    p.add_argument("--mode", choices=editing.EDIT_MODES, help="editing pipeline")
+    noise = p.add_mutually_exclusive_group()
+    noise.add_argument("--noise", help="inverse-noise artifact to reuse")
+    noise.add_argument(
         "--auto-invert",
         action="store_true",
         help="extract the inverse noise on the fly instead of --noise",

@@ -12,10 +12,9 @@ import configparser
 import hashlib
 import io
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .codec import Codebook, ScaleSchedule, default_codebook
-from .editing import CONTEXT_GENERATED, EDIT_MODES, EditConfig, LambdaSchedule
+from .editing import EditConfig
 from .errors import ValidationError
 from .predictor import PredictorParams
 from .rng import SEED_LIMIT, seed_array
@@ -37,24 +36,6 @@ class PredictorSection:
 
 
 @dataclass(frozen=True)
-class EditSection:
-    source_label: str = "red brick house among pines"
-    target_label: str = "blue glass tower among pines"
-    start_scale: Optional[int] = None
-    tau: Optional[float] = None
-    lambda_kind: str = "linear"
-    lambda_value: float = 1.0
-    seed: int = 0
-    context_mode: str = CONTEXT_GENERATED
-    mode: str = "varin"
-
-    def __post_init__(self):
-        if self.mode not in EDIT_MODES:
-            raise ValidationError(f"mode must be one of {EDIT_MODES}, got {self.mode!r}")
-        seed_array((self.seed,))
-
-
-@dataclass(frozen=True)
 class SweepSection:
     parameter: str = ""
     values: tuple[float, ...] = ()
@@ -68,7 +49,11 @@ class SweepSection:
 class ExperimentConfig:
     codec: CodecSection = field(default_factory=CodecSection)
     predictor: PredictorSection = field(default_factory=PredictorSection)
-    edit: EditSection = field(default_factory=EditSection)
+    edit: EditConfig = field(
+        default_factory=lambda: EditConfig(
+            "red brick house among pines", "blue glass tower among pines"
+        )
+    )
     sweep: SweepSection = field(default_factory=SweepSection)
     output_dir: str = "out"
 
@@ -90,16 +75,8 @@ class ExperimentConfig:
         )
 
     def build_edit_config(self) -> EditConfig:
-        e = self.edit
-        return EditConfig(
-            source_label=e.source_label,
-            target_label=e.target_label,
-            start_scale=e.start_scale,
-            tau=e.tau,
-            lambda_schedule=LambdaSchedule(kind=e.lambda_kind, value=e.lambda_value),
-            seed=e.seed,
-            context_mode=e.context_mode,
-        )
+        """The ``[edit]`` settings, ``self.edit``."""
+        return self.edit
 
 
 def _parse_schedule(text: str) -> tuple[tuple[int, int], ...]:
@@ -184,7 +161,7 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         tau = s.get("tau", "")
         cfg = replace(
             cfg,
-            edit=EditSection(
+            edit=EditConfig(
                 source_label=s.get("source", cfg.edit.source_label),
                 target_label=s.get("target", cfg.edit.target_label),
                 start_scale=int(start) if start else None,

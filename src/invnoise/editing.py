@@ -25,15 +25,16 @@ context of each edited scale is the edited scales before it
 (generated-prefix) or the source scales before it (source-prefix).
 
 :class:`SeedSweep` is the one edit walk: it edits one source under
-several configs that share their labels.  Construction does the work
-that depends on neither the seed nor the config once (encoding,
-condition targets, the logits of the source walks); its ``run`` edits a
-chunk of seeds with a leading seed axis through the keyed draws, the
-inversion step (:func:`~invnoise.inversion.invert_scale`, called scale
-by scale and only at the margins some edit mixes in with nonzero
-lambda, so no whole noise set is held), the edit mix, the stepper
-logits and the argmax.  ``invnoise edit`` runs one config at its own
-seed, as do the single-edit functions ``edit_with_inverse_noise`` and
+several :class:`EditConfig` that share their labels and their mode.
+Construction does the work that depends on neither the seed nor the
+config once (encoding, condition targets, the logits of the source
+walks); its ``run`` edits a chunk of seeds with a leading seed axis
+through the keyed draws, the inversion step
+(:func:`~invnoise.inversion.invert_scale`, called scale by scale and
+only at the margins some edit mixes in with nonzero lambda, so no whole
+noise set is held), the edit mix, the stepper logits and the argmax.
+``invnoise edit`` runs one config at its own seed, as do the
+single-edit functions ``edit_with_inverse_noise`` and
 ``edit_regeneration``; ``invnoise sweep`` runs many configs over chunks
 of :func:`seed_chunk_width` seeds.
 """
@@ -72,33 +73,15 @@ def default_start_scale(num_scales: int) -> int:
     return max(1, min(num_scales, round(6 * num_scales / 14)))
 
 
-@dataclass(frozen=True)
-class LambdaSchedule:
-    """Per-scale interpolation weight between fresh and inverse noise.
-
-    ``linear`` ramps from 1 at the start scale down to 0 at the final
-    scale (a single-scale edit range pins it at 1).  ``constant`` holds
-    a fixed value in [0, 1].
-    """
-
-    kind: str = "linear"
-    value: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "constant"):
-            raise ValidationError(f"unknown lambda schedule kind {self.kind!r}")
-        if self.kind == "constant" and not (0.0 <= self.value <= 1.0):
-            raise ValidationError("constant lambda must lie in [0, 1]")
-
-
-def lambda_at(schedule: LambdaSchedule, k: int, start_scale: int, final_scale: int) -> float:
-    """Interpolation weight for scale k within [start_scale, final_scale]."""
+def lambda_at(cfg: EditConfig, k: int, start_scale: int, final_scale: int) -> float:
+    """Interpolation weight of ``cfg``'s lambda schedule for scale k
+    within [start_scale, final_scale]."""
     if not start_scale <= k <= final_scale:
         raise ValidationError(
             f"scale {k} outside edit range [{start_scale}, {final_scale}]"
         )
-    if schedule.kind == "constant":
-        return schedule.value
+    if cfg.lambda_kind == "constant":
+        return cfg.lambda_value
     if final_scale == start_scale:
         return 1.0
     lam = 1.0 - (k - start_scale) / (final_scale - start_scale)
@@ -107,31 +90,42 @@ def lambda_at(schedule: LambdaSchedule, k: int, start_scale: int, final_scale: i
 
 @dataclass(frozen=True)
 class EditConfig:
+    """Every setting of one edit, checked when it is built.
+
+    ``start_scale`` None takes ``default_start_scale(K)`` and ``tau``
+    None the mode's default margin; both resolve against the schedule
+    in ``_plan``.  The lambda schedule between fresh and inverse noise
+    is ``lambda_kind`` ``linear`` (1 at the start scale down to 0 at the
+    final scale; a single-scale edit range pins it at 1, and
+    ``lambda_value`` is unused) or ``constant`` (``lambda_value`` in
+    [0, 1] at every edited scale).  ``context_mode`` and the lambda
+    schedule are unused in ``regen`` mode.
+    """
+
     source_label: str = ""
     target_label: str = ""
-    start_scale: Optional[int] = None  # None -> default_start_scale(K)
-    tau: Optional[float] = None  # None -> pipeline default
-    lambda_schedule: LambdaSchedule = LambdaSchedule()
+    start_scale: Optional[int] = None
+    tau: Optional[float] = None
+    lambda_kind: str = "linear"
+    lambda_value: float = 1.0
     seed: int = 0
     context_mode: str = CONTEXT_GENERATED
+    mode: str = MODE_VARIN
 
     def __post_init__(self):
-        if self.context_mode not in (CONTEXT_GENERATED, CONTEXT_SOURCE):
-            raise ValidationError(f"unknown context mode {self.context_mode!r}")
+        if self.start_scale is not None and self.start_scale < 1:
+            raise ValidationError(f"start scale must be at least 1, got {self.start_scale}")
         if self.tau is not None:
             check_tau(self.tau)
-
-    def resolved(self, num_scales: int, default_tau: float = DEFAULT_TAU) -> "EditConfig":
-        out = self
-        if out.start_scale is None:
-            out = replace(out, start_scale=default_start_scale(num_scales))
-        if not 1 <= out.start_scale <= num_scales:
-            raise ValidationError(
-                f"start scale {out.start_scale} outside 1..{num_scales}"
-            )
-        if out.tau is None:
-            out = replace(out, tau=default_tau)
-        return out
+        if self.lambda_kind not in ("linear", "constant"):
+            raise ValidationError(f"unknown lambda schedule kind {self.lambda_kind!r}")
+        if self.lambda_kind == "constant" and not (0.0 <= self.lambda_value <= 1.0):
+            raise ValidationError("constant lambda must lie in [0, 1]")
+        seed_array((self.seed,))
+        if self.context_mode not in (CONTEXT_GENERATED, CONTEXT_SOURCE):
+            raise ValidationError(f"unknown context mode {self.context_mode!r}")
+        if self.mode not in EDIT_MODES:
+            raise ValidationError(f"mode must be one of {EDIT_MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ class EditResult:
 
 @dataclass(frozen=True)
 class _Plan:
-    """What one edit does once its config is resolved for a mode."""
+    """What one edit does once its config is resolved against the schedule."""
 
     start_scale: int
     lambdas: tuple  # per edited scale, start_scale..K
@@ -164,22 +158,21 @@ class _Plan:
     tau: Optional[float]  # inversion margin; None for regeneration
 
 
-def _plan(cfg: EditConfig, mode: str, num_scales: int) -> _Plan:
-    if mode == MODE_REGEN:
-        # regeneration admits start_scale = K + 1 (no scales regenerated)
-        start = cfg.start_scale
-        if start is None:
-            start = default_start_scale(num_scales)
-        if not 1 <= start <= num_scales + 1:
-            raise ValidationError(f"start scale {start} outside 1..{num_scales + 1}")
+def _plan(cfg: EditConfig, num_scales: int) -> _Plan:
+    """Resolve ``cfg`` against K scales: the one place the start scale
+    (1..K, or 1..K+1 for regeneration, which then regenerates nothing)
+    and the default margin are settled."""
+    start = default_start_scale(num_scales) if cfg.start_scale is None else cfg.start_scale
+    last = num_scales + 1 if cfg.mode == MODE_REGEN else num_scales
+    if start > last:
+        raise ValidationError(f"start scale {start} outside 1..{last}")
+    if cfg.mode == MODE_REGEN:
         return _Plan(start, (0.0,) * (num_scales + 1 - start), CONTEXT_GENERATED, None)
-    default_tau = TARGET_ONLY_DEFAULT_TAU if mode == MODE_TARGET_ONLY else DEFAULT_TAU
-    cfg = cfg.resolved(num_scales, default_tau)
-    lambdas = tuple(
-        lambda_at(cfg.lambda_schedule, t, cfg.start_scale, num_scales)
-        for t in range(cfg.start_scale, num_scales + 1)
-    )
-    return _Plan(cfg.start_scale, lambdas, cfg.context_mode, cfg.tau)
+    tau = cfg.tau
+    if tau is None:
+        tau = TARGET_ONLY_DEFAULT_TAU if cfg.mode == MODE_TARGET_ONLY else DEFAULT_TAU
+    lambdas = tuple(lambda_at(cfg, t, start, num_scales) for t in range(start, num_scales + 1))
+    return _Plan(start, lambdas, cfg.context_mode, tau)
 
 
 SEED_CELL_BUDGET = 1 << 15
@@ -196,40 +189,40 @@ def seed_chunk_width(params: PredictorParams) -> int:
 class SeedSweep:
     """One source grid edited under several configs, at any seeds.
 
-    The configs must share their labels and may differ in margin, start
-    scale, lambda schedule and context; their ``seed`` fields are not
-    used.  Construction does the work that depends on neither the seed
-    nor the config, once: it encodes the source, builds both condition
-    targets and walks the source pyramid under each condition, keeping
-    the inversion logits of every scale where some edit has a nonzero
-    lambda (under the source condition, or the target condition in
-    target-only mode) and the source-prefix logits under the target
-    condition where an edit reads them (at its start scale, and at every
-    edited scale in source-prefix context).  ``run`` then edits a chunk
-    of seeds.  A scale where an edit's lambda is 0 takes no inverse
-    noise for that edit, so a scale where every lambda is 0 is not
-    inverted (the linear schedule's final scale, or all of a constant 0).
+    The configs must share their labels and their mode, and may differ
+    in margin, start scale, lambda schedule and context; their ``seed``
+    fields are not used.  Construction does the work that depends on
+    neither the seed nor the config, once: it encodes the source, builds
+    both condition targets and walks the source pyramid under each
+    condition, keeping the inversion logits of every scale where some
+    edit has a nonzero lambda (under the source condition, or the target
+    condition in target-only mode) and the source-prefix logits under
+    the target condition where an edit reads them (at its start scale,
+    and at every edited scale in source-prefix context).  ``run`` then
+    edits a chunk of seeds.  A scale where an edit's lambda is 0 takes no
+    inverse noise for that edit, so a scale where every lambda is 0 is
+    not inverted (the linear schedule's final scale, or all of a
+    constant 0).
     """
 
     def __init__(
         self,
         source_grid: np.ndarray,
         configs,
-        mode: str,
         params: PredictorParams,
         noise_set: Optional[InverseNoiseSet] = None,
     ):
-        if mode not in EDIT_MODES:
-            raise ValidationError(f"mode must be one of {EDIT_MODES}, got {mode!r}")
         configs = tuple(configs)
         if not configs:
             raise ValidationError("no edit configs given")
-        source_label, target_label = configs[0].source_label, configs[0].target_label
-        if any((c.source_label, c.target_label) != (source_label, target_label) for c in configs):
-            raise ValidationError("batched edits must share their labels")
+        source_label, target_label, mode = shared = (
+            configs[0].source_label, configs[0].target_label, configs[0].mode
+        )
+        if any((c.source_label, c.target_label, c.mode) != shared for c in configs):
+            raise ValidationError("batched edits must share their labels and mode")
         num_scales = params.schedule.num_scales
         self.params = params
-        self._plans = [_plan(cfg, mode, num_scales) for cfg in configs]
+        self._plans = [_plan(cfg, num_scales) for cfg in configs]
         self._distinct = list(dict.fromkeys(self._plans))
         self.source_pyramid = tuple(encode(source_grid, params.codebook, params.schedule))
         self._given = None
@@ -379,10 +372,10 @@ def edit_with_inverse_noise(
     noise_set: Optional[InverseNoiseSet] = None,
 ) -> EditResult:
     """Noise-guided edit: invert under the source condition, then sample
-    edited scales under the target condition with interpolated noise."""
-    [[result]] = SeedSweep(source_grid, (config,), MODE_VARIN, params, noise_set).run(
-        (config.seed,)
-    )
+    edited scales under the target condition with interpolated noise.
+    Runs the ``varin`` pipeline whatever the config's mode."""
+    config = replace(config, mode=MODE_VARIN)
+    [[result]] = SeedSweep(source_grid, (config,), params, noise_set).run((config.seed,))
     return result
 
 
@@ -398,7 +391,9 @@ def edit_regeneration(
     ``start_scale = K + 1`` performs no regeneration at all and returns
     the source encoding unchanged.
     """
-    config = EditConfig(target_label=target_label, start_scale=start_scale, seed=seed)
-    [[result]] = SeedSweep(source_grid, (config,), MODE_REGEN, params).run((seed,))
+    config = EditConfig(
+        target_label=target_label, start_scale=start_scale, seed=seed, mode=MODE_REGEN
+    )
+    [[result]] = SeedSweep(source_grid, (config,), params).run((seed,))
     return result
 

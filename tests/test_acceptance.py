@@ -17,7 +17,7 @@ from invnoise.codec import ScaleSchedule, decode, encode
 from invnoise.demo import demo_scene
 from invnoise.editing import (
     EditConfig,
-    LambdaSchedule,
+    default_start_scale,
     edit_regeneration,
     edit_with_inverse_noise,
 )
@@ -186,7 +186,7 @@ def test_criterion_05_endpoint_equivalences(params):
                 source_label=label,
                 target_label=label,
                 start_scale=1,
-                lambda_schedule=LambdaSchedule(kind="constant", value=1.0),
+                lambda_kind="constant", lambda_value=1.0,
                 seed=seed,
             ),
             params,
@@ -198,7 +198,7 @@ def test_criterion_05_endpoint_equivalences(params):
                 source_label=label,
                 target_label="endpoint target",
                 start_scale=2,
-                lambda_schedule=LambdaSchedule(kind="constant", value=0.0),
+                lambda_kind="constant", lambda_value=0.0,
                 seed=seed,
             ),
             params,
@@ -278,7 +278,7 @@ def test_criterion_08_noise_guided_beats_regeneration(params):
         result = edit_with_inverse_noise(grid, cfg, params)
         guided.append(scorer.score(result.grid)["bg_mse"])
         baseline = edit_regeneration(
-            grid, scene.target_label, cfg.resolved(params.schedule.num_scales).start_scale,
+            grid, scene.target_label, default_start_scale(params.schedule.num_scales),
             params, seed,
         )
         regen.append(scorer.score(baseline.grid)["bg_mse"])

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,14 @@ class TestEdit:
             assert run(*edit, "--noise", inv / "noise.nsn", "--out", file) == EXIT_OK
             assert (auto / "edited.nsp").read_bytes() == (file / "edited.nsp").read_bytes(), name
 
+    def test_noise_with_auto_invert_rejected(self, tmp_path):
+        """--noise and --auto-invert exclude each other: neither wins."""
+        out = tmp_path / "ed"
+        with pytest.raises(SystemExit) as exc:
+            run("edit", "--noise", tmp_path / "noise.nsn", "--auto-invert", "--out", out)
+        assert exc.value.code == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_missing_noise_is_validation_error(self, tmp_path):
         assert (
             run("edit", "--grid", "demo:scene-a", "--mode", "varin", "--out", tmp_path / "x")
@@ -630,6 +639,56 @@ class TestSweep:
         assert not (out / "sweep.csv").exists()
 
 
+def metric_values(csv_path, seed, scope):
+    """{name: value text} of one seed's rows at one scope of a metrics CSV."""
+    rows = (line.split(",") for line in csv_path.read_text().splitlines()[1:])
+    return {name: value for _, row_seed, name, row_scope, value in rows
+            if row_seed == str(seed) and row_scope == scope}
+
+
+# edit_metrics.csv (metric, scope) of each sweep.csv metric
+EDIT_ROWS = {**cli._QUALITY_ROWS, "token_change": ("token_change", "overall")}
+
+
+@pytest.mark.parametrize(
+    "name,parameter,flag",
+    [
+        ("demo.ini", "tau", "--tau"),
+        ("regen-sweep.ini", "start_scale", "--start-scale"),
+        ("target-only-lambda", "lambda", "--lambda"),
+    ],
+)
+def test_sweep_rows_equal_single_edits(tmp_path, name, parameter, flag):
+    """Every metric of a sweep row equals that of `edit` run with the
+    row's value, seed and mode (inverting in memory where the mode
+    inverts)."""
+    seeds = (5, 30)
+    if name in ("demo.ini", "regen-sweep.ini"):
+        text = (CONFIGS / name).read_text().replace("seeds = 0:32", "seeds = 5,30")
+        cfg = tmp_path / name
+        cfg.write_text(text)
+    else:
+        cfg = sweep_config(tmp_path, parameter, SWEEP_VALUES[parameter], mode="target-only",
+                           seeds="5,30")
+    loaded = load_config(cfg)
+    assert loaded.sweep.seeds == seeds
+    assert run("sweep", "--config", cfg, "--out", tmp_path / "s") == EXIT_OK
+    auto = [] if loaded.edit.mode == "regen" else ["--auto-invert"]
+    for value in loaded.sweep.values:
+        arg = int(value) if parameter == "start_scale" else value
+        for seed in seeds:
+            out = tmp_path / f"e-{value}-{seed}"
+            assert run("edit", "--config", cfg, "--seed", seed, flag, arg, *auto,
+                       "--out", out) == EXIT_OK
+            row = metric_values(tmp_path / "s" / "sweep.csv", seed, f"{parameter}={value!r}")
+            assert set(row) == set(EDIT_ROWS)
+            single = {
+                key: metric_values(out / "edit_metrics.csv", seed, scope)[metric]
+                for key, (metric, scope) in EDIT_ROWS.items()
+            }
+            assert row == single, (value, seed)
+
+
 def test_import_leaves_out_the_worker_pool():
     """Importing the CLI loads no process pool: only ``sweep --workers N``
     with N > 1 starts one, and it imports it there."""
@@ -708,12 +767,32 @@ class TestRender:
         assert not list(out.glob("*.pgm"))
 
 
+# every [edit] key but the labels off its default
+NON_DEFAULT_EDIT = (
+    "[edit]\nstart_scale = 3\ntau = 0.0\nlambda_kind = constant\nlambda_value = 0.5\n"
+    "context = source-prefix\nmode = target-only\nseed = 7\n"
+)
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        cfg = ExperimentConfig()
-        path = tmp_path / "c.ini"
-        path.write_text(render_config(cfg))
-        assert load_config(path) == cfg
+        """The default, both bundled and a non-default config survive
+        load, render and load unchanged; the canonical text of the
+        non-default one keeps its recorded digest."""
+        path = tmp_path / "non-default.ini"
+        path.write_text(NON_DEFAULT_EDIT)
+        non_default = load_config(path)
+        default = ExperimentConfig()
+        labels = ("source_label", "target_label")
+        assert all(
+            (getattr(non_default.edit, f.name) == getattr(default.edit, f.name)) == (f.name in labels)
+            for f in fields(default.edit)
+        )
+        bundled = [load_config(CONFIGS / name) for name in ("demo.ini", "regen-sweep.ini")]
+        for cfg in (default, *bundled, non_default):
+            path.write_text(render_config(cfg))
+            assert load_config(path) == cfg
+        assert config_digest(non_default).hex() == "2ed94750318a85dc339cb77c0e9166b7"
 
     def test_digest_tracks_content(self):
         from dataclasses import replace
@@ -757,6 +836,33 @@ class TestConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(*command, "--config", path, "--out", tmp_path / "o") == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["context = bogus", "lambda_kind = cosine", "lambda_kind = constant\nlambda_value = 7",
+         "tau = -1"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["encode"],
+            ["invert"],
+            ["edit", "--mode", "regen"],
+            ["edit", "--auto-invert"],
+            ["sweep"],
+            ["render", "--in"],
+        ],
+    )
+    def test_bad_edit_setting_is_validation_error(self, tmp_path, setting, command):
+        """Every command checks the whole [edit] section, whether it edits
+        or not, and writes nothing."""
+        if command == ["render", "--in"]:
+            write_grid(tmp_path / "g.nsg", np.zeros((4, 2, 2)))
+            command = command + [tmp_path / "g.nsg"]
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[edit]\n{setting}\n\n[sweep]\nparameter = tau\nvalues = 18\nseeds = 0:2\n")
+        assert run(*command, "--config", path, "--out", tmp_path / "o") == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("dim", [0, -2])

@@ -20,8 +20,8 @@ from invnoise.editing import (
     MODE_VARIN,
     TARGET_ONLY_DEFAULT_TAU,
     EditConfig,
-    LambdaSchedule,
     SeedSweep,
+    _plan,
     default_start_scale,
     edit_regeneration,
     edit_with_inverse_noise,
@@ -42,31 +42,31 @@ TGT = "blue glass tower among pines"
 
 class TestLambdaSchedule:
     def test_linear_endpoints(self):
-        sched = LambdaSchedule(kind="linear")
+        sched = EditConfig(lambda_kind="linear")
         assert lambda_at(sched, 6, 6, 14) == 1.0
         assert lambda_at(sched, 14, 6, 14) == 0.0
 
     def test_linear_midpoint(self):
-        assert lambda_at(LambdaSchedule(kind="linear"), 10, 6, 14) == 0.5
+        assert lambda_at(EditConfig(lambda_kind="linear"), 10, 6, 14) == 0.5
 
     def test_constant(self):
-        sched = LambdaSchedule(kind="constant", value=0.25)
+        sched = EditConfig(lambda_kind="constant", lambda_value=0.25)
         assert lambda_at(sched, 3, 2, 5) == 0.25
 
     def test_degenerate_single_scale(self):
-        assert lambda_at(LambdaSchedule(kind="linear"), 5, 5, 5) == 1.0
+        assert lambda_at(EditConfig(lambda_kind="linear"), 5, 5, 5) == 1.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            lambda_at(LambdaSchedule(), 1, 2, 5)
+            lambda_at(EditConfig(), 1, 2, 5)
         with pytest.raises(ValidationError):
-            lambda_at(LambdaSchedule(), 6, 2, 5)
+            lambda_at(EditConfig(), 6, 2, 5)
 
     def test_bad_kinds_rejected(self):
         with pytest.raises(ValidationError):
-            LambdaSchedule(kind="cosine")
+            EditConfig(lambda_kind="cosine")
         with pytest.raises(ValidationError):
-            LambdaSchedule(kind="constant", value=1.5)
+            EditConfig(lambda_kind="constant", lambda_value=1.5)
 
     def test_default_start_scale_mapping(self):
         assert default_start_scale(14) == 6
@@ -86,7 +86,7 @@ class TestEndpoints:
                     target_label=SRC,
                     start_scale=1,
                     tau=tau,
-                    lambda_schedule=LambdaSchedule(kind="constant", value=1.0),
+                    lambda_kind="constant", lambda_value=1.0,
                     seed=seed,
                 )
                 result = edit_with_inverse_noise(grid, cfg, params)
@@ -104,7 +104,7 @@ class TestEndpoints:
                 source_label=SRC,
                 target_label=TGT,
                 start_scale=2,
-                lambda_schedule=LambdaSchedule(kind="constant", value=0.0),
+                lambda_kind="constant", lambda_value=0.0,
                 seed=seed,
             )
             via_noise = edit_with_inverse_noise(grid, cfg, params)
@@ -127,7 +127,9 @@ class TestEndpoints:
 
 
 class TestMixingMatchesReference:
-    @pytest.mark.parametrize("lam_schedule", [LambdaSchedule(), LambdaSchedule("constant", 0.3)])
+    @pytest.mark.parametrize(
+        "lam_schedule", [{}, {"lambda_kind": "constant", "lambda_value": 0.3}]
+    )
     def test_edited_scales(self, params, lam_schedule):
         """Every edited scale is argmax(p + ((1 - lambda) g + lambda n)),
         evaluated as written, with fresh draws under the edit purpose."""
@@ -136,9 +138,7 @@ class TestMixingMatchesReference:
         noise_set = invert_pyramid(
             source_pyramid, condition_embed(SRC, params), 1.0, params, seed=4
         )
-        cfg = EditConfig(
-            source_label=SRC, target_label=TGT, start_scale=2, lambda_schedule=lam_schedule, seed=4
-        )
+        cfg = EditConfig(source_label=SRC, target_label=TGT, start_scale=2, seed=4, **lam_schedule)
         result = edit_with_inverse_noise(grid, cfg, params, noise_set)
         target = condition_embed(TGT, params)
         for k in range(2, params.schedule.num_scales + 1):
@@ -189,7 +189,7 @@ class TestMonotonePreservation:
                 cfg = EditConfig(
                     source_label=scene.source_label,
                     target_label=scene.target_label,
-                    lambda_schedule=LambdaSchedule(kind="constant", value=lam),
+                    lambda_kind="constant", lambda_value=lam,
                     seed=seed,
                 )
                 result = edit_with_inverse_noise(grid, cfg, params)
@@ -220,7 +220,8 @@ class TestMonotonePreservation:
 def target_only_edit(grid, cfg, params, noise_set=None):
     """A target-only edit of one config at its seed: a one-seed
     ``SeedSweep`` run."""
-    [[result]] = SeedSweep(grid, (cfg,), MODE_TARGET_ONLY, params, noise_set).run((cfg.seed,))
+    cfg = replace(cfg, mode=MODE_TARGET_ONLY)
+    [[result]] = SeedSweep(grid, (cfg,), params, noise_set).run((cfg.seed,))
     return result
 
 
@@ -234,7 +235,7 @@ class TestTargetOnly:
             source_label=SRC,
             target_label=TGT,
             start_scale=1,
-            lambda_schedule=LambdaSchedule(kind="constant", value=1.0),
+            lambda_kind="constant", lambda_value=1.0,
             seed=4,
         )
         result = target_only_edit(grid, cfg, params)
@@ -247,10 +248,12 @@ class TestTargetOnly:
         only = target_only_edit(grid, cfg, params)
         assert all(np.array_equal(a, b) for a, b in zip(main.pyramid, only.pyramid))
 
-    def test_lower_default_tau(self, params):
+    def test_lower_default_tau(self):
         cfg = EditConfig(source_label=SRC, target_label=TGT)
-        assert cfg.resolved(5).tau == 18.0
-        assert cfg.resolved(5, default_tau=12.0).tau == 12.0
+        assert _plan(cfg, 5).tau == DEFAULT_TAU == 18.0
+        assert _plan(replace(cfg, mode=MODE_TARGET_ONLY), 5).tau == TARGET_ONLY_DEFAULT_TAU == 12.0
+        assert _plan(replace(cfg, tau=3.0, mode=MODE_TARGET_ONLY), 5).tau == 3.0
+        assert _plan(replace(cfg, mode=MODE_REGEN), 5).tau is None
 
 
 class TestValidation:
@@ -261,6 +264,13 @@ class TestValidation:
     def test_bad_tau(self):
         with pytest.raises(ValidationError):
             EditConfig(tau=-1.0)
+
+    @pytest.mark.parametrize(
+        "setting", [{"start_scale": 0}, {"seed": -1}, {"seed": 2**64}, {"mode": "sideways"}]
+    )
+    def test_bad_setting(self, setting):
+        with pytest.raises(ValidationError):
+            EditConfig(SRC, TGT, **setting)
 
     def test_bad_start_scale(self, params):
         cfg = EditConfig(source_label=SRC, target_label=TGT, start_scale=9)
@@ -316,9 +326,13 @@ def same_edit(a, b):
     )
 
 
+def with_mode(configs, mode):
+    return [replace(cfg, mode=mode) for cfg in configs]
+
+
 def sweep_one_seed(grid, configs, mode, params, noise_set=None, seed=5):
     """One result per config from a one-seed ``SeedSweep.run``."""
-    (results,) = SeedSweep(grid, configs, mode, params, noise_set).run((seed,))
+    (results,) = SeedSweep(grid, with_mode(configs, mode), params, noise_set).run((seed,))
     return results
 
 
@@ -330,9 +344,9 @@ class TestEditBatch:
     VARIED = [
         replace(BASE, tau=20.0),
         replace(BASE, tau=14.0, start_scale=1),
-        replace(BASE, tau=0.0, lambda_schedule=LambdaSchedule("constant", 0.5)),
+        replace(BASE, tau=0.0, lambda_kind="constant", lambda_value=0.5),
         replace(BASE, tau=14.0, context_mode="source-prefix"),
-        replace(BASE, lambda_schedule=LambdaSchedule("constant", 0.0)),
+        replace(BASE, lambda_kind="constant", lambda_value=0.0),
         replace(BASE, tau=20.0),
     ]
 
@@ -372,8 +386,8 @@ class TestEditBatch:
         replay, fresh = sweep_one_seed(
             grid,
             [
-                replace(base, lambda_schedule=LambdaSchedule("constant", 1.0)),
-                replace(base, lambda_schedule=LambdaSchedule("constant", 0.0)),
+                replace(base, lambda_kind="constant", lambda_value=1.0),
+                replace(base, lambda_kind="constant", lambda_value=0.0),
             ],
             MODE_VARIN,
             params,
@@ -395,7 +409,11 @@ class TestEditBatch:
     )
     def test_rejects_bad_batches(self, params, configs, mode):
         with pytest.raises(ValidationError):
-            SeedSweep(random_grid(92), configs, mode, params)
+            SeedSweep(random_grid(92), with_mode(configs, mode), params)
+
+    def test_rejects_mixed_modes(self, params):
+        with pytest.raises(ValidationError):
+            SeedSweep(random_grid(92), [self.BASE, replace(self.BASE, mode=MODE_REGEN)], params)
 
 
 class TestEditSeeds:
@@ -407,14 +425,14 @@ class TestEditSeeds:
     CONFIGS = [
         replace(BASE, tau=20.0),
         replace(BASE, tau=14.0, start_scale=1),
-        replace(BASE, tau=0.0, start_scale=3, lambda_schedule=LambdaSchedule("constant", 0.5)),
-        replace(BASE, lambda_schedule=LambdaSchedule("constant", 0.0)),
+        replace(BASE, tau=0.0, start_scale=3, lambda_kind="constant", lambda_value=0.5),
+        replace(BASE, lambda_kind="constant", lambda_value=0.0),
         replace(BASE, tau=20.0),
     ]
     SEEDS = [11, 0, 2**64 - 1, 4, 7]
 
     def check(self, grid, configs, seeds, mode, params, noise_set=None):
-        got = SeedSweep(grid, configs, mode, params, noise_set).run(seeds)
+        got = SeedSweep(grid, with_mode(configs, mode), params, noise_set).run(seeds)
         assert len(got) == len(seeds)
         for seed, per_seed in zip(seeds, got):
             assert len(per_seed) == len(configs)
@@ -451,7 +469,7 @@ class TestEditSeeds:
     def test_runs_equal_one_walk(self, params):
         """Chunks of any width give the same results as one walk."""
         grid = demo_scene("scene-b", params)[0]
-        sweep = SeedSweep(grid, self.CONFIGS, MODE_VARIN, params)
+        sweep = SeedSweep(grid, self.CONFIGS, params)
         whole = sweep.run(self.SEEDS)
         parts = sweep.run(self.SEEDS[:2]) + sweep.run(self.SEEDS[2:])
         for a_seed, b_seed in zip(whole, parts):
@@ -469,7 +487,7 @@ class TestEditSeeds:
     )
     def test_rejects_bad_input(self, params, configs, seeds):
         with pytest.raises(ValidationError):
-            SeedSweep(random_grid(94), configs, MODE_VARIN, params).run(seeds)
+            SeedSweep(random_grid(94), configs, params).run(seeds)
 
 
 def reference_edit(grid, cfg, mode, params, seed):
@@ -492,7 +510,7 @@ def reference_edit(grid, cfg, mode, params, seed):
     for t in range(cfg.start_scale, num_scales + 1):
         lam = 0.0
         if mode != MODE_REGEN:
-            lam = lambda_at(cfg.lambda_schedule, t, cfg.start_scale, num_scales)
+            lam = lambda_at(cfg, t, cfg.start_scale, num_scales)
         prefix = source if cfg.context_mode == CONTEXT_SOURCE else pyramid
         logits = walk_logits(prefix[: t - 1], target, params)
         h, w, c = logits.shape
@@ -510,10 +528,10 @@ def reference_edit(grid, cfg, mode, params, seed):
 
 
 SCHEDULES = st.one_of(
-    st.just(LambdaSchedule()),
-    st.sampled_from([0.0, 1.0]).map(lambda v: LambdaSchedule("constant", v)),
+    st.just({}),
+    st.sampled_from([0.0, 1.0]).map(lambda v: {"lambda_kind": "constant", "lambda_value": v}),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
-        lambda v: LambdaSchedule("constant", v)
+        lambda v: {"lambda_kind": "constant", "lambda_value": v}
     ),
 )
 
@@ -548,15 +566,16 @@ class TestLambdaZeroTakesNoNoise:
                 source_label=SRC,
                 target_label=TGT,
                 start_scale=start,
-                lambda_schedule=lam,
                 tau=tau,
                 context_mode=context,
+                mode=mode,
+                **lam,
             )
             for start, lam, tau, context in edits
         ]
         if mode == MODE_REGEN:  # regeneration has one context
             configs = [replace(c, context_mode=CONTEXT_GENERATED) for c in configs]
-        for seed, per_seed in zip(seeds, SeedSweep(grid, configs, mode, params).run(seeds)):
+        for seed, per_seed in zip(seeds, SeedSweep(grid, configs, params).run(seeds)):
             for cfg, got in zip(configs, per_seed):
                 pyramid, decoded = reference_edit(grid, cfg, mode, params, seed)
                 assert all(np.array_equal(a, b) for a, b in zip(got.pyramid, pyramid))
@@ -579,12 +598,14 @@ class TestLambdaZeroTakesNoNoise:
     def test_constant_zero_draws_no_inversion_uniforms(self, params, monkeypatch, mode):
         counts = self.count_inversion_draws(monkeypatch)
         grid = demo_scene("scene-a", params)[0]
-        zero = LambdaSchedule("constant", 0.0)
         configs = [
-            EditConfig(SRC, TGT, start_scale=start, tau=tau, lambda_schedule=zero, context_mode=ctx)
+            EditConfig(
+                SRC, TGT, start_scale=start, tau=tau, lambda_kind="constant", lambda_value=0.0,
+                context_mode=ctx,
+            )
             for start, tau, ctx in [(1, 18.0, CONTEXT_GENERATED), (3, 0.0, CONTEXT_SOURCE)]
         ]
-        SeedSweep(grid, configs, mode, params).run([0, 1, 2])
+        SeedSweep(grid, with_mode(configs, mode), params).run([0, 1, 2])
         assert counts == {PURPOSE_LABEL_DRAW: 0, PURPOSE_TRUNC_DRAW: 0}
         edit_with_inverse_noise(grid, configs[0], params)
         assert counts == {PURPOSE_LABEL_DRAW: 0, PURPOSE_TRUNC_DRAW: 0}
@@ -593,20 +614,20 @@ class TestLambdaZeroTakesNoNoise:
         """Linear lambda from scale 2 of 5 is 0 at scale 5 only."""
         counts = self.count_inversion_draws(monkeypatch)
         grid = demo_scene("scene-a", params)[0]
-        SeedSweep(grid, [EditConfig(SRC, TGT, start_scale=2)], MODE_VARIN, params).run([0, 1, 2])
+        SeedSweep(grid, [EditConfig(SRC, TGT, start_scale=2)], params).run([0, 1, 2])
         assert counts == {PURPOSE_LABEL_DRAW: 3 * 3, PURPOSE_TRUNC_DRAW: 3 * 3}
 
-    @pytest.mark.parametrize("lam", [LambdaSchedule(), LambdaSchedule("constant", 0.0)])
+    @pytest.mark.parametrize("lam", [{}, {"lambda_kind": "constant", "lambda_value": 0.0}])
     def test_given_set_lambda_zero_maps_not_mixed(self, params, source_cond, lam):
         """Another finite map where lambda is 0 leaves the edit unchanged;
         a map of the wrong shape is still rejected."""
         grid = random_grid(95)
         pyramid = encode(grid, params.codebook, params.schedule)
         noise_set = invert_pyramid(pyramid, source_cond, 18.0, params, seed=6)
-        cfg = EditConfig(SRC, TGT, start_scale=2, lambda_schedule=lam, seed=6)
+        cfg = EditConfig(SRC, TGT, start_scale=2, seed=6, **lam)
         want = edit_with_inverse_noise(grid, cfg, params, noise_set)
         zero_scales = [t for t in range(2, 6) if want.lambdas[t - 1] == 0.0]
-        assert zero_scales == ([5] if lam.kind == "linear" else [2, 3, 4, 5])
+        assert zero_scales == ([5] if cfg.lambda_kind == "linear" else [2, 3, 4, 5])
         noises = list(noise_set.noises)
         for t in zero_scales:
             noises[t - 1] = -1e30 * np.ones_like(noises[t - 1])
