@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .rng import PURPOSE_CODEBOOK, normal_values, uniform_values
+from .rng import PURPOSE_CODEBOOK, normal_values, seed_array, uniform_values
 
 
 # Entries per row block of squared_distances (256 KiB of float64).
@@ -101,6 +101,7 @@ def default_codebook(size: int = 64, dim: int = 4, seed: int = 101) -> Codebook:
         raise ValidationError("codebook size must be >= 2")
     if dim < 1:
         raise ValidationError("codebook dim must be >= 1")
+    seed_array((seed,))
     entries = np.arange(1, size)[:, None]
     dims = np.arange(dim)[None, :]
     gauss = normal_values(seed, PURPOSE_CODEBOOK, 0, entries, 0, dims)

@@ -1,9 +1,12 @@
 """Experiment configuration.
 
 Plain INI-style text files (configparser) describe the codec, the
-predictor, the edit, and an optional sweep.  A canonical re-rendering
-of the parsed values is hashed into a 16-byte digest that every output
-artifact embeds, so results are traceable to their exact configuration.
+predictor, the edit, and an optional sweep.  Every ``[edit]`` and
+``[sweep]`` value is checked when the config is built: ``[sweep]`` by
+``SweepSection``, and each sweep value as the ``EditConfig`` it makes.
+A canonical re-rendering of the parsed values is hashed into a 16-byte
+digest that every output artifact embeds, so results are traceable to
+their exact configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import hashlib
 import io
 from dataclasses import dataclass, field, replace
 
-from .codec import Codebook, ScaleSchedule, default_codebook
+from .codec import ScaleSchedule, default_codebook
 from .editing import EditConfig
 from .errors import ValidationError
 from .predictor import PredictorParams
@@ -35,14 +38,39 @@ class PredictorSection:
     model_seed: int = 7
 
 
+SWEEP_PARAMETERS = ("tau", "start_scale", "lambda")
+
+
 @dataclass(frozen=True)
 class SweepSection:
+    """No sweep (``parameter`` empty), or one of ``SWEEP_PARAMETERS``
+    over non-empty ``values`` (whole numbers for ``start_scale``) at
+    non-empty ``seeds``."""
+
     parameter: str = ""
     values: tuple[float, ...] = ()
     seeds: tuple[int, ...] = ()
 
     def __post_init__(self):
         seed_array(self.seeds)
+        if not self.parameter:
+            return
+        if self.parameter not in SWEEP_PARAMETERS:
+            raise ValidationError(
+                f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {self.parameter!r}"
+            )
+        if not (self.values and self.seeds):
+            raise ValidationError("sweep values and seeds must not be empty")
+        if self.parameter == "start_scale" and not all(float(v).is_integer() for v in self.values):
+            raise ValidationError(f"start_scale sweep values must be integers, got {self.values}")
+
+
+def _sweep_point(edit: EditConfig, parameter: str, value: float) -> EditConfig:
+    if parameter == "tau":
+        return replace(edit, tau=value)
+    if parameter == "start_scale":
+        return replace(edit, start_scale=int(value))
+    return replace(edit, lambda_kind="constant", lambda_value=value)
 
 
 @dataclass(frozen=True)
@@ -56,19 +84,22 @@ class ExperimentConfig:
     )
     sweep: SweepSection = field(default_factory=SweepSection)
     output_dir: str = "out"
+    # the edit of each sweep value, derived from ``edit`` and so checked
+    # whenever the config is built or replaced
+    sweep_configs: tuple[EditConfig, ...] = field(init=False, repr=False, compare=False)
 
-    def build_codebook(self) -> Codebook:
-        return default_codebook(
-            size=self.codec.vocab, dim=self.codec.dim, seed=self.codec.codebook_seed
-        )
-
-    def build_schedule(self) -> ScaleSchedule:
-        return ScaleSchedule(self.codec.schedule)
+    def __post_init__(self):
+        sweep = self.sweep
+        configs = ()
+        if sweep.parameter:
+            configs = tuple(_sweep_point(self.edit, sweep.parameter, v) for v in sweep.values)
+        object.__setattr__(self, "sweep_configs", configs)
 
     def build_params(self) -> PredictorParams:
+        codec = self.codec
         return PredictorParams(
-            codebook=self.build_codebook(),
-            schedule=self.build_schedule(),
+            codebook=default_codebook(size=codec.vocab, dim=codec.dim, seed=codec.codebook_seed),
+            schedule=ScaleSchedule(codec.schedule),
             model_seed=self.predictor.model_seed,
             beta=self.predictor.beta,
             cond_gain=self.predictor.cond_gain,
@@ -126,66 +157,56 @@ def load_config(path) -> ExperimentConfig:
         raise ValidationError(f"malformed config: {exc}") from exc
     try:
         return _from_parser(parser)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
+        # OverflowError: a seed range too wide for a tuple
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(f"malformed config: {exc}") from exc
 
 
 def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    d = ExperimentConfig()  # the default of every key
+    sections = {}
     if parser.has_section("codec"):
         s = parser["codec"]
-        cfg = replace(
-            cfg,
-            codec=CodecSection(
-                dim=s.getint("dim", cfg.codec.dim),
-                vocab=s.getint("vocab", cfg.codec.vocab),
-                schedule=_parse_schedule(s.get("schedule", _render_schedule(cfg.codec.schedule))),
-                codebook_seed=s.getint("codebook_seed", cfg.codec.codebook_seed),
-            ),
+        sections["codec"] = CodecSection(
+            dim=s.getint("dim", d.codec.dim),
+            vocab=s.getint("vocab", d.codec.vocab),
+            schedule=_parse_schedule(s.get("schedule", _render_schedule(d.codec.schedule))),
+            codebook_seed=s.getint("codebook_seed", d.codec.codebook_seed),
         )
     if parser.has_section("predictor"):
         s = parser["predictor"]
-        cfg = replace(
-            cfg,
-            predictor=PredictorSection(
-                beta=s.getfloat("beta", cfg.predictor.beta),
-                cond_gain=s.getfloat("cond_gain", cfg.predictor.cond_gain),
-                model_seed=s.getint("model_seed", cfg.predictor.model_seed),
-            ),
+        sections["predictor"] = PredictorSection(
+            beta=s.getfloat("beta", d.predictor.beta),
+            cond_gain=s.getfloat("cond_gain", d.predictor.cond_gain),
+            model_seed=s.getint("model_seed", d.predictor.model_seed),
         )
     if parser.has_section("edit"):
         s = parser["edit"]
         start = s.get("start_scale", "")
         tau = s.get("tau", "")
-        cfg = replace(
-            cfg,
-            edit=EditConfig(
-                source_label=s.get("source", cfg.edit.source_label),
-                target_label=s.get("target", cfg.edit.target_label),
-                start_scale=int(start) if start else None,
-                tau=float(tau) if tau else None,
-                lambda_kind=s.get("lambda_kind", cfg.edit.lambda_kind),
-                lambda_value=s.getfloat("lambda_value", cfg.edit.lambda_value),
-                seed=s.getint("seed", cfg.edit.seed),
-                context_mode=s.get("context", cfg.edit.context_mode),
-                mode=s.get("mode", cfg.edit.mode),
-            ),
+        sections["edit"] = EditConfig(
+            source_label=s.get("source", d.edit.source_label),
+            target_label=s.get("target", d.edit.target_label),
+            start_scale=int(start) if start else None,
+            tau=float(tau) if tau else None,
+            lambda_kind=s.get("lambda_kind", d.edit.lambda_kind),
+            lambda_value=s.getfloat("lambda_value", d.edit.lambda_value),
+            seed=s.getint("seed", d.edit.seed),
+            context_mode=s.get("context", d.edit.context_mode),
+            mode=s.get("mode", d.edit.mode),
         )
     if parser.has_section("sweep"):
         s = parser["sweep"]
-        cfg = replace(
-            cfg,
-            sweep=SweepSection(
-                parameter=s.get("parameter", ""),
-                values=_parse_values(s.get("values", "")),
-                seeds=_parse_seeds(s.get("seeds", "")),
-            ),
+        sections["sweep"] = SweepSection(
+            parameter=s.get("parameter", ""),
+            values=_parse_values(s.get("values", "")),
+            seeds=_parse_seeds(s.get("seeds", "")),
         )
     if parser.has_section("output"):
-        cfg = replace(cfg, output_dir=parser["output"].get("dir", cfg.output_dir))
-    return cfg
+        sections["output_dir"] = parser["output"].get("dir", d.output_dir)
+    return ExperimentConfig(**sections)
 
 
 def render_config(cfg: ExperimentConfig, include_output: bool = True) -> str:

@@ -191,12 +191,14 @@ class SeedSweep:
 
     The configs must share their labels and their mode, and may differ
     in margin, start scale, lambda schedule and context; their ``seed``
-    fields are not used.  Construction does the work that depends on
-    neither the seed nor the config, once: it encodes the source, builds
-    both condition targets and walks the source pyramid under each
-    condition, keeping the inversion logits of every scale where some
-    edit has a nonzero lambda (under the source condition, or the target
-    condition in target-only mode) and the source-prefix logits under
+    fields are not used.  A given noise set must fit the schedule and
+    have been inverted under the label the mode inverts under (the
+    source label, or the target label in target-only mode).
+    Construction does the work that depends on neither the seed nor the
+    config, once: it encodes the source, builds both condition targets
+    and walks the source pyramid under each condition, keeping the
+    inversion logits of every scale where some edit has a nonzero lambda
+    (under the inverting condition) and the source-prefix logits under
     the target condition where an edit reads them (at its start scale,
     and at every edited scale in source-prefix context).  ``run`` then
     edits a chunk of seeds.  A scale where an edit's lambda is 0 takes no
@@ -228,6 +230,12 @@ class SeedSweep:
         self._given = None
         if mode != MODE_REGEN and noise_set is not None:
             validate_noise_set(noise_set, params)
+            label = target_label if mode == MODE_TARGET_ONLY else source_label
+            if noise_set.condition_label != label:
+                raise ValidationError(
+                    f"noise was inverted under {noise_set.condition_label!r}, but mode "
+                    f"{mode} inverts under {label!r}"
+                )
             self._given = noise_set.noises
         to_invert = set()  # the scales where some edit mixes in inverse noise
         if mode != MODE_REGEN and noise_set is None:
@@ -373,7 +381,8 @@ def edit_with_inverse_noise(
 ) -> EditResult:
     """Noise-guided edit: invert under the source condition, then sample
     edited scales under the target condition with interpolated noise.
-    Runs the ``varin`` pipeline whatever the config's mode."""
+    Runs the ``varin`` pipeline whatever the config's mode, so a given
+    ``noise_set`` must have been inverted under the source label."""
     config = replace(config, mode=MODE_VARIN)
     [[result]] = SeedSweep(source_grid, (config,), params, noise_set).run((config.seed,))
     return result

@@ -8,8 +8,9 @@ is.
 The standard and located transforms map explicit uniform draws through
 their closed forms (pure math, easy to pin in tests); the truncated
 transform takes its draws as log(-log u), which the inversion computes
-once for every margin.  Keyed uniforms come from
-:func:`invnoise.rng.uniform_values`: ``standard_field`` and
+once for every margin; both take their inputs as checked (finite
+stepper logits, keyed uniforms, a checked margin).  Keyed uniforms come
+from :func:`invnoise.rng.uniform_values`: ``standard_field`` and
 ``sample_token_map`` draw whole (h, w, C) fields, and the located and
 truncated draws of the inversion are keyed in :mod:`invnoise.inversion`.
 """
@@ -32,10 +33,7 @@ def standard_from_uniform(u):
 
 
 def located_from_uniform(phi, u):
-    """Gumbel(phi, 1) transform; phi must be finite."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if not np.all(np.isfinite(phi)):
-        raise ValidationError("location phi must be finite")
+    """Gumbel(phi, 1) transform, for a finite phi."""
     return phi + standard_from_uniform(u)
 
 
@@ -47,14 +45,12 @@ def truncated_from_loglog(phi, trunc, loglog):
     phi - logaddexp(phi - trunc, loglog), so exp(phi - trunc) never
     overflows, then clamped so the bound holds exactly in float64.
     loglog does not depend on phi or trunc, so draws transformed once
-    serve every bound.  The steps write into one buffer of the broadcast
-    shape; a 0-d result comes back as a numpy scalar.
+    serve every bound.  phi and trunc are finite.  The steps write into
+    one buffer of the broadcast shape; a 0-d result is a numpy scalar.
     """
     phi = np.asarray(phi, dtype=np.float64)
     trunc = np.asarray(trunc, dtype=np.float64)
     loglog = np.asarray(loglog, dtype=np.float64)
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(trunc))):
-        raise ValidationError("phi and trunc must be finite")
     out = np.empty(np.broadcast_shapes(phi.shape, trunc.shape, loglog.shape))
     np.subtract(phi, trunc, out=out)
     np.logaddexp(out, loglog, out=out)

@@ -31,7 +31,7 @@ float64) whose replay keeps every margin, so a float32 noise file holds
 the noise as it is and memory and disk give the same tokens.
 
 Inputs are checked where they enter: ``invert_pyramid`` checks its
-margin, kind and pyramid, edit configs check their margin
+margin, kind, seed and pyramid, edit configs check their margin
 (``check_tau``), and ``validate_noise_set`` is the one shape check for
 noise sets that come from outside.  The step itself takes what its
 callers checked.
@@ -48,7 +48,7 @@ from .codec import validate_pyramid
 from .errors import InvariantError, ValidationError
 from .gumbel import located_from_uniform, truncated_from_loglog
 from .predictor import Condition, PredictorParams, ScaleStepper
-from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, uniform_values
+from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, seed_array, uniform_values
 
 # Finite stand-in for log 0 in the onehot construction: far below any
 # reachable logit + Gumbel sum, but safe for arithmetic.
@@ -269,6 +269,7 @@ def invert_pyramid(
     tau = check_tau(tau)
     if kind not in (KIND_LAI, KIND_OAI):
         raise ValidationError(f"unknown inversion kind {kind!r}")
+    seed_array((seed,))
     maps = validate_pyramid(pyramid, params.codebook, params.schedule)
     stepper = ScaleStepper(cond, params)
     noises = []

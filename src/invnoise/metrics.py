@@ -49,17 +49,6 @@ def validate_region_mask(mask: np.ndarray, shape: tuple[int, int]) -> np.ndarray
     return mask
 
 
-def _background(a: np.ndarray, mask) -> np.ndarray:
-    """Select cells outside the edit region, flattened per channel."""
-    mask = np.asarray(mask)
-    if mask.dtype != bool or mask.shape != a.shape[1:]:
-        raise ValidationError(f"mask must be boolean with shape {a.shape[1:]}")
-    keep = ~mask
-    if not keep.any():
-        raise ValidationError("mask leaves no background cells")
-    return a[:, keep]
-
-
 def _finite_peak(peak) -> None:
     """A max-abs peak is NaN or infinite exactly when its grid holds a
     NaN or infinite value."""
@@ -67,22 +56,23 @@ def _finite_peak(peak) -> None:
         raise ValidationError("grid values must be finite")
 
 
-def _mean_square(a: np.ndarray, b: np.ndarray, mask) -> float:
-    """MSE of a and b, of their background with a mask."""
-    if mask is not None:
-        a, b = _background(a, mask), _background(b, mask)
+def _mean_square(a: np.ndarray, b: np.ndarray, keep) -> float:
+    """MSE of a and b, of their background cells ``keep`` when given."""
+    if keep is not None:
+        a, b = a[:, keep], b[:, keep]
     with np.errstate(over="ignore"):  # inf beyond the float64 range
         return float(np.mean((a - b) ** 2))
 
 
-def _psnr_from(a: np.ndarray, b: np.ndarray, err: float, peak: float, mask) -> float:
-    """PSNR from the MSE ``err`` of a and b (of their background, with a
-    mask) and ``peak``, the max-abs value over both.  PSNR does not
-    change when the grids and the peak scale together, so when err
-    underflows or the peak could overflow the grids are scored divided
-    by their peak instead; an MSE of zero then means identical grids."""
+def _psnr_from(a: np.ndarray, b: np.ndarray, err: float, peak: float, keep) -> float:
+    """PSNR from the MSE ``err`` of a and b (of their background cells
+    ``keep``, when given) and ``peak``, the max-abs value over both.
+    PSNR does not change when the grids and the peak scale together, so
+    when err underflows or the peak could overflow the grids are scored
+    divided by their peak instead; an MSE of zero then means identical
+    grids."""
     if peak > 0.0 and (err < _TINY or peak > _HUGE):
-        err, peak = _mean_square(a / peak, b / peak, mask), 1.0
+        err, peak = _mean_square(a / peak, b / peak, keep), 1.0
     if err == 0.0:
         return PSNR_CAP
     return float(min(10.0 * np.log10(peak**2 / err), PSNR_CAP))
@@ -183,16 +173,18 @@ class Scorer:
         _finite_peak(self._peak)
         self._window = _ssim_window(ref.shape[1:])
         self._stats = _window_stats(ref, self._window) if self._peak <= _HUGE else None
-        self._mask = mask
+        self._keep = None  # the background cells, with a mask
         if mask is not None:
-            self._ref_background = _background(ref, mask)
-            self._keep = ~np.asarray(mask)
+            mask = np.asarray(mask)
+            if mask.dtype != bool or mask.shape != ref.shape[1:]:
+                raise ValidationError(f"mask must be boolean with shape {ref.shape[1:]}")
+            self._keep = ~mask
+            if not self._keep.any():
+                raise ValidationError("mask leaves no background cells")
+            self._ref_background = ref[:, self._keep]
 
     def score(self, a: np.ndarray) -> dict:
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != self._ref.shape:
-            raise ValidationError(f"grid shapes differ: {a.shape} vs {self._ref.shape}")
-        return self.score_many(a[None])[0]
+        return self.score_many(np.asarray(a)[None])[0]
 
     def score_many(self, grids) -> list[dict]:
         """``score`` of each grid of an (N, d, h, w) stack, in order.
@@ -210,7 +202,7 @@ class Scorer:
         peaks = [max(float(p), self._peak) for p in grid_peaks]
         with np.errstate(over="ignore"):  # inf beyond the float64 range
             errs = np.mean((grids - ref) ** 2, axis=(1, 2, 3))
-            if self._mask is not None:
+            if self._keep is not None:
                 # a[:, keep] of one (d, h, w) grid lies cell by cell with
                 # the channels innermost; reduce the stack in that order
                 cells = np.ascontiguousarray(np.moveaxis(grids, 1, -1)[:, self._keep])
@@ -231,10 +223,10 @@ class Scorer:
             if ssim_a is None:
                 ssim_a = _ssim_alone(a, ref, self._window, peak)
             scores = {"mse": err, "psnr": _psnr_from(a, ref, err, peak, None), "ssim": ssim_a}
-            if self._mask is not None:
+            if self._keep is not None:
                 err = float(bg_errs[i])
                 scores["bg_mse"] = err
-                scores["bg_psnr"] = _psnr_from(a, ref, err, peak, self._mask)
+                scores["bg_psnr"] = _psnr_from(a, ref, err, peak, self._keep)
             out.append(scores)
         return out
 

@@ -42,6 +42,7 @@ from .rng import (
     PURPOSE_GENERATION,
     PURPOSE_MIXING,
     normal_values,
+    seed_array,
 )
 
 # Logits stay within the float64 range divided by this, so that the sums
@@ -71,6 +72,7 @@ class PredictorParams:
             raise ValidationError("beta must be positive and finite")
         if not np.isfinite(self.cond_gain):
             raise ValidationError("cond_gain must be finite")
+        seed_array((self.model_seed,))
 
 
 def condition_embed(label: str, params: PredictorParams) -> Condition:
@@ -173,6 +175,7 @@ class ScaleStepper:
 def generate(cond: Condition, params: PredictorParams, seed: int) -> list[np.ndarray]:
     """Sample a token pyramid under ``cond`` by keyed Gumbel-max draws,
     each scale conditioned on the scales drawn before it."""
+    seed_array((seed,))
     stepper = ScaleStepper(cond, params)
     pyramid = []
     for k in range(1, params.schedule.num_scales + 1):

@@ -7,7 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,34 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# every command, as run with a config
+EVERY_COMMAND = [
+    ["encode"],
+    ["invert"],
+    ["edit", "--mode", "regen"],
+    ["edit", "--auto-invert"],
+    ["sweep"],
+    ["render", "--in"],
+]
+
+
+def run_with_config(tmp_path, command, cfg, out):
+    """``command`` with ``--config cfg --out out``; ``render`` renders a
+    small grid."""
+    if command == ["render", "--in"]:
+        write_grid(tmp_path / "g.nsg", np.zeros((4, 2, 2)))
+        command = command + [tmp_path / "g.nsg"]
+    return run(*command, "--config", cfg, "--out", out)
+
+
+def assert_every_command_rejects(tmp_path, cfg):
+    """Every command exits 2 on ``cfg`` and writes nothing."""
+    for command in EVERY_COMMAND:
+        out = tmp_path / "o"
+        assert run_with_config(tmp_path, command, cfg, out) == EXIT_VALIDATION, command
+        assert not out.exists(), command
 
 
 def tree_bytes(root):
@@ -622,21 +650,50 @@ class TestSweep:
         ordered = [means[f"start_scale={v!r}"] for v in (2.0, 3.0, 4.0)]
         assert all(b >= a for a, b in zip(ordered, ordered[1:]))
 
+    # [sweep] is checked when the config loads, so every command, whether
+    # it sweeps or not, rejects a bad one
+
     def test_empty_values_rejected_without_output(self, tmp_path):
-        cfg = sweep_config(tmp_path, "tau", "")
-        out = tmp_path / "s"
-        assert run("sweep", "--config", cfg, "--out", out) == EXIT_VALIDATION
-        assert not (out / "sweep.csv").exists()
+        assert_every_command_rejects(tmp_path, sweep_config(tmp_path, "tau", ""))
 
     def test_unknown_parameter_rejected(self, tmp_path):
-        cfg = sweep_config(tmp_path, "gamma", "1,2")
-        assert run("sweep", "--config", cfg, "--out", tmp_path / "s") == EXIT_VALIDATION
+        assert_every_command_rejects(tmp_path, sweep_config(tmp_path, "gamma", "1,2"))
 
     def test_fractional_start_scale_rejected(self, tmp_path):
         cfg = sweep_config(tmp_path, "start_scale", "2,2.5", mode="regen")
-        out = tmp_path / "s"
-        assert run("sweep", "--config", cfg, "--out", out) == EXIT_VALIDATION
-        assert not (out / "sweep.csv").exists()
+        assert_every_command_rejects(tmp_path, cfg)
+
+    @pytest.mark.parametrize("parameter,values", [("tau", "-1"), ("lambda", "7"), ("start_scale", "0")])
+    def test_bad_value_rejected(self, tmp_path, parameter, values):
+        """Each sweep value is checked as the edit config it makes."""
+        assert_every_command_rejects(tmp_path, sweep_config(tmp_path, parameter, values))
+
+    def test_start_scale_beyond_schedule_left_to_the_edit(self, tmp_path):
+        """Start scale K + 1 is valid for regeneration alone, which a
+        --mode override can choose after load, so the edit checks it."""
+        cfg = sweep_config(tmp_path, "start_scale", "6", seeds="0:2")
+        assert run("edit", "--config", cfg, "--mode", "regen", "--out", tmp_path / "e") == EXIT_OK
+        assert run("sweep", "--config", cfg, "--out", tmp_path / "v") == EXIT_VALIDATION
+        cfg = sweep_config(tmp_path, "start_scale", "6", mode="regen", seeds="0:2")
+        assert run("sweep", "--config", cfg, "--out", tmp_path / "r") == EXIT_OK
+
+    def test_seed_range_too_wide_for_a_tuple_rejected(self, tmp_path):
+        cfg = sweep_config(tmp_path, "tau", "14", seeds="0:18446744073709551616")
+        out = tmp_path / "o"
+        assert run("encode", "--config", cfg, "--out", out) == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_configs_follow_the_final_edit(self, tmp_path):
+        """The sweep's edit configs derive from the config's edit as built,
+        so an edit replaced by flag overrides or a demo scene's labels
+        reaches them."""
+        cfg = load_config(sweep_config(tmp_path, "lambda", "0.25,0.5"))
+        assert [c.lambda_value for c in cfg.sweep_configs] == [0.25, 0.5]
+        edit = replace(cfg.edit, tau=3.0, source_label="a")
+        assert replace(cfg, edit=edit).sweep_configs == (
+            replace(edit, lambda_kind="constant", lambda_value=0.25),
+            replace(edit, lambda_kind="constant", lambda_value=0.5),
+        )
 
 
 def metric_values(csv_path, seed, scope):
@@ -713,11 +770,21 @@ class TestSeedRange:
         assert run("edit", "--auto-invert", "--seed", seed, "--out", out) == EXIT_VALIDATION
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
-    def test_edit_seed_key(self, tmp_path, seed):
+    @pytest.mark.parametrize(
+        "section,key,seed",
+        [
+            pytest.param(section, key, seed, id=seed if key == "seed" else f"{key}={seed}")
+            for section, key in [
+                ("edit", "seed"), ("codec", "codebook_seed"), ("predictor", "model_seed")
+            ]
+            for seed in ["18446744073709551616", "-1"]
+        ],
+    )
+    def test_edit_seed_key(self, tmp_path, section, key, seed):
         cfg = tmp_path / "c.ini"
-        cfg.write_text(f"[edit]\nseed = {seed}\n")
+        cfg.write_text(f"[{section}]\n{key} = {seed}\n")
         assert run("invert", "--config", cfg, "--out", tmp_path / "i") == EXIT_VALIDATION
+        assert not (tmp_path / "i").exists()
 
     def test_largest_seed_accepted(self, tmp_path):
         out = tmp_path / "e"
@@ -843,30 +910,32 @@ class TestConfig:
         ["context = bogus", "lambda_kind = cosine", "lambda_kind = constant\nlambda_value = 7",
          "tau = -1"],
     )
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["encode"],
-            ["invert"],
-            ["edit", "--mode", "regen"],
-            ["edit", "--auto-invert"],
-            ["sweep"],
-            ["render", "--in"],
-        ],
-    )
+    @pytest.mark.parametrize("command", EVERY_COMMAND)
     def test_bad_edit_setting_is_validation_error(self, tmp_path, setting, command):
         """Every command checks the whole [edit] section, whether it edits
         or not, and writes nothing."""
-        if command == ["render", "--in"]:
-            write_grid(tmp_path / "g.nsg", np.zeros((4, 2, 2)))
-            command = command + [tmp_path / "g.nsg"]
         path = tmp_path / "bad.ini"
         path.write_text(f"[edit]\n{setting}\n\n[sweep]\nparameter = tau\nvalues = 18\nseeds = 0:2\n")
-        assert run(*command, "--config", path, "--out", tmp_path / "o") == EXIT_VALIDATION
+        assert run_with_config(tmp_path, command, path, tmp_path / "o") == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("dim", [0, -2])
-    def test_codebook_dim_below_one_is_validation_error(self, tmp_path, dim):
+    @pytest.mark.parametrize(
+        "command,dim",
+        [
+            pytest.param(command, dim, id=str(dim) if command == ["encode"] else f"render-{dim}")
+            for command in (["encode"], ["render", "--in"])
+            for dim in (0, -2)
+        ],
+    )
+    def test_codebook_dim_below_one_is_validation_error(self, tmp_path, command, dim):
         path = tmp_path / "dim.ini"
         path.write_text(f"[codec]\ndim = {dim}\n")
-        assert run("encode", "--config", path, "--out", tmp_path / "o") == EXIT_VALIDATION
+        assert run_with_config(tmp_path, command, path, tmp_path / "o") == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("setting", ["[codec]\nvocab = 1", "[predictor]\nbeta = -1"])
+    def test_render_checks_codec_and_predictor(self, tmp_path, setting):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"{setting}\n")
+        assert run_with_config(tmp_path, ["render", "--in"], path, tmp_path / "o") == EXIT_VALIDATION
+        assert not (tmp_path / "o").exists()

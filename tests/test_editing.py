@@ -291,7 +291,7 @@ class TestValidation:
         grid = random_grid(81)
         noise_set = invert_pyramid(
             encode(grid, params.codebook, params.schedule),
-            condition_embed(SRC, params),
+            condition_embed(TGT if edit is target_only_edit else SRC, params),
             18.0,
             params,
             seed=3,
@@ -302,6 +302,23 @@ class TestValidation:
         for bad in (narrow, shifted):
             with pytest.raises(ValidationError):
                 edit(grid, cfg, params, bad)
+
+    @pytest.mark.parametrize(
+        "edit,label", [(edit_with_inverse_noise, TGT), (target_only_edit, SRC)]
+    )
+    def test_noise_inverted_under_other_label(self, params, edit, label):
+        """varin mixes noise inverted under the source label, target-only
+        under the target label; a set inverted under the other is rejected."""
+        grid = random_grid(82)
+        noise_set = invert_pyramid(
+            encode(grid, params.codebook, params.schedule),
+            condition_embed(label, params),
+            18.0,
+            params,
+            seed=3,
+        )
+        with pytest.raises(ValidationError, match="inverted under"):
+            edit(grid, EditConfig(source_label=SRC, target_label=TGT, seed=3), params, noise_set)
 
 
 def single_edit(grid, cfg, mode, params, noise_set=None):

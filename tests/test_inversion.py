@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise.codec import encode
+from invnoise.codec import default_codebook, encode
 from invnoise.errors import InvariantError, ValidationError
 from invnoise.gumbel import ks_statistic, located_from_uniform
 from invnoise.inversion import (
@@ -131,6 +131,34 @@ class TestLocatedInverse:
         pyramid = generate(source_cond, params, seed=5)
         with pytest.raises(ValidationError):
             invert_pyramid(pyramid, source_cond, -0.5, params, seed=1)
+
+
+# not integers in [0, 2^64)
+BAD_SEEDS = [-1, 1.5, 2**64, True]
+
+
+class TestSeedRule:
+    """Every library entry that takes a seed checks it as ``seed_array``
+    does, instead of drawing under its value modulo 2^64 or truncated."""
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_invert_pyramid(self, params, source_cond, seed):
+        pyramid = generate(source_cond, params, seed=5)
+        with pytest.raises(ValidationError):
+            invert_pyramid(pyramid, source_cond, 18.0, params, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_generate_codebook_and_model(self, params, source_cond, seed):
+        with pytest.raises(ValidationError):
+            generate(source_cond, params, seed=seed)
+        with pytest.raises(ValidationError):
+            default_codebook(seed=seed)
+        with pytest.raises(ValidationError):
+            PredictorParams(params.codebook, params.schedule, model_seed=seed)
+
+    def test_largest_seed_kept(self, params, source_cond):
+        pyramid = generate(source_cond, params, seed=2**64 - 1)
+        assert invert_pyramid(pyramid, source_cond, 18.0, params, seed=2**64 - 1).seed == 2**64 - 1
 
 def tighten(tokens, logits, q, tau):
     """The tightened noise of perturbed logits q."""

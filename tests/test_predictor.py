@@ -156,7 +156,7 @@ class TestStepperReuse:
         assert len(calls) == 3
         edit_with_inverse_noise(
             np.zeros((params.codebook.dim, *params.schedule.finest)),
-            EditConfig(source_label="a", target_label="b"),
+            EditConfig(source_label=source_cond.label, target_label="b"),
             params,
             noise_set,
         )
