@@ -39,6 +39,8 @@ class PredictorSection:
 
 
 SWEEP_PARAMETERS = ("tau", "start_scale", "lambda")
+# Most seeds a [sweep] range may hold; checked before the range is built.
+SEED_RANGE_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         lo, hi = (int(p) for p in text.split(":"))
         if lo < 0 or hi > SEED_LIMIT:
             raise ValidationError(f"seed range {lo}:{hi} outside [0, 2^64)")
+        if hi - lo > SEED_RANGE_LIMIT:
+            raise ValidationError(f"seed range {lo}:{hi} holds more than {SEED_RANGE_LIMIT} seeds")
         return tuple(range(lo, hi))
     return tuple(int(p) for p in text.split(",") if p.strip())
 
@@ -157,8 +161,7 @@ def load_config(path) -> ExperimentConfig:
         raise ValidationError(f"malformed config: {exc}") from exc
     try:
         return _from_parser(parser)
-    except (ValueError, KeyError, OverflowError) as exc:
-        # OverflowError: a seed range too wide for a tuple
+    except (ValueError, KeyError) as exc:
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(f"malformed config: {exc}") from exc

@@ -290,7 +290,9 @@ def reconstruct_from_noise(
     stepper = ScaleStepper(cond, params)
     pyramid = []
     for noise in noise_set.noises:
-        tokens = np.argmax(stepper.next_scale_logits() + noise, axis=-1).astype(np.int32)
+        logits = stepper.next_scale_logits()
+        logits += noise
+        tokens = np.argmax(logits, axis=-1).astype(np.int32)
         stepper.push(tokens)
         pyramid.append(tokens)
     return pyramid

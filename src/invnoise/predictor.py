@@ -11,17 +11,21 @@ and bitwise reproducible, which is what the inversion algebra needs.
 condition.  It computes the condition's feature target once and keeps a
 running decode of the scales pushed so far, so each scale costs one
 embedding instead of a decode of the whole prefix, and ``fork`` copies
-it for another walk under the same condition.  Pushing a stack of S
-token maps turns it into S walks that share that prefix (a leading seed
-axis on the canvas and the logits).  Generation, inversion, replay and
-editing all drive it, and ``generate`` samples a pyramid scale by scale
-with keyed Gumbel-max draws.
+it for another walk under the same condition.  The pushed scales make
+that decode constant over blocks, so it computes each scale's logits
+once per block and copies them to the block's cells, which is exact
+(see ``_block_factors``).  Pushing a stack of S token maps turns it
+into S walks that share that prefix (a leading seed axis on the canvas
+and the logits).  Generation, inversion, replay and editing all drive
+it, and ``generate`` samples a pyramid scale by scale with keyed
+Gumbel-max draws.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import math
 import sys
 from dataclasses import dataclass
 
@@ -117,6 +121,27 @@ def _check_logit_range(feature: np.ndarray, cond: Condition, params: PredictorPa
         )
 
 
+def _block_factors(schedule: ScaleSchedule) -> tuple[tuple[int, int], ...]:
+    """Per scale, the (h / hc, w / wc) cells of it that share one prefix block.
+
+    The scales before it make a canvas constant over the blocks of an
+    (hc, wc) grid, hc and wc the lcm of their heights and widths.  Where
+    hc divides h and wc divides w, every cell in one block averages the
+    same values in the same order, so its logits equal the block's bit
+    for bit.  The factor is 1 elsewhere, and where the grid is 1x1, since
+    ``squared_distances`` sums a single cell in another order.
+    """
+    factors = []
+    hc = wc = 1
+    for h, w in schedule.resolutions:
+        if hc * wc > 1 and h % hc == 0 and w % wc == 0:
+            factors.append((h // hc, w // wc))
+        else:
+            factors.append((1, 1))
+        hc, wc = math.lcm(hc, h), math.lcm(wc, w)
+    return tuple(factors)
+
+
 class ScaleStepper:
     """Next-scale logits for one pyramid under one condition, scale by scale.
 
@@ -126,10 +151,17 @@ class ScaleStepper:
     order onto zeros, the same sums a full prefix decode makes, so after
     the last scale ``canvas`` is the decoded grid.  Pushing (S, h, w)
     maps gives the canvas, and every later logits array, a leading axis
-    of S walks, each equal to its own single walk.  Tokens are taken as given: callers
-    validate pyramids at their own boundary.  Construction rejects params
-    whose logits under ``cond`` could overflow, for any prefix, so no
-    scale checks its logits.
+    of S walks, each equal to its own single walk.
+
+    The canvas is constant over the blocks of the grid the pushed scales
+    fix.  Where such a block holds several cells of the current scale,
+    those cells average the same values in the same order, so their
+    logits are equal bit for bit: ``next_scale_logits`` computes them
+    once per block and writes them into one output array.
+
+    Tokens are taken as given: callers validate pyramids at their own
+    boundary.  Construction rejects params whose logits under ``cond``
+    could overflow, for any prefix, so no scale checks its logits.
     """
 
     def __init__(self, cond: Condition, params: PredictorParams):
@@ -139,6 +171,7 @@ class ScaleStepper:
         _check_logit_range(feature, cond, params)
         self._target = params.cond_gain * feature
         self._canvas = np.zeros((params.codebook.dim, *params.schedule.finest))
+        self._factors = _block_factors(params.schedule)
 
     @property
     def canvas(self) -> np.ndarray:
@@ -148,10 +181,18 @@ class ScaleStepper:
     def next_scale_logits(self) -> np.ndarray:
         """(..., h, w, C) unnormalized log-probabilities for the current scale."""
         params = self.params
-        shape = params.schedule.resolutions[self.scale - 1]
-        context = self._target[:, None, None] - downsample_blockmean(self._canvas, shape)
-        logits = squared_distances(np.moveaxis(context, -3, -1), params.codebook.vectors)
-        logits *= -params.beta
+        h, w = params.schedule.resolutions[self.scale - 1]
+        fh, fw = self._factors[self.scale - 1]
+        context = self._target[:, None, None] - downsample_blockmean(self._canvas, (h, w))
+        # one cell per prefix block
+        cells = np.moveaxis(context[..., ::fh, ::fw], -3, -1)
+        block_logits = squared_distances(cells, params.codebook.vectors)
+        block_logits *= -params.beta
+        if fh == fw == 1:
+            return block_logits
+        *lead, hc, wc, c = block_logits.shape
+        logits = np.empty((*lead, h, w, c))
+        logits.reshape(*lead, hc, fh, wc, fw, c)[...] = block_logits[..., :, None, :, None, :]
         return logits
 
     def push(self, tokens: np.ndarray):

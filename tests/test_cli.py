@@ -13,12 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invnoise import cli, demo, inversion, metrics
+from invnoise import cli, config, demo, inversion, metrics
 from invnoise.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from invnoise.codec import decode, encode
 from invnoise.config import ExperimentConfig, config_digest, load_config, render_config
 from invnoise.demo import demo_scene
 from invnoise.editing import default_start_scale, seed_chunk_width
+from invnoise.errors import ValidationError
 from invnoise.fileio import read_grid, read_noise_set, read_pyramid, write_grid
 from invnoise.predictor import condition_embed
 from invnoise.rng import PURPOSE_TRUNC_DRAW
@@ -470,6 +471,21 @@ def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# SHA-256 of the stress-scale scene-a files at seed 0, by inversion margin
+STRESS_DIGESTS = {
+    18.0: {
+        "noise.nsn": "2d7b67d24b02c688c0e19c029440f878756886491e37d10cc24a9b3e5c9970b8",
+        "edited.nsp": "2189254f832d9d1fdc1a621fcf5904ddeb30443724eab8e7104af6e2a7527a54",
+        "edit_metrics.csv": "bc3baf503608d90849b3f96d66e98acea44331b001e47f65603f292780027a78",
+    },
+    0.0: {
+        "noise.nsn": "210fbd219ff35e9a0dc0b749c60ea29069f38926ba0e078f26b98e42d454c730",
+        "edited.nsp": "0f3e1767b729ee2151669eedb54a688c33827154c64df9fcdcb25a81807bffe9",
+        "edit_metrics.csv": "842d4b17694048c06666ff8d94832ad1e8b7ba66c3dc36e1a4d0fd82c62af041",
+    },
+}
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
 
@@ -517,6 +533,34 @@ class TestSweep:
                 == EXIT_OK
             )
             assert sha256(out / "sweep.csv") == digest
+
+    def test_stress_output_pinned(self, tmp_path):
+        """At stress scale (64x64, vocab 512, 7 scales) `invert` and
+        `edit --noise` of scene-a reproduce their recorded files byte for
+        byte, at a wide and a zero margin, and each noise file replays
+        the source tokens from disk."""
+        scene = demo.scene_record("scene-a")
+        cfg = tmp_path / "stress.ini"
+        cfg.write_text(
+            "[codec]\nvocab = 512\nschedule = 1x1,2x2,4x4,8x8,16x16,32x32,64x64\n\n"
+            f"[edit]\nsource = {scene.source_label}\ntarget = {scene.target_label}\n"
+        )
+        params = load_config(cfg).build_params()
+        grid_path = tmp_path / "scene-a.nsg"
+        grid = demo_scene("scene-a", params)[0]
+        write_grid(grid_path, grid)
+        source = encode(grid, params.codebook, params.schedule)
+        cond = condition_embed(scene.source_label, params)
+        for tau, digests in STRESS_DIGESTS.items():
+            out = tmp_path / f"t{tau}"
+            common = ["--config", cfg, "--grid", grid_path, "--seed", 0, "--out", out]
+            assert run("invert", *common, "--tau", tau) == EXIT_OK
+            noise_set, _ = read_noise_set(out / "noise.nsn")
+            replayed = inversion.reconstruct_from_noise(noise_set, cond, params)
+            assert all(np.array_equal(a, b) for a, b in zip(replayed, source, strict=True))
+            assert run("edit", *common, "--mode", "varin", "--noise", out / "noise.nsn",
+                       "--lambda", "linear", "--mask", "demo:scene-a") == EXIT_OK
+            assert {name: sha256(out / name) for name in digests} == digests
 
     def test_setup_once_and_inversion_draws_once_per_seed(self, tmp_path, monkeypatch):
         """V values x S seeds build the params and the scene once, and draw
@@ -682,6 +726,20 @@ class TestSweep:
         out = tmp_path / "o"
         assert run("encode", "--config", cfg, "--out", out) == EXIT_VALIDATION
         assert not out.exists()
+
+    def test_seed_range_width_checked_before_it_is_built(self, tmp_path):
+        """A range inside [0, 2^64) but wider than 2^20 seeds is rejected
+        by its width alone, without building it."""
+        assert_every_command_rejects(
+            tmp_path, sweep_config(tmp_path, "tau", "14", seeds="0:1099511627776")
+        )
+
+    def test_seed_range_limit_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(config, "SEED_RANGE_LIMIT", 4)
+        cfg = load_config(sweep_config(tmp_path, "tau", "14", seeds="3:7"))
+        assert cfg.sweep.seeds == (3, 4, 5, 6)
+        with pytest.raises(ValidationError, match="more than 4 seeds"):
+            load_config(sweep_config(tmp_path, "tau", "14", seeds="3:8"))
 
     def test_configs_follow_the_final_edit(self, tmp_path):
         """The sweep's edit configs derive from the config's edit as built,

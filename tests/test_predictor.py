@@ -1,5 +1,7 @@
 """Next-scale predictor: determinism, conditioning, sampling laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from invnoise import predictor
 from invnoise.codec import (
     ScaleSchedule,
     decode,
+    default_codebook,
     downsample_blockmean,
+    dyadic_schedule,
     embed_tokens,
     upsample_replicate,
 )
@@ -134,6 +138,76 @@ class TestLogitsMatchReference:
             got = walk_logits(pyramid[: k - 1], source_cond, params)
             assert got.flags.c_contiguous
             assert np.array_equal(got, reference_logits(pyramid[: k - 1], source_cond, k, params))
+
+    @pytest.mark.parametrize(
+        "resolutions",
+        [
+            ((1, 1), (2, 2), (3, 3), (6, 6)),  # the prefix grid does not divide 3x3
+            ((1, 1), (2, 2), (5, 5), (10, 10)),  # nor 5x5
+            ((1, 1), (3, 2), (6, 4), (12, 12)),  # blocks of 2x2, then 2x3
+            ((1, 1), (1, 1), (2, 2)),  # a repeated resolution
+            ((2, 2), (4, 4), (8, 8)),  # a first scale of 2x2
+        ],
+    )
+    def test_schedules_with_and_without_prefix_blocks(self, codebook, source_cond, resolutions):
+        params = PredictorParams(codebook, ScaleSchedule(resolutions), beta=50.0)
+        pyramid = generate(source_cond, params, seed=5)
+        for k in range(1, len(resolutions) + 1):
+            got = walk_logits(pyramid[: k - 1], source_cond, params)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, reference_logits(pyramid[: k - 1], source_cond, k, params))
+
+    def test_seed_axis(self, codebook, source_cond):
+        """A stepper pushed stacks of three maps from the first scale gives
+        each walk the reference logits of its own prefix."""
+        params = PredictorParams(codebook, ScaleSchedule(((1, 1), (3, 2), (6, 4), (12, 12))))
+        pyramids = [generate(source_cond, params, seed=s) for s in (1, 2, 3)]
+        stepper = ScaleStepper(source_cond, params)
+        for k in range(1, params.schedule.num_scales + 1):
+            logits = stepper.next_scale_logits()
+            if k > 1:
+                assert logits.flags.c_contiguous
+                for pyramid, got in zip(pyramids, logits, strict=True):
+                    want = reference_logits(pyramid[: k - 1], source_cond, k, params)
+                    assert np.array_equal(got, want)
+            stepper.push(np.stack([p[k - 1] for p in pyramids]))
+
+
+class TestPrefixBlocks:
+    """Each scale's distances are computed once per block of the grid its
+    prefix fixes, and written into a single output array."""
+
+    def test_cells_computed_per_scale(self, params, source_cond, monkeypatch):
+        """At 1x1, 2x2, 4x4, 8x8, 16x16 the 2x2 scale follows a constant
+        canvas and keeps all 4 cells; each later scale computes one cell
+        per block of the previous scale's grid."""
+        cells = []
+        original = predictor.squared_distances
+
+        def counted(grid, vectors):
+            cells.append(int(np.prod(grid.shape[:-1])))
+            return original(grid, vectors)
+
+        monkeypatch.setattr(predictor, "squared_distances", counted)
+        generate(source_cond, params, seed=1)
+        assert cells == [1, 4, 4, 16, 64]
+
+    def test_peak_memory_of_finest_logits(self, source_cond):
+        """One 64x64, vocab-512 scale allocates less than 1.5 times its
+        output at peak."""
+        schedule = dyadic_schedule(7)
+        params = PredictorParams(default_codebook(size=512), schedule)
+        stepper = ScaleStepper(source_cond, params)
+        for h, w in schedule.resolutions[:-1]:
+            stepper.push(np.arange(h * w, dtype=np.int32).reshape(h, w) % 512)
+        tracemalloc.start()
+        try:
+            logits = stepper.next_scale_logits()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (64, 64, 512)
+        assert peak < 1.5 * logits.nbytes
 
 
 class TestStepperReuse:
