@@ -48,81 +48,64 @@ DEMO_PREFIX = "demo:"
 
 
 def _load_effective_config(args) -> ExperimentConfig:
+    """The --config file (or the defaults) with the flag overrides, and
+    with a demo scene's own label pair when the labels are still the
+    built-in defaults, applied before the config digest is taken, so
+    artifacts stay traceable to the labels actually used."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    edit = cfg.edit
-    if getattr(args, "seed", None) is not None:
-        edit = replace(edit, seed=args.seed)
-    if getattr(args, "tau", None) is not None:
-        edit = replace(edit, tau=args.tau)
-    if getattr(args, "start_scale", None) is not None:
-        edit = replace(edit, start_scale=args.start_scale)
-    if getattr(args, "mode", None) is not None:
-        edit = replace(edit, mode=args.mode)
+    overrides = {
+        name: value
+        for name in ("seed", "tau", "start_scale", "mode")
+        if (value := getattr(args, name, None)) is not None
+    }
     lam = getattr(args, "lam", None)
-    if lam is not None:
-        if lam == "linear":
-            edit = replace(edit, lambda_kind="linear", lambda_value=1.0)
-        else:
-            try:
-                value = float(lam)
-            except ValueError:
-                raise ValidationError(
-                    f"--lambda expects 'linear' or a number, got {lam!r}"
-                ) from None
-            edit = replace(edit, lambda_kind="constant", lambda_value=value)
-    cfg = replace(cfg, edit=edit)
-    if getattr(args, "out", None) is not None:
+    if lam == "linear":
+        overrides.update(lambda_kind="linear", lambda_value=1.0)
+    elif lam is not None:
+        try:
+            overrides.update(lambda_kind="constant", lambda_value=float(lam))
+        except ValueError:
+            raise ValidationError(f"--lambda expects 'linear' or a number, got {lam!r}") from None
+    labels = (cfg.edit.source_label, cfg.edit.target_label)
+    defaults = ExperimentConfig().edit
+    source = getattr(args, "grid", "")
+    if source.startswith(DEMO_PREFIX) and labels == (defaults.source_label, defaults.target_label):
+        scene = demo.scene_record(source[len(DEMO_PREFIX) :])
+        overrides.update(source_label=scene.source_label, target_label=scene.target_label)
+    cfg = replace(cfg, edit=replace(cfg.edit, **overrides))
+    if (cfg.edit.source_label, cfg.edit.target_label) != labels:
+        print(
+            f"using {source[len(DEMO_PREFIX) :]} labels: "
+            f"{cfg.edit.source_label!r} -> {cfg.edit.target_label!r}"
+        )
+    if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
     return cfg
 
 
-def _adopt_demo_labels(cfg: ExperimentConfig, grid_source: str) -> ExperimentConfig:
-    """Give a demo scene its own label pair when none were chosen.
-
-    Only fires while the configured labels still equal the built-in
-    defaults, and before the config digest is taken, so artifacts stay
-    traceable to the labels actually used.
-    """
-    if not grid_source.startswith(DEMO_PREFIX):
-        return cfg
-    defaults = ExperimentConfig().edit
-    if (
-        cfg.edit.source_label != defaults.source_label
-        or cfg.edit.target_label != defaults.target_label
-    ):
-        return cfg
-    scene = demo.scene_record(grid_source[len(DEMO_PREFIX) :])
-    if (scene.source_label, scene.target_label) != (
-        cfg.edit.source_label,
-        cfg.edit.target_label,
-    ):
-        print(f"using {scene.name} labels: {scene.source_label!r} -> {scene.target_label!r}")
-    return replace(
-        cfg,
-        edit=replace(
-            cfg.edit,
-            source_label=scene.source_label,
-            target_label=scene.target_label,
-        ),
-    )
-
-
-def _resolve_grid(source: str, params):
-    """A path to a grid artifact, or demo:<name> for a bundled scene."""
-    if source.startswith(DEMO_PREFIX):
-        return demo.demo_scene(source[len(DEMO_PREFIX) :], params)[:2]
-    return fileio.read_grid(source)[0], None  # its shape is checked where it is encoded
+def _setup(args):
+    """(config, params, digest, source grid, default mask) of a command
+    that reads --grid: a path to a grid artifact (no default mask; its
+    shape is checked where it is encoded), or demo:<name> for a bundled
+    scene and its edit-region mask."""
+    cfg = _load_effective_config(args)
+    params = cfg.build_params()
+    if args.grid.startswith(DEMO_PREFIX):
+        grid, mask, _ = demo.demo_scene(args.grid[len(DEMO_PREFIX) :], params)
+    else:
+        grid, mask = fileio.read_grid(args.grid)[0], None
+    return cfg, params, config_digest(cfg), grid, mask
 
 
 def _resolve_mask(mask_arg, default_mask, shape):
+    """The edit-region mask of --mask; the ``metrics.Scorer`` checks it."""
     if mask_arg is None:
         return default_mask
     if mask_arg == "none":
         return None
     if mask_arg.startswith(DEMO_PREFIX):
         return demo.demo_mask(mask_arg[len(DEMO_PREFIX) :], shape)
-    mask_grid, _ = fileio.read_grid(mask_arg)
-    return metrics.validate_region_mask(mask_grid[0] != 0.0, shape)
+    return fileio.read_grid(mask_arg)[0][0] != 0.0
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -149,11 +132,8 @@ def _quality_rows(digest_hex, seed, scores):
 
 
 def cmd_encode(args) -> int:
-    cfg = _adopt_demo_labels(_load_effective_config(args), args.grid)
-    params = cfg.build_params()
-    digest = config_digest(cfg)
+    cfg, params, digest, grid, _ = _setup(args)
     seed = cfg.edit.seed
-    grid, _ = _resolve_grid(args.grid, params)
     pyramid = encode(grid, params.codebook, params.schedule)
     recon = decode(pyramid, params.codebook, params.schedule)
     out = _out_dir(cfg)
@@ -168,11 +148,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    cfg = _adopt_demo_labels(_load_effective_config(args), args.grid)
-    params = cfg.build_params()
-    digest = config_digest(cfg)
+    cfg, params, digest, grid, _ = _setup(args)
     seed = cfg.edit.seed
-    grid, _ = _resolve_grid(args.grid, params)
     # the label and default margin of the mode that edits with this noise
     if args.condition == "target":
         label, default_tau = cfg.edit.target_label, editing.TARGET_ONLY_DEFAULT_TAU
@@ -193,12 +170,9 @@ def cmd_invert(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    cfg = _adopt_demo_labels(_load_effective_config(args), args.grid)
-    params = cfg.build_params()
-    digest = config_digest(cfg)
+    cfg, params, digest, grid, default_mask = _setup(args)
     seed = cfg.edit.seed
-    grid, default_mask = _resolve_grid(args.grid, params)
-    mask = _resolve_mask(args.mask, default_mask, params.schedule.finest)
+    scorer = metrics.Scorer(grid, _resolve_mask(args.mask, default_mask, params.schedule.finest))
     noise_set = None
     if cfg.edit.mode != editing.MODE_REGEN:
         if args.noise is not None:
@@ -211,7 +185,7 @@ def cmd_edit(args) -> int:
     out = _out_dir(cfg)
     fileio.write_pyramid(out / "edited.nsp", result.pyramid, params.codebook.size, seed, digest)
     fileio.write_grid(out / "edited.nsg", result.grid, seed, digest)
-    rows = _quality_rows(digest.hex(), seed, metrics.Scorer(grid, mask).score(result.grid))
+    rows = _quality_rows(digest.hex(), seed, scorer.score(result.grid))
     rows.append(
         fileio.format_metric_row(
             digest.hex(),
@@ -254,15 +228,12 @@ _SWEEP_METRIC_ORDER = ("mse", "psnr", "ssim", "token_change", "bg_mse", "bg_psnr
 
 
 def cmd_sweep(args) -> int:
-    cfg = _adopt_demo_labels(_load_effective_config(args), args.grid)
+    if args.workers < 1:
+        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
+    cfg, params, digest, grid, mask = _setup(args)
     sweep = cfg.sweep
     if not sweep.parameter:
         raise ValidationError("config has no [sweep] section with a parameter")
-    if args.workers < 1:
-        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
-    digest = config_digest(cfg)
-    params = cfg.build_params()
-    grid, mask = _resolve_grid(args.grid, params)
     chunk_task = partial(
         _sweep_chunk,
         (editing.SeedSweep(grid, cfg.sweep_configs, params), metrics.Scorer(grid, mask)),

@@ -4,6 +4,8 @@ Plain INI-style text files (configparser) describe the codec, the
 predictor, the edit, and an optional sweep.  Every ``[edit]`` and
 ``[sweep]`` value is checked when the config is built: ``[sweep]`` by
 ``SweepSection``, and each sweep value as the ``EditConfig`` it makes.
+A section or key that ``render_config`` does not write is a
+``ValidationError``.
 A canonical re-rendering of the parsed values is hashed into a 16-byte
 digest that every output artifact embeds, so results are traceable to
 their exact configuration.
@@ -153,7 +155,7 @@ def _parse_values(text: str) -> tuple[float, ...]:
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a label may hold "%"
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -169,6 +171,20 @@ def load_config(path) -> ExperimentConfig:
 
 def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     d = ExperimentConfig()  # the default of every key
+    known = {}  # every section and key a config may hold: those render_config writes
+    for line in render_config(d).splitlines():
+        if line.startswith("["):
+            keys = known[line[1:-1]] = set()
+        elif line:
+            keys.add(line.split(" = ")[0])
+    if parser.defaults():
+        raise ValidationError("unknown config section [DEFAULT]")
+    for name in parser.sections():
+        if name not in known:
+            raise ValidationError(f"unknown config section [{name}]")
+        unknown = sorted(set(parser[name]) - known[name])
+        if unknown:
+            raise ValidationError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
     sections = {}
     if parser.has_section("codec"):
         s = parser["codec"]

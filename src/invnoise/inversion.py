@@ -31,10 +31,10 @@ float64) whose replay keeps every margin, so a float32 noise file holds
 the noise as it is and memory and disk give the same tokens.
 
 Inputs are checked where they enter: ``invert_pyramid`` checks its
-margin, kind, seed and pyramid, edit configs check their margin
-(``check_tau``), and ``validate_noise_set`` is the one shape check for
-noise sets that come from outside.  The step itself takes what its
-callers checked.
+margin, seed and pyramid, the ``InverseNoiseSet`` it builds checks the
+kind, edit configs check their margin (``check_tau``), and
+``validate_noise_set`` is the one shape check for noise sets that come
+from outside.  The step itself takes what its callers checked.
 """
 
 from __future__ import annotations
@@ -267,8 +267,6 @@ def invert_pyramid(
     every scale, also for the noise as a noise file stores it.
     """
     tau = check_tau(tau)
-    if kind not in (KIND_LAI, KIND_OAI):
-        raise ValidationError(f"unknown inversion kind {kind!r}")
     seed_array((seed,))
     maps = validate_pyramid(pyramid, params.codebook, params.schedule)
     stepper = ScaleStepper(cond, params)

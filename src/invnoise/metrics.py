@@ -39,16 +39,6 @@ _TINY = sys.float_info.min
 _HUGE = (sys.float_info.max / 16) ** 0.25
 
 
-def validate_region_mask(mask: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Edit-region mask: boolean (h, w) with both regions non-empty."""
-    mask = np.asarray(mask)
-    if mask.dtype != bool or mask.shape != shape:
-        raise ValidationError(f"mask must be boolean with shape {shape}")
-    if not mask.any() or mask.all():
-        raise ValidationError("region mask needs at least one cell on each side")
-    return mask
-
-
 def _finite_peak(peak) -> None:
     """A max-abs peak is NaN or infinite exactly when its grid holds a
     NaN or infinite value."""
@@ -161,7 +151,10 @@ class Scorer:
     gives the same for each grid of a stack.  The reference's peak, SSIM
     window stats (unless its peak is above ``_HUGE``) and background
     cells are computed once.  A reference or grid holding NaN or an
-    infinity is a :class:`ValidationError`.
+    infinity is a :class:`ValidationError`.  This is the one check of an
+    edit-region mask: boolean, of the reference's (h, w) shape, with at
+    least one background (False) cell.  Its edit region may be empty;
+    "bg_mse" is then "mse" up to the order of its sum.
     """
 
     def __init__(self, reference: np.ndarray, mask=None):

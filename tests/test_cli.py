@@ -12,13 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invnoise import cli, config, demo, inversion, metrics
+from invnoise import cli, config, demo, editing, inversion, metrics
 from invnoise.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from invnoise.codec import decode, encode
 from invnoise.config import ExperimentConfig, config_digest, load_config, render_config
 from invnoise.demo import demo_scene
-from invnoise.editing import default_start_scale, seed_chunk_width
+from invnoise.editing import EditConfig, SeedSweep, default_start_scale, seed_chunk_width
 from invnoise.errors import ValidationError
 from invnoise.fileio import read_grid, read_noise_set, read_pyramid, write_grid
 from invnoise.predictor import condition_embed
@@ -431,6 +433,65 @@ class TestEdit:
         edited, _, _ = read_pyramid(out / "edited.nsp")
         assert len(edited) == 5
 
+    def test_mask_file_scores_as_the_scorer(self, tmp_path, default_params):
+        """--mask FILE takes the file's first channel: nonzero cells are
+        the edit region."""
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[:, :8] = True
+        path = tmp_path / "mask.nsg"
+        write_grid(path, np.stack([mask, ~mask, mask, ~mask]).astype(float))
+        out = tmp_path / "ed"
+        options = ["--mode", "regen", "--start-scale", 3, "--seed", 4]
+        assert run("edit", *options, "--mask", path, "--out", out) == EXIT_OK
+        grid, _, scene = demo_scene("scene-a", default_params)
+        result = editing.edit_regeneration(grid, scene.target_label, 3, default_params, 4)
+        scores = metrics.Scorer(grid, mask).score(result.grid)
+        rows = {
+            key: metric_values(out / "edit_metrics.csv", 4, scope)[metric]
+            for key, (metric, scope) in cli._QUALITY_ROWS.items()
+        }
+        assert rows == {key: repr(value) for key, value in scores.items()}
+
+    @pytest.mark.parametrize(
+        "mask", [np.ones((4, 16, 16)), np.zeros((4, 8, 8))], ids=["all-ones", "wrong-shape"]
+    )
+    def test_bad_mask_file_writes_nothing(self, tmp_path, mask):
+        path = tmp_path / "mask.nsg"
+        write_grid(path, mask)
+        out = tmp_path / "ed"
+        assert run("edit", "--auto-invert", "--mask", path, "--out", out) == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_all_zero_mask_file_leaves_every_cell_background(self, tmp_path):
+        path = tmp_path / "mask.nsg"
+        write_grid(path, np.zeros((4, 16, 16)))
+        out = tmp_path / "ed"
+        assert run("edit", "--auto-invert", "--mask", path, "--out", out) == EXIT_OK
+        assert_background_is_whole(out / "edit_metrics.csv")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["encode"], ["invert"], ["edit", "--auto-invert"], ["edit", "--auto-invert", "--mask", "none"]],
+)
+def test_small_schedule_demo_scene(tmp_path, command):
+    """On a 1x1,2x2 schedule the scene-a disc holds no cell.  No command
+    rejects the scene for it, and the edit with the default mask scores
+    every cell as background."""
+    cfg = tmp_path / "small.ini"
+    cfg.write_text("[codec]\nschedule = 1x1,2x2\n")
+    out = tmp_path / "o"
+    assert run(*command, "--grid", "demo:scene-a", "--config", cfg, "--out", out) == EXIT_OK
+    if command == ["edit", "--auto-invert"]:
+        assert_background_is_whole(out / "edit_metrics.csv")
+
+
+def assert_background_is_whole(csv_path):
+    """The background MSE of seed 0 is the whole grid's, up to the order
+    of its sum."""
+    background = float(metric_values(csv_path, 0, "background")["mse"])
+    assert background == pytest.approx(float(metric_values(csv_path, 0, "whole")["mse"]), rel=1e-12)
+
 
 def sweep_config(tmp_path, parameter, values, mode="varin", seeds="0:8", context=None):
     context_line = f"context = {context}\n" if context else ""
@@ -804,6 +865,78 @@ def test_sweep_rows_equal_single_edits(tmp_path, name, parameter, flag):
             assert row == single, (value, seed)
 
 
+STRESS_CODEC = "[codec]\nvocab = 512\nschedule = 1x1,2x2,4x4,8x8,16x16,32x32,64x64\n"
+# the stress case runs at the thinnest margin alone, to keep its time down
+EDIT_PATH_CASES = [
+    pytest.param("", (18.0, 0.0), mode, lam, context, scene, id=f"{mode}-{lam}-{context}-{scene}")
+    for mode in ("varin", "target-only")
+    for lam in ("linear", "0.5")
+    for context in ("generated-prefix", "source-prefix")
+    for scene in ("scene-a", "scene-b")
+] + [pytest.param(STRESS_CODEC, (0.0,), "varin", "linear", "generated-prefix", "scene-a",
+                  id="stress")]
+
+
+@pytest.mark.parametrize("codec,taus,mode,lam,context,scene", EDIT_PATH_CASES)
+def test_every_edit_path_agrees(tmp_path, codec, taus, mode, lam, context, scene):
+    """At each margin, every path to an edit gives the same tokens, grid
+    and metrics: the library single edit, a SeedSweep chunk of two seeds,
+    `edit --auto-invert`, `invert` then `edit --noise`, and a `sweep` row,
+    serial and over two workers."""
+    seeds = (3, 4)
+    lambda_keys = "" if lam == "linear" else f"lambda_kind = constant\nlambda_value = {lam}\n"
+    cfg_path = tmp_path / "paths.ini"
+    cfg_path.write_text(
+        f"{codec}[edit]\nmode = {mode}\ncontext = {context}\n{lambda_keys}[sweep]\n"
+        f"parameter = tau\nvalues = {','.join(map(str, taus))}\nseeds = 3,4\n"
+    )
+    cfg = load_config(cfg_path)
+    params = cfg.build_params()
+    grid, mask, record = demo_scene(scene, params)
+    edit = replace(cfg.edit, source_label=record.source_label, target_label=record.target_label)
+    configs = [replace(edit, tau=tau) for tau in taus]
+    chunk = SeedSweep(grid, configs, params).run(seeds)
+    scorer = metrics.Scorer(grid, mask)
+
+    def scores(result):
+        values = {**scorer.score(result.grid), "token_change": result.token_change}
+        return {key: repr(value) for key, value in values.items()}
+
+    common = ["--config", cfg_path, "--grid", f"demo:{scene}"]
+    sweeps = [tmp_path / f"sweep-{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), sweeps):
+        assert run("sweep", *common, "--workers", workers, "--out", out) == EXIT_OK
+    assert (sweeps[0] / "sweep.csv").read_bytes() == (sweeps[1] / "sweep.csv").read_bytes()
+    condition = "target" if mode == "target-only" else "source"
+    for j, tau in enumerate(taus):
+        for s, seed in enumerate(seeds):
+            assert metric_values(sweeps[0] / "sweep.csv", seed, f"tau={tau!r}") == scores(
+                chunk[s][j]
+            )
+        seed = seeds[0]
+        if mode == "varin":
+            single = editing.edit_with_inverse_noise(grid, replace(configs[j], seed=seed), params)
+        else:
+            [[single]] = SeedSweep(grid, (configs[j],), params).run((seed,))
+        assert all(map(np.array_equal, chunk[0][j].pyramid, single.pyramid))
+        assert np.array_equal(chunk[0][j].grid, single.grid)
+        options = [*common, "--seed", seed, "--tau", tau]
+        auto, inverted, noise = (tmp_path / f"{name}-{tau}" for name in ("auto", "inv", "noise"))
+        assert run("edit", *options, "--auto-invert", "--out", auto) == EXIT_OK
+        assert run("invert", *options, "--condition", condition, "--out", inverted) == EXIT_OK
+        assert run("edit", *options, "--noise", inverted / "noise.nsn", "--out", noise) == EXIT_OK
+        for out in (auto, noise):
+            assert all(map(np.array_equal, read_pyramid(out / "edited.nsp")[0], single.pyramid))
+            assert np.array_equal(
+                read_grid(out / "edited.nsg")[0], single.grid.astype("<f4").astype(np.float64)
+            )
+            single_rows = {
+                key: metric_values(out / "edit_metrics.csv", seed, scope)[metric]
+                for key, (metric, scope) in EDIT_ROWS.items()
+            }
+            assert single_rows == scores(single)
+
+
 def test_import_leaves_out_the_worker_pool():
     """Importing the CLI loads no process pool: only ``sweep --workers N``
     with N > 1 starts one, and it imports it there."""
@@ -892,6 +1025,59 @@ class TestRender:
         assert not list(out.glob("*.pgm"))
 
 
+SEEDS = st.integers(0, 2**64 - 1)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# text an INI value keeps as it is: one line, no surrounding whitespace;
+# "%" drawn often, as interpolation would read it
+INI_TEXT = st.text(
+    st.just("%") | st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12
+).map(str.strip)
+SWEEP_VALUES_BY_PARAMETER = {
+    "": st.just([]),
+    "tau": st.lists(st.floats(0, 1e300), min_size=1, max_size=4),
+    "start_scale": st.lists(st.integers(1, 8).map(float), min_size=1, max_size=4),
+    "lambda": st.lists(st.floats(0, 1), min_size=1, max_size=4),
+}
+
+
+@st.composite
+def experiment_configs(draw):
+    """A config with every [codec], [predictor], [edit], [sweep] and
+    [output] key drawn."""
+    parameter = draw(st.sampled_from(sorted(SWEEP_VALUES_BY_PARAMETER)))
+    return ExperimentConfig(
+        codec=config.CodecSection(
+            dim=draw(st.integers(1, 8)),
+            vocab=draw(st.integers(2, 1024)),
+            schedule=tuple(
+                draw(st.lists(st.tuples(st.integers(1, 64), st.integers(1, 64)), min_size=1,
+                              max_size=7))
+            ),
+            codebook_seed=draw(SEEDS),
+        ),
+        predictor=config.PredictorSection(
+            beta=draw(FINITE), cond_gain=draw(FINITE), model_seed=draw(SEEDS)
+        ),
+        edit=EditConfig(
+            source_label=draw(INI_TEXT),
+            target_label=draw(INI_TEXT),
+            start_scale=draw(st.none() | st.integers(1, 8)),
+            tau=draw(st.none() | st.floats(0, 1e300)),
+            lambda_kind=draw(st.sampled_from(("linear", "constant"))),
+            lambda_value=draw(st.floats(0, 1)),
+            seed=draw(SEEDS),
+            context_mode=draw(st.sampled_from((editing.CONTEXT_GENERATED, editing.CONTEXT_SOURCE))),
+            mode=draw(st.sampled_from(editing.EDIT_MODES)),
+        ),
+        sweep=config.SweepSection(
+            parameter=parameter,
+            values=tuple(draw(SWEEP_VALUES_BY_PARAMETER[parameter])),
+            seeds=tuple(draw(st.lists(SEEDS, min_size=1, max_size=4))),
+        ),
+        output_dir=draw(INI_TEXT),
+    )
+
+
 # every [edit] key but the labels off its default
 NON_DEFAULT_EDIT = (
     "[edit]\nstart_scale = 3\ntau = 0.0\nlambda_kind = constant\nlambda_value = 0.5\n"
@@ -918,6 +1104,28 @@ class TestConfig:
             path.write_text(render_config(cfg))
             assert load_config(path) == cfg
         assert config_digest(non_default).hex() == "2ed94750318a85dc339cb77c0e9166b7"
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=experiment_configs())
+    def test_round_trip_every_key(self, tmp_path_factory, cfg):
+        """Any config, labels with "%" included, renders to text that
+        loads back to the same config and digest."""
+        path = tmp_path_factory.mktemp("round-trip") / "cfg.ini"
+        path.write_text(render_config(cfg), encoding="utf-8")
+        loaded = load_config(path)
+        assert loaded == cfg
+        assert config_digest(loaded) == config_digest(cfg)
+
+    @pytest.mark.parametrize(
+        "text", ["[edit]\ntua = 5\n", "[edti]\ntau = 5\n", "[DEFAULT]\nseed = 1\n"],
+        ids=["key", "section", "default-section"],
+    )
+    def test_unknown_section_or_key_rejected(self, tmp_path, text):
+        """A misspelt section or key is an error on every command, not a
+        line the config ignores."""
+        path = tmp_path / "typo.ini"
+        path.write_text(f"{text}[sweep]\nparameter = tau\nvalues = 18\nseeds = 0:2\n")
+        assert_every_command_rejects(tmp_path, path)
 
     def test_digest_tracks_content(self):
         from dataclasses import replace

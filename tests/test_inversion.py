@@ -288,6 +288,12 @@ class TestInvertPyramid:
         assert not noise_set.sensitive
         assert invert_pyramid(pyramid, source_cond, 0.0, params, seed=9).sensitive
 
+    def test_unknown_kind_rejected(self, params, source_cond):
+        """The noise set the inversion builds is the one check of its kind."""
+        pyramid = generate(source_cond, params, seed=2)
+        with pytest.raises(ValidationError, match="unknown inversion kind"):
+            invert_pyramid(pyramid, source_cond, 18.0, params, seed=9, kind="bogus")
+
     def test_parallel_matches_serial(self, params, source_cond):
         """Token-parallel inversion and a per-token serial replay agree
         bit for bit (the draws are keyed, not sequential)."""

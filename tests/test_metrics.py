@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from invnoise.errors import ValidationError
-from invnoise.metrics import Scorer, _window_means, token_agreement, validate_region_mask
+from invnoise.metrics import Scorer, _window_means, token_agreement
 
 from conftest import random_grid
 
@@ -181,15 +181,23 @@ class TestTokenAgreement:
 
 
 class TestRegionMask:
-    def test_validates(self):
-        mask = half_mask(4, 4)
-        assert validate_region_mask(mask, (4, 4)) is mask
+    """The Scorer's mask rule, the one check of an edit region: boolean,
+    the reference's (h, w) shape, at least one background cell."""
 
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValidationError):
-            validate_region_mask(np.zeros((4, 4), dtype=bool), (4, 4))
-        with pytest.raises(ValidationError):
-            validate_region_mask(np.ones((4, 4), dtype=bool), (4, 4))
+    def test_scorer_takes_masks_with_background(self):
+        b = random_grid(9, size=4)
+        for mask in (half_mask(4, 4), np.zeros((4, 4), dtype=bool)):
+            assert Scorer(b, mask).score(b)["bg_mse"] == 0.0
+
+    def test_scorer_rejects_bad_masks(self):
+        b = random_grid(9, size=4)
+        for mask in (
+            np.ones((4, 4), dtype=bool),
+            half_mask(4, 2),
+            half_mask(4, 4).astype(np.uint8),
+        ):
+            with pytest.raises(ValidationError, match="mask"):
+                Scorer(b, mask)
 
 
 @settings(max_examples=40, deadline=None)
