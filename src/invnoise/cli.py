@@ -14,7 +14,8 @@ metric terms).  Its tasks are chunks of seeds, each covering every
 sweep value in one walk with a leading seed axis.  A chunk holds
 ``editing.seed_chunk_width`` seeds, or ``ceil(seeds / --workers)`` if
 that is fewer, and chunks run in the calling process or in up to
-``min(--workers, seeds)`` worker processes; rows are written value-major
+``min(--workers, seeds)`` worker processes, each of which runs the
+kernels of :mod:`invnoise._blocks` on one thread; rows are written value-major
 either way, so ``sweep.csv`` does not depend on the worker count.
 Seeds are integers in [0, 2^64).
 
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import demo, editing, fileio, metrics
+from . import _blocks, demo, editing, fileio, metrics
 from .codec import decode, encode
 from .config import ExperimentConfig, config_digest, load_config
 from .errors import FormatError, InvariantError, ValidationError
@@ -244,7 +245,8 @@ def cmd_sweep(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # not loaded at start-up
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # one thread per worker: the worker processes already share the cores
+        with ProcessPoolExecutor(max_workers=workers, initializer=_blocks.one_thread) as pool:
             per_chunk = list(pool.map(chunk_task, chunks))
     else:
         per_chunk = [chunk_task(chunk) for chunk in chunks]

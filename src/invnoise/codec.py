@@ -9,6 +9,10 @@ residual.  Decoding sums the replicated embeddings back up.
 Block-mean down / replicate up (rather than any smooth resampler) makes
 the per-scale residual energy provably non-increasing as long as the
 codebook contains the zero vector, which this codec pins at entry 0.
+``squared_distances``, which serves the encoder and the predictor's
+logits, sums row blocks that stay in cache; on 2^19 output entries or
+more the blocks split across threads (:mod:`invnoise._blocks`), with
+the same bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import run_blocks
 from .errors import ValidationError
 from .rng import PURPOSE_CODEBOOK, normal_values, seed_array, uniform_values
 
@@ -165,16 +170,21 @@ def squared_distances(cells: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     columns = vectors.T.copy()
     out = np.zeros((h, w, c))
     # Rows are taken in blocks of about _DIST_BLOCK entries so that the
-    # squared differences stay in cache between the channel passes.
+    # squared differences stay in cache between the channel passes; the
+    # blocks split across threads, with one scratch array per thread.
     step = max(1, _DIST_BLOCK // (w * c))
-    scratch = np.empty((min(step, h), w, c))
-    for r in range(0, h, step):
-        block = out[r : r + step]
-        diff = scratch[: block.shape[0]]
-        for j in range(d):
-            np.subtract(cells[r : r + step, :, j, None], columns[j], out=diff)
-            diff *= diff
-            block += diff
+
+    def sum_blocks(lo, hi):
+        scratch = np.empty((min(step, h), w, c))
+        for r in range(lo * step, min(hi * step, h), step):
+            block = out[r : r + step]
+            diff = scratch[: block.shape[0]]
+            for j in range(d):
+                np.subtract(cells[r : r + step, :, j, None], columns[j], out=diff)
+                diff *= diff
+                block += diff
+
+    run_blocks(sum_blocks, -(-h // step), out.size)
     return out
 
 

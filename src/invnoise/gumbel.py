@@ -13,6 +13,10 @@ stepper logits, keyed uniforms, a checked margin).  Keyed uniforms come
 from :func:`invnoise.rng.uniform_values`: ``standard_field`` and
 ``sample_token_map`` draw whole (h, w, C) fields, and the located and
 truncated draws of the inversion are keyed in :mod:`invnoise.inversion`.
+On arrays of 2^19 entries or more, the truncated transform splits its
+rows, and ``standard_field`` its draws, across threads
+(:mod:`invnoise._blocks`); each value is computed alone, so the bytes
+do not change.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from ._blocks import run_blocks
 from .errors import ValidationError
 from .rng import uniform_values
 
@@ -46,17 +51,29 @@ def truncated_from_loglog(phi, trunc, loglog):
     overflows, then clamped so the bound holds exactly in float64.
     loglog does not depend on phi or trunc, so draws transformed once
     serve every bound.  phi and trunc are finite.  The steps write into
-    one buffer of the broadcast shape; a 0-d result is a numpy scalar.
+    one buffer of the broadcast shape, over row ranges (the third axis
+    from the end) split across threads; a 0-d result is a numpy scalar.
     """
     phi = np.asarray(phi, dtype=np.float64)
     trunc = np.asarray(trunc, dtype=np.float64)
     loglog = np.asarray(loglog, dtype=np.float64)
     out = np.empty(np.broadcast_shapes(phi.shape, trunc.shape, loglog.shape))
-    np.subtract(phi, trunc, out=out)
-    np.logaddexp(out, loglog, out=out)
-    np.subtract(phi, out, out=out)
-    np.minimum(out, trunc, out=out)
+
+    def transform_rows(lo, hi):
+        o, p, t, g = (_rows(x, lo, hi) for x in (out, phi, trunc, loglog))
+        np.subtract(p, t, out=o)
+        np.logaddexp(o, g, out=o)
+        np.subtract(p, o, out=o)
+        np.minimum(o, t, out=o)
+
+    run_blocks(transform_rows, out.shape[-3] if out.ndim >= 3 else 1, out.size)
     return out[()]
+
+
+def _rows(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of an (..., h, w, C) operand; all of one that broadcasts
+    along the rows."""
+    return x[..., lo:hi, :, :] if x.ndim >= 3 and x.shape[-3] > 1 else x
 
 
 def standard_field(
@@ -66,7 +83,7 @@ def standard_field(
 
     Row/col/channel key fields are the grid indices; an array of S seeds
     gives (S, h, w, C).  The transform runs in place on the uniform
-    buffer.
+    buffer, over ranges of it split across threads.
     """
     h, w, c = shape
     g = uniform_values(
@@ -77,10 +94,16 @@ def standard_field(
         np.arange(w)[None, :, None],
         np.arange(c)[None, None, :],
     )
-    np.log(g, out=g)
-    np.negative(g, out=g)
-    np.log(g, out=g)
-    np.negative(g, out=g)
+    flat = g.reshape(-1)
+
+    def transform(lo, hi):
+        x = flat[lo:hi]
+        np.log(x, out=x)
+        np.negative(x, out=x)
+        np.log(x, out=x)
+        np.negative(x, out=x)
+
+    run_blocks(transform, flat.size, flat.size)
     return g
 
 

@@ -23,7 +23,11 @@ scale at its one margin, and the edit walk of :mod:`invnoise.editing`
 calls the step scale by scale at the margins it mixes in.
 ``reconstruct_from_noise`` replays a noise set.  Within a scale all
 tokens are independent, so the keyed draws make serial and parallel
-execution bit-identical.
+execution bit-identical: on a scale of 2^19 entries or more the log-log
+of the off-label draws, the truncated transform and both passes of the
+tightening (the range check, then the rounding in row chunks of about
+``_CHUNK`` entries) split their rows across threads
+(:mod:`invnoise._blocks`).
 
 Replay recomputes q as p + n in float64, which rounds; the step makes
 its noise float32-exact values (in float64 arrays, so edit mixes stay
@@ -44,11 +48,12 @@ from typing import Iterator
 
 import numpy as np
 
+from ._blocks import run_blocks
 from .codec import validate_pyramid
 from .errors import InvariantError, ValidationError
 from .gumbel import located_from_uniform, truncated_from_loglog
 from .predictor import Condition, PredictorParams, ScaleStepper
-from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, seed_array, uniform_values
+from .rng import _CHUNK, PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, seed_array, uniform_values
 
 # Finite stand-in for log 0 in the onehot construction: far below any
 # reachable logit + Gumbel sum, but safe for arithmetic.
@@ -94,16 +99,30 @@ def _located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarr
     rows, cols = np.arange(h)[:, None], np.arange(w)
     label_logit = logits[rows, cols, tokens]
     q_label = located_from_uniform(label_logit, np.asarray(u_label, dtype=np.float64))
-    loglog = np.log(np.asarray(u_off, dtype=np.float64))
+    loglog = _loglog(u_off)
     u_off = None
-    np.negative(loglog, out=loglog)
-    np.log(loglog, out=loglog)
     for i, tau in enumerate(taus, start=1):
         q = truncated_from_loglog(logits, (q_label - tau)[..., None], loglog)
         if i == len(taus):
             loglog = None  # 16.7 MB at 64x64, vocab 512: not kept through tightening
         q[..., rows, cols, tokens] = q_label
         yield q
+
+
+def _loglog(u) -> np.ndarray:
+    """log(-log u) into a new array, over ranges split across threads."""
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    out = np.empty_like(u)
+    u_flat, out_flat = u.reshape(-1), out.reshape(-1)
+
+    def transform(lo, hi):
+        x = out_flat[lo:hi]
+        np.log(u_flat[lo:hi], out=x)
+        np.negative(x, out=x)
+        np.log(x, out=x)
+
+    run_blocks(transform, u.size, u.size)
+    return out
 
 
 def _keyed_uniforms(seed, scale: int, shape: tuple[int, int, int]):
@@ -147,10 +166,30 @@ def _tighten(tokens, logits, noise: np.ndarray, tau: float) -> np.ndarray:
     q_label - tau - p if that is a rounding-sized move, and otherwise
     raises ``InvariantError``.  Leading (seed) axes over the (h, w, C) of
     ``logits`` are allowed.  Noise beyond +-2^127 raises
-    ``ValidationError``: float32 cannot hold it with its move.
+    ``ValidationError``: float32 cannot hold it with its move.  Every
+    cell is independent, so both passes (the range check of the whole
+    noise, then the tightening) split their rows across threads.
     """
-    if not (noise.min() >= -_NOISE_LIMIT and noise.max() <= _NOISE_LIMIT):
-        raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
+    h = tokens.shape[0]
+    chunk_rows = max(1, _CHUNK * h // max(noise.size, 1))
+
+    def check_rows(lo, hi):
+        block = noise[..., lo:hi, :, :]
+        if not (block.min() >= -_NOISE_LIMIT and block.max() <= _NOISE_LIMIT):
+            raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
+
+    def tighten_rows(lo, hi):
+        for r in range(lo, hi, chunk_rows):
+            s = min(r + chunk_rows, hi)
+            _tighten_rows(tokens[r:s], logits[r:s], noise[..., r:s, :, :], tau)
+
+    run_blocks(check_rows, h, noise.size)
+    run_blocks(tighten_rows, h, noise.size)
+    return noise
+
+
+def _tighten_rows(tokens, logits, noise: np.ndarray, tau: float) -> None:
+    """``_tighten`` of the rows of one range, in place in ``noise``."""
     h, w = tokens.shape
     rows, cols = np.arange(h)[:, None], np.arange(w)
     step = np.abs(noise, dtype=np.float32)  # |n| rounded to float32
@@ -168,9 +207,9 @@ def _tighten(tokens, logits, noise: np.ndarray, tau: float) -> np.ndarray:
         bad = _below_margin(q_label[..., None], replayed, tau)
     del replayed
     bad[at_label] = False
+    if not bad.any():
+        return
     cells = np.nonzero(bad)
-    if not cells[0].size:
-        return noise
     label, p = q_label[cells[:-1]], logits[cells[-3:]]
     terms = np.abs(label) + np.abs(p) + tau
     # clear of the float64 rounding in the bound, the replay and its check
@@ -182,7 +221,6 @@ def _tighten(tokens, logits, noise: np.ndarray, tau: float) -> np.ndarray:
     if not rounding.all() or _below_margin(label, p + fixed, tau).any():
         raise InvariantError("inverse noise did not tighten in float32")
     noise[cells] = fixed
-    return noise
 
 
 @dataclass(frozen=True)

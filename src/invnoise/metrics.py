@@ -154,7 +154,7 @@ class Scorer:
     infinity is a :class:`ValidationError`.  This is the one check of an
     edit-region mask: boolean, of the reference's (h, w) shape, with at
     least one background (False) cell.  Its edit region may be empty;
-    "bg_mse" is then "mse" up to the order of its sum.
+    "bg_mse" and "bg_psnr" are then "mse" and "psnr".
     """
 
     def __init__(self, reference: np.ndarray, mask=None):
@@ -166,15 +166,17 @@ class Scorer:
         _finite_peak(self._peak)
         self._window = _ssim_window(ref.shape[1:])
         self._stats = _window_stats(ref, self._window) if self._peak <= _HUGE else None
-        self._keep = None  # the background cells, with a mask
+        self._masked = mask is not None
+        self._keep = None  # the background cells, with a non-empty edit region
         if mask is not None:
             mask = np.asarray(mask)
             if mask.dtype != bool or mask.shape != ref.shape[1:]:
                 raise ValidationError(f"mask must be boolean with shape {ref.shape[1:]}")
-            self._keep = ~mask
-            if not self._keep.any():
+            if mask.all():
                 raise ValidationError("mask leaves no background cells")
-            self._ref_background = ref[:, self._keep]
+            if mask.any():
+                self._keep = ~mask
+                self._ref_background = ref[:, self._keep]
 
     def score(self, a: np.ndarray) -> dict:
         return self.score_many(np.asarray(a)[None])[0]
@@ -194,7 +196,7 @@ class Scorer:
         _finite_peak(grid_peaks)
         peaks = [max(float(p), self._peak) for p in grid_peaks]
         with np.errstate(over="ignore"):  # inf beyond the float64 range
-            errs = np.mean((grids - ref) ** 2, axis=(1, 2, 3))
+            errs = bg_errs = np.mean((grids - ref) ** 2, axis=(1, 2, 3))
             if self._keep is not None:
                 # a[:, keep] of one (d, h, w) grid lies cell by cell with
                 # the channels innermost; reduce the stack in that order
@@ -216,7 +218,7 @@ class Scorer:
             if ssim_a is None:
                 ssim_a = _ssim_alone(a, ref, self._window, peak)
             scores = {"mse": err, "psnr": _psnr_from(a, ref, err, peak, None), "ssim": ssim_a}
-            if self._keep is not None:
+            if self._masked:
                 err = float(bg_errs[i])
                 scores["bg_mse"] = err
                 scores["bg_psnr"] = _psnr_from(a, ref, err, peak, self._keep)

@@ -7,7 +7,10 @@ parallel, and still receive bit-identical values.  The draw functions
 take whole index arrays for row, col and channel and broadcast them, so
 one call keys a full field; an array of seeds adds leading axes, so one
 call keys the same field for many seeds.  Seeds are integers in
-[0, 2^64); ``seed_array`` checks them.
+[0, 2^64); ``seed_array`` checks them.  The hash and the map to (0, 1)
+run in place over chunks of ``_CHUNK`` words; in a field of 2^19 words
+or more the chunks split across threads (:mod:`invnoise._blocks`), and
+every word is the same either way.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
 mixed once, then each key field is absorbed with xor + mix.  The exact
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._blocks import run_blocks
 from .errors import ValidationError
 
 # Draw-site purpose tags.  Distinct tags keep draw sites statistically
@@ -55,23 +59,28 @@ def _mix(z: np.ndarray) -> np.ndarray:
     Works in place on ``z``, which must be an array the caller owns, and
     returns the result.  uint64 arithmetic wraps modulo 2^64, so no
     masking is needed.  Large arrays go through in chunks of
-    ``_CHUNK`` words with one scratch array.
+    ``_CHUNK`` words, split over threads, with one scratch array per
+    thread.
     """
     z = np.ascontiguousarray(z)
     flat = z.reshape(-1)
-    scratch = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
-    for start in range(0, flat.size, _CHUNK):
-        x = flat[start : start + _CHUNK]
-        s = scratch[: x.size]
-        x += _GAMMA
-        np.right_shift(x, _SHIFT30, out=s)
-        x ^= s
-        x *= _MULT1
-        np.right_shift(x, _SHIFT27, out=s)
-        x ^= s
-        x *= _MULT2
-        np.right_shift(x, _SHIFT31, out=s)
-        x ^= s
+
+    def mix_chunks(lo, hi):
+        scratch = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
+        for start in range(lo * _CHUNK, min(hi * _CHUNK, flat.size), _CHUNK):
+            x = flat[start : start + _CHUNK]
+            s = scratch[: x.size]
+            x += _GAMMA
+            np.right_shift(x, _SHIFT30, out=s)
+            x ^= s
+            x *= _MULT1
+            np.right_shift(x, _SHIFT27, out=s)
+            x ^= s
+            x *= _MULT2
+            np.right_shift(x, _SHIFT31, out=s)
+            x ^= s
+
+    run_blocks(mix_chunks, -(-flat.size // _CHUNK), flat.size)
     return z
 
 
@@ -119,17 +128,21 @@ def _to_open_unit(words: np.ndarray) -> np.ndarray:
     """Map owned uint64 words to (0, 1), reusing their buffer.
 
     uint64 and float64 have the same size, so each chunk of words is
-    shifted, converted and written back over itself as float64;
-    ``words`` must not be used afterwards.
+    shifted, converted and written back over itself as float64, the
+    chunks split over threads; ``words`` must not be used afterwards.
     """
     shape = words.shape
     flat = np.ascontiguousarray(words).reshape(-1)
     u = flat.view(np.float64)
-    for start in range(0, flat.size, _CHUNK):
-        k = flat[start : start + _CHUNK] >> _SHIFT11
-        chunk = u[start : start + _CHUNK]
-        np.add(k, 1.0, out=chunk)  # k converts to float64 exactly (k < 2^53)
-        chunk /= _DENOM
+
+    def convert_chunks(lo, hi):
+        for start in range(lo * _CHUNK, min(hi * _CHUNK, flat.size), _CHUNK):
+            k = flat[start : start + _CHUNK] >> _SHIFT11
+            chunk = u[start : start + _CHUNK]
+            np.add(k, 1.0, out=chunk)  # k converts to float64 exactly (k < 2^53)
+            chunk /= _DENOM
+
+    run_blocks(convert_chunks, -(-flat.size // _CHUNK), flat.size)
     return u.reshape(shape)
 
 

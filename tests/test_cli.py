@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise import cli, config, demo, editing, inversion, metrics
+from invnoise import _blocks, cli, config, demo, editing, inversion, metrics
 from invnoise.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from invnoise.codec import decode, encode
 from invnoise.config import ExperimentConfig, config_digest, load_config, render_config
@@ -463,10 +464,14 @@ class TestEdit:
         assert not out.exists()
 
     def test_all_zero_mask_file_leaves_every_cell_background(self, tmp_path):
+        """scene-a at seed 0, whose whole-grid and cell-by-cell MSE sums
+        differ in the last bit, writes the background rows as the whole
+        grid's."""
         path = tmp_path / "mask.nsg"
         write_grid(path, np.zeros((4, 16, 16)))
         out = tmp_path / "ed"
-        assert run("edit", "--auto-invert", "--mask", path, "--out", out) == EXIT_OK
+        assert run("edit", "--auto-invert", "--grid", "demo:scene-a", "--seed", 0,
+                   "--mask", path, "--out", out) == EXIT_OK
         assert_background_is_whole(out / "edit_metrics.csv")
 
 
@@ -487,10 +492,10 @@ def test_small_schedule_demo_scene(tmp_path, command):
 
 
 def assert_background_is_whole(csv_path):
-    """The background MSE of seed 0 is the whole grid's, up to the order
-    of its sum."""
-    background = float(metric_values(csv_path, 0, "background")["mse"])
-    assert background == pytest.approx(float(metric_values(csv_path, 0, "whole")["mse"]), rel=1e-12)
+    """The background MSE and PSNR rows of seed 0 are the whole grid's."""
+    background = metric_values(csv_path, 0, "background")
+    whole = metric_values(csv_path, 0, "whole")
+    assert (background["mse"], background["psnr"]) == (whole["mse"], whole["psnr"])
 
 
 def sweep_config(tmp_path, parameter, values, mode="varin", seeds="0:8", context=None):
@@ -532,6 +537,38 @@ def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def count_thread_starts(monkeypatch):
+    """A list that records every thread started from now on."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert", "--grid", "demo:scene-a"],
+        ["edit", "--grid", "demo:scene-b", "--auto-invert"],
+        ["sweep", "--config", CONFIGS / "demo.ini"],
+    ],
+    ids=["invert", "edit-auto-invert", "demo-sweep"],
+)
+def test_desk_commands_start_no_thread(tmp_path, monkeypatch, argv):
+    """Desk arrays stay below the threaded size: no command at 16x16,
+    vocab 64, starts a thread."""
+    started = count_thread_starts(monkeypatch)
+    running = threading.active_count()
+    assert run(*argv, "--out", tmp_path / "o") == EXIT_OK
+    assert started == []
+    assert threading.active_count() == running
+
+
 # SHA-256 of the stress-scale scene-a files at seed 0, by inversion margin
 STRESS_DIGESTS = {
     18.0: {
@@ -547,13 +584,49 @@ STRESS_DIGESTS = {
 }
 
 
+def assert_stress_output_pinned(tmp_path, monkeypatch):
+    """`invert` and `edit --noise` of stress-scale scene-a at seed 0 give
+    the files of STRESS_DIGESTS, each noise file replays the source
+    tokens, threads start only on more than one, and none outlives its
+    command."""
+    started = count_thread_starts(monkeypatch)
+    running = threading.active_count()
+    scene = demo.scene_record("scene-a")
+    cfg = tmp_path / "stress.ini"
+    cfg.write_text(
+        "[codec]\nvocab = 512\nschedule = 1x1,2x2,4x4,8x8,16x16,32x32,64x64\n\n"
+        f"[edit]\nsource = {scene.source_label}\ntarget = {scene.target_label}\n"
+    )
+    params = load_config(cfg).build_params()
+    grid_path = tmp_path / "scene-a.nsg"
+    grid = demo_scene("scene-a", params)[0]
+    write_grid(grid_path, grid)
+    source = encode(grid, params.codebook, params.schedule)
+    cond = condition_embed(scene.source_label, params)
+    for tau, digests in STRESS_DIGESTS.items():
+        out = tmp_path / f"t{tau}"
+        common = ["--config", cfg, "--grid", grid_path, "--seed", 0, "--out", out]
+        assert run("invert", *common, "--tau", tau) == EXIT_OK
+        noise_set, _ = read_noise_set(out / "noise.nsn")
+        replayed = inversion.reconstruct_from_noise(noise_set, cond, params)
+        assert all(np.array_equal(a, b) for a, b in zip(replayed, source, strict=True))
+        assert run("edit", *common, "--mode", "varin", "--noise", out / "noise.nsn",
+                   "--lambda", "linear", "--mask", "demo:scene-a") == EXIT_OK
+        assert {name: sha256(out / name) for name in digests} == digests
+    assert bool(started) == (_blocks.THREADS > 1)
+    assert threading.active_count() == running
+
+
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the
+    initializer, runs serially."""
 
     sizes = []
+    initializers = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
+        self.initializers.append(initializer)
 
     def __enter__(self):
         return self
@@ -595,33 +668,17 @@ class TestSweep:
             )
             assert sha256(out / "sweep.csv") == digest
 
-    def test_stress_output_pinned(self, tmp_path):
+    def test_stress_output_pinned(self, tmp_path, monkeypatch):
         """At stress scale (64x64, vocab 512, 7 scales) `invert` and
         `edit --noise` of scene-a reproduce their recorded files byte for
-        byte, at a wide and a zero margin, and each noise file replays
-        the source tokens from disk."""
-        scene = demo.scene_record("scene-a")
-        cfg = tmp_path / "stress.ini"
-        cfg.write_text(
-            "[codec]\nvocab = 512\nschedule = 1x1,2x2,4x4,8x8,16x16,32x32,64x64\n\n"
-            f"[edit]\nsource = {scene.source_label}\ntarget = {scene.target_label}\n"
-        )
-        params = load_config(cfg).build_params()
-        grid_path = tmp_path / "scene-a.nsg"
-        grid = demo_scene("scene-a", params)[0]
-        write_grid(grid_path, grid)
-        source = encode(grid, params.codebook, params.schedule)
-        cond = condition_embed(scene.source_label, params)
-        for tau, digests in STRESS_DIGESTS.items():
-            out = tmp_path / f"t{tau}"
-            common = ["--config", cfg, "--grid", grid_path, "--seed", 0, "--out", out]
-            assert run("invert", *common, "--tau", tau) == EXIT_OK
-            noise_set, _ = read_noise_set(out / "noise.nsn")
-            replayed = inversion.reconstruct_from_noise(noise_set, cond, params)
-            assert all(np.array_equal(a, b) for a, b in zip(replayed, source, strict=True))
-            assert run("edit", *common, "--mode", "varin", "--noise", out / "noise.nsn",
-                       "--lambda", "linear", "--mask", "demo:scene-a") == EXIT_OK
-            assert {name: sha256(out / name) for name in digests} == digests
+        byte on the default thread count, at a wide and a zero margin,
+        and each noise file replays the source tokens from disk."""
+        assert_stress_output_pinned(tmp_path, monkeypatch)
+
+    def test_stress_output_pinned_on_one_thread(self, tmp_path, monkeypatch):
+        """The same files, byte for byte, with every loop on one thread."""
+        monkeypatch.setattr(_blocks, "THREADS", 1)
+        assert_stress_output_pinned(tmp_path, monkeypatch)
 
     def test_setup_once_and_inversion_draws_once_per_seed(self, tmp_path, monkeypatch):
         """V values x S seeds build the params and the scene once, and draw
@@ -666,6 +723,7 @@ class TestSweep:
         run in this process: the pool only records its size."""
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(_RecordingPool, "initializers", [])
         batches = []
         score_many = metrics.Scorer.score_many
 
@@ -689,13 +747,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers,seeds,started", [(64, 3, [3]), (2, 3, [2]), (5, 1, [])])
     def test_workers_capped_at_seed_count(self, tmp_path, monkeypatch, workers, seeds, started):
-        """No process is started here: the pool only records its size."""
+        """No process is started here: the pool only records its size and
+        its initializer, which runs each worker's kernels on one thread."""
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(_RecordingPool, "initializers", [])
         cfg = sweep_config(tmp_path, "lambda", "0.5", mode="regen", seeds=f"0:{seeds}")
         out = tmp_path / "s"
         assert run("sweep", "--config", cfg, "--out", out, "--workers", workers) == EXIT_OK
         assert _RecordingPool.sizes == started
+        assert _RecordingPool.initializers == [_blocks.one_thread] * len(started)
         serial = tmp_path / "serial"
         assert run("sweep", "--config", cfg, "--out", serial) == EXIT_OK
         assert (out / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
@@ -938,13 +999,16 @@ def test_every_edit_path_agrees(tmp_path, codec, taus, mode, lam, context, scene
 
 
 def test_import_leaves_out_the_worker_pool():
-    """Importing the CLI loads no process pool: only ``sweep --workers N``
-    with N > 1 starts one, and it imports it there."""
+    """Importing the CLI loads no process pool and no part of
+    ``concurrent.futures``: only ``sweep --workers N`` with N > 1 starts
+    a pool, and it imports it there; the threads of large scales are
+    plain ``threading`` threads."""
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     probe = (
         "import sys, invnoise.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

@@ -85,8 +85,9 @@ class TestMse:
     def test_empty_edit_region_equals_unmasked(self):
         """A mask whose complement is the whole grid scores like no mask."""
         a, b = random_grid(6), random_grid(7)
-        scores = Scorer(b, np.zeros((16, 16), dtype=bool)).score(a)
-        assert scores["bg_mse"] == scores["mse"]
+        stack = np.stack([a, b, a * 1e-170, a * 1e160])
+        for scores in Scorer(b, np.zeros((16, 16), dtype=bool)).score_many(stack):
+            assert (scores["bg_mse"], scores["bg_psnr"]) == (scores["mse"], scores["psnr"])
 
     def test_errors(self):
         with pytest.raises(ValidationError):
