@@ -5,7 +5,9 @@ col, channel), so the cells of a scale are independent and the in-place
 kernels of a large scale may split their loops into ranges and still
 give the same bytes.  numpy releases the GIL inside its array
 operations, so the ranges run at once.  Threads start per call and are
-joined before it returns: no thread or pool outlives a call.
+joined before it returns: no thread or pool outlives a call.  A kernel
+whose arrays stay below ``MIN_ENTRIES`` does its work directly, with no
+closure or range arithmetic (``run_flat``, or a test of its size).
 """
 
 from __future__ import annotations
@@ -61,3 +63,16 @@ def run_blocks(body, n: int, entries: int) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def run_flat(kernel, *arrays) -> None:
+    """Run the elementwise ``kernel(*arrays)`` over ranges of the
+    arrays' flat views, which share one size, split as ``run_blocks``
+    splits them.  Below ``MIN_ENTRIES`` entries the kernel takes the
+    whole arrays, with no range arithmetic."""
+    size = arrays[0].size
+    if size < MIN_ENTRIES:
+        kernel(*arrays)
+        return
+    flats = [x.reshape(-1) for x in arrays]
+    run_blocks(lambda lo, hi: kernel(*(x[lo:hi] for x in flats)), size, size)

@@ -12,11 +12,13 @@ does the work that depends on neither the seed nor the sweep value once
 logits of the source walks; a ``metrics.Scorer``: the source grid's
 metric terms).  Its tasks are chunks of seeds, each covering every
 sweep value in one walk with a leading seed axis.  A chunk holds
-``editing.seed_chunk_width`` seeds, or ``ceil(seeds / --workers)`` if
-that is fewer, and chunks run in the calling process or in up to
-``min(--workers, seeds)`` worker processes, each of which runs the
-kernels of :mod:`invnoise._blocks` on one thread; rows are written value-major
-either way, so ``sweep.csv`` does not depend on the worker count.
+``editing.seed_chunk_width`` seeds (8 at 16x16, vocab 64; 1 at 64x64,
+vocab 512), or ``ceil(seeds / --workers)`` if that is fewer, and chunks
+run in the calling process or in up to ``min(--workers, seeds)``
+worker processes, each of which runs the kernels of
+:mod:`invnoise._blocks` on one thread; rows are written value-major
+either way, so neither the chunk width nor the worker count changes
+``sweep.csv``.
 Seeds are integers in [0, 2^64).
 
 Exit codes: 0 success, 2 validation error, 3 I/O or file-format error,

@@ -172,20 +172,30 @@ def squared_distances(cells: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     # Rows are taken in blocks of about _DIST_BLOCK entries so that the
     # squared differences stay in cache between the channel passes; the
     # blocks split across threads, with one scratch array per thread.
+    # One block is summed in the caller.
     step = max(1, _DIST_BLOCK // (w * c))
+    if step >= h:
+        _sum_squares(out, cells, columns, np.empty_like(out))
+        return out
 
     def sum_blocks(lo, hi):
-        scratch = np.empty((min(step, h), w, c))
+        scratch = np.empty((step, w, c))
         for r in range(lo * step, min(hi * step, h), step):
             block = out[r : r + step]
-            diff = scratch[: block.shape[0]]
-            for j in range(d):
-                np.subtract(cells[r : r + step, :, j, None], columns[j], out=diff)
-                diff *= diff
-                block += diff
+            _sum_squares(block, cells[r : r + step], columns, scratch[: block.shape[0]])
 
     run_blocks(sum_blocks, -(-h // step), out.size)
     return out
+
+
+def _sum_squares(out, cells, columns, diff) -> None:
+    """Add the squared (h, w, C) differences of (h, w, d) cells to the
+    (d, C) columns into ``out``, channel by channel; ``diff`` is scratch
+    of out's shape."""
+    for j in range(columns.shape[0]):
+        np.subtract(cells[:, :, j, None], columns[j], out=diff)
+        diff *= diff
+        out += diff
 
 
 def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:

@@ -33,6 +33,9 @@ through the keyed draws, the inversion step
 (:func:`~invnoise.inversion.invert_scale`, called scale by scale and
 only at the margins some edit mixes in with nonzero lambda, so no whole
 noise set is held), the edit mix, the stepper logits and the argmax.
+The edits of a scale build their mixes, one after another, in one
+buffer, into which each stepper adds its logits block by block, so no
+edit makes a full-size logits array or a copy of its own.
 ``invnoise edit`` runs one config at its own seed, as do the
 single-edit functions ``edit_with_inverse_noise`` and
 ``edit_regeneration``; ``invnoise sweep`` runs many configs over chunks
@@ -175,13 +178,17 @@ def _plan(cfg: EditConfig, num_scales: int) -> _Plan:
     return _Plan(start, lambdas, cfg.context_mode, tau)
 
 
-SEED_CELL_BUDGET = 1 << 15
+SEED_CELL_BUDGET = 1 << 17
 
 
 def seed_chunk_width(params: PredictorParams) -> int:
     """Seeds per edit walk: as many as keep one finest-scale (h, w, C)
-    array of every seed within ``SEED_CELL_BUDGET`` cells, at least one
-    (2 at 16x16, vocab 64; 1 at 64x64, vocab 512)."""
+    array of every seed within ``SEED_CELL_BUDGET`` cells (1 MiB of
+    float64), at least one (8 at 16x16, vocab 64; 1 at 64x64, vocab
+    512).  Wider chunks share the per-scale work of a walk (the stepper
+    logits, the keyed-hash set-up, the inversion dispatch, the forks and
+    the argmaxes) among more seeds; a chunk stays below the size at
+    which the kernels start threads (``_blocks.MIN_ENTRIES``)."""
     h, w = params.schedule.finest
     return max(1, SEED_CELL_BUDGET // (h * w * params.codebook.size))
 
@@ -201,10 +208,12 @@ class SeedSweep:
     (under the inverting condition) and the source-prefix logits under
     the target condition where an edit reads them (at its start scale,
     and at every edited scale in source-prefix context).  ``run`` then
-    edits a chunk of seeds.  A scale where an edit's lambda is 0 takes no
-    inverse noise for that edit, so a scale where every lambda is 0 is
-    not inverted (the linear schedule's final scale, or all of a
-    constant 0).
+    edits a chunk of seeds, each edit of a scale mixing into one buffer
+    per scale (the last into the fresh draws themselves), with its
+    stepper's logits added in place.  A scale where an edit's lambda is
+    0 takes no inverse noise for that edit, so a scale where every
+    lambda is 0 is not inverted (the linear schedule's final scale, or
+    all of a constant 0).
     """
 
     def __init__(
@@ -294,16 +303,16 @@ class SeedSweep:
     def _edit_scale(self, plan: _Plan, stepper: ScaleStepper, t: int, mixed, noise):
         """Scale t of one edit: argmax of logits + ((1 - lam) * g + lam * n),
         built in place in ``mixed``, which holds the fresh draws g.  With no
-        noise n (lambda 0, which takes none) it is the argmax of logits + g."""
-        if t == plan.start_scale or plan.context_mode == CONTEXT_SOURCE:
-            logits = self._prefix_logits[t]
-        else:
-            logits = stepper.next_scale_logits()
+        noise n (lambda 0, which takes none) it is the argmax of logits + g.
+        The stepper adds its logits into ``mixed`` itself."""
         lam = plan.lambdas[t - plan.start_scale]
         if noise is not None:
             mixed *= 1.0 - lam
             mixed += lam * noise
-        mixed += logits
+        if t == plan.start_scale or plan.context_mode == CONTEXT_SOURCE:
+            mixed += self._prefix_logits[t]
+        else:
+            stepper.next_scale_logits(add_to=mixed)
         return np.argmax(mixed, axis=-1).astype(np.int32)
 
     def run(self, seeds) -> list[list[EditResult]]:
@@ -343,13 +352,18 @@ class SeedSweep:
             h, w = params.schedule.resolutions[t - 1]
             fresh = standard_field(seeds, PURPOSE_EDIT_NOISE, t, (h, w, params.codebook.size))
             last = [*by_tau.values()][-1][-1]
+            # every edit but the last mixes into one buffer, refilled with the
+            # fresh field for each; the last mixes into the fresh field itself
+            spare = np.empty_like(fresh) if sum(map(len, by_tau.values())) > 1 else None
             # one margin's noise at a time, mixed into every edit that uses it
             for tau, noise in self._noises(t, seeds, list(by_tau)):
                 for i in by_tau[tau]:
                     if t == plans[i].start_scale:
                         steppers[i] = self._forks[t].fork()
-                    # the last edit of the scale mixes into the fresh field itself
-                    field = fresh if i == last else fresh.copy()
+                    field = fresh
+                    if i != last:
+                        field = spare
+                        np.copyto(field, fresh)
                     tokens = self._edit_scale(plans[i], steppers[i], t, field, noise)
                     steppers[i].push(tokens)
                     edited[i].append(tokens)

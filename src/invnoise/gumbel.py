@@ -25,7 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._blocks import run_blocks
+from . import _blocks
 from .errors import ValidationError
 from .rng import uniform_values
 
@@ -58,16 +58,24 @@ def truncated_from_loglog(phi, trunc, loglog):
     trunc = np.asarray(trunc, dtype=np.float64)
     loglog = np.asarray(loglog, dtype=np.float64)
     out = np.empty(np.broadcast_shapes(phi.shape, trunc.shape, loglog.shape))
-
-    def transform_rows(lo, hi):
-        o, p, t, g = (_rows(x, lo, hi) for x in (out, phi, trunc, loglog))
-        np.subtract(p, t, out=o)
-        np.logaddexp(o, g, out=o)
-        np.subtract(p, o, out=o)
-        np.minimum(o, t, out=o)
-
-    run_blocks(transform_rows, out.shape[-3] if out.ndim >= 3 else 1, out.size)
+    operands = (out, phi, trunc, loglog)
+    if out.size < _blocks.MIN_ENTRIES:
+        _truncate(*operands)
+    else:
+        _blocks.run_blocks(
+            lambda lo, hi: _truncate(*(_rows(x, lo, hi) for x in operands)),
+            out.shape[-3] if out.ndim >= 3 else 1,
+            out.size,
+        )
     return out[()]
+
+
+def _truncate(out, phi, trunc, loglog) -> None:
+    """``truncated_from_loglog`` written into ``out``."""
+    np.subtract(phi, trunc, out=out)
+    np.logaddexp(out, loglog, out=out)
+    np.subtract(phi, out, out=out)
+    np.minimum(out, trunc, out=out)
 
 
 def _rows(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -94,17 +102,16 @@ def standard_field(
         np.arange(w)[None, :, None],
         np.arange(c)[None, None, :],
     )
-    flat = g.reshape(-1)
-
-    def transform(lo, hi):
-        x = flat[lo:hi]
-        np.log(x, out=x)
-        np.negative(x, out=x)
-        np.log(x, out=x)
-        np.negative(x, out=x)
-
-    run_blocks(transform, flat.size, flat.size)
+    _blocks.run_flat(_standard_in_place, g)
     return g
+
+
+def _standard_in_place(x: np.ndarray) -> None:
+    """Overwrite uniforms x with -log(-log x)."""
+    np.log(x, out=x)
+    np.negative(x, out=x)
+    np.log(x, out=x)
+    np.negative(x, out=x)
 
 
 def sample_token_map(

@@ -48,7 +48,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._blocks import run_blocks
+from . import _blocks
 from .codec import validate_pyramid
 from .errors import InvariantError, ValidationError
 from .gumbel import located_from_uniform, truncated_from_loglog
@@ -113,16 +113,14 @@ def _loglog(u) -> np.ndarray:
     """log(-log u) into a new array, over ranges split across threads."""
     u = np.ascontiguousarray(u, dtype=np.float64)
     out = np.empty_like(u)
-    u_flat, out_flat = u.reshape(-1), out.reshape(-1)
-
-    def transform(lo, hi):
-        x = out_flat[lo:hi]
-        np.log(u_flat[lo:hi], out=x)
-        np.negative(x, out=x)
-        np.log(x, out=x)
-
-    run_blocks(transform, u.size, u.size)
+    _blocks.run_flat(_loglog_into, u, out)
     return out
+
+
+def _loglog_into(u: np.ndarray, out: np.ndarray) -> None:
+    np.log(u, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
 
 
 def _keyed_uniforms(seed, scale: int, shape: tuple[int, int, int]):
@@ -170,22 +168,26 @@ def _tighten(tokens, logits, noise: np.ndarray, tau: float) -> np.ndarray:
     cell is independent, so both passes (the range check of the whole
     noise, then the tightening) split their rows across threads.
     """
+    if noise.size <= _CHUNK:  # one chunk, in the caller
+        _check_range(noise)
+        _tighten_rows(tokens, logits, noise, tau)
+        return noise
     h = tokens.shape[0]
-    chunk_rows = max(1, _CHUNK * h // max(noise.size, 1))
-
-    def check_rows(lo, hi):
-        block = noise[..., lo:hi, :, :]
-        if not (block.min() >= -_NOISE_LIMIT and block.max() <= _NOISE_LIMIT):
-            raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
+    chunk_rows = max(1, _CHUNK * h // noise.size)
 
     def tighten_rows(lo, hi):
         for r in range(lo, hi, chunk_rows):
             s = min(r + chunk_rows, hi)
             _tighten_rows(tokens[r:s], logits[r:s], noise[..., r:s, :, :], tau)
 
-    run_blocks(check_rows, h, noise.size)
-    run_blocks(tighten_rows, h, noise.size)
+    _blocks.run_blocks(lambda lo, hi: _check_range(noise[..., lo:hi, :, :]), h, noise.size)
+    _blocks.run_blocks(tighten_rows, h, noise.size)
     return noise
+
+
+def _check_range(noise: np.ndarray) -> None:
+    if not (noise.min() >= -_NOISE_LIMIT and noise.max() <= _NOISE_LIMIT):
+        raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
 
 
 def _tighten_rows(tokens, logits, noise: np.ndarray, tau: float) -> None:

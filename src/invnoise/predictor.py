@@ -14,11 +14,12 @@ embedding instead of a decode of the whole prefix, and ``fork`` copies
 it for another walk under the same condition.  The pushed scales make
 that decode constant over blocks, so it computes each scale's logits
 once per block and copies them to the block's cells, which is exact
-(see ``_block_factors``).  Pushing a stack of S token maps turns it
-into S walks that share that prefix (a leading seed axis on the canvas
-and the logits).  Generation, inversion, replay and editing all drive
-it, and ``generate`` samples a pyramid scale by scale with keyed
-Gumbel-max draws.
+(see ``_block_factors``), or adds them straight into a caller's array
+(the edit mix), so that no full-size logits array is made.  Pushing a
+stack of S token maps turns it into S walks that share that prefix (a
+leading seed axis on the canvas and the logits).  Generation,
+inversion, replay and editing all drive it, and ``generate`` samples a
+pyramid scale by scale with keyed Gumbel-max draws.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -157,7 +159,8 @@ class ScaleStepper:
     fix.  Where such a block holds several cells of the current scale,
     those cells average the same values in the same order, so their
     logits are equal bit for bit: ``next_scale_logits`` computes them
-    once per block and writes them into one output array.
+    once per block and writes them into one output array, or, given
+    ``add_to``, adds them into that array in place.
 
     Tokens are taken as given: callers validate pyramids at their own
     boundary.  Construction rejects params whose logits under ``cond``
@@ -178,8 +181,16 @@ class ScaleStepper:
         """(..., d, H, W) sum of the replicated embeddings pushed so far."""
         return self._canvas
 
-    def next_scale_logits(self) -> np.ndarray:
-        """(..., h, w, C) unnormalized log-probabilities for the current scale."""
+    def next_scale_logits(self, add_to: Optional[np.ndarray] = None) -> np.ndarray:
+        """(..., h, w, C) unnormalized log-probabilities for the current scale.
+
+        With ``add_to``, a C-ordered (..., h, w, C) float64 array, the
+        logits are added into it in place instead, and it is returned:
+        each block's logits go straight onto the cells of that block, so
+        no full-size logits array is made.  Every cell gets the value its
+        own logit would add, so ``add_to`` ends up equal to
+        ``add_to + next_scale_logits()`` bit for bit.
+        """
         params = self.params
         h, w = params.schedule.resolutions[self.scale - 1]
         fh, fw = self._factors[self.scale - 1]
@@ -189,11 +200,21 @@ class ScaleStepper:
         block_logits = squared_distances(cells, params.codebook.vectors)
         block_logits *= -params.beta
         if fh == fw == 1:
-            return block_logits
+            if add_to is None:
+                return block_logits
+            add_to += block_logits
+            return add_to
         *lead, hc, wc, c = block_logits.shape
-        logits = np.empty((*lead, h, w, c))
-        logits.reshape(*lead, hc, fh, wc, fw, c)[...] = block_logits[..., :, None, :, None, :]
-        return logits
+        spread = block_logits[..., :, None, :, None, :]
+        if add_to is None:
+            logits = np.empty((*lead, h, w, c))
+            logits.reshape(*lead, hc, fh, wc, fw, c)[...] = spread
+            return logits
+        if not add_to.flags.c_contiguous:  # a reshape would copy, and lose the sums
+            raise ValidationError("add_to must be C-contiguous")
+        blocks = add_to.reshape(*add_to.shape[:-3], hc, fh, wc, fw, c)
+        blocks += spread
+        return add_to
 
     def push(self, tokens: np.ndarray):
         """Add the current scale's token map(s) to the context; advance."""

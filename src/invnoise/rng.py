@@ -7,10 +7,13 @@ parallel, and still receive bit-identical values.  The draw functions
 take whole index arrays for row, col and channel and broadcast them, so
 one call keys a full field; an array of seeds adds leading axes, so one
 call keys the same field for many seeds.  Seeds are integers in
-[0, 2^64); ``seed_array`` checks them.  The hash and the map to (0, 1)
-run in place over chunks of ``_CHUNK`` words; in a field of 2^19 words
-or more the chunks split across threads (:mod:`invnoise._blocks`), and
-every word is the same either way.
+[0, 2^64); ``seed_array`` checks them.  The hash absorbs each key
+field over chunks of about ``_CHUNK`` words of its result, the xor and
+the mix of a chunk together, and the map to (0, 1) runs in place over
+chunks of ``_CHUNK`` words; in a field of 2^19 words or more the chunks
+split across threads (:mod:`invnoise._blocks`), and every word is the
+same either way.  An array of one chunk or less is worked on whole, in
+the caller.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
 mixed once, then each key field is absorbed with xor + mix.  The exact
@@ -19,6 +22,8 @@ invalidates every recorded artifact.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,37 +56,63 @@ _SHIFT31 = np.uint64(31)
 # Words per chunk (256 KiB) in the in-place kernels, so their
 # temporaries stay in cache.
 _CHUNK = 1 << 15
+_ZERO = np.zeros(1, dtype=np.uint64)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """One SplitMix64 step (increment + avalanche) on a uint64 array.
+def _mix_words(x: np.ndarray, s: np.ndarray) -> None:
+    """One SplitMix64 step (increment + avalanche) on the uint64 words
+    ``x``, in place, with ``s`` a scratch array of their shape.  uint64
+    arithmetic wraps modulo 2^64, so no masking is needed."""
+    x += _GAMMA
+    np.right_shift(x, _SHIFT30, out=s)
+    x ^= s
+    x *= _MULT1
+    np.right_shift(x, _SHIFT27, out=s)
+    x ^= s
+    x *= _MULT2
+    np.right_shift(x, _SHIFT31, out=s)
+    x ^= s
 
-    Works in place on ``z``, which must be an array the caller owns, and
-    returns the result.  uint64 arithmetic wraps modulo 2^64, so no
-    masking is needed.  Large arrays go through in chunks of
-    ``_CHUNK`` words, split over threads, with one scratch array per
-    thread.
+
+def _mix(h: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Absorb one key field: the SplitMix64 step of ``h ^ field``, in a
+    new uint64 array of their broadcast shape.
+
+    Operands whose sizes multiply to at most ``_CHUNK`` (a bound on the
+    size of the result) are mixed whole, in the caller.  A larger
+    result goes through in chunks of about ``_CHUNK`` words, each
+    xored from the broadcast operands into its place in the result and
+    mixed there, so no other full-size array is made; the chunks split
+    over threads, with one scratch array per thread.  A chunk is a range
+    of indices along the first axis whose trailing axes hold at most
+    ``_CHUNK`` words, at one index of the axes before it, so it is
+    contiguous in the result.
     """
-    z = np.ascontiguousarray(z)
-    flat = z.reshape(-1)
+    if h.size * field.size <= _CHUNK:  # bounds the size of the result
+        out = h ^ field
+        _mix_words(out, np.empty_like(out))
+        return out
+    shape = np.broadcast_shapes(h.shape, field.shape)
+    size = math.prod(shape)
+    out = np.empty(shape, dtype=np.uint64)
+    h, field = np.broadcast_to(h, shape), np.broadcast_to(field, shape)
+    axis = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= _CHUNK)
+    inner = math.prod(shape[axis + 1 :])
+    step = _CHUNK // inner
+    per_index = -(-shape[axis] // step)  # chunks at one index of the axes before
 
     def mix_chunks(lo, hi):
-        scratch = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
-        for start in range(lo * _CHUNK, min(hi * _CHUNK, flat.size), _CHUNK):
-            x = flat[start : start + _CHUNK]
-            s = scratch[: x.size]
-            x += _GAMMA
-            np.right_shift(x, _SHIFT30, out=s)
-            x ^= s
-            x *= _MULT1
-            np.right_shift(x, _SHIFT27, out=s)
-            x ^= s
-            x *= _MULT2
-            np.right_shift(x, _SHIFT31, out=s)
-            x ^= s
+        scratch = np.empty(step * inner, dtype=np.uint64)
+        for i in range(lo, hi):
+            start = i % per_index * step
+            index = (*np.unravel_index(i // per_index, shape[:axis]), slice(start, start + step))
+            x = out[index]
+            np.bitwise_xor(h[index], field[index], out=x)
+            x = x.reshape(-1)
+            _mix_words(x, scratch[: x.size])
 
-    run_blocks(mix_chunks, -(-flat.size // _CHUNK), flat.size)
-    return z
+    run_blocks(mix_chunks, math.prod(shape[:axis]) * per_index, size)
+    return out
 
 
 def _as_u64(value) -> np.ndarray:
@@ -117,10 +148,10 @@ def raw64_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:
         np.shape(rows), np.shape(cols), np.shape(channels)
     )
     seed_shape = np.shape(seed)
-    h = _as_u64(seed).reshape(seed_shape + (1,) * len(field_shape) or (1,))
-    h = _mix(h.copy())
-    for field in (purpose, scale, rows, cols, channels):
-        h = _mix(h ^ _as_u64(field))
+    seed = _as_u64(seed).reshape(seed_shape + (1,) * len(field_shape) or (1,))
+    h = _ZERO  # mixing 0 ^ seed mixes the seed alone
+    for field in (seed, purpose, scale, rows, cols, channels):
+        h = _mix(h, _as_u64(field))
     return h.reshape(seed_shape + field_shape)
 
 
@@ -130,20 +161,29 @@ def _to_open_unit(words: np.ndarray) -> np.ndarray:
     uint64 and float64 have the same size, so each chunk of words is
     shifted, converted and written back over itself as float64, the
     chunks split over threads; ``words`` must not be used afterwards.
+    At most ``_CHUNK`` words are converted whole, in the caller.
     """
     shape = words.shape
     flat = np.ascontiguousarray(words).reshape(-1)
     u = flat.view(np.float64)
+    if flat.size <= _CHUNK:
+        _convert_words(flat, u)
+        return u.reshape(shape)
 
     def convert_chunks(lo, hi):
         for start in range(lo * _CHUNK, min(hi * _CHUNK, flat.size), _CHUNK):
-            k = flat[start : start + _CHUNK] >> _SHIFT11
-            chunk = u[start : start + _CHUNK]
-            np.add(k, 1.0, out=chunk)  # k converts to float64 exactly (k < 2^53)
-            chunk /= _DENOM
+            _convert_words(flat[start : start + _CHUNK], u[start : start + _CHUNK])
 
     run_blocks(convert_chunks, -(-flat.size // _CHUNK), flat.size)
     return u.reshape(shape)
+
+
+def _convert_words(words: np.ndarray, u: np.ndarray) -> None:
+    """Write (k + 1) / (2^53 + 2), k the top 53 bits of each word, into
+    ``u``, the words' own buffer viewed as float64."""
+    k = words >> _SHIFT11
+    np.add(k, 1.0, out=u)  # k converts to float64 exactly (k < 2^53)
+    u /= _DENOM
 
 
 def uniform_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:

@@ -617,6 +617,23 @@ def assert_stress_output_pinned(tmp_path, monkeypatch):
     assert threading.active_count() == running
 
 
+# SHA-256 of the sweep.csv of each bundled sweep config
+BUNDLED_SWEEP_DIGESTS = {
+    "demo.ini": "13cf58095c2e3e7f9293fe99c722d13c1c715a2c1d5bbb1dc554e6a1ea7a54b6",
+    "regen-sweep.ini": "cd57a0c297f7ca9c151bdfcd17e47da9e3d90247c745c217fdf0de76a14f7708",
+}
+
+
+def assert_bundled_sweep_pinned(tmp_path, name, digest):
+    for workers in (1, 2):
+        out = tmp_path / f"s{workers}"
+        assert (
+            run("sweep", "--config", CONFIGS / name, "--out", out, "--workers", workers)
+            == EXIT_OK
+        )
+        assert sha256(out / "sweep.csv") == digest
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and the
     initializer, runs serially."""
@@ -650,23 +667,20 @@ class TestSweep:
         assert run("sweep", "--config", cfg, "--out", parallel, "--workers", 2) == EXIT_OK
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
-    @pytest.mark.parametrize(
-        "name,digest",
-        [
-            ("demo.ini", "13cf58095c2e3e7f9293fe99c722d13c1c715a2c1d5bbb1dc554e6a1ea7a54b6"),
-            ("regen-sweep.ini", "cd57a0c297f7ca9c151bdfcd17e47da9e3d90247c745c217fdf0de76a14f7708"),
-        ],
-    )
+    @pytest.mark.parametrize("name,digest", BUNDLED_SWEEP_DIGESTS.items())
     def test_bundled_config_output_pinned(self, tmp_path, name, digest):
         """The bundled sweeps reproduce their recorded sweep.csv byte for
         byte, serially and with two worker processes."""
-        for workers in (1, 2):
-            out = tmp_path / f"s{workers}"
-            assert (
-                run("sweep", "--config", CONFIGS / name, "--out", out, "--workers", workers)
-                == EXIT_OK
-            )
-            assert sha256(out / "sweep.csv") == digest
+        assert_bundled_sweep_pinned(tmp_path, name, digest)
+
+    @pytest.mark.parametrize("budget", [1 << 14, 1 << 15, 1 << 17, 1 << 20])
+    def test_bundled_output_at_any_chunk_width(self, tmp_path, monkeypatch, budget):
+        """Chunks of 1, 2 or 8 seeds, or all 32 in one, give both bundled
+        sweeps their recorded sweep.csv, serially and with two worker
+        processes (which take chunks of at most 16 seeds)."""
+        monkeypatch.setattr(editing, "SEED_CELL_BUDGET", budget)
+        for name, digest in BUNDLED_SWEEP_DIGESTS.items():
+            assert_bundled_sweep_pinned(tmp_path / name, name, digest)
 
     def test_stress_output_pinned(self, tmp_path, monkeypatch):
         """At stress scale (64x64, vocab 512, 7 scales) `invert` and

@@ -1,6 +1,8 @@
 """Editing pipelines: schedules, endpoints, prefix integrity, trends."""
 
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from invnoise import inversion
 from invnoise.codec import decode, default_codebook, dyadic_schedule, encode
+from invnoise.config import load_config
 from invnoise.demo import demo_scene
 from invnoise.editing import (
     CONTEXT_GENERATED,
@@ -35,6 +38,8 @@ from invnoise.predictor import PredictorParams, condition_embed
 from invnoise.rng import PURPOSE_EDIT_NOISE, PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, uniform_values
 
 from conftest import random_grid, walk_logits
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SRC = "red brick house among pines"
 TGT = "blue glass tower among pines"
@@ -479,9 +484,28 @@ class TestEditSeeds:
         self.check(grid, self.CONFIGS, self.SEEDS[:3], MODE_VARIN, params, noise_set)
 
     def test_chunk_width(self, params):
-        assert seed_chunk_width(params) == 2
+        assert seed_chunk_width(params) == 8
         stress = PredictorParams(codebook=default_codebook(512), schedule=dyadic_schedule(7))
         assert seed_chunk_width(stress) == 1
+
+    def test_peak_memory_of_eight_seeds(self):
+        """One walk of the demo.ini sweep over a chunk of 8 seeds holds less
+        than 3.5 of its finest (8, 16, 16, 64) arrays at peak: the fresh
+        draws and one mix buffer, into which each stepper adds its logits
+        block by block."""
+        cfg = load_config(CONFIGS / "demo.ini")
+        params = cfg.build_params()
+        sweep = SeedSweep(demo_scene("scene-a", params)[0], cfg.sweep_configs, params)
+        seeds = cfg.sweep.seeds[:8]
+        assert seed_chunk_width(params) == len(seeds)
+        tracemalloc.start()
+        try:
+            sweep.run(seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        h, w = params.schedule.finest
+        assert peak < 3.5 * len(seeds) * h * w * params.codebook.size * 8
 
     def test_runs_equal_one_walk(self, params):
         """Chunks of any width give the same results as one walk."""

@@ -26,7 +26,7 @@ from invnoise.predictor import (
     generate,
     mixing_matrix,
 )
-from invnoise.rng import PURPOSE_GENERATION
+from invnoise.rng import PURPOSE_GENERATION, normal_values
 
 from conftest import walk_logits
 
@@ -208,6 +208,59 @@ class TestPrefixBlocks:
             tracemalloc.stop()
         assert logits.shape == (64, 64, 512)
         assert peak < 1.5 * logits.nbytes
+
+
+class TestAddTo:
+    """``next_scale_logits(add_to=x)`` adds the logits into x in place, bit
+    for bit as ``x + next_scale_logits()``, with no full-size logits array
+    where cells share a prefix block."""
+
+    @pytest.mark.parametrize("stepper_seeds,mix_seeds", [(0, 0), (3, 3), (0, 3)],
+                             ids=["one-walk", "seed-axis", "broadcast"])
+    def test_equals_adding_the_logits(self, params, source_cond, stepper_seeds, mix_seeds):
+        """At 1x1, 2x2, 4x4, 8x8 and 16x16 the first two scales have
+        block factor 1 and the rest factor 2."""
+        assert predictor._block_factors(params.schedule) == ((1, 1),) * 2 + ((2, 2),) * 3
+        pyramids = [generate(source_cond, params, seed=s) for s in range(max(stepper_seeds, 1))]
+        stepper = ScaleStepper(source_cond, params)
+        lead = (mix_seeds,) if mix_seeds else ()
+        for k, (h, w) in enumerate(params.schedule.resolutions, start=1):
+            x = normal_values(3, 9, k, np.arange(h)[:, None, None], np.arange(w)[None, :, None],
+                              np.arange(params.codebook.size))
+            x = np.broadcast_to(x, (*lead, h, w, params.codebook.size)).copy()
+            want = x + stepper.next_scale_logits()
+            assert stepper.next_scale_logits(add_to=x) is x
+            assert np.array_equal(x, want)
+            maps = [p[k - 1] for p in pyramids]
+            stepper.push(np.stack(maps) if stepper_seeds else maps[0])
+
+    def test_rejects_a_strided_array(self, params, source_cond):
+        stepper = ScaleStepper(source_cond, params)
+        for tokens in generate(source_cond, params, seed=1)[:2]:
+            stepper.push(tokens)
+        strided = np.zeros((4, 4, 2 * params.codebook.size))[..., ::2]
+        with pytest.raises(ValidationError):
+            stepper.next_scale_logits(add_to=strided)
+
+    @pytest.mark.parametrize("seeds", [0, 2], ids=["one-walk", "seed-axis"])
+    def test_peak_memory(self, source_cond, seeds):
+        """Adding one 64x64, vocab-512 scale (block factor 2) allocates less
+        than half the array it adds into at peak."""
+        schedule = dyadic_schedule(7)
+        params = PredictorParams(default_codebook(size=512), schedule)
+        stepper = ScaleStepper(source_cond, params)
+        lead = (seeds,) if seeds else ()
+        for h, w in schedule.resolutions[:-1]:
+            tokens = np.arange(h * w, dtype=np.int32).reshape(h, w) % 512
+            stepper.push(np.broadcast_to(tokens, (*lead, h, w)))
+        x = np.zeros((*lead, 64, 64, 512))
+        tracemalloc.start()
+        try:
+            stepper.next_scale_logits(add_to=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * x.nbytes
 
 
 class TestStepperReuse:

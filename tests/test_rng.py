@@ -163,6 +163,20 @@ def test_uniform_matches_broadcast_reference(key):
     assert np.array_equal(uniform_values(*key), reference_uniform_values(*key))
 
 
+@pytest.mark.parametrize("seeds", [[7], [5, 2**64 - 1]], ids=["one-seed", "seed-axis"])
+@pytest.mark.parametrize(
+    "fields", [_grid_key(5, 7, 1000), (np.arange(40000), 0, 0)], ids=["grid", "1-d-rows"]
+)
+def test_chunked_hash_matches_reference(seeds, fields):
+    """Results of more than ``_CHUNK`` words are absorbed chunk by chunk:
+    ranges of 4 rows of 7000 words (the last one partial) at each seed,
+    or 32768 words of a 1-d field."""
+    got = raw64_values(seed_array(seeds) if len(seeds) > 1 else seeds[0], 2, 3, *fields)
+    got = got.reshape(len(seeds), -1)
+    for seed, row in zip(seeds, got, strict=True):
+        assert np.array_equal(row, reference_raw64_values(seed, 2, 3, *fields).reshape(-1))
+
+
 def test_hash_leaves_uint64_inputs_untouched():
     rows = np.arange(8, dtype=np.uint64)[:, None]
     cols = np.arange(3, dtype=np.uint64)[None, :]
