@@ -167,25 +167,41 @@ def squared_distances(cells: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     if h * w == 1:
         diffs = cells[:, :, None, :] - vectors[None, None, :, :]
         return np.einsum("hwcd,hwcd->hwc", diffs, diffs)
-    columns = vectors.T.copy()
     out = np.zeros((h, w, c))
-    # Rows are taken in blocks of about _DIST_BLOCK entries so that the
-    # squared differences stay in cache between the channel passes; the
-    # blocks split across threads, with one scratch array per thread.
-    # One block is summed in the caller.
+    _by_row_blocks(cells, vectors, out=out)
+    return out
+
+
+def _by_row_blocks(cells, vectors, out=None, tokens=None) -> None:
+    """The squared distances of (h, w, d) cells to (C, d) vectors, summed
+    into the zeroed (h, w, C) ``out``, or, given the (h, w) ``tokens``,
+    the index of the nearest vector of each cell written there.
+
+    Rows are taken in blocks of about _DIST_BLOCK entries so that the
+    squared differences stay in cache between the channel passes; the
+    blocks split across threads, with scratch arrays per thread.  For
+    ``tokens`` each block is summed into scratch and argmined there
+    (ties to the lowest index), so no (h, w, C) array is made.
+    """
+    h, w, _ = cells.shape
+    c = vectors.shape[0]
+    columns = vectors.T.copy()
     step = max(1, _DIST_BLOCK // (w * c))
-    if step >= h:
-        _sum_squares(out, cells, columns, np.empty_like(out))
-        return out
 
     def sum_blocks(lo, hi):
-        scratch = np.empty((step, w, c))
+        diff = np.empty((min(step, h), w, c))
+        dist = None if tokens is None else np.empty_like(diff)
         for r in range(lo * step, min(hi * step, h), step):
-            block = out[r : r + step]
-            _sum_squares(block, cells[r : r + step], columns, scratch[: block.shape[0]])
+            s = min(r + step, h)
+            if tokens is None:
+                _sum_squares(out[r:s], cells[r:s], columns, diff[: s - r])
+                continue
+            block = dist[: s - r]
+            block.fill(0.0)
+            _sum_squares(block, cells[r:s], columns, diff[: s - r])
+            tokens[r:s] = np.argmin(block, axis=-1)
 
-    run_blocks(sum_blocks, -(-h // step), out.size)
-    return out
+    run_blocks(sum_blocks, -(-h // step), h * w * c)
 
 
 def _sum_squares(out, cells, columns, diff) -> None:
@@ -199,9 +215,17 @@ def _sum_squares(out, cells, columns, diff) -> None:
 
 
 def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Nearest codebook index per (h, w, d) cell; ties go to the lowest index."""
-    dist2 = squared_distances(cells, codebook.vectors)
-    return np.argmin(dist2, axis=-1).astype(np.int32)
+    """Nearest codebook index per (h, w, d) cell; ties go to the lowest index.
+
+    The distances of a single cell come from ``squared_distances``; a
+    larger map is argmined block by block as its distances are summed.
+    """
+    h, w, _ = cells.shape
+    if h * w == 1:
+        return np.argmin(squared_distances(cells, codebook.vectors), axis=-1).astype(np.int32)
+    tokens = np.empty((h, w), dtype=np.int32)
+    _by_row_blocks(cells, codebook.vectors, tokens=tokens)
+    return tokens
 
 
 def embed_tokens(tokens: np.ndarray, codebook: Codebook) -> np.ndarray:

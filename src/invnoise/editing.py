@@ -34,8 +34,10 @@ through the keyed draws, the inversion step
 only at the margins some edit mixes in with nonzero lambda, so no whole
 noise set is held), the edit mix, the stepper logits and the argmax.
 The edits of a scale build their mixes, one after another, in one
-buffer, into which each stepper adds its logits block by block, so no
-edit makes a full-size logits array or a copy of its own.
+buffer, adding ``lam * n`` (in float64, from a float32 or float64 noise
+map) by row blocks, and each stepper takes the argmax of its logits
+plus that buffer one row block at a time, so no edit makes a full-size
+logits array, product or copy of its own.
 ``invnoise edit`` runs one config at its own seed, as do the
 single-edit functions ``edit_with_inverse_noise`` and
 ``edit_regeneration``; ``invnoise sweep`` runs many configs over chunks
@@ -50,12 +52,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import _blocks
 from .codec import encode
 from .errors import ValidationError
 from .gumbel import standard_field
 from .inversion import InverseNoiseSet, check_tau, invert_scale, validate_noise_set
 from .predictor import PredictorParams, ScaleStepper, condition_embed
-from .rng import PURPOSE_EDIT_NOISE, seed_array
+from .rng import _CHUNK, PURPOSE_EDIT_NOISE, seed_array
 
 CONTEXT_GENERATED = "generated-prefix"
 CONTEXT_SOURCE = "source-prefix"
@@ -193,6 +196,32 @@ def seed_chunk_width(params: PredictorParams) -> int:
     return max(1, SEED_CELL_BUDGET // (h * w * params.codebook.size))
 
 
+def _mix_noise(mixed: np.ndarray, lam: float, noise: np.ndarray) -> None:
+    """``mixed = (1 - lam) * mixed + lam * noise`` in place, for an
+    (S, h, w, C) ``mixed`` and an (S, h, w, C) or (h, w, C) float32 or
+    float64 ``noise``; the product is taken in float64 (a float32 map
+    casts exactly), so the result equals ``mixed *= 1 - lam`` then
+    ``mixed += lam * noise.astype(np.float64)`` bit for bit.
+
+    The rows go in blocks of about ``_CHUNK`` entries, the product of
+    each in a scratch array, so no full-size product is made; from
+    ``_blocks.MIN_ENTRIES`` entries the blocks split across threads.
+    """
+    h = mixed.shape[-3]
+    step = max(1, _CHUNK * h // mixed.size)
+
+    def mix_rows(lo, hi):
+        scratch = np.empty((*mixed.shape[:-3], step, *mixed.shape[-2:]))
+        for r in range(lo * step, min(hi * step, h), step):
+            block = mixed[..., r : r + step, :, :]
+            product = scratch[..., : block.shape[-3], :, :]
+            np.multiply(noise[..., r : r + step, :, :], lam, out=product, dtype=np.float64)
+            block *= 1.0 - lam
+            block += product
+
+    _blocks.run_blocks(mix_rows, -(-h // step), mixed.size)
+
+
 class SeedSweep:
     """One source grid edited under several configs, at any seeds.
 
@@ -209,11 +238,13 @@ class SeedSweep:
     the target condition where an edit reads them (at its start scale,
     and at every edited scale in source-prefix context).  ``run`` then
     edits a chunk of seeds, each edit of a scale mixing into one buffer
-    per scale (the last into the fresh draws themselves), with its
-    stepper's logits added in place.  A scale where an edit's lambda is
-    0 takes no inverse noise for that edit, so a scale where every
-    lambda is 0 is not inverted (the linear schedule's final scale, or
-    all of a constant 0).
+    per scale (the last into the fresh draws themselves), and its
+    stepper takes the argmax of its logits plus that buffer by row
+    blocks.  A given set's float32 maps are mixed in as their exact
+    float64 values.
+    A scale where an edit's lambda is 0 takes no inverse noise for that
+    edit, so a scale where every lambda is 0 is not inverted (the linear
+    schedule's final scale, or all of a constant 0).
     """
 
     def __init__(
@@ -302,18 +333,17 @@ class SeedSweep:
 
     def _edit_scale(self, plan: _Plan, stepper: ScaleStepper, t: int, mixed, noise):
         """Scale t of one edit: argmax of logits + ((1 - lam) * g + lam * n),
-        built in place in ``mixed``, which holds the fresh draws g.  With no
-        noise n (lambda 0, which takes none) it is the argmax of logits + g.
-        The stepper adds its logits into ``mixed`` itself."""
+        the mix built in place in ``mixed``, which holds the fresh draws g.
+        With no noise n (lambda 0, which takes none) it is the argmax of
+        logits + g.  The stepper takes the argmax of its logits plus the
+        mix itself."""
         lam = plan.lambdas[t - plan.start_scale]
         if noise is not None:
-            mixed *= 1.0 - lam
-            mixed += lam * noise
+            _mix_noise(mixed, lam, noise)
         if t == plan.start_scale or plan.context_mode == CONTEXT_SOURCE:
             mixed += self._prefix_logits[t]
-        else:
-            stepper.next_scale_logits(add_to=mixed)
-        return np.argmax(mixed, axis=-1).astype(np.int32)
+            return np.argmax(mixed, axis=-1).astype(np.int32)
+        return stepper.next_scale_tokens(mixed)
 
     def run(self, seeds) -> list[list[EditResult]]:
         """Edit a chunk of seeds: one list per seed of one result per config.

@@ -4,8 +4,10 @@ All binary formats are little-endian with a 4-byte magic and a version,
 and embed the experiment seed and config digest so any output can be
 traced back to the run that produced it.  Payloads are 32-bit floats
 (grids, noise) or 16-bit unsigned tokens (pyramids), which round-trips
-bit-exactly; inverse noise is float32-exact as inverted, so a noise
-file holds it as it is.  Readers raise ``FormatError`` for anything a
+bit-exactly.  Readers read each payload straight into its array.  A
+noise set holds float32 maps, as inverted and as read, which the
+writer writes as they are and the reader returns as it reads them,
+with no cast.  Readers raise ``FormatError`` for anything a
 writer cannot produce: short or trailing bytes, sizes beyond the file,
 tokens outside the vocab, non-finite float payload values and a noise
 ``tau`` that is negative or not finite.  Writers raise
@@ -19,6 +21,7 @@ eyeballing: one image per channel (min-max normalized) or per scale
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -52,16 +55,28 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
-def _read_payload(fh, n: int) -> bytes:
-    """Read n payload bytes, checking n against the bytes left first.
+def _check_left(fh, n: int) -> None:
+    """Check n payload bytes against the bytes left in the file.
 
     Header sizes come from the file, so a corrupt header could ask for
-    more memory than exists; the check turns that into a FormatError.
+    more memory than exists; the check turns that into a FormatError
+    before anything is allocated.
     """
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
         raise FormatError(f"header promises {n} payload bytes, only {left} left")
-    return _read_exact(fh, n)
+
+
+def _read_array(fh, dtype: str, shape: tuple) -> np.ndarray:
+    """Read a payload straight into a new array of ``shape``, checked
+    against the bytes left first, with no bytes copy."""
+    dtype = np.dtype(dtype)
+    n = math.prod(shape) * dtype.itemsize
+    _check_left(fh, n)
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(out.reshape(-1).view(np.uint8)) != n:
+        raise FormatError("unexpected end of file")
+    return out
 
 
 def _finite_payload(data: np.ndarray, what: str) -> np.ndarray:
@@ -76,17 +91,20 @@ def _finite_payload(data: np.ndarray, what: str) -> np.ndarray:
 
 
 def _float32_payload(values, what: str) -> np.ndarray:
-    """``values`` as the little-endian float32 payload a writer stores.
+    """``values`` as the C-ordered little-endian float32 payload a writer
+    stores: a float32 array as it is, anything else cast through float64.
 
     Values that are not finite, or that overflow float32, raise
     ``ValidationError``; writers call this before opening their file, so
     nothing is written.
     """
-    with np.errstate(over="ignore"):  # an overflow shows as inf below
-        data = np.asarray(values, dtype=np.float64).astype("<f4")
+    data = np.asarray(values)
+    if data.dtype != np.dtype("<f4"):
+        with np.errstate(over="ignore"):  # an overflow shows as inf below
+            data = np.asarray(data, dtype=np.float64).astype("<f4")
     if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise ValidationError(f"{what} values must be finite in float32")
-    return data
+    return np.ascontiguousarray(data)
 
 
 def _check_end(fh):
@@ -127,18 +145,16 @@ def write_grid(path, grid: np.ndarray, seed: int = 0, digest: bytes = ZERO_DIGES
     with open(path, "wb") as fh:
         _write_header(fh, GRID_MAGIC, seed, digest)
         fh.write(struct.pack("<III", d, h, w))
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def read_grid(path) -> tuple[np.ndarray, ArtifactHeader]:
     with open(path, "rb") as fh:
         _, _, header = _read_header(fh, GRID_MAGIC)
         d, h, w = struct.unpack("<III", _read_exact(fh, 12))
-        payload = _finite_payload(
-            np.frombuffer(_read_payload(fh, 4 * d * h * w), dtype="<f4"), "grid"
-        )
+        payload = _finite_payload(_read_array(fh, "<f4", (d, h, w)), "grid")
         _check_end(fh)
-    grid = payload.reshape(d, h, w).astype(np.float64)
+    grid = payload.astype(np.float64)
     return grid, header
 
 
@@ -169,10 +185,10 @@ def read_pyramid(path) -> tuple[list[np.ndarray], int, ArtifactHeader]:
         maps = []
         for _ in range(num_scales):
             h, w = struct.unpack("<II", _read_exact(fh, 8))
-            data = np.frombuffer(_read_payload(fh, 2 * h * w), dtype="<u2")
+            data = _read_array(fh, "<u2", (h, w))
             if data.size and int(data.max()) >= vocab:
                 raise FormatError(f"token {int(data.max())} out of range for vocab {vocab}")
-            maps.append(data.reshape(h, w).astype(np.int32))
+            maps.append(data.astype(np.int32))
         _check_end(fh)
     return maps, vocab, header
 
@@ -201,7 +217,7 @@ def write_noise_set(path, noise_set: InverseNoiseSet, digest: bytes = ZERO_DIGES
         for n in noise_set.noises:
             fh.write(struct.pack("<II", n.shape[0], n.shape[1]))
         for payload in payloads:
-            fh.write(payload.tobytes())
+            fh.write(payload)
 
 
 def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
@@ -213,20 +229,18 @@ def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
         if not (np.isfinite(tau) and tau >= 0):
             raise FormatError(f"noise header tau {tau!r} is not a non-negative finite real")
         (label_len,) = struct.unpack("<I", _read_exact(fh, 4))
+        _check_left(fh, label_len)
         try:
-            label = _read_payload(fh, label_len).decode("utf-8")
+            label = _read_exact(fh, label_len).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("condition label is not valid UTF-8") from None
         shapes = [struct.unpack("<II", _read_exact(fh, 8)) for _ in range(num_scales)]
-        noises = []
-        for h, w in shapes:
-            data = _finite_payload(
-                np.frombuffer(_read_payload(fh, 4 * h * w * vocab), dtype="<f4"), "noise"
-            )
-            noises.append(data.reshape(h, w, vocab).astype(np.float64))
+        noises = tuple(
+            _finite_payload(_read_array(fh, "<f4", (h, w, vocab)), "noise") for h, w in shapes
+        )
         _check_end(fh)
     noise_set = InverseNoiseSet(
-        noises=tuple(noises),
+        noises=noises,
         condition_label=label,
         tau=tau,
         seed=header.seed,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _blocks
 from .errors import ValidationError
-from .rng import uniform_values
+from .rng import _CHUNK, uniform_values
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -42,7 +42,7 @@ def located_from_uniform(phi, u):
     return phi + standard_from_uniform(u)
 
 
-def truncated_from_loglog(phi, trunc, loglog):
+def truncated_from_loglog(phi, trunc, loglog, out=None):
     """Gumbel(phi, 1) conditioned on being <= trunc, given the draw as
     loglog = log(-log u) for u in (0,1).
 
@@ -51,29 +51,38 @@ def truncated_from_loglog(phi, trunc, loglog):
     overflows, then clamped so the bound holds exactly in float64.
     loglog does not depend on phi or trunc, so draws transformed once
     serve every bound.  phi and trunc are finite.  The steps write into
-    one buffer of the broadcast shape, over row ranges (the third axis
-    from the end) split across threads; a 0-d result is a numpy scalar.
+    one float64 buffer of the broadcast shape, ``out`` if given, over
+    row ranges (the third axis from the end) split across threads; a 0-d
+    result is a numpy scalar.  ``out`` may be ``loglog`` itself, whose
+    draws are then overwritten in row chunks of about ``_CHUNK``
+    entries, each with phi - trunc in a scratch array of one chunk.
     """
     phi = np.asarray(phi, dtype=np.float64)
     trunc = np.asarray(trunc, dtype=np.float64)
     loglog = np.asarray(loglog, dtype=np.float64)
-    out = np.empty(np.broadcast_shapes(phi.shape, trunc.shape, loglog.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(phi.shape, trunc.shape, loglog.shape))
     operands = (out, phi, trunc, loglog)
-    if out.size < _blocks.MIN_ENTRIES:
-        _truncate(*operands)
-    else:
-        _blocks.run_blocks(
-            lambda lo, hi: _truncate(*(_rows(x, lo, hi) for x in operands)),
-            out.shape[-3] if out.ndim >= 3 else 1,
-            out.size,
-        )
+    rows = out.shape[-3] if out.ndim >= 3 else 1
+    in_place = out is loglog
+    step = max(1, _CHUNK * rows // max(out.size, 1)) if in_place else rows
+
+    def truncate_rows(lo, hi):
+        scratch = np.empty(out.size // max(rows, 1) * step) if in_place else None
+        for r in range(lo, hi, step):
+            chunk = [_rows(x, r, min(r + step, hi)) for x in operands]
+            diff = chunk[0] if scratch is None else scratch[: chunk[0].size].reshape(chunk[0].shape)
+            _truncate(*chunk, diff)
+
+    _blocks.run_blocks(truncate_rows, rows, out.size)
     return out[()]
 
 
-def _truncate(out, phi, trunc, loglog) -> None:
-    """``truncated_from_loglog`` written into ``out``."""
-    np.subtract(phi, trunc, out=out)
-    np.logaddexp(out, loglog, out=out)
+def _truncate(out, phi, trunc, loglog, diff) -> None:
+    """``truncated_from_loglog`` written into ``out``, with phi - trunc
+    in ``diff`` (``out`` itself unless ``out`` is ``loglog``)."""
+    np.subtract(phi, trunc, out=diff)
+    np.logaddexp(diff, loglog, out=out)
     np.subtract(phi, out, out=out)
     np.minimum(out, trunc, out=out)
 

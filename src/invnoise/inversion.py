@@ -30,9 +30,14 @@ tightening (the range check, then the rounding in row chunks of about
 (:mod:`invnoise._blocks`).
 
 Replay recomputes q as p + n in float64, which rounds; the step makes
-its noise float32-exact values (in float64 arrays, so edit mixes stay
-float64) whose replay keeps every margin, so a float32 noise file holds
-the noise as it is and memory and disk give the same tokens.
+its noise float32-exact values whose replay keeps every margin.  A
+noise set stores them as float32 maps, which a noise file holds as they
+are, so memory and disk give the same tokens; every use casts a stored
+map to float64, which is exact (the replay's sums and the edit mix's
+``lam * n``, whose float32 product would round differently).  Replay
+takes the argmax of p + n from the stepper's block logits one row block
+at a time (:meth:`~invnoise.predictor.ScaleStepper.next_scale_tokens`),
+so it makes no full-size array.
 
 Inputs are checked where they enter: ``invert_pyramid`` checks its
 margin, seed and pyramid, the ``InverseNoiseSet`` it builds checks the
@@ -91,9 +96,9 @@ def _located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarr
     ignored); leading axes (one per seed) carry through to the maps.  The
     label draw and log(-log u) of the off-label draws do not depend on
     the margin and are made once; each yielded map caps the off-label
-    draws ``tau`` below it.  The generator drops its hold on the draws before
-    the last map, so a caller that keeps no reference of its own does
-    not carry them into that map's tightening.
+    draws ``tau`` below it.  The draws are taken over: their log-log is
+    written over ``u_off``'s buffer, and the last map over the log-log,
+    so a scale holds one full-size array of them at any time.
     """
     h, w = tokens.shape
     rows, cols = np.arange(h)[:, None], np.arange(w)
@@ -102,25 +107,27 @@ def _located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarr
     loglog = _loglog(u_off)
     u_off = None
     for i, tau in enumerate(taus, start=1):
-        q = truncated_from_loglog(logits, (q_label - tau)[..., None], loglog)
-        if i == len(taus):
-            loglog = None  # 16.7 MB at 64x64, vocab 512: not kept through tightening
+        last = i == len(taus)
+        trunc = (q_label - tau)[..., None]
+        q = truncated_from_loglog(logits, trunc, loglog, out=loglog if last else None)
+        if last:
+            loglog = None
         q[..., rows, cols, tokens] = q_label
         yield q
 
 
 def _loglog(u) -> np.ndarray:
-    """log(-log u) into a new array, over ranges split across threads."""
+    """log(-log u) over the float64 buffer of ``u``, which is taken over,
+    over ranges split across threads."""
     u = np.ascontiguousarray(u, dtype=np.float64)
-    out = np.empty_like(u)
-    _blocks.run_flat(_loglog_into, u, out)
-    return out
+    _blocks.run_flat(_loglog_in_place, u)
+    return u
 
 
-def _loglog_into(u: np.ndarray, out: np.ndarray) -> None:
-    np.log(u, out=out)
-    np.negative(out, out=out)
-    np.log(out, out=out)
+def _loglog_in_place(u: np.ndarray) -> None:
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
 
 
 def _keyed_uniforms(seed, scale: int, shape: tuple[int, int, int]):
@@ -229,8 +236,10 @@ def _tighten_rows(tokens, logits, noise: np.ndarray, tau: float) -> None:
 class InverseNoiseSet:
     """Per-scale noise maps plus full provenance.
 
-    ``sensitive`` flags the tau = 0 regime, where reconstruction is
-    exact but the noise margins are arbitrarily thin.
+    ``invert_pyramid`` and ``read_noise_set`` give (h, w, C) float32
+    maps; a hand-built set may hold float64 maps.  ``sensitive`` flags
+    the tau = 0 regime, where reconstruction is exact but the noise
+    margins are arbitrarily thin.
     """
 
     noises: tuple
@@ -302,9 +311,10 @@ def invert_pyramid(
 
     For each scale t the predictor logits are computed from the true
     prefix tokens, a pseudo-inverse builds perturbed logits q_t, and the
-    stored noise is q_t - p_t tightened to float32-exact values.
-    argmax(p_t + n_t) then equals the input tokens at every cell of
-    every scale, also for the noise as a noise file stores it.
+    stored noise is q_t - p_t tightened to float32-exact values, held as
+    float32 maps.  argmax(p_t + n_t) in float64 then equals the input
+    tokens at every cell of every scale, also for the noise as a noise
+    file stores it.
     """
     tau = check_tau(tau)
     seed_array((seed,))
@@ -313,7 +323,7 @@ def invert_pyramid(
     noises = []
     for t, tokens in enumerate(maps, start=1):
         (noise,) = invert_scale(tokens, stepper.next_scale_logits(), (tau,), seed, t, kind)
-        noises.append(noise)
+        noises.append(noise.astype(np.float32))  # float32-exact: no value changes
         stepper.push(tokens)
     return InverseNoiseSet(
         noises=tuple(noises), condition_label=cond.label, tau=tau, seed=int(seed), kind=kind
@@ -323,14 +333,12 @@ def invert_pyramid(
 def reconstruct_from_noise(
     noise_set: InverseNoiseSet, cond: Condition, params: PredictorParams
 ) -> list[np.ndarray]:
-    """Replay argmax(p_t + n_t) scale by scale."""
+    """Replay argmax(p_t + n_t), in float64, scale by scale."""
     validate_noise_set(noise_set, params)
     stepper = ScaleStepper(cond, params)
     pyramid = []
     for noise in noise_set.noises:
-        logits = stepper.next_scale_logits()
-        logits += noise
-        tokens = np.argmax(logits, axis=-1).astype(np.int32)
+        tokens = stepper.next_scale_tokens(noise)
         stepper.push(tokens)
         pyramid.append(tokens)
     return pyramid

@@ -14,8 +14,9 @@ embedding instead of a decode of the whole prefix, and ``fork`` copies
 it for another walk under the same condition.  The pushed scales make
 that decode constant over blocks, so it computes each scale's logits
 once per block and copies them to the block's cells, which is exact
-(see ``_block_factors``), or adds them straight into a caller's array
-(the edit mix), so that no full-size logits array is made.  Pushing a
+(see ``_block_factors``), or, for the tokens of a replay or an edit,
+adds them to a caller's noise or mix one row block at a time and keeps
+only the argmax, so that no full-size logits array is made.  Pushing a
 stack of S token maps turns it into S walks that share that prefix (a
 leading seed axis on the canvas and the logits).  Generation,
 inversion, replay and editing all drive it, and ``generate`` samples a
@@ -29,10 +30,10 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+from . import _blocks
 from .codec import (
     Codebook,
     ScaleSchedule,
@@ -47,6 +48,7 @@ from .rng import (
     PURPOSE_CONDITION,
     PURPOSE_GENERATION,
     PURPOSE_MIXING,
+    _CHUNK,
     normal_values,
     seed_array,
 )
@@ -148,8 +150,9 @@ class ScaleStepper:
     """Next-scale logits for one pyramid under one condition, scale by scale.
 
     ``next_scale_logits`` gives the logits of the current scale,
-    ``scale`` (1-based); ``push`` appends that scale's (h, w) token map
-    and moves on.  The canvas adds the replicated embeddings in scale
+    ``scale`` (1-based), and ``next_scale_tokens(x)`` the argmax of
+    those logits plus ``x``; ``push`` appends that scale's (h, w) token
+    map and moves on.  The canvas adds the replicated embeddings in scale
     order onto zeros, the same sums a full prefix decode makes, so after
     the last scale ``canvas`` is the decoded grid.  Pushing (S, h, w)
     maps gives the canvas, and every later logits array, a leading axis
@@ -158,9 +161,9 @@ class ScaleStepper:
     The canvas is constant over the blocks of the grid the pushed scales
     fix.  Where such a block holds several cells of the current scale,
     those cells average the same values in the same order, so their
-    logits are equal bit for bit: ``next_scale_logits`` computes them
-    once per block and writes them into one output array, or, given
-    ``add_to``, adds them into that array in place.
+    logits are equal bit for bit: both entries compute them once per
+    block; ``next_scale_logits`` writes them into one output array, and
+    ``next_scale_tokens`` adds them to ``x`` one row block at a time.
 
     Tokens are taken as given: callers validate pyramids at their own
     boundary.  Construction rejects params whose logits under ``cond``
@@ -181,16 +184,57 @@ class ScaleStepper:
         """(..., d, H, W) sum of the replicated embeddings pushed so far."""
         return self._canvas
 
-    def next_scale_logits(self, add_to: Optional[np.ndarray] = None) -> np.ndarray:
-        """(..., h, w, C) unnormalized log-probabilities for the current scale.
+    def next_scale_logits(self) -> np.ndarray:
+        """(..., h, w, C) unnormalized log-probabilities for the current scale."""
+        block_logits, (fh, fw) = self._block_logits()
+        if fh == fw == 1:
+            return block_logits
+        *lead, hc, wc, c = block_logits.shape
+        logits = np.empty((*lead, hc * fh, wc * fw, c))
+        logits.reshape(*lead, hc, fh, wc, fw, c)[...] = block_logits[..., :, None, :, None, :]
+        return logits
 
-        With ``add_to``, a C-ordered (..., h, w, C) float64 array, the
-        logits are added into it in place instead, and it is returned:
-        each block's logits go straight onto the cells of that block, so
-        no full-size logits array is made.  Every cell gets the value its
-        own logit would add, so ``add_to`` ends up equal to
-        ``add_to + next_scale_logits()`` bit for bit.
+    def next_scale_tokens(self, x: np.ndarray) -> np.ndarray:
+        """(..., h, w) int32 argmax over the classes of
+        ``next_scale_logits() + x``, for an (..., h, w, C) ``x`` of any
+        float dtype, which is not modified.
+
+        The sums are taken from the block logits one row block of about
+        ``_CHUNK`` entries at a time (the whole scale, when it is
+        smaller), in float64 scratch, so no full-size array is made: a
+        row block is its prefix blocks' logits spread over their cells
+        plus ``x``, the same IEEE sums as ``logits + x``.  From
+        ``_blocks.MIN_ENTRIES`` entries the row blocks split across
+        threads, with one scratch array per thread.
         """
+        block_logits, (fh, fw) = self._block_logits()
+        *lead, h, w, c = np.broadcast_shapes(x.shape, block_logits.shape[:-3] + x.shape[-3:])
+        hc, wc = h // fh, w // fw
+        entries = math.prod(lead) * h * w * c
+        step = max(1, _CHUNK * hc // entries)  # prefix-block rows per row block
+        tokens = np.empty((*lead, h, w), dtype=np.int32)
+
+        def argmax_blocks(lo, hi):
+            sums = np.empty((*lead, min(step, hc), fh, wc, fw, c))
+            for b in range(lo * step, min(hi * step, hc), step):
+                e = min(b + step, hc)
+                rows = sums[..., : e - b, :, :, :, :]
+                x_rows = x[..., b * fh : e * fh, :, :]
+                np.add(
+                    x_rows.reshape(*x_rows.shape[:-3], e - b, fh, wc, fw, c),
+                    block_logits[..., b:e, None, :, None, :],
+                    out=rows,
+                )
+                tokens[..., b * fh : e * fh, :] = np.argmax(
+                    rows.reshape(*lead, (e - b) * fh, w, c), axis=-1
+                )
+
+        _blocks.run_blocks(argmax_blocks, -(-hc // step), entries)
+        return tokens
+
+    def _block_logits(self):
+        """The current scale's (..., h / fh, w / fw, C) logits, one cell
+        per prefix block, and its block factors (fh, fw)."""
         params = self.params
         h, w = params.schedule.resolutions[self.scale - 1]
         fh, fw = self._factors[self.scale - 1]
@@ -199,22 +243,7 @@ class ScaleStepper:
         cells = np.moveaxis(context[..., ::fh, ::fw], -3, -1)
         block_logits = squared_distances(cells, params.codebook.vectors)
         block_logits *= -params.beta
-        if fh == fw == 1:
-            if add_to is None:
-                return block_logits
-            add_to += block_logits
-            return add_to
-        *lead, hc, wc, c = block_logits.shape
-        spread = block_logits[..., :, None, :, None, :]
-        if add_to is None:
-            logits = np.empty((*lead, h, w, c))
-            logits.reshape(*lead, hc, fh, wc, fw, c)[...] = spread
-            return logits
-        if not add_to.flags.c_contiguous:  # a reshape would copy, and lose the sums
-            raise ValidationError("add_to must be C-contiguous")
-        blocks = add_to.reshape(*add_to.shape[:-3], hc, fh, wc, fw, c)
-        blocks += spread
-        return add_to
+        return block_logits, (fh, fw)
 
     def push(self, tokens: np.ndarray):
         """Add the current scale's token map(s) to the context; advance."""

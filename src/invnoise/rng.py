@@ -16,9 +16,12 @@ same either way.  An array of one chunk or less is worked on whole, in
 the caller.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
-mixed once, then each key field is absorbed with xor + mix.  The exact
-construction is frozen by golden values in the test suite; changing it
-invalidates every recorded artifact.
+mixed once, then each key field is absorbed with xor + mix.  The seed,
+purpose and scale steps are the same for every cell of a draw site, so
+they run once per seed on Python integers, and only the row, col and
+channel steps run on arrays.  The exact construction is frozen by
+golden values in the test suite; changing it invalidates every recorded
+artifact.
 """
 
 from __future__ import annotations
@@ -41,9 +44,13 @@ PURPOSE_CONDITION = 6
 PURPOSE_MIXING = 7
 PURPOSE_SCENE = 8
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MULT1 = np.uint64(0xBF58476D1CE4E5B9)
-_MULT2 = np.uint64(0x94D049BB133111EB)
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_MULT1_INT = 0xBF58476D1CE4E5B9
+_MULT2_INT = 0x94D049BB133111EB
+_MASK = 2**64 - 1
+_GAMMA = np.uint64(_GAMMA_INT)
+_MULT1 = np.uint64(_MULT1_INT)
+_MULT2 = np.uint64(_MULT2_INT)
 
 # Map 64-bit words into (0, 1): keep the top 53 bits (the float64
 # mantissa width) and divide (k + 1) by 2^53 + 2.  Both endpoint images
@@ -56,7 +63,6 @@ _SHIFT31 = np.uint64(31)
 # Words per chunk (256 KiB) in the in-place kernels, so their
 # temporaries stay in cache.
 _CHUNK = 1 << 15
-_ZERO = np.zeros(1, dtype=np.uint64)
 
 
 def _mix_words(x: np.ndarray, s: np.ndarray) -> None:
@@ -135,22 +141,38 @@ def seed_array(seeds) -> np.ndarray:
     return np.array([int(seed) for seed in seeds], dtype=np.uint64)
 
 
-def raw64_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:
+def _mix_int(x: int) -> int:
+    """``_mix_words`` of one word held as a Python integer, mod 2^64."""
+    x = (x + _GAMMA_INT) & _MASK
+    x ^= x >> 30
+    x = (x * _MULT1_INT) & _MASK
+    x ^= x >> 27
+    x = (x * _MULT2_INT) & _MASK
+    return x ^ (x >> 31)
+
+
+def raw64_values(seed, purpose: int, scale: int, rows, cols, channels) -> np.ndarray:
     """Vectorized keyed hash; broadcasts rows/cols/channels.
 
-    Each field is absorbed at the broadcast shape of the fields so far,
-    so with (h, 1, 1) rows, (1, w, 1) cols and (1, 1, C) channels only
-    the channel step runs at the full (h, w, C) size.  An array ``seed``
-    of shape (S,) gives an (S, *field shape) result whose slice s equals
-    the draw at the scalar ``seed[s]``.
+    ``purpose`` and ``scale`` are integers.  The seed, purpose and scale
+    absorptions give one word per seed, mixed in Python integers; each
+    array field is then absorbed at the broadcast shape of the fields so
+    far, so with (h, 1, 1) rows, (1, w, 1) cols and (1, 1, C) channels
+    only the channel step runs at the full (h, w, C) size.  An array
+    ``seed`` of shape (S,) gives an (S, *field shape) result whose slice
+    s equals the draw at the scalar ``seed[s]``.
     """
     field_shape = np.broadcast_shapes(
         np.shape(rows), np.shape(cols), np.shape(channels)
     )
     seed_shape = np.shape(seed)
-    seed = _as_u64(seed).reshape(seed_shape + (1,) * len(field_shape) or (1,))
-    h = _ZERO  # mixing 0 ^ seed mixes the seed alone
-    for field in (seed, purpose, scale, rows, cols, channels):
+    purpose, scale = int(purpose), int(scale)
+    words = [
+        _mix_int(_mix_int(_mix_int(s & _MASK) ^ purpose) ^ scale)
+        for s in np.ravel(seed).tolist()
+    ]
+    h = np.array(words, dtype=np.uint64).reshape(seed_shape + (1,) * len(field_shape) or (1,))
+    for field in (rows, cols, channels):
         h = _mix(h, _as_u64(field))
     return h.reshape(seed_shape + field_shape)
 

@@ -131,17 +131,29 @@ class TestThreadedEqualsSerial:
 
     @pytest.mark.parametrize("maps", [1, 2], ids=SEED_IDS)
     def test_squared_distances(self, threads, maps):
-        """7 row blocks of two rows, or 13 over two maps."""
+        """7 row blocks of two rows, or 13 over two maps; the nearest
+        vectors of each map by its 7 row blocks."""
         h, w, c = SHAPE
         rows, cols = np.arange(h)[:, None, None], np.arange(w)[None, :, None]
         cells = rng.normal_values(1, 9, 4, rows, cols, np.arange(4))
         if maps == 2:
             cells = np.stack([cells, 2.0 * cells])
         vectors = rng.normal_values(1, 9, 5, np.arange(c)[:, None], 0, np.arange(4))
-        serial_and_threaded(threads, lambda: (codec.squared_distances(cells, vectors),))
+        vectors[0] = 0.0
+        codebook = codec.Codebook(vectors)
+        serial_and_threaded(
+            threads,
+            lambda: (
+                codec.squared_distances(cells, vectors),
+                *(codec.quantize_cells(m, codebook) for m in cells.reshape(-1, h, w, 4)),
+            ),
+        )
 
     @pytest.mark.parametrize("seeds", SEEDS, ids=SEED_IDS)
     def test_loglog_and_truncated_transform(self, threads, seeds):
+        """The log-log over its draws' buffer, and the truncated transform
+        into a new array and over the log-log itself, in row chunks of
+        two rows (three with two seeds), which 13 rows leave ragged."""
         logits, _ = logits_and_tokens(3)
         _, u_off = inversion._keyed_uniforms(seed_of(seeds), 4, SHAPE)
         trunc = np.max(logits, axis=-1, keepdims=True) - 2.0
@@ -149,8 +161,12 @@ class TestThreadedEqualsSerial:
             trunc = trunc - np.arange(2)[:, None, None, None]
 
         def kernel():
-            loglog = inversion._loglog(u_off)
-            return loglog, gumbel.truncated_from_loglog(logits, trunc, loglog)
+            loglog = inversion._loglog(u_off.copy())
+            fresh = gumbel.truncated_from_loglog(logits, trunc, loglog)
+            over = loglog.copy()
+            gumbel.truncated_from_loglog(logits, trunc, over, out=over)
+            assert np.array_equal(over, fresh)
+            return loglog, fresh
 
         serial_and_threaded(threads, kernel)
 

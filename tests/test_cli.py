@@ -293,6 +293,21 @@ class TestEdit:
         )
         assert not (out / "edited.nsp").exists()
 
+    def test_truncated_noise_is_io_error(self, tmp_path):
+        """A noise file cut short inside its last map exits 3 and writes
+        nothing."""
+        inv = tmp_path / "inv"
+        assert run("invert", "--grid", "demo:scene-a", "--out", inv) == EXIT_OK
+        bad = tmp_path / "short.nsn"
+        bad.write_bytes((inv / "noise.nsn").read_bytes()[:-6])
+        out = tmp_path / "ed"
+        assert (
+            run("edit", "--grid", "demo:scene-a", "--mode", "varin", "--noise", bad,
+                "--out", out)
+            == EXIT_IO
+        )
+        assert not (out / "edited.nsp").exists()
+
     def test_nan_in_lambda_zero_map_is_io_error(self, tmp_path):
         """The linear lambda is 0 at scale 5, whose map the edit does not
         mix in; the file is still read and checked in full."""
@@ -584,11 +599,16 @@ STRESS_DIGESTS = {
 }
 
 
+# SHA-256 of the little-endian int32 tokens, scale by scale, that the
+# stress-scale tau = 0 noise file replays
+STRESS_REPLAY_DIGEST = "0267f67a485b53be7ad9b91e939a7b6bb1f07145bf5e1fc9d46ab23fcdec58b9"
+
+
 def assert_stress_output_pinned(tmp_path, monkeypatch):
     """`invert` and `edit --noise` of stress-scale scene-a at seed 0 give
     the files of STRESS_DIGESTS, each noise file replays the source
-    tokens, threads start only on more than one, and none outlives its
-    command."""
+    tokens (at tau = 0, the tokens of STRESS_REPLAY_DIGEST), threads
+    start only on more than one, and none outlives its command."""
     started = count_thread_starts(monkeypatch)
     running = threading.active_count()
     scene = demo.scene_record("scene-a")
@@ -610,6 +630,9 @@ def assert_stress_output_pinned(tmp_path, monkeypatch):
         noise_set, _ = read_noise_set(out / "noise.nsn")
         replayed = inversion.reconstruct_from_noise(noise_set, cond, params)
         assert all(np.array_equal(a, b) for a, b in zip(replayed, source, strict=True))
+        if tau == 0.0:
+            tokens = b"".join(t.astype("<i4").tobytes() for t in replayed)
+            assert hashlib.sha256(tokens).hexdigest() == STRESS_REPLAY_DIGEST
         assert run("edit", *common, "--mode", "varin", "--noise", out / "noise.nsn",
                    "--lambda", "linear", "--mask", "demo:scene-a") == EXIT_OK
         assert {name: sha256(out / name) for name in digests} == digests

@@ -145,8 +145,10 @@ class TestSquaredDistances:
             squared_distances(cells, vectors), reference_squared_distances(cells, vectors)
         )
 
-    @pytest.mark.parametrize("h,w", [(1, 1), (1, 4), (8, 8)])
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 4), (8, 8), (40, 40)])
     def test_quantize_matches_reference_argmin(self, codebook, h, w):
+        """40x40 cells at vocab 64 run over row blocks of 12 rows, the last
+        of 4."""
         cells = channel_last_cells(h * w, codebook.dim, h, w, amplitude=0.6)
         want = np.argmin(reference_squared_distances(cells, codebook.vectors), axis=-1)
         assert np.array_equal(quantize_cells(cells, codebook), want)

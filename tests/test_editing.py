@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise import inversion
+from invnoise import _blocks, editing, inversion
 from invnoise.codec import decode, default_codebook, dyadic_schedule, encode
 from invnoise.config import load_config
 from invnoise.demo import demo_scene
@@ -35,7 +35,13 @@ from invnoise.errors import ValidationError
 from invnoise.inversion import invert_pyramid
 from invnoise.gumbel import standard_from_uniform
 from invnoise.predictor import PredictorParams, condition_embed
-from invnoise.rng import PURPOSE_EDIT_NOISE, PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, uniform_values
+from invnoise.rng import (
+    PURPOSE_EDIT_NOISE,
+    PURPOSE_LABEL_DRAW,
+    PURPOSE_TRUNC_DRAW,
+    normal_values,
+    uniform_values,
+)
 
 from conftest import random_grid, walk_logits
 
@@ -131,6 +137,29 @@ class TestEndpoints:
                 assert result.change_fraction[k] == 0.0
 
 
+class TestMixNoise:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("block", [1 << 15, 3 * 16 * 64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("noise_seeds", [3, 0], ids=["seed-axis", "broadcast"])
+    def test_equals_the_whole_product(self, monkeypatch, threads, block, dtype, noise_seeds):
+        """By row blocks of the whole scale or of 3 rows of one seed
+        (ragged over 3 x 16 rows), on one thread or two at any size, the
+        mix equals the whole-array mix with a float64 product."""
+        monkeypatch.setattr(editing, "_CHUNK", block)
+        monkeypatch.setattr(_blocks, "THREADS", threads)
+        monkeypatch.setattr(_blocks, "MIN_ENTRIES", 0)
+        grid = (np.arange(16)[:, None, None], np.arange(16)[None, :, None], np.arange(64))
+        mixed = normal_values(np.arange(3, dtype=np.uint64), 9, 1, *grid)
+        noise = 30.0 * normal_values(np.arange(max(noise_seeds, 1), dtype=np.uint64), 9, 2, *grid)
+        noise = (noise if noise_seeds else noise[0]).astype(dtype)
+        lam = 0.3
+        want = mixed * (1.0 - lam)
+        want += lam * noise.astype(np.float64)
+        editing._mix_noise(mixed, lam, noise)
+        assert np.array_equal(mixed, want)
+
+
 class TestMixingMatchesReference:
     @pytest.mark.parametrize(
         "lam_schedule", [{}, {"lambda_kind": "constant", "lambda_value": 0.3}]
@@ -158,7 +187,8 @@ class TestMixingMatchesReference:
                 np.arange(c)[None, None, :],
             )
             lam = result.lambdas[k - 1]
-            mixed = (1.0 - lam) * standard_from_uniform(u) + lam * noise_set.noises[k - 1]
+            noise = noise_set.noises[k - 1].astype(np.float64)  # the mix's float64 product
+            mixed = (1.0 - lam) * standard_from_uniform(u) + lam * noise
             assert np.array_equal(result.pyramid[k - 1], np.argmax(logits + mixed, axis=-1))
 
 

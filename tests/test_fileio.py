@@ -1,6 +1,7 @@
 """Artifact formats: bitwise round trips, provenance headers, PGM."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ class TestNoiseFormat:
         assert loaded.kind == "lai"
         assert not loaded.sensitive
         assert header.seed == 9
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-6, 18.0])
+    def test_float32_maps_replay_from_memory_and_disk(self, tmp_path, params, source_cond, tau):
+        """The inverted set and the set read back hold the same float32
+        maps, and both replay the source tokens."""
+        pyramid = encode(random_grid(40), params.codebook, params.schedule)
+        noise_set = invert_pyramid(pyramid, source_cond, tau, params, seed=4)
+        write_noise_set(tmp_path / "n.nsn", noise_set)
+        loaded, _ = read_noise_set(tmp_path / "n.nsn")
+        for ours, theirs in zip(noise_set.noises, loaded.noises, strict=True):
+            assert ours.dtype == theirs.dtype == np.float32
+            assert np.array_equal(ours, theirs)
+        for replayed in (noise_set, loaded):
+            recon = reconstruct_from_noise(replayed, source_cond, params)
+            assert all(np.array_equal(a, b) for a, b in zip(recon, pyramid, strict=True))
 
     def test_sensitive_flag_round_trip(self, tmp_path, params, source_cond):
         pyramid = generate(source_cond, params, seed=10)
@@ -303,9 +319,12 @@ class TestWriterPayloads:
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf, -1e39, 1e308])
     def test_noise(self, tmp_path, params, source_cond, value):
+        """On a set of float64 maps, which can hold values beyond float32."""
         pyramid = generate(source_cond, params, seed=17)
         noise_set = invert_pyramid(pyramid, source_cond, 18.0, params, seed=17)
-        noise_set.noises[-1][-1, -1, -1] = value
+        noises = [n.astype(np.float64) for n in noise_set.noises]
+        noises[-1][-1, -1, -1] = value
+        noise_set = replace(noise_set, noises=tuple(noises))
         path = tmp_path / "n.nsn"
         with pytest.raises(ValidationError):
             write_noise_set(path, noise_set)

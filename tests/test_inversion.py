@@ -1,6 +1,7 @@
 """Argmax pseudo-inverses: exact reconstruction, margins, noise laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise.codec import default_codebook, encode
+from invnoise.codec import default_codebook, dyadic_schedule, encode
 from invnoise.errors import InvariantError, ValidationError
 from invnoise.gumbel import ks_statistic, located_from_uniform
 from invnoise.inversion import (
     KIND_LAI,
     KIND_OAI,
     NEG_SENTINEL,
+    InverseNoiseSet,
     _keyed_uniforms,
     _located_inverses,
     _onehot,
@@ -27,6 +29,7 @@ from invnoise.predictor import PredictorParams, condition_embed, generate
 from invnoise.rng import (
     PURPOSE_LABEL_DRAW,
     PURPOSE_TRUNC_DRAW,
+    normal_values,
     seed_array,
     uniform_values,
 )
@@ -277,6 +280,40 @@ class TestInvertPyramid:
             noise_set = invert_pyramid(pyramid, source_cond, tau, params, seed, kind=kind)
             recon = reconstruct_from_noise(noise_set, source_cond, params)
             assert all(np.array_equal(a, b) for a, b in zip(pyramid, recon))
+
+    def test_replay_peak_memory(self, source_cond):
+        """Replaying a 64x64, vocab-512 set of float32 maps allocates less
+        than 8 MiB above the set it holds: no float64 copy of a map and no
+        full logits array of the finest scale (16 MiB each)."""
+        params = PredictorParams(default_codebook(size=512), dyadic_schedule(7))
+        noises = tuple(
+            np.zeros((h, w, 512), dtype=np.float32) for h, w in params.schedule.resolutions
+        )
+        noise_set = InverseNoiseSet(noises, source_cond.label, 18.0, 0, KIND_LAI)
+        cond = condition_embed(source_cond.label, params)
+        tracemalloc.start()
+        try:
+            reconstruct_from_noise(noise_set, cond, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_inversion_peak_memory(self):
+        """One margin of a 64x64, vocab-512 scale allocates one full-size
+        float64 array at peak, and little more: the log-log is taken over
+        the draws and the map over the log-log."""
+        h, w, c = 64, 64, 512
+        fields = np.arange(h)[:, None, None], np.arange(w)[None, :, None], np.arange(c)
+        logits = 30.0 * normal_values(1, 9, 1, *fields)
+        tokens = np.argmax(logits, axis=-1).astype(np.int32)
+        tracemalloc.start()
+        try:
+            next(invert_scale(tokens, logits, (18.0,), 0, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * logits.nbytes
 
     def test_provenance(self, params, source_cond):
         pyramid = generate(source_cond, params, seed=2)
