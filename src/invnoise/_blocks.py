@@ -1,13 +1,14 @@
-"""Contiguous ranges of one loop, run on a few threads.
+"""Row blocks of one loop, run on a few threads.
 
 Every keyed draw is a pure function of its (seed, purpose, scale, row,
-col, channel), so the cells of a scale are independent and the in-place
-kernels of a large scale may split their loops into ranges and still
-give the same bytes.  numpy releases the GIL inside its array
-operations, so the ranges run at once.  Threads start per call and are
-joined before it returns: no thread or pool outlives a call.  A kernel
-whose arrays stay below ``MIN_ENTRIES`` does its work directly, with no
-closure or range arithmetic (``run_flat``, or a test of its size).
+col, channel), so the cells of a scale are independent and the kernels
+of a large scale may split their loops into blocks and still give the
+same bytes.  ``for_row_blocks`` is the one driver of such a loop: it
+walks row blocks of about ``CHUNK`` entries, so a kernel's temporaries
+stay in cache, and from ``MIN_ENTRIES`` entries splits them across
+threads.  numpy releases the GIL inside its array operations, so the
+ranges run at once.  Threads start per call and are joined before it
+returns: no thread or pool outlives a call.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ from __future__ import annotations
 import os
 import threading
 
+# Entries per row block (256 KiB of float64 or uint64): the one block
+# size of every blocked kernel.
+CHUNK = 1 << 15
 # Loops over fewer entries than this run serially, in the caller: no
 # desk-scale array (16x16x64 per seed) starts a thread.
 MIN_ENTRIES = 1 << 19
-# Threads per loop: the cores this process may run on, at most 4.
-THREADS = min(
-    4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
+# The cores this process may run on, and the threads per loop (at most 4).
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+THREADS = min(4, CORES)
 
 
 def one_thread() -> None:
@@ -29,6 +32,30 @@ def one_thread() -> None:
     sweep's worker processes, which already share the cores)."""
     global THREADS
     THREADS = 1
+
+
+def for_row_blocks(body, rows: int, entries: int, scratch=None) -> None:
+    """Run ``body(lo, hi, buf)`` over row ranges that cover range(rows).
+
+    ``entries`` is the size of the arrays the loop writes; each range
+    holds about ``CHUNK`` of them (at least one row).  ``buf`` is
+    ``scratch(step)``, with ``step`` the rows of a full range, built
+    once per thread, or None without ``scratch``.  A loop of at most
+    ``CHUNK`` entries is one ``body(0, rows, buf)`` in the caller; the
+    ranges of a larger one split across threads as ``run_blocks``
+    splits them.
+    """
+    if entries <= CHUNK:
+        body(0, rows, None if scratch is None else scratch(rows))
+        return
+    step = max(1, CHUNK * rows // entries)
+
+    def run(lo, hi):
+        buf = None if scratch is None else scratch(step)
+        for r in range(lo * step, min(hi * step, rows), step):
+            body(r, min(r + step, rows), buf)
+
+    run_blocks(run, -(-rows // step), entries)
 
 
 def run_blocks(body, n: int, entries: int) -> None:
@@ -66,13 +93,8 @@ def run_blocks(body, n: int, entries: int) -> None:
 
 
 def run_flat(kernel, *arrays) -> None:
-    """Run the elementwise ``kernel(*arrays)`` over ranges of the
-    arrays' flat views, which share one size, split as ``run_blocks``
-    splits them.  Below ``MIN_ENTRIES`` entries the kernel takes the
-    whole arrays, with no range arithmetic."""
+    """Run the elementwise ``kernel(*arrays)`` over blocks of the flat
+    views of the arrays, which are contiguous and share one size."""
     size = arrays[0].size
-    if size < MIN_ENTRIES:
-        kernel(*arrays)
-        return
     flats = [x.reshape(-1) for x in arrays]
-    run_blocks(lambda lo, hi: kernel(*(x[lo:hi] for x in flats)), size, size)
+    for_row_blocks(lambda lo, hi, _: kernel(*(x[lo:hi] for x in flats)), size, size)

@@ -13,16 +13,17 @@ logits of the source walks; a ``metrics.Scorer``: the source grid's
 metric terms).  Its tasks are chunks of seeds, each covering every
 sweep value in one walk with a leading seed axis.  A chunk holds
 ``editing.seed_chunk_width`` seeds (8 at 16x16, vocab 64; 1 at 64x64,
-vocab 512), or ``ceil(seeds / --workers)`` if that is fewer, and chunks
-run in the calling process or in up to ``min(--workers, seeds)``
-worker processes, each of which runs the kernels of
-:mod:`invnoise._blocks` on one thread; rows are written value-major
-either way, so neither the chunk width nor the worker count changes
-``sweep.csv``.
+vocab 512), or ``ceil(seeds / workers)`` if that is fewer, with
+``workers = min(--workers, cores)``, and chunks run in the calling
+process or in up to ``min(workers, chunks)`` worker processes, each of
+which runs the kernels of :mod:`invnoise._blocks` on one thread; rows
+are written value-major either way, so neither the chunk width nor the
+worker count changes ``sweep.csv``.
 Seeds are integers in [0, 2^64).
 
-Exit codes: 0 success, 2 validation error, 3 I/O or file-format error,
-4 internal invariant violation.
+Exit codes: 0 success, 2 validation error (or not enough memory for
+the configured arrays), 3 I/O or file-format error, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -241,9 +242,10 @@ def cmd_sweep(args) -> int:
         _sweep_chunk,
         (editing.SeedSweep(grid, cfg.sweep_configs, params), metrics.Scorer(grid, mask)),
     )
-    width = min(editing.seed_chunk_width(params), -(-len(sweep.seeds) // args.workers))
+    workers = min(args.workers, _blocks.CORES)
+    width = min(editing.seed_chunk_width(params), -(-len(sweep.seeds) // workers))
     chunks = [sweep.seeds[i : i + width] for i in range(0, len(sweep.seeds), width)]
-    workers = min(args.workers, len(chunks))
+    workers = min(workers, len(chunks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # not loaded at start-up
 
@@ -388,6 +390,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: not enough memory for this configuration{detail}", file=sys.stderr)
         return EXIT_VALIDATION
     except (FormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

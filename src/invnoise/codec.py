@@ -10,9 +10,8 @@ Block-mean down / replicate up (rather than any smooth resampler) makes
 the per-scale residual energy provably non-increasing as long as the
 codebook contains the zero vector, which this codec pins at entry 0.
 ``squared_distances``, which serves the encoder and the predictor's
-logits, sums row blocks that stay in cache; on 2^19 output entries or
-more the blocks split across threads (:mod:`invnoise._blocks`), with
-the same bytes.
+logits, sums row blocks of :mod:`invnoise._blocks`, with the same bytes
+on any thread count.
 """
 
 from __future__ import annotations
@@ -21,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import run_blocks
+from ._blocks import for_row_blocks
 from .errors import ValidationError
 from .rng import PURPOSE_CODEBOOK, normal_values, seed_array, uniform_values
-
-
-# Entries per row block of squared_distances (256 KiB of float64).
-_DIST_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -177,31 +172,30 @@ def _by_row_blocks(cells, vectors, out=None, tokens=None) -> None:
     into the zeroed (h, w, C) ``out``, or, given the (h, w) ``tokens``,
     the index of the nearest vector of each cell written there.
 
-    Rows are taken in blocks of about _DIST_BLOCK entries so that the
-    squared differences stay in cache between the channel passes; the
-    blocks split across threads, with scratch arrays per thread.  For
-    ``tokens`` each block is summed into scratch and argmined there
-    (ties to the lowest index), so no (h, w, C) array is made.
+    The squared differences stay in cache between the channel passes of
+    a row block.  For ``tokens`` each block is summed into scratch and
+    argmined there (ties to the lowest index), so no (h, w, C) array is
+    made.
     """
     h, w, _ = cells.shape
     c = vectors.shape[0]
     columns = vectors.T.copy()
-    step = max(1, _DIST_BLOCK // (w * c))
 
-    def sum_blocks(lo, hi):
-        diff = np.empty((min(step, h), w, c))
-        dist = None if tokens is None else np.empty_like(diff)
-        for r in range(lo * step, min(hi * step, h), step):
-            s = min(r + step, h)
-            if tokens is None:
-                _sum_squares(out[r:s], cells[r:s], columns, diff[: s - r])
-                continue
-            block = dist[: s - r]
-            block.fill(0.0)
-            _sum_squares(block, cells[r:s], columns, diff[: s - r])
-            tokens[r:s] = np.argmin(block, axis=-1)
+    def sum_rows(lo, hi, scratch):
+        diff, dist = scratch
+        if tokens is None:
+            _sum_squares(out[lo:hi], cells[lo:hi], columns, diff[: hi - lo])
+            return
+        block = dist[: hi - lo]
+        block.fill(0.0)
+        _sum_squares(block, cells[lo:hi], columns, diff[: hi - lo])
+        tokens[lo:hi] = np.argmin(block, axis=-1)
 
-    run_blocks(sum_blocks, -(-h // step), h * w * c)
+    def scratch(step):
+        diff = np.empty((step, w, c))
+        return diff, None if tokens is None else np.empty_like(diff)
+
+    for_row_blocks(sum_rows, h, h * w * c, scratch)
 
 
 def _sum_squares(out, cells, columns, diff) -> None:

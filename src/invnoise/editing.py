@@ -58,7 +58,7 @@ from .errors import ValidationError
 from .gumbel import standard_field
 from .inversion import InverseNoiseSet, check_tau, invert_scale, validate_noise_set
 from .predictor import PredictorParams, ScaleStepper, condition_embed
-from .rng import _CHUNK, PURPOSE_EDIT_NOISE, seed_array
+from .rng import PURPOSE_EDIT_NOISE, seed_array
 
 CONTEXT_GENERATED = "generated-prefix"
 CONTEXT_SOURCE = "source-prefix"
@@ -203,23 +203,23 @@ def _mix_noise(mixed: np.ndarray, lam: float, noise: np.ndarray) -> None:
     casts exactly), so the result equals ``mixed *= 1 - lam`` then
     ``mixed += lam * noise.astype(np.float64)`` bit for bit.
 
-    The rows go in blocks of about ``_CHUNK`` entries, the product of
-    each in a scratch array, so no full-size product is made; from
-    ``_blocks.MIN_ENTRIES`` entries the blocks split across threads.
+    The product of each row block is taken in scratch, so no full-size
+    product is made.
     """
-    h = mixed.shape[-3]
-    step = max(1, _CHUNK * h // mixed.size)
 
-    def mix_rows(lo, hi):
-        scratch = np.empty((*mixed.shape[:-3], step, *mixed.shape[-2:]))
-        for r in range(lo * step, min(hi * step, h), step):
-            block = mixed[..., r : r + step, :, :]
-            product = scratch[..., : block.shape[-3], :, :]
-            np.multiply(noise[..., r : r + step, :, :], lam, out=product, dtype=np.float64)
-            block *= 1.0 - lam
-            block += product
+    def mix_rows(lo, hi, scratch):
+        block = mixed[..., lo:hi, :, :]
+        product = scratch[..., : hi - lo, :, :]
+        np.multiply(noise[..., lo:hi, :, :], lam, out=product, dtype=np.float64)
+        block *= 1.0 - lam
+        block += product
 
-    _blocks.run_blocks(mix_rows, -(-h // step), mixed.size)
+    _blocks.for_row_blocks(
+        mix_rows,
+        mixed.shape[-3],
+        mixed.size,
+        lambda step: np.empty((*mixed.shape[:-3], step, *mixed.shape[-2:])),
+    )
 
 
 class SeedSweep:

@@ -1,22 +1,21 @@
 """Gumbel distribution primitives.
 
-Standard and located sampling, closed-form truncated sampling, argmax
-(Gumbel-max) categorical sampling, and the Kolmogorov-Smirnov statistic
-against the Gumbel CDF, used to judge how Gumbel-like a batch of values
-is.
+Standard and located sampling, closed-form truncated sampling, and the
+Kolmogorov-Smirnov statistic against the Gumbel CDF, used to judge how
+Gumbel-like a batch of values is.
 
 The standard and located transforms map explicit uniform draws through
 their closed forms (pure math, easy to pin in tests); the truncated
 transform takes its draws as log(-log u), which the inversion computes
 once for every margin; both take their inputs as checked (finite
 stepper logits, keyed uniforms, a checked margin).  Keyed uniforms come
-from :func:`invnoise.rng.uniform_values`: ``standard_field`` and
-``sample_token_map`` draw whole (h, w, C) fields, and the located and
-truncated draws of the inversion are keyed in :mod:`invnoise.inversion`.
-On arrays of 2^19 entries or more, the truncated transform splits its
-rows, and ``standard_field`` its draws, across threads
-(:mod:`invnoise._blocks`); each value is computed alone, so the bytes
-do not change.
+from :func:`invnoise.rng.uniform_values`: ``standard_field`` draws whole
+(h, w, C) fields, whose Gumbel-max tokens the stepper takes
+(:meth:`~invnoise.predictor.ScaleStepper.next_scale_tokens`), and the
+located and truncated draws of the inversion are keyed in
+:mod:`invnoise.inversion`.  The truncated transform and
+``standard_field`` go by blocks of :mod:`invnoise._blocks`; each value
+is computed alone, so the bytes do not change on any thread count.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import _blocks
 from .errors import ValidationError
-from .rng import _CHUNK, uniform_values
+from .rng import uniform_values
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -51,11 +50,10 @@ def truncated_from_loglog(phi, trunc, loglog, out=None):
     overflows, then clamped so the bound holds exactly in float64.
     loglog does not depend on phi or trunc, so draws transformed once
     serve every bound.  phi and trunc are finite.  The steps write into
-    one float64 buffer of the broadcast shape, ``out`` if given, over
-    row ranges (the third axis from the end) split across threads; a 0-d
-    result is a numpy scalar.  ``out`` may be ``loglog`` itself, whose
-    draws are then overwritten in row chunks of about ``_CHUNK``
-    entries, each with phi - trunc in a scratch array of one chunk.
+    one float64 buffer of the broadcast shape, ``out`` if given, by row
+    blocks (the third axis from the end) of :mod:`invnoise._blocks`; a
+    0-d result is a numpy scalar.  ``out`` may be ``loglog`` itself,
+    whose draws are then overwritten, with phi - trunc in scratch.
     """
     phi = np.asarray(phi, dtype=np.float64)
     trunc = np.asarray(trunc, dtype=np.float64)
@@ -64,17 +62,15 @@ def truncated_from_loglog(phi, trunc, loglog, out=None):
         out = np.empty(np.broadcast_shapes(phi.shape, trunc.shape, loglog.shape))
     operands = (out, phi, trunc, loglog)
     rows = out.shape[-3] if out.ndim >= 3 else 1
+
+    def truncate_rows(lo, hi, scratch):
+        block = [_rows(x, lo, hi) for x in operands]
+        diff = block[0] if scratch is None else scratch[: block[0].size].reshape(block[0].shape)
+        _truncate(*block, diff)
+
     in_place = out is loglog
-    step = max(1, _CHUNK * rows // max(out.size, 1)) if in_place else rows
-
-    def truncate_rows(lo, hi):
-        scratch = np.empty(out.size // max(rows, 1) * step) if in_place else None
-        for r in range(lo, hi, step):
-            chunk = [_rows(x, r, min(r + step, hi)) for x in operands]
-            diff = chunk[0] if scratch is None else scratch[: chunk[0].size].reshape(chunk[0].shape)
-            _truncate(*chunk, diff)
-
-    _blocks.run_blocks(truncate_rows, rows, out.size)
+    row_scratch = (lambda step: np.empty(out.size // max(rows, 1) * step)) if in_place else None
+    _blocks.for_row_blocks(truncate_rows, rows, out.size, row_scratch)
     return out[()]
 
 
@@ -100,7 +96,7 @@ def standard_field(
 
     Row/col/channel key fields are the grid indices; an array of S seeds
     gives (S, h, w, C).  The transform runs in place on the uniform
-    buffer, over ranges of it split across threads.
+    buffer.
     """
     h, w, c = shape
     g = uniform_values(
@@ -121,15 +117,6 @@ def _standard_in_place(x: np.ndarray) -> None:
     np.negative(x, out=x)
     np.log(x, out=x)
     np.negative(x, out=x)
-
-
-def sample_token_map(
-    logits: np.ndarray, seed: int, purpose: int, scale: int
-) -> np.ndarray:
-    """Gumbel-max draw at every cell of an (h, w, C) logits map."""
-    g = standard_field(seed, purpose, scale, logits.shape)
-    g += logits
-    return np.argmax(g, axis=-1).astype(np.int32)
 
 
 # --- reference CDFs ---------------------------------------------------------

@@ -23,11 +23,9 @@ scale at its one margin, and the edit walk of :mod:`invnoise.editing`
 calls the step scale by scale at the margins it mixes in.
 ``reconstruct_from_noise`` replays a noise set.  Within a scale all
 tokens are independent, so the keyed draws make serial and parallel
-execution bit-identical: on a scale of 2^19 entries or more the log-log
-of the off-label draws, the truncated transform and both passes of the
-tightening (the range check, then the rounding in row chunks of about
-``_CHUNK`` entries) split their rows across threads
-(:mod:`invnoise._blocks`).
+execution bit-identical: the log-log of the off-label draws, the
+truncated transform and both passes of the tightening (the range check,
+then the rounding) go by blocks of :mod:`invnoise._blocks`.
 
 Replay recomputes q as p + n in float64, which rounds; the step makes
 its noise float32-exact values whose replay keeps every margin.  A
@@ -58,7 +56,7 @@ from .codec import validate_pyramid
 from .errors import InvariantError, ValidationError
 from .gumbel import located_from_uniform, truncated_from_loglog
 from .predictor import Condition, PredictorParams, ScaleStepper
-from .rng import _CHUNK, PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, seed_array, uniform_values
+from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, seed_array, uniform_values
 
 # Finite stand-in for log 0 in the onehot construction: far below any
 # reachable logit + Gumbel sum, but safe for arithmetic.
@@ -117,8 +115,7 @@ def _located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarr
 
 
 def _loglog(u) -> np.ndarray:
-    """log(-log u) over the float64 buffer of ``u``, which is taken over,
-    over ranges split across threads."""
+    """log(-log u) over the float64 buffer of ``u``, which is taken over."""
     u = np.ascontiguousarray(u, dtype=np.float64)
     _blocks.run_flat(_loglog_in_place, u)
     return u
@@ -171,30 +168,20 @@ def _tighten(tokens, logits, noise: np.ndarray, tau: float) -> np.ndarray:
     q_label - tau - p if that is a rounding-sized move, and otherwise
     raises ``InvariantError``.  Leading (seed) axes over the (h, w, C) of
     ``logits`` are allowed.  Noise beyond +-2^127 raises
-    ``ValidationError``: float32 cannot hold it with its move.  Every
-    cell is independent, so both passes (the range check of the whole
-    noise, then the tightening) split their rows across threads.
+    ``ValidationError``: float32 cannot hold it with its move.
     """
-    if noise.size <= _CHUNK:  # one chunk, in the caller
-        _check_range(noise)
-        _tighten_rows(tokens, logits, noise, tau)
-        return noise
-    h = tokens.shape[0]
-    chunk_rows = max(1, _CHUNK * h // noise.size)
 
-    def tighten_rows(lo, hi):
-        for r in range(lo, hi, chunk_rows):
-            s = min(r + chunk_rows, hi)
-            _tighten_rows(tokens[r:s], logits[r:s], noise[..., r:s, :, :], tau)
+    def check_range(lo, hi, _):
+        rows = noise[..., lo:hi, :, :]
+        if not (rows.min() >= -_NOISE_LIMIT and rows.max() <= _NOISE_LIMIT):
+            raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
 
-    _blocks.run_blocks(lambda lo, hi: _check_range(noise[..., lo:hi, :, :]), h, noise.size)
-    _blocks.run_blocks(tighten_rows, h, noise.size)
+    def tighten_rows(lo, hi, _):
+        _tighten_rows(tokens[lo:hi], logits[lo:hi], noise[..., lo:hi, :, :], tau)
+
+    _blocks.for_row_blocks(check_range, tokens.shape[0], noise.size)
+    _blocks.for_row_blocks(tighten_rows, tokens.shape[0], noise.size)
     return noise
-
-
-def _check_range(noise: np.ndarray) -> None:
-    if not (noise.min() >= -_NOISE_LIMIT and noise.max() <= _NOISE_LIMIT):
-        raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
 
 
 def _tighten_rows(tokens, logits, noise: np.ndarray, tau: float) -> None:

@@ -43,12 +43,11 @@ from .codec import (
     upsample_replicate,
 )
 from .errors import ValidationError
-from .gumbel import sample_token_map
+from .gumbel import standard_field
 from .rng import (
     PURPOSE_CONDITION,
     PURPOSE_GENERATION,
     PURPOSE_MIXING,
-    _CHUNK,
     normal_values,
     seed_array,
 )
@@ -199,37 +198,34 @@ class ScaleStepper:
         ``next_scale_logits() + x``, for an (..., h, w, C) ``x`` of any
         float dtype, which is not modified.
 
-        The sums are taken from the block logits one row block of about
-        ``_CHUNK`` entries at a time (the whole scale, when it is
-        smaller), in float64 scratch, so no full-size array is made: a
-        row block is its prefix blocks' logits spread over their cells
-        plus ``x``, the same IEEE sums as ``logits + x``.  From
-        ``_blocks.MIN_ENTRIES`` entries the row blocks split across
-        threads, with one scratch array per thread.
+        The sums are taken from the block logits one row block at a
+        time, in float64 scratch, so no full-size array is made: a row
+        block is its prefix blocks' logits spread over their cells plus
+        ``x``, the same IEEE sums as ``logits + x``.
         """
         block_logits, (fh, fw) = self._block_logits()
         *lead, h, w, c = np.broadcast_shapes(x.shape, block_logits.shape[:-3] + x.shape[-3:])
-        hc, wc = h // fh, w // fw
-        entries = math.prod(lead) * h * w * c
-        step = max(1, _CHUNK * hc // entries)  # prefix-block rows per row block
+        wc = w // fw
         tokens = np.empty((*lead, h, w), dtype=np.int32)
 
-        def argmax_blocks(lo, hi):
-            sums = np.empty((*lead, min(step, hc), fh, wc, fw, c))
-            for b in range(lo * step, min(hi * step, hc), step):
-                e = min(b + step, hc)
-                rows = sums[..., : e - b, :, :, :, :]
-                x_rows = x[..., b * fh : e * fh, :, :]
-                np.add(
-                    x_rows.reshape(*x_rows.shape[:-3], e - b, fh, wc, fw, c),
-                    block_logits[..., b:e, None, :, None, :],
-                    out=rows,
-                )
-                tokens[..., b * fh : e * fh, :] = np.argmax(
-                    rows.reshape(*lead, (e - b) * fh, w, c), axis=-1
-                )
+        def argmax_rows(b, e, sums):
+            rows = sums[..., : e - b, :, :, :, :]
+            x_rows = x[..., b * fh : e * fh, :, :]
+            np.add(
+                x_rows.reshape(*x_rows.shape[:-3], e - b, fh, wc, fw, c),
+                block_logits[..., b:e, None, :, None, :],
+                out=rows,
+            )
+            tokens[..., b * fh : e * fh, :] = np.argmax(
+                rows.reshape(*lead, (e - b) * fh, w, c), axis=-1
+            )
 
-        _blocks.run_blocks(argmax_blocks, -(-hc // step), entries)
+        _blocks.for_row_blocks(
+            argmax_rows,
+            h // fh,
+            math.prod(lead) * h * w * c,
+            lambda step: np.empty((*lead, step, fh, wc, fw, c)),
+        )
         return tokens
 
     def _block_logits(self):
@@ -269,8 +265,9 @@ def generate(cond: Condition, params: PredictorParams, seed: int) -> list[np.nda
     seed_array((seed,))
     stepper = ScaleStepper(cond, params)
     pyramid = []
-    for k in range(1, params.schedule.num_scales + 1):
-        tokens = sample_token_map(stepper.next_scale_logits(), seed, PURPOSE_GENERATION, k)
+    for k, (h, w) in enumerate(params.schedule.resolutions, start=1):
+        g = standard_field(seed, PURPOSE_GENERATION, k, (h, w, params.codebook.size))
+        tokens = stepper.next_scale_tokens(g)
         stepper.push(tokens)
         pyramid.append(tokens)
     return pyramid

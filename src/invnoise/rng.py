@@ -8,12 +8,9 @@ take whole index arrays for row, col and channel and broadcast them, so
 one call keys a full field; an array of seeds adds leading axes, so one
 call keys the same field for many seeds.  Seeds are integers in
 [0, 2^64); ``seed_array`` checks them.  The hash absorbs each key
-field over chunks of about ``_CHUNK`` words of its result, the xor and
-the mix of a chunk together, and the map to (0, 1) runs in place over
-chunks of ``_CHUNK`` words; in a field of 2^19 words or more the chunks
-split across threads (:mod:`invnoise._blocks`), and every word is the
-same either way.  An array of one chunk or less is worked on whole, in
-the caller.
+field chunk by chunk of its result, the xor and the mix of a chunk
+together, and the map to (0, 1) runs in place; both go by blocks of
+:mod:`invnoise._blocks`, and every word is the same on any thread count.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
 mixed once, then each key field is absorbed with xor + mix.  The seed,
@@ -30,7 +27,7 @@ import math
 
 import numpy as np
 
-from ._blocks import run_blocks
+from . import _blocks
 from .errors import ValidationError
 
 # Draw-site purpose tags.  Distinct tags keep draw sites statistically
@@ -60,9 +57,6 @@ _SHIFT11 = np.uint64(11)
 _SHIFT27 = np.uint64(27)
 _SHIFT30 = np.uint64(30)
 _SHIFT31 = np.uint64(31)
-# Words per chunk (256 KiB) in the in-place kernels, so their
-# temporaries stay in cache.
-_CHUNK = 1 << 15
 
 
 def _mix_words(x: np.ndarray, s: np.ndarray) -> None:
@@ -84,17 +78,19 @@ def _mix(h: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Absorb one key field: the SplitMix64 step of ``h ^ field``, in a
     new uint64 array of their broadcast shape.
 
-    Operands whose sizes multiply to at most ``_CHUNK`` (a bound on the
-    size of the result) are mixed whole, in the caller.  A larger
-    result goes through in chunks of about ``_CHUNK`` words, each
-    xored from the broadcast operands into its place in the result and
-    mixed there, so no other full-size array is made; the chunks split
-    over threads, with one scratch array per thread.  A chunk is a range
-    of indices along the first axis whose trailing axes hold at most
-    ``_CHUNK`` words, at one index of the axes before it, so it is
-    contiguous in the result.
+    Operands whose sizes multiply to more than ``_blocks.CHUNK`` (a
+    bound on the size of the result) go through in chunks of about
+    ``CHUNK`` words of the result, each xored from the broadcast
+    operands into its place in the result and mixed there, so no other
+    full-size array is made; the chunks split over threads, with one
+    scratch array per thread.  A chunk is a range of indices along the
+    first axis whose trailing axes hold at most ``CHUNK`` words, at one
+    index of the axes before it, so it is contiguous in the result.  A
+    chunk cannot cross those indices without a copy of the broadcast
+    operands, so this loop runs its chunks through ``run_blocks``, not
+    by row blocks.
     """
-    if h.size * field.size <= _CHUNK:  # bounds the size of the result
+    if h.size * field.size <= _blocks.CHUNK:  # bounds the size of the result
         out = h ^ field
         _mix_words(out, np.empty_like(out))
         return out
@@ -102,9 +98,9 @@ def _mix(h: np.ndarray, field: np.ndarray) -> np.ndarray:
     size = math.prod(shape)
     out = np.empty(shape, dtype=np.uint64)
     h, field = np.broadcast_to(h, shape), np.broadcast_to(field, shape)
-    axis = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= _CHUNK)
+    axis = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= _blocks.CHUNK)
     inner = math.prod(shape[axis + 1 :])
-    step = _CHUNK // inner
+    step = _blocks.CHUNK // inner
     per_index = -(-shape[axis] // step)  # chunks at one index of the axes before
 
     def mix_chunks(lo, hi):
@@ -117,7 +113,7 @@ def _mix(h: np.ndarray, field: np.ndarray) -> np.ndarray:
             x = x.reshape(-1)
             _mix_words(x, scratch[: x.size])
 
-    run_blocks(mix_chunks, math.prod(shape[:axis]) * per_index, size)
+    _blocks.run_blocks(mix_chunks, math.prod(shape[:axis]) * per_index, size)
     return out
 
 
@@ -178,26 +174,14 @@ def raw64_values(seed, purpose: int, scale: int, rows, cols, channels) -> np.nda
 
 
 def _to_open_unit(words: np.ndarray) -> np.ndarray:
-    """Map owned uint64 words to (0, 1), reusing their buffer.
-
-    uint64 and float64 have the same size, so each chunk of words is
-    shifted, converted and written back over itself as float64, the
-    chunks split over threads; ``words`` must not be used afterwards.
-    At most ``_CHUNK`` words are converted whole, in the caller.
+    """Map owned uint64 words to (0, 1), reusing their buffer: uint64
+    and float64 have the same size, so each block of words is written
+    back over itself as float64.  ``words`` must not be used afterwards.
     """
-    shape = words.shape
     flat = np.ascontiguousarray(words).reshape(-1)
     u = flat.view(np.float64)
-    if flat.size <= _CHUNK:
-        _convert_words(flat, u)
-        return u.reshape(shape)
-
-    def convert_chunks(lo, hi):
-        for start in range(lo * _CHUNK, min(hi * _CHUNK, flat.size), _CHUNK):
-            _convert_words(flat[start : start + _CHUNK], u[start : start + _CHUNK])
-
-    run_blocks(convert_chunks, -(-flat.size // _CHUNK), flat.size)
-    return u.reshape(shape)
+    _blocks.run_flat(_convert_words, flat, u)
+    return u.reshape(words.shape)
 
 
 def _convert_words(words: np.ndarray, u: np.ndarray) -> None:

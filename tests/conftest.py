@@ -1,6 +1,7 @@
 """Shared fixtures: default toy configuration, fuzz inputs, and
-test-side references (prefix logits, the truncated transform of uniforms,
-residual energies, the Gaussian autoregressive inversion)."""
+test-side references (prefix logits, the Gumbel-max draw of a logits
+map, the truncated transform of uniforms, residual energies, the
+Gaussian autoregressive inversion)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 
 from invnoise.codec import default_codebook, dyadic_schedule, embed_tokens, upsample_replicate
 from invnoise.errors import ValidationError
-from invnoise.gumbel import truncated_from_loglog
+from invnoise.gumbel import standard_field, truncated_from_loglog
 from invnoise.predictor import PredictorParams, ScaleStepper, condition_embed
 from invnoise.rng import normal_values
 
@@ -59,6 +60,14 @@ def walk_logits(prefix, cond, params) -> np.ndarray:
     for tokens in prefix:
         stepper.push(tokens)
     return stepper.next_scale_logits()
+
+
+def sample_token_map(logits: np.ndarray, seed: int, purpose: int, scale: int) -> np.ndarray:
+    """Gumbel-max draw at every cell of an (h, w, C) logits map, as
+    written: the argmax of the logits plus a keyed standard field."""
+    g = standard_field(seed, purpose, scale, logits.shape)
+    g += logits
+    return np.argmax(g, axis=-1).astype(np.int32)
 
 
 def truncated_gumbel(phi, trunc, u):

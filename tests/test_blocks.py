@@ -3,7 +3,7 @@ serial run's bytes, and its errors, at any thread count.
 
 The thread count and the size threshold are forced through the helper's
 module constants.  The shapes have 13 rows (26 with two seeds) and 7 or
-13 chunks of ``rng._CHUNK`` words, which 2 and 3 threads do not divide.
+13 chunks of ``_blocks.CHUNK`` words, which 2 and 3 threads do not divide.
 """
 
 import sys
@@ -110,6 +110,57 @@ class TestRunBlocks:
         assert 1 <= _blocks.THREADS <= 4
 
 
+class TestForRowBlocks:
+    """13 rows of 5 entries in blocks of 3 rows (``CHUNK`` = 15 entries):
+    5 blocks, the last one of a single row."""
+
+    BLOCKS = [(0, 3), (3, 6), (6, 9), (9, 12), (12, 13)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_blocks_cover_the_rows(self, threads, monkeypatch, n):
+        threads(n)
+        monkeypatch.setattr(_blocks, "CHUNK", 15)
+        seen = []
+        _blocks.for_row_blocks(lambda lo, hi, buf: seen.append((lo, hi, buf)), 13, 65)
+        assert sorted(seen) == [(lo, hi, None) for lo, hi in self.BLOCKS]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scratch_built_once_per_thread_range(self, threads, monkeypatch, n):
+        threads(n)
+        monkeypatch.setattr(_blocks, "CHUNK", 15)
+        built, used = [], {}
+
+        def scratch(step):
+            built.append((step, threading.get_ident()))
+            return len(built) - 1
+
+        def body(lo, hi, buf):
+            assert built[buf][1] == threading.get_ident()
+            used.setdefault(buf, []).append((lo, hi))
+
+        _blocks.for_row_blocks(body, 13, 65, scratch)
+        assert [step for step, _ in built] == [3] * n
+        assert sorted(used.values()) == [
+            self.BLOCKS[5 * i // n : 5 * (i + 1) // n] for i in range(n)
+        ]
+
+    def test_one_chunk_is_one_block_in_the_caller(self, threads, monkeypatch):
+        """At most ``CHUNK`` entries: one call over every row, with scratch
+        for all of them, and no thread, whatever the thread settings."""
+        threads(4)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        seen = []
+        _blocks.for_row_blocks(
+            lambda lo, hi, buf: seen.append((lo, hi, buf, threading.get_ident())),
+            64,
+            _blocks.CHUNK,
+            lambda step: step,
+        )
+        assert seen == [(0, 64, 64, threading.get_ident())]
+        assert started == []
+
+
 class TestThreadedEqualsSerial:
     @pytest.mark.parametrize("seeds", SEEDS, ids=SEED_IDS)
     def test_keyed_uniforms(self, threads, seeds):
@@ -178,7 +229,7 @@ class TestThreadedEqualsSerial:
         logits, tokens = logits_and_tokens(4)
         row = SHAPE[1] * SHAPE[2] * (1 if seeds is None else seeds.size)
         for rows in (1, 2, 3):
-            monkeypatch.setattr(inversion, "_CHUNK", rows * row)
+            monkeypatch.setattr(_blocks, "CHUNK", rows * row)
             serial_and_threaded(
                 threads,
                 lambda: tuple(inversion.invert_scale(tokens, logits, (tau, 2.0), seed_of(seeds), 5)),

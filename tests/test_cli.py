@@ -758,6 +758,7 @@ class TestSweep:
         """One score_many call per chunk of seeds scores every value at
         every seed of the chunk, and nothing else is scored.  The chunks
         run in this process: the pool only records its size."""
+        monkeypatch.setattr(_blocks, "CORES", 4)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         monkeypatch.setattr(_RecordingPool, "initializers", [])
@@ -782,10 +783,16 @@ class TestSweep:
         assert run("sweep", "--config", cfg, "--out", out, "--workers", workers) == EXIT_VALIDATION
         assert not (out / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("workers,seeds,started", [(64, 3, [3]), (2, 3, [2]), (5, 1, [])])
+    @pytest.mark.parametrize(
+        "workers,seeds,started",
+        [(64, 3, [3]), (2, 3, [2]), (5, 1, []), (1000000, 3, [3]), (1000000, 8, [4])],
+    )
     def test_workers_capped_at_seed_count(self, tmp_path, monkeypatch, workers, seeds, started):
-        """No process is started here: the pool only records its size and
-        its initializer, which runs each worker's kernels on one thread."""
+        """At most ``min(--workers, chunks, cores)`` workers, on 4 cores:
+        8 seeds under a million workers go in 4 chunks of 2.  No process
+        is started here: the pool only records its size and its
+        initializer, which runs each worker's kernels on one thread."""
+        monkeypatch.setattr(_blocks, "CORES", 4)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         monkeypatch.setattr(_RecordingPool, "initializers", [])
@@ -1306,3 +1313,19 @@ class TestConfig:
         path.write_text(f"{setting}\n")
         assert run_with_config(tmp_path, ["render", "--in"], path, tmp_path / "o") == EXIT_VALIDATION
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", EVERY_COMMAND)
+    def test_memory_error_is_one_error_line(self, tmp_path, monkeypatch, capsys, command):
+        """Arrays too large for memory (here a codebook whose builder
+        raises MemoryError, without allocating) exit 2 with one ``error:``
+        line on stderr, not a traceback, and write nothing."""
+
+        def no_memory(**_):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(config, "default_codebook", no_memory)
+        out = tmp_path / "o"
+        assert run_with_config(tmp_path, command, CONFIGS / "demo.ini", out) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()

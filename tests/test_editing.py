@@ -146,7 +146,7 @@ class TestMixNoise:
         """By row blocks of the whole scale or of 3 rows of one seed
         (ragged over 3 x 16 rows), on one thread or two at any size, the
         mix equals the whole-array mix with a float64 product."""
-        monkeypatch.setattr(editing, "_CHUNK", block)
+        monkeypatch.setattr(_blocks, "CHUNK", block)
         monkeypatch.setattr(_blocks, "THREADS", threads)
         monkeypatch.setattr(_blocks, "MIN_ENTRIES", 0)
         grid = (np.arange(16)[:, None, None], np.arange(16)[None, :, None], np.arange(64))

@@ -14,13 +14,12 @@ from invnoise.gumbel import (
     gumbel_cdf,
     ks_statistic,
     located_from_uniform,
-    sample_token_map,
     standard_field,
     standard_from_uniform,
 )
 from invnoise.rng import uniform_values
 
-from conftest import truncated_gumbel
+from conftest import sample_token_map, truncated_gumbel
 
 E_INV = math.exp(-1.0)
 

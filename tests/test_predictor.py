@@ -17,7 +17,7 @@ from invnoise.codec import (
 )
 from invnoise.editing import EditConfig, edit_with_inverse_noise
 from invnoise.errors import ValidationError
-from invnoise.gumbel import ks_statistic, sample_token_map
+from invnoise.gumbel import ks_statistic
 from invnoise.inversion import invert_pyramid, reconstruct_from_noise
 from invnoise.predictor import (
     PredictorParams,
@@ -28,7 +28,7 @@ from invnoise.predictor import (
 )
 from invnoise.rng import PURPOSE_GENERATION, normal_values
 
-from conftest import walk_logits
+from conftest import sample_token_map, walk_logits
 
 # Frozen once on the default seed: the two bundled labels must stay
 # clearly separated and pick different scale-1 tokens.
@@ -227,7 +227,7 @@ class TestNextScaleTokens:
         which 2, 4 and 8 block rows leave ragged, on one thread or two at
         any size."""
         assert predictor._block_factors(params.schedule) == ((1, 1),) * 2 + ((2, 2),) * 3
-        monkeypatch.setattr(predictor, "_CHUNK", block)
+        monkeypatch.setattr(_blocks, "CHUNK", block)
         monkeypatch.setattr(_blocks, "THREADS", threads)
         monkeypatch.setattr(_blocks, "MIN_ENTRIES", 0)
         pyramids = [generate(source_cond, params, seed=s) for s in range(max(stepper_seeds, 1))]

@@ -168,7 +168,7 @@ def test_uniform_matches_broadcast_reference(key):
     "fields", [_grid_key(5, 7, 1000), (np.arange(40000), 0, 0)], ids=["grid", "1-d-rows"]
 )
 def test_chunked_hash_matches_reference(seeds, fields):
-    """Results of more than ``_CHUNK`` words are absorbed chunk by chunk:
+    """Results of more than ``_blocks.CHUNK`` words are absorbed by chunks:
     ranges of 4 rows of 7000 words (the last one partial) at each seed,
     or 32768 words of a 1-d field."""
     got = raw64_values(seed_array(seeds) if len(seeds) > 1 else seeds[0], 2, 3, *fields)
