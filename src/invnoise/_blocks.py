@@ -8,13 +8,18 @@ walks row blocks of about ``CHUNK`` entries, so a kernel's temporaries
 stay in cache, and from ``MIN_ENTRIES`` entries splits them across
 threads.  numpy releases the GIL inside its array operations, so the
 ranges run at once.  Threads start per call and are joined before it
-returns: no thread or pool outlives a call.
+returns: no thread or pool outlives a call.  ``spread_rows`` gives a
+body the rows of its block of values held once per (fh, fw) block of
+cells, such as the stepper's block logits, spread over those cells.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
+
+import numpy as np
 
 # Entries per row block (256 KiB of float64 or uint64): the one block
 # size of every blocked kernel.
@@ -98,3 +103,34 @@ def run_flat(kernel, *arrays) -> None:
     size = arrays[0].size
     flats = [x.reshape(-1) for x in arrays]
     for_row_blocks(lambda lo, hi, _: kernel(*(x[lo:hi] for x in flats)), size, size)
+
+
+def take_rows(x, lo: int, hi: int):
+    """Rows lo:hi (the third axis from the end) of an (..., h, w, C)
+    operand; all of one that broadcasts along the rows."""
+    return x[..., lo:hi, :, :] if x.ndim >= 3 and x.shape[-3] > 1 else x
+
+
+def spread_rows(x, factors: tuple[int, int], lo: int, hi: int, buf):
+    """Rows lo:hi of (..., hb, wb, C) block values ``x``, each spread over
+    the (fh, fw) cells of its block: (..., (hi - lo) * fh, wb * fw, C).
+
+    The spread is a copy into the flat ``buf`` from ``spread_scratch``,
+    so every value is exact.  With factors (1, 1) it is ``take_rows``.
+    """
+    if buf is None:
+        return take_rows(x, lo, hi)
+    fh, fw = factors
+    *lead, _, wb, c = x.shape
+    n = hi - lo
+    out = buf[: math.prod(lead) * n * fh * wb * fw * c].reshape(*lead, n, fh, wb, fw, c)
+    out[...] = x[..., lo:hi, None, :, None, :]
+    return out.reshape(*lead, n * fh, wb * fw, c)
+
+
+def spread_scratch(x, factors: tuple[int, int], step: int):
+    """The flat buffer ``spread_rows`` spreads ``step`` rows of ``x`` into;
+    None with factors (1, 1), which need none."""
+    if factors == (1, 1):
+        return None
+    return np.empty(x.size // x.shape[-3] * step * factors[0] * factors[1])

@@ -40,6 +40,11 @@ class PredictorSection:
     model_seed: int = 7
 
 
+# Most entries one array of a config may hold (512 MiB of float64): the
+# codebook, the condition map, the grid and one scale's logits, noise or
+# keyed draws.  ``build_params`` checks it before anything is allocated.
+ENTRY_LIMIT = 2**26
+
 SWEEP_PARAMETERS = ("tau", "start_scale", "lambda")
 # Most seeds a [sweep] range may hold; checked before the range is built.
 SEED_RANGE_LIMIT = 2**20
@@ -101,6 +106,7 @@ class ExperimentConfig:
 
     def build_params(self) -> PredictorParams:
         codec = self.codec
+        _check_entries(codec)
         return PredictorParams(
             codebook=default_codebook(size=codec.vocab, dim=codec.dim, seed=codec.codebook_seed),
             schedule=ScaleSchedule(codec.schedule),
@@ -112,6 +118,23 @@ class ExperimentConfig:
     def build_edit_config(self) -> EditConfig:
         """The ``[edit]`` settings, ``self.edit``."""
         return self.edit
+
+
+def _check_entries(codec: CodecSection) -> None:
+    """Reject a codec one of whose arrays would hold more than
+    ``ENTRY_LIMIT`` entries, from its sizes alone."""
+    cells = max((h * w for h, w in codec.schedule), default=0)
+    arrays = {
+        "codebook (vocab x dim)": codec.vocab * codec.dim,
+        "condition map (dim x dim)": codec.dim * codec.dim,
+        "grid (dim x h x w)": codec.dim * cells,
+        "scale (h x w x vocab)": cells * codec.vocab,
+    }
+    for name, entries in arrays.items():
+        if entries > ENTRY_LIMIT:
+            raise ValidationError(
+                f"a {name} of {entries} entries exceeds the entry limit of {ENTRY_LIMIT}"
+            )
 
 
 def _parse_schedule(text: str) -> tuple[tuple[int, int], ...]:

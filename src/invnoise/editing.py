@@ -27,16 +27,19 @@ context of each edited scale is the edited scales before it
 :class:`SeedSweep` is the one edit walk: it edits one source under
 several :class:`EditConfig` that share their labels and their mode.
 Construction does the work that depends on neither the seed nor the
-config once (encoding, condition targets, the logits of the source
-walks); its ``run`` edits a chunk of seeds with a leading seed axis
+config once (encoding, condition targets, the block logits of the
+source walks, held as the stepper gives them, one cell per prefix
+block); its ``run`` edits a chunk of seeds with a leading seed axis
 through the keyed draws, the inversion step
 (:func:`~invnoise.inversion.invert_scale`, called scale by scale and
 only at the margins some edit mixes in with nonzero lambda, so no whole
 noise set is held), the edit mix, the stepper logits and the argmax.
 The edits of a scale build their mixes, one after another, in one
 buffer, adding ``lam * n`` (in float64, from a float32 or float64 noise
-map) by row blocks, and each stepper takes the argmax of its logits
-plus that buffer one row block at a time, so no edit makes a full-size
+map) by row blocks, and the argmax of the logits plus that buffer is
+taken one row block at a time (``predictor.argmax_tokens``), from the
+edit's stepper or, at its start scale and in source-prefix context,
+from the held source-prefix block logits; so no edit makes a full-size
 logits array, product or copy of its own.
 ``invnoise edit`` runs one config at its own seed, as do the
 single-edit functions ``edit_with_inverse_noise`` and
@@ -57,7 +60,7 @@ from .codec import encode
 from .errors import ValidationError
 from .gumbel import standard_field
 from .inversion import InverseNoiseSet, check_tau, invert_scale, validate_noise_set
-from .predictor import PredictorParams, ScaleStepper, condition_embed
+from .predictor import PredictorParams, ScaleStepper, argmax_tokens, condition_embed
 from .rng import PURPOSE_EDIT_NOISE, seed_array
 
 CONTEXT_GENERATED = "generated-prefix"
@@ -232,16 +235,15 @@ class SeedSweep:
     source label, or the target label in target-only mode).
     Construction does the work that depends on neither the seed nor the
     config, once: it encodes the source, builds both condition targets
-    and walks the source pyramid under each condition, keeping the
-    inversion logits of every scale where some edit has a nonzero lambda
-    (under the inverting condition) and the source-prefix logits under
-    the target condition where an edit reads them (at its start scale,
-    and at every edited scale in source-prefix context).  ``run`` then
-    edits a chunk of seeds, each edit of a scale mixing into one buffer
-    per scale (the last into the fresh draws themselves), and its
-    stepper takes the argmax of its logits plus that buffer by row
-    blocks.  A given set's float32 maps are mixed in as their exact
-    float64 values.
+    and walks the source pyramid under each condition, keeping, as block
+    logits, the inversion logits of every scale where some edit has a
+    nonzero lambda (under the inverting condition) and the source-prefix
+    logits under the target condition where an edit reads them (at its
+    start scale, and at every edited scale in source-prefix context).
+    ``run`` then edits a chunk of seeds, each edit of a scale mixing into
+    one buffer per scale (the last into the fresh draws themselves), and
+    takes the argmax of its logits plus that buffer by row blocks.  A
+    given set's float32 maps are mixed in as their exact float64 values.
     A scale where an edit's lambda is 0 takes no inverse noise for that
     edit, so a scale where every lambda is 0 is not inverted (the linear
     schedule's final scale, or all of a constant 0).
@@ -302,10 +304,10 @@ class SeedSweep:
             if any(plan.start_scale == t for plan in self._distinct):
                 self._forks[t] = walk.fork()
             if t in prefix_scales:
-                self._prefix_logits[t] = walk.next_scale_logits()
+                self._prefix_logits[t] = walk.block_logits()
             if t in to_invert:
                 self._inversion_logits[t] = (
-                    self._prefix_logits[t] if source_walk is None else source_walk.next_scale_logits()
+                    self._prefix_logits[t] if source_walk is None else source_walk.block_logits()
                 )
             walk.push(tokens)
             if source_walk is not None:
@@ -321,7 +323,7 @@ class SeedSweep:
         if t in self._inversion_logits:
             maps = invert_scale(
                 self.source_pyramid[t - 1],
-                self._inversion_logits[t],
+                *self._inversion_logits[t],
                 [tau for tau in taus if tau is not None],
                 seeds,
                 t,
@@ -335,14 +337,16 @@ class SeedSweep:
         """Scale t of one edit: argmax of logits + ((1 - lam) * g + lam * n),
         the mix built in place in ``mixed``, which holds the fresh draws g.
         With no noise n (lambda 0, which takes none) it is the argmax of
-        logits + g.  The stepper takes the argmax of its logits plus the
-        mix itself."""
+        logits + g.  The logits are the stored source-prefix block logits
+        at the start scale and in source-prefix context (where the edit's
+        own stepper has pushed edited tokens), the stepper's otherwise;
+        either way the argmax is taken by row blocks, ``mixed`` unchanged
+        by it."""
         lam = plan.lambdas[t - plan.start_scale]
         if noise is not None:
             _mix_noise(mixed, lam, noise)
         if t == plan.start_scale or plan.context_mode == CONTEXT_SOURCE:
-            mixed += self._prefix_logits[t]
-            return np.argmax(mixed, axis=-1).astype(np.int32)
+            return argmax_tokens(*self._prefix_logits[t], mixed)
         return stepper.next_scale_tokens(mixed)
 
     def run(self, seeds) -> list[list[EditResult]]:

@@ -41,7 +41,7 @@ def located_from_uniform(phi, u):
     return phi + standard_from_uniform(u)
 
 
-def truncated_from_loglog(phi, trunc, loglog, out=None):
+def truncated_from_loglog(phi, trunc, loglog, out=None, factors=(1, 1)):
     """Gumbel(phi, 1) conditioned on being <= trunc, given the draw as
     loglog = log(-log u) for u in (0,1).
 
@@ -54,23 +54,35 @@ def truncated_from_loglog(phi, trunc, loglog, out=None):
     blocks (the third axis from the end) of :mod:`invnoise._blocks`; a
     0-d result is a numpy scalar.  ``out`` may be ``loglog`` itself,
     whose draws are then overwritten, with phi - trunc in scratch.
+
+    With block ``factors`` (fh, fw) other than (1, 1), phi is
+    (..., h / fh, w / fw, C), one value per (fh, fw) block of cells (the
+    stepper's block logits), and takes no part in the broadcast: each
+    row block spreads its rows of phi in scratch
+    (``_blocks.spread_rows``), a copy, so the bytes are those of the
+    full phi.
     """
     phi = np.asarray(phi, dtype=np.float64)
     trunc = np.asarray(trunc, dtype=np.float64)
     loglog = np.asarray(loglog, dtype=np.float64)
     if out is None:
-        out = np.empty(np.broadcast_shapes(phi.shape, trunc.shape, loglog.shape))
-    operands = (out, phi, trunc, loglog)
-    rows = out.shape[-3] if out.ndim >= 3 else 1
+        phi_shape = phi.shape if factors == (1, 1) else ()
+        out = np.empty(np.broadcast_shapes(phi_shape, trunc.shape, loglog.shape))
+    fh = factors[0]
+    rows = out.shape[-3] // fh if out.ndim >= 3 else 1
+    in_place = out is loglog
 
     def truncate_rows(lo, hi, scratch):
-        block = [_rows(x, lo, hi) for x in operands]
-        diff = block[0] if scratch is None else scratch[: block[0].size].reshape(block[0].shape)
-        _truncate(*block, diff)
+        phi_buf, diff = scratch
+        block = [_blocks.take_rows(x, lo * fh, hi * fh) for x in (out, trunc, loglog)]
+        d = block[0] if diff is None else diff[: block[0].size].reshape(block[0].shape)
+        _truncate(block[0], _blocks.spread_rows(phi, factors, lo, hi, phi_buf), *block[1:], d)
 
-    in_place = out is loglog
-    row_scratch = (lambda step: np.empty(out.size // max(rows, 1) * step)) if in_place else None
-    _blocks.for_row_blocks(truncate_rows, rows, out.size, row_scratch)
+    def scratch(step):
+        diff = np.empty(out.size // max(rows, 1) * step) if in_place else None
+        return _blocks.spread_scratch(phi, factors, step), diff
+
+    _blocks.for_row_blocks(truncate_rows, rows, out.size, scratch)
     return out[()]
 
 
@@ -81,12 +93,6 @@ def _truncate(out, phi, trunc, loglog, diff) -> None:
     np.logaddexp(diff, loglog, out=out)
     np.subtract(phi, out, out=out)
     np.minimum(out, trunc, out=out)
-
-
-def _rows(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of an (..., h, w, C) operand; all of one that broadcasts
-    along the rows."""
-    return x[..., lo:hi, :, :] if x.ndim >= 3 and x.shape[-3] > 1 else x
 
 
 def standard_field(

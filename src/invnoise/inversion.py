@@ -13,7 +13,16 @@ to a given token map.  Two constructions are provided:
   close to the standard Gumbel law.
 
 ``invert_scale`` is the one inversion step: it inverts one scale's
-token map under its logits at several margins.  The keyed label and
+token map under its logits at several margins.  It takes the logits as
+the stepper's block logits with their block factors
+(:meth:`~invnoise.predictor.ScaleStepper.block_logits`), never as a
+full (h, w, C) array: the label logit is read from the block of its
+cell, and the truncated transform and both passes of the tightening
+(q - p with the range check, then the rounding) spread the block
+logits over one row block of cells at a time, in scratch.  Spreading
+is a copy, so the bytes are those of the full logits, and a stress
+scale (64x64, vocab 512) holds its noise map and a quarter-size
+logits array instead of two full-size arrays.  The keyed label and
 off-label uniforms depend only on the seed and the scale, so they are
 drawn once and only the truncated transform and the tightening run per
 margin; an array of seeds adds a leading seed axis to the draws and the
@@ -24,8 +33,8 @@ calls the step scale by scale at the margins it mixes in.
 ``reconstruct_from_noise`` replays a noise set.  Within a scale all
 tokens are independent, so the keyed draws make serial and parallel
 execution bit-identical: the log-log of the off-label draws, the
-truncated transform and both passes of the tightening (the range check,
-then the rounding) go by blocks of :mod:`invnoise._blocks`.
+truncated transform and both passes of the tightening (q - p with the
+range check, then the rounding) go by blocks of :mod:`invnoise._blocks`.
 
 Replay recomputes q as p + n in float64, which rounds; the step makes
 its noise float32-exact values whose replay keeps every margin.  A
@@ -86,8 +95,9 @@ def check_tau(tau) -> float:
     return float(tau)
 
 
-def _located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarray]:
-    """Located inversion at each margin in ``taus`` from one set of draws.
+def _located_inverses(tokens, logits, factors, taus, u_label, u_off) -> Iterator[np.ndarray]:
+    """Located inversion at each margin in ``taus`` from one set of draws,
+    under block logits with their block ``factors``.
 
     ``u_label`` is (..., h, w) for the label draw, ``u_off`` is
     (..., h, w, C) for the off-label truncated draws (the label column is
@@ -100,14 +110,14 @@ def _located_inverses(tokens, logits, taus, u_label, u_off) -> Iterator[np.ndarr
     """
     h, w = tokens.shape
     rows, cols = np.arange(h)[:, None], np.arange(w)
-    label_logit = logits[rows, cols, tokens]
+    label_logit = logits[rows // factors[0], cols // factors[1], tokens]
     q_label = located_from_uniform(label_logit, np.asarray(u_label, dtype=np.float64))
     loglog = _loglog(u_off)
     u_off = None
     for i, tau in enumerate(taus, start=1):
         last = i == len(taus)
         trunc = (q_label - tau)[..., None]
-        q = truncated_from_loglog(logits, trunc, loglog, out=loglog if last else None)
+        q = truncated_from_loglog(logits, trunc, loglog, loglog if last else None, factors)
         if last:
             loglog = None
         q[..., rows, cols, tokens] = q_label
@@ -157,31 +167,42 @@ def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float) -> np.n
     return replayed >= q_label
 
 
-def _tighten(tokens, logits, noise: np.ndarray, tau: float) -> np.ndarray:
-    """Round the untightened noise q - p to float32 values, in place, so
-    that its float64 replay p + n keeps every margin; returns it.
+def _tighten(tokens, logits, factors, q: np.ndarray, tau: float) -> np.ndarray:
+    """The noise q - p of perturbed logits q, rounded to float32 values in
+    q's own buffer so that its float64 replay p + n keeps every margin;
+    returns it.
 
     Each value moves by |n| 2^-23 (one or two float32 ulps) away from the
     label's side: off-label values down, label values up.  One replay
     check finds the cells float64 rounding still defeats (|n| tiny next
     to |p|, or zero); each takes the largest float32 below its bound
     q_label - tau - p if that is a rounding-sized move, and otherwise
-    raises ``InvariantError``.  Leading (seed) axes over the (h, w, C) of
-    ``logits`` are allowed.  Noise beyond +-2^127 raises
-    ``ValidationError``: float32 cannot hold it with its move.
+    raises ``InvariantError``.  ``logits`` are block logits with their
+    block ``factors``, spread one row block at a time in both passes (the
+    subtraction and range check, then the rounding); ``q`` may have
+    leading (seed) axes over their (h, w, C).  Noise beyond +-2^127
+    raises ``ValidationError``, before any cell is rounded: float32
+    cannot hold it with its move.
     """
+    fh = factors[0]
 
-    def check_range(lo, hi, _):
-        rows = noise[..., lo:hi, :, :]
-        if not (rows.min() >= -_NOISE_LIMIT and rows.max() <= _NOISE_LIMIT):
+    def subtract_rows(lo, hi, spread):
+        noise = q[..., lo * fh : hi * fh, :, :]
+        noise -= _blocks.spread_rows(logits, factors, lo, hi, spread)
+        if not (noise.min() >= -_NOISE_LIMIT and noise.max() <= _NOISE_LIMIT):
             raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
 
-    def tighten_rows(lo, hi, _):
-        _tighten_rows(tokens[lo:hi], logits[lo:hi], noise[..., lo:hi, :, :], tau)
+    def tighten_rows(lo, hi, spread):
+        r = slice(lo * fh, hi * fh)
+        p = _blocks.spread_rows(logits, factors, lo, hi, spread)
+        _tighten_rows(tokens[r], p, q[..., r, :, :], tau)
 
-    _blocks.for_row_blocks(check_range, tokens.shape[0], noise.size)
-    _blocks.for_row_blocks(tighten_rows, tokens.shape[0], noise.size)
-    return noise
+    def scratch(step):
+        return _blocks.spread_scratch(logits, factors, step)
+
+    for body in (subtract_rows, tighten_rows):
+        _blocks.for_row_blocks(body, logits.shape[-3], q.size, scratch)
+    return q
 
 
 def _tighten_rows(tokens, logits, noise: np.ndarray, tau: float) -> None:
@@ -262,27 +283,32 @@ def validate_noise_set(noise_set: InverseNoiseSet, params: PredictorParams):
             )
 
 
-def invert_scale(tokens, logits, taus, seed, scale: int, kind: str = KIND_LAI) -> Iterator:
-    """Noise that replays one scale's (h, w) token map under its (h, w, C)
-    logits: yields one map per margin in ``taus``, in order, each made
-    when it is asked for.  The tokens, logits and margins are taken as
-    the caller checked them.
+def invert_scale(
+    tokens, logits, factors, taus, seed, scale: int, kind: str = KIND_LAI
+) -> Iterator:
+    """Noise that replays one scale's (h, w) token map under its logits:
+    yields one (h, w, C) map per margin in ``taus``, in order, each made
+    when it is asked for.  The logits are block logits, (h / fh, w / fw,
+    C) with their block ``factors`` (fh, fw), as
+    :meth:`~invnoise.predictor.ScaleStepper.block_logits` gives them;
+    every kernel spreads them one row block at a time.  The tokens,
+    logits and margins are taken as the caller checked them.
 
     The located construction draws its keyed uniforms once for all
     margins; an array of S seeds gives (S, h, w, C) maps.  The onehot
     construction ignores the margin and the seed, so its margins share
     one (h, w, C) map.
     """
+    shape = (*tokens.shape, logits.shape[-1])
     if kind == KIND_OAI:
-        noise = _tighten(tokens, logits, _onehot(tokens, logits.shape) - logits, 0.0)
+        noise = _tighten(tokens, logits, factors, _onehot(tokens, shape), 0.0)
         for _ in taus:
             yield noise
         return
-    qs = _located_inverses(tokens, logits, taus, *_keyed_uniforms(seed, scale, logits.shape))
+    qs = _located_inverses(tokens, logits, factors, taus, *_keyed_uniforms(seed, scale, shape))
     for tau in taus:
         q = next(qs)
-        q -= logits  # the noise, in the map's own buffer
-        yield _tighten(tokens, logits, q, tau)
+        yield _tighten(tokens, logits, factors, q, tau)  # the noise, in the map's own buffer
         del q
 
 
@@ -309,7 +335,7 @@ def invert_pyramid(
     stepper = ScaleStepper(cond, params)
     noises = []
     for t, tokens in enumerate(maps, start=1):
-        (noise,) = invert_scale(tokens, stepper.next_scale_logits(), (tau,), seed, t, kind)
+        (noise,) = invert_scale(tokens, *stepper.block_logits(), (tau,), seed, t, kind)
         noises.append(noise.astype(np.float32))  # float32-exact: no value changes
         stepper.push(tokens)
     return InverseNoiseSet(

@@ -13,14 +13,20 @@ running decode of the scales pushed so far, so each scale costs one
 embedding instead of a decode of the whole prefix, and ``fork`` copies
 it for another walk under the same condition.  The pushed scales make
 that decode constant over blocks, so it computes each scale's logits
-once per block and copies them to the block's cells, which is exact
-(see ``_block_factors``), or, for the tokens of a replay or an edit,
-adds them to a caller's noise or mix one row block at a time and keeps
-only the argmax, so that no full-size logits array is made.  Pushing a
-stack of S token maps turns it into S walks that share that prefix (a
-leading seed axis on the canvas and the logits).  Generation,
-inversion, replay and editing all drive it, and ``generate`` samples a
-pyramid scale by scale with keyed Gumbel-max draws.
+once per block: the block logits, one cell per prefix block, with the
+block factors (fh, fw) of cells that share them (see
+``_block_factors``).  They are the one form of logits in the package.
+Every cell of a block has its block's logits bit for bit, so a kernel
+that reads the logits of each cell spreads the block logits over the
+cells of one row block at a time: ``argmax_tokens``, the tokens of a
+generation, a replay or an edit, adds them to a caller's noise or mix
+and keeps only the argmax, and the inversion kernels spread them in
+scratch (``_blocks.spread_rows``).  No full-size logits array is made.
+Pushing a stack of S token maps turns it into S walks that share that
+prefix (a leading seed axis on the canvas and the logits).
+Generation, inversion, replay and editing all drive it, and
+``generate`` samples a pyramid scale by scale with keyed Gumbel-max
+draws.
 """
 
 from __future__ import annotations
@@ -148,21 +154,23 @@ def _block_factors(schedule: ScaleSchedule) -> tuple[tuple[int, int], ...]:
 class ScaleStepper:
     """Next-scale logits for one pyramid under one condition, scale by scale.
 
-    ``next_scale_logits`` gives the logits of the current scale,
-    ``scale`` (1-based), and ``next_scale_tokens(x)`` the argmax of
-    those logits plus ``x``; ``push`` appends that scale's (h, w) token
-    map and moves on.  The canvas adds the replicated embeddings in scale
-    order onto zeros, the same sums a full prefix decode makes, so after
-    the last scale ``canvas`` is the decoded grid.  Pushing (S, h, w)
-    maps gives the canvas, and every later logits array, a leading axis
-    of S walks, each equal to its own single walk.
+    ``block_logits`` gives the logits of the current scale, ``scale``
+    (1-based), as block logits and their block factors, and
+    ``next_scale_tokens(x)`` the argmax of those logits plus ``x``;
+    ``push`` appends that scale's (h, w) token map and moves on.  The
+    canvas adds the replicated embeddings in scale order onto zeros, the
+    same sums a full prefix decode makes, so after the last scale
+    ``canvas`` is the decoded grid.  Pushing (S, h, w) maps gives the
+    canvas, and every later logits array, a leading axis of S walks,
+    each equal to its own single walk.
 
     The canvas is constant over the blocks of the grid the pushed scales
     fix.  Where such a block holds several cells of the current scale,
     those cells average the same values in the same order, so their
-    logits are equal bit for bit: both entries compute them once per
-    block; ``next_scale_logits`` writes them into one output array, and
+    logits are equal bit for bit: ``block_logits`` computes them once
+    per block, (h / fh, w / fw, C) for block factors (fh, fw), and
     ``next_scale_tokens`` adds them to ``x`` one row block at a time.
+    No method returns the (h, w, C) logits of every cell.
 
     Tokens are taken as given: callers validate pyramids at their own
     boundary.  Construction rejects params whose logits under ``cond``
@@ -183,52 +191,12 @@ class ScaleStepper:
         """(..., d, H, W) sum of the replicated embeddings pushed so far."""
         return self._canvas
 
-    def next_scale_logits(self) -> np.ndarray:
-        """(..., h, w, C) unnormalized log-probabilities for the current scale."""
-        block_logits, (fh, fw) = self._block_logits()
-        if fh == fw == 1:
-            return block_logits
-        *lead, hc, wc, c = block_logits.shape
-        logits = np.empty((*lead, hc * fh, wc * fw, c))
-        logits.reshape(*lead, hc, fh, wc, fw, c)[...] = block_logits[..., :, None, :, None, :]
-        return logits
-
     def next_scale_tokens(self, x: np.ndarray) -> np.ndarray:
-        """(..., h, w) int32 argmax over the classes of
-        ``next_scale_logits() + x``, for an (..., h, w, C) ``x`` of any
-        float dtype, which is not modified.
+        """(..., h, w) int32 argmax over the classes of the current
+        scale's logits plus ``x`` (``argmax_tokens`` of ``block_logits``)."""
+        return argmax_tokens(*self.block_logits(), x)
 
-        The sums are taken from the block logits one row block at a
-        time, in float64 scratch, so no full-size array is made: a row
-        block is its prefix blocks' logits spread over their cells plus
-        ``x``, the same IEEE sums as ``logits + x``.
-        """
-        block_logits, (fh, fw) = self._block_logits()
-        *lead, h, w, c = np.broadcast_shapes(x.shape, block_logits.shape[:-3] + x.shape[-3:])
-        wc = w // fw
-        tokens = np.empty((*lead, h, w), dtype=np.int32)
-
-        def argmax_rows(b, e, sums):
-            rows = sums[..., : e - b, :, :, :, :]
-            x_rows = x[..., b * fh : e * fh, :, :]
-            np.add(
-                x_rows.reshape(*x_rows.shape[:-3], e - b, fh, wc, fw, c),
-                block_logits[..., b:e, None, :, None, :],
-                out=rows,
-            )
-            tokens[..., b * fh : e * fh, :] = np.argmax(
-                rows.reshape(*lead, (e - b) * fh, w, c), axis=-1
-            )
-
-        _blocks.for_row_blocks(
-            argmax_rows,
-            h // fh,
-            math.prod(lead) * h * w * c,
-            lambda step: np.empty((*lead, step, fh, wc, fw, c)),
-        )
-        return tokens
-
-    def _block_logits(self):
+    def block_logits(self):
         """The current scale's (..., h / fh, w / fw, C) logits, one cell
         per prefix block, and its block factors (fh, fw)."""
         params = self.params
@@ -237,9 +205,9 @@ class ScaleStepper:
         context = self._target[:, None, None] - downsample_blockmean(self._canvas, (h, w))
         # one cell per prefix block
         cells = np.moveaxis(context[..., ::fh, ::fw], -3, -1)
-        block_logits = squared_distances(cells, params.codebook.vectors)
-        block_logits *= -params.beta
-        return block_logits, (fh, fw)
+        logits = squared_distances(cells, params.codebook.vectors)
+        logits *= -params.beta
+        return logits, (fh, fw)
 
     def push(self, tokens: np.ndarray):
         """Add the current scale's token map(s) to the context; advance."""
@@ -257,6 +225,42 @@ class ScaleStepper:
         other = copy.copy(self)
         other._canvas = self._canvas.copy()
         return other
+
+
+def argmax_tokens(logits: np.ndarray, factors: tuple[int, int], x: np.ndarray) -> np.ndarray:
+    """(..., h, w) int32 argmax over the classes of the block ``logits``,
+    spread over their (fh, fw) ``factors``, plus an (..., h, w, C) ``x``
+    of any float dtype, which is not modified.
+
+    The sums are taken one row block at a time, in float64 scratch, so
+    no full-size array is made: a row block is its prefix blocks' logits
+    broadcast over their cells plus ``x``, the same IEEE sums as the
+    full logits plus ``x``.
+    """
+    fh, fw = factors
+    *lead, h, w, c = np.broadcast_shapes(x.shape, logits.shape[:-3] + x.shape[-3:])
+    wc = w // fw
+    tokens = np.empty((*lead, h, w), dtype=np.int32)
+
+    def argmax_rows(b, e, sums):
+        rows = sums[..., : e - b, :, :, :, :]
+        x_rows = x[..., b * fh : e * fh, :, :]
+        np.add(
+            x_rows.reshape(*x_rows.shape[:-3], e - b, fh, wc, fw, c),
+            logits[..., b:e, None, :, None, :],
+            out=rows,
+        )
+        tokens[..., b * fh : e * fh, :] = np.argmax(
+            rows.reshape(*lead, (e - b) * fh, w, c), axis=-1
+        )
+
+    _blocks.for_row_blocks(
+        argmax_rows,
+        h // fh,
+        math.prod(lead) * h * w * c,
+        lambda step: np.empty((*lead, step, fh, wc, fw, c)),
+    )
+    return tokens
 
 
 def generate(cond: Condition, params: PredictorParams, seed: int) -> list[np.ndarray]:

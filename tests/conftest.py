@@ -1,7 +1,7 @@
 """Shared fixtures: default toy configuration, fuzz inputs, and
-test-side references (prefix logits, the Gumbel-max draw of a logits
-map, the truncated transform of uniforms, residual energies, the
-Gaussian autoregressive inversion)."""
+test-side references (the full logits of a scale, prefix logits, the
+Gumbel-max draw of a logits map, the truncated transform of uniforms,
+residual energies, the Gaussian autoregressive inversion)."""
 
 from __future__ import annotations
 
@@ -53,13 +53,23 @@ def random_grid(seed: int, dim: int = 4, size: int = 16, amplitude: float = 0.6)
     return amplitude * np.moveaxis(field, -1, 0)
 
 
+def next_scale_logits(stepper: ScaleStepper) -> np.ndarray:
+    """(..., h, w, C) logits of the stepper's current scale, as written:
+    its block logits copied to every cell of their blocks."""
+    block_logits, (fh, fw) = stepper.block_logits()
+    *lead, hc, wc, c = block_logits.shape
+    logits = np.empty((*lead, hc * fh, wc * fw, c))
+    logits.reshape(*lead, hc, fh, wc, fw, c)[...] = block_logits[..., :, None, :, None, :]
+    return logits
+
+
 def walk_logits(prefix, cond, params) -> np.ndarray:
     """Logits of the scale after ``prefix`` (the scales before it), from a
     ScaleStepper walked over the prefix."""
     stepper = ScaleStepper(cond, params)
     for tokens in prefix:
         stepper.push(tokens)
-    return stepper.next_scale_logits()
+    return next_scale_logits(stepper)
 
 
 def sample_token_map(logits: np.ndarray, seed: int, purpose: int, scale: int) -> np.ndarray:

@@ -161,6 +161,78 @@ class TestForRowBlocks:
         assert started == []
 
 
+class TestSpreadRows:
+    @pytest.mark.parametrize("factors", [(2, 3), (3, 1)])
+    def test_rows_of_the_spread(self, factors):
+        """Rows lo:hi of block values, with a leading axis, are those rows
+        of the values repeated over their blocks, in scratch."""
+        fh, fw = factors
+        seeds = np.array([1, 2], dtype=np.uint64)
+        x = rng.normal_values(seeds, 9, 0, np.arange(5)[:, None, None],
+                              np.arange(4)[:, None], np.arange(3))
+        full = np.repeat(np.repeat(x, fh, axis=-3), fw, axis=-2)
+        buf = _blocks.spread_scratch(x, factors, 5)
+        for lo, hi in [(0, 5), (1, 3), (4, 5)]:
+            got = _blocks.spread_rows(x, factors, lo, hi, buf)
+            assert np.array_equal(got, full[..., lo * fh : hi * fh, :, :])
+            assert np.shares_memory(got, buf)
+
+    def test_factor_one_is_a_view(self):
+        x = np.zeros((5, 4, 3))
+        assert _blocks.spread_scratch(x, (1, 1), 2) is None
+        got = _blocks.spread_rows(x, (1, 1), 1, 3, None)
+        assert got.base is x and got.shape == (2, 4, 3)
+
+
+def spread_logits_and_tokens(seed, factors):
+    """Logits of a (5, 7) grid of prefix blocks, the same logits spread
+    over blocks of ``factors`` cells, and the Gumbel-max tokens of the
+    spread logits."""
+    fh, fw = factors
+    block, _ = logits_and_tokens(seed, (5, 7, SHAPE[2]))
+    full = np.repeat(np.repeat(block, fh, axis=0), fw, axis=1)
+    tokens = np.argmax(full + gumbel.standard_field(seed, 9, 3, full.shape), axis=-1)
+    return block, full, tokens.astype(np.int32)
+
+
+class TestBlockLogits:
+    @pytest.mark.parametrize("factors", [(2, 2), (1, 3), (3, 2)])
+    @pytest.mark.parametrize("kind", ["lai", "oai"])
+    @pytest.mark.parametrize("seeds", SEEDS, ids=SEED_IDS)
+    def test_inversion_step(self, threads, monkeypatch, factors, kind, seeds):
+        """The step under block logits and their factors gives the noise
+        of the step under the spread logits at two margins, bit for bit,
+        with row blocks of 1 and 2 prefix-block rows (5 rows leave them
+        ragged) on 1, 2 and 3 threads."""
+        block, full, tokens = spread_logits_and_tokens(8, factors)
+        taus, seed = (18.0, 0.0), seed_of(seeds)
+        threads(1)
+        want = tuple(inversion.invert_scale(tokens, full, (1, 1), taus, seed, 5, kind))
+        row = full[0].size * (1 if seeds is None else seeds.size)
+        for rows in (1, 2):
+            monkeypatch.setattr(_blocks, "CHUNK", rows * factors[0] * row)
+            for n in (1, 2, 3):
+                threads(n)
+                got = tuple(inversion.invert_scale(tokens, block, factors, taus, seed, 5, kind))
+                assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
+
+    def test_truncated_transform(self, threads):
+        """The truncated transform under block logits, into a new array and
+        over the log-log, equals the transform under the spread logits."""
+        block, full, _ = spread_logits_and_tokens(9, (3, 2))
+        _, u_off = inversion._keyed_uniforms(7, 4, full.shape)
+        loglog = inversion._loglog(u_off)
+        trunc = np.max(full, axis=-1, keepdims=True) - 2.0
+        want = gumbel.truncated_from_loglog(full, trunc, loglog)
+        for n in (1, 2):
+            threads(n)
+            assert np.array_equal(gumbel.truncated_from_loglog(block, trunc, loglog, None, (3, 2)),
+                                  want)
+            over = loglog.copy()
+            gumbel.truncated_from_loglog(block, trunc, over, over, (3, 2))
+            assert np.array_equal(over, want)
+
+
 class TestThreadedEqualsSerial:
     @pytest.mark.parametrize("seeds", SEEDS, ids=SEED_IDS)
     def test_keyed_uniforms(self, threads, seeds):
@@ -232,7 +304,7 @@ class TestThreadedEqualsSerial:
             monkeypatch.setattr(_blocks, "CHUNK", rows * row)
             serial_and_threaded(
                 threads,
-                lambda: tuple(inversion.invert_scale(tokens, logits, (tau, 2.0), seed_of(seeds), 5)),
+                lambda: tuple(inversion.invert_scale(tokens, logits, (1, 1), (tau, 2.0), seed_of(seeds), 5)),
             )
 
     def test_more_threads_than_cores_at_a_short_switch_interval(self, threads):
@@ -240,13 +312,13 @@ class TestThreadedEqualsSerial:
         still write only their own rows."""
         logits, tokens = logits_and_tokens(6)
         threads(1)
-        expected = tuple(inversion.invert_scale(tokens, logits, (18.0,), 0, 2))
+        expected = tuple(inversion.invert_scale(tokens, logits, (1, 1), (18.0,), 0, 2))
         threads(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                got = tuple(inversion.invert_scale(tokens, logits, (18.0,), 0, 2))
+                got = tuple(inversion.invert_scale(tokens, logits, (1, 1), (18.0,), 0, 2))
                 assert np.array_equal(got[0], expected[0])
         finally:
             sys.setswitchinterval(interval)
@@ -254,14 +326,16 @@ class TestThreadedEqualsSerial:
     def test_onehot_inversion(self, threads):
         logits, tokens = logits_and_tokens(5)
         serial_and_threaded(
-            threads, lambda: tuple(inversion.invert_scale(tokens, logits, (0.0,), 0, 1, "oai"))
+            threads, lambda: tuple(inversion.invert_scale(tokens, logits, (1, 1), (0.0,), 0, 1, "oai"))
         )
 
 
 def hopeless_and_huge(rows, hopeless=(), huge=()):
     """Noise that tightens at tau 18 (label noise 50, off-label noise 0),
     except that the label of row r in ``hopeless`` has no margin and a
-    value of row r in ``huge`` is beyond +-2^127."""
+    value of row r in ``huge`` is beyond +-2^127: the arguments of
+    ``_tighten`` before the margin, the noise as perturbed logits under
+    zero logits of block factor 1."""
     tokens = np.zeros((rows, 5), dtype=np.int32)
     noise = np.zeros((rows, 5, 3))
     noise[..., 0] = 50.0
@@ -269,7 +343,7 @@ def hopeless_and_huge(rows, hopeless=(), huge=()):
         noise[r, 2, 0] = 0.0
     for r in huge:
         noise[r, 1, 2] = -(2.0**128)
-    return tokens, np.zeros((rows, 5, 3)), noise
+    return tokens, np.zeros((rows, 5, 3)), (1, 1), noise
 
 
 class TestErrorsCrossThreads:
@@ -280,8 +354,7 @@ class TestErrorsCrossThreads:
         the bad cell, and the range check of the whole noise comes first,
         as on one thread."""
         threads(n)
-        tokens, logits, noise = hopeless_and_huge(13)
-        assert not inversion._tighten(tokens, logits, noise, 18.0)[..., 1:].any()
+        assert not inversion._tighten(*hopeless_and_huge(13), 18.0)[..., 1:].any()
         with pytest.raises(InvariantError):
             inversion._tighten(*hopeless_and_huge(13, hopeless=[row]), 18.0)
         with pytest.raises(ValidationError):

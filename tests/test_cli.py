@@ -640,6 +640,28 @@ def assert_stress_output_pinned(tmp_path, monkeypatch):
     assert threading.active_count() == running
 
 
+# SHA-256 of the files of a stress-scale `edit --auto-invert` of scene-a at
+# seed 0, by context
+STRESS_AUTO_INVERT_DIGESTS = {
+    "generated-prefix": {
+        "edited.nsp": "2189254f832d9d1fdc1a621fcf5904ddeb30443724eab8e7104af6e2a7527a54",
+        "edit_metrics.csv": "6e182eeb3f25aced6524d17c3627a2f5b3ac0fa223cab73e379ba32cfc7281ed",
+    },
+    "source-prefix": {
+        "edited.nsp": "2dacbf775b68be1c2a5e9ad165e7c29078d68981fa7cacebad9d0950f588d285",
+        "edit_metrics.csv": "aab3eecff77bfe218c845c0d183f63d7648a4708eccdd4dd87a40ab86393c1f4",
+    },
+}
+
+
+# SHA-256 of the sweep.csv of a desk source-prefix tau sweep over seeds 0:8,
+# and of the noise.nsn of a desk onehot `invert` of scene-a
+DESK_DIGESTS = {
+    "sweep.csv": "b1359d30f81891077fdff9ab80e0ae5a40fc19ee7a0c1d6ac138f1725b1059cc",
+    "noise.nsn": "0f1065c3337902239cee6d0212ad187918a379ba3b54b59e3bfc68e74a1e1b8a",
+}
+
+
 # SHA-256 of the sweep.csv of each bundled sweep config
 BUNDLED_SWEEP_DIGESTS = {
     "demo.ini": "13cf58095c2e3e7f9293fe99c722d13c1c715a2c1d5bbb1dc554e6a1ea7a54b6",
@@ -716,6 +738,35 @@ class TestSweep:
         """The same files, byte for byte, with every loop on one thread."""
         monkeypatch.setattr(_blocks, "THREADS", 1)
         assert_stress_output_pinned(tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stress_auto_invert_pinned(self, tmp_path, monkeypatch, threads):
+        """`edit --auto-invert` of stress-scale scene-a at seed 0, in each
+        context, reproduces its recorded files byte for byte on one and
+        two threads."""
+        monkeypatch.setattr(_blocks, "THREADS", threads)
+        for context, digests in STRESS_AUTO_INVERT_DIGESTS.items():
+            cfg = tmp_path / f"{context}.ini"
+            cfg.write_text(f"{STRESS_CODEC}\n[edit]\ncontext = {context}\n")
+            out = tmp_path / context
+            assert run("edit", "--config", cfg, "--grid", "demo:scene-a", "--seed", 0,
+                       "--auto-invert", "--mask", "demo:scene-a", "--out", out) == EXIT_OK
+            assert {name: sha256(out / name) for name in digests} == digests
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("budget", [1 << 14, 1 << 17])
+    def test_desk_source_prefix_and_onehot_pinned(self, tmp_path, monkeypatch, threads, budget):
+        """A desk source-prefix tau sweep, in chunks of 1 or 8 seeds, and a
+        desk onehot `invert` reproduce their recorded files byte for byte
+        on one and two threads."""
+        monkeypatch.setattr(_blocks, "THREADS", threads)
+        monkeypatch.setattr(editing, "SEED_CELL_BUDGET", budget)
+        cfg = sweep_config(tmp_path, "tau", SWEEP_VALUES["tau"], context="source-prefix")
+        assert run("sweep", "--config", cfg, "--out", tmp_path / "s") == EXIT_OK
+        assert run("invert", "--kind", "oai", "--out", tmp_path / "i") == EXIT_OK
+        got = {"sweep.csv": sha256(tmp_path / "s" / "sweep.csv"),
+               "noise.nsn": sha256(tmp_path / "i" / "noise.nsn")}
+        assert got == DESK_DIGESTS
 
     def test_setup_once_and_inversion_draws_once_per_seed(self, tmp_path, monkeypatch):
         """V values x S seeds build the params and the scene once, and draw
@@ -1329,3 +1380,51 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "codec",
+        ["vocab = 1099511627776", "vocab = 4096\nschedule = 1x1,256x256,4096x4096",
+         "dim = 100000000", "dim = 8193"],
+        ids=["vocab-2^40", "4096x4096-scale", "dim-1e8", "dim-squared"],
+    )
+    @pytest.mark.parametrize("command", EVERY_COMMAND)
+    def test_entry_limit_checked_before_allocating(self, tmp_path, monkeypatch, capsys, codec,
+                                                    command):
+        """A codec one of whose arrays would exceed ENTRY_LIMIT exits 2
+        with one error line naming the limit, before the codebook is
+        built, and writes nothing."""
+
+        def not_built(**_):
+            raise AssertionError("the codebook was built")
+
+        monkeypatch.setattr(config, "default_codebook", not_built)
+        path = tmp_path / "big.ini"
+        path.write_text(f"[codec]\n{codec}\n")
+        out = tmp_path / "o"
+        assert run_with_config(tmp_path, command, path, out) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"entry limit of {config.ENTRY_LIMIT}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "codec",
+        [
+            config.CodecSection(vocab=2**14, schedule=((1, 1), (64, 64))),  # a scale
+            config.CodecSection(dim=2**13, vocab=2**13, schedule=((1, 1),)),  # both maps
+            config.CodecSection(dim=2**12, schedule=((1, 1), (128, 128))),  # the grid
+        ],
+        ids=["scale", "codebook-and-condition-map", "grid"],
+    )
+    def test_entry_limit_is_inclusive(self, monkeypatch, codec):
+        """Arrays of exactly ENTRY_LIMIT entries pass the check, one more
+        entry does not; the check reads sizes only."""
+        built = []
+        monkeypatch.setattr(config, "default_codebook", lambda **kw: built.append(kw))
+        monkeypatch.setattr(config, "PredictorParams", lambda **kw: kw)
+        ExperimentConfig(codec=codec).build_params()
+        assert len(built) == 1
+        monkeypatch.setattr(config, "ENTRY_LIMIT", config.ENTRY_LIMIT - 1)
+        with pytest.raises(ValidationError, match="entry limit"):
+            ExperimentConfig(codec=codec).build_params()
+        assert len(built) == 1

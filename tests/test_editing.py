@@ -537,6 +537,26 @@ class TestEditSeeds:
         h, w = params.schedule.finest
         assert peak < 3.5 * len(seeds) * h * w * params.codebook.size * 8
 
+    def test_source_prefix_holds_block_logits(self):
+        """A stress-scale (64x64, vocab 512, 7 scales) source-prefix edit
+        of scene-a holds its logits as block logits: under 8 MB of them
+        after construction (the full logits would take 26.6 MiB), and
+        construction plus one seed's walk trace under 32 MiB."""
+        params = PredictorParams(default_codebook(512), dyadic_schedule(7))
+        grid, _, record = demo_scene("scene-a", params)
+        cfg = EditConfig(record.source_label, record.target_label, context_mode=CONTEXT_SOURCE)
+        tracemalloc.start()
+        try:
+            sweep = SeedSweep(grid, (cfg,), params)
+            held = {id(logits): logits.nbytes for logits, _ in
+                    [*sweep._prefix_logits.values(), *sweep._inversion_logits.values()]}
+            sweep.run((0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(held.values()) <= 8 * 10**6
+        assert peak <= 32 * 2**20
+
     def test_runs_equal_one_walk(self, params):
         """Chunks of any width give the same results as one walk."""
         grid = demo_scene("scene-b", params)[0]

@@ -27,7 +27,7 @@ from invnoise.fileio import (
 from invnoise.inversion import KIND_LAI, KIND_OAI, invert_pyramid, reconstruct_from_noise
 from invnoise.predictor import PredictorParams, ScaleStepper, condition_embed, generate
 
-from conftest import random_grid
+from conftest import next_scale_logits, random_grid
 
 
 class TestGridFormat:
@@ -136,7 +136,7 @@ def stored_margins(noise_set, pyramid, cond, params):
     stepper = ScaleStepper(cond, params)
     margins = []
     for tokens, noise in zip(pyramid, noise_set.noises):
-        replayed = stepper.next_scale_logits() + noise
+        replayed = next_scale_logits(stepper) + noise
         h, w = tokens.shape
         rows, cols = np.arange(h)[:, None], np.arange(w)
         label = replayed[rows, cols, tokens].copy()

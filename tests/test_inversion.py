@@ -9,7 +9,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invnoise import _blocks
 from invnoise.codec import default_codebook, dyadic_schedule, encode
+from invnoise.demo import demo_scene
 from invnoise.errors import InvariantError, ValidationError
 from invnoise.gumbel import ks_statistic, located_from_uniform
 from invnoise.inversion import (
@@ -54,7 +56,7 @@ def label_indices(tokens):
 def located_q(tokens, logits, tau, seed, scale):
     """Perturbed logits of the located inversion under the keyed draws."""
     uniforms = _keyed_uniforms(seed, scale, logits.shape)
-    return next(_located_inverses(tokens, logits, (tau,), *uniforms))
+    return next(_located_inverses(tokens, logits, (1, 1), (tau,), *uniforms))
 
 
 class TestOnehotInverse:
@@ -102,7 +104,7 @@ class TestLocatedInverse:
         logits = np.zeros((1, 1, 2))
         u_label = np.full((1, 1), E_INV)
         u_off = np.full((1, 1, 2), E_INV)
-        q = next(_located_inverses(tokens, logits, (1.0,), u_label, u_off))
+        q = next(_located_inverses(tokens, logits, (1, 1), (1.0,), u_label, u_off))
         assert q[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
         assert q[0, 0, 1] == pytest.approx(-math.log(math.e + 1.0), abs=1e-12)
 
@@ -165,7 +167,7 @@ class TestSeedRule:
 
 def tighten(tokens, logits, q, tau):
     """The tightened noise of perturbed logits q."""
-    return _tighten(tokens, logits, q - logits, tau)
+    return _tighten(tokens, logits, (1, 1), q.copy(), tau)
 
 
 def reference_tightening(tokens, logits, q, tau):
@@ -309,11 +311,31 @@ class TestInvertPyramid:
         tokens = np.argmax(logits, axis=-1).astype(np.int32)
         tracemalloc.start()
         try:
-            next(invert_scale(tokens, logits, (18.0,), 0, 7))
+            next(invert_scale(tokens, logits, (1, 1), (18.0,), 0, 7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * logits.nbytes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stress_pyramid_peak_memory(self, monkeypatch, threads):
+        """Inverting stress-scale scene-a (64x64, vocab 512, 7 scales) at
+        tau 18 traces at most 30 MiB on one or two threads: the finest
+        noise map (16 MiB), its float32 copy and the coarser maps, with
+        the logits held as block logits (4 MiB at the finest scale, where
+        the full logits would take 16 MiB more)."""
+        monkeypatch.setattr(_blocks, "THREADS", threads)
+        params = PredictorParams(default_codebook(size=512), dyadic_schedule(7))
+        grid, _, record = demo_scene("scene-a", params)
+        pyramid = encode(grid, params.codebook, params.schedule)
+        cond = condition_embed(record.source_label, params)
+        tracemalloc.start()
+        try:
+            invert_pyramid(pyramid, cond, 18.0, params, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 2**20
 
     def test_provenance(self, params, source_cond):
         pyramid = generate(source_cond, params, seed=2)
@@ -350,6 +372,7 @@ class TestInvertPyramid:
                         _located_inverses(
                             tokens[i : i + 1, j : j + 1],
                             logits[i : i + 1, j : j + 1],
+                            (1, 1),
                             (tau,),
                             np.atleast_2d(u_label),
                             u_off[None, None, :],
@@ -426,10 +449,10 @@ class TestInvertPyramids:
             sets = [invert_pyramid(pyramid, source_cond, tau, params, seed, kind) for tau in taus]
             for k, tokens in enumerate(pyramid, start=1):
                 logits = walk_logits(pyramid[: k - 1], source_cond, params)
-                step = list(invert_scale(tokens, logits, taus, seed, k, kind))
+                step = list(invert_scale(tokens, logits, (1, 1), taus, seed, k, kind))
                 assert len(step) == len(taus)
                 for tau, got, single in zip(taus, step, sets):
-                    (alone,) = invert_scale(tokens, logits, (tau,), seed, k, kind)
+                    (alone,) = invert_scale(tokens, logits, (1, 1), (tau,), seed, k, kind)
                     assert np.array_equal(got, alone)
                     assert np.array_equal(got, single.noises[k - 1])
             for tau, single in zip(taus, sets):
@@ -443,7 +466,7 @@ class TestInvertPyramids:
         pyramid = generate(source_cond, params, seed=4)
         for k, tokens in enumerate(pyramid, start=1):
             logits = walk_logits(pyramid[: k - 1], source_cond, params)
-            a, b = invert_scale(tokens, logits, (18.0, 18.0), 4, k)
+            a, b = invert_scale(tokens, logits, (1, 1), (18.0, 18.0), 4, k)
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -478,9 +501,9 @@ class TestInvertScaleSeeds:
         logits = walk_logits(pyramid[:3], source_cond, params)
         seeds = [0, 9, 2**64 - 1]
         taus = [18.0, 0.0, 14.0]
-        got = list(invert_scale(pyramid[3], logits, taus, seed_array(seeds), 4, kind))
+        got = list(invert_scale(pyramid[3], logits, (1, 1), taus, seed_array(seeds), 4, kind))
         for i, seed in enumerate(seeds):
-            want = invert_scale(pyramid[3], logits, taus, seed, 4, kind)
+            want = invert_scale(pyramid[3], logits, (1, 1), taus, seed, 4, kind)
             for noise, single in zip(got, want):
                 assert np.array_equal(noise[i] if kind == KIND_LAI else noise, single)
 
@@ -489,7 +512,7 @@ class TestInvertScaleSeeds:
         sets = [invert_pyramid(pyramid, source_cond, tau, params, seed=6) for tau in (14.0, 18.0)]
         for k in range(1, params.schedule.num_scales + 1):
             logits = walk_logits(pyramid[: k - 1], source_cond, params)
-            step = invert_scale(pyramid[k - 1], logits, (14.0, 18.0), 6, k)
+            step = invert_scale(pyramid[k - 1], logits, (1, 1), (14.0, 18.0), 6, k)
             assert all(np.array_equal(ns.noises[k - 1], n) for ns, n in zip(sets, step))
 
 

@@ -28,7 +28,7 @@ from invnoise.predictor import (
 )
 from invnoise.rng import PURPOSE_GENERATION, normal_values
 
-from conftest import sample_token_map, walk_logits
+from conftest import next_scale_logits, sample_token_map, walk_logits
 
 # Frozen once on the default seed: the two bundled labels must stay
 # clearly separated and pick different scale-1 tokens.
@@ -126,7 +126,7 @@ class TestLogitsMatchReference:
             assert got.flags.c_contiguous
             assert np.array_equal(got, want)
             assert stepper.scale == k
-            assert np.array_equal(stepper.next_scale_logits(), want)
+            assert np.array_equal(next_scale_logits(stepper), want)
             stepper.push(pyramid[k - 1])
 
     def test_rectangular_rows(self, codebook, source_cond):
@@ -164,7 +164,7 @@ class TestLogitsMatchReference:
         pyramids = [generate(source_cond, params, seed=s) for s in (1, 2, 3)]
         stepper = ScaleStepper(source_cond, params)
         for k in range(1, params.schedule.num_scales + 1):
-            logits = stepper.next_scale_logits()
+            logits = next_scale_logits(stepper)
             if k > 1:
                 assert logits.flags.c_contiguous
                 for pyramid, got in zip(pyramids, logits, strict=True):
@@ -175,7 +175,7 @@ class TestLogitsMatchReference:
 
 class TestPrefixBlocks:
     """Each scale's distances are computed once per block of the grid its
-    prefix fixes, and written into a single output array."""
+    prefix fixes, into one block logits array."""
 
     def test_cells_computed_per_scale(self, params, source_cond, monkeypatch):
         """At 1x1, 2x2, 4x4, 8x8, 16x16 the 2x2 scale follows a constant
@@ -193,7 +193,8 @@ class TestPrefixBlocks:
         assert cells == [1, 4, 4, 16, 64]
 
     def test_peak_memory_of_finest_logits(self, source_cond):
-        """One 64x64, vocab-512 scale allocates less than 1.5 times its
+        """The block logits of one 64x64, vocab-512 scale (block factor 2,
+        a quarter of its full logits) allocate less than 1.5 times their
         output at peak."""
         schedule = dyadic_schedule(7)
         params = PredictorParams(default_codebook(size=512), schedule)
@@ -202,17 +203,18 @@ class TestPrefixBlocks:
             stepper.push(np.arange(h * w, dtype=np.int32).reshape(h, w) % 512)
         tracemalloc.start()
         try:
-            logits = stepper.next_scale_logits()
+            logits, factors = stepper.block_logits()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert logits.shape == (64, 64, 512)
+        assert logits.shape == (32, 32, 512) and factors == (2, 2)
         assert peak < 1.5 * logits.nbytes
 
 
 class TestNextScaleTokens:
-    """``next_scale_tokens(x)`` is ``argmax(next_scale_logits() + x)`` bit
-    for bit, taken one row block at a time, and leaves ``x`` unmodified."""
+    """``next_scale_tokens(x)`` is ``argmax(next_scale_logits(stepper) + x)``
+    bit for bit, taken one row block at a time, and leaves ``x``
+    unmodified."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("block", [1 << 15, 3 * 64 * 2])
@@ -239,7 +241,7 @@ class TestNextScaleTokens:
                                      np.arange(w)[None, :, None], np.arange(params.codebook.size))
             x = np.broadcast_to(x, (*lead, h, w, params.codebook.size)).astype(dtype)
             given = x.copy()
-            want = np.argmax(stepper.next_scale_logits() + x, axis=-1)
+            want = np.argmax(next_scale_logits(stepper) + x, axis=-1)
             got = stepper.next_scale_tokens(x)
             assert got.dtype == np.int32
             assert np.array_equal(got, want)
@@ -256,7 +258,7 @@ class TestNextScaleTokens:
         wide = 50.0 * normal_values(2, 9, 3, np.arange(4)[:, None, None],
                                     np.arange(4)[None, :, None], np.arange(2 * c))
         strided = wide[..., ::2]
-        want = np.argmax(stepper.next_scale_logits() + strided, axis=-1)
+        want = np.argmax(next_scale_logits(stepper) + strided, axis=-1)
         assert np.array_equal(stepper.next_scale_tokens(strided), want)
 
     @pytest.mark.parametrize("seeds", [0, 2], ids=["one-walk", "seed-axis"])
@@ -343,7 +345,7 @@ class TestLogitRange:
             token = int(np.argmax(-sign * codebook.vectors[:, j]))
             stepper = ScaleStepper(source_cond, params)
             for h, w in schedule.resolutions:
-                logits = stepper.next_scale_logits()
+                logits = next_scale_logits(stepper)
                 assert np.all(np.isfinite(logits))
                 stepper.push(np.full((h, w), token, dtype=np.int32))
 
@@ -361,9 +363,9 @@ class TestSeedAxis:
         stacked = ScaleStepper(source_cond, params)
         singles = [ScaleStepper(source_cond, params) for _ in walks]
         for k in range(params.schedule.num_scales):
-            logits = stacked.next_scale_logits()
+            logits = next_scale_logits(stacked)
             for i, single in enumerate(singles):
-                want = single.next_scale_logits()
+                want = next_scale_logits(single)
                 assert np.array_equal(logits[i] if k > 2 else logits, want)
                 single.push(walks[i][k])
             stacked.push(shared[k] if k < 2 else np.stack([w[k] for w in walks]))
