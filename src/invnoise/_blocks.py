@@ -1,16 +1,20 @@
 """Row blocks of one loop, run on a few threads.
 
 Every keyed draw is a pure function of its (seed, purpose, scale, row,
-col, channel), so the cells of a scale are independent and the kernels
-of a large scale may split their loops into blocks and still give the
-same bytes.  ``for_row_blocks`` is the one driver of such a loop: it
-walks row blocks of about ``CHUNK`` entries, so a kernel's temporaries
-stay in cache, and from ``MIN_ENTRIES`` entries splits them across
-threads.  numpy releases the GIL inside its array operations, so the
-ranges run at once.  Threads start per call and are joined before it
-returns: no thread or pool outlives a call.  ``spread_rows`` gives a
-body the rows of its block of values held once per (fh, fw) block of
-cells, such as the stepper's block logits, spread over those cells.
+col, channel), so the cells of a scale are independent and the work of
+a large scale may split into row blocks and still give the same bytes.
+``for_row_blocks`` is the one driver of such a loop: it walks row blocks
+of about ``CHUNK`` entries, so a block's temporaries stay in cache, and
+from ``MIN_ENTRIES`` entries splits them across threads.  numpy
+releases the GIL inside its array operations, so the ranges run at
+once.  Threads start per call and are joined before it returns: no
+thread or pool outlives a call.  Each scale of a generation, an
+inversion or an edit walk is one such pass, whose body does all of the
+scale's (h, w, C)-sized work for its rows (draw, invert, mix, argmax)
+in per-thread scratch, so none holds a full-size float64 array.
+``spread_rows`` gives a body the rows of its block of values held once
+per (fh, fw) block of cells, such as the stepper's block logits, spread
+over those cells.
 """
 
 from __future__ import annotations
@@ -105,21 +109,16 @@ def run_flat(kernel, *arrays) -> None:
     for_row_blocks(lambda lo, hi, _: kernel(*(x[lo:hi] for x in flats)), size, size)
 
 
-def take_rows(x, lo: int, hi: int):
-    """Rows lo:hi (the third axis from the end) of an (..., h, w, C)
-    operand; all of one that broadcasts along the rows."""
-    return x[..., lo:hi, :, :] if x.ndim >= 3 and x.shape[-3] > 1 else x
-
-
 def spread_rows(x, factors: tuple[int, int], lo: int, hi: int, buf):
     """Rows lo:hi of (..., hb, wb, C) block values ``x``, each spread over
     the (fh, fw) cells of its block: (..., (hi - lo) * fh, wb * fw, C).
 
     The spread is a copy into the flat ``buf`` from ``spread_scratch``,
-    so every value is exact.  With factors (1, 1) it is ``take_rows``.
+    so every value is exact.  With factors (1, 1) it is a view of rows
+    lo:hi of ``x``.
     """
     if buf is None:
-        return take_rows(x, lo, hi)
+        return x[..., lo:hi, :, :]
     fh, fw = factors
     *lead, _, wb, c = x.shape
     n = hi - lo

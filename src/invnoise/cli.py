@@ -178,13 +178,13 @@ def cmd_edit(args) -> int:
     seed = cfg.edit.seed
     scorer = metrics.Scorer(grid, _resolve_mask(args.mask, default_mask, params.schedule.finest))
     noise_set = None
-    if cfg.edit.mode != editing.MODE_REGEN:
-        if args.noise is not None:
-            noise_set, _ = fileio.read_noise_set(args.noise)
-        elif not args.auto_invert:
-            raise ValidationError(
-                f"mode {cfg.edit.mode} needs --noise FILE or --auto-invert"
-            )
+    if cfg.edit.mode == editing.MODE_REGEN:
+        if args.noise is not None or args.auto_invert:
+            raise ValidationError("mode regen takes no inverse noise: drop --noise/--auto-invert")
+    elif args.noise is not None:
+        noise_set, _ = fileio.read_noise_set(args.noise)
+    elif not args.auto_invert:
+        raise ValidationError(f"mode {cfg.edit.mode} needs --noise FILE or --auto-invert")
     [[result]] = editing.SeedSweep(grid, (cfg.edit,), params, noise_set).run((seed,))
     out = _out_dir(cfg)
     fileio.write_pyramid(out / "edited.nsp", result.pyramid, params.codebook.size, seed, digest)

@@ -29,18 +29,20 @@ several :class:`EditConfig` that share their labels and their mode.
 Construction does the work that depends on neither the seed nor the
 config once (encoding, condition targets, the block logits of the
 source walks, held as the stepper gives them, one cell per prefix
-block); its ``run`` edits a chunk of seeds with a leading seed axis
-through the keyed draws, the inversion step
-(:func:`~invnoise.inversion.invert_scale`, called scale by scale and
-only at the margins some edit mixes in with nonzero lambda, so no whole
-noise set is held), the edit mix, the stepper logits and the argmax.
-The edits of a scale build their mixes, one after another, in one
-buffer, adding ``lam * n`` (in float64, from a float32 or float64 noise
-map) by row blocks, and the argmax of the logits plus that buffer is
-taken one row block at a time (``predictor.argmax_tokens``), from the
-edit's stepper or, at its start scale and in source-prefix context,
-from the held source-prefix block logits; so no edit makes a full-size
-logits array, product or copy of its own.
+block); its ``run`` edits a chunk of seeds with a leading seed axis,
+scale by scale, in one pass over the row blocks of each scale
+(``_blocks.for_row_blocks``).  Each row block, in per-thread scratch,
+draws its rows of the keyed uniforms and inverts them
+(:meth:`~invnoise.inversion.ScaleInversion.invert_rows`, only at the
+margins some edit mixes in with nonzero lambda), draws its rows of the
+fresh Gumbel field, builds each edit's mix ``(1 - lam) * g + lam * n``
+(the product in float64, from a float32 noise) and takes the argmax of
+the edit's block logits plus that mix (``predictor.argmax_tokens``),
+from the edit's stepper or, at its start scale and in source-prefix
+context, from the held source-prefix block logits.  So no edit makes a
+full-size field, noise map, logits array, product or copy; the label
+values of the inversion, (h, w) per seed, are the one part made per
+scale.
 ``invnoise edit`` runs one config at its own seed, as do the
 single-edit functions ``edit_with_inverse_noise`` and
 ``edit_regeneration``; ``invnoise sweep`` runs many configs over chunks
@@ -49,8 +51,8 @@ of :func:`seed_chunk_width` seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -58,8 +60,8 @@ import numpy as np
 from . import _blocks
 from .codec import encode
 from .errors import ValidationError
-from .gumbel import standard_field
-from .inversion import InverseNoiseSet, check_tau, invert_scale, validate_noise_set
+from .gumbel import standard_rows
+from .inversion import InverseNoiseSet, ScaleInversion, check_tau, validate_noise_set
 from .predictor import PredictorParams, ScaleStepper, argmax_tokens, condition_embed
 from .rng import PURPOSE_EDIT_NOISE, seed_array
 
@@ -188,41 +190,26 @@ SEED_CELL_BUDGET = 1 << 17
 
 
 def seed_chunk_width(params: PredictorParams) -> int:
-    """Seeds per edit walk: as many as keep one finest-scale (h, w, C)
-    array of every seed within ``SEED_CELL_BUDGET`` cells (1 MiB of
-    float64), at least one (8 at 16x16, vocab 64; 1 at 64x64, vocab
-    512).  Wider chunks share the per-scale work of a walk (the stepper
-    logits, the keyed-hash set-up, the inversion dispatch, the forks and
-    the argmaxes) among more seeds; a chunk stays below the size at
-    which the kernels start threads (``_blocks.MIN_ENTRIES``)."""
+    """Seeds per edit walk: as many as keep the finest (h, w, C) scale of
+    every seed within ``SEED_CELL_BUDGET`` cells, at least one (8 at
+    16x16, vocab 64; 1 at 64x64, vocab 512).  Wider chunks share the
+    per-scale work of a walk (the stepper logits, the keyed-hash set-up,
+    the inversion dispatch, the forks and the argmaxes) among more
+    seeds; a chunk stays below the size at which the kernels start
+    threads (``_blocks.MIN_ENTRIES``)."""
     h, w = params.schedule.finest
     return max(1, SEED_CELL_BUDGET // (h * w * params.codebook.size))
 
 
-def _mix_noise(mixed: np.ndarray, lam: float, noise: np.ndarray) -> None:
-    """``mixed = (1 - lam) * mixed + lam * noise`` in place, for an
-    (S, h, w, C) ``mixed`` and an (S, h, w, C) or (h, w, C) float32 or
-    float64 ``noise``; the product is taken in float64 (a float32 map
-    casts exactly), so the result equals ``mixed *= 1 - lam`` then
-    ``mixed += lam * noise.astype(np.float64)`` bit for bit.
-
-    The product of each row block is taken in scratch, so no full-size
-    product is made.
-    """
-
-    def mix_rows(lo, hi, scratch):
-        block = mixed[..., lo:hi, :, :]
-        product = scratch[..., : hi - lo, :, :]
-        np.multiply(noise[..., lo:hi, :, :], lam, out=product, dtype=np.float64)
-        block *= 1.0 - lam
-        block += product
-
-    _blocks.for_row_blocks(
-        mix_rows,
-        mixed.shape[-3],
-        mixed.size,
-        lambda step: np.empty((*mixed.shape[:-3], step, *mixed.shape[-2:])),
-    )
+def _mix(fresh, lam: float, noise, out, product) -> None:
+    """``out = (1 - lam) * fresh + lam * noise`` for one row block, with
+    the product ``lam * noise`` taken in float64 in ``product`` (a
+    float32 noise casts exactly), so the result equals ``fresh * (1 -
+    lam)`` plus ``lam * noise.astype(np.float64)`` bit for bit.  ``noise``
+    may lack the seed axis of ``fresh``."""
+    np.multiply(noise, lam, out=product, dtype=np.float64)
+    np.multiply(fresh, 1.0 - lam, out=out)
+    out += product
 
 
 class SeedSweep:
@@ -240,10 +227,10 @@ class SeedSweep:
     nonzero lambda (under the inverting condition) and the source-prefix
     logits under the target condition where an edit reads them (at its
     start scale, and at every edited scale in source-prefix context).
-    ``run`` then edits a chunk of seeds, each edit of a scale mixing into
-    one buffer per scale (the last into the fresh draws themselves), and
-    takes the argmax of its logits plus that buffer by row blocks.  A
-    given set's float32 maps are mixed in as their exact float64 values.
+    ``run`` then edits a chunk of seeds in one row-block pass per scale,
+    which inverts, draws, mixes and takes each edit's argmax one row
+    block at a time.  A given set's float32 maps are mixed in as their
+    exact float64 values.
     A scale where an edit's lambda is 0 takes no inverse noise for that
     edit, so a scale where every lambda is 0 is not inverted (the linear
     schedule's final scale, or all of a constant 0).
@@ -314,59 +301,95 @@ class SeedSweep:
                 source_walk.push(tokens)
         self._source_grid = walk.canvas
 
-    def _noises(self, t: int, seeds: np.ndarray, taus):
-        """Yield (tau, inverse noise of scale t) per margin, one at a time,
-        in the order of ``taus``: None for the margin None, which the
-        edits that take no inverse noise at t share (regeneration, and
-        every edit whose lambda is 0 at t); otherwise (S, h, w, C) when
-        inverted, the given set's (h, w, C) map when one was given."""
-        if t in self._inversion_logits:
-            maps = invert_scale(
-                self.source_pyramid[t - 1],
-                *self._inversion_logits[t],
-                [tau for tau in taus if tau is not None],
-                seeds,
-                t,
-            )
-        else:
-            maps = repeat(None if self._given is None else self._given[t - 1])
-        for tau in taus:
-            yield tau, None if tau is None else next(maps)
+    def _edit_scale(self, t: int, seeds: np.ndarray, by_tau: dict, steppers: list) -> dict:
+        """The (S, h, w) tokens of scale t of each edit in ``by_tau`` (edit
+        indices by margin; None for the edits that take no inverse noise
+        at t), in one pass over its row blocks.
 
-    def _edit_scale(self, plan: _Plan, stepper: ScaleStepper, t: int, mixed, noise):
-        """Scale t of one edit: argmax of logits + ((1 - lam) * g + lam * n),
-        the mix built in place in ``mixed``, which holds the fresh draws g.
-        With no noise n (lambda 0, which takes none) it is the argmax of
-        logits + g.  The logits are the stored source-prefix block logits
-        at the start scale and in source-prefix context (where the edit's
-        own stepper has pushed edited tokens), the stepper's otherwise;
-        either way the argmax is taken by row blocks, ``mixed`` unchanged
-        by it."""
-        lam = plan.lambdas[t - plan.start_scale]
-        if noise is not None:
-            _mix_noise(mixed, lam, noise)
-        if t == plan.start_scale or plan.context_mode == CONTEXT_SOURCE:
-            return argmax_tokens(*self._prefix_logits[t], mixed)
-        return stepper.next_scale_tokens(mixed)
+        Each edit's tokens are the argmax of logits + ((1 - lam) * g +
+        lam * n), or of logits + g without noise n.  The logits are the
+        stored source-prefix block logits at the start scale and in
+        source-prefix context (where the edit's own stepper has pushed
+        edited tokens), the stepper's otherwise.  Each row block inverts
+        its rows at every margin (or reads them from the given set),
+        draws its rows of g once for every edit, and builds the mixes and
+        sums in per-thread scratch.  Inversion errors are raised after the
+        pass, the first in margin order.
+        """
+        h, w = self.params.schedule.resolutions[t - 1]
+        c = self.params.codebook.size
+        edits = []  # (edit, margin, lambda, block logits)
+        for tau, members in by_tau.items():
+            for i in members:
+                plan = self._distinct[i]
+                if t == plan.start_scale:
+                    steppers[i] = self._forks[t].fork()
+                if t == plan.start_scale or plan.context_mode == CONTEXT_SOURCE:
+                    logits, factors = self._prefix_logits[t]
+                else:
+                    logits, factors = steppers[i].block_logits()
+                edits.append((i, tau, plan.lambdas[t - plan.start_scale], logits))
+        margins = [tau for tau in by_tau if tau is not None]
+        inversion = None
+        if t in self._inversion_logits:
+            inversion = ScaleInversion(
+                self.source_pyramid[t - 1], *self._inversion_logits[t], margins, seeds, t
+            )
+        given = None if self._given is None else self._given[t - 1]
+        tokens = {i: np.empty((seeds.size, h, w), dtype=np.int32) for i, *_ in edits}
+        fh = factors[0]  # scale t's block factors, the same for every edit
+        row = seeds.size * w * c  # entries per cell row
+
+        def edit_rows(lo, hi, buf):
+            mix, product, outs, inversion_buf = buf
+            r = slice(lo * fh, hi * fh)
+            shape = (seeds.size, r.stop - r.start, w, c)
+            size = math.prod(shape)
+            if inversion is None:  # a given set's rows, if any margin
+                noises = {tau: given[r] for tau in margins}
+            else:  # None where the rows were not inverted: check() raises
+                outs = [out[:size].reshape(shape) for out in outs]
+                written = inversion.invert_rows(lo, hi, inversion_buf, outs)
+                noises = {tau: out if ok else None for tau, out, ok in zip(margins, outs, written)}
+            g = standard_rows(seeds, PURPOSE_EDIT_NOISE, t, r.start, r.stop, w, c)
+            for i, tau, lam, logits in edits:
+                x, sums = g, product
+                if tau is not None:
+                    if noises[tau] is None:
+                        continue
+                    x, sums = mix[:size].reshape(shape), mix
+                    _mix(g, lam, noises[tau], x, product[:size].reshape(shape))
+                argmax_tokens(logits[..., lo:hi, :, :], factors, x, tokens[i][:, r, :], sums)
+
+        def scratch(step):
+            size = row * step * fh
+            if inversion is None:
+                return np.empty(size), np.empty(size), [], None
+            outs = [np.empty(size, dtype=np.float32) for _ in margins]
+            return np.empty(size), np.empty(size), outs, inversion.scratch(step)
+
+        _blocks.for_row_blocks(edit_rows, h // fh, row * h, scratch)
+        if inversion is not None:
+            inversion.check()
+        return tokens
 
     def run(self, seeds) -> list[list[EditResult]]:
         """Edit a chunk of seeds: one list per seed of one result per config.
 
-        All edits walk the scales together with a leading seed axis.  At
-        each scale the fresh noise is drawn once for the chunk, and the
-        inverse noise once per margin that some edit mixes in with
-        nonzero lambda, one margin at a time (no noise set is held);
-        edits whose lambda is 0 there take the fresh noise alone, as
-        regeneration does.  Each edit forks the target walk at its start
-        scale and pushes its own tokens, so its final canvas is its
-        decoded grid.  Configs that resolve to the same edit share one
+        All edits walk the scales together with a leading seed axis, one
+        row-block pass per scale (``_edit_scale``).  Each row block draws
+        the fresh noise once for the chunk, and the inverse noise once per
+        margin that some edit mixes in with nonzero lambda (no noise set
+        or whole noise map is held); edits whose lambda is 0 there take
+        the fresh noise alone, as regeneration does.  Each edit forks the
+        target walk at its start scale and pushes its own tokens, so its
+        final canvas is its decoded grid.  Configs that resolve to the same edit share one
         result.  Every result equals the single edit of its config at its
         seed bit for bit.
         """
         seeds = seed_array(seeds)
         if not seeds.size:
             raise ValidationError("no seeds given")
-        params = self.params
         plans = self._distinct
         steppers = [None] * len(plans)
         edited = [[] for _ in plans]
@@ -383,26 +406,10 @@ class SeedSweep:
                     by_tau.setdefault(plan.tau if lam != 0.0 else None, []).append(i)
             if not by_tau:
                 continue
-            h, w = params.schedule.resolutions[t - 1]
-            fresh = standard_field(seeds, PURPOSE_EDIT_NOISE, t, (h, w, params.codebook.size))
-            last = [*by_tau.values()][-1][-1]
-            # every edit but the last mixes into one buffer, refilled with the
-            # fresh field for each; the last mixes into the fresh field itself
-            spare = np.empty_like(fresh) if sum(map(len, by_tau.values())) > 1 else None
-            # one margin's noise at a time, mixed into every edit that uses it
-            for tau, noise in self._noises(t, seeds, list(by_tau)):
-                for i in by_tau[tau]:
-                    if t == plans[i].start_scale:
-                        steppers[i] = self._forks[t].fork()
-                    field = fresh
-                    if i != last:
-                        field = spare
-                        np.copyto(field, fresh)
-                    tokens = self._edit_scale(plans[i], steppers[i], t, field, noise)
-                    steppers[i].push(tokens)
-                    edited[i].append(tokens)
-                    changed[i].append(np.count_nonzero(tokens != source_tokens, axis=(1, 2)))
-                del noise  # not held while the next margin's noise is made
+            for i, maps in self._edit_scale(t, seeds, by_tau, steppers).items():
+                steppers[i].push(maps)
+                edited[i].append(maps)
+                changed[i].append(np.count_nonzero(maps != source_tokens, axis=(1, 2)))
         counts = [np.stack(per_scale, axis=1).tolist() for per_scale in changed]
         results = []
         for s in range(seeds.size):

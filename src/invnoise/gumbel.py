@@ -1,21 +1,23 @@
 """Gumbel distribution primitives.
 
-Standard and located sampling, closed-form truncated sampling, and the
-Kolmogorov-Smirnov statistic against the Gumbel CDF, used to judge how
-Gumbel-like a batch of values is.
+Standard and located sampling, closed-form truncated sampling, keyed
+draws by row blocks, and the Kolmogorov-Smirnov statistic against the
+Gumbel CDF, used to judge how Gumbel-like a batch of values is.
 
 The standard and located transforms map explicit uniform draws through
 their closed forms (pure math, easy to pin in tests); the truncated
 transform takes its draws as log(-log u), which the inversion computes
-once for every margin; both take their inputs as checked (finite
-stepper logits, keyed uniforms, a checked margin).  Keyed uniforms come
-from :func:`invnoise.rng.uniform_values`: ``standard_field`` draws whole
-(h, w, C) fields, whose Gumbel-max tokens the stepper takes
-(:meth:`~invnoise.predictor.ScaleStepper.next_scale_tokens`), and the
-located and truncated draws of the inversion are keyed in
-:mod:`invnoise.inversion`.  The truncated transform and
-``standard_field`` go by blocks of :mod:`invnoise._blocks`; each value
-is computed alone, so the bytes do not change on any thread count.
+once per row block for every margin; both take their inputs as checked
+(finite stepper logits, keyed uniforms, a checked margin).  Keyed draws
+come one row block at a time, from
+:func:`invnoise.rng.uniform_values`: ``loglog_rows`` gives log(-log u)
+of rows lo:hi of the keyed uniforms of an (h, w, C) grid (the
+inversion's off-label draws), and ``standard_rows`` the standard Gumbel
+draws -log(-log u) there (the noise of a generation or an edit mix,
+whose argmax the caller takes from the stepper's block logits in the
+same row block).  Every value is a pure function of its key, so a
+scale drawn by row blocks, on any thread count, has the bytes of a
+whole draw; no function here makes a whole (h, w, C) field.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from . import _blocks
 from .errors import ValidationError
 from .rng import uniform_values
 
@@ -41,7 +42,7 @@ def located_from_uniform(phi, u):
     return phi + standard_from_uniform(u)
 
 
-def truncated_from_loglog(phi, trunc, loglog, out=None, factors=(1, 1)):
+def truncated_from_loglog(phi, trunc, loglog, out=None):
     """Gumbel(phi, 1) conditioned on being <= trunc, given the draw as
     loglog = log(-log u) for u in (0,1).
 
@@ -50,79 +51,40 @@ def truncated_from_loglog(phi, trunc, loglog, out=None, factors=(1, 1)):
     overflows, then clamped so the bound holds exactly in float64.
     loglog does not depend on phi or trunc, so draws transformed once
     serve every bound.  phi and trunc are finite.  The steps write into
-    one float64 buffer of the broadcast shape, ``out`` if given, by row
-    blocks (the third axis from the end) of :mod:`invnoise._blocks`; a
-    0-d result is a numpy scalar.  ``out`` may be ``loglog`` itself,
-    whose draws are then overwritten, with phi - trunc in scratch.
-
-    With block ``factors`` (fh, fw) other than (1, 1), phi is
-    (..., h / fh, w / fw, C), one value per (fh, fw) block of cells (the
-    stepper's block logits), and takes no part in the broadcast: each
-    row block spreads its rows of phi in scratch
-    (``_blocks.spread_rows``), a copy, so the bytes are those of the
-    full phi.
+    one float64 array of the broadcast shape, ``out`` if given (not
+    ``loglog``, which the steps read after the first); a 0-d result is a
+    numpy scalar.
     """
     phi = np.asarray(phi, dtype=np.float64)
     trunc = np.asarray(trunc, dtype=np.float64)
-    loglog = np.asarray(loglog, dtype=np.float64)
     if out is None:
-        phi_shape = phi.shape if factors == (1, 1) else ()
-        out = np.empty(np.broadcast_shapes(phi_shape, trunc.shape, loglog.shape))
-    fh = factors[0]
-    rows = out.shape[-3] // fh if out.ndim >= 3 else 1
-    in_place = out is loglog
-
-    def truncate_rows(lo, hi, scratch):
-        phi_buf, diff = scratch
-        block = [_blocks.take_rows(x, lo * fh, hi * fh) for x in (out, trunc, loglog)]
-        d = block[0] if diff is None else diff[: block[0].size].reshape(block[0].shape)
-        _truncate(block[0], _blocks.spread_rows(phi, factors, lo, hi, phi_buf), *block[1:], d)
-
-    def scratch(step):
-        diff = np.empty(out.size // max(rows, 1) * step) if in_place else None
-        return _blocks.spread_scratch(phi, factors, step), diff
-
-    _blocks.for_row_blocks(truncate_rows, rows, out.size, scratch)
+        out = np.empty(np.broadcast_shapes(phi.shape, trunc.shape, np.shape(loglog)))
+    np.subtract(phi, trunc, out=out)
+    np.logaddexp(out, loglog, out=out)
+    np.subtract(phi, out, out=out)
+    np.minimum(out, trunc, out=out)
     return out[()]
 
 
-def _truncate(out, phi, trunc, loglog, diff) -> None:
-    """``truncated_from_loglog`` written into ``out``, with phi - trunc
-    in ``diff`` (``out`` itself unless ``out`` is ``loglog``)."""
-    np.subtract(phi, trunc, out=diff)
-    np.logaddexp(diff, loglog, out=out)
-    np.subtract(phi, out, out=out)
-    np.minimum(out, trunc, out=out)
-
-
-def standard_field(
-    seed: int, purpose: int, scale: int, shape: tuple[int, int, int]
-) -> np.ndarray:
-    """Keyed standard Gumbel draws -log(-log u) over an (h, w, C) grid.
-
-    Row/col/channel key fields are the grid indices; an array of S seeds
-    gives (S, h, w, C).  The transform runs in place on the uniform
-    buffer.
-    """
-    h, w, c = shape
-    g = uniform_values(
-        seed,
-        purpose,
-        scale,
-        np.arange(h)[:, None, None],
-        np.arange(w)[None, :, None],
-        np.arange(c)[None, None, :],
+def loglog_rows(seed, purpose: int, scale: int, lo: int, hi: int, w: int, c: int) -> np.ndarray:
+    """log(-log u) of the keyed uniforms at rows lo:hi of an (h, w, C)
+    grid: (hi - lo, w, C), with a leading axis when ``seed`` is an array
+    of seeds.  Row/col/channel key fields are the grid indices; the
+    transform runs in place on the uniforms' buffer."""
+    u = uniform_values(
+        seed, purpose, scale, np.arange(lo, hi)[:, None, None], np.arange(w)[:, None], np.arange(c)
     )
-    _blocks.run_flat(_standard_in_place, g)
-    return g
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
+    return u
 
 
-def _standard_in_place(x: np.ndarray) -> None:
-    """Overwrite uniforms x with -log(-log x)."""
-    np.log(x, out=x)
-    np.negative(x, out=x)
-    np.log(x, out=x)
-    np.negative(x, out=x)
+def standard_rows(seed, purpose: int, scale: int, lo: int, hi: int, w: int, c: int) -> np.ndarray:
+    """Keyed standard Gumbel draws -log(-log u) at rows lo:hi of an
+    (h, w, C) grid, keyed as ``loglog_rows``."""
+    g = loglog_rows(seed, purpose, scale, lo, hi, w, c)
+    return np.negative(g, out=g)
 
 
 # --- reference CDFs ---------------------------------------------------------

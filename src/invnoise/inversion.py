@@ -12,29 +12,31 @@ to a given token map.  Two constructions are provided:
   draw capped a margin ``tau`` below it.  Exact, with noise that stays
   close to the standard Gumbel law.
 
-``invert_scale`` is the one inversion step: it inverts one scale's
-token map under its logits at several margins.  It takes the logits as
-the stepper's block logits with their block factors
+:class:`ScaleInversion` is the one inversion step: it inverts one
+scale's token map under its logits at several margins, one row block
+at a time (``invert_rows``).  It takes the logits as the stepper's
+block logits with their block factors
 (:meth:`~invnoise.predictor.ScaleStepper.block_logits`), never as a
-full (h, w, C) array: the label logit is read from the block of its
-cell, and the truncated transform and both passes of the tightening
-(q - p with the range check, then the rounding) spread the block
-logits over one row block of cells at a time, in scratch.  Spreading
-is a copy, so the bytes are those of the full logits, and a stress
-scale (64x64, vocab 512) holds its noise map and a quarter-size
-logits array instead of two full-size arrays.  The keyed label and
-off-label uniforms depend only on the seed and the scale, so they are
-drawn once and only the truncated transform and the tightening run per
-margin; an array of seeds adds a leading seed axis to the draws and the
-noise.  ``invert_pyramid`` walks the scales with one
-:class:`~invnoise.predictor.ScaleStepper` and calls the step once per
-scale at its one margin, and the edit walk of :mod:`invnoise.editing`
-calls the step scale by scale at the margins it mixes in.
-``reconstruct_from_noise`` replays a noise set.  Within a scale all
-tokens are independent, so the keyed draws make serial and parallel
-execution bit-identical: the log-log of the off-label draws, the
-truncated transform and both passes of the tightening (q - p with the
-range check, then the rounding) go by blocks of :mod:`invnoise._blocks`.
+full (h, w, C) array.  The label draw and the label logit, read from
+the block of its cell, make the (h, w) label values once per scale;
+everything of size (h, w, C) is made per row block, in cache: the
+keyed off-label uniforms and their log(-log u), which do not depend on
+the margin, then per margin the truncated transform under the block
+logits spread in scratch, the range check of q - p and the tightening,
+which writes the finished rows straight into the caller's float32
+maps.  Spreading is a copy, so the bytes are those of the full logits.
+An array of seeds adds a leading seed axis to the draws and the noise.
+A row block records its errors per margin, and ``check`` raises the
+first in margin order (a noise out of float32 range before a tightening
+failure within a margin), as a margin-by-margin inversion of the whole
+scale would.  ``invert_pyramid`` walks the scales with one
+:class:`~invnoise.predictor.ScaleStepper` and inverts each scale into
+its float32 map at its one margin (``ScaleInversion.run``); the edit
+walk of :mod:`invnoise.editing` calls ``invert_rows`` inside its own
+row-block pass, at the margins it mixes in, so neither holds a
+full-size float64 array.  ``reconstruct_from_noise`` replays a noise
+set.  Within a scale all tokens are independent, so the keyed draws
+make serial and parallel execution bit-identical.
 
 Replay recomputes q as p + n in float64, which rounds; the step makes
 its noise float32-exact values whose replay keeps every margin.  A
@@ -55,15 +57,15 @@ from outside.  The step itself takes what its callers checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import _blocks
 from .codec import validate_pyramid
 from .errors import InvariantError, ValidationError
-from .gumbel import located_from_uniform, truncated_from_loglog
+from .gumbel import located_from_uniform, loglog_rows, truncated_from_loglog
 from .predictor import Condition, PredictorParams, ScaleStepper
 from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, seed_array, uniform_values
 
@@ -79,12 +81,12 @@ KIND_LAI = "lai"
 KIND_OAI = "oai"
 
 
-def _onehot(tokens: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """Perturbed logits q with q[label] = 0 and NEG_SENTINEL elsewhere."""
-    q = np.full(shape, NEG_SENTINEL)
+def _onehot(tokens: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Perturbed logits q with q[label] = 0 and NEG_SENTINEL elsewhere,
+    written into the (h, w, C) ``q``."""
+    q.fill(NEG_SENTINEL)
     h, w = tokens.shape
-    rows, cols = np.arange(h)[:, None], np.arange(w)
-    q[rows, cols, tokens] = 0.0
+    q[np.arange(h)[:, None], np.arange(w), tokens] = 0.0
     return q
 
 
@@ -93,66 +95,6 @@ def check_tau(tau) -> float:
     if not (np.isfinite(tau) and tau >= 0):
         raise ValidationError("tau must be a non-negative finite real")
     return float(tau)
-
-
-def _located_inverses(tokens, logits, factors, taus, u_label, u_off) -> Iterator[np.ndarray]:
-    """Located inversion at each margin in ``taus`` from one set of draws,
-    under block logits with their block ``factors``.
-
-    ``u_label`` is (..., h, w) for the label draw, ``u_off`` is
-    (..., h, w, C) for the off-label truncated draws (the label column is
-    ignored); leading axes (one per seed) carry through to the maps.  The
-    label draw and log(-log u) of the off-label draws do not depend on
-    the margin and are made once; each yielded map caps the off-label
-    draws ``tau`` below it.  The draws are taken over: their log-log is
-    written over ``u_off``'s buffer, and the last map over the log-log,
-    so a scale holds one full-size array of them at any time.
-    """
-    h, w = tokens.shape
-    rows, cols = np.arange(h)[:, None], np.arange(w)
-    label_logit = logits[rows // factors[0], cols // factors[1], tokens]
-    q_label = located_from_uniform(label_logit, np.asarray(u_label, dtype=np.float64))
-    loglog = _loglog(u_off)
-    u_off = None
-    for i, tau in enumerate(taus, start=1):
-        last = i == len(taus)
-        trunc = (q_label - tau)[..., None]
-        q = truncated_from_loglog(logits, trunc, loglog, loglog if last else None, factors)
-        if last:
-            loglog = None
-        q[..., rows, cols, tokens] = q_label
-        yield q
-
-
-def _loglog(u) -> np.ndarray:
-    """log(-log u) over the float64 buffer of ``u``, which is taken over."""
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    _blocks.run_flat(_loglog_in_place, u)
-    return u
-
-
-def _loglog_in_place(u: np.ndarray) -> None:
-    np.log(u, out=u)
-    np.negative(u, out=u)
-    np.log(u, out=u)
-
-
-def _keyed_uniforms(seed, scale: int, shape: tuple[int, int, int]):
-    """The (h, w) label and (h, w, C) off-label uniforms of one scale,
-    with a leading axis when ``seed`` is an array of seeds."""
-    h, w, C = shape
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :]
-    u_label = uniform_values(seed, PURPOSE_LABEL_DRAW, scale, rows, cols, 0)
-    u_off = uniform_values(
-        seed,
-        PURPOSE_TRUNC_DRAW,
-        scale,
-        rows[:, :, None],
-        cols[:, :, None],
-        np.arange(C)[None, None, :],
-    )
-    return u_label, u_off
 
 
 def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float) -> np.ndarray:
@@ -167,62 +109,39 @@ def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float) -> np.n
     return replayed >= q_label
 
 
-def _tighten(tokens, logits, factors, q: np.ndarray, tau: float) -> np.ndarray:
-    """The noise q - p of perturbed logits q, rounded to float32 values in
-    q's own buffer so that its float64 replay p + n keeps every margin;
-    returns it.
+def _tighten(tokens, logits, q: np.ndarray, tau: float, out: np.ndarray) -> None:
+    """Write into the float32 ``out`` the noise q - p of perturbed logits
+    ``q`` under ``logits`` p, rounded to float32 values whose float64
+    replay p + n keeps every margin.  One row block: (n, w) ``tokens``,
+    (n, w, C) ``logits`` and ``q``, which may have a leading (seed) axis
+    that ``out`` shares; ``q`` is overwritten.
 
     Each value moves by |n| 2^-23 (one or two float32 ulps) away from the
     label's side: off-label values down, label values up.  One replay
     check finds the cells float64 rounding still defeats (|n| tiny next
     to |p|, or zero); each takes the largest float32 below its bound
     q_label - tau - p if that is a rounding-sized move, and otherwise
-    raises ``InvariantError``.  ``logits`` are block logits with their
-    block ``factors``, spread one row block at a time in both passes (the
-    subtraction and range check, then the rounding); ``q`` may have
-    leading (seed) axes over their (h, w, C).  Noise beyond +-2^127
-    raises ``ValidationError``, before any cell is rounded: float32
-    cannot hold it with its move.
+    raises ``InvariantError``.  Noise beyond +-2^127 raises
+    ``ValidationError`` before anything is written: float32 cannot hold
+    it with its move.
     """
-    fh = factors[0]
-
-    def subtract_rows(lo, hi, spread):
-        noise = q[..., lo * fh : hi * fh, :, :]
-        noise -= _blocks.spread_rows(logits, factors, lo, hi, spread)
-        if not (noise.min() >= -_NOISE_LIMIT and noise.max() <= _NOISE_LIMIT):
-            raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
-
-    def tighten_rows(lo, hi, spread):
-        r = slice(lo * fh, hi * fh)
-        p = _blocks.spread_rows(logits, factors, lo, hi, spread)
-        _tighten_rows(tokens[r], p, q[..., r, :, :], tau)
-
-    def scratch(step):
-        return _blocks.spread_scratch(logits, factors, step)
-
-    for body in (subtract_rows, tighten_rows):
-        _blocks.for_row_blocks(body, logits.shape[-3], q.size, scratch)
-    return q
-
-
-def _tighten_rows(tokens, logits, noise: np.ndarray, tau: float) -> None:
-    """``_tighten`` of the rows of one range, in place in ``noise``."""
+    noise = np.subtract(q, logits, out=q)
+    if not (noise.min() >= -_NOISE_LIMIT and noise.max() <= _NOISE_LIMIT):
+        raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
     h, w = tokens.shape
     rows, cols = np.arange(h)[:, None], np.arange(w)
-    step = np.abs(noise, dtype=np.float32)  # |n| rounded to float32
-    step *= np.float32(2.0**-23)  # one or two ulps of a normal n, exactly
     at_label = (..., rows, cols, tokens)
+    step = np.abs(noise, out=out, dtype=np.float32)  # |n| rounded to float32
+    step *= np.float32(2.0**-23)  # one or two ulps of a normal n, exactly
     raised = noise[at_label].astype(np.float32) + step[at_label]
-    np.subtract(noise, step, out=noise, dtype=np.float32)  # rounds n, then moves it
-    del step
-    noise[at_label] = raised
-    replayed = logits + noise
+    np.subtract(noise, step, out=out, dtype=np.float32)  # rounds n, then moves it
+    out[at_label] = raised
+    replayed = np.add(logits, out, out=q)
     q_label = replayed[at_label]
     if tau > 0:  # _below_margin, with the margins written over the replay
         bad = np.subtract(q_label[..., None], replayed, out=replayed) < tau
     else:
         bad = _below_margin(q_label[..., None], replayed, tau)
-    del replayed
     bad[at_label] = False
     if not bad.any():
         return
@@ -234,10 +153,10 @@ def _tighten_rows(tokens, logits, noise: np.ndarray, tau: float) -> None:
     fixed = bound.astype(np.float32)
     fixed = np.where(fixed < bound, fixed, np.nextafter(fixed, np.float32(-np.inf)))
     # a rounding failure needs a move of less than a float32 ulp of the terms
-    rounding = noise[cells] - fixed <= 2.0**-23 * terms + 2.0**-149
+    rounding = out[cells].astype(np.float64) - fixed <= 2.0**-23 * terms + 2.0**-149
     if not rounding.all() or _below_margin(label, p + fixed, tau).any():
         raise InvariantError("inverse noise did not tighten in float32")
-    noise[cells] = fixed
+    out[cells] = fixed
 
 
 @dataclass(frozen=True)
@@ -283,33 +202,110 @@ def validate_noise_set(noise_set: InverseNoiseSet, params: PredictorParams):
             )
 
 
-def invert_scale(
-    tokens, logits, factors, taus, seed, scale: int, kind: str = KIND_LAI
-) -> Iterator:
-    """Noise that replays one scale's (h, w) token map under its logits:
-    yields one (h, w, C) map per margin in ``taus``, in order, each made
-    when it is asked for.  The logits are block logits, (h / fh, w / fw,
-    C) with their block ``factors`` (fh, fw), as
-    :meth:`~invnoise.predictor.ScaleStepper.block_logits` gives them;
-    every kernel spreads them one row block at a time.  The tokens,
-    logits and margins are taken as the caller checked them.
+class ScaleInversion:
+    """Noise that replays one scale's (h, w) token map under its logits,
+    at each margin in ``taus``, made one row block at a time.
 
-    The located construction draws its keyed uniforms once for all
-    margins; an array of S seeds gives (S, h, w, C) maps.  The onehot
-    construction ignores the margin and the seed, so its margins share
-    one (h, w, C) map.
+    The logits are block logits, (h / fh, w / fw, C) with their block
+    ``factors`` (fh, fw), as
+    :meth:`~invnoise.predictor.ScaleStepper.block_logits` gives them.
+    The tokens, logits and margins are taken as the caller checked them.
+    A margin's noise is float32 of ``shape``: (h, w, C), or (S, h, w, C)
+    for the located construction under an array of S seeds.  The onehot
+    construction ignores the margin and the seed.
+
+    ``invert_rows(lo, hi, buf, outs)`` inverts block rows lo:hi (cell
+    rows lo * fh to hi * fh) into ``outs``, one float32 array of those
+    cell rows per margin, with ``buf`` from ``scratch(step)``, one per
+    thread of a ``_blocks.for_row_blocks`` pass.  A margin whose noise in
+    the block is out of float32 range, or does not tighten, records its
+    error and leaves its rows unwritten; ``check`` raises, after the
+    pass, the first error in margin order, an out-of-range noise before
+    a tightening failure within a margin.  ``run`` is the pass over the
+    whole scale into new maps.
     """
-    shape = (*tokens.shape, logits.shape[-1])
-    if kind == KIND_OAI:
-        noise = _tighten(tokens, logits, factors, _onehot(tokens, shape), 0.0)
-        for _ in taus:
-            yield noise
-        return
-    qs = _located_inverses(tokens, logits, factors, taus, *_keyed_uniforms(seed, scale, shape))
-    for tau in taus:
-        q = next(qs)
-        yield _tighten(tokens, logits, factors, q, tau)  # the noise, in the map's own buffer
-        del q
+
+    def __init__(self, tokens, logits, factors, taus, seed, scale: int, kind: str = KIND_LAI):
+        self.tokens, self.logits, self.factors = tokens, logits, factors
+        self.taus, self.seed, self.scale, self.kind = tuple(taus), seed, scale, kind
+        h, w = tokens.shape
+        lead = () if kind == KIND_OAI else np.shape(seed)
+        self.shape = (*lead, h, w, logits.shape[-1])
+        if kind != KIND_OAI:  # the located label values, once for every margin
+            rows, cols = np.arange(h)[:, None], np.arange(w)
+            label_logit = logits[rows // factors[0], cols // factors[1], tokens]
+            u_label = uniform_values(seed, PURPOSE_LABEL_DRAW, scale, rows, cols, 0)
+            self._q_label = located_from_uniform(label_logit, u_label)
+        # per margin, [out of range, not tightened]: an error of some block
+        self._errors = [[None, None] for _ in self.taus]
+
+    def scratch(self, step: int):
+        """Per-thread buffers for ``step`` block rows: the perturbed logits
+        and the spread of the block logits."""
+        size = math.prod(self.shape) // self.shape[-3] * step * self.factors[0]
+        return np.empty(size), _blocks.spread_scratch(self.logits, self.factors, step)
+
+    def invert_rows(self, lo: int, hi: int, buf, outs) -> list[bool]:
+        """Invert block rows lo:hi into ``outs``; per margin, whether its
+        rows were written."""
+        perturbed, spread = buf
+        fh = self.factors[0]
+        rows = slice(lo * fh, hi * fh)
+        p = _blocks.spread_rows(self.logits, self.factors, lo, hi, spread)
+        shape = (*self.shape[:-3], rows.stop - rows.start, *self.shape[-2:])
+        q = perturbed[: math.prod(shape)].reshape(shape)
+        written = []
+        for errors, tau, out in zip(self._errors, self._perturbed_rows(rows, p, q), outs):
+            try:
+                _tighten(self.tokens[rows], p, q, tau, out)
+                written.append(True)
+            except ValidationError as exc:
+                errors[0] = exc
+                written.append(False)
+            except InvariantError as exc:
+                errors[1] = exc
+                written.append(False)
+        return written
+
+    def _perturbed_rows(self, rows: slice, p, q):
+        """Write the perturbed logits of cell ``rows`` under their logits
+        ``p`` into ``q``, margin by margin, and yield the margin each
+        replay must keep.  The located draws' log-log serves every margin;
+        the onehot logits keep margin 0."""
+        tokens = self.tokens[rows]
+        if self.kind == KIND_OAI:
+            for _ in self.taus:
+                _onehot(tokens, q)
+                yield 0.0
+            return
+        h, w = tokens.shape
+        at_label = (..., np.arange(h)[:, None], np.arange(w), tokens)
+        q_label = self._q_label[..., rows, :]
+        loglog = loglog_rows(
+            self.seed, PURPOSE_TRUNC_DRAW, self.scale, rows.start, rows.stop, w, q.shape[-1]
+        )
+        for tau in self.taus:
+            truncated_from_loglog(p, (q_label - tau)[..., None], loglog, out=q)
+            q[at_label] = q_label
+            yield tau
+
+    def check(self) -> None:
+        """Raise the first error a row block recorded, in margin order."""
+        for error in (e for pair in self._errors for e in pair):
+            if error is not None:
+                raise error
+
+    def run(self) -> list[np.ndarray]:
+        """The whole scale: one float32 map of ``shape`` per margin."""
+        maps = [np.empty(self.shape, dtype=np.float32) for _ in self.taus]
+        fh = self.factors[0]
+
+        def invert(lo, hi, buf):
+            self.invert_rows(lo, hi, buf, [m[..., lo * fh : hi * fh, :, :] for m in maps])
+
+        _blocks.for_row_blocks(invert, self.logits.shape[-3], math.prod(self.shape), self.scratch)
+        self.check()
+        return maps
 
 
 def invert_pyramid(
@@ -335,8 +331,8 @@ def invert_pyramid(
     stepper = ScaleStepper(cond, params)
     noises = []
     for t, tokens in enumerate(maps, start=1):
-        (noise,) = invert_scale(tokens, *stepper.block_logits(), (tau,), seed, t, kind)
-        noises.append(noise.astype(np.float32))  # float32-exact: no value changes
+        (noise,) = ScaleInversion(tokens, *stepper.block_logits(), (tau,), seed, t, kind).run()
+        noises.append(noise)
         stepper.push(tokens)
     return InverseNoiseSet(
         noises=tuple(noises), condition_label=cond.label, tau=tau, seed=int(seed), kind=kind

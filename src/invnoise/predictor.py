@@ -17,16 +17,19 @@ once per block: the block logits, one cell per prefix block, with the
 block factors (fh, fw) of cells that share them (see
 ``_block_factors``).  They are the one form of logits in the package.
 Every cell of a block has its block's logits bit for bit, so a kernel
-that reads the logits of each cell spreads the block logits over the
-cells of one row block at a time: ``argmax_tokens``, the tokens of a
-generation, a replay or an edit, adds them to a caller's noise or mix
-and keeps only the argmax, and the inversion kernels spread them in
-scratch (``_blocks.spread_rows``).  No full-size logits array is made.
-Pushing a stack of S token maps turns it into S walks that share that
-prefix (a leading seed axis on the canvas and the logits).
-Generation, inversion, replay and editing all drive it, and
-``generate`` samples a pyramid scale by scale with keyed Gumbel-max
-draws.
+that reads the logits of each cell takes them one row block at a time:
+``argmax_tokens`` adds one row block of block logits to the matching
+cell rows of a noise or a mix and keeps only the argmax, and the
+inversion spreads them in scratch (``_blocks.spread_rows``).  No
+full-size logits array is made.  Pushing a stack of S token maps turns
+it into S walks that share that prefix (a leading seed axis on the
+canvas and the logits).
+Generation, inversion, replay and editing all drive it.  ``generate``
+samples a pyramid scale by scale with keyed Gumbel-max draws, each row
+block drawn (``gumbel.standard_rows``) and reduced to its argmax in
+cache, so no scale holds a whole noise field; the replay's
+``next_scale_tokens(x)`` reads a held noise map by the same row blocks,
+and the edit walk calls ``argmax_tokens`` in its own pass.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .codec import (
     upsample_replicate,
 )
 from .errors import ValidationError
-from .gumbel import standard_field
+from .gumbel import standard_rows
 from .rng import (
     PURPOSE_CONDITION,
     PURPOSE_GENERATION,
@@ -193,8 +196,11 @@ class ScaleStepper:
 
     def next_scale_tokens(self, x: np.ndarray) -> np.ndarray:
         """(..., h, w) int32 argmax over the classes of the current
-        scale's logits plus ``x`` (``argmax_tokens`` of ``block_logits``)."""
-        return argmax_tokens(*self.block_logits(), x)
+        scale's logits plus an (..., h, w, C) ``x`` of any float dtype,
+        which is not modified, one row block at a time."""
+        logits, factors = self.block_logits()
+        shape = np.broadcast_shapes(x.shape, logits.shape[:-3] + x.shape[-3:])
+        return _tokens_by_rows(logits, factors, shape, lambda lo, hi: x[..., lo:hi, :, :])
 
     def block_logits(self):
         """The current scale's (..., h / fh, w / fw, C) logits, one cell
@@ -227,51 +233,57 @@ class ScaleStepper:
         return other
 
 
-def argmax_tokens(logits: np.ndarray, factors: tuple[int, int], x: np.ndarray) -> np.ndarray:
-    """(..., h, w) int32 argmax over the classes of the block ``logits``,
-    spread over their (fh, fw) ``factors``, plus an (..., h, w, C) ``x``
-    of any float dtype, which is not modified.
+def argmax_tokens(logits, factors: tuple[int, int], x, out, sums) -> None:
+    """Write into ``out`` the (..., n, w) int32 argmax over the classes of
+    one row block: the block ``logits`` (..., n / fh, w / fw, C), spread
+    over their (fh, fw) ``factors``, plus the (..., n, w, C) cell rows
+    ``x``, of any float dtype.
 
-    The sums are taken one row block at a time, in float64 scratch, so
-    no full-size array is made: a row block is its prefix blocks' logits
-    broadcast over their cells plus ``x``, the same IEEE sums as the
-    full logits plus ``x``.
+    The sums are taken in the flat float64 scratch ``sums``, which may
+    hold ``x`` itself (``x`` is then overwritten): each row of prefix
+    blocks broadcast over its cells plus ``x``, the same IEEE sums as
+    the full logits plus ``x``.
     """
     fh, fw = factors
-    *lead, h, w, c = np.broadcast_shapes(x.shape, logits.shape[:-3] + x.shape[-3:])
-    wc = w // fw
+    *lead, n, w, c = np.broadcast_shapes(x.shape, logits.shape[:-3] + x.shape[-3:])
+    blocks = (n // fh, fh, w // fw, fw, c)
+    rows = sums[: math.prod(lead) * n * w * c].reshape(*lead, *blocks)
+    np.add(x.reshape(*x.shape[:-3], *blocks), logits[..., :, None, :, None, :], out=rows)
+    out[...] = np.argmax(rows.reshape(*lead, n, w, c), axis=-1)
+
+
+def _tokens_by_rows(logits, factors, shape, noise_rows) -> np.ndarray:
+    """(..., h, w) int32 tokens of an (..., h, w, C) ``shape``: the
+    argmax of the block logits plus ``noise_rows(lo, hi)``, the cell
+    rows lo:hi of a noise, one row block at a time."""
+    fh = factors[0]
+    *lead, h, w, c = shape
     tokens = np.empty((*lead, h, w), dtype=np.int32)
 
     def argmax_rows(b, e, sums):
-        rows = sums[..., : e - b, :, :, :, :]
-        x_rows = x[..., b * fh : e * fh, :, :]
-        np.add(
-            x_rows.reshape(*x_rows.shape[:-3], e - b, fh, wc, fw, c),
-            logits[..., b:e, None, :, None, :],
-            out=rows,
-        )
-        tokens[..., b * fh : e * fh, :] = np.argmax(
-            rows.reshape(*lead, (e - b) * fh, w, c), axis=-1
-        )
+        rows = slice(b * fh, e * fh)
+        x = noise_rows(rows.start, rows.stop)
+        argmax_tokens(logits[..., b:e, :, :], factors, x, tokens[..., rows, :], sums)
 
-    _blocks.for_row_blocks(
-        argmax_rows,
-        h // fh,
-        math.prod(lead) * h * w * c,
-        lambda step: np.empty((*lead, step, fh, wc, fw, c)),
-    )
+    size = math.prod(shape)
+    _blocks.for_row_blocks(argmax_rows, h // fh, size, lambda step: np.empty(size // h * step * fh))
     return tokens
 
 
 def generate(cond: Condition, params: PredictorParams, seed: int) -> list[np.ndarray]:
     """Sample a token pyramid under ``cond`` by keyed Gumbel-max draws,
-    each scale conditioned on the scales drawn before it."""
+    each scale conditioned on the scales drawn before it, each row block
+    of a scale drawn and reduced to its argmax in scratch."""
     seed_array((seed,))
     stepper = ScaleStepper(cond, params)
     pyramid = []
+    c = params.codebook.size
     for k, (h, w) in enumerate(params.schedule.resolutions, start=1):
-        g = standard_field(seed, PURPOSE_GENERATION, k, (h, w, params.codebook.size))
-        tokens = stepper.next_scale_tokens(g)
+        tokens = _tokens_by_rows(
+            *stepper.block_logits(),
+            (h, w, c),
+            lambda lo, hi: standard_rows(seed, PURPOSE_GENERATION, k, lo, hi, w, c),
+        )
         stepper.push(tokens)
         pyramid.append(tokens)
     return pyramid

@@ -1,7 +1,8 @@
 """Shared fixtures: default toy configuration, fuzz inputs, and
-test-side references (the full logits of a scale, prefix logits, the
-Gumbel-max draw of a logits map, the truncated transform of uniforms,
-residual energies, the Gaussian autoregressive inversion)."""
+test-side references (the full logits of a scale, prefix logits, a
+whole keyed Gumbel field, the Gumbel-max draw of a logits map, the
+truncated transform of uniforms, residual energies, the Gaussian
+autoregressive inversion)."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ import pytest
 
 from invnoise.codec import default_codebook, dyadic_schedule, embed_tokens, upsample_replicate
 from invnoise.errors import ValidationError
-from invnoise.gumbel import standard_field, truncated_from_loglog
+from invnoise.gumbel import truncated_from_loglog
 from invnoise.predictor import PredictorParams, ScaleStepper, condition_embed
-from invnoise.rng import normal_values
+from invnoise.rng import normal_values, uniform_values
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +71,22 @@ def walk_logits(prefix, cond, params) -> np.ndarray:
     for tokens in prefix:
         stepper.push(tokens)
     return next_scale_logits(stepper)
+
+
+def standard_field(seed, purpose: int, scale: int, shape: tuple[int, int, int]) -> np.ndarray:
+    """Keyed standard Gumbel draws -log(-log u) over a whole (h, w, C)
+    grid, as first written: the row/col/channel key fields are the grid
+    indices, and an array of S seeds gives (S, h, w, C)."""
+    h, w, c = shape
+    u = uniform_values(
+        seed,
+        purpose,
+        scale,
+        np.arange(h)[:, None, None],
+        np.arange(w)[None, :, None],
+        np.arange(c)[None, None, :],
+    )
+    return -np.log(-np.log(u))
 
 
 def sample_token_map(logits: np.ndarray, seed: int, purpose: int, scale: int) -> np.ndarray:

@@ -15,6 +15,8 @@ import pytest
 from invnoise import _blocks, codec, gumbel, inversion, rng
 from invnoise.errors import InvariantError, ValidationError
 
+from conftest import standard_field, truncated_gumbel
+
 SHAPE = (13, 29, 541)  # 203957 entries: 7 chunks, 2 rows per distance block
 SEEDS = [None, np.array([5, 2**64 - 1], dtype=np.uint64)]
 SEED_IDS = ["one-seed", "seed-axis"]
@@ -55,7 +57,7 @@ def logits_and_tokens(seed, shape=SHAPE):
                               np.arange(4))
     vectors = rng.normal_values(seed, 9, 2, np.arange(c)[:, None], 0, np.arange(4))
     logits = -4.0 * codec.squared_distances(cells, vectors)
-    tokens = np.argmax(logits + gumbel.standard_field(seed, 9, 3, shape), axis=-1).astype(np.int32)
+    tokens = np.argmax(logits + standard_field(seed, 9, 3, shape), axis=-1).astype(np.int32)
     return logits, tokens
 
 
@@ -191,7 +193,7 @@ def spread_logits_and_tokens(seed, factors):
     fh, fw = factors
     block, _ = logits_and_tokens(seed, (5, 7, SHAPE[2]))
     full = np.repeat(np.repeat(block, fh, axis=0), fw, axis=1)
-    tokens = np.argmax(full + gumbel.standard_field(seed, 9, 3, full.shape), axis=-1)
+    tokens = np.argmax(full + standard_field(seed, 9, 3, full.shape), axis=-1)
     return block, full, tokens.astype(np.int32)
 
 
@@ -207,30 +209,44 @@ class TestBlockLogits:
         block, full, tokens = spread_logits_and_tokens(8, factors)
         taus, seed = (18.0, 0.0), seed_of(seeds)
         threads(1)
-        want = tuple(inversion.invert_scale(tokens, full, (1, 1), taus, seed, 5, kind))
+        want = inversion.ScaleInversion(tokens, full, (1, 1), taus, seed, 5, kind).run()
         row = full[0].size * (1 if seeds is None else seeds.size)
         for rows in (1, 2):
             monkeypatch.setattr(_blocks, "CHUNK", rows * factors[0] * row)
             for n in (1, 2, 3):
                 threads(n)
-                got = tuple(inversion.invert_scale(tokens, block, factors, taus, seed, 5, kind))
+                got = inversion.ScaleInversion(tokens, block, factors, taus, seed, 5, kind).run()
                 assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
 
     def test_truncated_transform(self, threads):
-        """The truncated transform under block logits, into a new array and
-        over the log-log, equals the transform under the spread logits."""
+        """The truncated transform of each row block, under the block logits
+        spread in scratch as the inversion step spreads them and the keyed
+        log-log of its rows, into scratch, equals the transform of the
+        whole draw under the spread logits."""
         block, full, _ = spread_logits_and_tokens(9, (3, 2))
-        _, u_off = inversion._keyed_uniforms(7, 4, full.shape)
-        loglog = inversion._loglog(u_off)
+        h, w, c = full.shape
+        u_off = rng.uniform_values(7, rng.PURPOSE_TRUNC_DRAW, 4, np.arange(h)[:, None, None],
+                                   np.arange(w)[:, None], np.arange(c))
         trunc = np.max(full, axis=-1, keepdims=True) - 2.0
-        want = gumbel.truncated_from_loglog(full, trunc, loglog)
+        want = truncated_gumbel(full, trunc, u_off)
         for n in (1, 2):
             threads(n)
-            assert np.array_equal(gumbel.truncated_from_loglog(block, trunc, loglog, None, (3, 2)),
-                                  want)
-            over = loglog.copy()
-            gumbel.truncated_from_loglog(block, trunc, over, over, (3, 2))
-            assert np.array_equal(over, want)
+            got = np.empty_like(want)
+
+            def truncate_rows(lo, hi, buf):
+                spread, out = buf
+                r = slice(3 * lo, 3 * hi)
+                p = _blocks.spread_rows(block, (3, 2), lo, hi, spread)
+                loglog = gumbel.loglog_rows(7, rng.PURPOSE_TRUNC_DRAW, 4, r.start, r.stop, w, c)
+                out = out[: p.size].reshape(p.shape)
+                got[r] = gumbel.truncated_from_loglog(p, trunc[r], loglog, out=out)
+
+            _blocks.for_row_blocks(
+                truncate_rows, block.shape[0], full.size,
+                lambda step: (_blocks.spread_scratch(block, (3, 2), step),
+                              np.empty(3 * step * w * c)),
+            )
+            assert np.array_equal(got, want)
 
 
 class TestThreadedEqualsSerial:
@@ -250,7 +266,15 @@ class TestThreadedEqualsSerial:
 
     @pytest.mark.parametrize("seeds", SEEDS, ids=SEED_IDS)
     def test_standard_field(self, threads, seeds):
-        serial_and_threaded(threads, lambda: (gumbel.standard_field(seed_of(seeds), 3, 2, SHAPE),))
+        """Keyed standard draws of all 13 rows at once (the hash split over
+        threads) and of rows 4:6 are the whole field's rows."""
+        h, w, c = SHAPE
+        whole = standard_field(seed_of(seeds), 3, 2, SHAPE)
+        serial_and_threaded(
+            threads, lambda: (gumbel.standard_rows(seed_of(seeds), 3, 2, 0, h, w, c), whole)
+        )
+        rows = gumbel.standard_rows(seed_of(seeds), 3, 2, 4, 6, w, c)
+        assert np.array_equal(rows, whole[..., 4:6, :, :])
 
     @pytest.mark.parametrize("maps", [1, 2], ids=SEED_IDS)
     def test_squared_distances(self, threads, maps):
@@ -274,21 +298,31 @@ class TestThreadedEqualsSerial:
 
     @pytest.mark.parametrize("seeds", SEEDS, ids=SEED_IDS)
     def test_loglog_and_truncated_transform(self, threads, seeds):
-        """The log-log over its draws' buffer, and the truncated transform
-        into a new array and over the log-log itself, in row chunks of
-        two rows (three with two seeds), which 13 rows leave ragged."""
+        """The keyed log-log of all 13 rows (the hash split over threads),
+        and the truncated transform into a new array and into scratch, by
+        row blocks of two rows (three with two seeds), which 13 rows leave
+        ragged."""
         logits, _ = logits_and_tokens(3)
-        _, u_off = inversion._keyed_uniforms(seed_of(seeds), 4, SHAPE)
+        h, w, c = SHAPE
         trunc = np.max(logits, axis=-1, keepdims=True) - 2.0
         if seeds is not None:
             trunc = trunc - np.arange(2)[:, None, None, None]
 
         def kernel():
-            loglog = inversion._loglog(u_off.copy())
+            loglog = gumbel.loglog_rows(seed_of(seeds), rng.PURPOSE_TRUNC_DRAW, 4, 0, h, w, c)
             fresh = gumbel.truncated_from_loglog(logits, trunc, loglog)
-            over = loglog.copy()
-            gumbel.truncated_from_loglog(logits, trunc, over, out=over)
-            assert np.array_equal(over, fresh)
+            by_rows = np.empty_like(fresh)
+
+            def truncate_rows(lo, hi, scratch):
+                r = slice(lo, hi)
+                out = scratch[: by_rows[..., r, :, :].size].reshape(by_rows[..., r, :, :].shape)
+                gumbel.truncated_from_loglog(logits[r], trunc[..., r, :, :],
+                                             loglog[..., r, :, :], out=out)
+                by_rows[..., r, :, :] = out
+
+            _blocks.for_row_blocks(truncate_rows, h, fresh.size,
+                                   lambda step: np.empty(fresh.size // h * step))
+            assert np.array_equal(by_rows, fresh)
             return loglog, fresh
 
         serial_and_threaded(threads, kernel)
@@ -304,7 +338,8 @@ class TestThreadedEqualsSerial:
             monkeypatch.setattr(_blocks, "CHUNK", rows * row)
             serial_and_threaded(
                 threads,
-                lambda: tuple(inversion.invert_scale(tokens, logits, (1, 1), (tau, 2.0), seed_of(seeds), 5)),
+                lambda: tuple(inversion.ScaleInversion(
+                    tokens, logits, (1, 1), (tau, 2.0), seed_of(seeds), 5).run()),
             )
 
     def test_more_threads_than_cores_at_a_short_switch_interval(self, threads):
@@ -312,13 +347,13 @@ class TestThreadedEqualsSerial:
         still write only their own rows."""
         logits, tokens = logits_and_tokens(6)
         threads(1)
-        expected = tuple(inversion.invert_scale(tokens, logits, (1, 1), (18.0,), 0, 2))
+        expected = inversion.ScaleInversion(tokens, logits, (1, 1), (18.0,), 0, 2).run()
         threads(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                got = tuple(inversion.invert_scale(tokens, logits, (1, 1), (18.0,), 0, 2))
+                got = inversion.ScaleInversion(tokens, logits, (1, 1), (18.0,), 0, 2).run()
                 assert np.array_equal(got[0], expected[0])
         finally:
             sys.setswitchinterval(interval)
@@ -326,52 +361,106 @@ class TestThreadedEqualsSerial:
     def test_onehot_inversion(self, threads):
         logits, tokens = logits_and_tokens(5)
         serial_and_threaded(
-            threads, lambda: tuple(inversion.invert_scale(tokens, logits, (1, 1), (0.0,), 0, 1, "oai"))
+            threads,
+            lambda: tuple(inversion.ScaleInversion(tokens, logits, (1, 1), (0.0,), 0, 1, "oai").run()),
         )
 
 
 def hopeless_and_huge(rows, hopeless=(), huge=()):
-    """Noise that tightens at tau 18 (label noise 50, off-label noise 0),
-    except that the label of row r in ``hopeless`` has no margin and a
-    value of row r in ``huge`` is beyond +-2^127: the arguments of
-    ``_tighten`` before the margin, the noise as perturbed logits under
-    zero logits of block factor 1."""
-    tokens = np.zeros((rows, 5), dtype=np.int32)
-    noise = np.zeros((rows, 5, 3))
-    noise[..., 0] = 50.0
+    """Perturbed logits that tighten at tau 18 under zero logits (label
+    0 at 50, off-label values 0), except that the label of row r in
+    ``hopeless`` has no margin and a value of row r in ``huge`` is
+    beyond +-2^127: (rows, 5, 3)."""
+    q = np.zeros((rows, 5, 3))
+    q[..., 0] = 50.0
     for r in hopeless:
-        noise[r, 2, 0] = 0.0
+        q[r, 2, 0] = 0.0
     for r in huge:
-        noise[r, 1, 2] = -(2.0**128)
-    return tokens, np.zeros((rows, 5, 3)), (1, 1), noise
+        q[r, 1, 2] = -(2.0**128)
+    return q
+
+
+class GivenPerturbed(inversion.ScaleInversion):
+    """The inversion step with given perturbed logits, one (h, w, C)
+    array per margin, in place of its own construction."""
+
+    def __init__(self, qs, taus):
+        rows, w, c = qs[0].shape
+        tokens = np.zeros((rows, w), dtype=np.int32)
+        super().__init__(tokens, np.zeros((rows, w, c)), (1, 1), taus, 0, 1, inversion.KIND_OAI)
+        self.qs = qs
+
+    def _perturbed_rows(self, rows, p, q):
+        for given, tau in zip(self.qs, self.taus):
+            q[...] = given[rows]
+            yield tau
+
+
+def invert_given(*qs):
+    """The step's noise maps of perturbed logits ``qs``, one per margin,
+    all at tau 18."""
+    return GivenPerturbed(qs, (18.0,) * len(qs)).run()
 
 
 class TestErrorsCrossThreads:
+    """13 rows in row blocks of one row (``CHUNK`` = 15 entries), split
+    over the threads."""
+
+    @pytest.fixture
+    def rows_apart(self, threads, monkeypatch):
+        def force(n):
+            threads(n)
+            monkeypatch.setattr(_blocks, "CHUNK", 15)
+
+        return force
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("row", [0, 6, 12])
-    def test_tightening_errors(self, threads, n, row):
-        """Both tightening errors reach the caller whichever range holds
-        the bad cell, and the range check of the whole noise comes first,
-        as on one thread."""
-        threads(n)
-        assert not inversion._tighten(*hopeless_and_huge(13), 18.0)[..., 1:].any()
+    def test_tightening_errors(self, rows_apart, n, row):
+        """Both tightening errors reach the caller whichever block and
+        thread hold the bad cell, and the range check of the whole noise
+        comes first, as on one thread."""
+        rows_apart(n)
+        (noise,) = invert_given(hopeless_and_huge(13))
+        assert not noise[..., 1:].any()
         with pytest.raises(InvariantError):
-            inversion._tighten(*hopeless_and_huge(13, hopeless=[row]), 18.0)
+            invert_given(hopeless_and_huge(13, hopeless=[row]))
         with pytest.raises(ValidationError):
-            inversion._tighten(*hopeless_and_huge(13, huge=[row]), 18.0)
+            invert_given(hopeless_and_huge(13, huge=[row]))
         with pytest.raises(ValidationError):
-            inversion._tighten(*hopeless_and_huge(13, hopeless=[0, 6, 12], huge=[row]), 18.0)
+            invert_given(hopeless_and_huge(13, hopeless=[0, 6, 12], huge=[row]))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_range_error_in_a_later_block_first(self, rows_apart, n):
+        """A hopeless row in an earlier block than a huge row: the range
+        check of the margin still comes first."""
+        rows_apart(n)
+        with pytest.raises(ValidationError):
+            invert_given(hopeless_and_huge(13, hopeless=[0], huge=[12]))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_margin_first(self, rows_apart, n):
+        """The error of the first margin comes before any of the second,
+        whichever kind each is and whichever rows hold them."""
+        rows_apart(n)
+        with pytest.raises(InvariantError):
+            invert_given(hopeless_and_huge(13, hopeless=[12]), hopeless_and_huge(13, huge=[0]))
+        with pytest.raises(ValidationError):
+            invert_given(hopeless_and_huge(13, huge=[12]), hopeless_and_huge(13, hopeless=[0]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [1, 2])
-    def test_promoted_warning_in_a_worker_range(self, threads, n):
-        """A RuntimeWarning made an error in the last range (a worker's on
-        two threads) reaches the caller, and every thread is joined."""
-        threads(n)
+    def test_promoted_warning_in_a_worker_range(self, rows_apart, n):
+        """A RuntimeWarning made an error in the last row block (a
+        worker's on two threads) reaches the caller, and every thread is
+        joined: an infinite label logit in row 12 makes inf - inf in the
+        truncated transform of the inversion step."""
+        rows_apart(n)
         running = threading.active_count()
-        phi = np.zeros((13, 5, 3))
-        trunc = np.zeros((13, 5, 1))
-        phi[12, 0, 0] = trunc[12, 0, 0] = np.inf  # inf - inf: invalid value
+        logits = np.zeros((13, 5, 3))
+        logits[12, 0, 0] = np.inf
+        step = inversion.ScaleInversion(np.zeros((13, 5), dtype=np.int32), logits, (1, 1),
+                                        (18.0,), 0, 1)
         with pytest.raises(RuntimeWarning):
-            gumbel.truncated_from_loglog(phi, trunc, np.zeros((13, 5, 3)))
+            step.run()
         assert threading.active_count() == running

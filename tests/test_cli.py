@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise import _blocks, cli, config, demo, editing, inversion, metrics
+from invnoise import _blocks, cli, config, demo, editing, gumbel, inversion, metrics
 from invnoise.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from invnoise.codec import decode, encode
 from invnoise.config import ExperimentConfig, config_digest, load_config, render_config
@@ -239,6 +239,25 @@ class TestEdit:
         )
         edited, _ = read_grid(out / "edited.nsg")
         assert np.array_equal(edited, expected.astype("<f4").astype(np.float64))
+
+    @pytest.mark.parametrize("noise_flag", ["--noise", "--auto-invert"])
+    @pytest.mark.parametrize("mode_from", ["flag", "config"])
+    def test_regen_rejects_noise_flags(self, tmp_path, capsys, noise_flag, mode_from):
+        """Regeneration takes no inverse noise: `--noise` (of a file that
+        does not exist) or `--auto-invert` exits 2 with one ``error:``
+        line and writes nothing, whether `--mode` or the config sets the
+        mode."""
+        flags = [noise_flag] + ([tmp_path / "missing.nsn"] if noise_flag == "--noise" else [])
+        if mode_from == "flag":
+            flags += ["--mode", "regen"]
+        else:
+            (tmp_path / "regen.ini").write_text("[edit]\nmode = regen\n")
+            flags += ["--config", tmp_path / "regen.ini"]
+        out = tmp_path / "o"
+        assert run("edit", "--grid", "demo:scene-a", *flags, "--out", out) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "regen" in err
+        assert not out.exists()
 
     def test_lambda_zero_matches_regen_payloads(self, tmp_path):
         v, r = tmp_path / "v", tmp_path / "r"
@@ -743,15 +762,20 @@ class TestSweep:
     def test_stress_auto_invert_pinned(self, tmp_path, monkeypatch, threads):
         """`edit --auto-invert` of stress-scale scene-a at seed 0, in each
         context, reproduces its recorded files byte for byte on one and
-        two threads."""
+        two threads, and `edit --noise` with the noise `invert` writes
+        reproduces its edited pyramid."""
         monkeypatch.setattr(_blocks, "THREADS", threads)
         for context, digests in STRESS_AUTO_INVERT_DIGESTS.items():
             cfg = tmp_path / f"{context}.ini"
             cfg.write_text(f"{STRESS_CODEC}\n[edit]\ncontext = {context}\n")
             out = tmp_path / context
-            assert run("edit", "--config", cfg, "--grid", "demo:scene-a", "--seed", 0,
-                       "--auto-invert", "--mask", "demo:scene-a", "--out", out) == EXIT_OK
+            common = ["--config", cfg, "--grid", "demo:scene-a", "--seed", 0, "--out", out]
+            assert run("edit", *common, "--auto-invert", "--mask", "demo:scene-a") == EXIT_OK
             assert {name: sha256(out / name) for name in digests} == digests
+            # `invert` then `edit --noise` gives the same edited pyramid
+            assert run("invert", *common) == EXIT_OK
+            assert run("edit", *common, "--noise", out / "noise.nsn") == EXIT_OK
+            assert sha256(out / "edited.nsp") == digests["edited.nsp"]
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("budget", [1 << 14, 1 << 17])
@@ -770,15 +794,16 @@ class TestSweep:
 
     def test_setup_once_and_inversion_draws_once_per_seed(self, tmp_path, monkeypatch):
         """V values x S seeds build the params and the scene once, and draw
-        the off-label inversion uniforms of each edited scale whose lambda
-        is not 0 once per seed: the seeds drawn per scale (the size of the
-        seed argument) add up to S.  Scales below the start scale are
-        copied, and the linear lambda is 0 at the last scale, which takes
-        no inverse noise, so none are drawn there."""
+        the off-label inversion uniforms of each row of each edited scale
+        whose lambda is not 0 once per seed: the (seed, row) pairs drawn,
+        over the row blocks of every scale, add up to S times the rows of
+        those scales.  Scales below the start scale are copied, and the
+        linear lambda is 0 at the last scale, which takes no inverse
+        noise, so none are drawn there."""
         calls = {"params": 0, "scene": 0, "trunc": 0}
         build_params = ExperimentConfig.build_params
         demo_scene_fn = demo.demo_scene
-        uniform_values = inversion.uniform_values
+        uniform_values = gumbel.uniform_values
 
         def counted_params(self):
             calls["params"] += 1
@@ -788,19 +813,21 @@ class TestSweep:
             calls["scene"] += 1
             return demo_scene_fn(*args, **kwargs)
 
-        def counted_uniforms(seed, purpose, *rest):
+        def counted_uniforms(seed, purpose, scale, rows, *rest):
             if purpose == PURPOSE_TRUNC_DRAW:
-                calls["trunc"] += np.size(seed)
-            return uniform_values(seed, purpose, *rest)
+                calls["trunc"] += np.size(seed) * np.size(rows)
+            return uniform_values(seed, purpose, scale, rows, *rest)
 
         monkeypatch.setattr(ExperimentConfig, "build_params", counted_params)
         monkeypatch.setattr(demo, "demo_scene", counted_scene)
-        monkeypatch.setattr(inversion, "uniform_values", counted_uniforms)
+        monkeypatch.setattr(gumbel, "uniform_values", counted_uniforms)
         values, seeds, num_scales = 3, 2, 5
-        mixed_scales = num_scales - default_start_scale(num_scales)
+        start = default_start_scale(num_scales)
+        # rows of the scales start..K-1 of the dyadic schedule: 2, 4 and 8
+        mixed_rows = sum(2 ** (k - 1) for k in range(start, num_scales))
         cfg = sweep_config(tmp_path, "tau", "14,18,20", seeds=f"0:{seeds}")
         assert run("sweep", "--config", cfg, "--out", tmp_path / "s") == EXIT_OK
-        assert calls == {"params": 1, "scene": 1, "trunc": seeds * mixed_scales}
+        assert calls == {"params": 1, "scene": 1, "trunc": seeds * mixed_rows}
         rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == (values * seeds + values) * 6
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise import _blocks, editing, inversion
+from invnoise import _blocks, editing, gumbel, inversion
 from invnoise.codec import decode, default_codebook, dyadic_schedule, encode
 from invnoise.config import load_config
 from invnoise.demo import demo_scene
@@ -143,21 +143,30 @@ class TestMixNoise:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("noise_seeds", [3, 0], ids=["seed-axis", "broadcast"])
     def test_equals_the_whole_product(self, monkeypatch, threads, block, dtype, noise_seeds):
-        """By row blocks of the whole scale or of 3 rows of one seed
-        (ragged over 3 x 16 rows), on one thread or two at any size, the
-        mix equals the whole-array mix with a float64 product."""
+        """Row block by row block of the whole scale or of 3 rows of one
+        seed (ragged over 3 x 16 rows), on one thread or two at any size,
+        with scratch per thread, the mix equals the whole-array mix with
+        a float64 product, and leaves the fresh draws as they were."""
         monkeypatch.setattr(_blocks, "CHUNK", block)
         monkeypatch.setattr(_blocks, "THREADS", threads)
         monkeypatch.setattr(_blocks, "MIN_ENTRIES", 0)
         grid = (np.arange(16)[:, None, None], np.arange(16)[None, :, None], np.arange(64))
-        mixed = normal_values(np.arange(3, dtype=np.uint64), 9, 1, *grid)
+        fresh = normal_values(np.arange(3, dtype=np.uint64), 9, 1, *grid)
         noise = 30.0 * normal_values(np.arange(max(noise_seeds, 1), dtype=np.uint64), 9, 2, *grid)
         noise = (noise if noise_seeds else noise[0]).astype(dtype)
         lam = 0.3
-        want = mixed * (1.0 - lam)
+        want = fresh * (1.0 - lam)
         want += lam * noise.astype(np.float64)
-        editing._mix_noise(mixed, lam, noise)
+        given = fresh.copy()
+        mixed = np.empty_like(fresh)
+
+        def mix_rows(lo, hi, product):
+            rows = product[: fresh[:, lo:hi].size].reshape(fresh[:, lo:hi].shape)
+            editing._mix(fresh[:, lo:hi], lam, noise[..., lo:hi, :, :], mixed[:, lo:hi], rows)
+
+        _blocks.for_row_blocks(mix_rows, 16, fresh.size, lambda step: np.empty(3 * step * 16 * 64))
         assert np.array_equal(mixed, want)
+        assert np.array_equal(fresh, given)
 
 
 class TestMixingMatchesReference:
@@ -520,9 +529,10 @@ class TestEditSeeds:
 
     def test_peak_memory_of_eight_seeds(self):
         """One walk of the demo.ini sweep over a chunk of 8 seeds holds less
-        than 3.5 of its finest (8, 16, 16, 64) arrays at peak: the fresh
-        draws and one mix buffer, into which each stepper adds its logits
-        block by block."""
+        than 3 of its finest (8, 16, 16, 64) arrays at peak (2.4 measured):
+        the block logits of its four edits and one row block's scratch,
+        in which each row block is drawn, inverted, mixed and reduced to
+        its argmax."""
         cfg = load_config(CONFIGS / "demo.ini")
         params = cfg.build_params()
         sweep = SeedSweep(demo_scene("scene-a", params)[0], cfg.sweep_configs, params)
@@ -535,7 +545,51 @@ class TestEditSeeds:
         finally:
             tracemalloc.stop()
         h, w = params.schedule.finest
-        assert peak < 3.5 * len(seeds) * h * w * params.codebook.size * 8
+        assert peak < 3 * len(seeds) * h * w * params.codebook.size * 8
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stress_peak_memory_with_a_given_set(self, monkeypatch, threads):
+        """A stress-scale (64x64, vocab 512, 7 scales) varin walk of
+        scene-a with a given noise set traces under 10 MiB above the set
+        and the logits it holds, on one thread or two (6.0 and 7.9 MiB
+        measured; 21.2 MiB with a whole fresh field): the edit's finest
+        block logits (4 MiB) and a row block's scratch per thread, with
+        no full-size float64 array (16 MiB)."""
+        monkeypatch.setattr(_blocks, "THREADS", threads)
+        params = PredictorParams(default_codebook(512), dyadic_schedule(7))
+        grid, _, record = demo_scene("scene-a", params)
+        pyramid = encode(grid, params.codebook, params.schedule)
+        noise_set = invert_pyramid(
+            pyramid, condition_embed(record.source_label, params), 18.0, params, seed=0
+        )
+        sweep = SeedSweep(grid, (EditConfig(record.source_label, record.target_label),),
+                          params, noise_set)
+        tracemalloc.start()
+        try:
+            sweep.run((0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stress_peak_memory_auto_invert(self, monkeypatch, threads):
+        """The same walk inverting as it goes traces under 12 MiB,
+        construction included, on one thread or two (7.7 and 9.6 MiB
+        measured; 22.9 MiB with a whole fresh field): the inversion
+        makes each row block's noise in scratch, so no full-size float64
+        array (16 MiB) is made."""
+        monkeypatch.setattr(_blocks, "THREADS", threads)
+        params = PredictorParams(default_codebook(512), dyadic_schedule(7))
+        grid, _, record = demo_scene("scene-a", params)
+        cfg = EditConfig(record.source_label, record.target_label)
+        tracemalloc.start()
+        try:
+            SeedSweep(grid, (cfg,), params).run((0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_source_prefix_holds_block_logits(self):
         """A stress-scale (64x64, vocab 512, 7 scales) source-prefix edit
@@ -674,6 +728,9 @@ class TestLambdaZeroTakesNoNoise:
 
     @staticmethod
     def count_inversion_draws(monkeypatch):
+        """Seeds drawn per purpose: the label draws of the inversion, and
+        its off-label draws (``gumbel.loglog_rows``), which these desk
+        scales draw in one row block each."""
         counts = {PURPOSE_LABEL_DRAW: 0, PURPOSE_TRUNC_DRAW: 0}
         uniforms = inversion.uniform_values
 
@@ -683,6 +740,7 @@ class TestLambdaZeroTakesNoNoise:
             return uniforms(seed, purpose, *rest)
 
         monkeypatch.setattr(inversion, "uniform_values", counted)
+        monkeypatch.setattr(gumbel, "uniform_values", counted)
         return counts
 
     @pytest.mark.parametrize("mode", [MODE_VARIN, MODE_TARGET_ONLY])

@@ -14,8 +14,8 @@ from invnoise.gumbel import (
     gumbel_cdf,
     ks_statistic,
     located_from_uniform,
-    standard_field,
     standard_from_uniform,
+    standard_rows,
 )
 from invnoise.rng import uniform_values
 
@@ -39,8 +39,8 @@ class TestStandard:
         assert ks_statistic(standard_from_uniform(u), "gumbel") <= 0.01
 
     def test_keyed_wrapper_deterministic(self):
-        a = standard_field(5, 1, 0, (2, 3, 4))
-        assert np.array_equal(a, standard_field(5, 1, 0, (2, 3, 4)))
+        a = standard_rows(5, 1, 0, 0, 2, 3, 4)
+        assert np.array_equal(a, standard_rows(5, 1, 0, 0, 2, 3, 4))
 
 
 class TestLocated:
@@ -152,8 +152,13 @@ class TestTruncatedMatchesReference:
 class TestStandardField:
     @pytest.mark.parametrize("shape", [(1, 1, 512), (1, 7, 3), (16, 16, 64)])
     def test_matches_transformed_uniforms(self, shape):
-        u = uniform_values(9, 3, 2, *grid_key(*shape))
-        assert np.array_equal(standard_field(9, 3, 2, shape), standard_from_uniform(u))
+        """The keyed draws of all rows at once, and of each row alone, are
+        the transformed uniforms of the whole grid."""
+        h, w, c = shape
+        want = standard_from_uniform(uniform_values(9, 3, 2, *grid_key(*shape)))
+        assert np.array_equal(standard_rows(9, 3, 2, 0, h, w, c), want)
+        by_row = [standard_rows(9, 3, 2, r, r + 1, w, c) for r in range(h)]
+        assert np.array_equal(np.concatenate(by_row), want)
 
     def test_sampler_is_argmax_of_field(self):
         logits = -4.0 * uniform_values(5, 1, 0, *grid_key(6, 4, 64))

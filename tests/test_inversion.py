@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise import _blocks
+from invnoise import _blocks, inversion
 from invnoise.codec import default_codebook, dyadic_schedule, encode
 from invnoise.demo import demo_scene
 from invnoise.errors import InvariantError, ValidationError
@@ -19,12 +19,10 @@ from invnoise.inversion import (
     KIND_OAI,
     NEG_SENTINEL,
     InverseNoiseSet,
-    _keyed_uniforms,
-    _located_inverses,
+    ScaleInversion,
     _onehot,
     _tighten,
     invert_pyramid,
-    invert_scale,
     reconstruct_from_noise,
 )
 from invnoise.predictor import PredictorParams, condition_embed, generate
@@ -54,16 +52,24 @@ def label_indices(tokens):
 
 
 def located_q(tokens, logits, tau, seed, scale):
-    """Perturbed logits of the located inversion under the keyed draws."""
-    uniforms = _keyed_uniforms(seed, scale, logits.shape)
-    return next(_located_inverses(tokens, logits, (1, 1), (tau,), *uniforms))
+    """Perturbed logits of the located inversion under the keyed draws:
+    the step's construction, over the whole scale as one row block."""
+    step = ScaleInversion(tokens, logits, (1, 1), (tau,), seed, scale)
+    q = np.empty(logits.shape)
+    next(step._perturbed_rows(slice(0, tokens.shape[0]), logits, q))
+    return q
+
+
+def onehot(tokens, shape):
+    """The onehot construction's perturbed logits, in a new array."""
+    return _onehot(tokens, np.empty(shape))
 
 
 class TestOnehotInverse:
     def test_definition(self):
         tokens = np.array([[0]], dtype=np.int32)
         logits = np.zeros((1, 1, 3))
-        q = _onehot(tokens, logits.shape)
+        q = onehot(tokens, logits.shape)
         assert np.array_equal(q[0, 0], [0.0, NEG_SENTINEL, NEG_SENTINEL])
 
     def test_argmax_identity(self, params, source_cond):
@@ -72,7 +78,7 @@ class TestOnehotInverse:
         for k in (2, 4):
             tokens = pyramid[k - 1]
             logits = walk_logits(pyramid[: k - 1], source_cond, params)
-            q = _onehot(tokens, logits.shape)
+            q = onehot(tokens, logits.shape)
             noise = q - logits
             assert np.array_equal(np.argmax(logits + noise, axis=-1), tokens)
 
@@ -81,7 +87,7 @@ class TestOnehotInverse:
         sentinel, which the Gumbel CDF puts at probability ~0."""
         tokens = np.zeros((4, 4), dtype=np.int32)
         logits = np.zeros((4, 4, 8))
-        noise = _onehot(tokens, logits.shape) - logits
+        noise = onehot(tokens, logits.shape) - logits
         off_label = noise[:, :, 1:].ravel()
         assert np.all(off_label == NEG_SENTINEL)
         assert ks_statistic(off_label, "gumbel") >= 0.9999
@@ -97,14 +103,16 @@ class TestOnehotInverse:
 
 
 class TestLocatedInverse:
-    def test_pinned_draws(self):
+    def test_pinned_draws(self, monkeypatch):
         """One token, two classes, tau = 1, both uniforms at e^-1:
         label gets 0, the other class gets -log(e + 1)."""
         tokens = np.zeros((1, 1), dtype=np.int32)
         logits = np.zeros((1, 1, 2))
         u_label = np.full((1, 1), E_INV)
         u_off = np.full((1, 1, 2), E_INV)
-        q = next(_located_inverses(tokens, logits, (1, 1), (1.0,), u_label, u_off))
+        monkeypatch.setattr(inversion, "uniform_values", lambda *key: u_label)
+        monkeypatch.setattr(inversion, "loglog_rows", lambda *key: np.log(-np.log(u_off)))
+        q = located_q(tokens, logits, 1.0, 0, 1)
         assert q[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
         assert q[0, 0, 1] == pytest.approx(-math.log(math.e + 1.0), abs=1e-12)
 
@@ -166,8 +174,11 @@ class TestSeedRule:
         assert invert_pyramid(pyramid, source_cond, 18.0, params, seed=2**64 - 1).seed == 2**64 - 1
 
 def tighten(tokens, logits, q, tau):
-    """The tightened noise of perturbed logits q."""
-    return _tighten(tokens, logits, (1, 1), q.copy(), tau)
+    """The tightened noise of perturbed logits q, as its exact float64
+    values."""
+    out = np.empty(q.shape, dtype=np.float32)
+    _tighten(tokens, logits, q.copy(), tau, out)
+    return out.astype(np.float64)
 
 
 def reference_tightening(tokens, logits, q, tau):
@@ -217,7 +228,7 @@ class TestTighteningMatchesReference:
         for k in range(1, params.schedule.num_scales + 1):
             tokens = pyramid[k - 1]
             logits = walk_logits(pyramid[: k - 1], source_cond, params)
-            q = _onehot(tokens, logits.shape)
+            q = onehot(tokens, logits.shape)
             got = tighten(tokens, logits, q, 0.0)
             assert np.array_equal(got, reference_tightening(tokens, logits, q, 0.0))
 
@@ -301,29 +312,34 @@ class TestInvertPyramid:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_inversion_peak_memory(self):
-        """One margin of a 64x64, vocab-512 scale allocates one full-size
-        float64 array at peak, and little more: the log-log is taken over
-        the draws and the map over the log-log."""
+    def test_inversion_peak_memory(self, monkeypatch):
+        """One margin of a 64x64, vocab-512 scale, under its full logits,
+        allocates its float32 map (half the 16 MiB of the float64 logits)
+        and under 2 MiB more, on one thread or two: every float64 array of
+        the step is one row block's or (h, w)."""
         h, w, c = 64, 64, 512
         fields = np.arange(h)[:, None, None], np.arange(w)[None, :, None], np.arange(c)
         logits = 30.0 * normal_values(1, 9, 1, *fields)
         tokens = np.argmax(logits, axis=-1).astype(np.int32)
-        tracemalloc.start()
-        try:
-            next(invert_scale(tokens, logits, (1, 1), (18.0,), 0, 7))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * logits.nbytes
+        for threads in (1, 2):
+            monkeypatch.setattr(_blocks, "THREADS", threads)
+            tracemalloc.start()
+            try:
+                (noise,) = ScaleInversion(tokens, logits, (1, 1), (18.0,), 0, 7).run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert noise.dtype == np.float32 and noise.nbytes == logits.nbytes // 2
+            assert peak < noise.nbytes + 2 * 2**20
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_stress_pyramid_peak_memory(self, monkeypatch, threads):
         """Inverting stress-scale scene-a (64x64, vocab 512, 7 scales) at
-        tau 18 traces at most 30 MiB on one or two threads: the finest
-        noise map (16 MiB), its float32 copy and the coarser maps, with
-        the logits held as block logits (4 MiB at the finest scale, where
-        the full logits would take 16 MiB more)."""
+        tau 18 traces at most 20 MiB on one or two threads (16.7 and 18.6
+        MiB measured): the float32 maps (10.7 MiB), each scale's rows
+        written into its map as they are inverted, the finest block
+        logits (4 MiB) and one row block's scratch per thread; no
+        full-size float64 array (16 MiB) and no float32 copy of a map."""
         monkeypatch.setattr(_blocks, "THREADS", threads)
         params = PredictorParams(default_codebook(size=512), dyadic_schedule(7))
         grid, _, record = demo_scene("scene-a", params)
@@ -335,7 +351,7 @@ class TestInvertPyramid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 30 * 2**20
+        assert peak <= 20 * 2**20
 
     def test_provenance(self, params, source_cond):
         pyramid = generate(source_cond, params, seed=2)
@@ -368,16 +384,9 @@ class TestInvertPyramid:
                 for j in range(w):
                     u_label = uniform_values(seed, PURPOSE_LABEL_DRAW, k, i, j, 0)
                     u_off = uniform_values(seed, PURPOSE_TRUNC_DRAW, k, i, j, np.arange(C))
-                    q = next(
-                        _located_inverses(
-                            tokens[i : i + 1, j : j + 1],
-                            logits[i : i + 1, j : j + 1],
-                            (1, 1),
-                            (tau,),
-                            np.atleast_2d(u_label),
-                            u_off[None, None, :],
-                        )
-                    )
+                    q_label = located_from_uniform(logits[i, j, tokens[i, j]], u_label)
+                    q = truncated_gumbel(logits[i : i + 1, j : j + 1], q_label - tau, u_off)
+                    q[0, 0, tokens[i, j]] = q_label
                     serial[i, j] = tighten(
                         tokens[i : i + 1, j : j + 1],
                         logits[i : i + 1, j : j + 1],
@@ -416,7 +425,7 @@ def reference_invert(pyramid, cond, tau, params, seed, kind):
     for k, tokens in enumerate(pyramid, start=1):
         logits = walk_logits(pyramid[: k - 1], cond, params)
         if kind == KIND_OAI:
-            noises.append(tighten(tokens, logits, _onehot(tokens, logits.shape), 0.0))
+            noises.append(tighten(tokens, logits, onehot(tokens, logits.shape), 0.0))
             continue
         rows, cols, labels = label_indices(tokens)
         channels = np.arange(logits.shape[2])
@@ -435,8 +444,8 @@ MARGINS = (0.0, 1e-6, 14.0, 18.0, 20.0)
 
 
 class TestInvertPyramids:
-    """Inverting a pyramid at several margins is one ``invert_scale`` call
-    per scale: each margin gets the one-margin noise of the step and of
+    """Inverting a pyramid at several margins is one ``ScaleInversion``
+    pass per scale: each margin gets the one-margin noise of the step and of
     ``invert_pyramid``."""
 
     @pytest.mark.parametrize("taus", [MARGINS, (20.0, 0.0, 18.0, 1e-6, 14.0)])
@@ -449,10 +458,10 @@ class TestInvertPyramids:
             sets = [invert_pyramid(pyramid, source_cond, tau, params, seed, kind) for tau in taus]
             for k, tokens in enumerate(pyramid, start=1):
                 logits = walk_logits(pyramid[: k - 1], source_cond, params)
-                step = list(invert_scale(tokens, logits, (1, 1), taus, seed, k, kind))
+                step = ScaleInversion(tokens, logits, (1, 1), taus, seed, k, kind).run()
                 assert len(step) == len(taus)
                 for tau, got, single in zip(taus, step, sets):
-                    (alone,) = invert_scale(tokens, logits, (1, 1), (tau,), seed, k, kind)
+                    (alone,) = ScaleInversion(tokens, logits, (1, 1), (tau,), seed, k, kind).run()
                     assert np.array_equal(got, alone)
                     assert np.array_equal(got, single.noises[k - 1])
             for tau, single in zip(taus, sets):
@@ -466,7 +475,7 @@ class TestInvertPyramids:
         pyramid = generate(source_cond, params, seed=4)
         for k, tokens in enumerate(pyramid, start=1):
             logits = walk_logits(pyramid[: k - 1], source_cond, params)
-            a, b = invert_scale(tokens, logits, (1, 1), (18.0, 18.0), 4, k)
+            a, b = ScaleInversion(tokens, logits, (1, 1), (18.0, 18.0), 4, k).run()
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -501,9 +510,9 @@ class TestInvertScaleSeeds:
         logits = walk_logits(pyramid[:3], source_cond, params)
         seeds = [0, 9, 2**64 - 1]
         taus = [18.0, 0.0, 14.0]
-        got = list(invert_scale(pyramid[3], logits, (1, 1), taus, seed_array(seeds), 4, kind))
+        got = ScaleInversion(pyramid[3], logits, (1, 1), taus, seed_array(seeds), 4, kind).run()
         for i, seed in enumerate(seeds):
-            want = invert_scale(pyramid[3], logits, (1, 1), taus, seed, 4, kind)
+            want = ScaleInversion(pyramid[3], logits, (1, 1), taus, seed, 4, kind).run()
             for noise, single in zip(got, want):
                 assert np.array_equal(noise[i] if kind == KIND_LAI else noise, single)
 
@@ -512,7 +521,7 @@ class TestInvertScaleSeeds:
         sets = [invert_pyramid(pyramid, source_cond, tau, params, seed=6) for tau in (14.0, 18.0)]
         for k in range(1, params.schedule.num_scales + 1):
             logits = walk_logits(pyramid[: k - 1], source_cond, params)
-            step = invert_scale(pyramid[k - 1], logits, (1, 1), (14.0, 18.0), 6, k)
+            step = ScaleInversion(pyramid[k - 1], logits, (1, 1), (14.0, 18.0), 6, k).run()
             assert all(np.array_equal(ns.noises[k - 1], n) for ns, n in zip(sets, step))
 
 
