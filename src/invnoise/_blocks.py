@@ -101,14 +101,6 @@ def run_blocks(body, n: int, entries: int) -> None:
             raise exc
 
 
-def run_flat(kernel, *arrays) -> None:
-    """Run the elementwise ``kernel(*arrays)`` over blocks of the flat
-    views of the arrays, which are contiguous and share one size."""
-    size = arrays[0].size
-    flats = [x.reshape(-1) for x in arrays]
-    for_row_blocks(lambda lo, hi, _: kernel(*(x[lo:hi] for x in flats)), size, size)
-
-
 def spread_rows(x, factors: tuple[int, int], lo: int, hi: int, buf):
     """Rows lo:hi of (..., hb, wb, C) block values ``x``, each spread over
     the (fh, fw) cells of its block: (..., (hi - lo) * fh, wb * fw, C).

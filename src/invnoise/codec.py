@@ -162,14 +162,14 @@ def squared_distances(cells: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     if h * w == 1:
         diffs = cells[:, :, None, :] - vectors[None, None, :, :]
         return np.einsum("hwcd,hwcd->hwc", diffs, diffs)
-    out = np.zeros((h, w, c))
+    out = np.empty((h, w, c))
     _by_row_blocks(cells, vectors, out=out)
     return out
 
 
 def _by_row_blocks(cells, vectors, out=None, tokens=None) -> None:
     """The squared distances of (h, w, d) cells to (C, d) vectors, summed
-    into the zeroed (h, w, C) ``out``, or, given the (h, w) ``tokens``,
+    into the (h, w, C) ``out``, or, given the (h, w) ``tokens``,
     the index of the nearest vector of each cell written there.
 
     The squared differences stay in cache between the channel passes of
@@ -187,7 +187,6 @@ def _by_row_blocks(cells, vectors, out=None, tokens=None) -> None:
             _sum_squares(out[lo:hi], cells[lo:hi], columns, diff[: hi - lo])
             return
         block = dist[: hi - lo]
-        block.fill(0.0)
         _sum_squares(block, cells[lo:hi], columns, diff[: hi - lo])
         tokens[lo:hi] = np.argmin(block, axis=-1)
 
@@ -199,10 +198,14 @@ def _by_row_blocks(cells, vectors, out=None, tokens=None) -> None:
 
 
 def _sum_squares(out, cells, columns, diff) -> None:
-    """Add the squared (h, w, C) differences of (h, w, d) cells to the
-    (d, C) columns into ``out``, channel by channel; ``diff`` is scratch
-    of out's shape."""
-    for j in range(columns.shape[0]):
+    """Write into ``out`` the sum of the squared (h, w, C) differences of
+    (h, w, d) cells to the (d, C) columns, channel by channel; ``diff``
+    is scratch of out's shape.  The first channel's squares are written
+    as they are: each is at least +0.0, and +0.0 + x == x, so the sums
+    have the bits of sums started from zeros."""
+    np.subtract(cells[:, :, 0, None], columns[0], out=out)
+    out *= out
+    for j in range(1, columns.shape[0]):
         np.subtract(cells[:, :, j, None], columns[j], out=diff)
         diff *= diff
         out += diff

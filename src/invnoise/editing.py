@@ -341,7 +341,7 @@ class SeedSweep:
         row = seeds.size * w * c  # entries per cell row
 
         def edit_rows(lo, hi, buf):
-            mix, product, outs, inversion_buf = buf
+            fresh, mix, product, outs, inversion_buf = buf
             r = slice(lo * fh, hi * fh)
             shape = (seeds.size, r.stop - r.start, w, c)
             size = math.prod(shape)
@@ -351,7 +351,7 @@ class SeedSweep:
                 outs = [out[:size].reshape(shape) for out in outs]
                 written = inversion.invert_rows(lo, hi, inversion_buf, outs)
                 noises = {tau: out if ok else None for tau, out, ok in zip(margins, outs, written)}
-            g = standard_rows(seeds, PURPOSE_EDIT_NOISE, t, r.start, r.stop, w, c)
+            g = standard_rows(seeds, PURPOSE_EDIT_NOISE, t, r.start, r.stop, w, c, fresh, product)
             for i, tau, lam, logits in edits:
                 x, sums = g, product
                 if tau is not None:
@@ -364,9 +364,11 @@ class SeedSweep:
         def scratch(step):
             size = row * step * fh
             if inversion is None:
-                return np.empty(size), np.empty(size), [], None
+                return np.empty(size), np.empty(size), np.empty(size), [], None
             outs = [np.empty(size, dtype=np.float32) for _ in margins]
-            return np.empty(size), np.empty(size), outs, inversion.scratch(step)
+            inversion_buf = inversion.scratch(step)
+            (first, *_, last), _ = inversion_buf  # free once a block is inverted
+            return np.empty(size), first, last, outs, inversion_buf
 
         _blocks.for_row_blocks(edit_rows, h // fh, row * h, scratch)
         if inversion is not None:

@@ -20,11 +20,12 @@ block logits with their block factors
 full (h, w, C) array.  The label draw and the label logit, read from
 the block of its cell, make the (h, w) label values once per scale;
 everything of size (h, w, C) is made per row block, in cache: the
-keyed off-label uniforms and their log(-log u), which do not depend on
-the margin, then per margin the truncated transform under the block
-logits spread in scratch, the range check of q - p and the tightening,
-which writes the finished rows straight into the caller's float32
-maps.  Spreading is a copy, so the bytes are those of the full logits.
+keyed off-label draws -log(-log u), written into the block's scratch,
+which do not depend on the margin, then per margin the noise q - p of
+the truncated transform under the block logits spread in scratch, its
+range check and the tightening, which writes the finished rows straight
+into the caller's float32 maps.  Spreading is a copy, so the bytes are
+those of the full logits.
 An array of seeds adds a leading seed axis to the draws and the noise.
 A row block records its errors per margin, and ``check`` raises the
 first in margin order (a noise out of float32 range before a tightening
@@ -37,6 +38,23 @@ row-block pass, at the margins it mixes in, so neither holds a
 full-size float64 array.  ``reconstruct_from_noise`` replays a noise
 set.  Within a scale all tokens are independent, so the keyed draws
 make serial and parallel execution bit-identical.
+
+What is exact is the stored float32 noise, not the float64 noise it is
+rounded from.  The tightening reads that noise only through its range
+check (+-2^127) and its float32 rounding, so the step computes the
+off-label noise with numpy's vectorised exp and log1p in place of the
+scalar libm loop of np.logaddexp (``_softmin``) and certifies each
+value.  E = 2^-47 (max |p| + max |min(trunc - p, g)| + 1) over the row
+block bounds a value's distance from the exact one: the softmin differs
+from np.logaddexp by at most 2^-52 (|min| + 1) over 6.7e7 drawn pairs,
+and E leaves 30 times that beside the roundings of the exact
+construction.  A value whose n - E and n + E round to the same float32
+bits therefore rounds as the exact value does.  The values that fail
+are recomputed exactly with ``gumbel.truncated_from_loglog`` (at most
+about 1 in 20000 at beta 4, 1 in 110 at beta 3000), and a block whose
+noise comes within E of +-2^127 is recomputed whole, so its range check
+is exact and nothing beyond float32 range is rounded.  Every stored
+byte is that of the exact construction (``_located_noise``).
 
 Replay recomputes q as p + n in float64, which rounds; the step makes
 its noise float32-exact values whose replay keeps every margin.  A
@@ -65,7 +83,7 @@ import numpy as np
 from . import _blocks
 from .codec import validate_pyramid
 from .errors import InvariantError, ValidationError
-from .gumbel import located_from_uniform, loglog_rows, truncated_from_loglog
+from .gumbel import located_from_uniform, standard_rows, truncated_from_loglog
 from .predictor import Condition, PredictorParams, ScaleStepper
 from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, seed_array, uniform_values
 
@@ -76,6 +94,18 @@ NEG_SENTINEL = -1.0e4
 # Inverse noise must lie within +-2^127 to be float32 with room for the
 # move of tightening (the float32 range ends just below 2^128).
 _NOISE_LIMIT = 2.0**127
+
+# |_softmin(x, y) + np.logaddexp(-x, -y)| <= 2^-52 (|min(x, y)| + 1) over
+# 6.7e7 drawn pairs.  The located noise n = fl(min(fl(p - L), trunc) - p),
+# L = np.logaddexp(a, b), a = fl(p - trunc), b = log(-log u), lies within
+# 2^-51 (|p| + |m| + 1) of -L, m = max(a, b) = -min(trunc - p, -b): its
+# three roundings are at most 2^-53 (|p| + |m| + 1), 2^-53 (|m| + 1) (the
+# clamp to trunc, where a is L to within rounding) and 2^-53 (|m| + 2).
+# The fast noise is -L_fast with L_fast = -_softmin(trunc - p, -b), so
+# _NOISE_ERROR (|p| + |m| + 1) bounds its distance from n and leaves at
+# least 15 * 2^-51 (|m| + 1), 30 times the measured bound, for
+# |L_fast - L|.
+_NOISE_ERROR = 2.0**-47
 
 KIND_LAI = "lai"
 KIND_OAI = "oai"
@@ -109,12 +139,13 @@ def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float) -> np.n
     return replayed >= q_label
 
 
-def _tighten(tokens, logits, q: np.ndarray, tau: float, out: np.ndarray) -> None:
-    """Write into the float32 ``out`` the noise q - p of perturbed logits
-    ``q`` under ``logits`` p, rounded to float32 values whose float64
-    replay p + n keeps every margin.  One row block: (n, w) ``tokens``,
-    (n, w, C) ``logits`` and ``q``, which may have a leading (seed) axis
-    that ``out`` shares; ``q`` is overwritten.
+def _tighten(tokens, logits, noise: np.ndarray, tau: float, out: np.ndarray) -> None:
+    """Write into the float32 ``out`` the float64 ``noise`` under
+    ``logits`` p, rounded to float32 values whose float64 replay p + n
+    keeps every margin.  One row block: (n, w) ``tokens``, (n, w, C)
+    ``logits`` and ``noise``, which may have a leading (seed) axis that
+    ``out`` shares; ``noise`` is overwritten.  The noise is read only by
+    its range check and its float32 rounding.
 
     Each value moves by |n| 2^-23 (one or two float32 ulps) away from the
     label's side: off-label values down, label values up.  One replay
@@ -125,7 +156,6 @@ def _tighten(tokens, logits, q: np.ndarray, tau: float, out: np.ndarray) -> None
     ``ValidationError`` before anything is written: float32 cannot hold
     it with its move.
     """
-    noise = np.subtract(q, logits, out=q)
     if not (noise.min() >= -_NOISE_LIMIT and noise.max() <= _NOISE_LIMIT):
         raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
     h, w = tokens.shape
@@ -136,7 +166,7 @@ def _tighten(tokens, logits, q: np.ndarray, tau: float, out: np.ndarray) -> None
     raised = noise[at_label].astype(np.float32) + step[at_label]
     np.subtract(noise, step, out=out, dtype=np.float32)  # rounds n, then moves it
     out[at_label] = raised
-    replayed = np.add(logits, out, out=q)
+    replayed = np.add(logits, out, out=noise)
     q_label = replayed[at_label]
     if tau > 0:  # _below_margin, with the margins written over the replay
         bad = np.subtract(q_label[..., None], replayed, out=replayed) < tau
@@ -157,6 +187,66 @@ def _tighten(tokens, logits, q: np.ndarray, tau: float, out: np.ndarray) -> None
     if not rounding.all() or _below_margin(label, p + fixed, tau).any():
         raise InvariantError("inverse noise did not tighten in float32")
     out[cells] = fixed
+
+
+def _softmin(x, y, out, low):
+    """-logaddexp(-x, -y) by numpy's vectorised loops, written into
+    ``out`` (which may be ``x``), with min(x, y) left in ``low``.
+
+    Both this and np.logaddexp compute low - log1p(exp(low - high)),
+    high = max(x, y), and low - high is exactly the -|x - y| that
+    np.logaddexp passes to libm's scalar exp and log1p; the vectorised
+    loops may round differently, by at most 2^-52 (|low| + 1) over 6.7e7
+    drawn pairs (see ``_NOISE_ERROR``).
+    """
+    np.minimum(x, y, out=low)
+    np.maximum(x, y, out=out)
+    np.subtract(low, out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.subtract(low, out, out=out)
+    return out
+
+
+def _located_noise(p, trunc, g, label, at_label, noise, low, out) -> None:
+    """Write into ``noise`` the noise q - p of the located perturbed
+    logits q under the (n, w, C) logits ``p``: ``truncated_from_loglog(p,
+    trunc[..., None], -g)`` off the label, with ``g`` the standard Gumbel
+    draws -log(-log u), and the label values ``label`` at ``at_label``.
+    ``trunc`` and ``label`` are (..., n, w), ``g`` and ``noise`` (..., n,
+    w, C); ``low`` (float64) and the float32 ``out`` of their shape are
+    scratch.
+
+    Off the label a value is first -logaddexp(p - trunc, -g), by
+    ``_softmin`` of trunc - p and g, within E = ``_NOISE_ERROR`` (max |p|
+    + max |min(trunc - p, g)| + 1) of the exact one.  It is kept when
+    n - E and n + E round to the same float32 bits (rounding is
+    monotone, and E > 0 keeps such a pair off zero, whose two signs
+    compare equal) and recomputed exactly on the gathered cells
+    otherwise; a block whose noise comes within E of +-2^127 is
+    recomputed whole, so no value beyond float32 range is rounded.
+    """
+    _softmin(np.subtract(trunc[..., None], p, out=noise), g, noise, low)
+    error = _NOISE_ERROR * (max(p.max(), -p.min()) + max(low.max(), -low.min()) + 1.0)
+    noise[at_label] = label - p[at_label]
+    if not (noise.min() >= error - _NOISE_LIMIT and noise.max() <= _NOISE_LIMIT - error):
+        truncated_from_loglog(p, trunc[..., None], np.negative(g, out=low), out=noise)
+        noise[at_label] = label
+        noise -= p
+        return
+    size = noise.size
+    spare = low.reshape(-1).view(np.float32)  # 2 * size float32 slots
+    down = spare[:size].reshape(noise.shape)
+    uncertain = spare[size:].view(np.bool_)[:size].reshape(noise.shape)
+    np.add(noise, error, out=out)  # each sum in float64, then rounded to float32
+    np.subtract(noise, error, out=down)
+    np.not_equal(out.view(np.uint32), down.view(np.uint32), out=uncertain)
+    uncertain[at_label] = False
+    if uncertain.any():
+        cells = np.flatnonzero(uncertain)
+        phi = np.take(p, cells % p.size)
+        exact = truncated_from_loglog(phi, np.take(trunc, cells // p.shape[-1]), -np.take(g, cells))
+        np.put(noise, cells, exact - phi)
 
 
 @dataclass(frozen=True)
@@ -240,24 +330,29 @@ class ScaleInversion:
         self._errors = [[None, None] for _ in self.taus]
 
     def scratch(self, step: int):
-        """Per-thread buffers for ``step`` block rows: the perturbed logits
-        and the spread of the block logits."""
+        """Per-thread buffers for ``step`` block rows: flat float64 blocks
+        (the noise, and for the located construction the off-label draws
+        and a spare block) and the spread of the block logits.  The first
+        and the last block hold nothing once ``invert_rows`` returns, so
+        the caller's pass may use them as its own scratch."""
         size = math.prod(self.shape) // self.shape[-3] * step * self.factors[0]
-        return np.empty(size), _blocks.spread_scratch(self.logits, self.factors, step)
+        blocks = [np.empty(size) for _ in range(1 if self.kind == KIND_OAI else 3)]
+        return blocks, _blocks.spread_scratch(self.logits, self.factors, step)
 
     def invert_rows(self, lo: int, hi: int, buf, outs) -> list[bool]:
         """Invert block rows lo:hi into ``outs``; per margin, whether its
         rows were written."""
-        perturbed, spread = buf
+        blocks, spread = buf
         fh = self.factors[0]
         rows = slice(lo * fh, hi * fh)
         p = _blocks.spread_rows(self.logits, self.factors, lo, hi, spread)
         shape = (*self.shape[:-3], rows.stop - rows.start, *self.shape[-2:])
-        q = perturbed[: math.prod(shape)].reshape(shape)
+        noise, *spare = (b[: math.prod(shape)].reshape(shape) for b in blocks)
         written = []
-        for errors, tau, out in zip(self._errors, self._perturbed_rows(rows, p, q), outs):
+        margins = self._noise_rows(rows, p, noise, spare, outs)
+        for errors, tau, out in zip(self._errors, margins, outs):
             try:
-                _tighten(self.tokens[rows], p, q, tau, out)
+                _tighten(self.tokens[rows], p, noise, tau, out)
                 written.append(True)
             except ValidationError as exc:
                 errors[0] = exc
@@ -267,26 +362,29 @@ class ScaleInversion:
                 written.append(False)
         return written
 
-    def _perturbed_rows(self, rows: slice, p, q):
-        """Write the perturbed logits of cell ``rows`` under their logits
-        ``p`` into ``q``, margin by margin, and yield the margin each
-        replay must keep.  The located draws' log-log serves every margin;
-        the onehot logits keep margin 0."""
+    def _noise_rows(self, rows: slice, p, noise, spare, outs):
+        """Write the noise of cell ``rows`` under their logits ``p`` into
+        ``noise``, margin by margin, and yield the margin each replay must
+        keep; the noise's range and float32 rounding are those of the
+        exact construction.  The located draws serve every margin, with
+        ``spare`` and the margin's rows in ``outs`` as scratch; the onehot
+        noise keeps margin 0."""
         tokens = self.tokens[rows]
         if self.kind == KIND_OAI:
             for _ in self.taus:
-                _onehot(tokens, q)
+                np.subtract(_onehot(tokens, noise), p, out=noise)
                 yield 0.0
             return
+        g, low = spare
         h, w = tokens.shape
         at_label = (..., np.arange(h)[:, None], np.arange(w), tokens)
         q_label = self._q_label[..., rows, :]
-        loglog = loglog_rows(
-            self.seed, PURPOSE_TRUNC_DRAW, self.scale, rows.start, rows.stop, w, q.shape[-1]
+        g = standard_rows(
+            self.seed, PURPOSE_TRUNC_DRAW, self.scale, rows.start, rows.stop, w, noise.shape[-1],
+            g, low,
         )
-        for tau in self.taus:
-            truncated_from_loglog(p, (q_label - tau)[..., None], loglog, out=q)
-            q[at_label] = q_label
+        for tau, out in zip(self.taus, outs):
+            _located_noise(p, q_label - tau, g, q_label, at_label, noise, low, out)
             yield tau
 
     def check(self) -> None:

@@ -200,7 +200,7 @@ class ScaleStepper:
         which is not modified, one row block at a time."""
         logits, factors = self.block_logits()
         shape = np.broadcast_shapes(x.shape, logits.shape[:-3] + x.shape[-3:])
-        return _tokens_by_rows(logits, factors, shape, lambda lo, hi: x[..., lo:hi, :, :])
+        return _tokens_by_rows(logits, factors, shape, lambda lo, hi, _: x[..., lo:hi, :, :])
 
     def block_logits(self):
         """The current scale's (..., h / fh, w / fw, C) logits, one cell
@@ -252,21 +252,28 @@ def argmax_tokens(logits, factors: tuple[int, int], x, out, sums) -> None:
     out[...] = np.argmax(rows.reshape(*lead, n, w, c), axis=-1)
 
 
-def _tokens_by_rows(logits, factors, shape, noise_rows) -> np.ndarray:
+def _tokens_by_rows(logits, factors, shape, noise_rows, blocks: int = 1) -> np.ndarray:
     """(..., h, w) int32 tokens of an (..., h, w, C) ``shape``: the
-    argmax of the block logits plus ``noise_rows(lo, hi)``, the cell
-    rows lo:hi of a noise, one row block at a time."""
+    argmax of the block logits plus ``noise_rows(lo, hi, buf)``, the cell
+    rows lo:hi of a noise, one row block at a time.  ``buf`` is a list of
+    ``blocks`` flat float64 arrays of a row block, one list per thread;
+    the first holds the sums, so a noise written there is summed in
+    place."""
     fh = factors[0]
     *lead, h, w, c = shape
     tokens = np.empty((*lead, h, w), dtype=np.int32)
 
-    def argmax_rows(b, e, sums):
+    def argmax_rows(b, e, buf):
         rows = slice(b * fh, e * fh)
-        x = noise_rows(rows.start, rows.stop)
-        argmax_tokens(logits[..., b:e, :, :], factors, x, tokens[..., rows, :], sums)
+        x = noise_rows(rows.start, rows.stop, buf)
+        argmax_tokens(logits[..., b:e, :, :], factors, x, tokens[..., rows, :], buf[0])
 
     size = math.prod(shape)
-    _blocks.for_row_blocks(argmax_rows, h // fh, size, lambda step: np.empty(size // h * step * fh))
+
+    def scratch(step):
+        return [np.empty(size // h * step * fh) for _ in range(blocks)]
+
+    _blocks.for_row_blocks(argmax_rows, h // fh, size, scratch)
     return tokens
 
 
@@ -282,7 +289,8 @@ def generate(cond: Condition, params: PredictorParams, seed: int) -> list[np.nda
         tokens = _tokens_by_rows(
             *stepper.block_logits(),
             (h, w, c),
-            lambda lo, hi: standard_rows(seed, PURPOSE_GENERATION, k, lo, hi, w, c),
+            lambda lo, hi, buf: standard_rows(seed, PURPOSE_GENERATION, k, lo, hi, w, c, *buf),
+            blocks=2,
         )
         stepper.push(tokens)
         pyramid.append(tokens)

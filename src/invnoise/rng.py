@@ -8,9 +8,11 @@ take whole index arrays for row, col and channel and broadcast them, so
 one call keys a full field; an array of seeds adds leading axes, so one
 call keys the same field for many seeds.  Seeds are integers in
 [0, 2^64); ``seed_array`` checks them.  The hash absorbs each key
-field chunk by chunk of its result, the xor and the mix of a chunk
-together, and the map to (0, 1) runs in place; both go by blocks of
-:mod:`invnoise._blocks`, and every word is the same on any thread count.
+field with an xor into its result and a mix in place, and the map to
+(0, 1) runs in the words' own buffer.  A caller's buffers take the words
+and the mixing scratch of a draw whole (a row block of a scale's pass);
+without them both steps go by row blocks of :mod:`invnoise._blocks`.
+Every word is the same on any thread count.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
 mixed once, then each key field is absorbed with xor + mix.  The seed,
@@ -74,47 +76,41 @@ def _mix_words(x: np.ndarray, s: np.ndarray) -> None:
     x ^= s
 
 
-def _mix(h: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """Absorb one key field: the SplitMix64 step of ``h ^ field``, in a
-    new uint64 array of their broadcast shape.
+def _mix(h: np.ndarray, field: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Absorb one key field: the SplitMix64 step of ``h ^ field``,
+    written into ``out``, a C-contiguous uint64 array of their broadcast
+    shape (a new one if None), and returned.
 
-    Operands whose sizes multiply to more than ``_blocks.CHUNK`` (a
-    bound on the size of the result) go through in chunks of about
-    ``CHUNK`` words of the result, each xored from the broadcast
-    operands into its place in the result and mixed there, so no other
-    full-size array is made; the chunks split over threads, with one
-    scratch array per thread.  A chunk is a range of indices along the
-    first axis whose trailing axes hold at most ``CHUNK`` words, at one
-    index of the axes before it, so it is contiguous in the result.  A
-    chunk cannot cross those indices without a copy of the broadcast
-    operands, so this loop runs its chunks through ``run_blocks``, not
-    by row blocks.
+    With ``scratch``, a C-contiguous buffer of 8-byte items of at least
+    out's size, the step runs whole; otherwise in row blocks (see
+    ``_blocks_of``), so no other full-size array is made.
     """
-    if h.size * field.size <= _blocks.CHUNK:  # bounds the size of the result
-        out = h ^ field
-        _mix_words(out, np.empty_like(out))
-        return out
-    shape = np.broadcast_shapes(h.shape, field.shape)
-    size = math.prod(shape)
-    out = np.empty(shape, dtype=np.uint64)
-    h, field = np.broadcast_to(h, shape), np.broadcast_to(field, shape)
-    axis = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= _blocks.CHUNK)
-    inner = math.prod(shape[axis + 1 :])
-    step = _blocks.CHUNK // inner
-    per_index = -(-shape[axis] // step)  # chunks at one index of the axes before
-
-    def mix_chunks(lo, hi):
-        scratch = np.empty(step * inner, dtype=np.uint64)
-        for i in range(lo, hi):
-            start = i % per_index * step
-            index = (*np.unravel_index(i // per_index, shape[:axis]), slice(start, start + step))
-            x = out[index]
-            np.bitwise_xor(h[index], field[index], out=x)
-            x = x.reshape(-1)
-            _mix_words(x, scratch[: x.size])
-
-    _blocks.run_blocks(mix_chunks, math.prod(shape[:axis]) * per_index, size)
+    if out is None:
+        out = np.bitwise_xor(h, field, order="C")
+    else:
+        np.bitwise_xor(h, field, out=out)
+    _blocks_of(_mix_words, (out.reshape(-1),), scratch)
     return out
+
+
+def _blocks_of(kernel, arrays, scratch) -> None:
+    """Run ``kernel(*arrays, s)`` over flat arrays of one size with s
+    uint64 scratch of their size: whole, in the caller's ``scratch`` (a
+    C-contiguous buffer of 8-byte items of at least that size) or in a
+    new array when small; without ``scratch`` a larger loop goes by row
+    blocks of ``_blocks.CHUNK`` words, with one scratch block per
+    thread."""
+    size = arrays[0].size
+    if scratch is None and size > _blocks.CHUNK:
+        _blocks.for_row_blocks(
+            lambda lo, hi, s: kernel(*(x[lo:hi] for x in arrays), s[: hi - lo]),
+            size, size, lambda step: np.empty(step, dtype=np.uint64),
+        )
+        return
+    if scratch is None:
+        kernel(*arrays, np.empty(size, dtype=np.uint64))
+    else:
+        kernel(*arrays, scratch.reshape(-1).view(np.uint64)[:size])
 
 
 def _as_u64(value) -> np.ndarray:
@@ -147,7 +143,9 @@ def _mix_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def raw64_values(seed, purpose: int, scale: int, rows, cols, channels) -> np.ndarray:
+def raw64_values(
+    seed, purpose: int, scale: int, rows, cols, channels, out=None, scratch=None
+) -> np.ndarray:
     """Vectorized keyed hash; broadcasts rows/cols/channels.
 
     ``purpose`` and ``scale`` are integers.  The seed, purpose and scale
@@ -156,7 +154,11 @@ def raw64_values(seed, purpose: int, scale: int, rows, cols, channels) -> np.nda
     far, so with (h, 1, 1) rows, (1, w, 1) cols and (1, 1, C) channels
     only the channel step runs at the full (h, w, C) size.  An array
     ``seed`` of shape (S,) gives an (S, *field shape) result whose slice
-    s equals the draw at the scalar ``seed[s]``.
+    s equals the draw at the scalar ``seed[s]``.  Given ``out`` and
+    ``scratch``, C-contiguous buffers of 8-byte items of at least the
+    result's size, the last field step writes the words into ``out``
+    (the result is a view of it) and mixes them whole with ``scratch``;
+    otherwise the words are a new array.
     """
     field_shape = np.broadcast_shapes(
         np.shape(rows), np.shape(cols), np.shape(channels)
@@ -168,33 +170,41 @@ def raw64_values(seed, purpose: int, scale: int, rows, cols, channels) -> np.nda
         for s in np.ravel(seed).tolist()
     ]
     h = np.array(words, dtype=np.uint64).reshape(seed_shape + (1,) * len(field_shape) or (1,))
-    for field in (rows, cols, channels):
-        h = _mix(h, _as_u64(field))
-    return h.reshape(seed_shape + field_shape)
+    *fields, last = (_as_u64(field) for field in (rows, cols, channels))
+    for field in fields:
+        h = _mix(h, field)
+    if out is not None:
+        shape = seed_shape + field_shape or (1,)  # the broadcast shape of h and last
+        out = out.reshape(-1).view(np.uint64)[: math.prod(shape)].reshape(shape)
+    return _mix(h, last, out, scratch).reshape(seed_shape + field_shape)
 
 
-def _to_open_unit(words: np.ndarray) -> np.ndarray:
-    """Map owned uint64 words to (0, 1), reusing their buffer: uint64
-    and float64 have the same size, so each block of words is written
-    back over itself as float64.  ``words`` must not be used afterwards.
-    """
-    flat = np.ascontiguousarray(words).reshape(-1)
+def _to_open_unit(words: np.ndarray, scratch=None) -> np.ndarray:
+    """Map owned C-contiguous uint64 words to (0, 1) in their own buffer,
+    viewed as float64 (uint64 and float64 have the same size), with
+    ``scratch`` as ``_blocks_of`` takes it.  ``words`` must not be used
+    afterwards."""
+    flat = words.reshape(-1)
     u = flat.view(np.float64)
-    _blocks.run_flat(_convert_words, flat, u)
+    _blocks_of(_convert_words, (flat, u), scratch)
     return u.reshape(words.shape)
 
 
-def _convert_words(words: np.ndarray, u: np.ndarray) -> None:
+def _convert_words(words: np.ndarray, u: np.ndarray, k: np.ndarray) -> None:
     """Write (k + 1) / (2^53 + 2), k the top 53 bits of each word, into
-    ``u``, the words' own buffer viewed as float64."""
-    k = words >> _SHIFT11
+    ``u``, the words' own buffer viewed as float64; ``k`` is uint64
+    scratch."""
+    np.right_shift(words, _SHIFT11, out=k)
     np.add(k, 1.0, out=u)  # k converts to float64 exactly (k < 2^53)
     u /= _DENOM
 
 
-def uniform_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:
-    """Uniform (0,1) draws for broadcast row/col/channel index arrays."""
-    return _to_open_unit(raw64_values(seed, purpose, scale, rows, cols, channels))
+def uniform_values(seed, purpose, scale, rows, cols, channels, out=None, scratch=None):
+    """Uniform (0,1) draws for broadcast row/col/channel index arrays;
+    with ``out`` and ``scratch`` (see ``raw64_values``) the draws are a
+    float64 view of ``out`` and the call makes no array of their size."""
+    words = raw64_values(seed, purpose, scale, rows, cols, channels, out, scratch)
+    return _to_open_unit(words, scratch)
 
 
 def normal_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:

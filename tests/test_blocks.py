@@ -342,6 +342,20 @@ class TestThreadedEqualsSerial:
                     tokens, logits, (1, 1), (tau, 2.0), seed_of(seeds), 5).run()),
             )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seeds", SEEDS, ids=SEED_IDS)
+    def test_inversion_step_at_large_logits(self, threads, seeds):
+        """Logits 750 times as large (exp underflows in the fast truncated
+        transform and more values take the exact one): the same maps on
+        1-3 threads, and no RuntimeWarning in any thread."""
+        logits, tokens = logits_and_tokens(4)
+        logits *= 750.0
+        serial_and_threaded(
+            threads,
+            lambda: tuple(inversion.ScaleInversion(
+                tokens, logits, (1, 1), (0.0, 18.0), seed_of(seeds), 5).run()),
+        )
+
     def test_more_threads_than_cores_at_a_short_switch_interval(self, threads):
         """Four threads on at most four cores, switching every microsecond,
         still write only their own rows."""
@@ -390,9 +404,9 @@ class GivenPerturbed(inversion.ScaleInversion):
         super().__init__(tokens, np.zeros((rows, w, c)), (1, 1), taus, 0, 1, inversion.KIND_OAI)
         self.qs = qs
 
-    def _perturbed_rows(self, rows, p, q):
+    def _noise_rows(self, rows, p, noise, spare, outs):
         for given, tau in zip(self.qs, self.taus):
-            q[...] = given[rows]
+            np.subtract(given[rows], p, out=noise)
             yield tau
 
 

@@ -1,5 +1,6 @@
 """Editing pipelines: schedules, endpoints, prefix integrity, trends."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -477,6 +478,30 @@ class TestEditBatch:
             SeedSweep(random_grid(92), [self.BASE, replace(self.BASE, mode=MODE_REGEN)], params)
 
 
+# SHA-256 of the grids and token pyramids of a two-seed auto-invert sweep
+# at beta 3000 over four margins, as the exact truncated transform
+# (np.logaddexp throughout) made them.
+BETA_3000_SWEEP_DIGEST = "547e0e36cc7ff341586eaf0f5d4d5494f70c061dea6647caa0aaa3091cf05dc2"
+
+
+def test_beta_3000_auto_invert_sweep_pinned(params):
+    params = PredictorParams(params.codebook, params.schedule, beta=3000.0)
+    base = EditConfig(source_label=SRC, target_label=TGT, start_scale=1)
+    configs = [
+        replace(base, tau=0.0),
+        replace(base, tau=1e-6, lambda_kind="constant", lambda_value=0.75),
+        replace(base, tau=14.0, context_mode=CONTEXT_SOURCE),
+        replace(base, tau=18.0, start_scale=2),
+    ]
+    sha = hashlib.sha256()
+    for per_seed in SeedSweep(random_grid(71), configs, params).run((0, 3)):
+        for result in per_seed:
+            sha.update(result.grid.tobytes())
+            for tokens in result.pyramid:
+                sha.update(np.ascontiguousarray(tokens, dtype=np.int32).tobytes())
+    assert sha.hexdigest() == BETA_3000_SWEEP_DIGEST
+
+
 class TestEditSeeds:
     """Each (seed, config) result of a run over several seeds equals the
     single edit of that config at that seed, bit for bit, whatever the
@@ -551,7 +576,7 @@ class TestEditSeeds:
     def test_stress_peak_memory_with_a_given_set(self, monkeypatch, threads):
         """A stress-scale (64x64, vocab 512, 7 scales) varin walk of
         scene-a with a given noise set traces under 10 MiB above the set
-        and the logits it holds, on one thread or two (6.0 and 7.9 MiB
+        and the logits it holds, on one thread or two (5.8 and 7.4 MiB
         measured; 21.2 MiB with a whole fresh field): the edit's finest
         block logits (4 MiB) and a row block's scratch per thread, with
         no full-size float64 array (16 MiB)."""
@@ -575,7 +600,7 @@ class TestEditSeeds:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_stress_peak_memory_auto_invert(self, monkeypatch, threads):
         """The same walk inverting as it goes traces under 12 MiB,
-        construction included, on one thread or two (7.7 and 9.6 MiB
+        construction included, on one thread or two (7.4 and 9.1 MiB
         measured; 22.9 MiB with a whole fresh field): the inversion
         makes each row block's noise in scratch, so no full-size float64
         array (16 MiB) is made."""

@@ -1,5 +1,6 @@
 """Argmax pseudo-inverses: exact reconstruction, margins, noise laws."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -13,7 +14,14 @@ from invnoise import _blocks, inversion
 from invnoise.codec import default_codebook, dyadic_schedule, encode
 from invnoise.demo import demo_scene
 from invnoise.errors import InvariantError, ValidationError
-from invnoise.gumbel import ks_statistic, located_from_uniform
+from invnoise.gumbel import (
+    ks_statistic,
+    located_from_uniform,
+    loglog_rows,
+    standard_from_uniform,
+    standard_rows,
+    truncated_from_loglog,
+)
 from invnoise.inversion import (
     KIND_LAI,
     KIND_OAI,
@@ -52,12 +60,26 @@ def label_indices(tokens):
 
 
 def located_q(tokens, logits, tau, seed, scale):
-    """Perturbed logits of the located inversion under the keyed draws:
-    the step's construction, over the whole scale as one row block."""
-    step = ScaleInversion(tokens, logits, (1, 1), (tau,), seed, scale)
-    q = np.empty(logits.shape)
-    next(step._perturbed_rows(slice(0, tokens.shape[0]), logits, q))
+    """Perturbed logits of the located inversion under the keyed draws,
+    exactly: the truncated transform with np.logaddexp."""
+    h, w, c = logits.shape
+    q_label = ScaleInversion(tokens, logits, (1, 1), (tau,), seed, scale)._q_label
+    loglog = loglog_rows(seed, PURPOSE_TRUNC_DRAW, scale, 0, h, w, c)
+    q = truncated_from_loglog(logits, (q_label - tau)[..., None], loglog)
+    q[label_indices(tokens)] = q_label
     return q
+
+
+def located_noise(tokens, logits, tau, seed, scale):
+    """The step's float64 noise of the located inversion, before
+    tightening, over the whole scale as one row block: exact in its range
+    and float32 rounding only."""
+    step = ScaleInversion(tokens, logits, (1, 1), (tau,), seed, scale)
+    (noise, *spare), _ = step.scratch(tokens.shape[0])
+    noise, *spare = (b.reshape(logits.shape) for b in (noise, *spare))
+    out = np.empty(logits.shape, dtype=np.float32)
+    next(step._noise_rows(slice(0, tokens.shape[0]), logits, noise, spare, [out]))
+    return noise
 
 
 def onehot(tokens, shape):
@@ -111,8 +133,8 @@ class TestLocatedInverse:
         u_label = np.full((1, 1), E_INV)
         u_off = np.full((1, 1, 2), E_INV)
         monkeypatch.setattr(inversion, "uniform_values", lambda *key: u_label)
-        monkeypatch.setattr(inversion, "loglog_rows", lambda *key: np.log(-np.log(u_off)))
-        q = located_q(tokens, logits, 1.0, 0, 1)
+        monkeypatch.setattr(inversion, "standard_rows", lambda *key: -np.log(-np.log(u_off)))
+        q = located_noise(tokens, logits, 1.0, 0, 1)
         assert q[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
         assert q[0, 0, 1] == pytest.approx(-math.log(math.e + 1.0), abs=1e-12)
 
@@ -122,22 +144,29 @@ class TestLocatedInverse:
             for k in (1, 3, 5):
                 tokens = pyramid[k - 1]
                 logits = walk_logits(pyramid[: k - 1], source_cond, params)
-                q = located_q(tokens, logits, 0.5, seed, k)
+                q = logits + located_noise(tokens, logits, 0.5, seed, k)
                 assert np.array_equal(np.argmax(q, axis=-1), tokens)
 
     def test_margin_at_default_tau(self, params, source_cond):
-        """tau = 18 forces a perturbed-logit margin of at least 18."""
+        """tau = 18 forces a margin of at least 18 in the perturbed logits
+        and in the replay of the tightened noise."""
         pyramid = generate(source_cond, params, seed=30)
         k = 4
         tokens = pyramid[k - 1]
         logits = walk_logits(pyramid[: k - 1], source_cond, params)
         q = located_q(tokens, logits, 18.0, 31, k)
+        self.assert_margin(tokens, q, 18.0)
+        noise = located_noise(tokens, logits, 18.0, 31, k)
+        self.assert_margin(tokens, logits + tighten_noise(tokens, logits, noise, 18.0), 18.0)
+
+    @staticmethod
+    def assert_margin(tokens, q, tau):
         rows, cols, labels = label_indices(tokens)
         q_label = q[rows, cols, labels]
         q_off = q.copy()
         q_off[rows, cols, labels] = -np.inf
         margin = q_label - q_off.max(axis=-1)
-        assert np.all(margin >= 18.0)
+        assert np.all(margin >= tau)
 
 
     def test_rejects_negative_tau(self, params, source_cond):
@@ -173,12 +202,17 @@ class TestSeedRule:
         pyramid = generate(source_cond, params, seed=2**64 - 1)
         assert invert_pyramid(pyramid, source_cond, 18.0, params, seed=2**64 - 1).seed == 2**64 - 1
 
-def tighten(tokens, logits, q, tau):
-    """The tightened noise of perturbed logits q, as its exact float64
-    values."""
-    out = np.empty(q.shape, dtype=np.float32)
-    _tighten(tokens, logits, q.copy(), tau, out)
+def tighten_noise(tokens, logits, noise, tau):
+    """The tightened float32 noise of a float64 ``noise``, as its exact
+    float64 values."""
+    out = np.empty(noise.shape, dtype=np.float32)
+    _tighten(tokens, logits, noise.copy(), tau, out)
     return out.astype(np.float64)
+
+
+def tighten(tokens, logits, q, tau):
+    """The tightened noise of perturbed logits q."""
+    return tighten_noise(tokens, logits, q - logits, tau)
 
 
 def reference_tightening(tokens, logits, q, tau):
@@ -210,16 +244,19 @@ class TestTighteningMatchesReference:
     @pytest.mark.parametrize("tau", [0.0, 1e-6, 18.0])
     @pytest.mark.parametrize("beta", [4.0, 3000.0])
     def test_located_inversions(self, params, source_cond, tau, beta):
-        """Same noise, float32-exact, with the margin in the replay, also at
-        beta = 3000 with tau <= 1e-6, where float64 tightening gave up."""
+        """The step's noise tightens to the reference's noise of the exact
+        perturbed logits, float32-exact, with the margin in the replay,
+        also at beta = 3000 with tau <= 1e-6, where float64 tightening gave
+        up."""
         params = PredictorParams(params.codebook, params.schedule, beta=beta)
         for seed in (0, 1):
             pyramid = encode(random_grid(seed + 70), params.codebook, params.schedule)
             for k in range(1, params.schedule.num_scales + 1):
                 tokens = pyramid[k - 1]
                 logits = walk_logits(pyramid[: k - 1], source_cond, params)
+                noise = located_noise(tokens, logits, tau, seed, k)
+                got = tighten_noise(tokens, logits, noise, tau)
                 q = located_q(tokens, logits, tau, seed, k)
-                got = tighten(tokens, logits, q, tau)
                 assert np.array_equal(got, reference_tightening(tokens, logits, q, tau))
                 assert float32_exact(got)
 
@@ -284,6 +321,140 @@ class TestTighteningMatchesReference:
             tighten(tokens, np.zeros((1, 1, 2)), q, 0.0)
 
 
+def exact_noise(p, trunc, g, label, at_label):
+    """The located noise as the exact construction makes it: the
+    truncated transform with np.logaddexp, the label values, then q - p."""
+    q = truncated_from_loglog(p, trunc[..., None], -g)
+    q[at_label] = label
+    return q - p
+
+
+def certified_noise(p, trunc, g, label, at_label):
+    """The step's located noise of the same inputs."""
+    noise, low = np.empty(g.shape), np.empty(g.shape)
+    out = np.empty(g.shape, dtype=np.float32)
+    inversion._located_noise(p, trunc, g, label, at_label, noise, low, out)
+    return noise
+
+
+def assert_rounds_alike(got, want):
+    """Each value is in float32 range (+-2^127) as the exact one is, and
+    in range rounds to its float32 bits."""
+    inside = np.abs(want) <= 2.0**127
+    assert np.array_equal(np.abs(got) <= 2.0**127, inside)
+    bits = [x[inside].astype(np.float32).view(np.uint32) for x in (got, want)]
+    assert np.array_equal(*bits)
+
+
+class TestCertifiedNoise:
+    """The fast truncated transform, certified value by value, gives the
+    float32 rounding and the range of the exact construction."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.integers(min_value=0, max_value=2**32),
+        beta=st.sampled_from([4.0, 3000.0]),
+        tau=st.sampled_from([0.0, 1e-6, 18.0]),
+        case=st.sampled_from(["drawn", "tie", "underflow", "near-limit"]),
+        seeds=st.booleans(),
+    )
+    def test_rounds_as_the_exact_noise(self, key, beta, tau, case, seeds):
+        """Drawn 3x4x16 blocks at beta 4 or 3000, with or without a seed
+        axis: as drawn, with p - trunc equal to log(-log u) at every
+        other class, more than 745 apart (exp underflows), or with
+        off-label noise within a few ulps of -2^127, on either side, and
+        beyond -2^128, where a float32 cast would overflow."""
+        n, w, c = 3, 4, 16
+        seed = np.array([key, key + 1], dtype=np.uint64) if seeds else key
+        rows, cols = np.arange(n)[:, None], np.arange(w)
+        p = -beta * 8.0 * uniform_values(key, 1, 0, rows[..., None], cols[:, None], np.arange(c))
+        tokens = (c * uniform_values(key, 2, 0, rows, cols, 0)).astype(np.int32)
+        tokens[0, 1] = 0
+        if case == "near-limit":  # off the label of cell (0, 1)
+            p[0, 1, 1:8] = 2.0**127 * (1.0 + 2.0**-52 * np.arange(-3, 4))
+            p[0, 1, 8:10] = 2.0**128, 1e300  # beyond what float32 can round to
+        at_label = (..., rows, cols, tokens)
+        label = p[at_label] + standard_from_uniform(uniform_values(seed, 3, 0, rows, cols, 0))
+        trunc = label - tau
+        g = standard_rows(seed, 4, 0, 0, n, w, c)
+        if case == "tie":
+            g[..., ::2] = (trunc[..., None] - p)[..., ::2]
+        elif case == "underflow":
+            g = trunc[..., None] - p + np.where(np.arange(c) % 2, 800.0, -800.0)
+        want = exact_noise(p, trunc, g, label, at_label)
+        assert_rounds_alike(certified_noise(p, trunc, g, label, at_label), want)
+
+    def test_near_a_float32_midpoint_recomputed(self, monkeypatch):
+        """Off-label noise within E of a float32 rounding midpoint fails the
+        certificate and is recomputed exactly; noise clear of one is not.
+        With trunc - p more than 745 above g, the fast noise is g itself,
+        so g places it.  Under p = 2^30, p - L rounds to a multiple of
+        2^-22, so g = 1 + 2^-24 + 2^-40 (float32 1 + 2^-23) has exact noise
+        1: the recomputation, not the fast value, gives its bits."""
+        gathered = []
+
+        def spy(phi, *rest, **kw):
+            if np.ndim(phi) == 1:
+                gathered.append(np.size(phi))
+            return truncated_from_loglog(phi, *rest, **kw)
+
+        monkeypatch.setattr(inversion, "truncated_from_loglog", spy)
+        tokens = np.zeros((1, 1), dtype=np.int32)
+        at_label = (..., np.arange(1)[:, None], np.arange(1), tokens)
+        m = 1.0 + 2.0**-24  # halfway between float32 1 and 1 + 2^-23
+        near = [m, m + 2.0**-50, m - 2.0**-50, -m]  # E is 2^-45 here
+        clear = [1.0, 1.25, -0.75, 3.0]
+        past = 1.0 + 2.0**-24 + 2.0**-40
+        for base, off in ((0.0, near + clear), (2.0**30, [past])):
+            g = np.array([[[0.0, *off]]])
+            p = np.full(g.shape, base)
+            label = np.array([[base + 1000.0]])
+            gathered.clear()
+            want = exact_noise(p, label, g, label, at_label)
+            assert_rounds_alike(certified_noise(p, label, g, label, at_label), want)
+            assert gathered == [len(near) if base == 0.0 else 1]
+        assert np.float32(past) != np.float32(want[0, 0, 1]) == np.float32(1.0)
+
+    def test_softmin_bound_with_its_margin(self):
+        """Over 2^20 pairs (keyed normals at scales 1 to 10^6 against
+        standard Gumbel draws, with ties and pairs 800 apart), the
+        vectorised softmin differs from -np.logaddexp(-x, -y) by at most
+        2^-52 (|min(x, y)| + 1), and E leaves at least 16 times that for
+        it beside the roundings of the exact construction."""
+        size = 1 << 20
+        i = np.arange(size)
+        x = normal_values(21, 9, 0, i, 0, 0) * 10.0 ** (i % 7)
+        y = standard_from_uniform(uniform_values(21, 9, 1, i, 0, 0))
+        y[::97] = x[::97]
+        y[1::97] = x[1::97] + 800.0
+        low = np.empty(size)
+        got = inversion._softmin(x, y, np.empty(size), low)
+        assert np.all(np.abs(got + np.logaddexp(-x, -y)) <= 2.0**-52 * (np.abs(low) + 1.0))
+        assert inversion._NOISE_ERROR - 2.0**-51 >= 16 * 2.0**-52
+
+
+# SHA-256 of the noise maps (seeds 0 and 3) of desk inversions of an
+# encoded random grid at beta 3000, where the most values fail the
+# certificate, as the exact transform (np.logaddexp throughout) made them.
+BETA_3000_DIGESTS = {
+    0.0: "d222951f6536168712de8a4809329bf11ad16a61d3c36a972e3c45973df9f61b",
+    1e-6: "809ad42c43c2e13c955693e9934adb44421cdfe7617421e0600fd2bc5fbfd470",
+    18.0: "573fb6e445bf45f63728aa6689a52ad4f73996b7947906374b17abd214b034e0",
+}
+
+
+@pytest.mark.parametrize("tau,digest", BETA_3000_DIGESTS.items())
+def test_beta_3000_inversions_pinned(params, source_cond, tau, digest):
+    params = PredictorParams(params.codebook, params.schedule, beta=3000.0)
+    pyramid = encode(random_grid(70), params.codebook, params.schedule)
+    sha = hashlib.sha256()
+    for seed in (0, 3):
+        for noise in invert_pyramid(pyramid, source_cond, tau, params, seed).noises:
+            sha.update(noise.tobytes())
+    assert sha.hexdigest() == digest
+
+
 class TestInvertPyramid:
     @pytest.mark.parametrize("tau", [0.0, 1.0, 18.0])
     @pytest.mark.parametrize("kind", [KIND_LAI, KIND_OAI])
@@ -335,10 +506,11 @@ class TestInvertPyramid:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_stress_pyramid_peak_memory(self, monkeypatch, threads):
         """Inverting stress-scale scene-a (64x64, vocab 512, 7 scales) at
-        tau 18 traces at most 20 MiB on one or two threads (16.7 and 18.6
+        tau 18 traces at most 20 MiB on one or two threads (17.0 and 19.1
         MiB measured): the float32 maps (10.7 MiB), each scale's rows
         written into its map as they are inverted, the finest block
-        logits (4 MiB) and one row block's scratch per thread; no
+        logits (4 MiB) and one row block's scratch per thread (the noise,
+        the draws, a spare block and the spread logits, 2 MiB); no
         full-size float64 array (16 MiB) and no float32 copy of a map."""
         monkeypatch.setattr(_blocks, "THREADS", threads)
         params = PredictorParams(default_codebook(size=512), dyadic_schedule(7))

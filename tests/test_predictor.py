@@ -214,7 +214,7 @@ class TestPrefixBlocks:
 @pytest.mark.parametrize("threads", [1, 2])
 def test_generate_peak_memory(monkeypatch, source_cond, threads):
     """Generating a 64x64, vocab-512, 7-scale pyramid traces under 8 MiB
-    on one thread or two (5.7 and 6.9 MiB measured; 21.2 MiB with a
+    on one thread or two (5.3 and 6.4 MiB measured; 21.2 MiB with a
     whole Gumbel field per scale): the finest block logits (4 MiB) and a
     row block's draws and sums per thread, with no full-size float64
     array (16 MiB)."""
