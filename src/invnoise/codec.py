@@ -9,9 +9,12 @@ residual.  Decoding sums the replicated embeddings back up.
 Block-mean down / replicate up (rather than any smooth resampler) makes
 the per-scale residual energy provably non-increasing as long as the
 codebook contains the zero vector, which this codec pins at entry 0.
-``squared_distances``, which serves the encoder and the predictor's
-logits, sums row blocks of :mod:`invnoise._blocks`, with the same bytes
-on any thread count.
+``squared_distances``, which serves the predictor's logits, sums row
+blocks of :mod:`invnoise._blocks`, with the same bytes on any thread
+count.  The encoder keeps only the index of the nearest codeword, so
+its search (``quantize_cells``) ranks each row block by one BLAS
+product with a proven error bound and sums the exact distances only
+for the cells that bound cannot separate.
 """
 
 from __future__ import annotations
@@ -142,14 +145,17 @@ def upsample_replicate(grid: np.ndarray, target: tuple[int, int]) -> np.ndarray:
 def squared_distances(cells: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Squared distance from each (..., h, w, d) cell to each (C, d) vector.
 
-    Returns a C-ordered (..., h, w, C) array.  The d squared differences
-    are summed in channel order.  The codec and the predictor pass cells
+    Returns a C-ordered (..., h, w, C) array: the predictor's logits,
+    and the encoder's distances at a single cell.  The d squared
+    differences are summed in channel order.  The predictor passes cells
     as ``np.moveaxis`` views of (..., d, h, w) grids; on that layout
     ``einsum("hwcd,hwcd->hwc")`` over the (h, w, C, d) difference tensor
     also adds whole channel planes in order, so this loop matches it bit
-    for bit without building that tensor.  At a single cell einsum sums
-    the d products in another order (the results differ in the last
-    bit), so that case keeps the einsum, one (1, 1) map at a time.
+    for bit without building that tensor.  The squared differences stay
+    in cache between the channel passes of a row block.  At a single
+    cell einsum sums the d products in another order (the results
+    differ in the last bit), so that case keeps the einsum, one (1, 1)
+    map at a time.
     """
     *lead, h, w, d = cells.shape
     c = vectors.shape[0]
@@ -163,46 +169,23 @@ def squared_distances(cells: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         diffs = cells[:, :, None, :] - vectors[None, None, :, :]
         return np.einsum("hwcd,hwcd->hwc", diffs, diffs)
     out = np.empty((h, w, c))
-    _by_row_blocks(cells, vectors, out=out)
-    return out
-
-
-def _by_row_blocks(cells, vectors, out=None, tokens=None) -> None:
-    """The squared distances of (h, w, d) cells to (C, d) vectors, summed
-    into the (h, w, C) ``out``, or, given the (h, w) ``tokens``,
-    the index of the nearest vector of each cell written there.
-
-    The squared differences stay in cache between the channel passes of
-    a row block.  For ``tokens`` each block is summed into scratch and
-    argmined there (ties to the lowest index), so no (h, w, C) array is
-    made.
-    """
-    h, w, _ = cells.shape
-    c = vectors.shape[0]
     columns = vectors.T.copy()
 
-    def sum_rows(lo, hi, scratch):
-        diff, dist = scratch
-        if tokens is None:
-            _sum_squares(out[lo:hi], cells[lo:hi], columns, diff[: hi - lo])
-            return
-        block = dist[: hi - lo]
-        _sum_squares(block, cells[lo:hi], columns, diff[: hi - lo])
-        tokens[lo:hi] = np.argmin(block, axis=-1)
+    def sum_rows(lo, hi, diff):
+        _sum_squares(out[lo:hi], cells[lo:hi], columns, diff[: hi - lo])
 
-    def scratch(step):
-        diff = np.empty((step, w, c))
-        return diff, None if tokens is None else np.empty_like(diff)
-
-    for_row_blocks(sum_rows, h, h * w * c, scratch)
+    for_row_blocks(sum_rows, h, h * w * c, lambda step: np.empty((step, w, c)))
+    return out
 
 
 def _sum_squares(out, cells, columns, diff) -> None:
     """Write into ``out`` the sum of the squared (h, w, C) differences of
     (h, w, d) cells to the (d, C) columns, channel by channel; ``diff``
-    is scratch of out's shape.  The first channel's squares are written
-    as they are: each is at least +0.0, and +0.0 + x == x, so the sums
-    have the bits of sums started from zeros."""
+    is scratch of out's shape.  These are the exact distances of
+    ``squared_distances`` and of the encoder's uncertain cells.  The
+    first channel's squares are written as they are: each is at least
+    +0.0, and +0.0 + x == x, so the sums have the bits of sums started
+    from zeros."""
     np.subtract(cells[:, :, 0, None], columns[0], out=out)
     out *= out
     for j in range(1, columns.shape[0]):
@@ -211,18 +194,81 @@ def _sum_squares(out, cells, columns, diff) -> None:
         out += diff
 
 
+# Cells with |x|^2 + max |v|^2 at or above this fall back to the exact
+# distances: below it no distance the certificate compares overflows.
+_SEARCH_LIMIT = 2.0**1021
+
+
 def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Nearest codebook index per (h, w, d) cell; ties go to the lowest index.
 
-    The distances of a single cell come from ``squared_distances``; a
-    larger map is argmined block by block as its distances are summed.
+    The index is the argmin of the exact distances D_c, the channel-order
+    sums of ``squared_distances``.  A single cell takes them from
+    ``squared_distances`` (its einsum).  A larger map is searched by row
+    blocks, each ranked by one BLAS product into per-thread scratch:
+    A_c = x . (-2 v_c) + |v_c|^2, which is D_c - |x|^2.  A cell keeps the
+    argmin b of A when the second-smallest A exceeds A_b + E, with
+
+        E = 2^-49 (d + 2) (|x|^2 + M + 1),  M = max_c |v_c|^2;
+
+    every other cell gets its D from ``_sum_squares`` and takes its
+    argmin.
+
+    Why a kept index is the exact argmin.  With u = 2^-53 and g_n =
+    n u / (1 - n u), a dot product of length d has error at most g_d
+    sum_j |x_j y_j| in any summation order, with or without FMA.  So
+    the product (-2 v is exact) is within g_d (|x|^2 + |v_c|^2) of
+    -2 x . v_c, |v_c|^2 within g_d |v_c|^2, and their rounded sum, at
+    most (1 + g_d) (|x|^2 + 2 |v_c|^2) in size, within e2 := 2 g_{d+1}
+    (|x|^2 + M) of D_c - |x|^2.  Each term of D_c, a rounded difference
+    squared and rounded, has relative error g_3, and the d - 1 additions
+    of non-negative terms add g_{d-1}; as |x - v_c|^2 <= 2 (|x|^2 +
+    |v_c|^2), the computed D_c is within e1 := 2 g_{d+2} (|x|^2 + M) of
+    |x - v_c|^2.  If A_c > A_b + E for every c != b, then |x - v_b|^2 <
+    |x - v_c|^2 - E + 2 e2, and the computed D_b < D_c - E + 2 e2 + 2 e1.
+    2 (e1 + e2) <= 8 g_{d+2} (|x|^2 + M), about 2^-50 (d + 2) (|x|^2 +
+    M), and E is twice that: at least twice the worst-case error of the
+    two formulas together, with room for the roundings of |x|^2, M, E
+    and A_b + E.  The + 1 covers underflow, whose absolute error is below
+    2^-1074 per operation.  So D_b is the strict minimum of the exact
+    sums.  A cell with |x|^2 + M >= 2^1021 falls back (E = inf), so no
+    value in this argument overflows.  The test is ``second > best +
+    E``, which is false for a NaN or infinite result, so those fall back
+    too.
     """
-    h, w, _ = cells.shape
+    h, w, d = cells.shape
+    vectors = codebook.vectors
     if h * w == 1:
-        return np.argmin(squared_distances(cells, codebook.vectors), axis=-1).astype(np.int32)
-    tokens = np.empty((h, w), dtype=np.int32)
-    _by_row_blocks(cells, codebook.vectors, tokens=tokens)
-    return tokens
+        return np.argmin(squared_distances(cells, vectors), axis=-1).astype(np.int32)
+    c = vectors.shape[0]
+    x = cells.reshape(h * w, d)  # C-ordered (a copy when cells is a view)
+    weights = -2.0 * vectors.T
+    norms = (vectors * vectors).sum(axis=1)
+    scale = (x * x).sum(axis=1) + norms.max()
+    error = (2.0**-49 * (d + 2)) * (scale + 1.0)
+    error[scale >= _SEARCH_LIMIT] = np.inf
+    columns = vectors.T.copy()
+    tokens = np.empty(h * w, dtype=np.int32)
+
+    def search(lo, hi, block):
+        cell = slice(lo * w, hi * w)
+        n = cell.stop - cell.start
+        ranks = np.matmul(x[cell], weights, out=block[:n])
+        ranks += norms
+        best = ranks.argmin(axis=1)
+        at_best = (np.arange(n), best)
+        low = ranks[at_best]
+        ranks[at_best] = np.inf
+        tokens[cell] = best
+        near = np.flatnonzero(~(ranks.min(axis=1) > low + error[cell]))
+        if near.size:
+            near += cell.start
+            exact = block[: near.size].reshape(1, near.size, c)
+            _sum_squares(exact, x[near][None], columns, np.empty_like(exact))
+            tokens[near] = exact[0].argmin(axis=1)
+
+    for_row_blocks(search, h, h * w * c, lambda step: np.empty((step * w, c)))
+    return tokens.reshape(h, w)
 
 
 def embed_tokens(tokens: np.ndarray, codebook: Codebook) -> np.ndarray:

@@ -53,8 +53,10 @@ bits therefore rounds as the exact value does.  The values that fail
 are recomputed exactly with ``gumbel.truncated_from_loglog`` (at most
 about 1 in 20000 at beta 4, 1 in 110 at beta 3000), and a block whose
 noise comes within E of +-2^127 is recomputed whole, so its range check
-is exact and nothing beyond float32 range is rounded.  Every stored
-byte is that of the exact construction (``_located_noise``).
+is exact and nothing beyond float32 range is rounded; every other
+block's noise lies inside +-2^127, and the tightening skips its range
+check there.  Every stored byte is that of the exact construction
+(``_located_noise``).
 
 Replay recomputes q as p + n in float64, which rounds; the step makes
 its noise float32-exact values whose replay keeps every margin.  A
@@ -139,13 +141,14 @@ def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float) -> np.n
     return replayed >= q_label
 
 
-def _tighten(tokens, logits, noise: np.ndarray, tau: float, out: np.ndarray) -> None:
+def _tighten(tokens, logits, noise, tau: float, out, bad, in_range: bool) -> None:
     """Write into the float32 ``out`` the float64 ``noise`` under
     ``logits`` p, rounded to float32 values whose float64 replay p + n
     keeps every margin.  One row block: (n, w) ``tokens``, (n, w, C)
     ``logits`` and ``noise``, which may have a leading (seed) axis that
-    ``out`` shares; ``noise`` is overwritten.  The noise is read only by
-    its range check and its float32 rounding.
+    ``out`` and the bool scratch ``bad`` share; ``noise`` is overwritten.
+    The noise is read only by its range check and its float32 rounding;
+    ``in_range`` says the caller has already bounded it within +-2^127.
 
     Each value moves by |n| 2^-23 (one or two float32 ulps) away from the
     label's side: off-label values down, label values up.  One replay
@@ -156,7 +159,7 @@ def _tighten(tokens, logits, noise: np.ndarray, tau: float, out: np.ndarray) -> 
     ``ValidationError`` before anything is written: float32 cannot hold
     it with its move.
     """
-    if not (noise.min() >= -_NOISE_LIMIT and noise.max() <= _NOISE_LIMIT):
+    if not (in_range or (noise.min() >= -_NOISE_LIMIT and noise.max() <= _NOISE_LIMIT)):
         raise ValidationError("inverse noise beyond +-2^127 does not fit in float32")
     h, w = tokens.shape
     rows, cols = np.arange(h)[:, None], np.arange(w)
@@ -169,9 +172,9 @@ def _tighten(tokens, logits, noise: np.ndarray, tau: float, out: np.ndarray) -> 
     replayed = np.add(logits, out, out=noise)
     q_label = replayed[at_label]
     if tau > 0:  # _below_margin, with the margins written over the replay
-        bad = np.subtract(q_label[..., None], replayed, out=replayed) < tau
+        np.less(np.subtract(q_label[..., None], replayed, out=replayed), tau, out=bad)
     else:
-        bad = _below_margin(q_label[..., None], replayed, tau)
+        np.greater_equal(replayed, q_label[..., None], out=bad)
     bad[at_label] = False
     if not bad.any():
         return
@@ -208,14 +211,15 @@ def _softmin(x, y, out, low):
     return out
 
 
-def _located_noise(p, trunc, g, label, at_label, noise, low, out) -> None:
+def _located_noise(p, p_max, trunc, g, label, at_label, noise, low, out) -> bool:
     """Write into ``noise`` the noise q - p of the located perturbed
     logits q under the (n, w, C) logits ``p``: ``truncated_from_loglog(p,
     trunc[..., None], -g)`` off the label, with ``g`` the standard Gumbel
     draws -log(-log u), and the label values ``label`` at ``at_label``.
-    ``trunc`` and ``label`` are (..., n, w), ``g`` and ``noise`` (..., n,
-    w, C); ``low`` (float64) and the float32 ``out`` of their shape are
-    scratch.
+    ``p_max`` is max |p|.  ``trunc`` and ``label`` are (..., n, w), ``g``
+    and ``noise`` (..., n, w, C); ``low`` (float64) and the float32
+    ``out`` of their shape are scratch.  Returns whether the noise is
+    known to lie within +-2^127, so the tightening need not check it.
 
     Off the label a value is first -logaddexp(p - trunc, -g), by
     ``_softmin`` of trunc - p and g, within E = ``_NOISE_ERROR`` (max |p|
@@ -224,16 +228,19 @@ def _located_noise(p, trunc, g, label, at_label, noise, low, out) -> None:
     monotone, and E > 0 keeps such a pair off zero, whose two signs
     compare equal) and recomputed exactly on the gathered cells
     otherwise; a block whose noise comes within E of +-2^127 is
-    recomputed whole, so no value beyond float32 range is rounded.
+    recomputed whole, so no value beyond float32 range is rounded, and
+    its range is left to the tightening's check.  Every other block's
+    noise stays within E of values inside +-(2^127 - E), so inside
+    +-2^127.
     """
     _softmin(np.subtract(trunc[..., None], p, out=noise), g, noise, low)
-    error = _NOISE_ERROR * (max(p.max(), -p.min()) + max(low.max(), -low.min()) + 1.0)
+    error = _NOISE_ERROR * (p_max + max(low.max(), -low.min()) + 1.0)
     noise[at_label] = label - p[at_label]
     if not (noise.min() >= error - _NOISE_LIMIT and noise.max() <= _NOISE_LIMIT - error):
         truncated_from_loglog(p, trunc[..., None], np.negative(g, out=low), out=noise)
         noise[at_label] = label
         noise -= p
-        return
+        return False
     size = noise.size
     spare = low.reshape(-1).view(np.float32)  # 2 * size float32 slots
     down = spare[:size].reshape(noise.shape)
@@ -247,6 +254,7 @@ def _located_noise(p, trunc, g, label, at_label, noise, low, out) -> None:
         phi = np.take(p, cells % p.size)
         exact = truncated_from_loglog(phi, np.take(trunc, cells // p.shape[-1]), -np.take(g, cells))
         np.put(noise, cells, exact - phi)
+    return True
 
 
 @dataclass(frozen=True)
@@ -330,13 +338,18 @@ class ScaleInversion:
         self._errors = [[None, None] for _ in self.taus]
 
     def scratch(self, step: int):
-        """Per-thread buffers for ``step`` block rows: flat float64 blocks
-        (the noise, and for the located construction the off-label draws
-        and a spare block) and the spread of the block logits.  The first
-        and the last block hold nothing once ``invert_rows`` returns, so
-        the caller's pass may use them as its own scratch."""
+        """Per-thread buffers for ``step`` block rows: flat blocks (the
+        float64 noise, then for the located construction the float64
+        off-label draws and a spare block, for the onehot a bool block)
+        and the spread of the block logits.  The last block holds the
+        tightening's mask.  The first and the last block hold nothing
+        once ``invert_rows`` returns, so the caller's pass may use them
+        as its own scratch."""
         size = math.prod(self.shape) // self.shape[-3] * step * self.factors[0]
-        blocks = [np.empty(size) for _ in range(1 if self.kind == KIND_OAI else 3)]
+        if self.kind == KIND_OAI:
+            blocks = [np.empty(size), np.empty(size, dtype=np.bool_)]
+        else:
+            blocks = [np.empty(size) for _ in range(3)]
         return blocks, _blocks.spread_scratch(self.logits, self.factors, step)
 
     def invert_rows(self, lo: int, hi: int, buf, outs) -> list[bool]:
@@ -348,11 +361,12 @@ class ScaleInversion:
         p = _blocks.spread_rows(self.logits, self.factors, lo, hi, spread)
         shape = (*self.shape[:-3], rows.stop - rows.start, *self.shape[-2:])
         noise, *spare = (b[: math.prod(shape)].reshape(shape) for b in blocks)
+        bad = blocks[-1].view(np.bool_)[: noise.size].reshape(shape)  # free while tightening
         written = []
         margins = self._noise_rows(rows, p, noise, spare, outs)
-        for errors, tau, out in zip(self._errors, margins, outs):
+        for errors, (tau, in_range), out in zip(self._errors, margins, outs):
             try:
-                _tighten(self.tokens[rows], p, noise, tau, out)
+                _tighten(self.tokens[rows], p, noise, tau, out, bad, in_range)
                 written.append(True)
             except ValidationError as exc:
                 errors[0] = exc
@@ -365,27 +379,30 @@ class ScaleInversion:
     def _noise_rows(self, rows: slice, p, noise, spare, outs):
         """Write the noise of cell ``rows`` under their logits ``p`` into
         ``noise``, margin by margin, and yield the margin each replay must
-        keep; the noise's range and float32 rounding are those of the
-        exact construction.  The located draws serve every margin, with
+        keep and whether the noise is known to lie within +-2^127; the
+        noise's range and float32 rounding are those of the exact
+        construction.  The located draws serve every margin, with
         ``spare`` and the margin's rows in ``outs`` as scratch; the onehot
         noise keeps margin 0."""
         tokens = self.tokens[rows]
         if self.kind == KIND_OAI:
             for _ in self.taus:
                 np.subtract(_onehot(tokens, noise), p, out=noise)
-                yield 0.0
+                yield 0.0, False
             return
         g, low = spare
         h, w = tokens.shape
         at_label = (..., np.arange(h)[:, None], np.arange(w), tokens)
         q_label = self._q_label[..., rows, :]
+        fh = self.factors[0]  # max |p| over the block logits, not their spread
+        block = self.logits[rows.start // fh : rows.stop // fh]
+        p_max = max(block.max(), -block.min())
         g = standard_rows(
             self.seed, PURPOSE_TRUNC_DRAW, self.scale, rows.start, rows.stop, w, noise.shape[-1],
             g, low,
         )
         for tau, out in zip(self.taus, outs):
-            _located_noise(p, q_label - tau, g, q_label, at_label, noise, low, out)
-            yield tau
+            yield tau, _located_noise(p, p_max, q_label - tau, g, q_label, at_label, noise, low, out)
 
     def check(self) -> None:
         """Raise the first error a row block recorded, in margin order."""

@@ -407,7 +407,7 @@ class GivenPerturbed(inversion.ScaleInversion):
     def _noise_rows(self, rows, p, noise, spare, outs):
         for given, tau in zip(self.qs, self.taus):
             np.subtract(given[rows], p, out=noise)
-            yield tau
+            yield tau, False
 
 
 def invert_given(*qs):

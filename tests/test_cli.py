@@ -118,6 +118,35 @@ class TestEncode:
         assert header.digest == config_digest(cfg)
 
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stress_output_pinned(self, tmp_path, monkeypatch, threads):
+        """`encode` of the stress-scale demo scenes at seed 0 reproduces
+        its recorded files byte for byte on one and two threads."""
+        monkeypatch.setattr(_blocks, "THREADS", threads)
+        cfg = tmp_path / "stress.ini"
+        cfg.write_text(STRESS_CODEC)
+        for scene, digests in STRESS_ENCODE_DIGESTS.items():
+            out = tmp_path / scene
+            argv = ["--config", cfg, "--grid", f"demo:{scene}", "--seed", 0, "--out", out]
+            assert run("encode", *argv) == EXIT_OK
+            assert {name: sha256(out / name) for name in digests} == digests
+
+
+# SHA-256 of the files of a stress-scale `encode` of each demo scene at seed 0
+STRESS_ENCODE_DIGESTS = {
+    "scene-a": {
+        "pyramid.nsp": "b3dd0d58505d86ef58d23ac2e59635ccdcef45ae03084f12f269b34ffeb8955e",
+        "recon.nsg": "59c3a8d86dd3ae0475cd2d0b479f84c8c86be8b1a69181b7c306966b7d60e6f4",
+        "encode_metrics.csv": "2f49504773484ed1608fdd1740692e1ac4b105d0aee85b1cb28c43893aee52fe",
+    },
+    "scene-b": {
+        "pyramid.nsp": "aa302405719226895e6149946f912fd1cf95800977d2fa9ef672f7e9373c3dce",
+        "recon.nsg": "550d8c455940355f8b43c66e8a7a2ad38d6f8806857192ee8c427df5523929bb",
+        "encode_metrics.csv": "c0f578fd35817ef1dc2bd2d6602d3a89ed63d6a2184cb0c748647d8a9bec1602",
+    },
+}
+
+
 class TestInvert:
     def test_invert_then_exact_replay(self, tmp_path):
         """Noise from the CLI replays the source tokens exactly when the

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invnoise import _blocks, codec
 from invnoise.codec import (
     Codebook,
     ScaleSchedule,
@@ -19,6 +20,7 @@ from invnoise.codec import (
     upsample_replicate,
 )
 from invnoise.errors import ValidationError
+from invnoise.rng import normal_values, uniform_values
 
 from conftest import random_grid, residual_energies
 
@@ -152,6 +154,93 @@ class TestSquaredDistances:
         cells = channel_last_cells(h * w, codebook.dim, h, w, amplitude=0.6)
         want = np.argmin(reference_squared_distances(cells, codebook.vectors), axis=-1)
         assert np.array_equal(quantize_cells(cells, codebook), want)
+
+
+def grid_layout(cells):
+    """(h, w, d) cells as a moveaxis view of a C-ordered (d, h, w) grid."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(cells, -1, 0)), 0, -1)
+
+
+class TestCertifiedSearch:
+    """The encoder's search gives the argmin of the exact distances, ties
+    to the lowest index, whichever cells its certificate keeps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.integers(min_value=0, max_value=2**32),
+        d=st.sampled_from([1, 4, 33]),
+        shape=st.sampled_from([(1, 1), (1, 9), (7, 1), (12, 10)]),
+        size=st.sampled_from([2, 5, 64]),
+        exponent=st.one_of(
+            st.sampled_from([-300.0, -161.0, 0.0, 150.0]),
+            st.floats(min_value=-300.0, max_value=150.0),
+        ),
+        chunk=st.sampled_from([1, 500, _blocks.CHUNK]),
+        duplicated=st.booleans(),
+        placed=st.sampled_from(["drawn", "codewords", "midpoints"]),
+    )
+    def test_equals_the_exact_argmin(
+        self, key, d, shape, size, exponent, chunk, duplicated, placed
+    ):
+        """Cells and codebook at amplitudes 1e-300 to 1e150 (at 1e-161 the
+        products are subnormal, where only the + 1 of the bound covers
+        their error), the codebook's second half a copy of its first
+        (exact ties) or not, and every other cell drawn, on a codeword or
+        at the midpoint of two; a block of ``chunk`` entries (one row at
+        1, one block in all at CHUNK) makes up to 12 blocks of a map."""
+        amplitude = 10.0**exponent
+        h, w = shape
+        vectors = amplitude * normal_values(key, 1, 0, np.arange(size)[:, None], 0, np.arange(d))
+        vectors[0] = 0.0
+        if duplicated:
+            vectors[size // 2 :] = vectors[: size - size // 2]
+        rows, cols = np.arange(h)[:, None, None], np.arange(w)[None, :, None]
+        cells = amplitude * normal_values(key, 2, 0, rows, cols, np.arange(d))
+        pairs = uniform_values(key, 3, 0, np.arange(h * w)[:, None], np.arange(2), 0)
+        picks = (size * pairs).astype(int)
+        flat = cells.reshape(h * w, d)
+        if placed == "codewords":
+            flat[::2] = vectors[picks[::2, 0]]
+        elif placed == "midpoints":
+            flat[::2] = (vectors[picks[::2, 0]] + vectors[picks[::2, 1]]) / 2.0
+        cells = grid_layout(cells)
+        want = np.argmin(reference_squared_distances(cells, vectors), axis=-1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_blocks, "CHUNK", chunk)
+            got = quantize_cells(cells, Codebook(vectors))
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+
+    def test_ties_reach_the_exact_fallback(self, monkeypatch):
+        """Cells at an exact tie (nearest to a codeword with a duplicate,
+        or at the midpoint of two codewords) take the exact distances and
+        the lowest index; cells clear of every tie keep the product's
+        argmin, unless so large that a distance could overflow."""
+        gathered = []
+
+        def spy(out, *rest):
+            gathered.append(out.shape[1])
+            return sum_squares(out, *rest)
+
+        sum_squares = codec._sum_squares
+        monkeypatch.setattr(codec, "_sum_squares", spy)
+        vectors = np.zeros((6, 4))
+        vectors[1, 0] = vectors[2, 1] = vectors[4, 0] = 2.0  # 4 duplicates 1
+        vectors[3] = vectors[5] = -3.0  # 5 duplicates 3
+        codebook = Codebook(vectors)
+        ties = [[2.0, 0, 0, 0], [1.0, 1.0, 0, 0], [1.0, 0, 0, 0], [-3.0] * 4]
+        clear = [[0.1, 0, 0, 0], [0, 2.5, 0, 0], [0.2, 1.8, 0, 0], [0, 0, 0.3, 0]]
+        cells = grid_layout(np.array([ties, clear]))
+        got = quantize_cells(cells, codebook)
+        assert got.tolist() == [[1, 0, 0, 3], [0, 2, 2, 0]]
+        assert np.array_equal(got, np.argmin(reference_squared_distances(cells, vectors), -1))
+        assert gathered == [len(ties)]
+        gathered.clear()
+        assert quantize_cells(cells[1:], codebook).tolist() == [[0, 2, 2, 0]]
+        assert gathered == []
+        big = 2.0**509  # |x|^2 + max |v|^2 >= 2^1021: every cell falls back
+        assert quantize_cells(big * cells[1:], Codebook(big * vectors)).tolist() == [[0, 2, 2, 0]]
+        assert gathered == [len(clear)]
 
 
 class TestLeadingAxes:

@@ -206,7 +206,7 @@ def tighten_noise(tokens, logits, noise, tau):
     """The tightened float32 noise of a float64 ``noise``, as its exact
     float64 values."""
     out = np.empty(noise.shape, dtype=np.float32)
-    _tighten(tokens, logits, noise.copy(), tau, out)
+    _tighten(tokens, logits, noise.copy(), tau, out, np.empty(noise.shape, dtype=bool), False)
     return out.astype(np.float64)
 
 
@@ -330,10 +330,13 @@ def exact_noise(p, trunc, g, label, at_label):
 
 
 def certified_noise(p, trunc, g, label, at_label):
-    """The step's located noise of the same inputs."""
+    """The step's located noise of the same inputs; where the step reports
+    it within +-2^127, so that the tightening skips its range check, it is."""
     noise, low = np.empty(g.shape), np.empty(g.shape)
     out = np.empty(g.shape, dtype=np.float32)
-    inversion._located_noise(p, trunc, g, label, at_label, noise, low, out)
+    p_max = max(p.max(), -p.min())
+    if inversion._located_noise(p, p_max, trunc, g, label, at_label, noise, low, out):
+        assert np.all(np.abs(noise) <= 2.0**127)
     return noise
 
 
