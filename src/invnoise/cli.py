@@ -15,9 +15,8 @@ sweep value in one walk with a leading seed axis.  A chunk holds
 ``editing.seed_chunk_width`` seeds (8 at 16x16, vocab 64; 1 at 64x64,
 vocab 512), or ``ceil(seeds / workers)`` if that is fewer, with
 ``workers = min(--workers, cores)``, and chunks run in the calling
-process or in up to ``min(workers, chunks)`` worker processes, each of
-which runs the kernels of :mod:`invnoise._blocks` on one thread; rows
-are written value-major either way, so neither the chunk width nor the
+process or in up to ``min(workers, chunks)`` worker processes; rows are
+written value-major either way, so neither the chunk width nor the
 worker count changes ``sweep.csv``.
 Seeds are integers in [0, 2^64).
 
@@ -29,6 +28,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _blocks, demo, editing, fileio, metrics
+from . import demo, editing, fileio, metrics
 from .codec import decode, encode
 from .config import ExperimentConfig, config_digest, load_config
 from .errors import FormatError, InvariantError, ValidationError
@@ -229,6 +229,8 @@ def _sweep_chunk(setup, seeds):
 
 
 _SWEEP_METRIC_ORDER = ("mse", "psnr", "ssim", "token_change", "bg_mse", "bg_psnr")
+# The cores this process may run on: the cap of ``sweep --workers``.
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def cmd_sweep(args) -> int:
@@ -242,15 +244,14 @@ def cmd_sweep(args) -> int:
         _sweep_chunk,
         (editing.SeedSweep(grid, cfg.sweep_configs, params), metrics.Scorer(grid, mask)),
     )
-    workers = min(args.workers, _blocks.CORES)
+    workers = min(args.workers, CORES)
     width = min(editing.seed_chunk_width(params), -(-len(sweep.seeds) // workers))
     chunks = [sweep.seeds[i : i + width] for i in range(0, len(sweep.seeds), width)]
     workers = min(workers, len(chunks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # not loaded at start-up
 
-        # one thread per worker: the worker processes already share the cores
-        with ProcessPoolExecutor(max_workers=workers, initializer=_blocks.one_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(chunk_task, chunks))
     else:
         per_chunk = [chunk_task(chunk) for chunk in chunks]

@@ -10,8 +10,8 @@ Block-mean down / replicate up (rather than any smooth resampler) makes
 the per-scale residual energy provably non-increasing as long as the
 codebook contains the zero vector, which this codec pins at entry 0.
 ``squared_distances``, which serves the predictor's logits, sums row
-blocks of :mod:`invnoise._blocks`, with the same bytes on any thread
-count.  The encoder keeps only the index of the nearest codeword, so
+blocks of :mod:`invnoise._blocks`, with the bytes of a whole-array sum.
+The encoder keeps only the index of the nearest codeword, so
 its search (``quantize_cells``) ranks each row block by one BLAS
 product with a proven error bound and sums the exact distances only
 for the cells that bound cannot separate.
@@ -205,7 +205,7 @@ def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
     The index is the argmin of the exact distances D_c, the channel-order
     sums of ``squared_distances``.  A single cell takes them from
     ``squared_distances`` (its einsum).  A larger map is searched by row
-    blocks, each ranked by one BLAS product into per-thread scratch:
+    blocks, each ranked by one BLAS product into the pass's scratch:
     A_c = x . (-2 v_c) + |v_c|^2, which is D_c - |x|^2.  A cell keeps the
     argmin b of A when the second-smallest A exceeds A_b + E, with
 

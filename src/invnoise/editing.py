@@ -31,7 +31,7 @@ config once (encoding, condition targets, the block logits of the
 source walks, held as the stepper gives them, one cell per prefix
 block); its ``run`` edits a chunk of seeds with a leading seed axis,
 scale by scale, in one pass over the row blocks of each scale
-(``_blocks.for_row_blocks``).  Each row block, in per-thread scratch,
+(``_blocks.for_row_blocks``).  Each row block, in the pass's scratch,
 draws its rows of the keyed uniforms and inverts them
 (:meth:`~invnoise.inversion.ScaleInversion.invert_rows`, only at the
 margins some edit mixes in with nonzero lambda), draws its rows of the
@@ -195,8 +195,9 @@ def seed_chunk_width(params: PredictorParams) -> int:
     16x16, vocab 64; 1 at 64x64, vocab 512).  Wider chunks share the
     per-scale work of a walk (the stepper logits, the keyed-hash set-up,
     the inversion dispatch, the forks and the argmaxes) among more
-    seeds; a chunk stays below the size at which the kernels start
-    threads (``_blocks.MIN_ENTRIES``)."""
+    seeds, while a chunk's finest arrays stay near 2^17 cells (1 MiB of
+    float64) unless one seed's alone is larger, so what a walk holds per
+    seed chunk stays small."""
     h, w = params.schedule.finest
     return max(1, SEED_CELL_BUDGET // (h * w * params.codebook.size))
 
@@ -313,7 +314,7 @@ class SeedSweep:
         edited tokens), the stepper's otherwise.  Each row block inverts
         its rows at every margin (or reads them from the given set),
         draws its rows of g once for every edit, and builds the mixes and
-        sums in per-thread scratch.  Inversion errors are raised after the
+        sums in the pass's scratch.  Inversion errors are raised after the
         pass, the first in margin order.
         """
         h, w = self.params.schedule.resolutions[t - 1]

@@ -21,9 +21,8 @@ mix, whose argmax the caller takes from the stepper's block logits in
 the same row block).  Both write into a caller's row-block buffer, with
 the keyed hash mixing in the caller's scratch, so a pass allocates no
 array of a row block's size per block.  Every value is a pure function
-of its key, so a scale drawn by row blocks, on any thread count, has
-the bytes of a whole draw; no function here makes a whole (h, w, C)
-field.
+of its key, so a scale drawn by row blocks has the bytes of a whole
+draw; no function here makes a whole (h, w, C) field.
 """
 
 from __future__ import annotations

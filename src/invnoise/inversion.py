@@ -314,8 +314,8 @@ class ScaleInversion:
 
     ``invert_rows(lo, hi, buf, outs)`` inverts block rows lo:hi (cell
     rows lo * fh to hi * fh) into ``outs``, one float32 array of those
-    cell rows per margin, with ``buf`` from ``scratch(step)``, one per
-    thread of a ``_blocks.for_row_blocks`` pass.  A margin whose noise in
+    cell rows per margin, with ``buf`` from ``scratch(step)``, built once
+    per ``_blocks.for_row_blocks`` pass.  A margin whose noise in
     the block is out of float32 range, or does not tighten, records its
     error and leaves its rows unwritten; ``check`` raises, after the
     pass, the first error in margin order, an out-of-range noise before
@@ -338,7 +338,7 @@ class ScaleInversion:
         self._errors = [[None, None] for _ in self.taus]
 
     def scratch(self, step: int):
-        """Per-thread buffers for ``step`` block rows: flat blocks (the
+        """The buffers of one pass for ``step`` block rows: flat blocks (the
         float64 noise, then for the located construction the float64
         off-label draws and a spare block, for the onehot a bool block)
         and the spread of the block logits.  The last block holds the

@@ -256,7 +256,7 @@ def _tokens_by_rows(logits, factors, shape, noise_rows, blocks: int = 1) -> np.n
     """(..., h, w) int32 tokens of an (..., h, w, C) ``shape``: the
     argmax of the block logits plus ``noise_rows(lo, hi, buf)``, the cell
     rows lo:hi of a noise, one row block at a time.  ``buf`` is a list of
-    ``blocks`` flat float64 arrays of a row block, one list per thread;
+    ``blocks`` flat float64 arrays of a row block, built once per pass;
     the first holds the sums, so a noise written there is summed in
     place."""
     fh = factors[0]

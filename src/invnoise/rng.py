@@ -11,8 +11,8 @@ call keys the same field for many seeds.  Seeds are integers in
 field with an xor into its result and a mix in place, and the map to
 (0, 1) runs in the words' own buffer.  A caller's buffers take the words
 and the mixing scratch of a draw whole (a row block of a scale's pass);
-without them both steps go by row blocks of :mod:`invnoise._blocks`.
-Every word is the same on any thread count.
+without them both steps go by row blocks of :mod:`invnoise._blocks`,
+with the words of a whole-array draw.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
 mixed once, then each key field is absorbed with xor + mix.  The seed,
@@ -99,7 +99,7 @@ def _blocks_of(kernel, arrays, scratch) -> None:
     C-contiguous buffer of 8-byte items of at least that size) or in a
     new array when small; without ``scratch`` a larger loop goes by row
     blocks of ``_blocks.CHUNK`` words, with one scratch block per
-    thread."""
+    pass."""
     size = arrays[0].size
     if scratch is None and size > _blocks.CHUNK:
         _blocks.for_row_blocks(

@@ -118,11 +118,12 @@ class TestEncode:
         assert header.digest == config_digest(cfg)
 
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_stress_output_pinned(self, tmp_path, monkeypatch, threads):
+    @pytest.mark.parametrize("split", [1, 2])
+    def test_stress_output_pinned(self, tmp_path, monkeypatch, split):
         """`encode` of the stress-scale demo scenes at seed 0 reproduces
-        its recorded files byte for byte on one and two threads."""
-        monkeypatch.setattr(_blocks, "THREADS", threads)
+        its recorded files byte for byte, in row blocks of ``CHUNK``
+        entries and of half that."""
+        monkeypatch.setattr(_blocks, "CHUNK", _blocks.CHUNK // split)
         cfg = tmp_path / "stress.ini"
         cfg.write_text(STRESS_CODEC)
         for scene, digests in STRESS_ENCODE_DIGESTS.items():
@@ -623,8 +624,7 @@ def count_thread_starts(monkeypatch):
     ids=["invert", "edit-auto-invert", "demo-sweep"],
 )
 def test_desk_commands_start_no_thread(tmp_path, monkeypatch, argv):
-    """Desk arrays stay below the threaded size: no command at 16x16,
-    vocab 64, starts a thread."""
+    """No command at 16x16, vocab 64, starts a thread."""
     started = count_thread_starts(monkeypatch)
     running = threading.active_count()
     assert run(*argv, "--out", tmp_path / "o") == EXIT_OK
@@ -655,8 +655,8 @@ STRESS_REPLAY_DIGEST = "0267f67a485b53be7ad9b91e939a7b6bb1f07145bf5e1fc9d46ab23f
 def assert_stress_output_pinned(tmp_path, monkeypatch):
     """`invert` and `edit --noise` of stress-scale scene-a at seed 0 give
     the files of STRESS_DIGESTS, each noise file replays the source
-    tokens (at tau = 0, the tokens of STRESS_REPLAY_DIGEST), threads
-    start only on more than one, and none outlives its command."""
+    tokens (at tau = 0, the tokens of STRESS_REPLAY_DIGEST), and no
+    thread is started."""
     started = count_thread_starts(monkeypatch)
     running = threading.active_count()
     scene = demo.scene_record("scene-a")
@@ -684,7 +684,7 @@ def assert_stress_output_pinned(tmp_path, monkeypatch):
         assert run("edit", *common, "--mode", "varin", "--noise", out / "noise.nsn",
                    "--lambda", "linear", "--mask", "demo:scene-a") == EXIT_OK
         assert {name: sha256(out / name) for name in digests} == digests
-    assert bool(started) == (_blocks.THREADS > 1)
+    assert started == []
     assert threading.active_count() == running
 
 
@@ -728,15 +728,13 @@ def assert_bundled_sweep_pinned(tmp_path, name, digest):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the
-    initializer, runs serially."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs
+    serially."""
 
     sizes = []
-    initializers = []
 
-    def __init__(self, max_workers, initializer=None):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        self.initializers.append(initializer)
 
     def __enter__(self):
         return self
@@ -778,22 +776,17 @@ class TestSweep:
     def test_stress_output_pinned(self, tmp_path, monkeypatch):
         """At stress scale (64x64, vocab 512, 7 scales) `invert` and
         `edit --noise` of scene-a reproduce their recorded files byte for
-        byte on the default thread count, at a wide and a zero margin,
+        byte, at a wide and a zero margin,
         and each noise file replays the source tokens from disk."""
         assert_stress_output_pinned(tmp_path, monkeypatch)
 
-    def test_stress_output_pinned_on_one_thread(self, tmp_path, monkeypatch):
-        """The same files, byte for byte, with every loop on one thread."""
-        monkeypatch.setattr(_blocks, "THREADS", 1)
-        assert_stress_output_pinned(tmp_path, monkeypatch)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_stress_auto_invert_pinned(self, tmp_path, monkeypatch, threads):
+    @pytest.mark.parametrize("split", [1, 2])
+    def test_stress_auto_invert_pinned(self, tmp_path, monkeypatch, split):
         """`edit --auto-invert` of stress-scale scene-a at seed 0, in each
-        context, reproduces its recorded files byte for byte on one and
-        two threads, and `edit --noise` with the noise `invert` writes
-        reproduces its edited pyramid."""
-        monkeypatch.setattr(_blocks, "THREADS", threads)
+        context, reproduces its recorded files byte for byte, in row
+        blocks of ``CHUNK`` entries and of half that, and `edit --noise`
+        with the noise `invert` writes reproduces its edited pyramid."""
+        monkeypatch.setattr(_blocks, "CHUNK", _blocks.CHUNK // split)
         for context, digests in STRESS_AUTO_INVERT_DIGESTS.items():
             cfg = tmp_path / f"{context}.ini"
             cfg.write_text(f"{STRESS_CODEC}\n[edit]\ncontext = {context}\n")
@@ -806,14 +799,14 @@ class TestSweep:
             assert run("edit", *common, "--noise", out / "noise.nsn") == EXIT_OK
             assert sha256(out / "edited.nsp") == digests["edited.nsp"]
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("split", [1, 2])
     @pytest.mark.parametrize("budget", [1 << 14, 1 << 17])
-    def test_desk_source_prefix_and_onehot_pinned(self, tmp_path, monkeypatch, threads, budget):
+    def test_desk_source_prefix_and_onehot_pinned(self, tmp_path, monkeypatch, budget, split):
         """A desk source-prefix tau sweep, in chunks of 1 or 8 seeds, and a
-        desk onehot `invert` reproduce their recorded files byte for byte
-        on one and two threads."""
-        monkeypatch.setattr(_blocks, "THREADS", threads)
+        desk onehot `invert` reproduce their recorded files byte for byte,
+        in row blocks of ``CHUNK`` entries and of half that."""
         monkeypatch.setattr(editing, "SEED_CELL_BUDGET", budget)
+        monkeypatch.setattr(_blocks, "CHUNK", _blocks.CHUNK // split)
         cfg = sweep_config(tmp_path, "tau", SWEEP_VALUES["tau"], context="source-prefix")
         assert run("sweep", "--config", cfg, "--out", tmp_path / "s") == EXIT_OK
         assert run("invert", "--kind", "oai", "--out", tmp_path / "i") == EXIT_OK
@@ -865,10 +858,9 @@ class TestSweep:
         """One score_many call per chunk of seeds scores every value at
         every seed of the chunk, and nothing else is scored.  The chunks
         run in this process: the pool only records its size."""
-        monkeypatch.setattr(_blocks, "CORES", 4)
+        monkeypatch.setattr(cli, "CORES", 4)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        monkeypatch.setattr(_RecordingPool, "initializers", [])
         batches = []
         score_many = metrics.Scorer.score_many
 
@@ -897,17 +889,14 @@ class TestSweep:
     def test_workers_capped_at_seed_count(self, tmp_path, monkeypatch, workers, seeds, started):
         """At most ``min(--workers, chunks, cores)`` workers, on 4 cores:
         8 seeds under a million workers go in 4 chunks of 2.  No process
-        is started here: the pool only records its size and its
-        initializer, which runs each worker's kernels on one thread."""
-        monkeypatch.setattr(_blocks, "CORES", 4)
+        is started here: the pool only records its size."""
+        monkeypatch.setattr(cli, "CORES", 4)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
-        monkeypatch.setattr(_RecordingPool, "initializers", [])
         cfg = sweep_config(tmp_path, "lambda", "0.5", mode="regen", seeds=f"0:{seeds}")
         out = tmp_path / "s"
         assert run("sweep", "--config", cfg, "--out", out, "--workers", workers) == EXIT_OK
         assert _RecordingPool.sizes == started
-        assert _RecordingPool.initializers == [_blocks.one_thread] * len(started)
         serial = tmp_path / "serial"
         assert run("sweep", "--config", cfg, "--out", serial) == EXIT_OK
         assert (out / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
@@ -1152,8 +1141,7 @@ def test_every_edit_path_agrees(tmp_path, codec, taus, mode, lam, context, scene
 def test_import_leaves_out_the_worker_pool():
     """Importing the CLI loads no process pool and no part of
     ``concurrent.futures``: only ``sweep --workers N`` with N > 1 starts
-    a pool, and it imports it there; the threads of large scales are
-    plain ``threading`` threads."""
+    a pool, and it imports it there."""
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     probe = (

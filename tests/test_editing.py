@@ -4,14 +4,15 @@ import hashlib
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invnoise import _blocks, editing, gumbel, inversion
-from invnoise.codec import decode, default_codebook, dyadic_schedule, encode
+from invnoise import _blocks, config, editing, gumbel, inversion
+from invnoise.codec import ScaleSchedule, decode, default_codebook, dyadic_schedule, encode
 from invnoise.config import load_config
 from invnoise.demo import demo_scene
 from invnoise.editing import (
@@ -139,18 +140,15 @@ class TestEndpoints:
 
 
 class TestMixNoise:
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("block", [1 << 15, 3 * 16 * 64])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("noise_seeds", [3, 0], ids=["seed-axis", "broadcast"])
-    def test_equals_the_whole_product(self, monkeypatch, threads, block, dtype, noise_seeds):
+    def test_equals_the_whole_product(self, monkeypatch, block, dtype, noise_seeds):
         """Row block by row block of the whole scale or of 3 rows of one
-        seed (ragged over 3 x 16 rows), on one thread or two at any size,
-        with scratch per thread, the mix equals the whole-array mix with
-        a float64 product, and leaves the fresh draws as they were."""
+        seed (ragged over 3 x 16 rows), with scratch per pass, the mix
+        equals the whole-array mix with a float64 product, and leaves the
+        fresh draws as they were."""
         monkeypatch.setattr(_blocks, "CHUNK", block)
-        monkeypatch.setattr(_blocks, "THREADS", threads)
-        monkeypatch.setattr(_blocks, "MIN_ENTRIES", 0)
         grid = (np.arange(16)[:, None, None], np.arange(16)[None, :, None], np.arange(64))
         fresh = normal_values(np.arange(3, dtype=np.uint64), 9, 1, *grid)
         noise = 30.0 * normal_values(np.arange(max(noise_seeds, 1), dtype=np.uint64), 9, 2, *grid)
@@ -552,6 +550,24 @@ class TestEditSeeds:
         stress = PredictorParams(codebook=default_codebook(512), schedule=dyadic_schedule(7))
         assert seed_chunk_width(stress) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), h=st.integers(1, 2**13), w=st.integers(1, 2**13))
+    def test_chunk_within_the_entry_limit(self, data, h, w):
+        """For every schedule and vocab size that ``build_params`` accepts,
+        the finest (h, w, C) arrays of a seed chunk hold at most
+        ``config.ENTRY_LIMIT`` entries: a chunk of more than one seed
+        holds at most ``SEED_CELL_BUDGET`` cells, and one seed's scale
+        passed the entry check.  Sizes only: nothing is allocated."""
+        vocab = data.draw(st.integers(2, max(2, 2 * config.ENTRY_LIMIT // (h * w))))
+        codec = config.CodecSection(vocab=vocab, schedule=((1, 1), (h, w)))
+        try:
+            config._check_entries(codec)
+        except ValidationError:
+            assume(False)
+        params = SimpleNamespace(schedule=ScaleSchedule(codec.schedule),
+                                 codebook=SimpleNamespace(size=vocab))
+        assert seed_chunk_width(params) * h * w * vocab <= config.ENTRY_LIMIT
+
     def test_peak_memory_of_eight_seeds(self):
         """One walk of the demo.ini sweep over a chunk of 8 seeds holds less
         than 3 of its finest (8, 16, 16, 64) arrays at peak (2.4 measured):
@@ -572,15 +588,13 @@ class TestEditSeeds:
         h, w = params.schedule.finest
         assert peak < 3 * len(seeds) * h * w * params.codebook.size * 8
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_stress_peak_memory_with_a_given_set(self, monkeypatch, threads):
+    def test_stress_peak_memory_with_a_given_set(self):
         """A stress-scale (64x64, vocab 512, 7 scales) varin walk of
         scene-a with a given noise set traces under 10 MiB above the set
-        and the logits it holds, on one thread or two (5.8 and 7.4 MiB
-        measured; 21.2 MiB with a whole fresh field): the edit's finest
-        block logits (4 MiB) and a row block's scratch per thread, with
-        no full-size float64 array (16 MiB)."""
-        monkeypatch.setattr(_blocks, "THREADS", threads)
+        and the logits it holds (5.8 MiB measured; 21.2 MiB with a
+        whole fresh field): the edit's finest block logits (4 MiB) and
+        one row block's scratch, with no full-size float64 array
+        (16 MiB)."""
         params = PredictorParams(default_codebook(512), dyadic_schedule(7))
         grid, _, record = demo_scene("scene-a", params)
         pyramid = encode(grid, params.codebook, params.schedule)
@@ -597,14 +611,11 @@ class TestEditSeeds:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_stress_peak_memory_auto_invert(self, monkeypatch, threads):
+    def test_stress_peak_memory_auto_invert(self):
         """The same walk inverting as it goes traces under 12 MiB,
-        construction included, on one thread or two (7.4 and 9.1 MiB
-        measured; 22.9 MiB with a whole fresh field): the inversion
-        makes each row block's noise in scratch, so no full-size float64
-        array (16 MiB) is made."""
-        monkeypatch.setattr(_blocks, "THREADS", threads)
+        construction included (7.4 MiB measured; 22.9 MiB with a
+        whole fresh field): the inversion makes each row block's noise in
+        scratch, so no full-size float64 array (16 MiB) is made."""
         params = PredictorParams(default_codebook(512), dyadic_schedule(7))
         grid, _, record = demo_scene("scene-a", params)
         cfg = EditConfig(record.source_label, record.target_label)

@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise import _blocks, inversion
+from invnoise import inversion
 from invnoise.codec import default_codebook, dyadic_schedule, encode
 from invnoise.demo import demo_scene
 from invnoise.errors import InvariantError, ValidationError
@@ -486,36 +486,32 @@ class TestInvertPyramid:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_inversion_peak_memory(self, monkeypatch):
+    def test_inversion_peak_memory(self):
         """One margin of a 64x64, vocab-512 scale, under its full logits,
         allocates its float32 map (half the 16 MiB of the float64 logits)
-        and under 2 MiB more, on one thread or two: every float64 array of
-        the step is one row block's or (h, w)."""
+        and under 2 MiB more: every float64 array of the step is one row
+        block's or (h, w)."""
         h, w, c = 64, 64, 512
         fields = np.arange(h)[:, None, None], np.arange(w)[None, :, None], np.arange(c)
         logits = 30.0 * normal_values(1, 9, 1, *fields)
         tokens = np.argmax(logits, axis=-1).astype(np.int32)
-        for threads in (1, 2):
-            monkeypatch.setattr(_blocks, "THREADS", threads)
-            tracemalloc.start()
-            try:
-                (noise,) = ScaleInversion(tokens, logits, (1, 1), (18.0,), 0, 7).run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert noise.dtype == np.float32 and noise.nbytes == logits.nbytes // 2
-            assert peak < noise.nbytes + 2 * 2**20
+        tracemalloc.start()
+        try:
+            (noise,) = ScaleInversion(tokens, logits, (1, 1), (18.0,), 0, 7).run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert noise.dtype == np.float32 and noise.nbytes == logits.nbytes // 2
+        assert peak < noise.nbytes + 2 * 2**20
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_stress_pyramid_peak_memory(self, monkeypatch, threads):
+    def test_stress_pyramid_peak_memory(self):
         """Inverting stress-scale scene-a (64x64, vocab 512, 7 scales) at
-        tau 18 traces at most 20 MiB on one or two threads (17.0 and 19.1
-        MiB measured): the float32 maps (10.7 MiB), each scale's rows
-        written into its map as they are inverted, the finest block
-        logits (4 MiB) and one row block's scratch per thread (the noise,
-        the draws, a spare block and the spread logits, 2 MiB); no
-        full-size float64 array (16 MiB) and no float32 copy of a map."""
-        monkeypatch.setattr(_blocks, "THREADS", threads)
+        tau 18 traces at most 20 MiB (17.0 MiB measured): the float32
+        maps (10.7 MiB), each scale's rows written into its map as they
+        are inverted, the finest block logits (4 MiB) and one row block's
+        scratch (the noise, the draws, a spare block and the spread
+        logits, 2 MiB); no full-size float64 array (16 MiB) and no float32
+        copy of a map."""
         params = PredictorParams(default_codebook(size=512), dyadic_schedule(7))
         grid, _, record = demo_scene("scene-a", params)
         pyramid = encode(grid, params.codebook, params.schedule)

@@ -211,14 +211,11 @@ class TestPrefixBlocks:
         assert peak < 1.5 * logits.nbytes
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_generate_peak_memory(monkeypatch, source_cond, threads):
+def test_generate_peak_memory(source_cond):
     """Generating a 64x64, vocab-512, 7-scale pyramid traces under 8 MiB
-    on one thread or two (5.3 and 6.4 MiB measured; 21.2 MiB with a
-    whole Gumbel field per scale): the finest block logits (4 MiB) and a
-    row block's draws and sums per thread, with no full-size float64
-    array (16 MiB)."""
-    monkeypatch.setattr(_blocks, "THREADS", threads)
+    (5.3 MiB measured; 21.2 MiB with a whole Gumbel field per
+    scale): the finest block logits (4 MiB) and one row block's draws
+    and sums, with no full-size float64 array (16 MiB)."""
     params = PredictorParams(default_codebook(size=512), dyadic_schedule(7))
     cond = condition_embed(source_cond.label, params)
     tracemalloc.start()
@@ -235,22 +232,18 @@ class TestNextScaleTokens:
     bit for bit, taken one row block at a time, and leaves ``x``
     unmodified."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("block", [1 << 15, 3 * 64 * 2])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("stepper_seeds,mix_seeds", [(0, 0), (3, 3), (0, 3)],
                              ids=["one-walk", "seed-axis", "broadcast"])
-    def test_equals_argmax_of_the_sum(self, params, source_cond, monkeypatch, threads,
+    def test_equals_argmax_of_the_sum(self, params, source_cond, monkeypatch,
                                       block, dtype, stepper_seeds, mix_seeds):
         """At 1x1, 2x2, 4x4, 8x8 and 16x16 the first two scales have block
         factor 1 and the rest factor 2.  Row blocks of the whole scale, or
         of 3 rows of 2x2 blocks (of cells of one walk; one of 3 walks),
-        which 2, 4 and 8 block rows leave ragged, on one thread or two at
-        any size."""
+        which 2, 4 and 8 block rows leave ragged."""
         assert predictor._block_factors(params.schedule) == ((1, 1),) * 2 + ((2, 2),) * 3
         monkeypatch.setattr(_blocks, "CHUNK", block)
-        monkeypatch.setattr(_blocks, "THREADS", threads)
-        monkeypatch.setattr(_blocks, "MIN_ENTRIES", 0)
         pyramids = [generate(source_cond, params, seed=s) for s in range(max(stepper_seeds, 1))]
         stepper = ScaleStepper(source_cond, params)
         lead = (mix_seeds,) if mix_seeds else ()
