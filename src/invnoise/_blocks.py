@@ -8,16 +8,12 @@ of about ``CHUNK`` entries in order, so a block's temporaries stay in
 cache.  Each scale of a generation, an inversion or an edit walk is one
 such pass, whose body does all of the scale's (h, w, C)-sized work for
 its rows (draw, invert, mix, argmax) in scratch built once per pass, so
-none holds a full-size float64 array.  ``spread_rows`` gives a body the
-rows of its block of values held once per (fh, fw) block of cells, such
-as the stepper's block logits, spread over those cells.
+none holds a full-size float64 array.  Values held once per (fh, fw)
+block of cells, such as the stepper's block logits, meet a body's cell
+rows by broadcasting over the view ``by_blocks``, never by a copy.
 """
 
 from __future__ import annotations
-
-import math
-
-import numpy as np
 
 # Entries per row block (256 KiB of float64 or uint64): the one block
 # size of every blocked kernel.
@@ -43,27 +39,11 @@ def for_row_blocks(body, rows: int, entries: int, scratch=None) -> None:
         body(lo, min(lo + step, rows), buf)
 
 
-def spread_rows(x, factors: tuple[int, int], lo: int, hi: int, buf):
-    """Rows lo:hi of (..., hb, wb, C) block values ``x``, each spread over
-    the (fh, fw) cells of its block: (..., (hi - lo) * fh, wb * fw, C).
-
-    The spread is a copy into the flat ``buf`` from ``spread_scratch``,
-    so every value is exact.  With factors (1, 1) it is a view of rows
-    lo:hi of ``x``.
-    """
-    if buf is None:
-        return x[..., lo:hi, :, :]
+def by_blocks(x, factors: tuple[int, int]):
+    """A view of the (..., n, w, C) cell rows ``x`` as (..., n / fh, fh,
+    w / fw, fw, C), over which the block rows ``logits[..., :, None, :,
+    None, :]`` of the (fh, fw) ``factors`` broadcast: every cell meets
+    its block's logits, and nothing is copied."""
     fh, fw = factors
-    *lead, _, wb, c = x.shape
-    n = hi - lo
-    out = buf[: math.prod(lead) * n * fh * wb * fw * c].reshape(*lead, n, fh, wb, fw, c)
-    out[...] = x[..., lo:hi, None, :, None, :]
-    return out.reshape(*lead, n * fh, wb * fw, c)
-
-
-def spread_scratch(x, factors: tuple[int, int], step: int):
-    """The flat buffer ``spread_rows`` spreads ``step`` rows of ``x`` into;
-    None with factors (1, 1), which need none."""
-    if factors == (1, 1):
-        return None
-    return np.empty(x.size // x.shape[-3] * step * factors[0] * factors[1])
+    *lead, n, w, c = x.shape
+    return x.reshape(*lead, n // fh, fh, w // fw, fw, c)

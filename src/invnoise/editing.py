@@ -368,7 +368,7 @@ class SeedSweep:
                 return np.empty(size), np.empty(size), np.empty(size), [], None
             outs = [np.empty(size, dtype=np.float32) for _ in margins]
             inversion_buf = inversion.scratch(step)
-            (first, *_, last), _ = inversion_buf  # free once a block is inverted
+            first, *_, last = inversion_buf  # free once a block is inverted
             return np.empty(size), first, last, outs, inversion_buf
 
         _blocks.for_row_blocks(edit_rows, h // fh, row * h, scratch)

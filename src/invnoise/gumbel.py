@@ -13,14 +13,14 @@ is the exact transform, with np.logaddexp: the inversion's located
 noise must round to float32 as its values do, and recomputes with it
 every value its faster, certified form cannot vouch for (see
 :mod:`invnoise.inversion`).  Keyed draws come one row block at a time,
-from :func:`invnoise.rng.uniform_values`: ``loglog_rows`` gives
-log(-log u) of rows lo:hi of the keyed uniforms of an (h, w, C) grid,
-and ``standard_rows`` the standard Gumbel draws -log(-log u) there (the
-inversion's off-label draws, and the noise of a generation or an edit
-mix, whose argmax the caller takes from the stepper's block logits in
-the same row block).  Both write into a caller's row-block buffer, with
-the keyed hash mixing in the caller's scratch, so a pass allocates no
-array of a row block's size per block.  Every value is a pure function
+from :func:`invnoise.rng.uniform_values`: ``standard_rows`` gives the
+standard Gumbel draws -log(-log u) of rows lo:hi of the keyed uniforms
+of an (h, w, C) grid (the inversion's off-label draws, whose negation
+is the truncated transform's log(-log u), and the noise of a generation
+or an edit mix, whose argmax the caller takes from the stepper's block
+logits in the same row block).  It writes into a caller's row-block
+buffer, with the keyed hash mixing in the caller's scratch, so a pass
+allocates no array of a row block's size per block.  Every value is a pure function
 of its key, so a scale drawn by row blocks has the bytes of a whole
 draw; no function here makes a whole (h, w, C) field.
 """
@@ -72,32 +72,23 @@ def truncated_from_loglog(phi, trunc, loglog, out=None):
     return out[()]
 
 
-def loglog_rows(
+def standard_rows(
     seed, purpose: int, scale: int, lo: int, hi: int, w: int, c: int, out=None, scratch=None
 ) -> np.ndarray:
-    """log(-log u) of the keyed uniforms at rows lo:hi of an (h, w, C)
-    grid: (hi - lo, w, C), with a leading axis when ``seed`` is an array
-    of seeds.  Row/col/channel key fields are the grid indices.  Given
-    ``out`` and ``scratch``, C-contiguous float64 buffers of at least
-    the result's size, the result is a view of ``out`` and the hash
-    mixes in ``scratch`` (see :func:`invnoise.rng.raw64_values`), so the
-    call allocates no array of the result's size; the transform runs in
-    place."""
+    """Keyed standard Gumbel draws -log(-log u) at rows lo:hi of an
+    (h, w, C) grid: (hi - lo, w, C), with a leading axis when ``seed``
+    is an array of seeds.  Row/col/channel key fields are the grid
+    indices.  Given ``out`` and ``scratch``, C-contiguous float64
+    buffers of at least the result's size, the result is a view of
+    ``out`` and the hash mixes in ``scratch`` (see
+    :func:`invnoise.rng.raw64_values`), so the call allocates no array
+    of the result's size; the transform runs in place."""
     rows, cols = np.arange(lo, hi)[:, None, None], np.arange(w)[:, None]
     u = uniform_values(seed, purpose, scale, rows, cols, np.arange(c), out, scratch)
     np.log(u, out=u)
     np.negative(u, out=u)
     np.log(u, out=u)
-    return u
-
-
-def standard_rows(
-    seed, purpose: int, scale: int, lo: int, hi: int, w: int, c: int, out=None, scratch=None
-) -> np.ndarray:
-    """Keyed standard Gumbel draws -log(-log u) at rows lo:hi of an
-    (h, w, C) grid, keyed and written as ``loglog_rows``."""
-    g = loglog_rows(seed, purpose, scale, lo, hi, w, c, out, scratch)
-    return np.negative(g, out=g)
+    return np.negative(u, out=u)
 
 
 # --- reference CDFs ---------------------------------------------------------

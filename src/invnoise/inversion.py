@@ -22,10 +22,11 @@ the block of its cell, make the (h, w) label values once per scale;
 everything of size (h, w, C) is made per row block, in cache: the
 keyed off-label draws -log(-log u), written into the block's scratch,
 which do not depend on the margin, then per margin the noise q - p of
-the truncated transform under the block logits spread in scratch, its
-range check and the tightening, which writes the finished rows straight
-into the caller's float32 maps.  Spreading is a copy, so the bytes are
-those of the full logits.
+the truncated transform, its range check and the tightening, which
+writes the finished rows straight into the caller's float32 maps.  The
+block logits meet the cells by broadcasting over their block view
+(``_blocks.by_blocks``), and single cells read them at (r // fh,
+c // fw), so every sum and difference is the one the full logits give.
 An array of seeds adds a leading seed axis to the draws and the noise.
 A row block records its errors per margin, and ``check`` raises the
 first in margin order (a noise out of float32 range before a tightening
@@ -129,23 +130,26 @@ def check_tau(tau) -> float:
     return float(tau)
 
 
-def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float) -> np.ndarray:
-    """Cells whose replayed value is not at least ``tau`` below the label's.
+def _below_margin(q_label: np.ndarray, replayed: np.ndarray, tau: float, out=None) -> np.ndarray:
+    """Cells whose replayed value is not at least ``tau`` below the
+    label's, written into the bool ``out`` if given.
 
     With tau > 0, replayed >= q_label already gives q_label - replayed
-    <= 0 < tau, so one comparison covers both conditions; with tau <= 0
-    the margin test is implied by replayed >= q_label instead.
+    <= 0 < tau, so one comparison covers both conditions, and the
+    margins are written over the float64 ``replayed``; with tau <= 0 the
+    margin test is implied by replayed >= q_label instead.
     """
     if tau > 0:
-        return (q_label - replayed) < tau
-    return replayed >= q_label
+        return np.less(np.subtract(q_label, replayed, out=replayed), tau, out=out)
+    return np.greater_equal(replayed, q_label, out=out)
 
 
-def _tighten(tokens, logits, noise, tau: float, out, bad, in_range: bool) -> None:
+def _tighten(tokens, logits, factors, noise, tau: float, out, bad, in_range: bool) -> None:
     """Write into the float32 ``out`` the float64 ``noise`` under
     ``logits`` p, rounded to float32 values whose float64 replay p + n
-    keeps every margin.  One row block: (n, w) ``tokens``, (n, w, C)
-    ``logits`` and ``noise``, which may have a leading (seed) axis that
+    keeps every margin.  One row block: (n, w) ``tokens``, the block
+    ``logits`` (n / fh, w / fw, C) of the (fh, fw) ``factors``, and
+    (n, w, C) ``noise``, which may have a leading (seed) axis that
     ``out`` and the bool scratch ``bad`` share; ``noise`` is overwritten.
     The noise is read only by its range check and its float32 rounding;
     ``in_range`` says the caller has already bounded it within +-2^127.
@@ -169,17 +173,18 @@ def _tighten(tokens, logits, noise, tau: float, out, bad, in_range: bool) -> Non
     raised = noise[at_label].astype(np.float32) + step[at_label]
     np.subtract(noise, step, out=out, dtype=np.float32)  # rounds n, then moves it
     out[at_label] = raised
-    replayed = np.add(logits, out, out=noise)
+    replayed = noise  # p + out, written over the noise
+    np.copyto(replayed, out)  # exact: every float32 is a float64
+    replayed_blocks = _blocks.by_blocks(replayed, factors)
+    replayed_blocks += logits[..., :, None, :, None, :]
     q_label = replayed[at_label]
-    if tau > 0:  # _below_margin, with the margins written over the replay
-        np.less(np.subtract(q_label[..., None], replayed, out=replayed), tau, out=bad)
-    else:
-        np.greater_equal(replayed, q_label[..., None], out=bad)
+    _below_margin(q_label[..., None], replayed, tau, out=bad)
     bad[at_label] = False
     if not bad.any():
         return
     cells = np.nonzero(bad)
-    label, p = q_label[cells[:-1]], logits[cells[-3:]]
+    r, c, k = cells[-3:]
+    label, p = q_label[cells[:-1]], logits[r // factors[0], c // factors[1], k]
     terms = np.abs(label) + np.abs(p) + tau
     # clear of the float64 rounding in the bound, the replay and its check
     bound = label - tau - p - 2.0**-50 * terms
@@ -211,15 +216,17 @@ def _softmin(x, y, out, low):
     return out
 
 
-def _located_noise(p, p_max, trunc, g, label, at_label, noise, low, out) -> bool:
+def _located_noise(p, factors, p_max, trunc, g, label_noise, at_label, noise, low, out) -> bool:
     """Write into ``noise`` the noise q - p of the located perturbed
-    logits q under the (n, w, C) logits ``p``: ``truncated_from_loglog(p,
-    trunc[..., None], -g)`` off the label, with ``g`` the standard Gumbel
-    draws -log(-log u), and the label values ``label`` at ``at_label``.
-    ``p_max`` is max |p|.  ``trunc`` and ``label`` are (..., n, w), ``g``
-    and ``noise`` (..., n, w, C); ``low`` (float64) and the float32
-    ``out`` of their shape are scratch.  Returns whether the noise is
-    known to lie within +-2^127, so the tightening need not check it.
+    logits q under the block logits ``p`` (n / fh, w / fw, C) of the
+    (fh, fw) ``factors``: ``truncated_from_loglog(p, trunc[..., None],
+    -g)`` - p off the label, with ``g`` the standard Gumbel draws
+    -log(-log u), and the label noise ``label_noise`` at ``at_label``.
+    ``p_max`` is max |p|.  ``trunc`` and ``label_noise`` are (..., n, w),
+    ``g`` and ``noise`` (..., n, w, C); ``low`` (float64) and the
+    float32 ``out`` of their shape are scratch.  Returns whether the
+    noise is known to lie within +-2^127, so the tightening need not
+    check it.
 
     Off the label a value is first -logaddexp(p - trunc, -g), by
     ``_softmin`` of trunc - p and g, within E = ``_NOISE_ERROR`` (max |p|
@@ -233,13 +240,17 @@ def _located_noise(p, p_max, trunc, g, label, at_label, noise, low, out) -> bool
     noise stays within E of values inside +-(2^127 - E), so inside
     +-2^127.
     """
-    _softmin(np.subtract(trunc[..., None], p, out=noise), g, noise, low)
+    noise_blocks, p_blocks = _blocks.by_blocks(noise, factors), p[..., :, None, :, None, :]
+    trunc_blocks = _blocks.by_blocks(trunc[..., None], factors)
+    np.subtract(trunc_blocks, p_blocks, out=noise_blocks)
+    _softmin(noise, g, noise, low)
     error = _NOISE_ERROR * (p_max + max(low.max(), -low.min()) + 1.0)
-    noise[at_label] = label - p[at_label]
+    noise[at_label] = label_noise
     if not (noise.min() >= error - _NOISE_LIMIT and noise.max() <= _NOISE_LIMIT - error):
-        truncated_from_loglog(p, trunc[..., None], np.negative(g, out=low), out=noise)
-        noise[at_label] = label
-        noise -= p
+        loglog = _blocks.by_blocks(np.negative(g, out=low), factors)
+        truncated_from_loglog(p_blocks, trunc_blocks, loglog, out=noise_blocks)
+        noise_blocks -= p_blocks
+        noise[at_label] = label_noise
         return False
     size = noise.size
     spare = low.reshape(-1).view(np.float32)  # 2 * size float32 slots
@@ -250,10 +261,10 @@ def _located_noise(p, p_max, trunc, g, label, at_label, noise, low, out) -> bool
     np.not_equal(out.view(np.uint32), down.view(np.uint32), out=uncertain)
     uncertain[at_label] = False
     if uncertain.any():
-        cells = np.flatnonzero(uncertain)
-        phi = np.take(p, cells % p.size)
-        exact = truncated_from_loglog(phi, np.take(trunc, cells // p.shape[-1]), -np.take(g, cells))
-        np.put(noise, cells, exact - phi)
+        at = np.nonzero(uncertain)
+        r, c, k = at[-3:]
+        phi = p[r // factors[0], c // factors[1], k]
+        noise[at] = truncated_from_loglog(phi, trunc[at[:-1]], -g[at]) - phi
     return True
 
 
@@ -331,42 +342,38 @@ class ScaleInversion:
         self.shape = (*lead, h, w, logits.shape[-1])
         if kind != KIND_OAI:  # the located label values, once for every margin
             rows, cols = np.arange(h)[:, None], np.arange(w)
-            label_logit = logits[rows // factors[0], cols // factors[1], tokens]
+            self._label_logit = logits[rows // factors[0], cols // factors[1], tokens]
             u_label = uniform_values(seed, PURPOSE_LABEL_DRAW, scale, rows, cols, 0)
-            self._q_label = located_from_uniform(label_logit, u_label)
+            self._q_label = located_from_uniform(self._label_logit, u_label)
         # per margin, [out of range, not tightened]: an error of some block
         self._errors = [[None, None] for _ in self.taus]
 
-    def scratch(self, step: int):
-        """The buffers of one pass for ``step`` block rows: flat blocks (the
-        float64 noise, then for the located construction the float64
-        off-label draws and a spare block, for the onehot a bool block)
-        and the spread of the block logits.  The last block holds the
-        tightening's mask.  The first and the last block hold nothing
-        once ``invert_rows`` returns, so the caller's pass may use them
-        as its own scratch."""
+    def scratch(self, step: int) -> list[np.ndarray]:
+        """The flat blocks of one pass for ``step`` block rows: the float64
+        noise, then for the located construction the float64 off-label
+        draws and a spare block, for the onehot a bool block.  The last
+        block holds the tightening's mask.  The first and the last block
+        hold nothing once ``invert_rows`` returns, so the caller's pass
+        may use them as its own scratch."""
         size = math.prod(self.shape) // self.shape[-3] * step * self.factors[0]
         if self.kind == KIND_OAI:
-            blocks = [np.empty(size), np.empty(size, dtype=np.bool_)]
-        else:
-            blocks = [np.empty(size) for _ in range(3)]
-        return blocks, _blocks.spread_scratch(self.logits, self.factors, step)
+            return [np.empty(size), np.empty(size, dtype=np.bool_)]
+        return [np.empty(size) for _ in range(3)]
 
     def invert_rows(self, lo: int, hi: int, buf, outs) -> list[bool]:
         """Invert block rows lo:hi into ``outs``; per margin, whether its
         rows were written."""
-        blocks, spread = buf
         fh = self.factors[0]
         rows = slice(lo * fh, hi * fh)
-        p = _blocks.spread_rows(self.logits, self.factors, lo, hi, spread)
+        p = self.logits[lo:hi]
         shape = (*self.shape[:-3], rows.stop - rows.start, *self.shape[-2:])
-        noise, *spare = (b[: math.prod(shape)].reshape(shape) for b in blocks)
-        bad = blocks[-1].view(np.bool_)[: noise.size].reshape(shape)  # free while tightening
+        noise, *spare = (b[: math.prod(shape)].reshape(shape) for b in buf)
+        bad = buf[-1].view(np.bool_)[: noise.size].reshape(shape)  # free while tightening
         written = []
         margins = self._noise_rows(rows, p, noise, spare, outs)
         for errors, (tau, in_range), out in zip(self._errors, margins, outs):
             try:
-                _tighten(self.tokens[rows], p, noise, tau, out, bad, in_range)
+                _tighten(self.tokens[rows], p, self.factors, noise, tau, out, bad, in_range)
                 written.append(True)
             except ValidationError as exc:
                 errors[0] = exc
@@ -377,8 +384,8 @@ class ScaleInversion:
         return written
 
     def _noise_rows(self, rows: slice, p, noise, spare, outs):
-        """Write the noise of cell ``rows`` under their logits ``p`` into
-        ``noise``, margin by margin, and yield the margin each replay must
+        """Write the noise of cell ``rows`` under their block logits ``p``
+        into ``noise``, margin by margin, and yield the margin each replay must
         keep and whether the noise is known to lie within +-2^127; the
         noise's range and float32 rounding are those of the exact
         construction.  The located draws serve every margin, with
@@ -387,22 +394,24 @@ class ScaleInversion:
         tokens = self.tokens[rows]
         if self.kind == KIND_OAI:
             for _ in self.taus:
-                np.subtract(_onehot(tokens, noise), p, out=noise)
+                q = _blocks.by_blocks(_onehot(tokens, noise), self.factors)
+                q -= p[..., :, None, :, None, :]
                 yield 0.0, False
             return
         g, low = spare
         h, w = tokens.shape
         at_label = (..., np.arange(h)[:, None], np.arange(w), tokens)
         q_label = self._q_label[..., rows, :]
-        fh = self.factors[0]  # max |p| over the block logits, not their spread
-        block = self.logits[rows.start // fh : rows.stop // fh]
-        p_max = max(block.max(), -block.min())
+        label_noise = q_label - self._label_logit[rows]
+        p_max = max(p.max(), -p.min())
         g = standard_rows(
             self.seed, PURPOSE_TRUNC_DRAW, self.scale, rows.start, rows.stop, w, noise.shape[-1],
             g, low,
         )
         for tau, out in zip(self.taus, outs):
-            yield tau, _located_noise(p, p_max, q_label - tau, g, q_label, at_label, noise, low, out)
+            yield tau, _located_noise(
+                p, self.factors, p_max, q_label - tau, g, label_noise, at_label, noise, low, out
+            )
 
     def check(self) -> None:
         """Raise the first error a row block recorded, in margin order."""

@@ -17,11 +17,12 @@ once per block: the block logits, one cell per prefix block, with the
 block factors (fh, fw) of cells that share them (see
 ``_block_factors``).  They are the one form of logits in the package.
 Every cell of a block has its block's logits bit for bit, so a kernel
-that reads the logits of each cell takes them one row block at a time:
+that reads the logits of each cell takes them one row block at a time,
+broadcast over the block view of its cell rows (``_blocks.by_blocks``):
 ``argmax_tokens`` adds one row block of block logits to the matching
 cell rows of a noise or a mix and keeps only the argmax, and the
-inversion spreads them in scratch (``_blocks.spread_rows``).  No
-full-size logits array is made.  Pushing a stack of S token maps turns
+inversion step subtracts and adds them the same way.  No full-size or
+per-cell logits array is made.  Pushing a stack of S token maps turns
 it into S walks that share that prefix (a leading seed axis on the
 canvas and the logits).
 Generation, inversion, replay and editing all drive it.  ``generate``
@@ -235,21 +236,20 @@ class ScaleStepper:
 
 def argmax_tokens(logits, factors: tuple[int, int], x, out, sums) -> None:
     """Write into ``out`` the (..., n, w) int32 argmax over the classes of
-    one row block: the block ``logits`` (..., n / fh, w / fw, C), spread
-    over their (fh, fw) ``factors``, plus the (..., n, w, C) cell rows
-    ``x``, of any float dtype.
+    one row block: the block ``logits`` (..., n / fh, w / fw, C),
+    broadcast over the cells of their (fh, fw) ``factors``, plus the
+    (..., n, w, C) cell rows ``x``, of any float dtype.
 
     The sums are taken in the flat float64 scratch ``sums``, which may
     hold ``x`` itself (``x`` is then overwritten): each row of prefix
     blocks broadcast over its cells plus ``x``, the same IEEE sums as
     the full logits plus ``x``.
     """
-    fh, fw = factors
-    *lead, n, w, c = np.broadcast_shapes(x.shape, logits.shape[:-3] + x.shape[-3:])
-    blocks = (n // fh, fh, w // fw, fw, c)
-    rows = sums[: math.prod(lead) * n * w * c].reshape(*lead, *blocks)
-    np.add(x.reshape(*x.shape[:-3], *blocks), logits[..., :, None, :, None, :], out=rows)
-    out[...] = np.argmax(rows.reshape(*lead, n, w, c), axis=-1)
+    shape = np.broadcast_shapes(x.shape, logits.shape[:-3] + x.shape[-3:])
+    rows = sums[: math.prod(shape)].reshape(shape)
+    blocks = _blocks.by_blocks(rows, factors)
+    np.add(_blocks.by_blocks(x, factors), logits[..., :, None, :, None, :], out=blocks)
+    out[...] = np.argmax(rows, axis=-1)
 
 
 def _tokens_by_rows(logits, factors, shape, noise_rows, blocks: int = 1) -> np.ndarray:

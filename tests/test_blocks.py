@@ -72,38 +72,41 @@ class TestForRowBlocks:
         assert seen == [(0, 64, 64)]
 
 
-class TestSpreadRows:
-    @pytest.mark.parametrize("factors", [(2, 3), (3, 1)])
-    def test_rows_of_the_spread(self, factors):
-        """Rows lo:hi of block values, with a leading axis, are those rows
-        of the values repeated over their blocks, in scratch."""
-        fh, fw = factors
-        seeds = np.array([1, 2], dtype=np.uint64)
-        x = rng.normal_values(seeds, 9, 0, np.arange(5)[:, None, None],
-                              np.arange(4)[:, None], np.arange(3))
-        full = np.repeat(np.repeat(x, fh, axis=-3), fw, axis=-2)
-        buf = _blocks.spread_scratch(x, factors, 5)
-        for lo, hi in [(0, 5), (1, 3), (4, 5)]:
-            got = _blocks.spread_rows(x, factors, lo, hi, buf)
-            assert np.array_equal(got, full[..., lo * fh : hi * fh, :, :])
-            assert np.shares_memory(got, buf)
-
-    def test_factor_one_is_a_view(self):
-        x = np.zeros((5, 4, 3))
-        assert _blocks.spread_scratch(x, (1, 1), 2) is None
-        got = _blocks.spread_rows(x, (1, 1), 1, 3, None)
-        assert got.base is x and got.shape == (2, 4, 3)
+def per_cell(block, factors):
+    """Block values repeated over the (fh, fw) cells of each block."""
+    return np.repeat(np.repeat(block, factors[0], axis=0), factors[1], axis=1)
 
 
-def spread_logits_and_tokens(seed, factors):
-    """Logits of a (5, 7) grid of prefix blocks, the same logits spread
-    over blocks of ``factors`` cells, and the Gumbel-max tokens of the
-    spread logits."""
-    fh, fw = factors
+def block_logits_and_tokens(seed, factors, beta=4.0):
+    """Logits of a (5, 7) grid of prefix blocks at ``beta``, the same
+    logits per cell over blocks of ``factors`` cells, and the Gumbel-max
+    tokens of the per-cell logits."""
     block, _ = logits_and_tokens(seed, (5, 7, SHAPE[2]))
-    full = np.repeat(np.repeat(block, fh, axis=0), fw, axis=1)
+    block *= beta / 4.0
+    full = per_cell(block, factors)
     tokens = np.argmax(full + standard_field(seed, 9, 3, full.shape), axis=-1)
     return block, full, tokens.astype(np.int32)
+
+
+def off_label_class(tokens, factors, r, c):
+    """The first class that is no cell's label in prefix block (r, c)."""
+    fh, fw = factors
+    labels = tokens[r * fh : (r + 1) * fh, c * fw : (c + 1) * fw]
+    return int(np.setdiff1d(np.arange(SHAPE[2]), labels)[0])
+
+
+def hard_logits_and_tokens(factors):
+    """Beta-3000 logits of ``block_logits_and_tokens`` that reach every
+    path of the located step: its certificate fails on some cells at
+    beta 3000; a logit of 2^127 off the label in block (3, 4) brings that
+    row block's noise within E of -2^127; block row 1, lifted to 2^40,
+    has one class clamped 50 above every truncation bound of block
+    (1, 2), whose float32 move the replay rounds away."""
+    block, _, tokens = block_logits_and_tokens(8, factors, beta=3000.0)
+    block[3, 4, off_label_class(tokens, factors, 3, 4)] = 2.0**127
+    block[1] += 2.0**40
+    block[1, 2, off_label_class(tokens, factors, 1, 2)] = block[1, 2].max() + 50.0
+    return block, per_cell(block, factors), tokens
 
 
 class TestBlockLogits:
@@ -112,24 +115,47 @@ class TestBlockLogits:
     @pytest.mark.parametrize("seeds", SEEDS, ids=SEED_IDS)
     def test_inversion_step(self, monkeypatch, factors, kind, seeds):
         """The step under block logits and their factors gives the noise
-        of the step under the spread logits at two margins, bit for bit,
+        of the step under the per-cell logits at two margins, bit for bit,
         with row blocks of 1 and 2 prefix-block rows (5 rows leave them
-        ragged)."""
-        block, full, tokens = spread_logits_and_tokens(8, factors)
+        ragged), under drawn logits and under ``hard_logits_and_tokens``.
+        On the hard logits every path of the located step runs in every
+        pass: the exact recomputation of gathered cells and of a whole
+        row block, and the tightening's correction of cells."""
         taus, seed = (18.0, 0.0), seed_of(seeds)
-        want = inversion.ScaleInversion(tokens, full, (1, 1), taus, seed, 5, kind).run()
-        row = full[0].size * (1 if seeds is None else seeds.size)
-        for rows in (1, 2):
-            monkeypatch.setattr(_blocks, "CHUNK", rows * factors[0] * row)
-            got = inversion.ScaleInversion(tokens, block, factors, taus, seed, 5, kind).run()
-            assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
+        cases = [block_logits_and_tokens(8, factors), hard_logits_and_tokens(factors)]
+        wants = [inversion.ScaleInversion(tokens, full, (1, 1), taus, seed, 5, kind).run()
+                 for _, full, tokens in cases]
+        ran = {"gathered": 0, "whole block": 0, "corrected": 0}
+        exact, below_margin = inversion.truncated_from_loglog, inversion._below_margin
+
+        def counted_exact(phi, *rest, **kw):
+            ran["gathered" if np.ndim(phi) == 1 else "whole block"] += 1
+            return exact(phi, *rest, **kw)
+
+        def counted_below_margin(q_label, replayed, *rest, **kw):
+            ran["corrected"] += np.ndim(replayed) == 1  # the check of corrected cells
+            return below_margin(q_label, replayed, *rest, **kw)
+
+        monkeypatch.setattr(inversion, "truncated_from_loglog", counted_exact)
+        monkeypatch.setattr(inversion, "_below_margin", counted_below_margin)
+        row = cases[0][1][0].size * (1 if seeds is None else seeds.size)
+        for (block, _, tokens), want, hard in zip(cases, wants, (False, True)):
+            for rows in (1, 2):
+                monkeypatch.setattr(_blocks, "CHUNK", rows * factors[0] * row)
+                ran.update(dict.fromkeys(ran, 0))
+                got = inversion.ScaleInversion(tokens, block, factors, taus, seed, 5, kind).run()
+                assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
+                if hard and kind == "lai":  # the onehot noise has no truncated transform
+                    assert all(ran.values()), ran
 
     def test_truncated_transform(self):
         """The truncated transform of each row block, under the block logits
-        spread in scratch as the inversion step spreads them and the keyed
-        log-log of its rows, into scratch, equals the transform of the
-        whole draw under the spread logits."""
-        block, full, _ = spread_logits_and_tokens(9, (3, 2))
+        broadcast over the block view of its cells as the inversion step
+        reads them and the keyed log-log of its rows, into scratch,
+        equals the transform of the whole draw under the per-cell
+        logits."""
+        factors = (3, 2)
+        block, full, _ = block_logits_and_tokens(9, factors)
         h, w, c = full.shape
         u_off = rng.uniform_values(7, rng.PURPOSE_TRUNC_DRAW, 4, np.arange(h)[:, None, None],
                                    np.arange(w)[:, None], np.arange(c))
@@ -138,18 +164,17 @@ class TestBlockLogits:
         got = np.empty_like(want)
 
         def truncate_rows(lo, hi, buf):
-            spread, out = buf
             r = slice(3 * lo, 3 * hi)
-            p = _blocks.spread_rows(block, (3, 2), lo, hi, spread)
-            loglog = gumbel.loglog_rows(7, rng.PURPOSE_TRUNC_DRAW, 4, r.start, r.stop, w, c)
-            out = out[: p.size].reshape(p.shape)
-            got[r] = gumbel.truncated_from_loglog(p, trunc[r], loglog, out=out)
+            loglog = -gumbel.standard_rows(7, rng.PURPOSE_TRUNC_DRAW, 4, r.start, r.stop, w, c)
+            out = buf[: loglog.size].reshape(loglog.shape)
+            gumbel.truncated_from_loglog(
+                block[lo:hi, None, :, None, :], _blocks.by_blocks(trunc[r], factors),
+                _blocks.by_blocks(loglog, factors), out=_blocks.by_blocks(out, factors),
+            )
+            got[r] = out
 
-        _blocks.for_row_blocks(
-            truncate_rows, block.shape[0], full.size,
-            lambda step: (_blocks.spread_scratch(block, (3, 2), step),
-                          np.empty(3 * step * w * c)),
-        )
+        _blocks.for_row_blocks(truncate_rows, block.shape[0], full.size,
+                               lambda step: np.empty(3 * step * w * c))
         assert np.array_equal(got, want)
 
 
@@ -175,7 +200,7 @@ class TestByRowsEqualsWhole:
         trunc = np.max(logits, axis=-1, keepdims=True) - 2.0
         if seeds is not None:
             trunc = trunc - np.arange(2)[:, None, None, None]
-        loglog = gumbel.loglog_rows(seed_of(seeds), rng.PURPOSE_TRUNC_DRAW, 4, 0, h, w, c)
+        loglog = -gumbel.standard_rows(seed_of(seeds), rng.PURPOSE_TRUNC_DRAW, 4, 0, h, w, c)
         fresh = gumbel.truncated_from_loglog(logits, trunc, loglog)
         by_rows = np.empty_like(fresh)
 

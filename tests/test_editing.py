@@ -765,7 +765,7 @@ class TestLambdaZeroTakesNoNoise:
     @staticmethod
     def count_inversion_draws(monkeypatch):
         """Seeds drawn per purpose: the label draws of the inversion, and
-        its off-label draws (``gumbel.loglog_rows``), which these desk
+        its off-label draws (``gumbel.standard_rows``), which these desk
         scales draw in one row block each."""
         counts = {PURPOSE_LABEL_DRAW: 0, PURPOSE_TRUNC_DRAW: 0}
         uniforms = inversion.uniform_values

@@ -17,7 +17,6 @@ from invnoise.errors import InvariantError, ValidationError
 from invnoise.gumbel import (
     ks_statistic,
     located_from_uniform,
-    loglog_rows,
     standard_from_uniform,
     standard_rows,
     truncated_from_loglog,
@@ -64,7 +63,7 @@ def located_q(tokens, logits, tau, seed, scale):
     exactly: the truncated transform with np.logaddexp."""
     h, w, c = logits.shape
     q_label = ScaleInversion(tokens, logits, (1, 1), (tau,), seed, scale)._q_label
-    loglog = loglog_rows(seed, PURPOSE_TRUNC_DRAW, scale, 0, h, w, c)
+    loglog = -standard_rows(seed, PURPOSE_TRUNC_DRAW, scale, 0, h, w, c)
     q = truncated_from_loglog(logits, (q_label - tau)[..., None], loglog)
     q[label_indices(tokens)] = q_label
     return q
@@ -75,7 +74,7 @@ def located_noise(tokens, logits, tau, seed, scale):
     tightening, over the whole scale as one row block: exact in its range
     and float32 rounding only."""
     step = ScaleInversion(tokens, logits, (1, 1), (tau,), seed, scale)
-    (noise, *spare), _ = step.scratch(tokens.shape[0])
+    noise, *spare = step.scratch(tokens.shape[0])
     noise, *spare = (b.reshape(logits.shape) for b in (noise, *spare))
     out = np.empty(logits.shape, dtype=np.float32)
     next(step._noise_rows(slice(0, tokens.shape[0]), logits, noise, spare, [out]))
@@ -206,7 +205,8 @@ def tighten_noise(tokens, logits, noise, tau):
     """The tightened float32 noise of a float64 ``noise``, as its exact
     float64 values."""
     out = np.empty(noise.shape, dtype=np.float32)
-    _tighten(tokens, logits, noise.copy(), tau, out, np.empty(noise.shape, dtype=bool), False)
+    bad = np.empty(noise.shape, dtype=bool)
+    _tighten(tokens, logits, (1, 1), noise.copy(), tau, out, bad, False)
     return out.astype(np.float64)
 
 
@@ -335,7 +335,8 @@ def certified_noise(p, trunc, g, label, at_label):
     noise, low = np.empty(g.shape), np.empty(g.shape)
     out = np.empty(g.shape, dtype=np.float32)
     p_max = max(p.max(), -p.min())
-    if inversion._located_noise(p, p_max, trunc, g, label, at_label, noise, low, out):
+    label_noise = label - p[at_label]
+    if inversion._located_noise(p, (1, 1), p_max, trunc, g, label_noise, at_label, noise, low, out):
         assert np.all(np.abs(noise) <= 2.0**127)
     return noise
 
@@ -506,12 +507,12 @@ class TestInvertPyramid:
 
     def test_stress_pyramid_peak_memory(self):
         """Inverting stress-scale scene-a (64x64, vocab 512, 7 scales) at
-        tau 18 traces at most 20 MiB (17.0 MiB measured): the float32
+        tau 18 traces at most 20 MiB (16.5 MiB measured): the float32
         maps (10.7 MiB), each scale's rows written into its map as they
         are inverted, the finest block logits (4 MiB) and one row block's
-        scratch (the noise, the draws, a spare block and the spread
-        logits, 2 MiB); no full-size float64 array (16 MiB) and no float32
-        copy of a map."""
+        scratch (the noise, the draws and a spare block, 1.5 MiB); no
+        full-size float64 array (16 MiB), no per-cell copy of the logits
+        and no float32 copy of a map."""
         params = PredictorParams(default_codebook(size=512), dyadic_schedule(7))
         grid, _, record = demo_scene("scene-a", params)
         pyramid = encode(grid, params.codebook, params.schedule)
