@@ -4,8 +4,9 @@ Plain INI-style text files (configparser) describe the codec, the
 predictor, the edit, and an optional sweep.  Every ``[edit]`` and
 ``[sweep]`` value is checked when the config is built: ``[sweep]`` by
 ``SweepSection``, and each sweep value as the ``EditConfig`` it makes.
-A section or key that ``render_config`` does not write is a
-``ValidationError``.
+One table, ``SECTIONS``, lists every section and key with its parser
+and renderer; loading and rendering both read it, and a section or key
+it does not list is a ``ValidationError``.
 A canonical re-rendering of the parsed values is hashed into a 16-byte
 digest that every output artifact embeds, so results are traceable to
 their exact configuration.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 from dataclasses import dataclass, field, replace
 
 from .codec import ScaleSchedule, default_codebook
@@ -177,6 +177,45 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
+# The INI format, the only place that names a key: each section in
+# canonical order, the ExperimentConfig field it builds (None for
+# [output], whose key sets a field of the config itself), and each key
+# as (key, field, parse, render).
+SECTIONS = (
+    ("codec", "codec", (
+        ("dim", "dim", int, str),
+        ("vocab", "vocab", int, str),
+        ("schedule", "schedule", _parse_schedule, _render_schedule),
+        ("codebook_seed", "codebook_seed", int, str),
+    )),
+    ("predictor", "predictor", (
+        ("beta", "beta", float, repr),
+        ("cond_gain", "cond_gain", float, repr),
+        ("model_seed", "model_seed", int, str),
+    )),
+    ("edit", "edit", (
+        ("source", "source_label", str, str),
+        ("target", "target_label", str, str),
+        # a blank value stands for None
+        ("start_scale", "start_scale", lambda t: int(t) if t else None,
+         lambda v: "" if v is None else str(v)),
+        ("tau", "tau", lambda t: float(t) if t else None,
+         lambda v: "" if v is None else repr(float(v))),
+        ("lambda_kind", "lambda_kind", str, str),
+        ("lambda_value", "lambda_value", float, repr),
+        ("seed", "seed", int, str),
+        ("context", "context_mode", str, str),
+        ("mode", "mode", str, str),
+    )),
+    ("sweep", "sweep", (
+        ("parameter", "parameter", str, str),
+        ("values", "values", _parse_values, lambda vs: ",".join(map(repr, vs))),
+        ("seeds", "seeds", _parse_seeds, lambda xs: ",".join(map(str, xs))),
+    )),
+    ("output", None, (("dir", "output_dir", str, str),)),
+)
+
+
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)  # a label may hold "%"
     try:
@@ -193,96 +232,42 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    d = ExperimentConfig()  # the default of every key
-    known = {}  # every section and key a config may hold: those render_config writes
-    for line in render_config(d).splitlines():
-        if line.startswith("["):
-            keys = known[line[1:-1]] = set()
-        elif line:
-            keys.add(line.split(" = ")[0])
     if parser.defaults():
         raise ValidationError("unknown config section [DEFAULT]")
+    known = {name: {key for key, *_ in keys} for name, _, keys in SECTIONS}
     for name in parser.sections():
         if name not in known:
             raise ValidationError(f"unknown config section [{name}]")
         unknown = sorted(set(parser[name]) - known[name])
         if unknown:
             raise ValidationError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
-    sections = {}
-    if parser.has_section("codec"):
-        s = parser["codec"]
-        sections["codec"] = CodecSection(
-            dim=s.getint("dim", d.codec.dim),
-            vocab=s.getint("vocab", d.codec.vocab),
-            schedule=_parse_schedule(s.get("schedule", _render_schedule(d.codec.schedule))),
-            codebook_seed=s.getint("codebook_seed", d.codec.codebook_seed),
-        )
-    if parser.has_section("predictor"):
-        s = parser["predictor"]
-        sections["predictor"] = PredictorSection(
-            beta=s.getfloat("beta", d.predictor.beta),
-            cond_gain=s.getfloat("cond_gain", d.predictor.cond_gain),
-            model_seed=s.getint("model_seed", d.predictor.model_seed),
-        )
-    if parser.has_section("edit"):
-        s = parser["edit"]
-        start = s.get("start_scale", "")
-        tau = s.get("tau", "")
-        sections["edit"] = EditConfig(
-            source_label=s.get("source", d.edit.source_label),
-            target_label=s.get("target", d.edit.target_label),
-            start_scale=int(start) if start else None,
-            tau=float(tau) if tau else None,
-            lambda_kind=s.get("lambda_kind", d.edit.lambda_kind),
-            lambda_value=s.getfloat("lambda_value", d.edit.lambda_value),
-            seed=s.getint("seed", d.edit.seed),
-            context_mode=s.get("context", d.edit.context_mode),
-            mode=s.get("mode", d.edit.mode),
-        )
-    if parser.has_section("sweep"):
-        s = parser["sweep"]
-        sections["sweep"] = SweepSection(
-            parameter=s.get("parameter", ""),
-            values=_parse_values(s.get("values", "")),
-            seeds=_parse_seeds(s.get("seeds", "")),
-        )
-    if parser.has_section("output"):
-        sections["output_dir"] = parser["output"].get("dir", d.output_dir)
-    return ExperimentConfig(**sections)
+    default = ExperimentConfig()  # a missing key keeps its value here
+    built = {}
+    for name, attr, keys in SECTIONS:
+        if not parser.has_section(name):
+            continue
+        s = parser[name]
+        values = {field: parse(s[key]) for key, field, parse, _ in keys if key in s}
+        if attr is None:
+            built.update(values)
+        else:  # through the section's constructor, which checks it
+            built[attr] = replace(getattr(default, attr), **values)
+    return ExperimentConfig(**built)
 
 
 def render_config(cfg: ExperimentConfig, include_output: bool = True) -> str:
-    """Canonical text form: fixed section/key order, normalized values."""
-    buf = io.StringIO()
-    buf.write("[codec]\n")
-    buf.write(f"dim = {cfg.codec.dim}\n")
-    buf.write(f"vocab = {cfg.codec.vocab}\n")
-    buf.write(f"schedule = {_render_schedule(cfg.codec.schedule)}\n")
-    buf.write(f"codebook_seed = {cfg.codec.codebook_seed}\n\n")
-    buf.write("[predictor]\n")
-    buf.write(f"beta = {cfg.predictor.beta!r}\n")
-    buf.write(f"cond_gain = {cfg.predictor.cond_gain!r}\n")
-    buf.write(f"model_seed = {cfg.predictor.model_seed}\n\n")
-    e = cfg.edit
-    buf.write("[edit]\n")
-    buf.write(f"source = {e.source_label}\n")
-    buf.write(f"target = {e.target_label}\n")
-    buf.write(f"start_scale = {'' if e.start_scale is None else e.start_scale}\n")
-    buf.write(f"tau = {'' if e.tau is None else repr(float(e.tau))}\n")
-    buf.write(f"lambda_kind = {e.lambda_kind}\n")
-    buf.write(f"lambda_value = {e.lambda_value!r}\n")
-    buf.write(f"seed = {e.seed}\n")
-    buf.write(f"context = {e.context_mode}\n")
-    buf.write(f"mode = {e.mode}\n\n")
-    s = cfg.sweep
-    buf.write("[sweep]\n")
-    buf.write(f"parameter = {s.parameter}\n")
-    buf.write(f"values = {','.join(repr(v) for v in s.values)}\n")
-    buf.write(f"seeds = {','.join(str(x) for x in s.seeds)}\n\n")
-    if include_output:
-        buf.write("[output]\n")
-        buf.write(f"dir = {cfg.output_dir}\n")
-    return buf.getvalue()
+    """Canonical text form: the sections and keys of ``SECTIONS`` in
+    order, each value rendered by its key, and a blank line after every
+    section but [output]."""
+    text = ""
+    for name, attr, keys in SECTIONS:
+        if attr is None and not include_output:
+            continue
+        holder = cfg if attr is None else getattr(cfg, attr)
+        text += f"[{name}]\n"
+        text += "".join(f"{key} = {render(getattr(holder, field))}\n" for key, field, _, render in keys)
+        text += "" if attr is None else "\n"
+    return text
 
 
 def config_digest(cfg: ExperimentConfig) -> bytes:

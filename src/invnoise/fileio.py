@@ -12,7 +12,9 @@ writer cannot produce: short or trailing bytes, sizes beyond the file,
 tokens outside the vocab, non-finite float payload values and a noise
 ``tau`` that is negative or not finite.  Writers raise
 ``ValidationError``, and write nothing, for a payload value that is not
-finite in float32.
+finite in float32, a seed outside [0, 2^64), a digest that is not 16
+bytes, noise maps that are not all (h, w, vocab) with one vocab, or a
+noise ``tau`` that is negative or not finite.
 
 Grids and token pyramids can also be rendered to binary PGM images for
 eyeballing: one image per channel (min-max normalized) or per scale
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .inversion import KIND_LAI, KIND_OAI, InverseNoiseSet
+from .inversion import KIND_LAI, KIND_OAI, InverseNoiseSet, check_tau
+from .rng import seed_array
 
 GRID_MAGIC = b"NSGR"
 PYRAMID_MAGIC = b"NSPY"
@@ -112,18 +115,18 @@ def _check_end(fh):
         raise FormatError("trailing bytes after the payload")
 
 
-def _write_header(fh, magic: bytes, seed: int, digest: bytes, kind: int = 0, flags: int = 0):
+def _header(magic: bytes, seed, digest: bytes, kind: int = 0, flags: int = 0) -> bytes:
     """Magic, version, two code bytes (zero for grids and pyramids), the
-    seed and the 16-byte config digest."""
-    if len(digest) != 16:
+    seed and the 16-byte config digest.  Writers build it before opening
+    their file, so a bad seed or digest writes nothing."""
+    if not isinstance(digest, bytes) or len(digest) != 16:
         raise ValidationError("config digest must be 16 bytes")
-    fh.write(magic)
-    fh.write(struct.pack("<HBBQ", FORMAT_VERSION, kind, flags, seed & (2**64 - 1)))
-    fh.write(digest)
+    (seed,) = seed_array((seed,))
+    return magic + struct.pack("<HBBQ", FORMAT_VERSION, kind, flags, int(seed)) + digest
 
 
 def _read_header(fh, magic: bytes) -> tuple[int, int, ArtifactHeader]:
-    """The (kind, flags, header) that :func:`_write_header` wrote."""
+    """The (kind, flags, header) that :func:`_header` made."""
     got = _read_exact(fh, 4)
     if got != magic:
         raise FormatError(f"bad magic {got!r}, expected {magic!r}")
@@ -141,9 +144,10 @@ def write_grid(path, grid: np.ndarray, seed: int = 0, digest: bytes = ZERO_DIGES
     if grid.ndim != 3:
         raise ValidationError("grid must be (d, h, w)")
     payload = _float32_payload(grid, "grid")
+    header = _header(GRID_MAGIC, seed, digest)
     d, h, w = grid.shape
     with open(path, "wb") as fh:
-        _write_header(fh, GRID_MAGIC, seed, digest)
+        fh.write(header)
         fh.write(struct.pack("<III", d, h, w))
         fh.write(payload)
 
@@ -170,8 +174,9 @@ def write_pyramid(path, pyramid, vocab: int, seed: int = 0, digest: bytes = ZERO
             raise ValidationError("token maps must be 2-D integer arrays")
         if np.any(t < 0) or np.any(t >= vocab):
             raise ValidationError("token index out of range")
+    header = _header(PYRAMID_MAGIC, seed, digest)
     with open(path, "wb") as fh:
-        _write_header(fh, PYRAMID_MAGIC, seed, digest)
+        fh.write(header)
         fh.write(struct.pack("<II", len(maps), vocab))
         for t in maps:
             fh.write(struct.pack("<II", *t.shape))
@@ -201,21 +206,23 @@ def write_noise_set(path, noise_set: InverseNoiseSet, digest: bytes = ZERO_DIGES
         raise ValidationError("noise set has no scales")
     label = noise_set.condition_label.encode("utf-8")
     payloads = [_float32_payload(n, "noise") for n in noise_set.noises]
+    if any(p.ndim != 3 for p in payloads) or len({p.shape[2] for p in payloads}) != 1:
+        raise ValidationError("noise maps must all be (h, w, vocab) with one vocab")
+    tau = check_tau(noise_set.tau)
+    header = _header(
+        NOISE_MAGIC,
+        noise_set.seed,
+        digest,
+        _KIND_CODES[noise_set.kind],
+        1 if noise_set.sensitive else 0,
+    )
     with open(path, "wb") as fh:
-        _write_header(
-            fh,
-            NOISE_MAGIC,
-            noise_set.seed,
-            digest,
-            _KIND_CODES[noise_set.kind],
-            1 if noise_set.sensitive else 0,
-        )
-        first = noise_set.noises[0]
-        fh.write(struct.pack("<IId", noise_set.num_scales, first.shape[2], noise_set.tau))
+        fh.write(header)
+        fh.write(struct.pack("<IId", noise_set.num_scales, payloads[0].shape[2], tau))
         fh.write(struct.pack("<I", len(label)))
         fh.write(label)
-        for n in noise_set.noises:
-            fh.write(struct.pack("<II", n.shape[0], n.shape[1]))
+        for p in payloads:
+            fh.write(struct.pack("<II", p.shape[0], p.shape[1]))
         for payload in payloads:
             fh.write(payload)
 

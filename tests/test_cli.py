@@ -1,6 +1,7 @@
 """CLI harness: end-to-end commands, exit codes, byte-level determinism."""
 
 import concurrent.futures
+import configparser
 import hashlib
 import os
 import struct
@@ -1244,12 +1245,12 @@ SWEEP_VALUES_BY_PARAMETER = {
 
 
 @st.composite
-def experiment_configs(draw):
-    """A config with every [codec], [predictor], [edit], [sweep] and
-    [output] key drawn."""
+def drawn_fields(draw):
+    """A value for every field ``config.SECTIONS`` sets, as
+    {section attribute (None for [output]): {field: value}}."""
     parameter = draw(st.sampled_from(sorted(SWEEP_VALUES_BY_PARAMETER)))
-    return ExperimentConfig(
-        codec=config.CodecSection(
+    return {
+        "codec": dict(
             dim=draw(st.integers(1, 8)),
             vocab=draw(st.integers(2, 1024)),
             schedule=tuple(
@@ -1258,10 +1259,8 @@ def experiment_configs(draw):
             ),
             codebook_seed=draw(SEEDS),
         ),
-        predictor=config.PredictorSection(
-            beta=draw(FINITE), cond_gain=draw(FINITE), model_seed=draw(SEEDS)
-        ),
-        edit=EditConfig(
+        "predictor": dict(beta=draw(FINITE), cond_gain=draw(FINITE), model_seed=draw(SEEDS)),
+        "edit": dict(
             source_label=draw(INI_TEXT),
             target_label=draw(INI_TEXT),
             start_scale=draw(st.none() | st.integers(1, 8)),
@@ -1272,13 +1271,86 @@ def experiment_configs(draw):
             context_mode=draw(st.sampled_from((editing.CONTEXT_GENERATED, editing.CONTEXT_SOURCE))),
             mode=draw(st.sampled_from(editing.EDIT_MODES)),
         ),
-        sweep=config.SweepSection(
+        "sweep": dict(
             parameter=parameter,
             values=tuple(draw(SWEEP_VALUES_BY_PARAMETER[parameter])),
             seeds=tuple(draw(st.lists(SEEDS, min_size=1, max_size=4))),
         ),
-        output_dir=draw(INI_TEXT),
+        None: dict(output_dir=draw(INI_TEXT)),
+    }
+
+
+def config_of(drawn) -> ExperimentConfig:
+    return ExperimentConfig(
+        codec=config.CodecSection(**drawn["codec"]),
+        predictor=config.PredictorSection(**drawn["predictor"]),
+        edit=EditConfig(**drawn["edit"]),
+        sweep=config.SweepSection(**drawn["sweep"]),
+        **drawn[None],
     )
+
+
+# SHA-256 of the canonical text of the default and the bundled configs,
+# with and without [output]
+CANONICAL_TEXT_SHA256 = {
+    "default": ("fad725a0ef053524b28c41ef8412eb80b58f02b1056685955d141d0e0a86ddc7",
+                "ee5c0ccbbc8050de2b2474962817eee316a1724a562d5e17c9f522c3e85476cb"),
+    "demo.ini": ("c8659b94209db53f23fab1db468a9c0b0dec64da7c497167975686e3439b2087",
+                 "71327885dc2eb6cbb9cd5b6ae98b434539a7ed5351caa306dc0cb50d661ed3a8"),
+    "regen-sweep.ini": ("23db8b2f539289cdee91b26f75e1e77f10b2d3fc907ad117a3642c27ef670b49",
+                        "645e30d29f61c1052a17a4d02a729cfb3d02fae4ff641e407f13d94426b9cd75"),
+}
+
+
+def ini_values(text) -> dict:
+    """{section: {key: value}} of INI ``text``."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+TABLE_KEYS = {name: sorted(key for key, *_ in keys) for name, _, keys in config.SECTIONS}
+
+
+def rendered_values() -> dict:
+    """Each key's values in the canonical text of the default and the
+    bundled configs."""
+    values = {}
+    bundled = (load_config(CONFIGS / name) for name in ("demo.ini", "regen-sweep.ini"))
+    for cfg in (ExperimentConfig(), *bundled):
+        for section in ini_values(render_config(cfg)).values():
+            for key, value in section.items():
+                values.setdefault(key, set()).add(value)
+    return {key: sorted(v) for key, v in values.items()}
+
+
+RENDERED_VALUES = rendered_values()
+# blank, non-numbers, over-long integers, non-finite floats, a negative
+# number, and malformed ranges and schedules
+MALFORMED_VALUES = ["", "x", "1.5.2", "9" * 5000, "-1", "nan", "inf", "-inf", "1:2:3", "4x"]
+
+
+@st.composite
+def fuzz_ini_texts(draw):
+    """INI text of real sections and perhaps a misspelt one, each holding
+    its own keys and perhaps one stray key (of another section, or
+    misspelt), each set to a value that key renders, that another key
+    renders, or a malformed one.  A section or key appears at most once:
+    a repeat is always a configparser error."""
+    def perhaps(strategy):  # a list of one drawn value, about one time in four
+        return [draw(strategy)] if draw(st.integers(0, 3)) == 0 else []
+
+    any_key = st.sampled_from(sorted({"tua"}.union(*TABLE_KEYS.values())))
+    any_value = st.sampled_from(sorted(MALFORMED_VALUES + [*set().union(*RENDERED_VALUES.values())]))
+    text = ""
+    names = draw(st.lists(st.sampled_from(list(TABLE_KEYS)), unique=True)) + perhaps(st.just("edti"))
+    for name in names:
+        text += f"[{name}]\n"
+        keys = draw(st.lists(st.sampled_from(TABLE_KEYS.get(name, ["tua"])), unique=True))
+        for key in dict.fromkeys(keys + perhaps(any_key)):
+            value = draw(st.sampled_from(RENDERED_VALUES.get(key, [""])) | any_value)
+            text += f"{key} = {value}\n"
+    return text
 
 
 # every [edit] key but the labels off its default
@@ -1309,14 +1381,51 @@ class TestConfig:
         assert config_digest(non_default).hex() == "2ed94750318a85dc339cb77c0e9166b7"
 
     @settings(max_examples=60, deadline=None)
-    @given(cfg=experiment_configs())
-    def test_round_trip_every_key(self, tmp_path_factory, cfg):
+    @given(drawn=drawn_fields())
+    def test_round_trip_every_key(self, tmp_path_factory, drawn):
         """Any config, labels with "%" included, renders to text that
-        loads back to the same config and digest."""
+        loads back to the same config and digest.  Every field the table
+        sets is drawn, and the text holds exactly the table's keys."""
+        assert {attr: set(values) for attr, values in drawn.items()} == {
+            attr: {field for _, field, *_ in keys} for _, attr, keys in config.SECTIONS
+        }
+        cfg = config_of(drawn)
+        assert {
+            name: sorted(values) for name, values in ini_values(render_config(cfg)).items()
+        } == TABLE_KEYS
         path = tmp_path_factory.mktemp("round-trip") / "cfg.ini"
         path.write_text(render_config(cfg), encoding="utf-8")
         loaded = load_config(path)
         assert loaded == cfg
+        assert config_digest(loaded) == config_digest(cfg)
+
+    @pytest.mark.parametrize("name,digests", CANONICAL_TEXT_SHA256.items())
+    def test_canonical_text_pinned(self, name, digests):
+        """The canonical text, with and without [output], keeps its
+        recorded SHA-256, so every config digest stays as it was."""
+        cfg = ExperimentConfig() if name == "default" else load_config(CONFIGS / name)
+        assert tuple(
+            hashlib.sha256(render_config(cfg, include_output=out).encode()).hexdigest()
+            for out in (True, False)
+        ) == digests
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=fuzz_ini_texts())
+    def test_malformed_text_fuzz(self, tmp_path_factory, text):
+        """Any text of real or misspelt sections and keys, with blank,
+        valid or malformed values, is a ValidationError or loads to a
+        config whose canonical text loads and renders back to itself
+        (compared as text: a NaN lambda_value is not equal to itself)."""
+        path = tmp_path_factory.mktemp("fuzz") / "cfg.ini"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except ValidationError:
+            return
+        canonical = render_config(cfg)
+        path.write_text(canonical, encoding="utf-8")
+        loaded = load_config(path)
+        assert render_config(loaded) == canonical
         assert config_digest(loaded) == config_digest(cfg)
 
     @pytest.mark.parametrize(

@@ -24,7 +24,13 @@ from invnoise.fileio import (
     write_pgm,
     write_pyramid,
 )
-from invnoise.inversion import KIND_LAI, KIND_OAI, invert_pyramid, reconstruct_from_noise
+from invnoise.inversion import (
+    KIND_LAI,
+    KIND_OAI,
+    InverseNoiseSet,
+    invert_pyramid,
+    reconstruct_from_noise,
+)
 from invnoise.predictor import PredictorParams, ScaleStepper, condition_embed, generate
 
 from conftest import next_scale_logits, random_grid
@@ -335,6 +341,68 @@ class TestWriterPayloads:
         grid[0, 1, 1] = -float(np.finfo(np.float32).max)
         write_grid(tmp_path / "g.nsg", grid)
         assert np.array_equal(read_grid(tmp_path / "g.nsg")[0], grid)
+
+
+def write_small(kind, path, seed=3, digest=bytes(16), **noise_fields):
+    """Write a small valid grid, pyramid or noise set; ``noise_fields``
+    replace fields of the noise set."""
+    if kind == "grid":
+        write_grid(path, np.zeros((2, 2, 2)), seed=seed, digest=digest)
+    elif kind == "pyramid":
+        write_pyramid(path, [np.zeros((1, 1), np.int32)], 4, seed=seed, digest=digest)
+    else:
+        noises = (np.zeros((1, 1, 4), np.float32), np.zeros((2, 2, 4), np.float32))
+        noise_set = InverseNoiseSet(noises, "x", 1.0, seed, KIND_LAI)
+        write_noise_set(path, replace(noise_set, **noise_fields), digest=digest)
+
+
+class TestWriterHeaders:
+    """A bad seed, digest, noise map shape or noise tau is a
+    ValidationError, raised before the file is opened: a file already at
+    the path is left byte for byte as it was."""
+
+    @pytest.mark.parametrize("kind", ["grid", "pyramid", "noise"])
+    @pytest.mark.parametrize(
+        "bad",
+        [{"digest": b"abc"}, {"digest": bytes(17)}, {"digest": "0" * 16}, {"seed": -1},
+         {"seed": 2**64}, {"seed": 1.5}, {"seed": True}],
+        ids=["digest-3", "digest-17", "digest-str", "seed-negative", "seed-2^64", "seed-float",
+             "seed-bool"],
+    )
+    def test_bad_seed_or_digest(self, tmp_path, kind, bad):
+        path = tmp_path / "artifact"
+        write_small(kind, path)
+        before = path.read_bytes()
+        with pytest.raises(ValidationError):
+            write_small(kind, path, **bad)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"noises": (np.zeros((1, 1, 4), np.float32), np.zeros((2, 2, 5), np.float32))},
+            {"noises": (np.zeros((1, 1, 4), np.float32), np.zeros((2, 2), np.float32))},
+            {"noises": (np.zeros((1, 4), np.float32),)},
+            {"noises": (np.zeros((1, 1, 1, 4), np.float32),)},
+            {"tau": -1.0},
+            {"tau": np.nan},
+            {"tau": np.inf},
+        ],
+        ids=["vocabs-differ", "2-d-later", "2-d-first", "4-d", "tau-negative", "tau-nan",
+             "tau-inf"],
+    )
+    def test_bad_noise_set(self, tmp_path, bad):
+        path = tmp_path / "n.nsn"
+        write_small("noise", path)
+        before = path.read_bytes()
+        with pytest.raises(ValidationError):
+            write_small("noise", path, **bad)
+        assert path.read_bytes() == before
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        for kind, read in READERS.items():
+            write_small(kind, tmp_path / kind, seed=np.uint64(2**64 - 1))
+            assert read(tmp_path / kind)[-1].seed == 2**64 - 1
 
 
 READERS = {"grid": read_grid, "pyramid": read_pyramid, "noise": read_noise_set}
