@@ -154,14 +154,9 @@ def cmd_encode(args) -> int:
 def cmd_invert(args) -> int:
     cfg, params, digest, grid, _ = _setup(args)
     seed = cfg.edit.seed
-    # the label and default margin of the mode that edits with this noise
-    if args.condition == "target":
-        label, default_tau = cfg.edit.target_label, editing.TARGET_ONLY_DEFAULT_TAU
-    else:
-        label, default_tau = cfg.edit.source_label, editing.DEFAULT_TAU
-    cond = condition_embed(label, params)
-    tau = cfg.edit.tau if cfg.edit.tau is not None else default_tau
+    label, tau = editing.inverts_under(cfg.edit, args.condition == "target")
     pyramid = encode(grid, params.codebook, params.schedule)
+    cond = condition_embed(label, params)
     noise_set = invert_pyramid(pyramid, cond, tau, params, seed, kind=args.kind)
     out = _out_dir(cfg)
     fileio.write_noise_set(out / "noise.nsn", noise_set, digest)

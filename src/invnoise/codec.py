@@ -171,10 +171,11 @@ def squared_distances(cells: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     out = np.empty((h, w, c))
     columns = vectors.T.copy()
 
-    def sum_rows(lo, hi, diff):
-        _sum_squares(out[lo:hi], cells[lo:hi], columns, diff[: hi - lo])
+    def sum_rows(lo, hi, buf):
+        diff = buf[0][: (hi - lo) * w * c].reshape(hi - lo, w, c)
+        _sum_squares(out[lo:hi], cells[lo:hi], columns, diff)
 
-    for_row_blocks(sum_rows, h, h * w * c, lambda step: np.empty((step, w, c)))
+    for_row_blocks(sum_rows, h, h * w * c)
     return out
 
 
@@ -205,7 +206,7 @@ def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
     The index is the argmin of the exact distances D_c, the channel-order
     sums of ``squared_distances``.  A single cell takes them from
     ``squared_distances`` (its einsum).  A larger map is searched by row
-    blocks, each ranked by one BLAS product into the pass's scratch:
+    blocks, each ranked by one BLAS product into the pass's block:
     A_c = x . (-2 v_c) + |v_c|^2, which is D_c - |x|^2.  A cell keeps the
     argmin b of A when the second-smallest A exceeds A_b + E, with
 
@@ -250,10 +251,10 @@ def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
     columns = vectors.T.copy()
     tokens = np.empty(h * w, dtype=np.int32)
 
-    def search(lo, hi, block):
+    def search(lo, hi, buf):
         cell = slice(lo * w, hi * w)
         n = cell.stop - cell.start
-        ranks = np.matmul(x[cell], weights, out=block[:n])
+        ranks = np.matmul(x[cell], weights, out=buf[0][: n * c].reshape(n, c))
         ranks += norms
         best = ranks.argmin(axis=1)
         at_best = (np.arange(n), best)
@@ -263,11 +264,11 @@ def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
         near = np.flatnonzero(~(ranks.min(axis=1) > low + error[cell]))
         if near.size:
             near += cell.start
-            exact = block[: near.size].reshape(1, near.size, c)
+            exact = buf[0][: near.size * c].reshape(1, near.size, c)
             _sum_squares(exact, x[near][None], columns, np.empty_like(exact))
             tokens[near] = exact[0].argmin(axis=1)
 
-    for_row_blocks(search, h, h * w * c, lambda step: np.empty((step * w, c)))
+    for_row_blocks(search, h, h * w * c)
     return tokens.reshape(h, w)
 
 

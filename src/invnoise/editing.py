@@ -31,10 +31,12 @@ config once (encoding, condition targets, the block logits of the
 source walks, held as the stepper gives them, one cell per prefix
 block); its ``run`` edits a chunk of seeds with a leading seed axis,
 scale by scale, in one pass over the row blocks of each scale
-(``_blocks.for_row_blocks``).  Each row block, in the pass's scratch,
-draws its rows of the keyed uniforms and inverts them
-(:meth:`~invnoise.inversion.ScaleInversion.invert_rows`, only at the
-margins some edit mixes in with nonzero lambda), draws its rows of the
+(``_blocks.for_row_blocks``, which builds the pass's blocks: three
+float64 and one float32 per inverted margin).  Each row block draws
+its rows of the keyed uniforms and inverts them into its float32
+blocks (:meth:`~invnoise.inversion.ScaleInversion.invert_rows`, in the
+three float64 blocks, only at the margins some edit mixes in with
+nonzero lambda), then, in the same three blocks, draws its rows of the
 fresh Gumbel field, builds each edit's mix ``(1 - lam) * g + lam * n``
 (the product in float64, from a float32 noise) and takes the argmax of
 the edit's block logits plus that mix (``predictor.argmax_tokens``),
@@ -74,9 +76,16 @@ MODE_TARGET_ONLY = "target-only"
 EDIT_MODES = (MODE_VARIN, MODE_REGEN, MODE_TARGET_ONLY)
 
 DEFAULT_TAU = 18.0
-# The target-only pipeline works best with a smaller margin; 12 sits in
-# the middle of its useful range.
+# target-only works best with a smaller margin: 12 is mid-way in its useful range
 TARGET_ONLY_DEFAULT_TAU = 12.0
+
+
+def inverts_under(cfg: EditConfig, target: bool) -> tuple[str, float]:
+    """The inversion's label and margin for ``cfg``: the target label if ``target`` (target-only
+    mode), else the source label, at ``cfg.tau``, by default 12 and 18 respectively."""
+    if target:
+        return cfg.target_label, TARGET_ONLY_DEFAULT_TAU if cfg.tau is None else cfg.tau
+    return cfg.source_label, DEFAULT_TAU if cfg.tau is None else cfg.tau
 
 
 def default_start_scale(num_scales: int) -> int:
@@ -179,10 +188,8 @@ def _plan(cfg: EditConfig, num_scales: int) -> _Plan:
         raise ValidationError(f"start scale {start} outside 1..{last}")
     if cfg.mode == MODE_REGEN:
         return _Plan(start, (0.0,) * (num_scales + 1 - start), CONTEXT_GENERATED, None)
-    tau = cfg.tau
-    if tau is None:
-        tau = TARGET_ONLY_DEFAULT_TAU if cfg.mode == MODE_TARGET_ONLY else DEFAULT_TAU
     lambdas = tuple(lambda_at(cfg, t, start, num_scales) for t in range(start, num_scales + 1))
+    _, tau = inverts_under(cfg, cfg.mode == MODE_TARGET_ONLY)
     return _Plan(start, lambdas, cfg.context_mode, tau)
 
 
@@ -260,7 +267,7 @@ class SeedSweep:
         self._given = None
         if mode != MODE_REGEN and noise_set is not None:
             validate_noise_set(noise_set, params)
-            label = target_label if mode == MODE_TARGET_ONLY else source_label
+            label, _ = inverts_under(configs[0], mode == MODE_TARGET_ONLY)
             if noise_set.condition_label != label:
                 raise ValidationError(
                     f"noise was inverted under {noise_set.condition_label!r}, but mode "
@@ -311,11 +318,14 @@ class SeedSweep:
         lam * n), or of logits + g without noise n.  The logits are the
         stored source-prefix block logits at the start scale and in
         source-prefix context (where the edit's own stepper has pushed
-        edited tokens), the stepper's otherwise.  Each row block inverts
-        its rows at every margin (or reads them from the given set),
-        draws its rows of g once for every edit, and builds the mixes and
-        sums in the pass's scratch.  Inversion errors are raised after the
-        pass, the first in margin order.
+        edited tokens), the stepper's otherwise.  The driver builds the
+        pass's blocks: three float64 blocks and, when scale t is
+        inverted, one float32 block per margin.  Each row block inverts
+        its rows at every margin into the float32 blocks (or reads them
+        from the given set), with the float64 blocks as the inversion's
+        scratch, then draws its rows of g once for every edit and builds
+        the mixes and sums in those same float64 blocks.  Inversion
+        errors are raised after the pass, the first in margin order.
         """
         h, w = self.params.schedule.resolutions[t - 1]
         c = self.params.codebook.size
@@ -339,19 +349,18 @@ class SeedSweep:
         given = None if self._given is None else self._given[t - 1]
         tokens = {i: np.empty((seeds.size, h, w), dtype=np.int32) for i, *_ in edits}
         fh = factors[0]  # scale t's block factors, the same for every edit
-        row = seeds.size * w * c  # entries per cell row
 
         def edit_rows(lo, hi, buf):
-            fresh, mix, product, outs, inversion_buf = buf
             r = slice(lo * fh, hi * fh)
             shape = (seeds.size, r.stop - r.start, w, c)
             size = math.prod(shape)
             if inversion is None:  # a given set's rows, if any margin
                 noises = {tau: given[r] for tau in margins}
             else:  # None where the rows were not inverted: check() raises
-                outs = [out[:size].reshape(shape) for out in outs]
-                written = inversion.invert_rows(lo, hi, inversion_buf, outs)
+                outs = [out[:size].reshape(shape) for out in buf[3:]]
+                written = inversion.invert_rows(lo, hi, buf, outs)
                 noises = {tau: out if ok else None for tau, out, ok in zip(margins, outs, written)}
+            fresh, mix, product = buf[:3]  # free once the rows are inverted
             g = standard_rows(seeds, PURPOSE_EDIT_NOISE, t, r.start, r.stop, w, c, fresh, product)
             for i, tau, lam, logits in edits:
                 x, sums = g, product
@@ -362,16 +371,8 @@ class SeedSweep:
                     _mix(g, lam, noises[tau], x, product[:size].reshape(shape))
                 argmax_tokens(logits[..., lo:hi, :, :], factors, x, tokens[i][:, r, :], sums)
 
-        def scratch(step):
-            size = row * step * fh
-            if inversion is None:
-                return np.empty(size), np.empty(size), np.empty(size), [], None
-            outs = [np.empty(size, dtype=np.float32) for _ in margins]
-            inversion_buf = inversion.scratch(step)
-            first, *_, last = inversion_buf  # free once a block is inverted
-            return np.empty(size), first, last, outs, inversion_buf
-
-        _blocks.for_row_blocks(edit_rows, h // fh, row * h, scratch)
+        dtypes = (np.float64,) * 3 + (np.float32,) * (0 if inversion is None else len(margins))
+        _blocks.for_row_blocks(edit_rows, h // fh, seeds.size * h * w * c, dtypes)
         if inversion is not None:
             inversion.check()
         return tokens

@@ -20,7 +20,7 @@ block logits with their block factors
 full (h, w, C) array.  The label draw and the label logit, read from
 the block of its cell, make the (h, w) label values once per scale;
 everything of size (h, w, C) is made per row block, in cache: the
-keyed off-label draws -log(-log u), written into the block's scratch,
+keyed off-label draws -log(-log u), written into the pass's blocks,
 which do not depend on the margin, then per margin the noise q - p of
 the truncated transform, its range check and the tightening, which
 writes the finished rows straight into the caller's float32 maps.  The
@@ -35,10 +35,11 @@ scale would.  ``invert_pyramid`` walks the scales with one
 :class:`~invnoise.predictor.ScaleStepper` and inverts each scale into
 its float32 map at its one margin (``ScaleInversion.run``); the edit
 walk of :mod:`invnoise.editing` calls ``invert_rows`` inside its own
-row-block pass, at the margins it mixes in, so neither holds a
-full-size float64 array.  ``reconstruct_from_noise`` replays a noise
-set.  Within a scale all tokens are independent, so the keyed draws
-make serial and parallel execution bit-identical.
+row-block pass, at the margins it mixes in, and reuses the step's
+three blocks for its draws and mixes once a row block is inverted, so
+neither holds a full-size float64 array.  ``reconstruct_from_noise``
+replays a noise set.  Within a scale all tokens are independent and
+every draw is keyed, so row blocks of any size give the same bytes.
 
 What is exact is the stored float32 noise, not the float64 noise it is
 rounded from.  The tightening reads that noise only through its range
@@ -325,8 +326,12 @@ class ScaleInversion:
 
     ``invert_rows(lo, hi, buf, outs)`` inverts block rows lo:hi (cell
     rows lo * fh to hi * fh) into ``outs``, one float32 array of those
-    cell rows per margin, with ``buf`` from ``scratch(step)``, built once
-    per ``_blocks.for_row_blocks`` pass.  A margin whose noise in
+    cell rows per margin.  It works in ``buf[:3]``, three flat float64
+    blocks of a row block from the pass's driver
+    (``_blocks.for_row_blocks``): the noise, the off-label draws and a
+    spare, whose bool view holds the tightening's mask.  Each is written
+    before it is read, and none holds anything once it returns, so the
+    caller's pass may reuse them.  A margin whose noise in
     the block is out of float32 range, or does not tighten, records its
     error and leaves its rows unwritten; ``check`` raises, after the
     pass, the first error in margin order, an out-of-range noise before
@@ -348,18 +353,6 @@ class ScaleInversion:
         # per margin, [out of range, not tightened]: an error of some block
         self._errors = [[None, None] for _ in self.taus]
 
-    def scratch(self, step: int) -> list[np.ndarray]:
-        """The flat blocks of one pass for ``step`` block rows: the float64
-        noise, then for the located construction the float64 off-label
-        draws and a spare block, for the onehot a bool block.  The last
-        block holds the tightening's mask.  The first and the last block
-        hold nothing once ``invert_rows`` returns, so the caller's pass
-        may use them as its own scratch."""
-        size = math.prod(self.shape) // self.shape[-3] * step * self.factors[0]
-        if self.kind == KIND_OAI:
-            return [np.empty(size), np.empty(size, dtype=np.bool_)]
-        return [np.empty(size) for _ in range(3)]
-
     def invert_rows(self, lo: int, hi: int, buf, outs) -> list[bool]:
         """Invert block rows lo:hi into ``outs``; per margin, whether its
         rows were written."""
@@ -367,8 +360,8 @@ class ScaleInversion:
         rows = slice(lo * fh, hi * fh)
         p = self.logits[lo:hi]
         shape = (*self.shape[:-3], rows.stop - rows.start, *self.shape[-2:])
-        noise, *spare = (b[: math.prod(shape)].reshape(shape) for b in buf)
-        bad = buf[-1].view(np.bool_)[: noise.size].reshape(shape)  # free while tightening
+        noise, *spare = (b[: math.prod(shape)].reshape(shape) for b in buf[:3])
+        bad = buf[2].view(np.bool_)[: noise.size].reshape(shape)  # free while tightening
         written = []
         margins = self._noise_rows(rows, p, noise, spare, outs)
         for errors, (tau, in_range), out in zip(self._errors, margins, outs):
@@ -427,7 +420,8 @@ class ScaleInversion:
         def invert(lo, hi, buf):
             self.invert_rows(lo, hi, buf, [m[..., lo * fh : hi * fh, :, :] for m in maps])
 
-        _blocks.for_row_blocks(invert, self.logits.shape[-3], math.prod(self.shape), self.scratch)
+        rows = self.logits.shape[-3]
+        _blocks.for_row_blocks(invert, rows, math.prod(self.shape), (np.float64,) * 3)
         self.check()
         return maps
 

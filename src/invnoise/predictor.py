@@ -255,10 +255,9 @@ def argmax_tokens(logits, factors: tuple[int, int], x, out, sums) -> None:
 def _tokens_by_rows(logits, factors, shape, noise_rows, blocks: int = 1) -> np.ndarray:
     """(..., h, w) int32 tokens of an (..., h, w, C) ``shape``: the
     argmax of the block logits plus ``noise_rows(lo, hi, buf)``, the cell
-    rows lo:hi of a noise, one row block at a time.  ``buf`` is a list of
-    ``blocks`` flat float64 arrays of a row block, built once per pass;
-    the first holds the sums, so a noise written there is summed in
-    place."""
+    rows lo:hi of a noise, one row block at a time.  ``buf`` is the
+    driver's list of ``blocks`` flat float64 blocks of a row block; the
+    first holds the sums, so a noise written there is summed in place."""
     fh = factors[0]
     *lead, h, w, c = shape
     tokens = np.empty((*lead, h, w), dtype=np.int32)
@@ -268,19 +267,14 @@ def _tokens_by_rows(logits, factors, shape, noise_rows, blocks: int = 1) -> np.n
         x = noise_rows(rows.start, rows.stop, buf)
         argmax_tokens(logits[..., b:e, :, :], factors, x, tokens[..., rows, :], buf[0])
 
-    size = math.prod(shape)
-
-    def scratch(step):
-        return [np.empty(size // h * step * fh) for _ in range(blocks)]
-
-    _blocks.for_row_blocks(argmax_rows, h // fh, size, scratch)
+    _blocks.for_row_blocks(argmax_rows, h // fh, math.prod(shape), (np.float64,) * blocks)
     return tokens
 
 
 def generate(cond: Condition, params: PredictorParams, seed: int) -> list[np.ndarray]:
     """Sample a token pyramid under ``cond`` by keyed Gumbel-max draws,
     each scale conditioned on the scales drawn before it, each row block
-    of a scale drawn and reduced to its argmax in scratch."""
+    of a scale drawn and reduced to its argmax in the pass's blocks."""
     seed_array((seed,))
     stepper = ScaleStepper(cond, params)
     pyramid = []

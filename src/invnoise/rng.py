@@ -11,8 +11,8 @@ call keys the same field for many seeds.  Seeds are integers in
 field with an xor into its result and a mix in place, and the map to
 (0, 1) runs in the words' own buffer.  A caller's buffers take the words
 and the mixing scratch of a draw whole (a row block of a scale's pass);
-without them both steps go by row blocks of :mod:`invnoise._blocks`,
-with the words of a whole-array draw.
+without them both steps go by row blocks of :mod:`invnoise._blocks`, in
+the driver's uint64 block, with the words of a whole-array draw.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
 mixed once, then each key field is absorbed with xor + mix.  The seed,
@@ -95,22 +95,17 @@ def _mix(h: np.ndarray, field: np.ndarray, out=None, scratch=None) -> np.ndarray
 
 def _blocks_of(kernel, arrays, scratch) -> None:
     """Run ``kernel(*arrays, s)`` over flat arrays of one size with s
-    uint64 scratch of their size: whole, in the caller's ``scratch`` (a
-    C-contiguous buffer of 8-byte items of at least that size) or in a
-    new array when small; without ``scratch`` a larger loop goes by row
-    blocks of ``_blocks.CHUNK`` words, with one scratch block per
-    pass."""
-    size = arrays[0].size
-    if scratch is None and size > _blocks.CHUNK:
-        _blocks.for_row_blocks(
-            lambda lo, hi, s: kernel(*(x[lo:hi] for x in arrays), s[: hi - lo]),
-            size, size, lambda step: np.empty(step, dtype=np.uint64),
-        )
+    uint64 scratch of their size: whole in the caller's ``scratch`` (a
+    C-contiguous buffer of 8-byte items of at least that size), or else
+    by row blocks of ``_blocks.CHUNK`` words in the driver's block."""
+    if scratch is not None:
+        kernel(*arrays, scratch.reshape(-1).view(np.uint64)[: arrays[0].size])
         return
-    if scratch is None:
-        kernel(*arrays, np.empty(size, dtype=np.uint64))
-    else:
-        kernel(*arrays, scratch.reshape(-1).view(np.uint64)[:size])
+    size = arrays[0].size
+    _blocks.for_row_blocks(
+        lambda lo, hi, buf: kernel(*[x[lo:hi] for x in arrays], buf[0][: hi - lo]),
+        size, size, (np.uint64,),
+    )
 
 
 def _as_u64(value) -> np.ndarray:

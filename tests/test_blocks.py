@@ -6,6 +6,8 @@ rows (26 with two seeds) and 7 or 13 chunks of ``_blocks.CHUNK`` words,
 so the last row block is ragged.
 """
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -45,31 +47,39 @@ class TestForRowBlocks:
         one ragged for 2 and 3."""
         monkeypatch.setattr(_blocks, "CHUNK", 5 * n)
         seen = []
-        _blocks.for_row_blocks(lambda lo, hi, buf: seen.append((lo, hi, buf)), 13, 65)
-        assert seen == [(lo, min(lo + n, 13), None) for lo in range(0, 13, n)]
+        _blocks.for_row_blocks(lambda lo, hi, buf: seen.append((lo, hi)), 13, 65)
+        assert seen == [(lo, min(lo + n, 13)) for lo in range(0, 13, n)]
 
     def test_scratch_built_once_per_pass(self, monkeypatch):
-        """One scratch of a full block's 3 rows serves every block."""
+        """One flat array per dtype, of a full block's 3 rows of 5
+        entries, built once: every block gets the same arrays."""
         monkeypatch.setattr(_blocks, "CHUNK", 15)
-        built, seen = [], []
-
-        def scratch(step):
-            built.append(step)
-            return object()
-
-        _blocks.for_row_blocks(lambda lo, hi, buf: seen.append((lo, hi, buf)), 13, 65, scratch)
-        assert built == [3]
-        assert {buf for _, _, buf in seen} == {seen[0][2]}
+        seen = []
+        dtypes = (np.float64, np.float32, np.uint64)
+        _blocks.for_row_blocks(lambda lo, hi, buf: seen.append((lo, hi, buf)), 13, 65, dtypes)
         assert [r[:2] for r in seen] == self.BLOCKS
+        buf = seen[0][2]
+        assert [(b.dtype, b.shape) for b in buf] == [(np.dtype(d), (15,)) for d in dtypes]
+        assert all(len(b) == 3 and all(map(operator.is_, b, buf)) for _, _, b in seen)
 
     def test_one_chunk_is_one_block_in_the_caller(self):
-        """At most ``CHUNK`` entries: one call over every row, with scratch
-        for all of them."""
+        """At most ``CHUNK`` entries: one call over every row, with a
+        float64 block for all of them by default."""
         seen = []
-        _blocks.for_row_blocks(
-            lambda lo, hi, buf: seen.append((lo, hi, buf)), 64, _blocks.CHUNK, lambda step: step
-        )
-        assert seen == [(0, 64, 64)]
+        _blocks.for_row_blocks(lambda lo, hi, buf: seen.append((lo, hi, buf)), 64, _blocks.CHUNK)
+        [(lo, hi, [buf])] = seen
+        assert (lo, hi, buf.dtype, buf.size) == (0, 64, np.float64, _blocks.CHUNK)
+
+    def test_empty_draws(self):
+        """Draws over no entries, by the driver's blocks or in a
+        caller's buffers, are empty arrays."""
+        u = rng.uniform_values(3, 1, 1, np.arange(0)[:, None, None], np.arange(4)[:, None],
+                               np.arange(5))
+        assert u.shape == (0, 4, 5) and u.dtype == np.float64
+        assert gumbel.standard_rows(3, 1, 1, 2, 2, 4, 5).shape == (0, 4, 5)
+        out, scratch = np.empty(8), np.empty(8)
+        seeds = np.array([1, 2], dtype=np.uint64)
+        assert gumbel.standard_rows(seeds, 1, 1, 2, 2, 4, 5, out, scratch).shape == (2, 0, 4, 5)
 
 
 def per_cell(block, factors):
@@ -166,15 +176,14 @@ class TestBlockLogits:
         def truncate_rows(lo, hi, buf):
             r = slice(3 * lo, 3 * hi)
             loglog = -gumbel.standard_rows(7, rng.PURPOSE_TRUNC_DRAW, 4, r.start, r.stop, w, c)
-            out = buf[: loglog.size].reshape(loglog.shape)
+            out = buf[0][: loglog.size].reshape(loglog.shape)
             gumbel.truncated_from_loglog(
                 block[lo:hi, None, :, None, :], _blocks.by_blocks(trunc[r], factors),
                 _blocks.by_blocks(loglog, factors), out=_blocks.by_blocks(out, factors),
             )
             got[r] = out
 
-        _blocks.for_row_blocks(truncate_rows, block.shape[0], full.size,
-                               lambda step: np.empty(3 * step * w * c))
+        _blocks.for_row_blocks(truncate_rows, block.shape[0], full.size)
         assert np.array_equal(got, want)
 
 
@@ -204,15 +213,14 @@ class TestByRowsEqualsWhole:
         fresh = gumbel.truncated_from_loglog(logits, trunc, loglog)
         by_rows = np.empty_like(fresh)
 
-        def truncate_rows(lo, hi, scratch):
+        def truncate_rows(lo, hi, buf):
             r = slice(lo, hi)
-            out = scratch[: by_rows[..., r, :, :].size].reshape(by_rows[..., r, :, :].shape)
+            out = buf[0][: by_rows[..., r, :, :].size].reshape(by_rows[..., r, :, :].shape)
             gumbel.truncated_from_loglog(logits[r], trunc[..., r, :, :],
                                          loglog[..., r, :, :], out=out)
             by_rows[..., r, :, :] = out
 
-        _blocks.for_row_blocks(truncate_rows, h, fresh.size,
-                               lambda step: np.empty(fresh.size // h * step))
+        _blocks.for_row_blocks(truncate_rows, h, fresh.size)
         assert np.array_equal(by_rows, fresh)
 
 

@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invnoise import _blocks, cli, config, demo, editing, gumbel, inversion, metrics
-from invnoise.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from invnoise.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from invnoise.codec import decode, encode
 from invnoise.config import ExperimentConfig, config_digest, load_config, render_config
 from invnoise.demo import demo_scene
 from invnoise.editing import EditConfig, SeedSweep, default_start_scale, seed_chunk_width
-from invnoise.errors import ValidationError
+from invnoise.errors import InvariantError, ValidationError
 from invnoise.fileio import read_grid, read_noise_set, read_pyramid, write_grid
 from invnoise.predictor import condition_embed
 from invnoise.rng import PURPOSE_TRUNC_DRAW
@@ -204,6 +204,20 @@ class TestInvert:
         tgt_set, _ = read_noise_set(tgt / "noise.nsn")
         assert src_set.condition_label == "red brick house among pines"
         assert tgt_set.condition_label == "blue glass tower among pines"
+
+    @pytest.mark.parametrize("condition,tau,digest", [
+        ("source", 18.0, "94a4756f0b47c35f28e6220b42bef95439db4e1382fb9732898cdb6ce2cf1f13"),
+        ("target", 12.0, "0df379e3396eb28fa6a81469701754396f60ff08955ae2ad2b1942be933197c6"),
+    ])
+    def test_default_margin_pinned(self, tmp_path, condition, tau, digest):
+        """Without --tau, `invert` takes the margin of the mode that edits
+        with its noise (``editing.inverts_under``), and its noise.nsn
+        keeps its recorded SHA-256."""
+        out = tmp_path / condition
+        assert run("invert", "--grid", "demo:scene-b", "--condition", condition,
+                   "--out", out) == EXIT_OK
+        assert read_noise_set(out / "noise.nsn")[0].tau == tau
+        assert sha256(out / "noise.nsn") == digest
 
     def test_demo_scene_brings_its_own_labels(self, tmp_path):
         """With labels left at the defaults, demo:scene-b runs under its
@@ -1137,6 +1151,100 @@ def test_every_edit_path_agrees(tmp_path, codec, taus, mode, lam, context, scene
                 for key, (metric, scope) in EDIT_ROWS.items()
             }
             assert single_rows == scores(single)
+
+
+def library_outcome(call):
+    """``call()``, or the exit code ``cli.main`` gives its error."""
+    try:
+        return call()
+    except ValidationError:
+        return EXIT_VALIDATION
+    except InvariantError:
+        return EXIT_INVARIANT
+
+
+def edit_outcome(out, seed, code):
+    """(tokens, grid, metric rows) of an `edit` run into ``out``, or its
+    exit code."""
+    if code != EXIT_OK:
+        return code
+    rows = {key: metric_values(out / "edit_metrics.csv", seed, scope)[metric]
+            for key, (metric, scope) in EDIT_ROWS.items()}
+    pyramid = tuple(map(tuple, (m.ravel() for m in read_pyramid(out / "edited.nsp")[0])))
+    return pyramid, read_grid(out / "edited.nsg")[0].tobytes(), rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(("varin", "target-only")),
+    taus=st.sampled_from([(0.0,), (1e-6,), (18.0,), (18.0, 0.0), (1e-6, 18.0)]),
+    lam=st.one_of(st.just("linear"), st.just(1.0), st.floats(0.0, 1.0, exclude_min=True,
+                                                              exclude_max=True)),
+    start=st.integers(1, 6),
+    context=st.sampled_from(("generated-prefix", "source-prefix")),
+    beta=st.sampled_from((4.0, 3000.0)),
+    scene=st.sampled_from(("scene-a", "scene-b")),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_edit_path_matrix(tmp_path_factory, mode, taus, lam, start, context, beta, scene, seed):
+    """At each margin, the library single edit, a two-seed SeedSweep
+    chunk, `edit --auto-invert`, `invert` then `edit --noise` and a
+    serial `sweep` row give the same tokens, grid and metric rows, or
+    the same exit code, on drawn settings (a start scale of 6 is past
+    the 5 scales).  The auto-inverting paths invert and mix in one
+    pass's blocks; `edit --noise` mixes a stored set."""
+    tmp = tmp_path_factory.mktemp("matrix")
+    lambda_keys = "" if lam == "linear" else f"lambda_kind = constant\nlambda_value = {lam!r}\n"
+    cfg_path = tmp / "matrix.ini"
+    cfg_path.write_text(
+        f"[predictor]\nbeta = {beta!r}\n[edit]\nmode = {mode}\nstart_scale = {start}\n"
+        f"context = {context}\n{lambda_keys}[sweep]\nparameter = tau\n"
+        f"values = {','.join(map(repr, taus))}\nseeds = {seed},{seed ^ 1}\n"
+    )
+    cfg = load_config(cfg_path)
+    params = cfg.build_params()
+    grid, mask, record = demo_scene(scene, params)
+    edit = replace(cfg.edit, source_label=record.source_label, target_label=record.target_label)
+    configs = [replace(edit, tau=tau) for tau in taus]
+    scorer = metrics.Scorer(grid, mask)
+
+    def single_edit(cfg):
+        if mode == "varin":
+            return editing.edit_with_inverse_noise(grid, replace(cfg, seed=seed), params)
+        [[result]] = SeedSweep(grid, (cfg,), params).run((seed,))
+        return result
+
+    def outcome(result):
+        rows = {**scorer.score(result.grid), "token_change": result.token_change}
+        pyramid = tuple(tuple(m.ravel()) for m in result.pyramid)
+        grid_bytes = result.grid.astype("<f4").astype(np.float64).tobytes()
+        return pyramid, grid_bytes, {key: repr(value) for key, value in rows.items()}
+
+    chunk = library_outcome(lambda: SeedSweep(grid, configs, params).run((seed, seed ^ 1)))
+    common = ["--config", cfg_path, "--grid", f"demo:{scene}"]
+    sweep_code = run("sweep", *common, "--workers", 1, "--out", tmp / "sweep")
+    condition = "target" if mode == "target-only" else "source"
+    for j, tau in enumerate(taus):
+        single = library_outcome(lambda: single_edit(configs[j]))
+        paths = {
+            "single": single if isinstance(single, int) else outcome(single),
+            "chunk": chunk if isinstance(chunk, int) else outcome(chunk[0][j]),
+        }
+        paths["sweep"] = sweep_code if sweep_code != EXIT_OK else metric_values(
+            tmp / "sweep" / "sweep.csv", seed, f"tau={tau!r}"
+        )
+        options = [*common, "--seed", seed, "--tau", tau]
+        auto, inverted, noise = (tmp / f"{name}-{j}" for name in ("auto", "inv", "noise"))
+        code = run("edit", *options, "--auto-invert", "--out", auto)
+        paths["auto"] = edit_outcome(auto, seed, code)
+        code = run("invert", *options, "--condition", condition, "--out", inverted)
+        if code == EXIT_OK:
+            code = run("edit", *options, "--noise", inverted / "noise.nsn", "--out", noise)
+        paths["noise"] = edit_outcome(noise, seed, code)
+        want = paths["single"]
+        if not isinstance(want, int):  # a sweep row holds the metrics alone
+            assert paths.pop("sweep") == want[2]
+        assert paths == dict.fromkeys(paths, want)
 
 
 def test_import_leaves_out_the_worker_pool():

@@ -159,11 +159,11 @@ class TestMixNoise:
         given = fresh.copy()
         mixed = np.empty_like(fresh)
 
-        def mix_rows(lo, hi, product):
-            rows = product[: fresh[:, lo:hi].size].reshape(fresh[:, lo:hi].shape)
+        def mix_rows(lo, hi, buf):
+            rows = buf[0][: fresh[:, lo:hi].size].reshape(fresh[:, lo:hi].shape)
             editing._mix(fresh[:, lo:hi], lam, noise[..., lo:hi, :, :], mixed[:, lo:hi], rows)
 
-        _blocks.for_row_blocks(mix_rows, 16, fresh.size, lambda step: np.empty(3 * step * 16 * 64))
+        _blocks.for_row_blocks(mix_rows, 16, fresh.size)
         assert np.array_equal(mixed, want)
         assert np.array_equal(fresh, given)
 

@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise import inversion
+from invnoise import _blocks, inversion
 from invnoise.codec import default_codebook, dyadic_schedule, encode
 from invnoise.demo import demo_scene
 from invnoise.errors import InvariantError, ValidationError
@@ -74,8 +74,10 @@ def located_noise(tokens, logits, tau, seed, scale):
     tightening, over the whole scale as one row block: exact in its range
     and float32 rounding only."""
     step = ScaleInversion(tokens, logits, (1, 1), (tau,), seed, scale)
-    noise, *spare = step.scratch(tokens.shape[0])
-    noise, *spare = (b.reshape(logits.shape) for b in (noise, *spare))
+    blocks = []  # the driver's three blocks of one range over every entry
+    _blocks.for_row_blocks(lambda lo, hi, buf: blocks.extend(buf), 1, logits.size,
+                           (np.float64,) * 3)
+    noise, *spare = (b.reshape(logits.shape) for b in blocks)
     out = np.empty(logits.shape, dtype=np.float32)
     next(step._noise_rows(slice(0, tokens.shape[0]), logits, noise, spare, [out]))
     return noise
