@@ -20,6 +20,16 @@ written value-major either way, so neither the chunk width nor the
 worker count changes ``sweep.csv``.
 Seeds are integers in [0, 2^64).
 
+Each command's arguments are defined once, in ``COMMANDS``.  ``main``
+builds the parser of the command ``argv[0]`` names alone (prog
+``invnoise <command>``), and the whole tree (``build_parser``) only for
+``invnoise -h`` and an argv that names no command.  It parses and runs
+the command with the objects alive on entry (the imports, in a fresh
+process) frozen out of the cyclic collector (``gc.freeze``), so the
+collections a command triggers walk only what it makes; it unfreezes
+them on every exit, and leaves the frozen set of a caller that froze
+objects itself as it is.
+
 Exit codes: 0 success, 2 validation error (or not enough memory for
 the configured arrays), 3 I/O or file-format error, 4 internal
 invariant violation.
@@ -28,6 +38,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -308,31 +319,21 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="invnoise",
-        description="Inverse-noise extraction and editing for next-scale token pyramids.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, grid=True, seed=True):
+    p.add_argument("--config", help="INI experiment config")
+    if seed:
+        p.add_argument("--seed", type=int, help="override the edit/inversion seed")
+    p.add_argument("--out", help="override the output directory")
+    if grid:
+        p.add_argument(
+            "--grid",
+            default="demo:scene-a",
+            help="input grid artifact, or demo:<scene> (default demo:scene-a)",
+        )
 
-    def common(p, grid=True, seed=True):
-        p.add_argument("--config", help="INI experiment config")
-        if seed:
-            p.add_argument("--seed", type=int, help="override the edit/inversion seed")
-        p.add_argument("--out", help="override the output directory")
-        if grid:
-            p.add_argument(
-                "--grid",
-                default="demo:scene-a",
-                help="input grid artifact, or demo:<scene> (default demo:scene-a)",
-            )
 
-    p = sub.add_parser("encode", help="encode a grid and score its reconstruction")
-    common(p)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("invert", help="extract an inverse-noise set from a grid")
-    common(p)
+def _invert_args(p):
+    _common(p)
     p.add_argument("--kind", choices=(KIND_LAI, KIND_OAI), default=KIND_LAI)
     p.add_argument(
         "--tau",
@@ -345,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="source",
         help="which configured label guides the inversion",
     )
-    p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("edit", help="edit a grid toward the target label")
-    common(p)
+
+def _edit_args(p):
+    _common(p)
     p.add_argument("--mode", choices=editing.EDIT_MODES, help="editing pipeline")
     noise = p.add_mutually_exclusive_group()
     noise.add_argument("--noise", help="inverse-noise artifact to reuse")
@@ -365,24 +366,67 @@ def build_parser() -> argparse.ArgumentParser:
         help="'linear' or a constant interpolation weight in [0, 1]",
     )
     p.add_argument("--mask", help="edit-region mask: demo:<scene>, grid file, or 'none'")
-    p.set_defaults(func=cmd_edit)
 
-    p = sub.add_parser("sweep", help="run the configured parameter sweep")
-    common(p, seed=False)  # the seeds come from [sweep] seeds
+
+def _sweep_args(p):
+    _common(p, seed=False)  # the seeds come from [sweep] seeds
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("render", help="render a grid or pyramid artifact to PGM")
-    common(p, grid=False)
+
+def _render_args(p):
+    _common(p, grid=False)
     p.add_argument("--in", dest="infile", required=True, help="artifact to render")
-    p.set_defaults(func=cmd_render)
+
+
+# Every command, in the order ``invnoise -h`` lists them: name -> (run
+# it, help line, add its arguments to a parser).
+COMMANDS = {
+    "encode": (cmd_encode, "encode a grid and score its reconstruction", _common),
+    "invert": (cmd_invert, "extract an inverse-noise set from a grid", _invert_args),
+    "edit": (cmd_edit, "edit a grid toward the target label", _edit_args),
+    "sweep": (cmd_sweep, "run the configured parameter sweep", _sweep_args),
+    "render": (cmd_render, "render a grid or pyramid artifact to PGM", _render_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, for ``invnoise -h`` and for an argv that
+    names no command."""
+    parser = argparse.ArgumentParser(
+        prog="invnoise",
+        description="Inverse-noise extraction and editing for next-scale token pyramids.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, help_line, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=run)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by the parser of the command ``argv[0]`` names
+    alone, with the usage and errors of ``invnoise <command>``; by the
+    whole tree when it names none."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    run, _, add_arguments = COMMANDS[argv[0]]
+    parser = argparse.ArgumentParser(prog=f"invnoise {argv[0]}")
+    add_arguments(parser)
+    parser.set_defaults(func=run)
+    return parser.parse_args(argv[1:])
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  The objects alive on entry (the imports, in a
+    fresh process) are frozen out of the cyclic collector while it runs,
+    so its collections walk only what the command makes; a caller that
+    has frozen objects itself keeps its frozen set as it is."""
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -397,6 +441,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -37,9 +37,11 @@ its rows of the keyed uniforms and inverts them into its float32
 blocks (:meth:`~invnoise.inversion.ScaleInversion.invert_rows`, in the
 three float64 blocks, only at the margins some edit mixes in with
 nonzero lambda), then, in the same three blocks, draws its rows of the
-fresh Gumbel field, builds each edit's mix ``(1 - lam) * g + lam * n``
-(the product in float64, from a float32 noise) and takes the argmax of
-the edit's block logits plus that mix (``predictor.argmax_tokens``),
+fresh Gumbel field (not at a scale where every edit has lambda 1),
+builds each edit's mix ``(1 - lam) * g + lam * n`` (the product in
+float64, from a float32 noise; n itself at lambda 1) and takes the
+argmax of the edit's block logits plus that mix
+(``predictor.argmax_tokens``),
 from the edit's stepper or, at its start scale and in source-prefix
 context, from the held source-prefix block logits.  So no edit makes a
 full-size field, noise map, logits array, product or copy; the label
@@ -315,8 +317,11 @@ class SeedSweep:
         at t), in one pass over its row blocks.
 
         Each edit's tokens are the argmax of logits + ((1 - lam) * g +
-        lam * n), or of logits + g without noise n.  The logits are the
-        stored source-prefix block logits at the start scale and in
+        lam * n), or of logits + g without noise n.  At lambda 1 the mix
+        is n in value (0 * g is a signed zero for the finite g), so such
+        an edit takes n as it is, and a scale where every edit has lambda
+        1 draws no g.  The logits are the stored source-prefix block
+        logits at the start scale and in
         source-prefix context (where the edit's own stepper has pushed
         edited tokens), the stepper's otherwise.  The driver builds the
         pass's blocks: three float64 blocks and, when scale t is
@@ -349,6 +354,7 @@ class SeedSweep:
         given = None if self._given is None else self._given[t - 1]
         tokens = {i: np.empty((seeds.size, h, w), dtype=np.int32) for i, *_ in edits}
         fh = factors[0]  # scale t's block factors, the same for every edit
+        draw = any(lam != 1.0 for _, _, lam, _ in edits)  # else every edit takes n alone
 
         def edit_rows(lo, hi, buf):
             r = slice(lo * fh, hi * fh)
@@ -361,14 +367,20 @@ class SeedSweep:
                 written = inversion.invert_rows(lo, hi, buf, outs)
                 noises = {tau: out if ok else None for tau, out, ok in zip(margins, outs, written)}
             fresh, mix, product = buf[:3]  # free once the rows are inverted
-            g = standard_rows(seeds, PURPOSE_EDIT_NOISE, t, r.start, r.stop, w, c, fresh, product)
+            g = None
+            if draw:
+                g = standard_rows(
+                    seeds, PURPOSE_EDIT_NOISE, t, r.start, r.stop, w, c, fresh, product
+                )
             for i, tau, lam, logits in edits:
                 x, sums = g, product
                 if tau is not None:
                     if noises[tau] is None:
                         continue
-                    x, sums = mix[:size].reshape(shape), mix
-                    _mix(g, lam, noises[tau], x, product[:size].reshape(shape))
+                    x, sums = noises[tau], mix
+                    if lam != 1.0:
+                        x = mix[:size].reshape(shape)
+                        _mix(g, lam, noises[tau], x, product[:size].reshape(shape))
                 argmax_tokens(logits[..., lo:hi, :, :], factors, x, tokens[i][:, r, :], sums)
 
         dtypes = (np.float64,) * 3 + (np.float32,) * (0 if inversion is None else len(margins))

@@ -10,9 +10,11 @@ call keys the same field for many seeds.  Seeds are integers in
 [0, 2^64); ``seed_array`` checks them.  The hash absorbs each key
 field with an xor into its result and a mix in place, and the map to
 (0, 1) runs in the words' own buffer.  A caller's buffers take the words
-and the mixing scratch of a draw whole (a row block of a scale's pass);
-without them both steps go by row blocks of :mod:`invnoise._blocks`, in
-the driver's uint64 block, with the words of a whole-array draw.
+and the mixing scratch of a draw's last field whole (a row block of a
+scale's pass); without them the last field's step and the map go by row
+blocks of :mod:`invnoise._blocks`, in the driver's uint64 block, with
+the words of a whole-array draw.  The leading row and col steps, a few
+words per row or col, always mix whole.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
 mixed once, then each key field is absorbed with xor + mix.  The seed,
@@ -147,9 +149,11 @@ def raw64_values(
     absorptions give one word per seed, mixed in Python integers; each
     array field is then absorbed at the broadcast shape of the fields so
     far, so with (h, 1, 1) rows, (1, w, 1) cols and (1, 1, C) channels
-    only the channel step runs at the full (h, w, C) size.  An array
-    ``seed`` of shape (S,) gives an (S, *field shape) result whose slice
-    s equals the draw at the scalar ``seed[s]``.  Given ``out`` and
+    only the channel step runs at the full (h, w, C) size.  The row and
+    col steps mix whole, in a new scratch of their own size (at most S *
+    h * w words with such fields).  An array ``seed`` of shape (S,)
+    gives an (S, *field shape) result whose slice s equals the draw at
+    the scalar ``seed[s]``.  Given ``out`` and
     ``scratch``, C-contiguous buffers of 8-byte items of at least the
     result's size, the last field step writes the words into ``out``
     (the result is a view of it) and mixes them whole with ``scratch``;
@@ -167,7 +171,8 @@ def raw64_values(
     h = np.array(words, dtype=np.uint64).reshape(seed_shape + (1,) * len(field_shape) or (1,))
     *fields, last = (_as_u64(field) for field in (rows, cols, channels))
     for field in fields:
-        h = _mix(h, field)
+        h = np.bitwise_xor(h, field, order="C")
+        _mix_words(h.reshape(-1), np.empty(h.size, np.uint64))
     if out is not None:
         shape = seed_shape + field_shape or (1,)  # the broadcast shape of h and last
         out = out.reshape(-1).view(np.uint64)[: math.prod(shape)].reshape(shape)

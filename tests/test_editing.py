@@ -821,3 +821,55 @@ class TestLambdaZeroTakesNoNoise:
         noises[4] = noises[4][..., :32]
         with pytest.raises(ValidationError):
             edit_with_inverse_noise(grid, cfg, params, replace(noise_set, noises=tuple(noises)))
+
+
+
+class TestLambdaOneDrawsNoFreshNoise:
+    """A scale where every edit has lambda 1 draws no fresh Gumbel field:
+    the mix is the inverse noise there, in value."""
+
+    @staticmethod
+    def count_fresh_draws(monkeypatch):
+        """The scale of each fresh-noise row block drawn."""
+        scales = []
+        rows = editing.standard_rows
+
+        def counted(seed, purpose, scale, *rest):
+            if purpose == PURPOSE_EDIT_NOISE:
+                scales.append(scale)
+            return rows(seed, purpose, scale, *rest)
+
+        monkeypatch.setattr(editing, "standard_rows", counted)
+        return scales
+
+    @pytest.mark.parametrize("given", [False, True], ids=["auto-invert", "given-set"])
+    @pytest.mark.parametrize(
+        "lam, drawn",
+        [({"lambda_kind": "constant", "lambda_value": 1.0}, set()), ({}, {3, 4, 5})],
+        ids=["constant-1", "linear"],
+    )
+    def test_lambda_one_scales_draw_nothing(self, params, source_cond, monkeypatch, given,
+                                            lam, drawn):
+        """A constant-1 edit from scale 2 of 5 draws at no scale, and a
+        linear one (1 at its start scale 2) at every later scale; both
+        equal the paper's mix."""
+        grid = demo_scene("scene-a", params)[0]
+        cfg = EditConfig(SRC, TGT, start_scale=2, **lam)
+        noise_set = None
+        if given:
+            pyramid = encode(grid, params.codebook, params.schedule)
+            noise_set = invert_pyramid(pyramid, source_cond, DEFAULT_TAU, params, seed=4)
+        scales = self.count_fresh_draws(monkeypatch)
+        [[got]] = SeedSweep(grid, [cfg], params, noise_set).run([4])
+        assert set(scales) == drawn
+        pyramid, decoded = reference_edit(grid, cfg, MODE_VARIN, params, 4)
+        assert all(np.array_equal(a, b) for a, b in zip(got.pyramid, pyramid))
+        assert np.array_equal(got.grid, decoded)
+
+    def test_any_other_lambda_draws(self, params, monkeypatch):
+        """A batch draws at a scale where one edit's lambda is not 1."""
+        scales = self.count_fresh_draws(monkeypatch)
+        grid = demo_scene("scene-a", params)[0]
+        one = EditConfig(SRC, TGT, start_scale=2, lambda_kind="constant", lambda_value=1.0)
+        SeedSweep(grid, [one, replace(one, lambda_value=0.5)], params).run([0, 1])
+        assert set(scales) == {2, 3, 4, 5}

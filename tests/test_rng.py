@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from invnoise import _blocks
 from invnoise.errors import ValidationError
 from invnoise.rng import normal_values, raw64_values, seed_array, uniform_values
 
@@ -175,6 +176,28 @@ def test_chunked_hash_matches_reference(seeds, fields):
     got = got.reshape(len(seeds), -1)
     for seed, row in zip(seeds, got, strict=True):
         assert np.array_equal(row, reference_raw64_values(seed, 2, 3, *fields).reshape(-1))
+
+
+def test_leading_fields_mix_without_the_driver(monkeypatch):
+    """The row and col steps mix whole: a draw into a caller's buffers
+    runs no row-block pass, and a whole-array draw one, for its last
+    field's step (the map to (0, 1) is the caller's)."""
+    passes = []
+    driver = _blocks.for_row_blocks
+
+    def counted(body, rows, *rest):
+        passes.append(rows)
+        return driver(body, rows, *rest)
+
+    monkeypatch.setattr(_blocks, "for_row_blocks", counted)
+    seeds, key = seed_array([3, 2**64 - 1]), _grid_key(16, 16, 64)
+    size = 2 * 16 * 16 * 64
+    want = np.stack([reference_raw64_values(s, 2, 3, *key) for s in (3, 2**64 - 1)])
+    got = raw64_values(seeds, 2, 3, *key, np.empty(size), np.empty(size))
+    assert passes == []
+    assert np.array_equal(got, want)
+    assert np.array_equal(raw64_values(seeds, 2, 3, *key), want)
+    assert passes == [size]
 
 
 def test_hash_leaves_uint64_inputs_untouched():
