@@ -13,7 +13,6 @@ from .codec import (
     decode,
     default_codebook,
     downsample_blockmean,
-    dyadic_schedule,
     encode,
     upsample_replicate,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "decode",
     "default_codebook",
     "downsample_blockmean",
-    "dyadic_schedule",
     "edit_regeneration",
     "edit_with_inverse_noise",
     "encode",

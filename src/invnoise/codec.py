@@ -66,13 +66,6 @@ class ScaleSchedule:
         return self.resolutions[-1]
 
 
-def dyadic_schedule(num_scales: int = 5) -> ScaleSchedule:
-    """1x1, 2x2, 4x4, ... doubling square schedule."""
-    if num_scales < 1:
-        raise ValidationError("num_scales must be >= 1")
-    return ScaleSchedule(tuple((2**k, 2**k) for k in range(num_scales)))
-
-
 @dataclass(frozen=True)
 class Codebook:
     """(C, d) embedding table with entry 0 pinned to the zero vector."""

@@ -221,6 +221,12 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
+    except configparser.MissingSectionHeaderError as exc:  # one line, not configparser's 3
+        raise ValidationError(f"malformed config: {path}, line {exc.lineno}: "
+                              f"{exc.line.strip()!r} comes before any [section] header") from exc
+    except configparser.ParsingError as exc:
+        raise ValidationError(f"malformed config: {path}, line {exc.errors[0][0]} is not a "
+                              "[section] header or a key = value line") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"malformed config: {exc}") from exc
     try:

@@ -1,12 +1,12 @@
 """Gumbel distribution primitives.
 
-Standard and located sampling, closed-form truncated sampling, keyed
-draws by row blocks, and the Kolmogorov-Smirnov statistic against the
-Gumbel CDF, used to judge how Gumbel-like a batch of values is.
+Located sampling, closed-form truncated sampling, keyed draws by row
+blocks, and the Kolmogorov-Smirnov statistic against the Gumbel CDF,
+used to judge how Gumbel-like a batch of values is.
 
-The standard and located transforms map explicit uniform draws through
-their closed forms (pure math, easy to pin in tests); the truncated
-transform takes its draws as log(-log u), so draws transformed once
+The located transform maps explicit uniform draws through its closed
+form (pure math, easy to pin in tests); the truncated transform takes
+its draws as log(-log u), so draws transformed once
 serve every margin; both take their inputs as checked (finite stepper
 logits, keyed uniforms, a checked margin).  ``truncated_from_loglog``
 is the exact transform, with np.logaddexp: the inversion's located
@@ -37,14 +37,10 @@ from .rng import uniform_values
 EULER_MASCHERONI = 0.5772156649015329
 
 
-def standard_from_uniform(u):
-    """Standard Gumbel transform g = -log(-log u) for u in (0,1)."""
-    return -np.log(-np.log(u))
-
-
 def located_from_uniform(phi, u):
-    """Gumbel(phi, 1) transform, for a finite phi."""
-    return phi + standard_from_uniform(u)
+    """Gumbel(phi, 1) transform phi - log(-log u) of u in (0, 1), for a
+    finite phi."""
+    return phi - np.log(-np.log(u))
 
 
 def truncated_from_loglog(phi, trunc, loglog, out=None):

@@ -66,9 +66,9 @@ noise set stores them as float32 maps, which a noise file holds as they
 are, so memory and disk give the same tokens; every use casts a stored
 map to float64, which is exact (the replay's sums and the edit mix's
 ``lam * n``, whose float32 product would round differently).  Replay
-takes the argmax of p + n from the stepper's block logits one row block
-at a time (:meth:`~invnoise.predictor.ScaleStepper.next_scale_tokens`),
-so it makes no full-size array.
+is the sampling walk :func:`~invnoise.predictor.sample_pyramid` over
+the stored maps: the argmax of p + n from the stepper's block logits,
+one row block at a time, so it makes no full-size array.
 
 Inputs are checked where they enter: ``invert_pyramid`` checks its
 margin, seed and pyramid, the ``InverseNoiseSet`` it builds checks the
@@ -88,7 +88,7 @@ from . import _blocks
 from .codec import validate_pyramid
 from .errors import InvariantError, ValidationError
 from .gumbel import located_from_uniform, standard_rows, truncated_from_loglog
-from .predictor import Condition, PredictorParams, ScaleStepper
+from .predictor import Condition, PredictorParams, ScaleStepper, sample_pyramid
 from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, seed_array, uniform_values
 
 # Finite stand-in for log 0 in the onehot construction: far below any
@@ -462,10 +462,5 @@ def reconstruct_from_noise(
 ) -> list[np.ndarray]:
     """Replay argmax(p_t + n_t), in float64, scale by scale."""
     validate_noise_set(noise_set, params)
-    stepper = ScaleStepper(cond, params)
-    pyramid = []
-    for noise in noise_set.noises:
-        tokens = stepper.next_scale_tokens(noise)
-        stepper.push(tokens)
-        pyramid.append(tokens)
-    return pyramid
+    noises = noise_set.noises
+    return sample_pyramid(cond, params, lambda k, lo, hi, _: noises[k - 1][lo:hi])

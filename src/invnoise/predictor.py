@@ -25,12 +25,13 @@ inversion step subtracts and adds them the same way.  No full-size or
 per-cell logits array is made.  Pushing a stack of S token maps turns
 it into S walks that share that prefix (a leading seed axis on the
 canvas and the logits).
-Generation, inversion, replay and editing all drive it.  ``generate``
-samples a pyramid scale by scale with keyed Gumbel-max draws, each row
-block drawn (``gumbel.standard_rows``) and reduced to its argmax in
-cache, so no scale holds a whole noise field; the replay's
-``next_scale_tokens(x)`` reads a held noise map by the same row blocks,
-and the edit walk calls ``argmax_tokens`` in its own pass.
+Generation, inversion, replay and editing all drive it.  Generation
+and replay are one sampling walk, ``sample_pyramid``: each scale's
+tokens are argmax(p + n), one row block of noise at a time, reduced to
+its argmax in cache, so no scale holds a whole noise field.
+``generate`` walks keyed Gumbel draws (``gumbel.standard_rows``), the
+replay a held noise set's maps, and the edit walk calls
+``argmax_tokens`` in its own pass.
 """
 
 from __future__ import annotations
@@ -159,9 +160,8 @@ class ScaleStepper:
     """Next-scale logits for one pyramid under one condition, scale by scale.
 
     ``block_logits`` gives the logits of the current scale, ``scale``
-    (1-based), as block logits and their block factors, and
-    ``next_scale_tokens(x)`` the argmax of those logits plus ``x``;
-    ``push`` appends that scale's (h, w) token map and moves on.  The
+    (1-based), as block logits and their block factors; ``push`` appends
+    that scale's (h, w) token map and moves on.  The
     canvas adds the replicated embeddings in scale order onto zeros, the
     same sums a full prefix decode makes, so after the last scale
     ``canvas`` is the decoded grid.  Pushing (S, h, w) maps gives the
@@ -172,9 +172,8 @@ class ScaleStepper:
     fix.  Where such a block holds several cells of the current scale,
     those cells average the same values in the same order, so their
     logits are equal bit for bit: ``block_logits`` computes them once
-    per block, (h / fh, w / fw, C) for block factors (fh, fw), and
-    ``next_scale_tokens`` adds them to ``x`` one row block at a time.
-    No method returns the (h, w, C) logits of every cell.
+    per block, (h / fh, w / fw, C) for block factors (fh, fw).  No
+    method returns the (h, w, C) logits of every cell.
 
     Tokens are taken as given: callers validate pyramids at their own
     boundary.  Construction rejects params whose logits under ``cond``
@@ -194,14 +193,6 @@ class ScaleStepper:
     def canvas(self) -> np.ndarray:
         """(..., d, H, W) sum of the replicated embeddings pushed so far."""
         return self._canvas
-
-    def next_scale_tokens(self, x: np.ndarray) -> np.ndarray:
-        """(..., h, w) int32 argmax over the classes of the current
-        scale's logits plus an (..., h, w, C) ``x`` of any float dtype,
-        which is not modified, one row block at a time."""
-        logits, factors = self.block_logits()
-        shape = np.broadcast_shapes(x.shape, logits.shape[:-3] + x.shape[-3:])
-        return _tokens_by_rows(logits, factors, shape, lambda lo, hi, _: x[..., lo:hi, :, :])
 
     def block_logits(self):
         """The current scale's (..., h / fh, w / fw, C) logits, one cell
@@ -252,40 +243,45 @@ def argmax_tokens(logits, factors: tuple[int, int], x, out, sums) -> None:
     out[...] = np.argmax(rows, axis=-1)
 
 
-def _tokens_by_rows(logits, factors, shape, noise_rows, blocks: int = 1) -> np.ndarray:
-    """(..., h, w) int32 tokens of an (..., h, w, C) ``shape``: the
-    argmax of the block logits plus ``noise_rows(lo, hi, buf)``, the cell
-    rows lo:hi of a noise, one row block at a time.  ``buf`` is the
+def sample_pyramid(cond: Condition, params: PredictorParams, noise_rows, blocks: int = 1):
+    """The token pyramid of argmax(p + n) under ``cond``, each scale's
+    logits p taken under the scales sampled before it: the one sampling
+    walk of generation and replay.
+
+    Each scale k is one row-block pass whose body adds the block logits
+    to ``noise_rows(k, lo, hi, buf)``, the (hi - lo, w, C) cell rows
+    lo:hi of the scale's noise, and keeps the argmax.  ``buf`` is the
     driver's list of ``blocks`` flat float64 blocks of a row block; the
-    first holds the sums, so a noise written there is summed in place."""
-    fh = factors[0]
-    *lead, h, w, c = shape
-    tokens = np.empty((*lead, h, w), dtype=np.int32)
+    first holds the sums, so a noise written there is summed in place.
+    """
+    stepper = ScaleStepper(cond, params)
+    c = params.codebook.size
+    pyramid = []
+    for k, (h, w) in enumerate(params.schedule.resolutions, start=1):
+        logits, factors = stepper.block_logits()
+        fh = factors[0]
+        tokens = np.empty((h, w), dtype=np.int32)
 
-    def argmax_rows(b, e, buf):
-        rows = slice(b * fh, e * fh)
-        x = noise_rows(rows.start, rows.stop, buf)
-        argmax_tokens(logits[..., b:e, :, :], factors, x, tokens[..., rows, :], buf[0])
+        def argmax_rows(b, e, buf):
+            lo, hi = b * fh, e * fh
+            argmax_tokens(logits[b:e], factors, noise_rows(k, lo, hi, buf), tokens[lo:hi], buf[0])
 
-    _blocks.for_row_blocks(argmax_rows, h // fh, math.prod(shape), (np.float64,) * blocks)
-    return tokens
+        _blocks.for_row_blocks(argmax_rows, h // fh, h * w * c, (np.float64,) * blocks)
+        del logits  # before the push and the next scale's logits
+        stepper.push(tokens)
+        pyramid.append(tokens)
+    return pyramid
 
 
 def generate(cond: Condition, params: PredictorParams, seed: int) -> list[np.ndarray]:
     """Sample a token pyramid under ``cond`` by keyed Gumbel-max draws,
-    each scale conditioned on the scales drawn before it, each row block
-    of a scale drawn and reduced to its argmax in the pass's blocks."""
+    each row block of a scale drawn and reduced to its argmax in the
+    pass's blocks."""
     seed_array((seed,))
-    stepper = ScaleStepper(cond, params)
-    pyramid = []
     c = params.codebook.size
-    for k, (h, w) in enumerate(params.schedule.resolutions, start=1):
-        tokens = _tokens_by_rows(
-            *stepper.block_logits(),
-            (h, w, c),
-            lambda lo, hi, buf: standard_rows(seed, PURPOSE_GENERATION, k, lo, hi, w, c, *buf),
-            blocks=2,
-        )
-        stepper.push(tokens)
-        pyramid.append(tokens)
-    return pyramid
+
+    def draws(k, lo, hi, buf):
+        w = params.schedule.resolutions[k - 1][1]
+        return standard_rows(seed, PURPOSE_GENERATION, k, lo, hi, w, c, *buf)
+
+    return sample_pyramid(cond, params, draws, blocks=2)

@@ -9,12 +9,10 @@ one call keys a full field; an array of seeds adds leading axes, so one
 call keys the same field for many seeds.  Seeds are integers in
 [0, 2^64); ``seed_array`` checks them.  The hash absorbs each key
 field with an xor into its result and a mix in place, and the map to
-(0, 1) runs in the words' own buffer.  A caller's buffers take the words
-and the mixing scratch of a draw's last field whole (a row block of a
-scale's pass); without them the last field's step and the map go by row
-blocks of :mod:`invnoise._blocks`, in the driver's uint64 block, with
-the words of a whole-array draw.  The leading row and col steps, a few
-words per row or col, always mix whole.
+(0, 1) runs in the words' own buffer.  Every step mixes whole: a
+caller's buffers take the words and the mixing scratch of a draw's last
+field (a row block of a scale's pass), and a draw without them, or a
+leading row or col step, mixes in a new scratch of its own size.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
 mixed once, then each key field is absorbed with xor + mix.  The seed,
@@ -31,7 +29,6 @@ import math
 
 import numpy as np
 
-from . import _blocks
 from .errors import ValidationError
 
 # Draw-site purpose tags.  Distinct tags keep draw sites statistically
@@ -81,33 +78,22 @@ def _mix_words(x: np.ndarray, s: np.ndarray) -> None:
 def _mix(h: np.ndarray, field: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Absorb one key field: the SplitMix64 step of ``h ^ field``,
     written into ``out``, a C-contiguous uint64 array of their broadcast
-    shape (a new one if None), and returned.
-
-    With ``scratch``, a C-contiguous buffer of 8-byte items of at least
-    out's size, the step runs whole; otherwise in row blocks (see
-    ``_blocks_of``), so no other full-size array is made.
-    """
+    shape (a new one if None), and returned.  The step runs whole, with
+    ``_scratch(scratch, size)``."""
     if out is None:
         out = np.bitwise_xor(h, field, order="C")
     else:
         np.bitwise_xor(h, field, out=out)
-    _blocks_of(_mix_words, (out.reshape(-1),), scratch)
+    _mix_words(out.reshape(-1), _scratch(scratch, out.size))
     return out
 
 
-def _blocks_of(kernel, arrays, scratch) -> None:
-    """Run ``kernel(*arrays, s)`` over flat arrays of one size with s
-    uint64 scratch of their size: whole in the caller's ``scratch`` (a
-    C-contiguous buffer of 8-byte items of at least that size), or else
-    by row blocks of ``_blocks.CHUNK`` words in the driver's block."""
-    if scratch is not None:
-        kernel(*arrays, scratch.reshape(-1).view(np.uint64)[: arrays[0].size])
-        return
-    size = arrays[0].size
-    _blocks.for_row_blocks(
-        lambda lo, hi, buf: kernel(*[x[lo:hi] for x in arrays], buf[0][: hi - lo]),
-        size, size, (np.uint64,),
-    )
+def _scratch(scratch, size: int) -> np.ndarray:
+    """``size`` uint64 words of the caller's ``scratch``, a C-contiguous
+    buffer of 8-byte items of at least that size, or new ones if None."""
+    if scratch is None:
+        return np.empty(size, np.uint64)
+    return scratch.reshape(-1).view(np.uint64)[:size]
 
 
 def _as_u64(value) -> np.ndarray:
@@ -171,8 +157,7 @@ def raw64_values(
     h = np.array(words, dtype=np.uint64).reshape(seed_shape + (1,) * len(field_shape) or (1,))
     *fields, last = (_as_u64(field) for field in (rows, cols, channels))
     for field in fields:
-        h = np.bitwise_xor(h, field, order="C")
-        _mix_words(h.reshape(-1), np.empty(h.size, np.uint64))
+        h = _mix(h, field)
     if out is not None:
         shape = seed_shape + field_shape or (1,)  # the broadcast shape of h and last
         out = out.reshape(-1).view(np.uint64)[: math.prod(shape)].reshape(shape)
@@ -182,11 +167,11 @@ def raw64_values(
 def _to_open_unit(words: np.ndarray, scratch=None) -> np.ndarray:
     """Map owned C-contiguous uint64 words to (0, 1) in their own buffer,
     viewed as float64 (uint64 and float64 have the same size), with
-    ``scratch`` as ``_blocks_of`` takes it.  ``words`` must not be used
+    ``scratch`` as ``_mix`` takes it.  ``words`` must not be used
     afterwards."""
     flat = words.reshape(-1)
     u = flat.view(np.float64)
-    _blocks_of(_convert_words, (flat, u), scratch)
+    _convert_words(flat, u, _scratch(scratch, flat.size))
     return u.reshape(words.shape)
 
 

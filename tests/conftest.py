@@ -1,19 +1,25 @@
 """Shared fixtures: default toy configuration, fuzz inputs, and
-test-side references (the full logits of a scale, prefix logits, a
-whole keyed Gumbel field, the Gumbel-max draw of a logits map, the
-truncated transform of uniforms, residual energies, the Gaussian
-autoregressive inversion)."""
+test-side references (the doubling schedule, the full logits of a
+scale, prefix logits, the standard Gumbel transform, a whole keyed
+Gumbel field, the Gumbel-max draw of a logits map, the truncated
+transform of uniforms, residual energies, the Gaussian autoregressive
+inversion)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from invnoise.codec import default_codebook, dyadic_schedule, embed_tokens, upsample_replicate
+from invnoise.codec import ScaleSchedule, default_codebook, embed_tokens, upsample_replicate
 from invnoise.errors import ValidationError
 from invnoise.gumbel import truncated_from_loglog
 from invnoise.predictor import PredictorParams, ScaleStepper, condition_embed
 from invnoise.rng import normal_values, uniform_values
+
+
+def dyadic_schedule(num_scales: int) -> ScaleSchedule:
+    """1x1, 2x2, 4x4, ... doubling square schedule."""
+    return ScaleSchedule(tuple((2**k, 2**k) for k in range(num_scales)))
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +79,11 @@ def walk_logits(prefix, cond, params) -> np.ndarray:
     return next_scale_logits(stepper)
 
 
+def standard_from_uniform(u):
+    """Standard Gumbel transform g = -log(-log u) for u in (0,1)."""
+    return -np.log(-np.log(u))
+
+
 def standard_field(seed, purpose: int, scale: int, shape: tuple[int, int, int]) -> np.ndarray:
     """Keyed standard Gumbel draws -log(-log u) over a whole (h, w, C)
     grid, as first written: the row/col/channel key fields are the grid
@@ -86,7 +97,7 @@ def standard_field(seed, purpose: int, scale: int, shape: tuple[int, int, int]) 
         np.arange(w)[None, :, None],
         np.arange(c)[None, None, :],
     )
-    return -np.log(-np.log(u))
+    return standard_from_uniform(u)
 
 
 def sample_token_map(logits: np.ndarray, seed: int, purpose: int, scale: int) -> np.ndarray:

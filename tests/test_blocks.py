@@ -71,8 +71,8 @@ class TestForRowBlocks:
         assert (lo, hi, buf.dtype, buf.size) == (0, 64, np.float64, _blocks.CHUNK)
 
     def test_empty_draws(self):
-        """Draws over no entries, by the driver's blocks or in a
-        caller's buffers, are empty arrays."""
+        """Draws over no entries, in new arrays or in a caller's
+        buffers, are empty arrays."""
         u = rng.uniform_values(3, 1, 1, np.arange(0)[:, None, None], np.arange(4)[:, None],
                                np.arange(5))
         assert u.shape == (0, 4, 5) and u.dtype == np.float64

@@ -63,6 +63,13 @@ def assert_every_command_rejects(tmp_path, cfg):
         assert not out.exists(), command
 
 
+def child_env(**extra):
+    """This environment, with the package under test first on
+    PYTHONPATH, for a fresh interpreter."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
+
 def tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -132,6 +139,24 @@ class TestEncode:
             argv = ["--config", cfg, "--grid", f"demo:{scene}", "--seed", 0, "--out", out]
             assert run("encode", *argv) == EXIT_OK
             assert {name: sha256(out / name) for name in digests} == digests
+
+    def test_stress_output_pinned_at_any_blas_thread_count(self, tmp_path):
+        """The encoder ranks cells by one BLAS product, whose summation
+        order may follow OpenBLAS's thread count: a fresh process on 1 and
+        on 2 threads writes the same recorded files."""
+        cfg = tmp_path / "stress.ini"
+        cfg.write_text(STRESS_CODEC)
+        probe = (
+            "import sys; from invnoise.cli import main; "
+            "sys.exit(max(main(['encode', '--config', sys.argv[1], '--grid', 'demo:' + scene, "
+            "'--seed', '0', '--out', sys.argv[2] + '/' + scene]) for scene in sys.argv[3:]))"
+        )
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            subprocess.run([sys.executable, "-c", probe, cfg, out, *STRESS_ENCODE_DIGESTS],
+                           env=child_env(OPENBLAS_NUM_THREADS=str(threads)), check=True)
+            for scene, digests in STRESS_ENCODE_DIGESTS.items():
+                assert {name: sha256(out / scene / name) for name in digests} == digests
 
 
 # SHA-256 of the files of a stress-scale `encode` of each demo scene at seed 0
@@ -1251,15 +1276,13 @@ def test_import_leaves_out_the_worker_pool():
     """Importing the CLI loads no process pool and no part of
     ``concurrent.futures``: only ``sweep --workers N`` with N > 1 starts
     a pool, and it imports it there."""
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     probe = (
         "import sys, invnoise.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
         "('multiprocessing', 'concurrent')))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
 
@@ -1554,10 +1577,17 @@ class TestConfig:
         other = replace(cfg, edit=replace(cfg.edit, seed=1))
         assert config_digest(cfg) != config_digest(other)
 
-    def test_malformed_config_is_validation_error(self, tmp_path):
+    def test_malformed_config_is_validation_error(self, tmp_path, capsys):
+        """Text before any section header, or a line that is neither a
+        header nor a key, exits 2 with one error line naming the file and
+        the line, where configparser's own message spans two or three."""
         path = tmp_path / "bad.ini"
-        path.write_text("[edit\nsource = x\n")
-        assert run("encode", "--config", path, "--out", tmp_path / "o") == EXIT_VALIDATION
+        for text, line in [("[edit\nsource = x\n", 1), ("[edit]\nseed = 1\nsource\n", 3)]:
+            path.write_text(text)
+            assert run("encode", "--config", path, "--out", tmp_path / "o") == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"{path}, line {line}" in err
 
     def test_non_utf8_config_is_validation_error(self, tmp_path):
         path = tmp_path / "bad.ini"

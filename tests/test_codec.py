@@ -12,7 +12,6 @@ from invnoise.codec import (
     decode,
     default_codebook,
     downsample_blockmean,
-    dyadic_schedule,
     encode,
     embed_tokens,
     quantize_cells,
@@ -89,9 +88,10 @@ class TestResampling:
 
 
 class TestScheduleAndCodebook:
-    def test_dyadic(self):
-        sched = dyadic_schedule(5)
-        assert sched.resolutions == ((1, 1), (2, 2), (4, 4), (8, 8), (16, 16))
+    def test_dyadic(self, schedule):
+        """The doubling square schedule: its scales, count and finest grid."""
+        assert schedule.resolutions == ((1, 1), (2, 2), (4, 4), (8, 8), (16, 16))
+        assert schedule.num_scales == 5 and schedule.finest == (16, 16)
 
     def test_rejects_decreasing(self):
         with pytest.raises(ValidationError):

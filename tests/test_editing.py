@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invnoise import _blocks, config, editing, gumbel, inversion
-from invnoise.codec import ScaleSchedule, decode, default_codebook, dyadic_schedule, encode
+from invnoise.codec import ScaleSchedule, decode, default_codebook, encode
 from invnoise.config import load_config
 from invnoise.demo import demo_scene
 from invnoise.editing import (
@@ -35,7 +35,6 @@ from invnoise.editing import (
 )
 from invnoise.errors import ValidationError
 from invnoise.inversion import invert_pyramid
-from invnoise.gumbel import standard_from_uniform
 from invnoise.predictor import PredictorParams, condition_embed
 from invnoise.rng import (
     PURPOSE_EDIT_NOISE,
@@ -45,7 +44,7 @@ from invnoise.rng import (
     uniform_values,
 )
 
-from conftest import random_grid, walk_logits
+from conftest import dyadic_schedule, random_grid, standard_from_uniform, walk_logits
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

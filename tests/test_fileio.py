@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise.codec import default_codebook, dyadic_schedule, encode
+from invnoise.codec import default_codebook, encode
 from invnoise.errors import FormatError, ValidationError
 from invnoise.fileio import (
     CSV_HEADER,
@@ -33,7 +33,7 @@ from invnoise.inversion import (
 )
 from invnoise.predictor import PredictorParams, ScaleStepper, condition_embed, generate
 
-from conftest import next_scale_logits, random_grid
+from conftest import dyadic_schedule, next_scale_logits, random_grid
 
 
 class TestGridFormat:

@@ -14,29 +14,29 @@ from invnoise.gumbel import (
     gumbel_cdf,
     ks_statistic,
     located_from_uniform,
-    standard_from_uniform,
     standard_rows,
 )
 from invnoise.rng import uniform_values
 
-from conftest import sample_token_map, truncated_gumbel
+from conftest import sample_token_map, standard_from_uniform, truncated_gumbel
 
 E_INV = math.exp(-1.0)
 
 
 class TestStandard:
+    """The keyed standard draws, and the reference transform the tests
+    compare them with."""
+
     def test_analytic_point(self):
         """u = e^-1 maps to exactly 0: -log(-log(e^-1)) = -log(1)."""
         assert standard_from_uniform(E_INV) == 0.0
 
     def test_mean_matches_euler_mascheroni(self):
-        u = uniform_values(100, 1, 0, np.arange(1_000_000), 0, 0)
-        g = standard_from_uniform(u)
+        g = standard_rows(100, 1, 0, 0, 1_000_000, 1, 1)
         assert abs(g.mean() - EULER_MASCHERONI) < 0.01
 
     def test_ks_against_gumbel_cdf(self):
-        u = uniform_values(101, 1, 0, np.arange(100_000), 0, 0)
-        assert ks_statistic(standard_from_uniform(u), "gumbel") <= 0.01
+        assert ks_statistic(standard_rows(101, 1, 0, 0, 100_000, 1, 1), "gumbel") <= 0.01
 
     def test_keyed_wrapper_deterministic(self):
         a = standard_rows(5, 1, 0, 0, 2, 3, 4)

@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invnoise import _blocks, inversion
-from invnoise.codec import default_codebook, dyadic_schedule, encode
+from invnoise.codec import default_codebook, encode
 from invnoise.demo import demo_scene
 from invnoise.errors import InvariantError, ValidationError
 from invnoise.gumbel import (
     ks_statistic,
     located_from_uniform,
-    standard_from_uniform,
     standard_rows,
     truncated_from_loglog,
 )
@@ -42,9 +41,11 @@ from invnoise.rng import (
 )
 
 from conftest import (
+    dyadic_schedule,
     gaussian_ar_apply,
     gaussian_ar_invert,
     random_grid,
+    standard_from_uniform,
     truncated_gumbel,
     walk_logits,
 )
@@ -507,9 +508,11 @@ class TestInvertPyramid:
         assert noise.dtype == np.float32 and noise.nbytes == logits.nbytes // 2
         assert peak < noise.nbytes + 2 * 2**20
 
-    def test_stress_pyramid_peak_memory(self):
+    @pytest.mark.parametrize("kind", [KIND_LAI, KIND_OAI])
+    def test_stress_pyramid_peak_memory(self, kind):
         """Inverting stress-scale scene-a (64x64, vocab 512, 7 scales) at
-        tau 18 traces at most 20 MiB (16.5 MiB measured): the float32
+        tau 18 traces at most 20 MiB (16.50 MiB measured located, 16.36
+        onehot): the float32
         maps (10.7 MiB), each scale's rows written into its map as they
         are inverted, the finest block logits (4 MiB) and one row block's
         scratch (the noise, the draws and a spare block, 1.5 MiB); no
@@ -521,7 +524,7 @@ class TestInvertPyramid:
         cond = condition_embed(record.source_label, params)
         tracemalloc.start()
         try:
-            invert_pyramid(pyramid, cond, 18.0, params, seed=0)
+            invert_pyramid(pyramid, cond, 18.0, params, seed=0, kind=kind)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,6 +1,8 @@
 """Next-scale predictor: determinism, conditioning, sampling laws."""
 
+import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,14 +13,13 @@ from invnoise.codec import (
     decode,
     default_codebook,
     downsample_blockmean,
-    dyadic_schedule,
     embed_tokens,
     upsample_replicate,
 )
 from invnoise.editing import EditConfig, edit_with_inverse_noise
 from invnoise.errors import ValidationError
 from invnoise.gumbel import ks_statistic
-from invnoise.inversion import invert_pyramid, reconstruct_from_noise
+from invnoise.inversion import KIND_LAI, InverseNoiseSet, invert_pyramid, reconstruct_from_noise
 from invnoise.predictor import (
     PredictorParams,
     ScaleStepper,
@@ -28,7 +29,7 @@ from invnoise.predictor import (
 )
 from invnoise.rng import PURPOSE_GENERATION, normal_values
 
-from conftest import next_scale_logits, sample_token_map, walk_logits
+from conftest import dyadic_schedule, next_scale_logits, sample_token_map, walk_logits
 
 # Frozen once on the default seed: the two bundled labels must stay
 # clearly separated and pick different scale-1 tokens.
@@ -211,6 +212,34 @@ class TestPrefixBlocks:
         assert peak < 1.5 * logits.nbytes
 
 
+@pytest.mark.parametrize("walk", ["generate", "replay"])
+def test_sampling_walk_drops_each_scales_logits(params, source_cond, monkeypatch, walk):
+    """The sampling walk frees a scale's block logits before it pushes
+    the scale's tokens, so it never holds two scales' logits (at stress
+    scale, holding them raises the traced replay peak from 4.78 to 5.65
+    MiB)."""
+    made, push = [], ScaleStepper.push
+    block_logits = ScaleStepper.block_logits
+
+    def tracked_logits(self):
+        logits, factors = block_logits(self)
+        made.append(weakref.ref(logits))
+        return logits, factors
+
+    def checked_push(self, tokens):
+        assert made and all(ref() is None for ref in made)
+        push(self, tokens)
+
+    monkeypatch.setattr(ScaleStepper, "block_logits", tracked_logits)
+    monkeypatch.setattr(ScaleStepper, "push", checked_push)
+    if walk == "generate":
+        generate(source_cond, params, seed=4)
+    else:
+        maps = [np.zeros((h, w, params.codebook.size)) for h, w in params.schedule.resolutions]
+        replay(maps, source_cond, params)
+    assert len(made) == params.schedule.num_scales
+
+
 def test_generate_peak_memory(source_cond):
     """Generating a 64x64, vocab-512, 7-scale pyramid traces under 8 MiB
     (5.3 MiB measured; 21.2 MiB with a whole Gumbel field per
@@ -227,10 +256,36 @@ def test_generate_peak_memory(source_cond):
     assert peak < 8 * 2**20
 
 
+def argmax_by_rows(stepper, x):
+    """The current scale's tokens under an ``x`` with leading (seed)
+    axes, as the edit walk takes them: ``argmax_tokens`` over the
+    driver's row blocks of the block logits."""
+    logits, factors = stepper.block_logits()
+    shape = np.broadcast_shapes(x.shape, logits.shape[:-3] + x.shape[-3:])
+    tokens = np.empty(shape[:-1], dtype=np.int32)
+    fh = factors[0]
+
+    def argmax_rows(b, e, buf):
+        r = slice(b * fh, e * fh)
+        predictor.argmax_tokens(logits[..., b:e, :, :], factors, x[..., r, :, :],
+                                tokens[..., r, :], buf[0])
+
+    _blocks.for_row_blocks(argmax_rows, logits.shape[-3], math.prod(shape))
+    return tokens
+
+
+def replay(maps, cond, params):
+    """``reconstruct_from_noise`` of a hand-built set of the noise ``maps``."""
+    return reconstruct_from_noise(InverseNoiseSet(tuple(maps), cond.label, 18.0, 0, KIND_LAI),
+                                  cond, params)
+
+
 class TestNextScaleTokens:
-    """``next_scale_tokens(x)`` is ``argmax(next_scale_logits(stepper) + x)``
-    bit for bit, taken one row block at a time, and leaves ``x``
-    unmodified."""
+    """Each scale's tokens are ``argmax(next_scale_logits(stepper) + x)``
+    bit for bit, taken one row block at a time, and leave ``x``
+    unmodified: the sampling walk's, which the replay of a noise set
+    runs, and with leading (seed) axes ``argmax_tokens``'s, by the same
+    row blocks."""
 
     @pytest.mark.parametrize("block", [1 << 15, 3 * 64 * 2])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -241,55 +296,70 @@ class TestNextScaleTokens:
         """At 1x1, 2x2, 4x4, 8x8 and 16x16 the first two scales have block
         factor 1 and the rest factor 2.  Row blocks of the whole scale, or
         of 3 rows of 2x2 blocks (of cells of one walk; one of 3 walks),
-        which 2, 4 and 8 block rows leave ragged."""
+        which 2, 4 and 8 block rows leave ragged.  One walk replays the
+        maps, each scale under the tokens replayed before it; walks with a
+        seed axis follow generated pyramids."""
         assert predictor._block_factors(params.schedule) == ((1, 1),) * 2 + ((2, 2),) * 3
         monkeypatch.setattr(_blocks, "CHUNK", block)
         pyramids = [generate(source_cond, params, seed=s) for s in range(max(stepper_seeds, 1))]
-        stepper = ScaleStepper(source_cond, params)
         lead = (mix_seeds,) if mix_seeds else ()
+        xs = []
         for k, (h, w) in enumerate(params.schedule.resolutions, start=1):
             # scaled so that the sums, not the logits alone, pick the tokens
             x = 50.0 * normal_values(3, 9, k, np.arange(h)[:, None, None],
                                      np.arange(w)[None, :, None], np.arange(params.codebook.size))
-            x = np.broadcast_to(x, (*lead, h, w, params.codebook.size)).astype(dtype)
-            given = x.copy()
+            xs.append(np.broadcast_to(x, (*lead, h, w, params.codebook.size)).astype(dtype))
+        given = [x.copy() for x in xs]
+        replayed = None if mix_seeds else replay(xs, source_cond, params)
+        stepper = ScaleStepper(source_cond, params)
+        for k, x in enumerate(xs):
             want = np.argmax(next_scale_logits(stepper) + x, axis=-1)
-            got = stepper.next_scale_tokens(x)
+            got = argmax_by_rows(stepper, x) if mix_seeds else replayed[k]
             assert got.dtype == np.int32
             assert np.array_equal(got, want)
-            assert np.array_equal(x, given)
-            maps = [p[k - 1] for p in pyramids]
-            stepper.push(np.stack(maps) if stepper_seeds else maps[0])
+            if not mix_seeds:  # the replay's own prefix
+                stepper.push(got)
+            else:
+                maps = [p[k] for p in pyramids]
+                stepper.push(np.stack(maps) if stepper_seeds else maps[0])
+        assert all(np.array_equal(x, g) for x, g in zip(xs, given))
 
     def test_accepts_a_strided_array(self, params, source_cond):
-        """Row blocks of a strided x read it where it lies."""
-        stepper = ScaleStepper(source_cond, params)
-        for tokens in generate(source_cond, params, seed=1)[:2]:
-            stepper.push(tokens)
+        """The replay reads the row blocks of strided maps where they lie."""
         c = params.codebook.size
-        wide = 50.0 * normal_values(2, 9, 3, np.arange(4)[:, None, None],
-                                    np.arange(4)[None, :, None], np.arange(2 * c))
-        strided = wide[..., ::2]
-        want = np.argmax(next_scale_logits(stepper) + strided, axis=-1)
-        assert np.array_equal(stepper.next_scale_tokens(strided), want)
+        strided = [
+            50.0 * normal_values(2, 9, k, np.arange(h)[:, None, None],
+                                 np.arange(w)[None, :, None], np.arange(2 * c))[..., ::2]
+            for k, (h, w) in enumerate(params.schedule.resolutions, start=1)
+        ]
+        stepper = ScaleStepper(source_cond, params)
+        for x, got in zip(strided, replay(strided, source_cond, params), strict=True):
+            assert np.array_equal(got, np.argmax(next_scale_logits(stepper) + x, axis=-1))
+            stepper.push(got)
 
     @pytest.mark.parametrize("seeds", [0, 2], ids=["one-walk", "seed-axis"])
     def test_peak_memory(self, source_cond, seeds):
-        """The tokens of one 64x64, vocab-512 scale (block factor 2) from a
+        """The tokens of a 64x64, vocab-512 scale (block factor 2) from a
         float32 x allocate less than 0.75 of x at peak, the block logits
         (a quarter of the float64 logits, 0.5 of x) included: no full
-        logits array and no float64 copy of x."""
+        logits array and no float64 copy of x.  One walk replays a whole
+        7-scale set whose finest map is x (4.78 MiB traced, as for the
+        noise of stress scene-a); walks with a seed axis take the finest
+        scale alone (9.16 MiB traced of x's 16 MiB)."""
         schedule = dyadic_schedule(7)
         params = PredictorParams(default_codebook(size=512), schedule)
-        stepper = ScaleStepper(source_cond, params)
-        lead = (seeds,) if seeds else ()
-        for h, w in schedule.resolutions[:-1]:
-            tokens = np.arange(h * w, dtype=np.int32).reshape(h, w) % 512
-            stepper.push(np.broadcast_to(tokens, (*lead, h, w)))
-        x = np.zeros((*lead, 64, 64, 512), dtype=np.float32)
+        x = np.zeros((*((seeds,) if seeds else ()), 64, 64, 512), dtype=np.float32)
+        if seeds:
+            stepper = ScaleStepper(source_cond, params)
+            for h, w in schedule.resolutions[:-1]:
+                tokens = np.arange(h * w, dtype=np.int32).reshape(h, w) % 512
+                stepper.push(np.broadcast_to(tokens, (seeds, h, w)))
+        else:
+            maps = [np.zeros((h, w, 512), dtype=np.float32) for h, w in schedule.resolutions[:-1]]
+            maps.append(x)
         tracemalloc.start()
         try:
-            stepper.next_scale_tokens(x)
+            argmax_by_rows(stepper, x) if seeds else replay(maps, source_cond, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -169,9 +169,9 @@ def test_uniform_matches_broadcast_reference(key):
     "fields", [_grid_key(5, 7, 1000), (np.arange(40000), 0, 0)], ids=["grid", "1-d-rows"]
 )
 def test_chunked_hash_matches_reference(seeds, fields):
-    """Results of more than ``_blocks.CHUNK`` words are absorbed by chunks:
-    ranges of 4 rows of 7000 words (the last one partial) at each seed,
-    or 32768 words of a 1-d field."""
+    """Results of more than ``_blocks.CHUNK`` words (35000 words a seed
+    of a 5x7x1000 grid, or 40000 of a 1-d field) mix whole, as the
+    reference does, at one seed and on a seed axis."""
     got = raw64_values(seed_array(seeds) if len(seeds) > 1 else seeds[0], 2, 3, *fields)
     got = got.reshape(len(seeds), -1)
     for seed, row in zip(seeds, got, strict=True):
@@ -179,9 +179,9 @@ def test_chunked_hash_matches_reference(seeds, fields):
 
 
 def test_leading_fields_mix_without_the_driver(monkeypatch):
-    """The row and col steps mix whole: a draw into a caller's buffers
-    runs no row-block pass, and a whole-array draw one, for its last
-    field's step (the map to (0, 1) is the caller's)."""
+    """Every step mixes whole: no draw runs a row-block pass, neither
+    into a caller's buffers nor into new arrays, and neither the hash
+    nor its map to (0, 1)."""
     passes = []
     driver = _blocks.for_row_blocks
 
@@ -197,7 +197,9 @@ def test_leading_fields_mix_without_the_driver(monkeypatch):
     assert passes == []
     assert np.array_equal(got, want)
     assert np.array_equal(raw64_values(seeds, 2, 3, *key), want)
-    assert passes == [size]
+    assert np.array_equal(uniform_values(seeds, 2, 3, *key),
+                          np.stack([reference_uniform_values(s, 2, 3, *key) for s in (3, 2**64 - 1)]))
+    assert passes == []
 
 
 def test_hash_leaves_uint64_inputs_untouched():
