@@ -4,13 +4,30 @@ All binary formats are little-endian with a 4-byte magic and a version,
 and embed the experiment seed and config digest so any output can be
 traced back to the run that produced it.  Payloads are 32-bit floats
 (grids, noise) or 16-bit unsigned tokens (pyramids), which round-trips
-bit-exactly.  Readers read each payload straight into its array.  A
-noise set holds float32 maps, as inverted and as read, which the
-writer writes as they are and the reader returns as it reads them,
-with no cast.  Readers raise ``FormatError`` for anything a
-writer cannot produce: short or trailing bytes, sizes beyond the file,
-tokens outside the vocab, non-finite float payload values and a noise
-``tau`` that is negative or not finite.  Writers raise
+bit-exactly.  Readers read the header fields from the file and take each
+payload as a view of one private, copy-on-write mapping of the file
+(``mmap.ACCESS_COPY``), made once the header has been read.  A noise
+set holds float32 maps, as inverted and as read: the reader returns its
+maps as writable views of the mapping, with no copy or cast; grids and
+pyramids come back as float64 and int32 copies, and their mapping goes
+when the reader returns.  A held noise set keeps its mapping, and with
+it one file descriptor, open (Python's ``mmap`` duplicates it), until
+its maps are gone; while it is held, its file must be replaced, not
+truncated or rewritten in place, or reading a map past the new end of
+the file kills the process with SIGBUS.  Readers raise ``FormatError``
+for anything a writer cannot produce: short or trailing bytes, sizes
+beyond the file, tokens outside the vocab, non-finite float payload
+values, a noise ``tau`` that is negative or not finite, and a
+sensitive-regime flag that disagrees with ``tau``.
+
+Writers replace their file atomically: they write a temporary file
+beside the destination and move it into place with ``os.replace``, so a
+reader sees the old file or the new one whole, and an interrupted write
+leaves the old file and no temporary one.  There is no fsync, so the
+guarantee holds against interrupted processes and readers of the old
+file, not against power loss.  A new file takes the mode ``open`` gives
+it (0o666 less the umask), and a read-only or symlinked destination is
+replaced as a directory entry, not written through.  Writers raise
 ``ValidationError``, and write nothing, for a payload value that is not
 finite in float32, a seed outside [0, 2^64), a digest that is not 16
 bytes, noise maps that are not all (h, w, vocab) with one vocab, or a
@@ -24,6 +41,7 @@ eyeballing: one image per channel (min-max normalized) or per scale
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -70,15 +88,22 @@ def _check_left(fh, n: int) -> None:
         raise FormatError(f"header promises {n} payload bytes, only {left} left")
 
 
-def _read_array(fh, dtype: str, shape: tuple) -> np.ndarray:
-    """Read a payload straight into a new array of ``shape``, checked
-    against the bytes left first, with no bytes copy."""
+def _map(fh) -> mmap.mmap:
+    """One private, copy-on-write mapping of the whole file.  Readers make
+    it once the header has been read, so it is never asked of an empty
+    file, which ``mmap`` refuses with ValueError."""
+    return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+
+
+def _read_array(fh, pages: mmap.mmap, dtype: str, shape: tuple) -> np.ndarray:
+    """The payload of ``shape`` at the file's position, checked against the
+    bytes left first, as a writable view of ``pages``; the position moves
+    past it."""
     dtype = np.dtype(dtype)
-    n = math.prod(shape) * dtype.itemsize
-    _check_left(fh, n)
-    out = np.empty(shape, dtype=dtype)
-    if fh.readinto(out.reshape(-1).view(np.uint8)) != n:
-        raise FormatError("unexpected end of file")
+    count = math.prod(shape)
+    _check_left(fh, count * dtype.itemsize)
+    out = np.frombuffer(pages, dtype, count, fh.tell()).reshape(shape)
+    fh.seek(count * dtype.itemsize, os.SEEK_CUR)
     return out
 
 
@@ -136,6 +161,26 @@ def _read_header(fh, magic: bytes) -> tuple[int, int, ArtifactHeader]:
     return kind, flags, ArtifactHeader(seed=seed, digest=_read_exact(fh, 16))
 
 
+def _write_replacing(path, chunks) -> None:
+    """Write the byte ``chunks`` to a temporary file beside ``path``, opened
+    with plain ``open`` so a new file's mode is 0o666 less the umask, and
+    move it into place with ``os.replace``; on any error the temporary
+    file is removed and whatever was at ``path`` stays.  No fsync."""
+    head, tail = os.path.split(os.fspath(path))
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+        raise
+
+
 # --- feature grids -----------------------------------------------------------
 
 
@@ -145,18 +190,14 @@ def write_grid(path, grid: np.ndarray, seed: int = 0, digest: bytes = ZERO_DIGES
         raise ValidationError("grid must be (d, h, w)")
     payload = _float32_payload(grid, "grid")
     header = _header(GRID_MAGIC, seed, digest)
-    d, h, w = grid.shape
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(struct.pack("<III", d, h, w))
-        fh.write(payload)
+    _write_replacing(path, [header, struct.pack("<III", *grid.shape), payload])
 
 
 def read_grid(path) -> tuple[np.ndarray, ArtifactHeader]:
     with open(path, "rb") as fh:
         _, _, header = _read_header(fh, GRID_MAGIC)
-        d, h, w = struct.unpack("<III", _read_exact(fh, 12))
-        payload = _finite_payload(_read_array(fh, "<f4", (d, h, w)), "grid")
+        shape = struct.unpack("<III", _read_exact(fh, 12))
+        payload = _finite_payload(_read_array(fh, _map(fh), "<f4", shape), "grid")
         _check_end(fh)
     grid = payload.astype(np.float64)
     return grid, header
@@ -175,22 +216,26 @@ def write_pyramid(path, pyramid, vocab: int, seed: int = 0, digest: bytes = ZERO
         if np.any(t < 0) or np.any(t >= vocab):
             raise ValidationError("token index out of range")
     header = _header(PYRAMID_MAGIC, seed, digest)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(struct.pack("<II", len(maps), vocab))
+
+    def chunks():
+        yield header
+        yield struct.pack("<II", len(maps), vocab)
         for t in maps:
-            fh.write(struct.pack("<II", *t.shape))
-            fh.write(t.astype("<u2").tobytes())
+            yield struct.pack("<II", *t.shape)
+            yield t.astype("<u2").tobytes()
+
+    _write_replacing(path, chunks())
 
 
 def read_pyramid(path) -> tuple[list[np.ndarray], int, ArtifactHeader]:
     with open(path, "rb") as fh:
         _, _, header = _read_header(fh, PYRAMID_MAGIC)
         num_scales, vocab = struct.unpack("<II", _read_exact(fh, 8))
+        pages = _map(fh)
         maps = []
         for _ in range(num_scales):
-            h, w = struct.unpack("<II", _read_exact(fh, 8))
-            data = _read_array(fh, "<u2", (h, w))
+            shape = struct.unpack("<II", _read_exact(fh, 8))
+            data = _read_array(fh, pages, "<u2", shape)
             if data.size and int(data.max()) >= vocab:
                 raise FormatError(f"token {int(data.max())} out of range for vocab {vocab}")
             maps.append(data.astype(np.int32))
@@ -216,15 +261,14 @@ def write_noise_set(path, noise_set: InverseNoiseSet, digest: bytes = ZERO_DIGES
         _KIND_CODES[noise_set.kind],
         1 if noise_set.sensitive else 0,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(struct.pack("<IId", noise_set.num_scales, payloads[0].shape[2], tau))
-        fh.write(struct.pack("<I", len(label)))
-        fh.write(label)
-        for p in payloads:
-            fh.write(struct.pack("<II", p.shape[0], p.shape[1]))
-        for payload in payloads:
-            fh.write(payload)
+    fields = [
+        header,
+        struct.pack("<IId", noise_set.num_scales, payloads[0].shape[2], tau),
+        struct.pack("<I", len(label)),
+        label,
+        *(struct.pack("<II", p.shape[0], p.shape[1]) for p in payloads),
+    ]
+    _write_replacing(path, fields + payloads)
 
 
 def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
@@ -235,6 +279,8 @@ def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
         num_scales, vocab, tau = struct.unpack("<IId", _read_exact(fh, 16))
         if not (np.isfinite(tau) and tau >= 0):
             raise FormatError(f"noise header tau {tau!r} is not a non-negative finite real")
+        if bool(flags & 1) != (tau == 0.0):
+            raise FormatError("sensitive-regime flag inconsistent with tau")
         (label_len,) = struct.unpack("<I", _read_exact(fh, 4))
         _check_left(fh, label_len)
         try:
@@ -242,8 +288,10 @@ def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
         except UnicodeDecodeError:
             raise FormatError("condition label is not valid UTF-8") from None
         shapes = [struct.unpack("<II", _read_exact(fh, 8)) for _ in range(num_scales)]
+        pages = _map(fh)
         noises = tuple(
-            _finite_payload(_read_array(fh, "<f4", (h, w, vocab)), "noise") for h, w in shapes
+            _finite_payload(_read_array(fh, pages, "<f4", (h, w, vocab)), "noise")
+            for h, w in shapes
         )
         _check_end(fh)
     noise_set = InverseNoiseSet(
@@ -253,8 +301,6 @@ def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
         seed=header.seed,
         kind=_KIND_NAMES[kind_code],
     )
-    if bool(flags & 1) != noise_set.sensitive:
-        raise FormatError("sensitive-regime flag inconsistent with tau")
     return noise_set, header
 
 
@@ -268,9 +314,7 @@ def write_pgm(path, values: np.ndarray, comment: str = ""):
         raise ValidationError("PGM payload must be a 2-D uint8 array")
     h, w = values.shape
     header = f"P5\n# {comment}\n{w} {h}\n255\n" if comment else f"P5\n{w} {h}\n255\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(values.tobytes())
+    _write_replacing(path, [header.encode("ascii"), values.tobytes()])
 
 
 def gray_from_tokens(tokens: np.ndarray, vocab: int) -> np.ndarray:
@@ -300,7 +344,4 @@ def format_metric_row(digest_hex: str, seed, metric: str, scope: str, value) -> 
 
 
 def write_metrics_csv(path, rows: list[str]):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    _write_replacing(path, (f"{line}\n".encode("ascii") for line in [CSV_HEADER, *rows]))

@@ -3,18 +3,29 @@ test-side references (the doubling schedule, the full logits of a
 scale, prefix logits, the standard Gumbel transform, a whole keyed
 Gumbel field, the Gumbel-max draw of a logits map, the truncated
 transform of uniforms, residual energies, the Gaussian autoregressive
-inversion)."""
+inversion, the environment of a fresh interpreter)."""
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invnoise
 from invnoise.codec import ScaleSchedule, default_codebook, embed_tokens, upsample_replicate
 from invnoise.errors import ValidationError
 from invnoise.gumbel import truncated_from_loglog
 from invnoise.predictor import PredictorParams, ScaleStepper, condition_embed
 from invnoise.rng import normal_values, uniform_values
+
+
+def child_env(**extra):
+    """This environment, with the package under test first on
+    PYTHONPATH, for a fresh interpreter."""
+    path = [str(Path(invnoise.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
 
 
 def dyadic_schedule(num_scales: int) -> ScaleSchedule:

@@ -3,7 +3,6 @@
 import concurrent.futures
 import configparser
 import hashlib
-import os
 import struct
 import subprocess
 import sys
@@ -27,6 +26,8 @@ from invnoise.errors import InvariantError, ValidationError
 from invnoise.fileio import read_grid, read_noise_set, read_pyramid, write_grid
 from invnoise.predictor import condition_embed
 from invnoise.rng import PURPOSE_TRUNC_DRAW
+
+from conftest import child_env
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -61,13 +62,6 @@ def assert_every_command_rejects(tmp_path, cfg):
         out = tmp_path / "o"
         assert run_with_config(tmp_path, command, cfg, out) == EXIT_VALIDATION, command
         assert not out.exists(), command
-
-
-def child_env(**extra):
-    """This environment, with the package under test first on
-    PYTHONPATH, for a fresh interpreter."""
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
 
 
 def tree_bytes(root):
@@ -271,6 +265,21 @@ class TestInvert:
         second, _ = read_noise_set(inv2 / "noise.nsn")
         assert all(np.array_equal(a, b) for a, b in zip(first.noises, second.noises))
 
+    def test_invert_replaces_a_held_noise_file(self, tmp_path):
+        """Inverting again into a directory whose noise file is held (as
+        a mapping) replaces the file: the held maps keep their values."""
+        out = tmp_path / "inv"
+        assert run("invert", "--grid", "demo:scene-a", "--out", out, "--seed", 1) == EXIT_OK
+        held, _ = read_noise_set(out / "noise.nsn")
+        copies = [n.copy() for n in held.noises]
+        for seed in (2, 3):
+            assert run("invert", "--grid", "demo:scene-a", "--out", out, "--seed", seed) == EXIT_OK
+        assert all(np.array_equal(a, b) for a, b in zip(held.noises, copies, strict=True))
+        latest, _ = read_noise_set(out / "noise.nsn")
+        assert latest.seed == 3
+        assert not all(np.array_equal(a, b) for a, b in zip(latest.noises, copies))
+        assert [p.name for p in out.iterdir()] == ["noise.nsn"]
+
     def test_tau_overflowing_float32_writes_nothing(self, tmp_path):
         """At tau 1e308 the off-label noise overflows the float32 payload."""
         out = tmp_path / "inv"
@@ -395,6 +404,32 @@ class TestEdit:
                 "--out", out)
             == EXIT_IO
         )
+        assert not (out / "edited.nsp").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: b"",
+            lambda data: data[:30],
+            lambda data: data[:-1001],
+            lambda data: data[:-4000] + struct.pack("<f", np.nan) + data[-3996:],
+            lambda data: data[:7] + bytes([data[7] ^ 1]) + data[8:],
+        ],
+        ids=["empty", "cut-in-header", "cut-in-payload", "nan-in-payload", "flag-flipped"],
+    )
+    def test_corrupt_noise_file_is_one_io_error_line(self, tmp_path, capsys, corrupt):
+        """A noise file that is empty, cut short, holds a NaN or has a
+        sensitive-regime flag at odds with its tau exits 3 with one
+        ``i/o error:`` line and no traceback, and writes nothing."""
+        inv = tmp_path / "inv"
+        assert run("invert", "--grid", "demo:scene-a", "--out", inv) == EXIT_OK
+        bad = tmp_path / "bad.nsn"
+        bad.write_bytes(corrupt((inv / "noise.nsn").read_bytes()))
+        capsys.readouterr()
+        out = tmp_path / "ed"
+        assert run("edit", "--grid", "demo:scene-a", "--noise", bad, "--out", out) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "edited.nsp").exists()
 
     def test_nan_in_lambda_zero_map_is_io_error(self, tmp_path):

@@ -1,13 +1,20 @@
 """Artifact formats: bitwise round trips, provenance headers, PGM."""
 
+import errno
+import os
+import stat
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invnoise import fileio
 from invnoise.codec import default_codebook, encode
 from invnoise.errors import FormatError, ValidationError
 from invnoise.fileio import (
@@ -33,7 +40,7 @@ from invnoise.inversion import (
 )
 from invnoise.predictor import PredictorParams, ScaleStepper, condition_embed, generate
 
-from conftest import dyadic_schedule, next_scale_logits, random_grid
+from conftest import child_env, dyadic_schedule, next_scale_logits, random_grid
 
 
 class TestGridFormat:
@@ -123,6 +130,19 @@ class TestNoiseFormat:
         write_noise_set(path, noise_set)
         loaded, _ = read_noise_set(path)
         assert loaded.sensitive
+
+    def test_maps_are_private_writable_views(self, tmp_path, params, source_cond):
+        """Read maps are writable float32 views of the file's private
+        mapping: writing into one leaves the file as it was."""
+        pyramid = generate(source_cond, params, seed=9)
+        path = tmp_path / "n.nsn"
+        write_noise_set(path, invert_pyramid(pyramid, source_cond, 18.0, params, seed=9))
+        before = path.read_bytes()
+        loaded, _ = read_noise_set(path)
+        for noise in loaded.noises:
+            assert noise.dtype == np.float32 and noise.flags.writeable
+            noise[...] = 7.0
+        assert path.read_bytes() == before
 
     def test_unicode_label(self, tmp_path, params):
         from invnoise.predictor import condition_embed
@@ -258,6 +278,25 @@ class TestCorruptHeaders:
         data[48:52] = struct.pack("<I", 0xFFFFFFFF)
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
+            read_noise_set(path)
+
+    @pytest.mark.parametrize("tau", [0.0, 18.0])
+    def test_noise_flag_disagrees_with_tau(self, tmp_path, monkeypatch, params, source_cond, tau):
+        """Bit 0 of byte 7, the flags byte, marks tau = 0.  A file whose
+        flag disagrees with its tau fails on its header, before the file
+        is mapped."""
+        pyramid = generate(source_cond, params, seed=18)
+        path = tmp_path / "n.nsn"
+        write_noise_set(path, invert_pyramid(pyramid, source_cond, tau, params, seed=18))
+        data = bytearray(path.read_bytes())
+        data[7] ^= 1
+        path.write_bytes(bytes(data))
+
+        def no_mapping(fh):
+            raise AssertionError("the file was mapped before its header was checked")
+
+        monkeypatch.setattr(fileio, "_map", no_mapping)
+        with pytest.raises(FormatError, match="sensitive-regime flag"):
             read_noise_set(path)
 
     def test_noise_label_not_utf8(self, tmp_path, params):
@@ -444,6 +483,114 @@ class TestCorruptFilesFuzz:
             READERS[kind](path)
         except (FormatError, ValidationError):
             pass
+
+
+WRITERS = {
+    "grid": lambda path, v: write_grid(path, np.full((2, 2, 2), float(v))),
+    "pyramid": lambda path, v: write_pyramid(path, [np.full((1, 1), v, np.int32)], 4),
+    "noise": lambda path, v: write_small("noise", path, seed=v),
+    "pgm": lambda path, v: write_pgm(path, np.full((2, 3), v, np.uint8)),
+    "csv": lambda path, v: write_metrics_csv(path, [format_metric_row("ab", v, "mse", "x", 0.5)]),
+}
+
+
+class FailAfterHeader:
+    """A file whose writes after the first raise OSError, as on a full
+    disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+class TestAtomicWriters:
+    """Every writer writes a temporary file beside its destination and
+    moves it into place: an interrupted write leaves the earlier file
+    and no temporary one, and a new file has the mode ``open`` gives."""
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_interrupted_write_leaves_the_earlier_file(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "artifact"
+        WRITERS[kind](tmp_path / "other", 2)
+        WRITERS[kind](path, 1)
+        before = path.read_bytes()
+        assert (tmp_path / "other").read_bytes() != before
+        opened = []
+
+        def failing_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return FailAfterHeader(open(file, *args, **kwargs))
+
+        monkeypatch.setattr(fileio, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            WRITERS[kind](path, 2)
+        assert [p.parent for p in opened] == [tmp_path] and opened[0] != path
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["artifact", "other"]
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode(self, tmp_path, kind, umask):
+        old = os.umask(umask)
+        try:
+            WRITERS[kind](tmp_path / "artifact", 1)
+            with open(tmp_path / "plain", "wb"):
+                pass
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(os.stat(tmp_path / p).st_mode) for p in ("artifact", "plain")]
+        assert modes[0] == modes[1] == 0o666 & ~umask
+        assert sorted(os.listdir(tmp_path)) == ["artifact", "plain"]
+
+    def test_symlinked_destination_is_replaced(self, tmp_path):
+        """A symlink at the path is replaced as a directory entry; its
+        target is not written through."""
+        write_grid(tmp_path / "target", np.zeros((1, 1, 1)))
+        before = (tmp_path / "target").read_bytes()
+        (tmp_path / "link").symlink_to(tmp_path / "target")
+        write_grid(tmp_path / "link", np.ones((1, 1, 1)))
+        assert not (tmp_path / "link").is_symlink()
+        assert (tmp_path / "target").read_bytes() == before
+        assert read_grid(tmp_path / "link")[0].item() == 1.0
+
+    def test_rewrite_of_a_held_set_to_its_own_path(self, tmp_path):
+        """A held noise set is a mapping of its file, so writing it back to
+        that path must replace the file, not truncate it in place; a
+        truncating writer would read the maps past the file's end and die
+        of SIGBUS, return code -7.  Run in a child, so that shows as a
+        failed test."""
+        rng = np.random.default_rng(5)
+        noises = tuple(rng.standard_normal((s, s, 64)).astype(np.float32) for s in (1, 8, 32))
+        path = tmp_path / "n.nsn"
+        write_noise_set(path, InverseNoiseSet(noises, "held", 1.0, 3, KIND_LAI))
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from invnoise.fileio import read_noise_set, write_noise_set\n"
+            "path = sys.argv[1]\n"
+            "held, header = read_noise_set(path)\n"
+            "before = open(path, 'rb').read()\n"
+            "write_noise_set(path, held, header.digest)\n"
+            "assert open(path, 'rb').read() == before\n"
+            "again, _ = read_noise_set(path)\n"
+            "assert all(np.array_equal(a, b) for a, b in zip(held.noises, again.noises))\n"
+        )
+        child = subprocess.run([sys.executable, "-c", script, str(path)], env=child_env(),
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert sorted(os.listdir(tmp_path)) == ["n.nsn"]
 
 
 class TestPgm:
