@@ -16,9 +16,9 @@ its maps are gone; while it is held, its file must be replaced, not
 truncated or rewritten in place, or reading a map past the new end of
 the file kills the process with SIGBUS.  Readers raise ``FormatError``
 for anything a writer cannot produce: short or trailing bytes, sizes
-beyond the file, tokens outside the vocab, non-finite float payload
-values, a noise ``tau`` that is negative or not finite, and a
-sensitive-regime flag that disagrees with ``tau``.
+beyond the file, a pyramid vocab outside [2, 65536], tokens outside the
+vocab, non-finite floats, a noise set with no scales, a negative or
+non-finite noise ``tau``, and a sensitive-regime flag at odds with it.
 
 Writers replace their file atomically: they write a temporary file
 beside the destination and move it into place with ``os.replace``, so a
@@ -231,6 +231,8 @@ def read_pyramid(path) -> tuple[list[np.ndarray], int, ArtifactHeader]:
     with open(path, "rb") as fh:
         _, _, header = _read_header(fh, PYRAMID_MAGIC)
         num_scales, vocab = struct.unpack("<II", _read_exact(fh, 8))
+        if not 2 <= vocab <= 2**16:
+            raise FormatError(f"pyramid vocab {vocab} is outside [2, 65536]")
         pages = _map(fh)
         maps = []
         for _ in range(num_scales):
@@ -277,6 +279,8 @@ def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
         if kind_code not in _KIND_NAMES:
             raise FormatError(f"unknown inversion kind code {kind_code}")
         num_scales, vocab, tau = struct.unpack("<IId", _read_exact(fh, 16))
+        if num_scales == 0:
+            raise FormatError("noise set has no scales")
         if not (np.isfinite(tau) and tau >= 0):
             raise FormatError(f"noise header tau {tau!r} is not a non-negative finite real")
         if bool(flags & 1) != (tau == 0.0):

@@ -3,6 +3,7 @@
 import concurrent.futures
 import configparser
 import hashlib
+import re
 import struct
 import subprocess
 import sys
@@ -23,13 +24,14 @@ from invnoise.config import ExperimentConfig, config_digest, load_config, render
 from invnoise.demo import demo_scene
 from invnoise.editing import EditConfig, SeedSweep, default_start_scale, seed_chunk_width
 from invnoise.errors import InvariantError, ValidationError
-from invnoise.fileio import read_grid, read_noise_set, read_pyramid, write_grid
+from invnoise.fileio import read_grid, read_noise_set, read_pyramid, write_grid, write_pyramid
 from invnoise.predictor import condition_embed
 from invnoise.rng import PURPOSE_TRUNC_DRAW
 
 from conftest import child_env
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+FLOAT32_OVERFLOW = "inverse noise beyond +-2^127 does not fit in float32"
 
 
 def run(*argv):
@@ -414,13 +416,17 @@ class TestEdit:
             lambda data: data[:-1001],
             lambda data: data[:-4000] + struct.pack("<f", np.nan) + data[-3996:],
             lambda data: data[:7] + bytes([data[7] ^ 1]) + data[8:],
+            # no scales: the count zeroed and every shape and payload cut
+            lambda data: data[:32] + bytes(4) + data[36:52 + int.from_bytes(data[48:52], "little")],
         ],
-        ids=["empty", "cut-in-header", "cut-in-payload", "nan-in-payload", "flag-flipped"],
+        ids=["empty", "cut-in-header", "cut-in-payload", "nan-in-payload", "flag-flipped",
+             "no-scales"],
     )
     def test_corrupt_noise_file_is_one_io_error_line(self, tmp_path, capsys, corrupt):
-        """A noise file that is empty, cut short, holds a NaN or has a
-        sensitive-regime flag at odds with its tau exits 3 with one
-        ``i/o error:`` line and no traceback, and writes nothing."""
+        """A noise file that is empty, cut short, holds a NaN, has a
+        sensitive-regime flag at odds with its tau or counts no scales
+        exits 3 with one ``i/o error:`` line and no traceback, and writes
+        nothing."""
         inv = tmp_path / "inv"
         assert run("invert", "--grid", "demo:scene-a", "--out", inv) == EXIT_OK
         bad = tmp_path / "bad.nsn"
@@ -889,6 +895,37 @@ class TestSweep:
                "noise.nsn": sha256(tmp_path / "i" / "noise.nsn")}
         assert got == DESK_DIGESTS
 
+    @pytest.mark.parametrize("values", ["18,1e308", "1e308,18"])
+    def test_one_margin_beyond_float32_fails_the_sweep(self, tmp_path, capsys, values):
+        """At tau 1e308 the inverse noise lies beyond +-2^127, which float32
+        cannot hold: a sweep with that margin beside one that inverts
+        exits 2 on one ``error:`` line and writes no sweep.csv, whichever
+        margin comes first, serially and in two worker processes."""
+        cfg = sweep_config(tmp_path, "tau", values)
+        for workers in (1, 2) if cli.CORES > 1 else (1,):
+            out = tmp_path / f"w{workers}"
+            capsys.readouterr()
+            assert run("sweep", "--config", cfg, "--workers", workers, "--out", out) == (
+                EXIT_VALIDATION
+            )
+            assert capsys.readouterr().err == f"error: {FLOAT32_OVERFLOW}\n"
+            assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("split", [1, 3])
+    @pytest.mark.parametrize("taus", [(18.0, 1e308), (1e308, 18.0)])
+    def test_one_margin_beyond_float32_fails_the_chunk(self, tmp_path, monkeypatch, split, taus):
+        """The edit pass records each margin's error per row block and
+        raises the first in margin order after the pass: a ``SeedSweep``
+        chunk with a margin of 1e308 raises the error the CLI reports, in
+        row blocks of ``CHUNK`` entries and of a third of that."""
+        monkeypatch.setattr(_blocks, "CHUNK", _blocks.CHUNK // split)
+        cfg = load_config(sweep_config(tmp_path, "tau", "18"))
+        params = cfg.build_params()
+        grid, _, _ = demo_scene("scene-a", params)
+        sweep = SeedSweep(grid, [replace(cfg.edit, tau=tau) for tau in taus], params)
+        with pytest.raises(ValidationError, match=f"^{re.escape(FLOAT32_OVERFLOW)}$"):
+            sweep.run((0, 1))
+
     def test_setup_once_and_inversion_draws_once_per_seed(self, tmp_path, monkeypatch):
         """V values x S seeds build the params and the scene once, and draw
         the off-label inversion uniforms of each row of each edited scale
@@ -1322,6 +1359,20 @@ def test_import_leaves_out_the_worker_pool():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_loads_only_what_the_module_needs():
+    """The package root re-exports nothing, so importing it loads no
+    submodule, and importing a module then loads that module and its
+    own imports alone."""
+    probe = (
+        "import sys; loaded = lambda: sorted(m for m in sys.modules if m.startswith('invnoise.')); "
+        "import invnoise; print(loaded()); import invnoise.rng; print(loaded())"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines() == ["[]", "['invnoise.errors', 'invnoise.rng']"]
+
+
 class TestSeedRange:
     """Seeds are integers in [0, 2^64): anything else is a validation error."""
 
@@ -1383,6 +1434,21 @@ class TestRender:
         path.write_bytes(bytes(data))
         assert run("render", "--in", path, "--out", tmp_path / "r") == EXIT_IO
 
+    @pytest.mark.parametrize("vocab", [1, 70000])
+    def test_pyramid_vocab_no_writer_takes_is_one_io_error_line(self, tmp_path, capsys, vocab):
+        """A pyramid whose header vocab lies outside [2, 65536] exits 3
+        with one ``i/o error:`` line and no traceback, and renders
+        nothing, though every token (all 0) is below the vocab."""
+        bad = tmp_path / "bad.nsp"
+        write_pyramid(bad, [np.zeros((1, 1), np.int32), np.zeros((2, 2), np.int32)], 2)
+        data = bytearray(bad.read_bytes())
+        data[36:40] = struct.pack("<I", vocab)
+        bad.write_bytes(bytes(data))
+        out = tmp_path / "r"
+        assert run("render", "--in", bad, "--out", out) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not list(out.glob("*.pgm"))
 
     def test_nan_grid_is_io_error(self, tmp_path):
         path = tmp_path / "nan.nsg"

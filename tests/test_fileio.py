@@ -208,6 +208,10 @@ class TestNoiseReplayFromDisk:
             assert min(stored_margins(loaded, pyramid, source_cond, params)) >= tau
 
 
+def no_mapping(fh):
+    raise AssertionError("the file was mapped before its header was checked")
+
+
 class TestCorruptHeaders:
     """Header sizes are checked against the file before anything is allocated."""
 
@@ -256,6 +260,42 @@ class TestCorruptHeaders:
         with pytest.raises(FormatError):
             read_pyramid(path)
 
+    @pytest.mark.parametrize("vocab", [0, 1, 2**16 + 1, 70000, 2**32 - 1])
+    def test_pyramid_vocab_no_writer_takes(self, tmp_path, monkeypatch, vocab):
+        """``write_pyramid`` refuses a vocab outside [2, 65536], so a header
+        holding one fails before the file is mapped; both ends of the
+        range read."""
+        tokens = [np.zeros((1, 1), dtype=np.int32)]
+        with pytest.raises(ValidationError):
+            write_pyramid(tmp_path / "w.nsp", tokens, vocab)
+        path = tmp_path / "p.nsp"
+        write_pyramid(path, tokens, 2)
+        data = bytearray(path.read_bytes())
+        for good in (2, 2**16):
+            data[36:40] = struct.pack("<I", good)
+            path.write_bytes(bytes(data))
+            assert read_pyramid(path)[1] == good
+        data[36:40] = struct.pack("<I", vocab)
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(fileio, "_map", no_mapping)
+        with pytest.raises(FormatError, match="vocab"):
+            read_pyramid(path)
+
+    def test_noise_set_with_no_scales(self, tmp_path, monkeypatch):
+        """``write_noise_set`` refuses a set with no scales, so a header
+        that counts none fails before the file is mapped, even when no
+        shape or payload follows its label."""
+        path = tmp_path / "n.nsn"
+        with pytest.raises(ValidationError):
+            write_small("noise", path, noises=())
+        write_small("noise", path)  # label "x": header, fields and label take 53 bytes
+        data = bytearray(path.read_bytes()[:53])
+        data[32:36] = struct.pack("<I", 0)
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(fileio, "_map", no_mapping)
+        with pytest.raises(FormatError, match="no scales"):
+            read_noise_set(path)
+
     def test_noise_huge_vocab_and_trailing_bytes(self, tmp_path, params, source_cond):
         pyramid = generate(source_cond, params, seed=12)
         path = tmp_path / "n.nsn"
@@ -291,10 +331,6 @@ class TestCorruptHeaders:
         data = bytearray(path.read_bytes())
         data[7] ^= 1
         path.write_bytes(bytes(data))
-
-        def no_mapping(fh):
-            raise AssertionError("the file was mapped before its header was checked")
-
         monkeypatch.setattr(fileio, "_map", no_mapping)
         with pytest.raises(FormatError, match="sensitive-regime flag"):
             read_noise_set(path)
