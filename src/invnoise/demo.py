@@ -26,7 +26,6 @@ DETAIL_AMPLITUDE = 0.05
 
 @dataclass(frozen=True)
 class DemoScene:
-    name: str
     source_label: str
     target_label: str
     scene_seed: int
@@ -34,13 +33,11 @@ class DemoScene:
 
 _SCENES = {
     "scene-a": DemoScene(
-        name="scene-a",
         source_label="red brick house among pines",
         target_label="blue glass tower among pines",
         scene_seed=2024,
     ),
     "scene-b": DemoScene(
-        name="scene-b",
         source_label="orange desert dunes at noon",
         target_label="green grassy hills at noon",
         scene_seed=4096,

@@ -156,7 +156,6 @@ class EditResult:
     grid: np.ndarray
     lambdas: tuple  # per scale; NaN for scales copied from the source
     changed: tuple  # per scale, the number of tokens that differ from the source encoding
-    source_pyramid: tuple
 
     @property
     def change_fraction(self) -> tuple:
@@ -165,7 +164,7 @@ class EditResult:
 
     @property
     def token_change(self) -> float:
-        """``1 - token_agreement(pyramid, source_pyramid)``, from the counts."""
+        """The fraction of all tokens that differ from the source encoding."""
         total = sum(tokens.size for tokens in self.pyramid)
         return 1.0 - (total - sum(self.changed)) / total
 
@@ -329,8 +328,8 @@ class SeedSweep:
         its rows at every margin into the float32 blocks (or reads them
         from the given set), with the float64 blocks as the inversion's
         scratch, then draws its rows of g once for every edit and builds
-        the mixes and sums in those same float64 blocks.  Inversion
-        errors are raised after the pass, the first in margin order.
+        the mixes and sums in those same float64 blocks.  An inversion
+        error raises in the row block where it happens.
         """
         h, w = self.params.schedule.resolutions[t - 1]
         c = self.params.codebook.size
@@ -362,10 +361,10 @@ class SeedSweep:
             size = math.prod(shape)
             if inversion is None:  # a given set's rows, if any margin
                 noises = {tau: given[r] for tau in margins}
-            else:  # None where the rows were not inverted: check() raises
+            else:
                 outs = [out[:size].reshape(shape) for out in buf[3:]]
-                written = inversion.invert_rows(lo, hi, buf, outs)
-                noises = {tau: out if ok else None for tau, out, ok in zip(margins, outs, written)}
+                inversion.invert_rows(lo, hi, buf, outs)
+                noises = dict(zip(margins, outs))
             fresh, mix, product = buf[:3]  # free once the rows are inverted
             g = None
             if draw:
@@ -375,8 +374,6 @@ class SeedSweep:
             for i, tau, lam, logits in edits:
                 x, sums = g, product
                 if tau is not None:
-                    if noises[tau] is None:
-                        continue
                     x, sums = noises[tau], mix
                     if lam != 1.0:
                         x = mix[:size].reshape(shape)
@@ -385,8 +382,6 @@ class SeedSweep:
 
         dtypes = (np.float64,) * 3 + (np.float32,) * (0 if inversion is None else len(margins))
         _blocks.for_row_blocks(edit_rows, h // fh, seeds.size * h * w * c, dtypes)
-        if inversion is not None:
-            inversion.check()
         return tokens
 
     def run(self, seeds) -> list[list[EditResult]]:
@@ -438,7 +433,6 @@ class SeedSweep:
                     grid=grid,
                     lambdas=(float("nan"),) * (plan.start_scale - 1) + plan.lambdas,
                     changed=tuple(plan_counts[s]),
-                    source_pyramid=self.source_pyramid,
                 )
             results.append([by_plan[plan] for plan in self._plans])
         return results

@@ -34,8 +34,6 @@ import numpy as np
 from .errors import ValidationError
 from .rng import uniform_values
 
-EULER_MASCHERONI = 0.5772156649015329
-
 
 def located_from_uniform(phi, u):
     """Gumbel(phi, 1) transform phi - log(-log u) of u in (0, 1), for a

@@ -28,16 +28,15 @@ block logits meet the cells by broadcasting over their block view
 (``_blocks.by_blocks``), and single cells read them at (r // fh,
 c // fw), so every sum and difference is the one the full logits give.
 An array of seeds adds a leading seed axis to the draws and the noise.
-A row block records its errors per margin, and ``check`` raises the
-first in margin order (a noise out of float32 range before a tightening
-failure within a margin), as a margin-by-margin inversion of the whole
-scale would.  ``invert_pyramid`` walks the scales with one
-:class:`~invnoise.predictor.ScaleStepper` and inverts each scale into
-its float32 map at its one margin (``ScaleInversion.run``); the edit
-walk of :mod:`invnoise.editing` calls ``invert_rows`` inside its own
-row-block pass, at the margins it mixes in, and reuses the step's
-three blocks for its draws and mixes once a row block is inverted, so
-neither holds a full-size float64 array.  ``reconstruct_from_noise``
+A noise out of float32 range or a cell that does not tighten raises in
+the row block and at the margin where it happens.  ``invert_pyramid``
+walks the scales with one :class:`~invnoise.predictor.ScaleStepper`
+and inverts each scale into its float32 map at its one margin
+(``ScaleInversion.run``); the edit walk of :mod:`invnoise.editing`
+calls ``invert_rows`` inside its own row-block pass, at the margins it
+mixes in, and reuses the step's three blocks for its draws and mixes
+once a row block is inverted, so neither holds a full-size float64
+array.  ``reconstruct_from_noise``
 replays a noise set.  Within a scale all tokens are independent and
 every draw is keyed, so row blocks of any size give the same bytes.
 
@@ -331,12 +330,9 @@ class ScaleInversion:
     (``_blocks.for_row_blocks``): the noise, the off-label draws and a
     spare, whose bool view holds the tightening's mask.  Each is written
     before it is read, and none holds anything once it returns, so the
-    caller's pass may reuse them.  A margin whose noise in
-    the block is out of float32 range, or does not tighten, records its
-    error and leaves its rows unwritten; ``check`` raises, after the
-    pass, the first error in margin order, an out-of-range noise before
-    a tightening failure within a margin.  ``run`` is the pass over the
-    whole scale into new maps.
+    caller's pass may reuse them.  A margin whose noise in the block is
+    out of float32 range, or does not tighten, raises there.  ``run`` is
+    the pass over the whole scale into new maps.
     """
 
     def __init__(self, tokens, logits, factors, taus, seed, scale: int, kind: str = KIND_LAI):
@@ -350,31 +346,18 @@ class ScaleInversion:
             self._label_logit = logits[rows // factors[0], cols // factors[1], tokens]
             u_label = uniform_values(seed, PURPOSE_LABEL_DRAW, scale, rows, cols, 0)
             self._q_label = located_from_uniform(self._label_logit, u_label)
-        # per margin, [out of range, not tightened]: an error of some block
-        self._errors = [[None, None] for _ in self.taus]
 
-    def invert_rows(self, lo: int, hi: int, buf, outs) -> list[bool]:
-        """Invert block rows lo:hi into ``outs``; per margin, whether its
-        rows were written."""
+    def invert_rows(self, lo: int, hi: int, buf, outs) -> None:
+        """Invert block rows lo:hi into ``outs``, one margin after another."""
         fh = self.factors[0]
         rows = slice(lo * fh, hi * fh)
         p = self.logits[lo:hi]
         shape = (*self.shape[:-3], rows.stop - rows.start, *self.shape[-2:])
         noise, *spare = (b[: math.prod(shape)].reshape(shape) for b in buf[:3])
         bad = buf[2].view(np.bool_)[: noise.size].reshape(shape)  # free while tightening
-        written = []
         margins = self._noise_rows(rows, p, noise, spare, outs)
-        for errors, (tau, in_range), out in zip(self._errors, margins, outs):
-            try:
-                _tighten(self.tokens[rows], p, self.factors, noise, tau, out, bad, in_range)
-                written.append(True)
-            except ValidationError as exc:
-                errors[0] = exc
-                written.append(False)
-            except InvariantError as exc:
-                errors[1] = exc
-                written.append(False)
-        return written
+        for (tau, in_range), out in zip(margins, outs):
+            _tighten(self.tokens[rows], p, self.factors, noise, tau, out, bad, in_range)
 
     def _noise_rows(self, rows: slice, p, noise, spare, outs):
         """Write the noise of cell ``rows`` under their block logits ``p``
@@ -406,12 +389,6 @@ class ScaleInversion:
                 p, self.factors, p_max, q_label - tau, g, label_noise, at_label, noise, low, out
             )
 
-    def check(self) -> None:
-        """Raise the first error a row block recorded, in margin order."""
-        for error in (e for pair in self._errors for e in pair):
-            if error is not None:
-                raise error
-
     def run(self) -> list[np.ndarray]:
         """The whole scale: one float32 map of ``shape`` per margin."""
         maps = [np.empty(self.shape, dtype=np.float32) for _ in self.taus]
@@ -422,7 +399,6 @@ class ScaleInversion:
 
         rows = self.logits.shape[-3]
         _blocks.for_row_blocks(invert, rows, math.prod(self.shape), (np.float64,) * 3)
-        self.check()
         return maps
 
 

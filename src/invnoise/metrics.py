@@ -13,10 +13,8 @@ so they equal that mean bit for bit.  PSNR and SSIM do not change when
 both grids scale together, so grids so small that their terms underflow
 (below the smallest normal float64), or so large that they could
 overflow, are scored divided by their peak.  An MSE beyond the float64
-range is inf.
-Token agreement measures exact reconstruction of pyramids.  All of
-these are checked against independent naive-loop implementations in
-the test suite.
+range is inf.  All of these are checked against independent naive-loop
+implementations in the test suite.
 """
 
 from __future__ import annotations
@@ -224,23 +222,3 @@ class Scorer:
                 scores["bg_psnr"] = _psnr_from(a, ref, err, peak, self._keep)
             out.append(scores)
         return out
-
-
-def token_agreement(p1, p2, per_scale: bool = False):
-    """Fraction of equal tokens between two pyramids on one schedule."""
-    if len(p1) != len(p2):
-        raise ValidationError("pyramids have different scale counts")
-    fractions = []
-    matches = 0
-    total = 0
-    for a, b in zip(p1, p2):
-        a, b = np.asarray(a), np.asarray(b)
-        if a.shape != b.shape:
-            raise ValidationError(f"scale shapes differ: {a.shape} vs {b.shape}")
-        eq = a == b
-        fractions.append(float(np.mean(eq)))
-        matches += int(np.sum(eq))
-        total += eq.size
-    if per_scale:
-        return fractions
-    return matches / total

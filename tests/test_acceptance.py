@@ -79,8 +79,7 @@ def test_criterion_01_perfect_reconstruction(params):
         for kind in (KIND_LAI, KIND_OAI):
             noise_set = invert_pyramid(pyramid, cond, tau, params, seed, kind=kind)
             recon = reconstruct_from_noise(noise_set, cond, params)
-            agreement = metrics.token_agreement(pyramid, recon, per_scale=True)
-            if any(a != 1.0 for a in agreement):
+            if not all(np.array_equal(a, b) for a, b in zip(pyramid, recon)):
                 failures += 1
     elapsed = time.monotonic() - start
     report(

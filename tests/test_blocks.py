@@ -1,5 +1,6 @@
 """Row-block kernels: every loop split by ``invnoise._blocks`` gives the
-bytes of the whole-array computation, and its errors in order.
+bytes of the whole-array computation, and raises its errors in the
+block where they happen.
 
 The block size is forced through ``_blocks.CHUNK``.  The shapes have 13
 rows (26 with two seeds) and 7 or 13 chunks of ``_blocks.CHUNK`` words,
@@ -7,14 +8,18 @@ so the last row block is ragged.
 """
 
 import operator
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from invnoise import _blocks, codec, gumbel, inversion, rng
+from invnoise import _blocks, codec, demo, editing, gumbel, inversion, rng
+from invnoise.config import ExperimentConfig
 from invnoise.errors import InvariantError, ValidationError
+from invnoise.predictor import PredictorParams, condition_embed
 
-from conftest import standard_field, truncated_gumbel
+from conftest import random_grid, standard_field, truncated_gumbel
 
 SHAPE = (13, 29, 541)  # 203957 entries: 7 chunks, 2 rows per distance block
 SEEDS = [None, np.array([5, 2**64 - 1], dtype=np.uint64)]
@@ -260,6 +265,22 @@ def invert_given(*qs):
     return GivenPerturbed(qs, (18.0,) * len(qs)).run()
 
 
+def recorded_invert_rows(monkeypatch):
+    """The (lo, hi) of every ``ScaleInversion.invert_rows`` call, in order."""
+    calls = []
+    invert_rows = inversion.ScaleInversion.invert_rows
+
+    def recorded(self, lo, hi, buf, outs):
+        calls.append((lo, hi))
+        return invert_rows(self, lo, hi, buf, outs)
+
+    monkeypatch.setattr(inversion.ScaleInversion, "invert_rows", recorded)
+    return calls
+
+
+FLOAT32_OVERFLOW = f"^{re.escape('inverse noise beyond +-2^127 does not fit in float32')}$"
+
+
 class TestErrorsAcrossBlocks:
     """13 rows in row blocks of one row (``CHUNK`` = 15 entries)."""
 
@@ -270,30 +291,40 @@ class TestErrorsAcrossBlocks:
     @pytest.mark.parametrize("row", [0, 6, 12])
     def test_tightening_errors(self, row):
         """Both tightening errors reach the caller whichever block holds
-        the bad cell, and the range check of the whole noise comes
-        first."""
+        the bad cell."""
         (noise,) = invert_given(hopeless_and_huge(13))
         assert not noise[..., 1:].any()
         with pytest.raises(InvariantError):
             invert_given(hopeless_and_huge(13, hopeless=[row]))
         with pytest.raises(ValidationError):
             invert_given(hopeless_and_huge(13, huge=[row]))
-        with pytest.raises(ValidationError):
-            invert_given(hopeless_and_huge(13, hopeless=[0, 6, 12], huge=[row]))
 
-    def test_range_error_in_a_later_block_first(self):
-        """A hopeless row in an earlier block than a huge row: the range
-        check of the margin still comes first."""
-        with pytest.raises(ValidationError):
-            invert_given(hopeless_and_huge(13, hopeless=[0], huge=[12]))
+    def test_inversion_stops_at_the_failing_block(self, monkeypatch):
+        """At tau 1e308 the noise of the first of the two row blocks of
+        the first scale (2x2, one row each) is beyond float32 range: the
+        inversion raises there and inverts nothing more."""
+        schedule = codec.ScaleSchedule(((2, 2), (4, 4)))
+        params = PredictorParams(codebook=codec.default_codebook(), schedule=schedule)
+        pyramid = codec.encode(random_grid(3, size=4), params.codebook, schedule)
+        cond = condition_embed("red brick house among pines", params)
+        calls = recorded_invert_rows(monkeypatch)
+        with pytest.raises(ValidationError, match=FLOAT32_OVERFLOW):
+            inversion.invert_pyramid(pyramid, cond, 1e308, params, 0)
+        assert calls == [(0, 1)]
 
-    def test_first_margin_first(self):
-        """The error of the first margin comes before any of the second,
-        whichever kind each is and whichever rows hold them."""
-        with pytest.raises(InvariantError):
-            invert_given(hopeless_and_huge(13, hopeless=[12]), hopeless_and_huge(13, huge=[0]))
-        with pytest.raises(ValidationError):
-            invert_given(hopeless_and_huge(13, huge=[12]), hopeless_and_huge(13, hopeless=[0]))
+    @pytest.mark.parametrize("taus", [(18.0, 1e308), (1e308, 18.0)], ids=["18-first", "1e308-first"])
+    def test_edit_pass_stops_at_the_failing_block(self, monkeypatch, taus):
+        """An edit chunk of two seeds at margins 18 and 1e308 raises in
+        the first of the two row blocks of its first inverted scale (2x2,
+        one row each), whichever margin comes first."""
+        cfg = ExperimentConfig()
+        params = cfg.build_params()
+        grid, _, _ = demo.demo_scene("scene-a", params)
+        sweep = editing.SeedSweep(grid, [replace(cfg.edit, tau=tau) for tau in taus], params)
+        calls = recorded_invert_rows(monkeypatch)
+        with pytest.raises(ValidationError, match=FLOAT32_OVERFLOW):
+            sweep.run((0, 1))
+        assert calls == [(0, 1)]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_promoted_warning_in_the_last_block(self):

@@ -290,6 +290,21 @@ class TestInvert:
         )
         assert not (out / "noise.nsn").exists()
 
+    @pytest.mark.parametrize(
+        "args,beta", [(["--tau", "1e308"], 4.0), (["--kind", "oai"], 1e38)],
+        ids=["lai-tau-1e308", "oai-beta-1e38"],
+    )
+    def test_noise_beyond_float32_is_one_error_line(self, tmp_path, capsys, args, beta):
+        """Located noise at tau 1e308, and onehot noise under logits of
+        beta 1e38, lie beyond +-2^127: exit 2 with one ``error:`` line and
+        no output."""
+        path = tmp_path / "beta.ini"
+        path.write_text(f"[predictor]\nbeta = {beta!r}\n")
+        out = tmp_path / "inv"
+        assert run("invert", "--config", path, *args, "--out", out) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {FLOAT32_OVERFLOW}\n"
+        assert not out.exists()
+
     def test_huge_tau_replays_from_disk(self, tmp_path, default_params):
         out = tmp_path / "inv"
         assert run("invert", "--grid", "demo:scene-a", "--out", out, "--tau", "1e30") == EXIT_OK
@@ -914,9 +929,8 @@ class TestSweep:
     @pytest.mark.parametrize("split", [1, 3])
     @pytest.mark.parametrize("taus", [(18.0, 1e308), (1e308, 18.0)])
     def test_one_margin_beyond_float32_fails_the_chunk(self, tmp_path, monkeypatch, split, taus):
-        """The edit pass records each margin's error per row block and
-        raises the first in margin order after the pass: a ``SeedSweep``
-        chunk with a margin of 1e308 raises the error the CLI reports, in
+        """A ``SeedSweep`` chunk with a margin of 1e308 beside one of 18
+        raises the error the CLI reports, whichever margin comes first, in
         row blocks of ``CHUNK`` entries and of a third of that."""
         monkeypatch.setattr(_blocks, "CHUNK", _blocks.CHUNK // split)
         cfg = load_config(sweep_config(tmp_path, "tau", "18"))

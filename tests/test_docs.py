@@ -2,7 +2,9 @@
 module (``module.name``, ``module.Class.attr`` or ``invnoise.module``,
 with or without the package prefix, as in :func:`~invnoise.rng.uniform_values`)
 in the package's docstrings and in README.md names something that
-exists, so no doc keeps the name of a deleted or renamed function."""
+exists, so no doc keeps the name of a deleted or renamed function.
+Names in the code: every module-level name of the package has a caller
+in the package or in ``perfbench/``."""
 
 import ast
 import importlib
@@ -67,3 +69,49 @@ def test_every_reference_resolves():
     found = documented_references()
     assert len(found) >= 40
     assert [ref for ref in found if not resolves(ref[1])] == []
+
+
+# Names no program loads yet: the package version, and the KS distance,
+# which the per-scale run record of ROADMAP aim 4 is to report
+# (``gumbel_cdf`` is loaded by it).
+UNCALLED = {("__init__", "__version__"), ("gumbel", "ks_statistic")}
+
+
+def module_level_names(tree: ast.Module):
+    """(name, definition) of every function, class and constant that
+    ``tree`` defines at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def test_every_name_has_a_caller_outside_the_tests():
+    """Every module-level function, class and constant of the package is
+    loaded (as a name or an attribute of that name) somewhere in the
+    package or in ``perfbench/`` outside its own definition, so no code
+    is kept for the tests alone."""
+    trees = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    trees.update((p, ast.parse(p.read_text())) for p in sorted((ROOT / "perfbench").rglob("*.py")))
+    defined = [(p.stem, name, node) for p, tree in trees.items() if p.parent == PACKAGE
+               for name, node in module_level_names(tree)]
+    inside = {(name, id(n)) for _, name, node in defined for n in ast.walk(node)}
+    loaded = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                name = n.id
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                name = n.attr
+            else:
+                continue
+            if (name, id(n)) not in inside:
+                loaded.add(name)
+    assert len(defined) > 100
+    uncalled = {(module, name) for module, name, _ in defined if name not in loaded}
+    assert uncalled == UNCALLED

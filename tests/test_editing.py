@@ -381,7 +381,6 @@ def same_edit(a, b):
         and np.array_equal(a.grid, b.grid)
         and np.array_equal(a.lambdas, b.lambdas, equal_nan=True)
         and a.change_fraction == b.change_fraction
-        and all(np.array_equal(x, y) for x, y in zip(a.source_pyramid, b.source_pyramid))
     )
 
 

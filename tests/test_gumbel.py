@@ -9,18 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invnoise.errors import ValidationError
-from invnoise.gumbel import (
-    EULER_MASCHERONI,
-    gumbel_cdf,
-    ks_statistic,
-    located_from_uniform,
-    standard_rows,
-)
+from invnoise.gumbel import gumbel_cdf, ks_statistic, located_from_uniform, standard_rows
 from invnoise.rng import uniform_values
 
 from conftest import sample_token_map, standard_from_uniform, truncated_gumbel
 
 E_INV = math.exp(-1.0)
+EULER_MASCHERONI = 0.5772156649015329  # the mean of the standard Gumbel law
 
 
 class TestStandard:
