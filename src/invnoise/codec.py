@@ -108,30 +108,25 @@ def default_codebook(size: int = 64, dim: int = 4, seed: int = 101) -> Codebook:
     return Codebook(vectors)
 
 
-def _check_divisible(fine: tuple[int, int], coarse: tuple[int, int]):
-    if fine[0] % coarse[0] or fine[1] % coarse[1]:
-        raise ValidationError(f"shape {fine} not divisible by {coarse}")
-
-
 def downsample_blockmean(grid: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     """Average (..., H, W) over non-overlapping blocks down to (..., h, w).
 
     Leading axes are folded into one, so a C-ordered stack of grids
     averages each block in the same order as each C-ordered (d, H, W)
-    grid of it does on its own.
+    grid of it does on its own.  Shapes are taken as given: callers pass
+    resolutions of a ``ScaleSchedule``, which checked that they divide.
     """
     *lead, big_h, big_w = grid.shape
     h, w = target
-    _check_divisible((big_h, big_w), (h, w))
     fh, fw = big_h // h, big_w // w
     return grid.reshape(-1, h, fh, w, fw).mean(axis=(2, 4)).reshape(*lead, h, w)
 
 
 def upsample_replicate(grid: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Replicate (..., h, w) up to (..., H, W) by block copy."""
+    """Replicate (..., h, w) up to (..., H, W) by block copy; shapes as in
+    ``downsample_blockmean``."""
     h, w = grid.shape[-2:]
     big_h, big_w = target
-    _check_divisible((big_h, big_w), (h, w))
     return np.repeat(np.repeat(grid, big_h // h, axis=-2), big_w // w, axis=-1)
 
 

@@ -95,21 +95,6 @@ def default_start_scale(num_scales: int) -> int:
     return max(1, min(num_scales, round(6 * num_scales / 14)))
 
 
-def lambda_at(cfg: EditConfig, k: int, start_scale: int, final_scale: int) -> float:
-    """Interpolation weight of ``cfg``'s lambda schedule for scale k
-    within [start_scale, final_scale]."""
-    if not start_scale <= k <= final_scale:
-        raise ValidationError(
-            f"scale {k} outside edit range [{start_scale}, {final_scale}]"
-        )
-    if cfg.lambda_kind == "constant":
-        return cfg.lambda_value
-    if final_scale == start_scale:
-        return 1.0
-    lam = 1.0 - (k - start_scale) / (final_scale - start_scale)
-    return min(1.0, max(0.0, lam))
-
-
 @dataclass(frozen=True)
 class EditConfig:
     """Every setting of one edit, checked when it is built.
@@ -181,15 +166,22 @@ class _Plan:
 
 def _plan(cfg: EditConfig, num_scales: int) -> _Plan:
     """Resolve ``cfg`` against K scales: the one place the start scale
-    (1..K, or 1..K+1 for regeneration, which then regenerates nothing)
-    and the default margin are settled."""
+    (1..K, or 1..K+1 for regeneration, which then regenerates nothing),
+    the lambda of each edited scale and the default margin are settled."""
     start = default_start_scale(num_scales) if cfg.start_scale is None else cfg.start_scale
     last = num_scales + 1 if cfg.mode == MODE_REGEN else num_scales
     if start > last:
         raise ValidationError(f"start scale {start} outside 1..{last}")
     if cfg.mode == MODE_REGEN:
         return _Plan(start, (0.0,) * (num_scales + 1 - start), CONTEXT_GENERATED, None)
-    lambdas = tuple(lambda_at(cfg, t, start, num_scales) for t in range(start, num_scales + 1))
+    if cfg.lambda_kind == "constant":
+        lambdas = (cfg.lambda_value,) * (num_scales + 1 - start)
+    elif start == num_scales:
+        lambdas = (1.0,)
+    else:
+        lambdas = tuple(
+            1.0 - (t - start) / (num_scales - start) for t in range(start, num_scales + 1)
+        )
     _, tau = inverts_under(cfg, cfg.mode == MODE_TARGET_ONLY)
     return _Plan(start, lambdas, cfg.context_mode, tau)
 

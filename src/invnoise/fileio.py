@@ -6,9 +6,9 @@ traced back to the run that produced it.  Payloads are 32-bit floats
 (grids, noise) or 16-bit unsigned tokens (pyramids), which round-trips
 bit-exactly.  Readers read the header fields from the file and take each
 payload as a view of one private, copy-on-write mapping of the file
-(``mmap.ACCESS_COPY``), made once the header has been read.  A noise
-set holds float32 maps, as inverted and as read: the reader returns its
-maps as writable views of the mapping, with no copy or cast; grids and
+(``mmap.ACCESS_COPY``), made once the header has been read.  A noise set
+holds float32 maps, as inverted and as read: the reader returns its maps
+as writable views of the mapping, with no copy or cast; grids and
 pyramids come back as float64 and int32 copies, and their mapping goes
 when the reader returns.  A held noise set keeps its mapping, and with
 it one file descriptor, open (Python's ``mmap`` duplicates it), until
@@ -16,9 +16,12 @@ its maps are gone; while it is held, its file must be replaced, not
 truncated or rewritten in place, or reading a map past the new end of
 the file kills the process with SIGBUS.  Readers raise ``FormatError``
 for anything a writer cannot produce: short or trailing bytes, sizes
-beyond the file, a pyramid vocab outside [2, 65536], tokens outside the
-vocab, non-finite floats, a noise set with no scales, a negative or
-non-finite noise ``tau``, and a sensitive-regime flag at odds with it.
+beyond the file, header code bytes no writer makes (any but zeros in a
+grid or a pyramid; an unknown kind, or flags but 0 or 1, in a noise
+set), a grid with an empty axis, a pyramid vocab outside [2, 65536],
+tokens outside the vocab, non-finite floats, a noise set with no scales,
+a negative or non-finite noise ``tau``, and a sensitive-regime flag at
+odds with it.
 
 Writers replace their file atomically: they write a temporary file
 beside the destination and move it into place with ``os.replace``, so a
@@ -29,9 +32,9 @@ file, not against power loss.  A new file takes the mode ``open`` gives
 it (0o666 less the umask), and a read-only or symlinked destination is
 replaced as a directory entry, not written through.  Writers raise
 ``ValidationError``, and write nothing, for a payload value that is not
-finite in float32, a seed outside [0, 2^64), a digest that is not 16
-bytes, noise maps that are not all (h, w, vocab) with one vocab, or a
-noise ``tau`` that is negative or not finite.
+finite in float32, a grid with an empty axis, a seed outside [0, 2^64),
+a digest that is not 16 bytes, noise maps that are not all (h, w, vocab)
+with one vocab, or a noise ``tau`` that is negative or not finite.
 
 Grids and token pyramids can also be rendered to binary PGM images for
 eyeballing: one image per channel (min-max normalized) or per scale
@@ -150,15 +153,18 @@ def _header(magic: bytes, seed, digest: bytes, kind: int = 0, flags: int = 0) ->
     return magic + struct.pack("<HBBQ", FORMAT_VERSION, kind, flags, int(seed)) + digest
 
 
-def _read_header(fh, magic: bytes) -> tuple[int, int, ArtifactHeader]:
-    """The (kind, flags, header) that :func:`_header` made."""
+def _read_header(fh, magic: bytes, kinds=(0,), flags=(0,)) -> tuple[int, int, ArtifactHeader]:
+    """The (kind, flags, header) that :func:`_header` made, with a kind
+    code among ``kinds`` and a flags byte among ``flags``."""
     got = _read_exact(fh, 4)
     if got != magic:
         raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-    version, kind, flags, seed = struct.unpack("<HBBQ", _read_exact(fh, 12))
+    version, kind, flag, seed = struct.unpack("<HBBQ", _read_exact(fh, 12))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
-    return kind, flags, ArtifactHeader(seed=seed, digest=_read_exact(fh, 16))
+    if kind not in kinds or flag not in flags:
+        raise FormatError(f"header code bytes {kind}, {flag} are not ones a writer makes")
+    return kind, flag, ArtifactHeader(seed=seed, digest=_read_exact(fh, 16))
 
 
 def _write_replacing(path, chunks) -> None:
@@ -186,8 +192,8 @@ def _write_replacing(path, chunks) -> None:
 
 def write_grid(path, grid: np.ndarray, seed: int = 0, digest: bytes = ZERO_DIGEST):
     grid = np.asarray(grid)
-    if grid.ndim != 3:
-        raise ValidationError("grid must be (d, h, w)")
+    if grid.ndim != 3 or 0 in grid.shape:
+        raise ValidationError(f"grid must be (d, h, w) with no empty axis, got {grid.shape}")
     payload = _float32_payload(grid, "grid")
     header = _header(GRID_MAGIC, seed, digest)
     _write_replacing(path, [header, struct.pack("<III", *grid.shape), payload])
@@ -197,6 +203,8 @@ def read_grid(path) -> tuple[np.ndarray, ArtifactHeader]:
     with open(path, "rb") as fh:
         _, _, header = _read_header(fh, GRID_MAGIC)
         shape = struct.unpack("<III", _read_exact(fh, 12))
+        if 0 in shape:
+            raise FormatError(f"grid shape {shape} has an empty axis")
         payload = _finite_payload(_read_array(fh, _map(fh), "<f4", shape), "grid")
         _check_end(fh)
     grid = payload.astype(np.float64)
@@ -275,9 +283,7 @@ def write_noise_set(path, noise_set: InverseNoiseSet, digest: bytes = ZERO_DIGES
 
 def read_noise_set(path) -> tuple[InverseNoiseSet, ArtifactHeader]:
     with open(path, "rb") as fh:
-        kind_code, flags, header = _read_header(fh, NOISE_MAGIC)
-        if kind_code not in _KIND_NAMES:
-            raise FormatError(f"unknown inversion kind code {kind_code}")
+        kind_code, flags, header = _read_header(fh, NOISE_MAGIC, _KIND_NAMES, (0, 1))
         num_scales, vocab, tau = struct.unpack("<IId", _read_exact(fh, 16))
         if num_scales == 0:
             raise FormatError("noise set has no scales")

@@ -161,12 +161,12 @@ class ScaleStepper:
 
     ``block_logits`` gives the logits of the current scale, ``scale``
     (1-based), as block logits and their block factors; ``push`` appends
-    that scale's (h, w) token map and moves on.  The
-    canvas adds the replicated embeddings in scale order onto zeros, the
-    same sums a full prefix decode makes, so after the last scale
-    ``canvas`` is the decoded grid.  Pushing (S, h, w) maps gives the
-    canvas, and every later logits array, a leading axis of S walks,
-    each equal to its own single walk.
+    that scale's (h, w) token map and moves on.  The (..., d, H, W)
+    ``canvas`` adds the replicated embeddings in scale order onto zeros,
+    each push into a new array, the same sums a full prefix decode
+    makes, so after the last scale it is the decoded grid.  Pushing
+    (S, h, w) maps gives the canvas, and every later logits array, a
+    leading axis of S walks, each equal to its own single walk.
 
     The canvas is constant over the blocks of the grid the pushed scales
     fix.  Where such a block holds several cells of the current scale,
@@ -186,13 +186,8 @@ class ScaleStepper:
         feature = mixing_matrix(params) @ cond.embedding
         _check_logit_range(feature, cond, params)
         self._target = params.cond_gain * feature
-        self._canvas = np.zeros((params.codebook.dim, *params.schedule.finest))
+        self.canvas = np.zeros((params.codebook.dim, *params.schedule.finest))
         self._factors = _block_factors(params.schedule)
-
-    @property
-    def canvas(self) -> np.ndarray:
-        """(..., d, H, W) sum of the replicated embeddings pushed so far."""
-        return self._canvas
 
     def block_logits(self):
         """The current scale's (..., h / fh, w / fw, C) logits, one cell
@@ -200,7 +195,7 @@ class ScaleStepper:
         params = self.params
         h, w = params.schedule.resolutions[self.scale - 1]
         fh, fw = self._factors[self.scale - 1]
-        context = self._target[:, None, None] - downsample_blockmean(self._canvas, (h, w))
+        context = self._target[:, None, None] - downsample_blockmean(self.canvas, (h, w))
         # one cell per prefix block
         cells = np.moveaxis(context[..., ::fh, ::fw], -3, -1)
         logits = squared_distances(cells, params.codebook.vectors)
@@ -208,21 +203,17 @@ class ScaleStepper:
         return logits, (fh, fw)
 
     def push(self, tokens: np.ndarray):
-        """Add the current scale's token map(s) to the context; advance."""
+        """Add the current scale's token map(s) to the context, as a new
+        canvas array, and advance."""
         embedding = embed_tokens(tokens, self.params.codebook)
-        replicated = upsample_replicate(embedding, self.params.schedule.finest)
-        if replicated.shape == self._canvas.shape:
-            self._canvas += replicated
-        else:  # the first stack of maps adds the seed axis
-            self._canvas = self._canvas + replicated
+        self.canvas = self.canvas + upsample_replicate(embedding, self.params.schedule.finest)
         self.scale += 1
 
     def fork(self) -> "ScaleStepper":
         """An independent stepper at the same scale and context, sharing
-        the condition's feature target."""
-        other = copy.copy(self)
-        other._canvas = self._canvas.copy()
-        return other
+        the condition's feature target and the canvas array, which no
+        push changes in place."""
+        return copy.copy(self)
 
 
 def argmax_tokens(logits, factors: tuple[int, int], x, out, sums) -> None:

@@ -60,10 +60,17 @@ _SHIFT30 = np.uint64(30)
 _SHIFT31 = np.uint64(31)
 
 
-def _mix_words(x: np.ndarray, s: np.ndarray) -> None:
-    """One SplitMix64 step (increment + avalanche) on the uint64 words
-    ``x``, in place, with ``s`` a scratch array of their shape.  uint64
+def _mix(h: np.ndarray, field: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Absorb one key field: the SplitMix64 step (increment + avalanche)
+    of ``h ^ field``, written into ``out``, a C-contiguous uint64 array
+    of their broadcast shape (a new one if None), and returned.  The
+    step runs whole, in place, with ``_scratch(scratch, size)``; uint64
     arithmetic wraps modulo 2^64, so no masking is needed."""
+    if out is None:
+        out = np.bitwise_xor(h, field, order="C")
+    else:
+        np.bitwise_xor(h, field, out=out)
+    x, s = out.reshape(-1), _scratch(scratch, out.size)
     x += _GAMMA
     np.right_shift(x, _SHIFT30, out=s)
     x ^= s
@@ -73,18 +80,6 @@ def _mix_words(x: np.ndarray, s: np.ndarray) -> None:
     x *= _MULT2
     np.right_shift(x, _SHIFT31, out=s)
     x ^= s
-
-
-def _mix(h: np.ndarray, field: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """Absorb one key field: the SplitMix64 step of ``h ^ field``,
-    written into ``out``, a C-contiguous uint64 array of their broadcast
-    shape (a new one if None), and returned.  The step runs whole, with
-    ``_scratch(scratch, size)``."""
-    if out is None:
-        out = np.bitwise_xor(h, field, order="C")
-    else:
-        np.bitwise_xor(h, field, out=out)
-    _mix_words(out.reshape(-1), _scratch(scratch, out.size))
     return out
 
 
@@ -94,12 +89,6 @@ def _scratch(scratch, size: int) -> np.ndarray:
     if scratch is None:
         return np.empty(size, np.uint64)
     return scratch.reshape(-1).view(np.uint64)[:size]
-
-
-def _as_u64(value) -> np.ndarray:
-    # 0-d uint64 ops go through numpy's scalar path, which warns on the
-    # intended wraparound; keep everything at least 1-d.
-    return np.atleast_1d(np.asarray(value)).astype(np.uint64, copy=False)
 
 
 SEED_LIMIT = 2**64
@@ -117,7 +106,7 @@ def seed_array(seeds) -> np.ndarray:
 
 
 def _mix_int(x: int) -> int:
-    """``_mix_words`` of one word held as a Python integer, mod 2^64."""
+    """``_mix``'s SplitMix64 step on one word held as a Python int, mod 2^64."""
     x = (x + _GAMMA_INT) & _MASK
     x ^= x >> 30
     x = (x * _MULT1_INT) & _MASK
@@ -155,7 +144,11 @@ def raw64_values(
         for s in np.ravel(seed).tolist()
     ]
     h = np.array(words, dtype=np.uint64).reshape(seed_shape + (1,) * len(field_shape) or (1,))
-    *fields, last = (_as_u64(field) for field in (rows, cols, channels))
+    # 0-d uint64 ops go through numpy's scalar path, which warns on the
+    # intended wraparound; keep every field at least 1-d.
+    *fields, last = (
+        np.atleast_1d(np.asarray(f)).astype(np.uint64, copy=False) for f in (rows, cols, channels)
+    )
     for field in fields:
         h = _mix(h, field)
     if out is not None:
@@ -164,32 +157,19 @@ def raw64_values(
     return _mix(h, last, out, scratch).reshape(seed_shape + field_shape)
 
 
-def _to_open_unit(words: np.ndarray, scratch=None) -> np.ndarray:
-    """Map owned C-contiguous uint64 words to (0, 1) in their own buffer,
-    viewed as float64 (uint64 and float64 have the same size), with
-    ``scratch`` as ``_mix`` takes it.  ``words`` must not be used
-    afterwards."""
-    flat = words.reshape(-1)
-    u = flat.view(np.float64)
-    _convert_words(flat, u, _scratch(scratch, flat.size))
-    return u.reshape(words.shape)
-
-
-def _convert_words(words: np.ndarray, u: np.ndarray, k: np.ndarray) -> None:
-    """Write (k + 1) / (2^53 + 2), k the top 53 bits of each word, into
-    ``u``, the words' own buffer viewed as float64; ``k`` is uint64
-    scratch."""
-    np.right_shift(words, _SHIFT11, out=k)
-    np.add(k, 1.0, out=u)  # k converts to float64 exactly (k < 2^53)
-    u /= _DENOM
-
-
 def uniform_values(seed, purpose, scale, rows, cols, channels, out=None, scratch=None):
     """Uniform (0,1) draws for broadcast row/col/channel index arrays;
     with ``out`` and ``scratch`` (see ``raw64_values``) the draws are a
-    float64 view of ``out`` and the call makes no array of their size."""
+    float64 view of ``out`` and the call makes no array of their size.
+    Each word maps to (k + 1) / (2^53 + 2), k its top 53 bits held in
+    ``scratch``, in its own buffer viewed as float64 (the same size)."""
     words = raw64_values(seed, purpose, scale, rows, cols, channels, out, scratch)
-    return _to_open_unit(words, scratch)
+    flat = words.reshape(-1)
+    u = flat.view(np.float64)
+    k = np.right_shift(flat, _SHIFT11, out=_scratch(scratch, flat.size))
+    np.add(k, 1.0, out=u)  # k converts to float64 exactly (k < 2^53)
+    u /= _DENOM
+    return u.reshape(words.shape)
 
 
 def normal_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:

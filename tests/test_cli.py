@@ -433,14 +433,17 @@ class TestEdit:
             lambda data: data[:7] + bytes([data[7] ^ 1]) + data[8:],
             # no scales: the count zeroed and every shape and payload cut
             lambda data: data[:32] + bytes(4) + data[36:52 + int.from_bytes(data[48:52], "little")],
+            lambda data: data[:7] + bytes([data[7] | 2]) + data[8:],
+            lambda data: data[:6] + bytes([2]) + data[7:],
         ],
         ids=["empty", "cut-in-header", "cut-in-payload", "nan-in-payload", "flag-flipped",
-             "no-scales"],
+             "no-scales", "flag-bit-1", "unknown-kind"],
     )
     def test_corrupt_noise_file_is_one_io_error_line(self, tmp_path, capsys, corrupt):
         """A noise file that is empty, cut short, holds a NaN, has a
-        sensitive-regime flag at odds with its tau or counts no scales
-        exits 3 with one ``i/o error:`` line and no traceback, and writes
+        sensitive-regime flag at odds with its tau, a flags byte other
+        than 0 or 1 or an unknown kind code, or counts no scales exits 3
+        with one ``i/o error:`` line and no traceback, and writes
         nothing."""
         inv = tmp_path / "inv"
         assert run("invert", "--grid", "demo:scene-a", "--out", inv) == EXIT_OK
@@ -1460,6 +1463,32 @@ class TestRender:
         bad.write_bytes(bytes(data))
         out = tmp_path / "r"
         assert run("render", "--in", bad, "--out", out) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not list(out.glob("*.pgm"))
+
+    @pytest.mark.parametrize(
+        "kind,corrupt",
+        [
+            ("grid", lambda data: data[:6] + bytes([7, 9]) + data[8:]),
+            ("grid", lambda data: data[:32] + struct.pack("<III", 1, 0, 5)),
+            ("grid", lambda data: data[:32] + struct.pack("<III", 0, 2, 2)),
+            ("pyramid", lambda data: data[:6] + bytes([7, 9]) + data[8:]),
+        ],
+        ids=["grid-code-bytes", "grid-zero-height", "grid-zero-channels", "pyramid-code-bytes"],
+    )
+    def test_file_no_writer_makes_is_one_io_error_line(self, tmp_path, capsys, kind, corrupt):
+        """A grid or pyramid with nonzero header code bytes, or a grid
+        header that gives an axis zero length, exits 3 with one ``i/o
+        error:`` line and no traceback, and renders nothing."""
+        path = tmp_path / "bad.bin"
+        if kind == "grid":
+            write_grid(path, np.zeros((4, 2, 2)))
+        else:
+            write_pyramid(path, [np.zeros((1, 1), np.int32)], 2)
+        path.write_bytes(corrupt(path.read_bytes()))
+        out = tmp_path / "r"
+        assert run("render", "--in", path, "--out", out) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert not list(out.glob("*.pgm"))

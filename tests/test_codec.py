@@ -80,12 +80,6 @@ class TestResampling:
     def test_zero_passthrough(self):
         assert np.all(upsample_replicate(np.zeros((1, 2, 2)), (8, 8)) == 0.0)
 
-    def test_rejects_non_divisible(self):
-        with pytest.raises(ValidationError):
-            downsample_blockmean(np.zeros((1, 4, 4)), (3, 3))
-        with pytest.raises(ValidationError):
-            upsample_replicate(np.zeros((1, 3, 3)), (4, 4))
-
 
 class TestScheduleAndCodebook:
     def test_dyadic(self, schedule):

@@ -30,7 +30,6 @@ from invnoise.editing import (
     default_start_scale,
     edit_regeneration,
     edit_with_inverse_noise,
-    lambda_at,
     seed_chunk_width,
 )
 from invnoise.errors import ValidationError
@@ -53,26 +52,29 @@ TGT = "blue glass tower among pines"
 
 
 class TestLambdaSchedule:
+    """The per-scale lambdas an edit's plan resolves, start scale to K."""
+
     def test_linear_endpoints(self):
-        sched = EditConfig(lambda_kind="linear")
-        assert lambda_at(sched, 6, 6, 14) == 1.0
-        assert lambda_at(sched, 14, 6, 14) == 0.0
+        lambdas = _plan(EditConfig(lambda_kind="linear", start_scale=6), 14).lambdas
+        assert len(lambdas) == 9 and lambdas[0] == 1.0 and lambdas[-1] == 0.0
 
     def test_linear_midpoint(self):
-        assert lambda_at(EditConfig(lambda_kind="linear"), 10, 6, 14) == 0.5
+        assert _plan(EditConfig(lambda_kind="linear", start_scale=6), 14).lambdas[4] == 0.5
+
+    def test_linear_values(self):
+        """1 - (t - start) / (K - start) in float64, as computed."""
+        lambdas = _plan(EditConfig(lambda_kind="linear", start_scale=2), 5).lambdas
+        assert lambdas == (1.0, 0.6666666666666667, 0.33333333333333337, 0.0)
 
     def test_constant(self):
-        sched = EditConfig(lambda_kind="constant", lambda_value=0.25)
-        assert lambda_at(sched, 3, 2, 5) == 0.25
+        cfg = EditConfig(lambda_kind="constant", lambda_value=0.25, start_scale=2)
+        assert _plan(cfg, 5).lambdas == (0.25,) * 4
 
     def test_degenerate_single_scale(self):
-        assert lambda_at(EditConfig(lambda_kind="linear"), 5, 5, 5) == 1.0
+        assert _plan(EditConfig(lambda_kind="linear", start_scale=5), 5).lambdas == (1.0,)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            lambda_at(EditConfig(), 1, 2, 5)
-        with pytest.raises(ValidationError):
-            lambda_at(EditConfig(), 6, 2, 5)
+    def test_regeneration_is_lambda_zero(self):
+        assert _plan(EditConfig(mode=MODE_REGEN, start_scale=3), 5).lambdas == (0.0,) * 3
 
     def test_bad_kinds_rejected(self):
         with pytest.raises(ValidationError):
@@ -688,8 +690,11 @@ def reference_edit(grid, cfg, mode, params, seed):
     pyramid = list(source[: cfg.start_scale - 1])
     for t in range(cfg.start_scale, num_scales + 1):
         lam = 0.0
-        if mode != MODE_REGEN:
-            lam = lambda_at(cfg, t, cfg.start_scale, num_scales)
+        if mode != MODE_REGEN and cfg.lambda_kind == "constant":
+            lam = cfg.lambda_value
+        elif mode != MODE_REGEN:  # linear: 1 at the start scale down to 0 at the last
+            span = num_scales - cfg.start_scale
+            lam = 1.0 - (t - cfg.start_scale) / span if span else 1.0
         prefix = source if cfg.context_mode == CONTEXT_SOURCE else pyramid
         logits = walk_logits(prefix[: t - 1], target, params)
         h, w, c = logits.shape

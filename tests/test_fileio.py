@@ -335,6 +335,54 @@ class TestCorruptHeaders:
         with pytest.raises(FormatError, match="sensitive-regime flag"):
             read_noise_set(path)
 
+    @pytest.mark.parametrize("kind", ["grid", "pyramid"])
+    @pytest.mark.parametrize("codes", [(7, 9), (1, 0), (0, 1), (0, 255)])
+    def test_grid_and_pyramid_code_bytes(self, tmp_path, monkeypatch, kind, codes):
+        """Grids and pyramids are written with both code bytes (6 and 7)
+        zero; any other pair fails on the header, before the file is
+        mapped."""
+        path = tmp_path / "a.bin"
+        write_small(kind, path)
+        data = bytearray(path.read_bytes())
+        assert data[6:8] == bytes(2)
+        data[6:8] = bytes(codes)
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(fileio, "_map", no_mapping)
+        with pytest.raises(FormatError, match="code bytes"):
+            (read_grid if kind == "grid" else read_pyramid)(path)
+
+    @pytest.mark.parametrize("codes", [(0, 2), (0, 3), (0, 0x81), (2, 0), (255, 0)])
+    def test_noise_code_bytes(self, tmp_path, monkeypatch, params, source_cond, codes):
+        """A noise file's kind code is 0 (lai) or 1 (oai), and its flags
+        byte 0 or 1; a tau-18 lai set with flag bit 1 set, or an unknown
+        kind, fails on the header, before the file is mapped."""
+        pyramid = generate(source_cond, params, seed=19)
+        path = tmp_path / "n.nsn"
+        write_noise_set(path, invert_pyramid(pyramid, source_cond, 18.0, params, seed=19))
+        data = bytearray(path.read_bytes())
+        assert data[6:8] == bytes(2)
+        data[6:8] = bytes(codes)
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(fileio, "_map", no_mapping)
+        with pytest.raises(FormatError, match="code bytes"):
+            read_noise_set(path)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0), (0, 0, 0)])
+    def test_grid_with_an_empty_axis(self, tmp_path, monkeypatch, shape):
+        """``write_grid`` refuses a grid with a zero-length axis and writes
+        nothing, so a header holding one fails before the file is mapped."""
+        path = tmp_path / "g.nsg"
+        with pytest.raises(ValidationError, match="empty axis"):
+            write_grid(path, np.zeros(shape))
+        assert not path.exists()
+        write_small("grid", path)
+        data = bytearray(path.read_bytes())
+        data[32:44] = struct.pack("<III", *shape)
+        path.write_bytes(bytes(data[:44]))
+        monkeypatch.setattr(fileio, "_map", no_mapping)
+        with pytest.raises(FormatError, match="empty axis"):
+            read_grid(path)
+
     def test_noise_label_not_utf8(self, tmp_path, params):
         cond = condition_embed("ab", params)
         pyramid = generate(cond, params, seed=14)

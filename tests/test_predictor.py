@@ -455,6 +455,9 @@ class TestSeedAxis:
             assert np.array_equal(stacked.canvas[i], decode(walk, params.codebook, params.schedule))
 
     def test_fork_leaves_the_original_alone(self, params, source_cond):
+        """Pushing a fork leaves its original as it was, and pushing the
+        original leaves its forks and any canvas array taken before the
+        push as they were: no push changes a canvas in place."""
         pyramid = generate(source_cond, params, seed=4)
         stepper = ScaleStepper(source_cond, params)
         stepper.push(pyramid[0])
@@ -463,6 +466,13 @@ class TestSeedAxis:
         fork.push(np.stack([pyramid[1], pyramid[1]]))
         assert fork.scale == 3 and stepper.scale == 2
         assert np.array_equal(stepper.canvas, before)
+        second, taken, forked = stepper.fork(), stepper.canvas, fork.canvas.tobytes()
+        for k in (1, 2):
+            stepper.push(pyramid[k])
+        assert stepper.scale == 4 and second.scale == 2
+        assert second.canvas.tobytes() == taken.tobytes() == before.tobytes()
+        assert fork.canvas.tobytes() == forked
+        assert not np.array_equal(stepper.canvas, before)
 
 
 class TestGenerate:
