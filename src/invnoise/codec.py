@@ -134,37 +134,31 @@ def squared_distances(cells: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Squared distance from each (..., h, w, d) cell to each (C, d) vector.
 
     Returns a C-ordered (..., h, w, C) array: the predictor's logits,
-    and the encoder's distances at a single cell.  The d squared
-    differences are summed in channel order.  The predictor passes cells
-    as ``np.moveaxis`` views of (..., d, h, w) grids; on that layout
-    ``einsum("hwcd,hwcd->hwc")`` over the (h, w, C, d) difference tensor
-    also adds whole channel planes in order, so this loop matches it bit
-    for bit without building that tensor.  The squared differences stay
-    in cache between the channel passes of a row block.  At a single
-    cell einsum sums the d products in another order (the results
-    differ in the last bit), so that case keeps the einsum, one (1, 1)
-    map at a time.
+    and the encoder's distances at a single cell.  Maps of several cells
+    sum the d squared differences in channel order, the way
+    ``einsum("hwcd,hwcd->hwc")`` adds the channel planes of the (h, w,
+    C, d) difference tensor of (..., d, h, w) grids, but without building
+    that tensor: the rows of all maps go through one row-block pass,
+    and the squared differences stay in cache between the channel passes
+    of a row block.  At single cells einsum sums the d products in
+    another order (the results differ in the last bit), so that case
+    keeps the einsum, one over the whole stack.
     """
     *lead, h, w, d = cells.shape
     c = vectors.shape[0]
-    if lead:
-        if h * w == 1:
-            maps = [squared_distances(m, vectors) for m in cells.reshape(-1, 1, 1, d)]
-            return np.stack(maps).reshape(*lead, 1, 1, c)
-        # the rows of all maps in one pass (a copy when cells is a view)
-        return squared_distances(cells.reshape(-1, w, d), vectors).reshape(*lead, h, w, c)
     if h * w == 1:
-        diffs = cells[:, :, None, :] - vectors[None, None, :, :]
-        return np.einsum("hwcd,hwcd->hwc", diffs, diffs)
-    out = np.empty((h, w, c))
+        diffs = cells[..., None, :] - vectors
+        return np.einsum("...cd,...cd->...c", diffs, diffs)
+    rows = cells.reshape(-1, w, d)  # the rows of all maps (a copy when cells is a view)
+    out = np.empty((rows.shape[0], w, c))
     columns = vectors.T.copy()
 
     def sum_rows(lo, hi, buf):
         diff = buf[0][: (hi - lo) * w * c].reshape(hi - lo, w, c)
-        _sum_squares(out[lo:hi], cells[lo:hi], columns, diff)
+        _sum_squares(out[lo:hi], rows[lo:hi], columns, diff)
 
-    for_row_blocks(sum_rows, h, h * w * c)
-    return out
+    for_row_blocks(sum_rows, rows.shape[0], out.size)
+    return out.reshape(*lead, h, w, c)
 
 
 def _sum_squares(out, cells, columns, diff) -> None:
@@ -194,45 +188,51 @@ def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
     The index is the argmin of the exact distances D_c, the channel-order
     sums of ``squared_distances``.  A single cell takes them from
     ``squared_distances`` (its einsum).  A larger map is searched by row
-    blocks, each ranked by one BLAS product into the pass's block:
-    A_c = x . (-2 v_c) + |v_c|^2, which is D_c - |x|^2.  A cell keeps the
-    argmin b of A when the second-smallest A exceeds A_b + E, with
+    blocks, each ranked by one BLAS product into the pass's block: A_c =
+    [x, 1] . [-2 v_c, n_c], n_c the computed |v_c|^2, which is D_c -
+    |x|^2.  A cell keeps the argmin b of A when the second-smallest A
+    exceeds A_b + E, with
 
         E = 2^-49 (d + 2) (|x|^2 + M + 1),  M = max_c |v_c|^2;
 
     every other cell gets its D from ``_sum_squares`` and takes its
     argmin.
 
-    Why a kept index is the exact argmin.  With u = 2^-53 and g_n =
-    n u / (1 - n u), a dot product of length d has error at most g_d
-    sum_j |x_j y_j| in any summation order, with or without FMA.  So
-    the product (-2 v is exact) is within g_d (|x|^2 + |v_c|^2) of
-    -2 x . v_c, |v_c|^2 within g_d |v_c|^2, and their rounded sum, at
-    most (1 + g_d) (|x|^2 + 2 |v_c|^2) in size, within e2 := 2 g_{d+1}
-    (|x|^2 + M) of D_c - |x|^2.  Each term of D_c, a rounded difference
-    squared and rounded, has relative error g_3, and the d - 1 additions
-    of non-negative terms add g_{d-1}; as |x - v_c|^2 <= 2 (|x|^2 +
-    |v_c|^2), the computed D_c is within e1 := 2 g_{d+2} (|x|^2 + M) of
-    |x - v_c|^2.  If A_c > A_b + E for every c != b, then |x - v_b|^2 <
-    |x - v_c|^2 - E + 2 e2, and the computed D_b < D_c - E + 2 e2 + 2 e1.
-    2 (e1 + e2) <= 8 g_{d+2} (|x|^2 + M), about 2^-50 (d + 2) (|x|^2 +
-    M), and E is twice that: at least twice the worst-case error of the
-    two formulas together, with room for the roundings of |x|^2, M, E
-    and A_b + E.  The + 1 covers underflow, whose absolute error is below
-    2^-1074 per operation.  So D_b is the strict minimum of the exact
-    sums.  A cell with |x|^2 + M >= 2^1021 falls back (E = inf), so no
-    value in this argument overflows.  The test is ``second > best +
-    E``, which is false for a NaN or infinite result, so those fall back
-    too.
+    Why a kept index is the exact argmin.  With u = 2^-53 and
+    g_n = n u / (1 - n u), a dot product of length n has error at most
+    g_n sum_j |x_j y_j| in any summation order, with or without FMA.
+    n_c is within g_d |v_c|^2 of |v_c|^2, so at most (1 + g_d) |v_c|^2;
+    -2 v is exact, and sum_j |2 x_j v_cj| <= |x|^2 + |v_c|^2.  So the
+    product of length d + 1 is within g_{d+1} (|x|^2 + (2 + g_d) |v_c|^2)
+    of [x, 1] . [-2 v_c, n_c], and A_c, adding the error of n_c, within
+    e2 := g_{d+1} (|x|^2 + 3.01 M) of D_c - |x|^2.  Each term of D_c, a
+    rounded difference squared and rounded, has relative error g_3, and
+    the d - 1 additions of non-negative terms add g_{d-1}; as
+    |x - v_c|^2 <= 2 (|x|^2 + |v_c|^2), the computed D_c is within
+    e1 := 2 g_{d+2} (|x|^2 + M) of |x - v_c|^2.  If A_c > A_b + E for
+    every c != b, then |x - v_b|^2 < |x - v_c|^2 - E + 2 e2, and the
+    computed D_b < D_c - E + 2 e2 + 2 e1.  2 (e1 + e2) <= 10.02 g_{d+2}
+    (|x|^2 + M), about 0.63 * 2^-49 (d + 2) (|x|^2 + M), and E is about
+    1.6 times that: above the worst-case error of the two formulas
+    together, with room for the roundings of |x|^2, M, E and A_b + E.
+    The + 1 covers underflow, whose absolute error is below 2^-1074 per
+    operation.  So D_b is the strict minimum of the exact sums.  A cell
+    with |x|^2 + M >= 2^1021 falls back (E = inf), so no value in this
+    argument overflows.  The test is ``second > best + E``, which is
+    false for a NaN or infinite result, so those fall back too.
     """
     h, w, d = cells.shape
     vectors = codebook.vectors
     if h * w == 1:
         return np.argmin(squared_distances(cells, vectors), axis=-1).astype(np.int32)
     c = vectors.shape[0]
-    x = cells.reshape(h * w, d)  # C-ordered (a copy when cells is a view)
-    weights = -2.0 * vectors.T
+    augmented = np.empty((h, w, d + 1))  # [x, 1] per cell
+    augmented[..., :d] = cells
+    augmented[..., d] = 1.0
+    augmented = augmented.reshape(h * w, d + 1)
+    x = augmented[:, :d]
     norms = (vectors * vectors).sum(axis=1)
+    weights = np.concatenate([-2.0 * vectors.T, norms[None]])  # [-2 V^T; |v|^2]
     scale = (x * x).sum(axis=1) + norms.max()
     error = (2.0**-49 * (d + 2)) * (scale + 1.0)
     error[scale >= _SEARCH_LIMIT] = np.inf
@@ -242,8 +242,7 @@ def quantize_cells(cells: np.ndarray, codebook: Codebook) -> np.ndarray:
     def search(lo, hi, buf):
         cell = slice(lo * w, hi * w)
         n = cell.stop - cell.start
-        ranks = np.matmul(x[cell], weights, out=buf[0][: n * c].reshape(n, c))
-        ranks += norms
+        ranks = np.matmul(augmented[cell], weights, out=buf[0][: n * c].reshape(n, c))
         best = ranks.argmin(axis=1)
         at_best = (np.arange(n), best)
         low = ranks[at_best]

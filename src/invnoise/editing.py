@@ -37,16 +37,17 @@ its rows of the keyed uniforms and inverts them into its float32
 blocks (:meth:`~invnoise.inversion.ScaleInversion.invert_rows`, in the
 three float64 blocks, only at the margins some edit mixes in with
 nonzero lambda), then, in the same three blocks, draws its rows of the
-fresh Gumbel field (not at a scale where every edit has lambda 1),
-builds each edit's mix ``(1 - lam) * g + lam * n`` (the product in
-float64, from a float32 noise; n itself at lambda 1) and takes the
+fresh Gumbel field from the cell words the pass keys once (not at a
+scale where every edit has lambda 1), builds each edit's mix
+``(1 - lam) * g + lam * n`` (the product in float64, of the float32
+noise copied exactly into its block; n itself at lambda 1) and takes the
 argmax of the edit's block logits plus that mix
 (``predictor.argmax_tokens``),
 from the edit's stepper or, at its start scale and in source-prefix
 context, from the held source-prefix block logits.  So no edit makes a
 full-size field, noise map, logits array, product or copy; the label
-values of the inversion, (h, w) per seed, are the one part made per
-scale.
+values of the inversion and the cell words of its draws and of the
+fresh field, (h, w) per seed, are the parts made per scale.
 ``invnoise edit`` runs one config at its own seed, as do the
 single-edit functions ``edit_with_inverse_noise`` and
 ``edit_regeneration``; ``invnoise sweep`` runs many configs over chunks
@@ -67,7 +68,7 @@ from .errors import ValidationError
 from .gumbel import standard_rows
 from .inversion import InverseNoiseSet, ScaleInversion, check_tau, validate_noise_set
 from .predictor import PredictorParams, ScaleStepper, argmax_tokens, condition_embed
-from .rng import PURPOSE_EDIT_NOISE, seed_array
+from .rng import PURPOSE_EDIT_NOISE, cell_words, seed_array
 
 CONTEXT_GENERATED = "generated-prefix"
 CONTEXT_SOURCE = "source-prefix"
@@ -204,11 +205,13 @@ def seed_chunk_width(params: PredictorParams) -> int:
 
 def _mix(fresh, lam: float, noise, out, product) -> None:
     """``out = (1 - lam) * fresh + lam * noise`` for one row block, with
-    the product ``lam * noise`` taken in float64 in ``product`` (a
-    float32 noise casts exactly), so the result equals ``fresh * (1 -
-    lam)`` plus ``lam * noise.astype(np.float64)`` bit for bit.  ``noise``
-    may lack the seed axis of ``fresh``."""
-    np.multiply(noise, lam, out=product, dtype=np.float64)
+    the product ``lam * noise`` taken in float64 in ``product``: the
+    noise is copied there (a float32 noise converts exactly) and scaled
+    in place, so the result equals ``fresh * (1 - lam)`` plus ``lam *
+    noise.astype(np.float64)`` bit for bit.  ``noise`` may lack the seed
+    axis of ``fresh``."""
+    np.copyto(product, noise)
+    product *= lam
     np.multiply(fresh, 1.0 - lam, out=out)
     out += product
 
@@ -345,7 +348,9 @@ class SeedSweep:
         given = None if self._given is None else self._given[t - 1]
         tokens = {i: np.empty((seeds.size, h, w), dtype=np.int32) for i, *_ in edits}
         fh = factors[0]  # scale t's block factors, the same for every edit
-        draw = any(lam != 1.0 for _, _, lam, _ in edits)  # else every edit takes n alone
+        words = None  # the fresh field's cell words, unless every edit takes n alone
+        if any(lam != 1.0 for _, _, lam, _ in edits):
+            words = cell_words(seeds, PURPOSE_EDIT_NOISE, t, h, w)
 
         def edit_rows(lo, hi, buf):
             r = slice(lo * fh, hi * fh)
@@ -359,10 +364,8 @@ class SeedSweep:
                 noises = dict(zip(margins, outs))
             fresh, mix, product = buf[:3]  # free once the rows are inverted
             g = None
-            if draw:
-                g = standard_rows(
-                    seeds, PURPOSE_EDIT_NOISE, t, r.start, r.stop, w, c, fresh, product
-                )
+            if words is not None:
+                g = standard_rows(words[:, r], c, fresh, product)
             for i, tau, lam, logits in edits:
                 x, sums = g, product
                 if tau is not None:

@@ -18,7 +18,7 @@ the file kills the process with SIGBUS.  Readers raise ``FormatError``
 for anything a writer cannot produce: short or trailing bytes, sizes
 beyond the file, header code bytes no writer makes (any but zeros in a
 grid or a pyramid; an unknown kind, or flags but 0 or 1, in a noise
-set), a grid with an empty axis, a pyramid vocab outside [2, 65536],
+set), a payload with an empty axis, a pyramid vocab outside [2, 65536],
 tokens outside the vocab, non-finite floats, a noise set with no scales,
 a negative or non-finite noise ``tau``, and a sensitive-regime flag at
 odds with it.
@@ -32,7 +32,8 @@ file, not against power loss.  A new file takes the mode ``open`` gives
 it (0o666 less the umask), and a read-only or symlinked destination is
 replaced as a directory entry, not written through.  Writers raise
 ``ValidationError``, and write nothing, for a payload value that is not
-finite in float32, a grid with an empty axis, a seed outside [0, 2^64),
+finite in float32, a payload with an empty axis (a grid, a token map or a
+noise map), a seed outside [0, 2^64),
 a digest that is not 16 bytes, noise maps that are not all (h, w, vocab)
 with one vocab, or a noise ``tau`` that is negative or not finite.
 
@@ -98,13 +99,19 @@ def _map(fh) -> mmap.mmap:
     return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
 
 
-def _read_array(fh, pages: mmap.mmap, dtype: str, shape: tuple) -> np.ndarray:
-    """The payload of ``shape`` at the file's position, checked against the
-    bytes left first, as a writable view of ``pages``; the position moves
-    past it."""
+def _read_array(fh, pages, dtype: str, shape: tuple) -> np.ndarray:
+    """The payload of ``shape`` at the file's position, as a writable view
+    of ``pages``, the file's mapping (None: map it here, for a reader of
+    one payload); the position moves past it.  A shape with an empty axis,
+    which no writer makes, and a size beyond the bytes left raise
+    ``FormatError`` first, before the file is mapped here."""
+    if 0 in shape:
+        raise FormatError(f"payload shape {tuple(shape)} has an empty axis")
     dtype = np.dtype(dtype)
     count = math.prod(shape)
     _check_left(fh, count * dtype.itemsize)
+    if pages is None:
+        pages = _map(fh)
     out = np.frombuffer(pages, dtype, count, fh.tell()).reshape(shape)
     fh.seek(count * dtype.itemsize, os.SEEK_CUR)
     return out
@@ -203,9 +210,7 @@ def read_grid(path) -> tuple[np.ndarray, ArtifactHeader]:
     with open(path, "rb") as fh:
         _, _, header = _read_header(fh, GRID_MAGIC)
         shape = struct.unpack("<III", _read_exact(fh, 12))
-        if 0 in shape:
-            raise FormatError(f"grid shape {shape} has an empty axis")
-        payload = _finite_payload(_read_array(fh, _map(fh), "<f4", shape), "grid")
+        payload = _finite_payload(_read_array(fh, None, "<f4", shape), "grid")
         _check_end(fh)
     grid = payload.astype(np.float64)
     return grid, header
@@ -219,8 +224,10 @@ def write_pyramid(path, pyramid, vocab: int, seed: int = 0, digest: bytes = ZERO
     if vocab < 2 or vocab > 2**16:
         raise ValidationError("vocab must be in [2, 65536] for u16 tokens")
     for t in maps:
-        if t.ndim != 2 or not np.issubdtype(t.dtype, np.integer):
-            raise ValidationError("token maps must be 2-D integer arrays")
+        if t.ndim != 2 or 0 in t.shape or not np.issubdtype(t.dtype, np.integer):
+            raise ValidationError(
+                f"token maps must be 2-D integer arrays with no empty axis, got {t.shape}"
+            )
         if np.any(t < 0) or np.any(t >= vocab):
             raise ValidationError("token index out of range")
     header = _header(PYRAMID_MAGIC, seed, digest)
@@ -261,8 +268,11 @@ def write_noise_set(path, noise_set: InverseNoiseSet, digest: bytes = ZERO_DIGES
         raise ValidationError("noise set has no scales")
     label = noise_set.condition_label.encode("utf-8")
     payloads = [_float32_payload(n, "noise") for n in noise_set.noises]
-    if any(p.ndim != 3 for p in payloads) or len({p.shape[2] for p in payloads}) != 1:
-        raise ValidationError("noise maps must all be (h, w, vocab) with one vocab")
+    shapes_ok = all(p.ndim == 3 and 0 not in p.shape for p in payloads)
+    if not shapes_ok or len({p.shape[2] for p in payloads}) != 1:
+        raise ValidationError(
+            "noise maps must all be (h, w, vocab) with no empty axis and one vocab"
+        )
     tau = check_tau(noise_set.tau)
     header = _header(
         NOISE_MAGIC,

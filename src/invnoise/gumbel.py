@@ -13,16 +13,18 @@ is the exact transform, with np.logaddexp: the inversion's located
 noise must round to float32 as its values do, and recomputes with it
 every value its faster, certified form cannot vouch for (see
 :mod:`invnoise.inversion`).  Keyed draws come one row block at a time,
-from :func:`invnoise.rng.uniform_values`: ``standard_rows`` gives the
-standard Gumbel draws -log(-log u) of rows lo:hi of the keyed uniforms
-of an (h, w, C) grid (the inversion's off-label draws, whose negation
-is the truncated transform's log(-log u), and the noise of a generation
-or an edit mix, whose argmax the caller takes from the stepper's block
-logits in the same row block).  It writes into a caller's row-block
-buffer, with the keyed hash mixing in the caller's scratch, so a pass
-allocates no array of a row block's size per block.  Every value is a pure function
-of its key, so a scale drawn by row blocks has the bytes of a whole
-draw; no function here makes a whole (h, w, C) field.
+from the keyed words of a scale's cells, which the pass computes once
+(:func:`invnoise.rng.cell_words`): ``standard_rows`` gives the
+standard Gumbel draws -log(-log u) of the uniforms of a row slice of
+those words at channels 0..C-1 (the inversion's off-label draws, whose
+negation is the truncated transform's log(-log u), and the noise of a
+generation or an edit mix, whose argmax the caller takes from the
+stepper's block logits in the same row block).  It absorbs only the
+channel step, into a caller's row-block buffer, with the keyed hash
+mixing in the caller's scratch, so a pass hashes no row or col twice
+and allocates no array of a row block's size per block.  Every value is
+a pure function of its key, so a scale drawn by row blocks has the
+bytes of a whole draw; no function here makes a whole (h, w, C) field.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ValidationError
-from .rng import uniform_values
+from .rng import channel_uniforms
 
 
 def located_from_uniform(phi, u):
@@ -66,19 +68,17 @@ def truncated_from_loglog(phi, trunc, loglog, out=None):
     return out[()]
 
 
-def standard_rows(
-    seed, purpose: int, scale: int, lo: int, hi: int, w: int, c: int, out=None, scratch=None
-) -> np.ndarray:
-    """Keyed standard Gumbel draws -log(-log u) at rows lo:hi of an
-    (h, w, C) grid: (hi - lo, w, C), with a leading axis when ``seed``
-    is an array of seeds.  Row/col/channel key fields are the grid
-    indices.  Given ``out`` and ``scratch``, C-contiguous float64
-    buffers of at least the result's size, the result is a view of
-    ``out`` and the hash mixes in ``scratch`` (see
-    :func:`invnoise.rng.raw64_values`), so the call allocates no array
-    of the result's size; the transform runs in place."""
-    rows, cols = np.arange(lo, hi)[:, None, None], np.arange(w)[:, None]
-    u = uniform_values(seed, purpose, scale, rows, cols, np.arange(c), out, scratch)
+def standard_rows(words, c: int, out=None, scratch=None) -> np.ndarray:
+    """Keyed standard Gumbel draws -log(-log u) at channels 0..c-1 of the
+    cells whose keyed words are ``words``, a row slice of
+    :func:`invnoise.rng.cell_words`: (*words.shape, c), the rows of the
+    grid's draws with a leading axis when the words have one per seed.
+    Given ``out`` and ``scratch``, C-contiguous float64 buffers of at
+    least the result's size, the result is a view of ``out`` and the hash
+    mixes in ``scratch`` (see :func:`invnoise.rng.channel_uniforms`), so
+    the call allocates no array of the result's size; the transform runs
+    in place."""
+    u = channel_uniforms(words, c, out, scratch)
     np.log(u, out=u)
     np.negative(u, out=u)
     np.log(u, out=u)

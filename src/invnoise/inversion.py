@@ -18,9 +18,11 @@ at a time (``invert_rows``).  It takes the logits as the stepper's
 block logits with their block factors
 (:meth:`~invnoise.predictor.ScaleStepper.block_logits`), never as a
 full (h, w, C) array.  The label draw and the label logit, read from
-the block of its cell, make the (h, w) label values once per scale;
-everything of size (h, w, C) is made per row block, in cache: the
-keyed off-label draws -log(-log u), written into the pass's blocks,
+the block of its cell, make the (h, w) label values once per scale,
+and the off-label draws' cell words are keyed once per scale too
+(``rng.cell_words``); everything of size (h, w, C) is made per row
+block, in cache: the off-label draws -log(-log u) of the block's rows
+of those words, written into the pass's blocks,
 which do not depend on the margin, then per margin the noise q - p of
 the truncated transform, its range check and the tightening, which
 writes the finished rows straight into the caller's float32 maps.  The
@@ -42,7 +44,10 @@ every draw is keyed, so row blocks of any size give the same bytes.
 
 What is exact is the stored float32 noise, not the float64 noise it is
 rounded from.  The tightening reads that noise only through its range
-check (+-2^127) and its float32 rounding, so the step computes the
+check (+-2^127) and its float32 rounding, which it takes once, as a
+plain copy into the float32 map; it computes the move and the moved
+values in float32, in the noise block that copy frees, so none of its
+arithmetic casts between dtypes.  So the step computes the
 off-label noise with numpy's vectorised exp and log1p in place of the
 scalar libm loop of np.logaddexp (``_softmin``) and certifies each
 value.  E = 2^-47 (max |p| + max |min(trunc - p, g)| + 1) over the row
@@ -88,7 +93,7 @@ from .codec import validate_pyramid
 from .errors import InvariantError, ValidationError
 from .gumbel import located_from_uniform, standard_rows, truncated_from_loglog
 from .predictor import Condition, PredictorParams, ScaleStepper, sample_pyramid
-from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, seed_array, uniform_values
+from .rng import PURPOSE_LABEL_DRAW, PURPOSE_TRUNC_DRAW, cell_words, seed_array, uniform_values
 
 # Finite stand-in for log 0 in the onehot construction: far below any
 # reachable logit + Gumbel sum, but safe for arithmetic.
@@ -154,8 +159,10 @@ def _tighten(tokens, logits, factors, noise, tau: float, out, bad, in_range: boo
     The noise is read only by its range check and its float32 rounding;
     ``in_range`` says the caller has already bounded it within +-2^127.
 
-    Each value moves by |n| 2^-23 (one or two float32 ulps) away from the
-    label's side: off-label values down, label values up.  One replay
+    The noise is rounded to float32 once, by ``np.copyto`` into ``out``,
+    and each value moves by |n| 2^-23 (one or two float32 ulps), computed
+    in float32 in the freed ``noise`` block, away from the label's side:
+    off-label values down, label values up.  One replay
     check finds the cells float64 rounding still defeats (|n| tiny next
     to |p|, or zero); each takes the largest float32 below its bound
     q_label - tau - p if that is a rounding-sized move, and otherwise
@@ -168,10 +175,12 @@ def _tighten(tokens, logits, factors, noise, tau: float, out, bad, in_range: boo
     h, w = tokens.shape
     rows, cols = np.arange(h)[:, None], np.arange(w)
     at_label = (..., rows, cols, tokens)
-    step = np.abs(noise, out=out, dtype=np.float32)  # |n| rounded to float32
+    np.copyto(out, noise)  # n rounded to float32, once; the noise block is free from here
+    step = noise.reshape(-1).view(np.float32)[: noise.size].reshape(noise.shape)
+    np.abs(out, out=step)
     step *= np.float32(2.0**-23)  # one or two ulps of a normal n, exactly
-    raised = noise[at_label].astype(np.float32) + step[at_label]
-    np.subtract(noise, step, out=out, dtype=np.float32)  # rounds n, then moves it
+    raised = out[at_label] + step[at_label]
+    out -= step
     out[at_label] = raised
     replayed = noise  # p + out, written over the noise
     np.copyto(replayed, out)  # exact: every float32 is a float64
@@ -337,7 +346,7 @@ class ScaleInversion:
 
     def __init__(self, tokens, logits, factors, taus, seed, scale: int, kind: str = KIND_LAI):
         self.tokens, self.logits, self.factors = tokens, logits, factors
-        self.taus, self.seed, self.scale, self.kind = tuple(taus), seed, scale, kind
+        self.taus, self.kind = tuple(taus), kind
         h, w = tokens.shape
         lead = () if kind == KIND_OAI else np.shape(seed)
         self.shape = (*lead, h, w, logits.shape[-1])
@@ -346,6 +355,7 @@ class ScaleInversion:
             self._label_logit = logits[rows // factors[0], cols // factors[1], tokens]
             u_label = uniform_values(seed, PURPOSE_LABEL_DRAW, scale, rows, cols, 0)
             self._q_label = located_from_uniform(self._label_logit, u_label)
+            self._words = cell_words(seed, PURPOSE_TRUNC_DRAW, scale, h, w)
 
     def invert_rows(self, lo: int, hi: int, buf, outs) -> None:
         """Invert block rows lo:hi into ``outs``, one margin after another."""
@@ -380,10 +390,7 @@ class ScaleInversion:
         q_label = self._q_label[..., rows, :]
         label_noise = q_label - self._label_logit[rows]
         p_max = max(p.max(), -p.min())
-        g = standard_rows(
-            self.seed, PURPOSE_TRUNC_DRAW, self.scale, rows.start, rows.stop, w, noise.shape[-1],
-            g, low,
-        )
+        g = standard_rows(self._words[..., rows, :], noise.shape[-1], g, low)
         for tau, out in zip(self.taus, outs):
             yield tau, _located_noise(
                 p, self.factors, p_max, q_label - tau, g, label_noise, at_label, noise, low, out
@@ -439,4 +446,4 @@ def reconstruct_from_noise(
     """Replay argmax(p_t + n_t), in float64, scale by scale."""
     validate_noise_set(noise_set, params)
     noises = noise_set.noises
-    return sample_pyramid(cond, params, lambda k, lo, hi, _: noises[k - 1][lo:hi])
+    return sample_pyramid(cond, params, lambda k: lambda lo, hi, _: noises[k - 1][lo:hi])

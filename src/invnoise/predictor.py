@@ -29,8 +29,9 @@ Generation, inversion, replay and editing all drive it.  Generation
 and replay are one sampling walk, ``sample_pyramid``: each scale's
 tokens are argmax(p + n), one row block of noise at a time, reduced to
 its argmax in cache, so no scale holds a whole noise field.
-``generate`` walks keyed Gumbel draws (``gumbel.standard_rows``), the
-replay a held noise set's maps, and the edit walk calls
+``generate`` walks keyed Gumbel draws (``gumbel.standard_rows`` of
+the scale's cell words, keyed once per scale), the replay a held noise
+set's maps, and the edit walk calls
 ``argmax_tokens`` in its own pass.
 """
 
@@ -59,6 +60,7 @@ from .rng import (
     PURPOSE_CONDITION,
     PURPOSE_GENERATION,
     PURPOSE_MIXING,
+    cell_words,
     normal_values,
     seed_array,
 )
@@ -196,8 +198,8 @@ class ScaleStepper:
         h, w = params.schedule.resolutions[self.scale - 1]
         fh, fw = self._factors[self.scale - 1]
         context = self._target[:, None, None] - downsample_blockmean(self.canvas, (h, w))
-        # one cell per prefix block
-        cells = np.moveaxis(context[..., ::fh, ::fw], -3, -1)
+        # one cell per prefix block, contiguous
+        cells = np.ascontiguousarray(np.moveaxis(context[..., ::fh, ::fw], -3, -1))
         logits = squared_distances(cells, params.codebook.vectors)
         logits *= -params.beta
         return logits, (fh, fw)
@@ -223,27 +225,35 @@ def argmax_tokens(logits, factors: tuple[int, int], x, out, sums) -> None:
     (..., n, w, C) cell rows ``x``, of any float dtype.
 
     The sums are taken in the flat float64 scratch ``sums``, which may
-    hold ``x`` itself (``x`` is then overwritten): each row of prefix
-    blocks broadcast over its cells plus ``x``, the same IEEE sums as
-    the full logits plus ``x``.
+    hold a float64 ``x`` itself (``x`` is then overwritten): each row of
+    prefix blocks broadcast over its cells plus ``x``, the same IEEE sums
+    as the full logits plus ``x``.  A float32 ``x`` is first copied into
+    the sums, exactly, and the logits added there, so no add mixes
+    dtypes.
     """
     shape = np.broadcast_shapes(x.shape, logits.shape[:-3] + x.shape[-3:])
     rows = sums[: math.prod(shape)].reshape(shape)
-    blocks = _blocks.by_blocks(rows, factors)
-    np.add(_blocks.by_blocks(x, factors), logits[..., :, None, :, None, :], out=blocks)
+    blocks, spread = _blocks.by_blocks(rows, factors), logits[..., :, None, :, None, :]
+    if x.dtype == np.float64:
+        np.add(_blocks.by_blocks(x, factors), spread, out=blocks)
+    else:
+        np.copyto(rows, x)
+        blocks += spread
     out[...] = np.argmax(rows, axis=-1)
 
 
-def sample_pyramid(cond: Condition, params: PredictorParams, noise_rows, blocks: int = 1):
+def sample_pyramid(cond: Condition, params: PredictorParams, scale_noise, blocks: int = 1):
     """The token pyramid of argmax(p + n) under ``cond``, each scale's
     logits p taken under the scales sampled before it: the one sampling
     walk of generation and replay.
 
     Each scale k is one row-block pass whose body adds the block logits
-    to ``noise_rows(k, lo, hi, buf)``, the (hi - lo, w, C) cell rows
-    lo:hi of the scale's noise, and keeps the argmax.  ``buf`` is the
-    driver's list of ``blocks`` flat float64 blocks of a row block; the
-    first holds the sums, so a noise written there is summed in place.
+    to ``noise_rows(lo, hi, buf)``, the (hi - lo, w, C) cell rows lo:hi
+    of the scale's noise, and keeps the argmax; ``noise_rows =
+    scale_noise(k)`` is made once per scale.  ``buf`` is the list of
+    ``blocks`` flat float64 blocks of a row block that
+    ``_blocks.for_row_blocks`` builds; the first holds the sums, so a
+    noise written there is summed in place.
     """
     stepper = ScaleStepper(cond, params)
     c = params.codebook.size
@@ -252,10 +262,11 @@ def sample_pyramid(cond: Condition, params: PredictorParams, noise_rows, blocks:
         logits, factors = stepper.block_logits()
         fh = factors[0]
         tokens = np.empty((h, w), dtype=np.int32)
+        noise_rows = scale_noise(k)
 
         def argmax_rows(b, e, buf):
             lo, hi = b * fh, e * fh
-            argmax_tokens(logits[b:e], factors, noise_rows(k, lo, hi, buf), tokens[lo:hi], buf[0])
+            argmax_tokens(logits[b:e], factors, noise_rows(lo, hi, buf), tokens[lo:hi], buf[0])
 
         _blocks.for_row_blocks(argmax_rows, h // fh, h * w * c, (np.float64,) * blocks)
         del logits  # before the push and the next scale's logits
@@ -267,12 +278,12 @@ def sample_pyramid(cond: Condition, params: PredictorParams, noise_rows, blocks:
 def generate(cond: Condition, params: PredictorParams, seed: int) -> list[np.ndarray]:
     """Sample a token pyramid under ``cond`` by keyed Gumbel-max draws,
     each row block of a scale drawn and reduced to its argmax in the
-    pass's blocks."""
+    pass's blocks, from the scale's cell words, keyed once per scale."""
     seed_array((seed,))
     c = params.codebook.size
 
-    def draws(k, lo, hi, buf):
-        w = params.schedule.resolutions[k - 1][1]
-        return standard_rows(seed, PURPOSE_GENERATION, k, lo, hi, w, c, *buf)
+    def scale_draws(k):
+        words = cell_words(seed, PURPOSE_GENERATION, k, *params.schedule.resolutions[k - 1])
+        return lambda lo, hi, buf: standard_rows(words[lo:hi], c, *buf)
 
-    return sample_pyramid(cond, params, draws, blocks=2)
+    return sample_pyramid(cond, params, scale_draws, blocks=2)

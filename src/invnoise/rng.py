@@ -9,16 +9,17 @@ one call keys a full field; an array of seeds adds leading axes, so one
 call keys the same field for many seeds.  Seeds are integers in
 [0, 2^64); ``seed_array`` checks them.  The hash absorbs each key
 field with an xor into its result and a mix in place, and the map to
-(0, 1) runs in the words' own buffer.  Every step mixes whole: a
-caller's buffers take the words and the mixing scratch of a draw's last
-field (a row block of a scale's pass), and a draw without them, or a
-leading row or col step, mixes in a new scratch of its own size.
+(0, 1) runs in the words' own buffer.  Every step mixes whole.
 
 The keyed permutation is a chained SplitMix64 finalizer: the seed is
 mixed once, then each key field is absorbed with xor + mix.  The seed,
 purpose and scale steps are the same for every cell of a draw site, so
 they run once per seed on Python integers, and only the row, col and
-channel steps run on arrays.  The exact construction is frozen by
+channel steps run on arrays.  A scale pass keys its (h, w, C) field in
+two parts: ``cell_words`` absorbs the row and col steps once per pass,
+(h, w) words per seed, and ``channel_uniforms`` absorbs only the
+channel step of a row block's words, into the caller's buffers, and
+maps them to (0, 1) there.  The exact construction is frozen by
 golden values in the test suite; changing it invalidates every recorded
 artifact.
 """
@@ -115,28 +116,17 @@ def _mix_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def raw64_values(
-    seed, purpose: int, scale: int, rows, cols, channels, out=None, scratch=None
-) -> np.ndarray:
-    """Vectorized keyed hash; broadcasts rows/cols/channels.
+def _keyed_words(seed, purpose: int, scale: int, fields) -> np.ndarray:
+    """The words of ``seed``, ``purpose`` and ``scale`` with each array
+    field absorbed in turn, at the broadcast shape of the fields so far,
+    each step mixing whole in a new array: (*seed shape, *field shape).
 
-    ``purpose`` and ``scale`` are integers.  The seed, purpose and scale
-    absorptions give one word per seed, mixed in Python integers; each
-    array field is then absorbed at the broadcast shape of the fields so
-    far, so with (h, 1, 1) rows, (1, w, 1) cols and (1, 1, C) channels
-    only the channel step runs at the full (h, w, C) size.  The row and
-    col steps mix whole, in a new scratch of their own size (at most S *
-    h * w words with such fields).  An array ``seed`` of shape (S,)
-    gives an (S, *field shape) result whose slice s equals the draw at
-    the scalar ``seed[s]``.  Given ``out`` and
-    ``scratch``, C-contiguous buffers of 8-byte items of at least the
-    result's size, the last field step writes the words into ``out``
-    (the result is a view of it) and mixes them whole with ``scratch``;
-    otherwise the words are a new array.
+    The seed, purpose and scale absorptions give one word per seed,
+    mixed in Python integers.  An array ``seed`` of shape (S,) gives a
+    leading axis whose slice s equals the words at the scalar
+    ``seed[s]``.
     """
-    field_shape = np.broadcast_shapes(
-        np.shape(rows), np.shape(cols), np.shape(channels)
-    )
+    field_shape = np.broadcast_shapes(*(np.shape(f) for f in fields))
     seed_shape = np.shape(seed)
     purpose, scale = int(purpose), int(scale)
     words = [
@@ -144,32 +134,72 @@ def raw64_values(
         for s in np.ravel(seed).tolist()
     ]
     h = np.array(words, dtype=np.uint64).reshape(seed_shape + (1,) * len(field_shape) or (1,))
-    # 0-d uint64 ops go through numpy's scalar path, which warns on the
-    # intended wraparound; keep every field at least 1-d.
-    *fields, last = (
-        np.atleast_1d(np.asarray(f)).astype(np.uint64, copy=False) for f in (rows, cols, channels)
-    )
     for field in fields:
-        h = _mix(h, field)
-    if out is not None:
-        shape = seed_shape + field_shape or (1,)  # the broadcast shape of h and last
-        out = out.reshape(-1).view(np.uint64)[: math.prod(shape)].reshape(shape)
-    return _mix(h, last, out, scratch).reshape(seed_shape + field_shape)
+        # 0-d uint64 ops go through numpy's scalar path, which warns on the
+        # intended wraparound; keep every field at least 1-d.
+        h = _mix(h, np.atleast_1d(np.asarray(field)).astype(np.uint64, copy=False))
+    return h.reshape(seed_shape + field_shape)
 
 
-def uniform_values(seed, purpose, scale, rows, cols, channels, out=None, scratch=None):
-    """Uniform (0,1) draws for broadcast row/col/channel index arrays;
-    with ``out`` and ``scratch`` (see ``raw64_values``) the draws are a
-    float64 view of ``out`` and the call makes no array of their size.
-    Each word maps to (k + 1) / (2^53 + 2), k its top 53 bits held in
-    ``scratch``, in its own buffer viewed as float64 (the same size)."""
-    words = raw64_values(seed, purpose, scale, rows, cols, channels, out, scratch)
+def raw64_values(seed, purpose: int, scale: int, rows, cols, channels) -> np.ndarray:
+    """Vectorized keyed hash; broadcasts rows/cols/channels.
+
+    ``purpose`` and ``scale`` are integers.  Each array field is absorbed
+    at the broadcast shape of the fields so far, so with (h, 1, 1) rows,
+    (1, w, 1) cols and (1, 1, C) channels only the channel step runs at
+    the full (h, w, C) size.  An array ``seed`` of shape (S,) gives an
+    (S, *field shape) result whose slice s equals the draw at the scalar
+    ``seed[s]``.
+    """
+    return _keyed_words(seed, purpose, scale, (rows, cols, channels))
+
+
+def cell_words(seed, purpose: int, scale: int, h: int, w: int) -> np.ndarray:
+    """The keyed words of the cells of an (h, w) grid, with the seed,
+    purpose, scale, row and col steps absorbed: (h, w), or (S, h, w) for
+    an array of S seeds.  ``channel_uniforms`` of any row slice of them
+    gives those rows of ``uniform_values(seed, purpose, scale, rows, cols,
+    channels)`` with (h, 1, 1) rows, (1, w, 1) cols and (1, 1, C)
+    channels 0..C-1."""
+    return _keyed_words(seed, purpose, scale, (np.arange(h)[:, None], np.arange(w)))
+
+
+def _to_uniform(words: np.ndarray, scratch=None) -> np.ndarray:
+    """The uniforms (k + 1) / (2^53 + 2) of the uint64 ``words``, k their
+    top 53 bits, written over the words' own C-contiguous buffer viewed as
+    float64 (the same size).  k is held in ``_scratch(scratch, size)``
+    and copied from its int64 view, which is exact (k < 2^53) and no
+    buffered cast; k + 1 <= 2^53 is exact too."""
     flat = words.reshape(-1)
-    u = flat.view(np.float64)
     k = np.right_shift(flat, _SHIFT11, out=_scratch(scratch, flat.size))
-    np.add(k, 1.0, out=u)  # k converts to float64 exactly (k < 2^53)
+    u = flat.view(np.float64)
+    np.copyto(u, k.view(np.int64))
+    u += 1.0
     u /= _DENOM
     return u.reshape(words.shape)
+
+
+def uniform_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:
+    """Uniform (0,1) draws for broadcast row/col/channel index arrays:
+    each word of ``raw64_values`` maps to (k + 1) / (2^53 + 2), k its top
+    53 bits, in its own buffer."""
+    return _to_uniform(raw64_values(seed, purpose, scale, rows, cols, channels))
+
+
+def channel_uniforms(words: np.ndarray, c: int, out=None, scratch=None) -> np.ndarray:
+    """Uniform (0, 1) draws at channels 0..c-1 of the cells whose keyed
+    words are ``words`` (from ``cell_words``, any row slice of them):
+    (*words.shape, c), bit for bit the draws of ``uniform_values`` at
+    those cells.  Only the channel step runs here.  Given ``out`` and
+    ``scratch``, C-contiguous buffers of 8-byte items of at least the
+    result's size, the channel step writes into ``out`` (the result is a
+    float64 view of it) and mixes with ``scratch``, which then holds the
+    53-bit values, so the call allocates no array of the result's size."""
+    shape = (*words.shape, c)
+    if out is not None:
+        out = out.reshape(-1).view(np.uint64)[: math.prod(shape)].reshape(shape)
+    channels = np.arange(c, dtype=np.uint64)
+    return _to_uniform(_mix(words[..., None], channels, out, scratch), scratch)
 
 
 def normal_values(seed, purpose, scale, rows, cols, channels) -> np.ndarray:

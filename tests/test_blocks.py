@@ -81,10 +81,10 @@ class TestForRowBlocks:
         u = rng.uniform_values(3, 1, 1, np.arange(0)[:, None, None], np.arange(4)[:, None],
                                np.arange(5))
         assert u.shape == (0, 4, 5) and u.dtype == np.float64
-        assert gumbel.standard_rows(3, 1, 1, 2, 2, 4, 5).shape == (0, 4, 5)
+        assert gumbel.standard_rows(rng.cell_words(3, 1, 1, 6, 4)[2:2], 5).shape == (0, 4, 5)
         out, scratch = np.empty(8), np.empty(8)
-        seeds = np.array([1, 2], dtype=np.uint64)
-        assert gumbel.standard_rows(seeds, 1, 1, 2, 2, 4, 5, out, scratch).shape == (2, 0, 4, 5)
+        words = rng.cell_words(np.array([1, 2], dtype=np.uint64), 1, 1, 6, 4)
+        assert gumbel.standard_rows(words[:, 2:2], 5, out, scratch).shape == (2, 0, 4, 5)
 
 
 def per_cell(block, factors):
@@ -177,10 +177,11 @@ class TestBlockLogits:
         trunc = np.max(full, axis=-1, keepdims=True) - 2.0
         want = truncated_gumbel(full, trunc, u_off)
         got = np.empty_like(want)
+        words = rng.cell_words(7, rng.PURPOSE_TRUNC_DRAW, 4, h, w)
 
         def truncate_rows(lo, hi, buf):
             r = slice(3 * lo, 3 * hi)
-            loglog = -gumbel.standard_rows(7, rng.PURPOSE_TRUNC_DRAW, 4, r.start, r.stop, w, c)
+            loglog = -gumbel.standard_rows(words[r], c)
             out = buf[0][: loglog.size].reshape(loglog.shape)
             gumbel.truncated_from_loglog(
                 block[lo:hi, None, :, None, :], _blocks.by_blocks(trunc[r], factors),
@@ -199,9 +200,10 @@ class TestByRowsEqualsWhole:
         blocks) and of rows 4:6 are the whole field's rows."""
         h, w, c = SHAPE
         whole = standard_field(seed_of(seeds), 3, 2, SHAPE)
-        rows = gumbel.standard_rows(seed_of(seeds), 3, 2, 0, h, w, c)
+        words = rng.cell_words(seed_of(seeds), 3, 2, h, w)
+        rows = gumbel.standard_rows(words, c)
         assert np.array_equal(rows, whole) and rows.dtype == whole.dtype
-        rows = gumbel.standard_rows(seed_of(seeds), 3, 2, 4, 6, w, c)
+        rows = gumbel.standard_rows(words[..., 4:6, :], c)
         assert np.array_equal(rows, whole[..., 4:6, :, :])
 
     @pytest.mark.parametrize("seeds", SEEDS, ids=SEED_IDS)
@@ -214,7 +216,8 @@ class TestByRowsEqualsWhole:
         trunc = np.max(logits, axis=-1, keepdims=True) - 2.0
         if seeds is not None:
             trunc = trunc - np.arange(2)[:, None, None, None]
-        loglog = -gumbel.standard_rows(seed_of(seeds), rng.PURPOSE_TRUNC_DRAW, 4, 0, h, w, c)
+        words = rng.cell_words(seed_of(seeds), rng.PURPOSE_TRUNC_DRAW, 4, h, w)
+        loglog = -gumbel.standard_rows(words, c)
         fresh = gumbel.truncated_from_loglog(logits, trunc, loglog)
         by_rows = np.empty_like(fresh)
 

@@ -3,6 +3,7 @@
 import concurrent.futures
 import configparser
 import hashlib
+import math
 import re
 import struct
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invnoise import _blocks, cli, config, demo, editing, gumbel, inversion, metrics
+from invnoise import _blocks, cli, config, demo, editing, inversion, metrics
 from invnoise.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from invnoise.codec import decode, encode
 from invnoise.config import ExperimentConfig, config_digest, load_config, render_config
@@ -26,7 +27,6 @@ from invnoise.editing import EditConfig, SeedSweep, default_start_scale, seed_ch
 from invnoise.errors import InvariantError, ValidationError
 from invnoise.fileio import read_grid, read_noise_set, read_pyramid, write_grid, write_pyramid
 from invnoise.predictor import condition_embed
-from invnoise.rng import PURPOSE_TRUNC_DRAW
 
 from conftest import child_env
 
@@ -950,11 +950,13 @@ class TestSweep:
         over the row blocks of every scale, add up to S times the rows of
         those scales.  Scales below the start scale are copied, and the
         linear lambda is 0 at the last scale, which takes no inverse
-        noise, so none are drawn there."""
+        noise, so none are drawn there.  The pairs are counted from the
+        cell words each off-label draw (``inversion.standard_rows``)
+        takes."""
         calls = {"params": 0, "scene": 0, "trunc": 0}
         build_params = ExperimentConfig.build_params
         demo_scene_fn = demo.demo_scene
-        uniform_values = gumbel.uniform_values
+        standard_rows = inversion.standard_rows
 
         def counted_params(self):
             calls["params"] += 1
@@ -964,14 +966,13 @@ class TestSweep:
             calls["scene"] += 1
             return demo_scene_fn(*args, **kwargs)
 
-        def counted_uniforms(seed, purpose, scale, rows, *rest):
-            if purpose == PURPOSE_TRUNC_DRAW:
-                calls["trunc"] += np.size(seed) * np.size(rows)
-            return uniform_values(seed, purpose, scale, rows, *rest)
+        def counted_rows(words, *rest):
+            calls["trunc"] += math.prod(words.shape[:-1])
+            return standard_rows(words, *rest)
 
         monkeypatch.setattr(ExperimentConfig, "build_params", counted_params)
         monkeypatch.setattr(demo, "demo_scene", counted_scene)
-        monkeypatch.setattr(gumbel, "uniform_values", counted_uniforms)
+        monkeypatch.setattr(inversion, "standard_rows", counted_rows)
         values, seeds, num_scales = 3, 2, 5
         start = default_start_scale(num_scales)
         # rows of the scales start..K-1 of the dyadic schedule: 2, 4 and 8
@@ -1474,13 +1475,16 @@ class TestRender:
             ("grid", lambda data: data[:32] + struct.pack("<III", 1, 0, 5)),
             ("grid", lambda data: data[:32] + struct.pack("<III", 0, 2, 2)),
             ("pyramid", lambda data: data[:6] + bytes([7, 9]) + data[8:]),
+            ("pyramid", lambda data: data[:32] + struct.pack("<IIII", 1, 2, 0, 3)),
         ],
-        ids=["grid-code-bytes", "grid-zero-height", "grid-zero-channels", "pyramid-code-bytes"],
+        ids=["grid-code-bytes", "grid-zero-height", "grid-zero-channels", "pyramid-code-bytes",
+             "pyramid-zero-height"],
     )
     def test_file_no_writer_makes_is_one_io_error_line(self, tmp_path, capsys, kind, corrupt):
-        """A grid or pyramid with nonzero header code bytes, or a grid
-        header that gives an axis zero length, exits 3 with one ``i/o
-        error:`` line and no traceback, and renders nothing."""
+        """A grid or pyramid with nonzero header code bytes, or a header
+        that gives an axis of a grid or a token map zero length, exits 3
+        with one ``i/o error:`` line and no traceback, and renders
+        nothing."""
         path = tmp_path / "bad.bin"
         if kind == "grid":
             write_grid(path, np.zeros((4, 2, 2)))

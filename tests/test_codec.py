@@ -126,12 +126,17 @@ class TestSquaredDistances:
     @pytest.mark.parametrize("h,w", [(1, 1), (1, 6), (5, 1), (2, 2), (3, 7), (16, 16), (64, 64)])
     @pytest.mark.parametrize("size", [2, 7, 64])
     def test_matches_einsum_reference(self, d, h, w, size):
-        cells = channel_last_cells(d * 100 + h * 10 + w, d, h, w)
+        """One map, and a stack of three laid out like the stepper's
+        canvas, each of whose maps is the reference's."""
+        seeds = [d * 100 + h * 10 + w + 1000 * s for s in range(3)]
+        grids = np.stack([np.moveaxis(channel_last_cells(s, d, h, w), -1, 0) for s in seeds])
         vectors = default_codebook(size=size, dim=d, seed=size + d).vectors
-        got = squared_distances(cells, vectors)
-        assert got.shape == (h, w, size)
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, reference_squared_distances(cells, vectors))
+        for cells in (np.moveaxis(grids[0], 0, -1), np.moveaxis(grids, -3, -1)):
+            got = squared_distances(cells, vectors)
+            assert got.shape == cells.shape[:-1] + (size,)
+            assert got.flags.c_contiguous
+            want = [reference_squared_distances(m, vectors) for m in cells.reshape(-1, h, w, d)]
+            assert np.array_equal(got, np.reshape(want, got.shape))
 
     def test_wide_rows_span_several_blocks(self):
         """A 64x64 grid with vocab 512 runs over many row blocks."""
@@ -235,6 +240,34 @@ class TestCertifiedSearch:
         big = 2.0**509  # |x|^2 + max |v|^2 >= 2^1021: every cell falls back
         assert quantize_cells(big * cells[1:], Codebook(big * vectors)).tolist() == [[0, 2, 2, 0]]
         assert gathered == [len(clear)]
+
+    @pytest.mark.parametrize("top", [1019.0, 1020.5, 1020.99])
+    def test_certificate_near_the_search_limit(self, monkeypatch, top):
+        """Cells and codewords scaled so that the largest |x|^2 + max |v|^2
+        is 2^top, just below ``_SEARCH_LIMIT`` = 2^1021: the one product
+        of [x, 1] and [-2 V^T; |v|^2] stays finite, the certificate keeps
+        most cells, and every index is the exact argmin."""
+        gathered = []
+
+        def spy(out, *rest):
+            gathered.append(out.shape[1])
+            return sum_squares(out, *rest)
+
+        sum_squares = codec._sum_squares
+        monkeypatch.setattr(codec, "_sum_squares", spy)
+        h, w, d, size = 12, 10, 4, 64
+        vectors = normal_values(5, 1, 0, np.arange(size)[:, None], 0, np.arange(d))
+        vectors[0] = 0.0
+        cells = normal_values(5, 2, 0, np.arange(h)[:, None, None], np.arange(w)[:, None],
+                              np.arange(d))
+        reach = (cells * cells).sum(axis=-1).max() + (vectors * vectors).sum(axis=1).max()
+        factor = np.sqrt(2.0**top / reach)
+        cells, vectors = grid_layout(factor * cells), factor * vectors
+        scale = (cells * cells).sum(axis=-1).max() + (vectors * vectors).sum(axis=1).max()
+        assert 2.0 ** (top - 0.01) < scale < codec._SEARCH_LIMIT
+        got = quantize_cells(cells, Codebook(vectors))
+        assert np.array_equal(got, np.argmin(reference_squared_distances(cells, vectors), -1))
+        assert sum(gathered) < h * w // 10
 
 
 class TestLeadingAxes:

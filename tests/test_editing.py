@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invnoise import _blocks, config, editing, gumbel, inversion
+from invnoise import _blocks, config, editing, inversion
 from invnoise.codec import ScaleSchedule, decode, default_codebook, encode
 from invnoise.config import load_config
 from invnoise.demo import demo_scene
@@ -768,18 +768,20 @@ class TestLambdaZeroTakesNoNoise:
     @staticmethod
     def count_inversion_draws(monkeypatch):
         """Seeds drawn per purpose: the label draws of the inversion, and
-        its off-label draws (``gumbel.standard_rows``), which these desk
-        scales draw in one row block each."""
+        the cell words of its off-label draws (``gumbel.standard_rows``),
+        which each inverted scale keys once."""
         counts = {PURPOSE_LABEL_DRAW: 0, PURPOSE_TRUNC_DRAW: 0}
-        uniforms = inversion.uniform_values
 
-        def counted(seed, purpose, *rest):
-            if purpose in counts:
-                counts[purpose] += np.size(seed)
-            return uniforms(seed, purpose, *rest)
+        def counted(draw):
+            def spy(seed, purpose, *rest):
+                if purpose in counts:
+                    counts[purpose] += np.size(seed)
+                return draw(seed, purpose, *rest)
 
-        monkeypatch.setattr(inversion, "uniform_values", counted)
-        monkeypatch.setattr(gumbel, "uniform_values", counted)
+            return spy
+
+        monkeypatch.setattr(inversion, "uniform_values", counted(inversion.uniform_values))
+        monkeypatch.setattr(inversion, "cell_words", counted(inversion.cell_words))
         return counts
 
     @pytest.mark.parametrize("mode", [MODE_VARIN, MODE_TARGET_ONLY])
@@ -833,16 +835,17 @@ class TestLambdaOneDrawsNoFreshNoise:
 
     @staticmethod
     def count_fresh_draws(monkeypatch):
-        """The scale of each fresh-noise row block drawn."""
+        """The scale of each fresh-noise field keyed: once per scale whose
+        row blocks draw it."""
         scales = []
-        rows = editing.standard_rows
+        words = editing.cell_words
 
         def counted(seed, purpose, scale, *rest):
             if purpose == PURPOSE_EDIT_NOISE:
                 scales.append(scale)
-            return rows(seed, purpose, scale, *rest)
+            return words(seed, purpose, scale, *rest)
 
-        monkeypatch.setattr(editing, "standard_rows", counted)
+        monkeypatch.setattr(editing, "cell_words", counted)
         return scales
 
     @pytest.mark.parametrize("given", [False, True], ids=["auto-invert", "given-set"])

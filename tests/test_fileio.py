@@ -383,6 +383,40 @@ class TestCorruptHeaders:
         with pytest.raises(FormatError, match="empty axis"):
             read_grid(path)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_pyramid_with_an_empty_axis(self, tmp_path, shape):
+        """``write_pyramid`` refuses a token map with a zero-length axis and
+        writes nothing, and a header holding one fails."""
+        path = tmp_path / "p.nsp"
+        maps = [np.zeros((1, 1), np.int32), np.zeros(shape, np.int32)]
+        with pytest.raises(ValidationError, match="empty axis"):
+            write_pyramid(path, maps, 4)
+        assert not path.exists()
+        write_small("pyramid", path)  # one 1x1 map: header, fields and shape take 48 bytes
+        data = bytearray(path.read_bytes()[:48])
+        data[40:48] = struct.pack("<II", *shape)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="empty axis"):
+            read_pyramid(path)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 4), (2, 0, 4), (2, 2, 0), (1, 1, 0)])
+    def test_noise_set_with_an_empty_axis(self, tmp_path, shape):
+        """``write_noise_set`` refuses a (0, w, C), (h, 0, C) or (h, w, 0)
+        map and writes nothing, and a header holding one fails."""
+        path = tmp_path / "n.nsn"
+        empty = np.zeros(shape, np.float32)
+        with pytest.raises(ValidationError, match="empty axis"):
+            write_small("noise", path, noises=(empty, empty))
+        assert not path.exists()
+        write_small("noise", path)  # label "x", then the 1x1 and 2x2 shapes at 53:69
+        data = bytearray(path.read_bytes())
+        h, w, vocab = shape
+        data[36:40] = struct.pack("<I", vocab)
+        data[61:69] = struct.pack("<II", h, w)
+        path.write_bytes(bytes(data[:69] + bytes(4 * vocab)))  # the 1x1 map's payload
+        with pytest.raises(FormatError, match="empty axis"):
+            read_noise_set(path)
+
     def test_noise_label_not_utf8(self, tmp_path, params):
         cond = condition_embed("ab", params)
         pyramid = generate(cond, params, seed=14)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from invnoise.errors import ValidationError
 from invnoise.gumbel import gumbel_cdf, ks_statistic, located_from_uniform, standard_rows
-from invnoise.rng import uniform_values
+from invnoise.rng import cell_words, seed_array, uniform_values
 
 from conftest import sample_token_map, standard_from_uniform, truncated_gumbel
 
@@ -27,15 +27,15 @@ class TestStandard:
         assert standard_from_uniform(E_INV) == 0.0
 
     def test_mean_matches_euler_mascheroni(self):
-        g = standard_rows(100, 1, 0, 0, 1_000_000, 1, 1)
+        g = standard_rows(cell_words(100, 1, 0, 1_000_000, 1), 1)
         assert abs(g.mean() - EULER_MASCHERONI) < 0.01
 
     def test_ks_against_gumbel_cdf(self):
-        assert ks_statistic(standard_rows(101, 1, 0, 0, 100_000, 1, 1), "gumbel") <= 0.01
+        assert ks_statistic(standard_rows(cell_words(101, 1, 0, 100_000, 1), 1), "gumbel") <= 0.01
 
     def test_keyed_wrapper_deterministic(self):
-        a = standard_rows(5, 1, 0, 0, 2, 3, 4)
-        assert np.array_equal(a, standard_rows(5, 1, 0, 0, 2, 3, 4))
+        a = standard_rows(cell_words(5, 1, 0, 2, 3), 4)
+        assert np.array_equal(a, standard_rows(cell_words(5, 1, 0, 2, 3), 4))
 
 
 class TestLocated:
@@ -151,9 +151,35 @@ class TestStandardField:
         the transformed uniforms of the whole grid."""
         h, w, c = shape
         want = standard_from_uniform(uniform_values(9, 3, 2, *grid_key(*shape)))
-        assert np.array_equal(standard_rows(9, 3, 2, 0, h, w, c), want)
-        by_row = [standard_rows(9, 3, 2, r, r + 1, w, c) for r in range(h)]
+        words = cell_words(9, 3, 2, h, w)
+        assert np.array_equal(standard_rows(words, c), want)
+        by_row = [standard_rows(words[r : r + 1], c) for r in range(h)]
         assert np.array_equal(np.concatenate(by_row), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 70)),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+        scalar=st.booleans(),
+        ranges=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=3),
+    )
+    def test_any_row_slices_of_the_cell_words(self, shape, seeds, scalar, ranges):
+        """The draws of any row slice of a scale's cell words, an empty and
+        a one-row range among them, at a scalar seed or on a seed axis, in
+        new arrays or in a caller's buffers, are the rows of the
+        transformed uniforms of the whole field, bit for bit."""
+        h, w, c = shape
+        seed = seeds[0] if scalar else seed_array(seeds)
+        want = standard_from_uniform(uniform_values(seed, 3, 2, *grid_key(h, w, c)))
+        words = cell_words(seed, 3, 2, h, w)
+        ranges = [(min(a, b, h), min(max(a, b), h)) for a, b in ranges]
+        for lo, hi in [*ranges, (h // 2, h // 2), (h - 1, h)]:
+            rows = words[..., lo:hi, :]
+            assert np.array_equal(standard_rows(rows, c), want[..., lo:hi, :, :])
+            out, scratch = np.empty(want.size + 3), np.empty(want.size + 3)
+            got = standard_rows(rows, c, out, scratch)
+            assert np.array_equal(got, want[..., lo:hi, :, :])
+            assert got.size == 0 or np.shares_memory(got, out)
 
     def test_sampler_is_argmax_of_field(self):
         logits = -4.0 * uniform_values(5, 1, 0, *grid_key(6, 4, 64))

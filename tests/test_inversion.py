@@ -35,6 +35,7 @@ from invnoise.predictor import PredictorParams, condition_embed, generate
 from invnoise.rng import (
     PURPOSE_LABEL_DRAW,
     PURPOSE_TRUNC_DRAW,
+    cell_words,
     normal_values,
     seed_array,
     uniform_values,
@@ -64,7 +65,7 @@ def located_q(tokens, logits, tau, seed, scale):
     exactly: the truncated transform with np.logaddexp."""
     h, w, c = logits.shape
     q_label = ScaleInversion(tokens, logits, (1, 1), (tau,), seed, scale)._q_label
-    loglog = -standard_rows(seed, PURPOSE_TRUNC_DRAW, scale, 0, h, w, c)
+    loglog = -standard_rows(cell_words(seed, PURPOSE_TRUNC_DRAW, scale, h, w), c)
     q = truncated_from_loglog(logits, (q_label - tau)[..., None], loglog)
     q[label_indices(tokens)] = q_label
     return q
@@ -139,6 +140,32 @@ class TestLocatedInverse:
         q = located_noise(tokens, logits, 1.0, 0, 1)
         assert q[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
         assert q[0, 0, 1] == pytest.approx(-math.log(math.e + 1.0), abs=1e-12)
+
+    def test_cell_words_keyed_once_per_scale(self, params, source_cond, monkeypatch):
+        """With row blocks of 64 entries, every scale of ``invert_pyramid``
+        draws its off-label rows in several blocks, from the cell words it
+        keys once, and the noise is that of one block per scale."""
+        pyramid = generate(source_cond, params, seed=3)
+        want = invert_pyramid(pyramid, source_cond, 18.0, params, seed=3)
+        keyed, blocks = [], []
+        words, rows = inversion.cell_words, inversion.standard_rows
+
+        def counted_words(seed, purpose, scale, h, w):
+            keyed.append((purpose, scale, h, w))
+            return words(seed, purpose, scale, h, w)
+
+        def counted_rows(cell_rows, *rest):
+            blocks.append(cell_rows.shape[0])
+            return rows(cell_rows, *rest)
+
+        monkeypatch.setattr(_blocks, "CHUNK", 64)
+        monkeypatch.setattr(inversion, "cell_words", counted_words)
+        monkeypatch.setattr(inversion, "standard_rows", counted_rows)
+        got = invert_pyramid(pyramid, source_cond, 18.0, params, seed=3)
+        resolutions = params.schedule.resolutions
+        assert keyed == [(PURPOSE_TRUNC_DRAW, k, h, w) for k, (h, w) in enumerate(resolutions, 1)]
+        assert sum(blocks) == sum(h for h, _ in resolutions) and len(blocks) > 2 * len(keyed)
+        assert all(np.array_equal(a, b) for a, b in zip(got.noises, want.noises))
 
     def test_argmax_forced(self, params, source_cond):
         for seed in range(5):
@@ -384,7 +411,7 @@ class TestCertifiedNoise:
         at_label = (..., rows, cols, tokens)
         label = p[at_label] + standard_from_uniform(uniform_values(seed, 3, 0, rows, cols, 0))
         trunc = label - tau
-        g = standard_rows(seed, 4, 0, 0, n, w, c)
+        g = standard_rows(cell_words(seed, 4, 0, n, w), c)
         if case == "tie":
             g[..., ::2] = (trunc[..., None] - p)[..., ::2]
         elif case == "underflow":

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from invnoise import _blocks
+from invnoise import _blocks, rng
 from invnoise.errors import ValidationError
-from invnoise.rng import normal_values, raw64_values, seed_array, uniform_values
+from invnoise.rng import (
+    cell_words,
+    channel_uniforms,
+    normal_values,
+    raw64_values,
+    seed_array,
+    uniform_values,
+)
 
 # The keyed permutation is frozen: these values must never change, or
 # every recorded artifact and seeded experiment silently shifts.  Keys
@@ -193,13 +200,26 @@ def test_leading_fields_mix_without_the_driver(monkeypatch):
     seeds, key = seed_array([3, 2**64 - 1]), _grid_key(16, 16, 64)
     size = 2 * 16 * 16 * 64
     want = np.stack([reference_raw64_values(s, 2, 3, *key) for s in (3, 2**64 - 1)])
-    got = raw64_values(seeds, 2, 3, *key, np.empty(size), np.empty(size))
+    uniforms = np.stack([reference_uniform_values(s, 2, 3, *key) for s in (3, 2**64 - 1)])
+    words = cell_words(seeds, 2, 3, 16, 16)
+    got = channel_uniforms(words, 64, np.empty(size), np.empty(size))
     assert passes == []
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, uniforms)
     assert np.array_equal(raw64_values(seeds, 2, 3, *key), want)
-    assert np.array_equal(uniform_values(seeds, 2, 3, *key),
-                          np.stack([reference_uniform_values(s, 2, 3, *key) for s in (3, 2**64 - 1)]))
+    assert np.array_equal(uniform_values(seeds, 2, 3, *key), uniforms)
     assert passes == []
+
+
+def test_word_to_uniform_endpoints():
+    """Words 0 and 2^11 - 1 (top 53 bits 0) and 2^64 - 1 (top 53 bits
+    2^53 - 1) map to (k + 1) / (2^53 + 2) as Python computes it, with
+    correct rounding, through the int64 copy of k."""
+    words = [0, 2**11 - 1, 2**64 - 1]
+    got = rng._to_uniform(np.array(words, dtype=np.uint64))
+    assert got.dtype == np.float64
+    assert got.tolist() == [((k >> 11) + 1) / (2**53 + 2) for k in words]
+    assert 0.0 < got.min() and got.max() < 1.0
+
 
 
 def test_hash_leaves_uint64_inputs_untouched():
